@@ -32,7 +32,7 @@ from .explicit_formula import (
     delta_half,
     zero_sum,
 )
-from .sieve import direct_exp_sum, direct_exp_sums_multi
+from .sieve import DIRECT_X_CAP, direct_exp_sum, direct_exp_sums_multi
 
 PERSISTENT = "PERSISTENT"
 APPARENT = "APPARENT"
@@ -44,7 +44,6 @@ DIRECT = "DIRECT"
 FORMULA = "FORMULA"
 
 _ZERO_TOL = 1e-12
-_DIRECT_X_MAX = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -187,23 +186,19 @@ def trajectory(
         )
     else:
         raise DomainError(f"unknown grid {grid!r}")
-    pars = zw_params(spec)
-    c = c_half(spec, cfg)
-    out = []
-    if mode == DIRECT:
-        if x_max > _DIRECT_X_MAX:
-            raise CapacityError(f"DIRECT trajectories refuse x_max > {_DIRECT_X_MAX}")
-        sums = direct_exp_sums_multi(spec, xs)
-        for x, a in zip(xs, sums):
-            x = float(x)
-            bval = (a - delta_1(spec, x, cfg)) / _scale(x, pars.w)
-            out.append(TrajectorySample(x, bval, bval - c, DIRECT))
-    elif mode == FORMULA:
-        for x in xs:
-            x = float(x)
-            numer = delta_half(spec, x, cfg) + zero_sum(spec, x, cfg)
-            bval = numer / _scale(x, pars.w)
-            out.append(TrajectorySample(x, bval, bval - c, FORMULA))
-    else:
+    if mode not in (DIRECT, FORMULA):
         raise DomainError(f"unknown mode {mode!r}")
-    return out
+    if mode == DIRECT and x_max > DIRECT_X_CAP:
+        raise CapacityError(f"DIRECT trajectories refuse x_max > {DIRECT_X_CAP}")
+    c = c_half(spec, cfg)
+    if mode == FORMULA:
+        bvals = [B_of_x(spec, float(x), FORMULA, cfg) for x in xs]
+    else:
+        w = zw_params(spec).w
+        bvals = [
+            (a - delta_1(spec, float(x), cfg)) / _scale(float(x), w)
+            for x, a in zip(xs, direct_exp_sums_multi(spec, xs))
+        ]
+    return [
+        TrajectorySample(float(x), b, b - c, mode) for x, b in zip(xs, bvals)
+    ]

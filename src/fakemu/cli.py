@@ -36,7 +36,7 @@ def _c(v: complex) -> dict:
 
 def _config_from_args(args) -> FormulaConfig:
     kernel = None
-    if getattr(args, "zeros_file", None):
+    if args.zeros_file:
         kernel = ZetaKernel(load_zero_table(args.zeros_file))
     return FormulaConfig(
         a=args.a,
@@ -54,14 +54,14 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _add_shared(p: argparse.ArgumentParser, eps_required: bool = True) -> None:
-    p.add_argument("--eps", required=eps_required, help="epsilon-spec string")
+def _add_shared(p: argparse.ArgumentParser) -> None:
+    """Flags of every command that evaluates a spec (all but verify)."""
+    p.add_argument("--eps", required=True, help="epsilon-spec string")
     p.add_argument("--prime-limit", type=int, default=100_000)
     p.add_argument("--n-zeros", type=int, default=30)
     p.add_argument("--a", type=float, default=0.40)
     p.add_argument("--zeros-file", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def cmd_classify(args) -> int:
@@ -93,7 +93,7 @@ def cmd_trajectory(args) -> int:
         samples = [
             bias_mod.TrajectorySample(s.x, s.B, s.B, s.mode) for s in samples
         ]
-    if (args.format or "csv") == "csv":
+    if args.format == "csv":
         rows = ["x,re_B,im_B,re_B_centered,im_B_centered,mode"]
         for s in samples:
             rows.append(
@@ -182,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--grid", choices=("log", "loglog"), default="log")
     p.add_argument("--mode", choices=("direct", "formula"), default="direct")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument(
         "--center",
         action=argparse.BooleanOptionalAction,
@@ -203,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_watson)
 
     p = sub.add_parser("verify", help="run a self-check suite")
-    _add_shared(p, eps_required=False)
     p.add_argument("--suite", choices=sorted(verify_mod.SUITES), required=True)
     p.set_defaults(fn=cmd_verify)
     return ap

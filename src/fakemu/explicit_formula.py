@@ -1,15 +1,26 @@
 """Explicit formula for the smoothed summatory function.
 
 Assembles  A_exp(x) = Delta_1(x) + Delta_{1/2}(x) + sum_rho Delta_rho(x)
-from Laplace-type integrals over the jumps of F(s) Gamma(s) x^s across the
-branch cuts at s=1, s=1/2 and the nontrivial zeros:
+from the jumps of F(s) Gamma(s) x^s across the branch cuts at s=1 and
+s=1/2 (from zeta(s)^z and zeta(2s)^w) and at each nontrivial zero rho.
+Each part is the same Selberg-Delange step, taken once by class _Cut:
 
-  Delta_1    = sin(pi z)/pi * x * int_0^{1/2}  e^{-Lu} u^{-z} J_1(u) du
-  Delta_1/2  = sin(pi(z+w))/pi * 2^{1-w} * sqrt(x)
-                 * int_0^{1/2-a} e^{-Lu} u^{-w} J_half(u) du
-  Delta_rho  = -sin(pi z)/pi * x^rho * int_0^{1/2-a} e^{-Lu} u^{z} J_rho(u) du
+  Delta_xi(x) = x^xi * { sine * int_0^b e^{-Lu} u^{-beta} J_xi(u) du   (quadrature)
+                       { c_xi                                          (residue)
+                       { 0                                             (zero)
 
-with L = log x and
+with L = log x, right = the tanh-sinh exponent at u = b, and
+
+  xi   beta  sine                     b      right        zero when        residue when
+  1    z     sin(pi z)/pi             1/2    max(Re w,0)  z in {-1, 0}     z = 1
+  1/2  w     sin(pi(z+w))/pi 2^{1-w}  1/2-a  0            z+w in Z, w!=1   w = 1
+  rho  -z    -sin(pi z)/pi            1/2-a  0            z in {0, 1}      z = -1
+
+At the "zero" exponents the sine vanishes; at the "residue" ones the jump
+integral collapses to the residue of a pole (Tenenbaum, Introduction to
+Analytic and Probabilistic Number Theory, II.5), with c_xi = zeta(2)^w G(1),
+sqrt(pi)/2 zeta(1/2)^z G(1/2) and Gamma(rho) zeta(2rho)^w G(rho)/zeta'(rho)
+respectively.  The integrands are
 
   J_1(u)    = exp(z L1(1-u) + w L1(2-2u)) (1-2u)^{-w} G(1-u) Gamma(1-u)
   J_half(u) = (1/2-u)^2 (1/2+u)^{-z} Z(1/2-u;z) Z(1-2u;w) G(1/2-u) Gamma(1/2-u)
@@ -22,14 +33,11 @@ limits pin these factors: at z = 0 the Selberg-Delange main term
 2^{-w} sqrt(pi) G(1/2) x^{1/2} L^{w-1} / Gamma(w) must emerge, and at
 z = -1 (resp. w = 1) the residue formulas must.
 
-Integer z or w switch the affected parts to exact residue formulas; the
-sine prefactors make the complementary parts vanish identically.
-
-Quadrature is tanh-sinh (double-exponential), which absorbs the algebraic
-endpoint singularities u^{-Re z}, u^{-Re w}, u^{Re z}; integrand values
-J(u) are cached per node so repeated evaluation at many x is cheap.
-Watson coefficients lambda_{xi,k} come from a 256-node trapezoid rule on
-the circle |u| = r'.
+Quadrature is tanh-sinh, which absorbs the endpoint singularities; J(u) is
+cached per node, so evaluating at many x is cheap.  Watson coefficients
+lambda_{xi,k} of J_xi at u = 0 come from a 256-node trapezoid rule on the
+circle |u| = r'; Delta_xi ~ sine x^xi sum_k lambda_k Gamma(1-beta+k)
+L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
 """
 
 from __future__ import annotations
@@ -37,20 +45,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .eps_model import EpsilonSpec, FactorParams, near_integer, zw_params
 from .errors import (
-    ConsistencyError,
-    DomainError,
-    QuadratureError,
-    RangeError,
-    WindowError,
+    ConsistencyError, DomainError, QuadratureError, RangeError, WindowError,
 )
 from .euler_residual import G_f, GfConfig
-from .zeta_kernel import ZetaKernel, _track_log, default_kernel, gamma, log_zeta_euler
+from .zeta_kernel import ZetaKernel, _track_log, default_kernel, gamma, log_zeta_euler, zeta
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -133,27 +138,8 @@ def _ts_points(b: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return u, cu, w
 
 
-class _NodeCache:
-    """Memoized integrand values J(u) keyed by the tanh-sinh parameter t."""
-
-    def __init__(self, j: Callable[[complex, Optional[float]], complex]):
-        self.j = j
-        self.vals: dict[float, complex] = {}
-
-    def values(self, t: np.ndarray, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-        out = np.empty(t.size, dtype=np.complex128)
-        for i, tk in enumerate(t):
-            key = float(tk)
-            v = self.vals.get(key)
-            if v is None:
-                v = self.j(complex(u[i]), float(cu[i]))
-                self.vals[key] = v
-            out[i] = v
-        return out
-
-
 def _laplace_quad(
-    cache: _NodeCache,
+    cache: _Cut,
     weight: Callable[[np.ndarray], np.ndarray],
     b: float,
     alpha_left: float,
@@ -161,7 +147,7 @@ def _laplace_quad(
     tol: float,
     max_level: int,
 ) -> complex:
-    """int_0^b weight(u) J(u) du by level-doubling tanh-sinh."""
+    """int_0^b weight(u) J(u) du by level-doubling tanh-sinh (J from cache.values)."""
     t_left = _t_cut(alpha_left)
     t_right = _t_cut(alpha_right)
     prev = None
@@ -205,11 +191,125 @@ class _LineCache:
         if got is not None:
             return got
         nearest = min(self.items, key=lambda q: abs(q - pos))
-        val, _ = _track_log(
+        val = _track_log(
             self.h, self.s_of(nearest), self.items[nearest], self.s_of(pos)
         )
         self.items[pos] = val
         return val
+
+
+# --------------------------------------------------------------------------
+# one branch point: Laplace quadrature, residue or exact zero, and Watson
+# --------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class _Cut:
+    """The Selberg-Delange step at one branch point xi (module docstring).
+
+    j(u, cu) is J_xi, with cu = b - u passed exactly near the right end,
+    memoized per tanh-sinh node by values(); ring(r, n), if given, walks
+    J_xi around n equispaced points of |u| = r (else J is called at each);
+    residue() computes c_xi on first use.  J and its ring exist in every
+    mode.
+    """
+
+    cfg: FormulaConfig
+    beta: complex
+    b: float
+    alpha_right: float
+    sine: complex
+    x_pow: Callable[[float], complex]
+    j: Callable[..., complex]
+    mode: str  # quadrature | residue | zero
+    residue: Callable[[], complex]
+    ring: Optional[Callable[[float, int], np.ndarray]] = None
+
+    def __post_init__(self):
+        self.vals: dict[float, complex] = {}  # J by tanh-sinh parameter t
+
+    def values(self, t: np.ndarray, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+        out = np.empty(t.size, dtype=np.complex128)
+        for i, tk in enumerate(t):
+            key = float(tk)
+            v = self.vals.get(key)
+            if v is None:
+                v = self.j(complex(u[i]), float(cu[i]))
+                self.vals[key] = v
+            out[i] = v
+        return out
+
+    @cached_property
+    def coef(self) -> complex:
+        return self.residue()
+
+    def _require_integrable(self) -> None:
+        if self.beta.real >= 1.0:
+            raise WindowError(f"Re beta = {self.beta.real} >= 1: outside the treated window")
+
+    def delta(self, x: float) -> complex:
+        if self.mode == "zero":
+            return 0.0 + 0.0j
+        if self.mode == "residue":
+            return self.x_pow(x) * self.coef
+        self._require_integrable()
+        ell = math.log(x)
+        beta = self.beta
+
+        def weight(u: np.ndarray) -> np.ndarray:
+            return np.exp(-ell * u - beta * np.log(u))
+
+        val = _laplace_quad(
+            self, weight, self.b, max(beta.real, 0.0), self.alpha_right,
+            self.cfg.quad_tol, self.cfg.max_level,
+        )
+        return self.sine * self.x_pow(x) * val
+
+    def leading(self) -> complex:
+        """c with Delta_xi(x) ~ c x^xi L^{beta-1}: Watson order 0, lambda_0 = J(0)."""
+        if self.mode == "zero":
+            return 0.0 + 0.0j
+        if self.mode == "residue":
+            return self.coef
+        self._require_integrable()
+        return self.sine * gamma(1.0 - self.beta) * self.j(0.0)
+
+    def coeffs(self, M: int, nodes: int) -> list[complex]:
+        """Taylor coefficients lambda_0..M of J_xi at u = 0 (trapezoid rule
+        on |u| = watson_radius); lambda_0 is checked against J(0)."""
+        if M < 0 or M > 8:
+            raise DomainError("Watson order M must be in [0, 8]")
+        r = self.cfg.watson_radius
+        j0 = self.j(0.0)
+        ang = 2.0 * math.pi * np.arange(nodes) / nodes
+        if self.ring is not None:
+            vals = self.ring(r, nodes)
+        else:
+            vals = np.array([self.j(complex(r * np.cos(t), r * np.sin(t))) for t in ang])
+        coeffs = [
+            complex(np.mean(vals * np.exp(-1j * k * ang))) / r ** k
+            for k in range(M + 1)
+        ]
+        if abs(coeffs[0] - j0) > 1e-9 * max(abs(j0), 1e-300):
+            raise ConsistencyError(f"lambda_0 = {coeffs[0]} disagrees with J(0) = {j0}")
+        return coeffs
+
+    def watson(self, x: float, M: int) -> complex:
+        """Truncated Watson expansion of Delta_xi (no error term added)."""
+        if self.mode == "residue":
+            raise WindowError("no Watson expansion on a residue path")
+        self._require_integrable()
+        if self.mode == "zero":
+            return 0.0 + 0.0j
+        log_ell = math.log(math.log(x))
+        series = 0.0 + 0.0j
+        for k, lam in enumerate(self.coeffs(M, 256)):
+            p = 1.0 - self.beta + k
+            series += lam * gamma(p) * cmath.exp(-p * log_ell)
+        return self.sine * self.x_pow(x) * series
+
+
+def _mode(residue: bool, zero: bool) -> str:
+    return "residue" if residue else ("zero" if zero else "quadrature")
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +325,8 @@ class _Ctx:
         self.z = self.pars.z
         self.w = self.pars.w
         self._g_points: dict[complex, complex] = {}
-        self._caches: dict = {}
+        self._lines: dict = {}
+        self._cuts: dict = {}
 
     # -- residual Euler product, memoized pointwise --------------------------
 
@@ -236,6 +337,60 @@ class _Ctx:
             got = G_f(self.spec, s, self.cfg.gf_config)
             self._g_points[s] = got
         return got
+
+    # -- branch points ----------------------------------------------------------
+
+    def cut(self, key) -> _Cut:
+        """The cut at "one", "half" or (zero_index, conjugate), built once."""
+        if key not in self._cuts:
+            self._cuts[key] = self._build_cut(key)
+        return self._cuts[key]
+
+    def _build_cut(self, key) -> _Cut:
+        z, w, k = self.z, self.w, self.kernel
+        zi = self.pars.z_integer_case
+        if key == "one":
+            return _Cut(
+                self.cfg, beta=z, b=0.5, alpha_right=max(w.real, 0.0),
+                sine=cmath.sin(cmath.pi * z) / math.pi,
+                x_pow=lambda x: x, j=self.j1,
+                mode=_mode(zi == 1, zi in (-1, 0)),
+                # Res_{s=1} F(s) Gamma(s) x^s = x * zeta(2)^w * G(1)
+                residue=lambda: cmath.exp(w * k.L1(2.0).value) * self.G(1.0),
+            )
+        if key == "half":
+            # Res_{s=1/2} zeta(2s) = 1/2, with zeta(1/2)^z the boundary value
+            # from above the cut (-inf, 1]
+            def residue() -> complex:
+                zeta_half_z = cmath.exp(z * (math.log(2.0) + k.L1(0.5).value - 1j * math.pi))
+                return 0.5 * SQRT_PI * zeta_half_z * self.G(0.5)
+
+            return _Cut(
+                self.cfg, beta=w, b=0.5 - self.cfg.a, alpha_right=0.0,
+                sine=cmath.sin(cmath.pi * (z + w)) / math.pi
+                * cmath.exp((1.0 - w) * math.log(2.0)),
+                x_pow=math.sqrt, j=self.j_half,
+                mode=_mode(self.pars.w_is_one, near_integer(z + w) is not None),
+                residue=residue,
+            )
+        index, conjugate = key
+        rho = k.rho(index, conjugate)
+
+        def residue() -> complex:
+            zp = k.zeta_prime_at_zero(index)
+            if conjugate:
+                zp = zp.conjugate()
+            return gamma(rho) * self.zeta_2rho_pow_w(index, conjugate) * self.G(rho) / zp
+
+        return _Cut(
+            self.cfg, beta=-z, b=0.5 - self.cfg.a, alpha_right=0.0,
+            sine=-cmath.sin(cmath.pi * z) / math.pi,
+            x_pow=lambda x: cmath.exp(rho * math.log(x)),
+            j=lambda u, cu=None: self.j_rho_real(index, u.real, conjugate),
+            mode=_mode(zi == -1, zi in (0, 1)),
+            residue=residue,
+            ring=lambda r, n: self.j_rho_circle(index, r, n, conjugate),
+        )
 
     # -- integrands -----------------------------------------------------------
 
@@ -267,8 +422,8 @@ class _Ctx:
         )
 
     def _rho_lines(self, zero_index: int, conjugate: bool):
-        key = ("lines", zero_index, conjugate)
-        got = self._caches.get(key)
+        key = (zero_index, conjugate)
+        got = self._lines.get(key)
         if got is not None:
             return got
         k = self.kernel
@@ -280,29 +435,35 @@ class _Ctx:
         height = 2.0 * rho.imag
         clog = _LineCache(
             lambda q: 2.0 * rho - 2.0 * q,
-            k.zeta,
+            zeta,
             -1.0,  # 2 rho - 2(-1) = 3 + i 2 gamma, the right-edge anchor
             log_zeta_euler(complex(3.0, height)),
         )
         got = (rho, lrho, clog)
-        self._caches[key] = got
+        self._lines[key] = got
         return got
 
-    def j_rho_real(self, zero_index: int, u: float, conjugate: bool = False) -> complex:
-        """J_rho at real u (the Laplace path), via incremental line sweeps."""
-        rho, lrho, clog = self._rho_lines(zero_index, conjugate)
+    def j_rho(self, rho: complex, u: complex, lr: complex, cz: complex) -> complex:
+        """J_rho at u from the branch values lr = L_rho(rho-u), cz = log zeta(2rho-2u)."""
         s = rho - u
         return (
             (rho - 1.0 - u) ** (-self.z)
             * self.G(s)
-            * cmath.exp(self.z * lrho.value(u) + self.w * clog.value(u))
+            * cmath.exp(self.z * lr + self.w * cz)
             * gamma(s)
         )
 
-    def j_rho_circle(self, zero_index: int, r: float, n: int) -> np.ndarray:
+    def j_rho_real(self, zero_index: int, u: float, conjugate: bool = False) -> complex:
+        """J_rho at real u (the Laplace path), via incremental line sweeps."""
+        rho, lrho, clog = self._rho_lines(zero_index, conjugate)
+        return self.j_rho(rho, u, lrho.value(u), clog.value(u))
+
+    def j_rho_circle(
+        self, zero_index: int, r: float, n: int, conjugate: bool = False
+    ) -> np.ndarray:
         """J_rho on the circle |u| = r (n nodes), walked from the real axis."""
-        k = self.kernel
-        rho, lrho, clog = self._rho_lines(zero_index, False)
+        rho, lrho, clog = self._rho_lines(zero_index, conjugate)
+        h_rho = self.kernel._h_rho(zero_index, conjugate)
         ang = 2.0 * math.pi * np.arange(n) / n
         us = r * np.exp(1j * ang)
         lr = lrho.value(r)
@@ -312,35 +473,11 @@ class _Ctx:
         for i, u in enumerate(us):
             u = complex(u)
             if i > 0:
-                lr, _ = _track_log(
-                    k._h_rho(zero_index, False), rho - cur_u, lr, rho - u
-                )
-                cz, _ = _track_log(
-                    k.zeta, 2.0 * rho - 2.0 * cur_u, cz, 2.0 * rho - 2.0 * u
-                )
+                lr = _track_log(h_rho, rho - cur_u, lr, rho - u)
+                cz = _track_log(zeta, 2.0 * rho - 2.0 * cur_u, cz, 2.0 * rho - 2.0 * u)
                 cur_u = u
-            s = rho - u
-            out[i] = (
-                (rho - 1.0 - u) ** (-self.z)
-                * self.G(s)
-                * cmath.exp(self.z * lr + self.w * cz)
-                * gamma(s)
-            )
+            out[i] = self.j_rho(rho, u, lr, cz)
         return out
-
-    def node_cache(self, key: str, j) -> _NodeCache:
-        got = self._caches.get(key)
-        if got is None:
-            got = _NodeCache(j)
-            self._caches[key] = got
-        return got
-
-    # -- special values -------------------------------------------------------
-
-    def zeta_half_pow_z(self) -> complex:
-        """zeta(1/2)^z, boundary value from above the cut (-inf, 1]."""
-        l_half = self.kernel.L1(0.5).value
-        return cmath.exp(self.z * (math.log(2.0) + l_half - 1j * math.pi))
 
     def zeta_2rho_pow_w(self, zero_index: int, conjugate: bool = False) -> complex:
         _, _, clog = self._rho_lines(zero_index, conjugate)
@@ -401,13 +538,8 @@ def J_rho(
     if u.imag == 0.0:
         return ctx.j_rho_real(zero_index, u.real)
     rho = k.rho(zero_index)
-    lr = k.L_rho(zero_index, rho - u).value
-    cz = k.clog_zeta(2.0 * rho - 2.0 * u)
-    return (
-        (rho - 1.0 - u) ** (-ctx.z)
-        * ctx.G(rho - u)
-        * cmath.exp(ctx.z * lr + ctx.w * cz)
-        * gamma(rho - u)
+    return ctx.j_rho(
+        rho, u, k.L_rho(zero_index, rho - u).value, k.clog_zeta(2.0 * rho - 2.0 * u)
     )
 
 
@@ -424,56 +556,16 @@ def _require_x(x: float, minimum: float = 3.0) -> float:
 def delta_1(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Main term from s=1.  Exactly 0 for z in {-1, 0}; residue for z=1."""
     x = _require_x(x)
-    ctx, cfg = _ctx(spec, cfg)
-    z, w = ctx.z, ctx.w
-    zi = ctx.pars.z_integer_case
-    if zi in (-1, 0):
-        return 0.0 + 0.0j
-    if zi == 1:
-        # Res_{s=1} F(s) Gamma(s) x^s = x * zeta(2)^w * G(1)
-        return x * cmath.exp(w * ctx.kernel.L1(2.0).value) * ctx.G(1.0)
-    ell = math.log(x)
-    cache = ctx.node_cache("J1", ctx.j1)
-
-    def weight(u: np.ndarray) -> np.ndarray:
-        return np.exp(-ell * u - z * np.log(u))
-
-    val = _laplace_quad(
-        cache, weight, 0.5, max(z.real, 0.0), max(w.real, 0.0),
-        cfg.quad_tol, cfg.max_level,
-    )
-    return cmath.sin(cmath.pi * z) / math.pi * x * val
+    ctx, _ = _ctx(spec, cfg)
+    return ctx.cut("one").delta(x)
 
 
 def delta_half(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Secondary term from s=1/2.  Exactly 0 for z+w integer (w != 1);
     residue for w=1."""
     x = _require_x(x)
-    ctx, cfg = _ctx(spec, cfg)
-    z, w = ctx.z, ctx.w
-    if ctx.pars.w_is_one:
-        # Res_{s=1/2} zeta(2s)=1/2: sqrt(x)/2 * Gamma(1/2) zeta(1/2)^z G(1/2)
-        return math.sqrt(x) * 0.5 * SQRT_PI * ctx.zeta_half_pow_z() * ctx.G(0.5)
-    if near_integer(z + w) is not None:
-        return 0.0 + 0.0j
-    if w.real >= 1.0:
-        raise WindowError(f"Re w = {w.real} >= 1 outside the treated window")
-    ell = math.log(x)
-    cache = ctx.node_cache("Jhalf", ctx.j_half)
-
-    def weight(u: np.ndarray) -> np.ndarray:
-        return np.exp(-ell * u - w * np.log(u))
-
-    val = _laplace_quad(
-        cache, weight, 0.5 - cfg.a, max(w.real, 0.0), 0.0,
-        cfg.quad_tol, cfg.max_level,
-    )
-    return (
-        cmath.sin(cmath.pi * (z + w)) / math.pi
-        * cmath.exp((1.0 - w) * math.log(2.0))
-        * math.sqrt(x)
-        * val
-    )
+    ctx, _ = _ctx(spec, cfg)
+    return ctx.cut("half").delta(x)
 
 
 def delta_rho(
@@ -486,69 +578,40 @@ def delta_rho(
     """Oscillatory term of one zero.  Exactly 0 for z in {0, 1}; residue
     Gamma(rho) x^rho zeta(2 rho)^w G(rho) / zeta'(rho) for z = -1."""
     x = _require_x(x)
-    ctx, cfg = _ctx(spec, cfg)
-    z, w = ctx.z, ctx.w
-    k = ctx.kernel
-    zi = ctx.pars.z_integer_case
-    if zi in (0, 1):
-        return 0.0 + 0.0j
-    rho = k.rho(zero_index, conjugate)
-    x_rho = cmath.exp(rho * math.log(x))
-    if zi == -1:
-        zp = k.zeta_prime_at_zero(zero_index)
-        if conjugate:
-            zp = zp.conjugate()
-        return (
-            gamma(rho) * x_rho * ctx.zeta_2rho_pow_w(zero_index, conjugate)
-            * ctx.G(rho) / zp
-        )
-    ell = math.log(x)
-    cache = ctx.node_cache(
-        ("Jrho", zero_index, conjugate),
-        lambda u, cu: ctx.j_rho_real(zero_index, u.real, conjugate),
-    )
-
-    def weight(u: np.ndarray) -> np.ndarray:
-        return np.exp(-ell * u + z * np.log(u))
-
-    val = _laplace_quad(
-        cache, weight, 0.5 - cfg.a, max(-z.real, 0.0), 0.0,
-        cfg.quad_tol, cfg.max_level,
-    )
-    return -cmath.sin(cmath.pi * z) / math.pi * x_rho * val
+    ctx, _ = _ctx(spec, cfg)
+    return ctx.cut((zero_index, conjugate)).delta(x)
 
 
-def _zero_pair(
-    spec: EpsilonSpec, zero_index: int, x: float, cfg: FormulaConfig
-) -> complex:
-    """Delta_rho + Delta_{conj rho} for one positive-ordinate zero."""
-    d = delta_rho(spec, zero_index, x, cfg)
-    if spec.is_real_valued():
-        return d + d.conjugate()
-    return d + delta_rho(spec, zero_index, x, cfg, conjugate=True)
+def _zero_pairs(
+    spec: EpsilonSpec, x: float, cfg: FormulaConfig
+) -> list[tuple[int, complex]]:
+    """(k, Delta_rho + Delta_{conj rho}) for the first n_zeros zeros."""
+    real = spec.is_real_valued()
+    pairs = []
+    for k in range(1, cfg.n_zeros + 1):
+        d = delta_rho(spec, k, x, cfg)
+        mirror = d.conjugate() if real else delta_rho(spec, k, x, cfg, conjugate=True)
+        pairs.append((k, d + mirror))
+    return pairs
 
 
 def zero_sum(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Sum over the first n_zeros zeros, each with its mirror at -gamma."""
-    ctx, cfg = _ctx(spec, cfg)
-    total = 0.0 + 0.0j
-    for k in range(1, cfg.n_zeros + 1):
-        total += _zero_pair(spec, k, x, cfg)
-    return total
+    _, cfg = _ctx(spec, cfg)
+    return sum((p for _, p in _zero_pairs(spec, x, cfg)), 0.0 + 0.0j)
 
 
 # --------------------------------------------------------------------------
 # Watson coefficients and asymptotic form
 # --------------------------------------------------------------------------
 
-def _parse_point(point) -> tuple[str, int]:
-    if isinstance(point, tuple):
-        return ("zero", int(point[1]))
-    p = str(point).lower()
+def _parse_point(point):
+    """Cut key of an expansion point: "one", "half", "zero:K" or ("zero", K)."""
+    p = f"zero:{point[1]}" if isinstance(point, tuple) else str(point).lower()
     if p in ("one", "half"):
-        return (p, 0)
+        return p
     if p.startswith("zero:"):
-        return ("zero", int(p.split(":", 1)[1]))
+        return (int(p[5:]), False)
     raise DomainError(f"unknown expansion point {point!r}")
 
 
@@ -562,33 +625,8 @@ def watson_coeffs(
     accurate for analytic integrands); lambda_0 is cross-checked against
     the direct value J_xi(0) to 1e-9 relative.
     """
-    if M < 0 or M > 8:
-        raise DomainError("Watson order M must be in [0, 8]")
-    ctx, cfg = _ctx(spec, cfg)
-    kind, kz = _parse_point(point)
-    r = cfg.watson_radius
-    n = nodes
-    if kind == "one":
-        j0 = ctx.j1(0.0)
-        ang = 2.0 * math.pi * np.arange(n) / n
-        vals = np.array([ctx.j1(complex(r * np.cos(t), r * np.sin(t))) for t in ang])
-    elif kind == "half":
-        j0 = ctx.j_half(0.0)
-        ang = 2.0 * math.pi * np.arange(n) / n
-        vals = np.array([ctx.j_half(complex(r * np.cos(t), r * np.sin(t))) for t in ang])
-    else:
-        j0 = ctx.j_rho_real(kz, 0.0)
-        vals = ctx.j_rho_circle(kz, r, n)
-        ang = 2.0 * math.pi * np.arange(n) / n
-    coeffs = []
-    for k in range(M + 1):
-        lam = complex(np.mean(vals * np.exp(-1j * k * ang))) / r ** k
-        coeffs.append(lam)
-    if abs(coeffs[0] - j0) > 1e-9 * max(abs(j0), 1e-300):
-        raise ConsistencyError(
-            f"lambda_0 = {coeffs[0]} disagrees with J(0) = {j0}"
-        )
-    return coeffs
+    ctx, _ = _ctx(spec, cfg)
+    return ctx.cut(_parse_point(point)).coeffs(M, nodes)
 
 
 def c_half(spec: EpsilonSpec, cfg: Optional[FormulaConfig] = None) -> complex:
@@ -597,21 +635,8 @@ def c_half(spec: EpsilonSpec, cfg: Optional[FormulaConfig] = None) -> complex:
     For w = 1 the residue path gives Gamma(1/2) zeta(1/2)^z G(1/2) / 2,
     the coefficient of sqrt(x) in Delta_{1/2}.
     """
-    ctx, cfg = _ctx(spec, cfg)
-    z, w = ctx.z, ctx.w
-    if ctx.pars.w_is_one:
-        return 0.5 * SQRT_PI * ctx.zeta_half_pow_z() * ctx.G(0.5)
-    if near_integer(z + w) is not None:
-        return 0.0 + 0.0j
-    if w.real >= 1.0:
-        raise WindowError(f"Re w = {w.real} >= 1 outside the treated window")
-    lam0 = ctx.j_half(0.0)
-    return (
-        cmath.sin(cmath.pi * (z + w)) / math.pi
-        * cmath.exp((1.0 - w) * math.log(2.0))
-        * gamma(1.0 - w)
-        * lam0
-    )
+    ctx, _ = _ctx(spec, cfg)
+    return ctx.cut("half").leading()
 
 
 def watson_delta_half(
@@ -619,24 +644,8 @@ def watson_delta_half(
 ) -> complex:
     """Truncated Watson expansion of Delta_{1/2} (no error term added)."""
     x = _require_x(x, 10.0)
-    ctx, cfg = _ctx(spec, cfg)
-    z, w = ctx.z, ctx.w
-    if ctx.pars.w_is_one or w.real >= 1.0:
-        raise WindowError("watson_delta_half requires Re w < 1")
-    if near_integer(z + w) is not None:
-        return 0.0 + 0.0j
-    lams = watson_coeffs(spec, "half", M, cfg)
-    ell = math.log(x)
-    log_ell = math.log(ell)
-    series = 0.0 + 0.0j
-    for k, lam in enumerate(lams):
-        series += lam * gamma(1.0 - w + k) * cmath.exp(-(1.0 - w + k) * log_ell)
-    return (
-        cmath.sin(cmath.pi * (z + w)) / math.pi
-        * cmath.exp((1.0 - w) * math.log(2.0))
-        * math.sqrt(x)
-        * series
-    )
+    ctx, _ = _ctx(spec, cfg)
+    return ctx.cut("half").watson(x, M)
 
 
 # --------------------------------------------------------------------------
@@ -650,28 +659,18 @@ def a_exp_formula(
     x = _require_x(x)
     ctx, cfg = _ctx(spec, cfg)
     pars = ctx.pars
-    if not pars.in_window and pars.z_integer_case is None:
+    # the window bounds (z, w) only for non-integer z
+    if not pars.in_window and ctx.cut("one").mode == "quadrature":
         raise WindowError(f"(z, w) = ({pars.z}, {pars.w}) outside treated window")
-    zi = pars.z_integer_case
     modes = {
-        "delta_1": "zero" if zi in (-1, 0) else ("residue" if zi == 1 else "quadrature"),
-        "delta_half": "residue" if pars.w_is_one else (
-            "zero" if near_integer(pars.z + pars.w) is not None else "quadrature"
-        ),
-        "delta_rho": "zero" if zi in (0, 1) else (
-            "residue" if zi == -1 else "quadrature"
-        ),
+        "delta_1": ctx.cut("one").mode,
+        "delta_half": ctx.cut("half").mode,
+        "delta_rho": ctx.cut((1, False)).mode,
     }
     d1 = delta_1(spec, x, cfg)
     dh = delta_half(spec, x, cfg)
-    pairs = []
-    zsum = 0.0 + 0.0j
-    tail = 0.0
-    for k in range(1, cfg.n_zeros + 1):
-        pk = _zero_pair(spec, k, x, cfg)
-        pairs.append((k, pk))
-        zsum += pk
-        tail = abs(pk)
+    pairs = _zero_pairs(spec, x, cfg)
+    zsum = sum((p for _, p in pairs), 0.0 + 0.0j)
     return FormulaBreakdown(
         x=x,
         delta_1=d1,
@@ -680,5 +679,5 @@ def a_exp_formula(
         zero_sum=zsum,
         total=d1 + dh + zsum,
         modes=modes,
-        zero_tail=tail,
+        zero_tail=abs(pairs[-1][1]) if pairs else 0.0,
     )

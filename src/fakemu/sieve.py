@@ -148,20 +148,7 @@ def direct_exp_sum(
     spec: EpsilonSpec, x: float, cutoff_mult: float = DEFAULT_CUTOFF_MULT
 ) -> complex:
     """A_exp(x) = sum_n f(n) e^{-n/x}, truncated at n <= cutoff_mult*x."""
-    if x < 1:
-        raise DomainError("direct_exp_sum requires x >= 1")
-    if cutoff_mult < 30:
-        raise DomainError("cutoff_mult must be >= 30")
-    if x > DIRECT_X_CAP:
-        raise CapacityError(f"x={x} beyond direct-summation cap {DIRECT_X_CAP}")
-    n_max = int(cutoff_mult * x)
-    acc = _Kahan()
-
-    def consume(n, f):
-        acc.add(complex(np.sum(f * np.exp(-n / x))))
-
-    _sweep(spec, n_max, consume)
-    return acc.s
+    return complex(direct_exp_sums_multi(spec, [x], cutoff_mult)[0])
 
 
 def direct_sharp_sum(spec: EpsilonSpec, x: float) -> complex:
@@ -194,6 +181,8 @@ def direct_exp_sums_multi(
         return np.empty(0, dtype=np.complex128)
     if np.any(xs < 1) or np.any(np.diff(xs) < 0):
         raise DomainError("sample points must be ascending and >= 1")
+    if cutoff_mult < 30:
+        raise DomainError("cutoff_mult must be >= 30")
     if xs[-1] > DIRECT_X_CAP:
         raise CapacityError(f"x_max={xs[-1]} beyond cap {DIRECT_X_CAP}")
     cut = np.floor(cutoff_mult * xs).astype(np.int64)

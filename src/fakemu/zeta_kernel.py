@@ -37,6 +37,7 @@ from .errors import (
     RangeError,
     StepError,
 )
+from .sieve import primes_up_to
 
 # --------------------------------------------------------------------------
 # Riemann zeta via Euler-Maclaurin
@@ -216,15 +217,7 @@ def gamma(s: complex) -> complex:
 # Standard branch of log zeta on Re s >= 1.2
 # --------------------------------------------------------------------------
 
-def _small_primes(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.float64)
-
-_LZ_PRIMES = _small_primes(2000)
+_LZ_PRIMES = primes_up_to(2000).astype(np.float64)
 _LZ_LOGP = np.log(_LZ_PRIMES)
 
 
@@ -325,11 +318,9 @@ def default_zero_table() -> ZeroTable:
 
 @dataclass(frozen=True)
 class ContinuedLog:
-    """A branch value of a logarithm along a recorded continuation path."""
+    """A branch value of a logarithm, fixed by continuation."""
 
     value: complex
-    path: tuple[complex, ...]   # anchor, waypoints..., target
-    winding: int
 
 
 def _track_log(
@@ -339,7 +330,7 @@ def _track_log(
     s1: complex,
     step0: float = 0.25,
     floor: float = 1e-6,
-) -> tuple[complex, list[complex]]:
+) -> complex:
     """Continue log h from s0 (known branch value log0) to s1 on a segment.
 
     Each accepted step changes arg h by < pi/2; steps halve on violation
@@ -347,9 +338,8 @@ def _track_log(
     """
     total = s1 - s0
     dist = abs(total)
-    waypoints = [s0]
     if dist == 0.0:
-        return log0, waypoints
+        return log0
     direction = total / dist
     cur_s = s0
     cur_h = cmath.exp(log0)
@@ -374,9 +364,8 @@ def _track_log(
         cur_s = nxt
         cur_h = hn
         remaining -= step
-        waypoints.append(nxt)
         step = min(step * 2.0, step0)
-    return complex(math.log(abs(cur_h)), cur_im), waypoints
+    return complex(math.log(abs(cur_h)), cur_im)
 
 
 class ZetaKernel:
@@ -390,20 +379,6 @@ class ZetaKernel:
         self.table = table if table is not None else default_zero_table()
         self._rho_cache: dict[tuple[int, bool], tuple[complex, float]] = {}
         self._zprime_cache: dict[int, complex] = {}
-
-    # -- plain special functions ------------------------------------------
-
-    @staticmethod
-    def zeta(s: complex) -> complex:
-        return zeta(s)
-
-    @staticmethod
-    def gamma(s: complex) -> complex:
-        return gamma(s)
-
-    @staticmethod
-    def log_zeta_euler(s: complex) -> complex:
-        return log_zeta_euler(s)
 
     def rho(self, k: int, conjugate: bool = False) -> complex:
         g = self.table.ordinates[k - 1]
@@ -428,21 +403,18 @@ class ZetaKernel:
             raise RangeError("L1 requires Re s > 1/3")
         self._assert_off_cut(s)
         if s == 1.0:
-            return ContinuedLog(0.0 + 0.0j, (s,), 0)
+            return ContinuedLog(0.0 + 0.0j)
         if s.real >= 1.2:
-            val = log_zeta_euler(s) + cmath.log(s - 1.0)
-            return ContinuedLog(val, (s,), 0)
+            return ContinuedLog(log_zeta_euler(s) + cmath.log(s - 1.0))
         if abs(s.imag) <= 0.35:
             h = zeta_times_s_minus_1(s)
             if h.real > 0.0:
-                return ContinuedLog(cmath.log(h), (s,), 0)
+                return ContinuedLog(cmath.log(h))
         anchor = path_hint if path_hint is not None else complex(3.0, s.imag)
         if anchor.imag != s.imag or anchor.real < 1.2:
             raise DomainError("path_hint must sit at the target height with Re >= 1.2")
         log_a = log_zeta_euler(anchor) + cmath.log(anchor - 1.0)
-        val, pts = _track_log(zeta_times_s_minus_1, anchor, log_a, s)
-        winding = round((val.imag - cmath.phase(cmath.exp(val))) / (2 * math.pi))
-        return ContinuedLog(val, tuple(pts), int(winding))
+        return ContinuedLog(_track_log(zeta_times_s_minus_1, anchor, log_a, s))
 
     def Z(self, s: complex, z: complex) -> complex:
         """Z(s; z) = ((s-1) zeta(s))^z / s = exp(z L1(s)) / s."""
@@ -495,9 +467,9 @@ class ZetaKernel:
                 f"{zero_index}"
             )
         anchor_log, r = self._rho_anchor(zero_index, conjugate)
-        val, pts = _track_log(self._h_rho(zero_index, conjugate), rho + r, anchor_log, s)
-        winding = round((val.imag - cmath.phase(cmath.exp(val))) / (2 * math.pi))
-        return ContinuedLog(val, tuple(pts), int(winding))
+        return ContinuedLog(
+            _track_log(self._h_rho(zero_index, conjugate), rho + r, anchor_log, s)
+        )
 
     # -- continued log of zeta itself (for zeta(2s)^w near zero heights) ----
 
@@ -528,12 +500,10 @@ class ZetaKernel:
             lift = 2e-3 if t >= 0 else -2e-3
             mid1 = complex(3.0, t + lift)
             mid2 = complex(s.real, t + lift)
-            val, _ = _track_log(h, anchor, log_a, mid1)
-            val, _ = _track_log(h, mid1, val, mid2)
-            val, _ = _track_log(h, mid2, val, s)
-            return val
-        val, _ = _track_log(h, anchor, log_a, s)
-        return val
+            val = _track_log(h, anchor, log_a, mid1)
+            val = _track_log(h, mid1, val, mid2)
+            return _track_log(h, mid2, val, s)
+        return _track_log(h, anchor, log_a, s)
 
     # -- zeta'(rho) ----------------------------------------------------------
 

@@ -161,6 +161,15 @@ def test_trajectory_direct_capacity(cfg):
         bias.trajectory(ONES, 10.0, 2e8, 5, "LOG", bias.DIRECT, cfg)
 
 
+def test_trajectory_checks_before_c_half(cfg):
+    # Re w > 1 makes c_half raise WindowError; the refusals come first
+    spec = parse_eps_spec("finite:[exp(i*1.8234765819369751),1]")
+    with pytest.raises(CapacityError):
+        bias.trajectory(spec, 10.0, 2e8, 5, "LOG", bias.DIRECT, cfg)
+    with pytest.raises(DomainError):
+        bias.trajectory(spec, 10.0, 100.0, 5, "LOG", "SIEVE", cfg)
+
+
 def test_trajectory_spiral_contracts(cfg):
     """Fig 5.3 reproduction: the centered trajectory approaches 0."""
     ts = bias.trajectory(FIG53, 1e3, 1e5, 9, "LOG", bias.DIRECT, cfg)

@@ -49,6 +49,21 @@ def test_classify_window_error_exit_3(capsys):
     assert "window" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--eps", "cm:xi=1", "--format", "csv"],
+        ["verify", "--suite", "core", "--n-zeros", "3"],
+    ],
+)
+def test_unread_flags_are_usage_errors(argv, capsys):
+    # flags are registered only on the commands that read them
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- trajectory
 
 def test_trajectory_csv_contract(tmp_path, capsys):

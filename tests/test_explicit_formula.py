@@ -279,6 +279,21 @@ def test_watson_lambda0_matches_j(cfg):
         assert abs(lam[0] - j0) <= 1e-9 * abs(j0)
 
 
+@pytest.mark.parametrize(
+    "spec, point, j0",
+    [
+        (MOBIUS, "one", lambda cfg: J1(MOBIUS, 0.0, cfg)),            # zero part
+        (MOBIUS, "zero:1", lambda cfg: J_rho(MOBIUS, 1, 0.0, cfg)),   # residue part
+        (LIOUVILLE, "half", lambda cfg: J_half(LIOUVILLE, 0.0, cfg)),  # residue part
+    ],
+)
+def test_watson_lambda0_off_quadrature(cfg, spec, point, j0):
+    # J and its ring exist whatever the mode of the part
+    want = j0(cfg)
+    lam = watson_coeffs(spec, point, 1, cfg)
+    assert abs(lam[0] - want) <= 1e-9 * abs(want)
+
+
 def test_watson_mobius_lambda_one(cfg):
     lam = watson_coeffs(MOBIUS, "one", 2, cfg)
     assert lam[0] == pytest.approx(1.0, rel=1e-10)
@@ -331,6 +346,15 @@ def test_c_half_sine_zero(cfg):
     assert c_half(ONES, cfg) == 0
 
 
+def test_c_half_builds_only_the_half_cut():
+    from fakemu.explicit_formula import _ctx
+
+    cfg = FormulaConfig()
+    c_half(LIOUVILLE, cfg)
+    ctx, _ = _ctx(LIOUVILLE, cfg)
+    assert list(ctx._cuts) == ["half"]
+
+
 def test_c_half_window_error(cfg):
     spec = parse_eps_spec("finite:[exp(i*1.8234765819369751),1]")
     with pytest.raises(WindowError):
@@ -354,6 +378,26 @@ def test_a_exp_formula_modes_integer(cfg):
         "delta_half": "residue",
         "delta_rho": "residue",
     }
+
+
+@pytest.mark.parametrize(
+    "text, modes",
+    [
+        ("finite:[-1]", ("zero", "zero", "residue")),
+        ("finite:[0]", ("zero", "zero", "zero")),
+        ("cm:xi=1", ("residue", "zero", "zero")),
+        ("cm:xi=-1", ("zero", "residue", "residue")),
+        # z + w = -1 with z, w non-integer (acceptance criterion 9)
+        (
+            "finite:[exp(i*2.4188584057763776),-0.5625-0.82679728470768465i]",
+            ("quadrature", "zero", "quadrature"),
+        ),
+        ("periodic:m=2:[i,-i]", ("quadrature", "quadrature", "quadrature")),
+    ],
+)
+def test_a_exp_formula_modes_table(text, modes):
+    b = a_exp_formula(parse_eps_spec(text), 1e3, FormulaConfig(n_zeros=1))
+    assert b.modes == dict(zip(("delta_1", "delta_half", "delta_rho"), modes))
 
 
 def test_a_exp_formula_vs_direct_small(cfg):

@@ -133,8 +133,18 @@ def test_dirichlet_series_consistency():
 
 
 def test_multi_sums_match_single():
+    # independent path: f(n) from the SPF table, summed term by term
     xs = np.array([10.0, 40.0, 160.0])
     multi = direct_exp_sums_multi(PER_I, xs)
+    table = build_spf(int(45 * xs[-1]))
     for x, got in zip(xs, multi):
-        single = direct_exp_sum(PER_I, float(x))
+        single = sum(
+            f_of_n(table, PER_I, n) * math.exp(-n / x)
+            for n in range(1, int(45 * x) + 1)
+        )
         assert abs(got - single) <= 1e-10 * (1 + abs(single))
+
+
+def test_multi_sums_cutoff_precondition():
+    with pytest.raises(DomainError):
+        direct_exp_sums_multi(MOBIUS, [10.0, 20.0], cutoff_mult=10.0)
