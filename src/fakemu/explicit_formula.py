@@ -597,6 +597,7 @@ def _zero_pairs(
 
 def zero_sum(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Sum over the first n_zeros zeros, each with its mirror at -gamma."""
+    x = _require_x(x)
     _, cfg = _ctx(spec, cfg)
     return sum((p for _, p in _zero_pairs(spec, x, cfg)), 0.0 + 0.0j)
 

@@ -5,8 +5,9 @@ oracle:       sieve ground truths and direct-vs-formula closure
 asymptotics:  Watson remainder order, sine-factor exactness, bias labels
 
 Each check either returns quietly or raises AssertionError; the runner
-reports one PASS/FAIL line per check.  Checks are deterministic (fixed
-RNG seeds) so repeated runs agree bit for bit.
+reports one PASS/FAIL line per check with its wall time, then the suite's
+total time.  Checks are deterministic (fixed RNG seeds) so repeated runs
+compute the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import time
 from typing import Callable, Optional
 
 import numpy as np
@@ -273,17 +275,22 @@ def run_suite(name: str, emit: Optional[Callable[[str], None]] = print) -> tuple
     if checks is None:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     passed = failed = 0
+    suite_start = time.perf_counter()
     for label, fn in checks:
+        start = time.perf_counter()
         try:
             fn()
         except Exception as exc:  # noqa: BLE001 - report any failure kind
             failed += 1
-            if emit:
-                emit(f"FAIL {name}:{label}: {exc!r}")
+            line = f"FAIL {name}:{label}: {exc!r}"
         else:
             passed += 1
-            if emit:
-                emit(f"PASS {name}:{label}")
+            line = f"PASS {name}:{label}"
+        if emit:
+            emit(f"{line} ({time.perf_counter() - start:.3f} s)")
     if emit:
-        emit(f"suite {name}: {passed} passed, {failed} failed")
+        emit(
+            f"suite {name}: {passed} passed, {failed} failed"
+            f" ({time.perf_counter() - suite_start:.3f} s)"
+        )
     return passed, failed

@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, output formats, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -62,6 +63,27 @@ def test_unread_flags_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    # the parser is built once per process; each call starts from defaults
+    code, out, _ = run(
+        ["classify", "--eps", "cm:xi=1", "--prime-limit", "1000"], capsys
+    )
+    assert code == 0 and json.loads(out)["prime_limit"] == 1000
+    code, out, _ = run(["classify", "--eps", "cm:xi=1"], capsys)
+    assert code == 0 and json.loads(out)["prime_limit"] == 100000
+    code, out, _ = run(
+        ["evaluate", "--eps", "cm:xi=1", "--x", "100", "--mode", "formula",
+         "--n-zeros", "1"], capsys,
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["direct"] is None and len(rep["per_zero"]) == 1
+    code, out, _ = run(["evaluate", "--eps", "cm:xi=1", "--x", "100"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["direct"] is not None and len(rep["per_zero"]) == 30
 
 
 # ---------------------------------------------------------------- trajectory
@@ -202,3 +224,7 @@ def test_verify_core_suite_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") == 7
+    # each check line and the suite line end with a wall time
+    lines = out.strip().splitlines()
+    assert len(lines) == 8
+    assert all(re.search(r" \(\d+\.\d{3} s\)$", line) for line in lines)

@@ -6,9 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from fakemu import euler_residual
 from fakemu.eps_model import _g_eval_array, parse_eps_spec, zw_params
 from fakemu.errors import DomainError, RangeError
-from fakemu.euler_residual import G_f, G_f_tail_estimate, GfConfig, _exp1
+from fakemu.euler_residual import (
+    G_f,
+    G_f_tail_estimate,
+    GfConfig,
+    _exp1,
+    _log_near_unit,
+)
 from fakemu.sieve import _Kahan, _sweep, primes_up_to
 from fakemu.zeta_kernel import default_kernel
 
@@ -17,13 +24,97 @@ LIOUVILLE = parse_eps_spec("cm:xi=-1")
 FIG53 = parse_eps_spec("periodic:m=2:[i,-i]")
 FIG51A = parse_eps_spec("finite:[exp(i*pi/5),1]")
 QUAD = parse_eps_spec("quadphase:alpha=0.381966")
+ONES = parse_eps_spec("cm:xi=1")
 
 TEST_SPECS = [MOBIUS, LIOUVILLE, FIG53, FIG51A, QUAD]
+REF_SPECS = [MOBIUS, LIOUVILLE, ONES, FIG51A, FIG53, QUAD]
+REF_POINTS = [0.35, 0.4, 0.5, 0.45 + 0.03j, 0.42 + 14.13j, 1.0, 2.0]
+EPS = np.finfo(np.float64).eps
 
 
 @pytest.fixture(scope="module")
 def cfg():
     return GfConfig()
+
+
+def test_configs_share_one_read_only_prime_table():
+    a, b = GfConfig().logp, GfConfig().logp
+    assert a is b
+    assert not a.flags.writeable
+    big = GfConfig(prime_limit=200_000).logp
+    assert big is not a and big.size > a.size
+    assert np.array_equal(big[: a.size], a)
+
+
+def test_log_near_unit_matches_cmath():
+    angles = (0.0, 1e-3, 0.7, -2.5, 3.1)
+    moduli = [1.0 + d for d in (1e-12, -1e-12, 1e-6, -1e-6, 0.3, -0.3)]
+    moduli += [1e-12, 0.05, 3.0, 1e3]
+    vs = [cmath.rect(r, t) for r in moduli for t in angles]
+    got = _log_near_unit(np.array(vs))
+    for v, g in zip(vs, got):
+        want = cmath.log(v)
+        assert abs(g - want) <= 4e-16 * max(1.0, abs(want)), v
+
+
+def test_log_near_unit_relative_accuracy_near_one():
+    # the tail estimate's top-octave terms cancel to ~|log v|^3, so the
+    # logs must be accurate relative to |log v|, not only to 1
+    import mpmath as mp
+
+    rng = np.random.default_rng(3)
+    delta = 10.0 ** rng.uniform(-14, -0.3, 400) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, 400)
+    )
+    vs = 1.0 + delta
+    got = _log_near_unit(vs)
+    with mp.workdps(40):
+        for v, g in zip(vs, got):
+            want = mp.log(mp.mpc(v.real, v.imag))
+            assert abs(mp.mpc(g.real, g.imag) - want) <= 4 * EPS * abs(want), v
+
+
+def test_log_near_unit_branch_on_negative_axis():
+    # the sign of a zero imaginary part picks +pi or -pi, as in np.log
+    vs = np.array([complex(-r, z) for r in (0.5, 1.0, 2.0) for z in (0.0, -0.0)])
+    got = _log_near_unit(vs)
+    want = np.log(vs)
+    assert np.array_equal(got.imag, want.imag)
+    assert np.allclose(got.real, want.real, rtol=0.0, atol=4e-16)
+
+
+def _tail_rounding(spec, s, cfg):
+    """Bound on what rounding in the three logs moves G_f_tail_estimate by.
+
+    Its top-octave terms cancel from ~p^-sigma to ~p^-3sigma, so a relative
+    error of 2 eps in each log, in either implementation, moves the decay
+    constant by up to 4 eps max_p (|log g| + |z||log(1-u)| + |w||log(1-u^2)|)
+    p^{3 sigma}.
+    """
+    pars = zw_params(spec)
+    sigma = complex(s).real
+    top = cfg.logp[cfg.logp >= math.log(cfg.prime_limit / 2.0)]
+    u = np.exp(-complex(s) * top)
+    size = (
+        np.abs(np.log(_g_eval_array(spec, u)))
+        + abs(pars.z) * np.abs(np.log(1.0 - u))
+        + abs(pars.w) * np.abs(np.log(1.0 - u * u))
+    )
+    c = 4 * EPS * float(np.max(size * np.exp(3.0 * sigma * top)))
+    return c * _exp1((3.0 * sigma - 1.0) * math.log(cfg.prime_limit))
+
+
+def test_G_f_matches_np_log_reference(cfg):
+    cases = [(spec, s) for spec in REF_SPECS for s in REF_POINTS]
+    got = [(G_f(spec, s, cfg), G_f_tail_estimate(spec, s, cfg)) for spec, s in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(euler_residual, "_log_near_unit", np.log)
+        for (spec, s), (g, tail) in zip(cases, got):
+            want = G_f(spec, s, cfg)
+            assert abs(g - want) <= 1e-13 * abs(want), (spec.class_tag, s)
+            want = G_f_tail_estimate(spec, s, cfg)
+            floor = _tail_rounding(spec, s, cfg)
+            assert abs(tail - want) <= 1e-13 * want + floor, (spec.class_tag, s)
 
 
 def test_mobius_identically_one(cfg):

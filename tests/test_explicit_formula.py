@@ -235,6 +235,13 @@ def test_zero_sum_real_for_real_eps(cfg):
     assert abs(v) <= 1e-6
 
 
+@pytest.mark.parametrize("n_zeros", [0, 1])
+def test_zero_sum_checks_x(n_zeros):
+    # x is checked up front, also when no zero pair is summed
+    with pytest.raises(DomainError):
+        zero_sum(FIG53, 1.0, FormulaConfig(n_zeros=n_zeros))
+
+
 def test_delta_rho_mirror_vs_conj_spec(cfg):
     # independent continuation at -gamma must mirror the conjugated spec
     a = delta_rho(FIG53, 1, 1e4, cfg, conjugate=True)
