@@ -31,8 +31,8 @@ from .errors import DomainError, ParseError
 #: Centralized so downstream integer-case branching is consistent.
 UNIT_TOL = 1e-12
 
-#: Default truncation tolerance for QUADPHASE series evaluation.
-DEFAULT_G_TOL = 1e-14
+#: Truncation tolerance for QUADPHASE series evaluation.
+G_TOL = 1e-14
 
 CM = "CM"
 PERIODIC = "PERIODIC"
@@ -307,19 +307,19 @@ def zw_params(spec: EpsilonSpec) -> FactorParams:
     )
 
 
-def g_eval(spec: EpsilonSpec, u: complex, tol: float = DEFAULT_G_TOL) -> complex:
+def g_eval(spec: EpsilonSpec, u: complex) -> complex:
     """Generating function g(u) = sum_k eps_k u^k, |u| < 1.
 
     CM, PERIODIC and FINITE use their closed forms; QUADPHASE sums partial
-    sums until the geometric tail bound |u|^{K+1}/(1-|u|) drops below tol.
+    sums until the geometric tail bound |u|^{K+1}/(1-|u|) drops below G_TOL.
     """
     u = complex(u)
     if abs(u) >= 1.0:
         raise DomainError(f"g(u) requires |u| < 1, got |u| = {abs(u)}")
-    return complex(_g_eval_array(spec, np.asarray([u]), tol)[0])
+    return complex(_g_eval_array(spec, np.asarray([u]))[0])
 
 
-def _g_eval_array(spec: EpsilonSpec, u: np.ndarray, tol: float = DEFAULT_G_TOL) -> np.ndarray:
+def _g_eval_array(spec: EpsilonSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized g(u) over a numpy array of points with |u| < 1."""
     tag = spec.class_tag
     if tag == CM:
@@ -339,7 +339,7 @@ def _g_eval_array(spec: EpsilonSpec, u: np.ndarray, tol: float = DEFAULT_G_TOL) 
     if umax == 0.0:
         return np.ones_like(u)
     kmax = 1
-    while umax ** (kmax + 1) / (1.0 - umax) >= tol:
+    while umax ** (kmax + 1) / (1.0 - umax) >= G_TOL:
         kmax += 1
         if kmax > 100_000:
             raise DomainError("QUADPHASE series truncation did not converge")

@@ -35,9 +35,14 @@ z = -1 (resp. w = 1) the residue formulas must.
 
 Quadrature is tanh-sinh, which absorbs the endpoint singularities; J(u) is
 cached per node, so evaluating at many x is cheap.  Watson coefficients
-lambda_{xi,k} of J_xi at u = 0 come from a 256-node trapezoid rule on the
-circle |u| = r'; Delta_xi ~ sine x^xi sum_k lambda_k Gamma(1-beta+k)
-L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
+lambda_{xi,k} of J_xi at u = 0 come from a WATSON_NODES-node trapezoid rule
+on the circle |u| = WATSON_RADIUS; Delta_xi ~ sine x^xi sum_k lambda_k
+Gamma(1-beta+k) L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
+
+The two branch-tracked logs inside J_rho come from one
+zeta_kernel.RhoSweep per zero (and per mirror zero), kept on the
+evaluation context: it serves the Laplace nodes, the Watson ring, the
+residue's zeta(2 rho)^w and the public J_rho at complex u.
 """
 
 from __future__ import annotations
@@ -55,35 +60,40 @@ from .errors import (
     ConsistencyError, DomainError, QuadratureError, RangeError, WindowError,
 )
 from .euler_residual import G_f, GfConfig
-from .zeta_kernel import ZetaKernel, _track_log, default_kernel, gamma, log_zeta_euler, zeta
+from .zeta_kernel import RhoSweep, ZetaKernel, default_kernel, gamma
 
 SQRT_PI = math.sqrt(math.pi)
+
+#: tanh-sinh stopping tolerance (relative change between levels) and the
+#: last level tried before QuadratureError.
+QUAD_TOL = 1e-10
+MAX_LEVEL = 12
+#: Watson coefficients: trapezoid nodes on the ring |u| = WATSON_RADIUS,
+#: which must lie inside the smallest analyticity disc, radius 1/2 - a.
+WATSON_RADIUS = 0.05
+WATSON_NODES = 256
 
 
 @dataclass(eq=False)
 class FormulaConfig:
     """Knobs for the explicit-formula evaluation.
 
-    a: abscissa of the leftmost contour line, 1/3 < a < 1/2.  n_zeros pairs
-    of zeros enter the zero sum.  watson_radius is the Taylor-coefficient
-    contour radius r' (must stay inside the smallest analyticity disc,
-    radius 1/2 - a).
+    a: abscissa of the leftmost contour line, 1/3 < a < 1/2 - WATSON_RADIUS
+    (the Watson ring must fit inside the disc of radius 1/2 - a).  n_zeros
+    pairs of zeros enter the zero sum.
     """
 
     a: float = 0.40
     n_zeros: int = 30
-    quad_tol: float = 1e-10
-    watson_radius: float = 0.05
     gf_config: GfConfig = field(default_factory=GfConfig)
     kernel: Optional[ZetaKernel] = None
-    max_level: int = 12
     _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not (1.0 / 3.0 < self.a < 0.5):
             raise DomainError("a must lie in (1/3, 1/2)")
-        if not (0.0 < self.watson_radius < 0.5 - self.a):
-            raise DomainError("watson_radius must lie in (0, 1/2 - a)")
+        if 0.5 - self.a <= WATSON_RADIUS:
+            raise DomainError(f"a must leave room for the Watson ring: 1/2 - a > {WATSON_RADIUS}")
         if self.n_zeros < 0:
             raise DomainError("n_zeros must be >= 0")
 
@@ -144,14 +154,12 @@ def _laplace_quad(
     b: float,
     alpha_left: float,
     alpha_right: float,
-    tol: float,
-    max_level: int,
 ) -> complex:
     """int_0^b weight(u) J(u) du by level-doubling tanh-sinh (J from cache.values)."""
     t_left = _t_cut(alpha_left)
     t_right = _t_cut(alpha_right)
     prev = None
-    for level in range(3, max_level + 1):
+    for level in range(3, MAX_LEVEL + 1):
         h = 2.0 ** (1 - level)
         k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
         t = k * h
@@ -161,41 +169,12 @@ def _laplace_quad(
         cur = h * complex(np.sum(terms))
         mass = h * float(np.sum(np.abs(terms)))
         if prev is not None:
-            if abs(cur - prev) <= tol * (abs(cur) + 1e-13 * mass) + 1e-300:
+            if abs(cur - prev) <= QUAD_TOL * (abs(cur) + 1e-13 * mass) + 1e-300:
                 return cur
         prev = cur
     raise QuadratureError(
-        f"tanh-sinh did not reach tol={tol} at level {max_level}"
+        f"tanh-sinh did not reach tol={QUAD_TOL} at level {MAX_LEVEL}"
     )
-
-
-# --------------------------------------------------------------------------
-# line caches for the continued logs entering J_rho
-# --------------------------------------------------------------------------
-
-class _LineCache:
-    """Branch values of log h along a parametrized straight line.
-
-    Positions are real parameters; a request continues from the nearest
-    already-computed position, so a sweep over quadrature nodes costs a
-    couple of zeta evaluations per new node.
-    """
-
-    def __init__(self, s_of, h, seed_pos: float, seed_val: complex):
-        self.s_of = s_of
-        self.h = h
-        self.items: dict[float, complex] = {seed_pos: seed_val}
-
-    def value(self, pos: float) -> complex:
-        got = self.items.get(pos)
-        if got is not None:
-            return got
-        nearest = min(self.items, key=lambda q: abs(q - pos))
-        val = _track_log(
-            self.h, self.s_of(nearest), self.items[nearest], self.s_of(pos)
-        )
-        self.items[pos] = val
-        return val
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +192,6 @@ class _Cut:
     mode.
     """
 
-    cfg: FormulaConfig
     beta: complex
     b: float
     alpha_right: float
@@ -258,10 +236,7 @@ class _Cut:
         def weight(u: np.ndarray) -> np.ndarray:
             return np.exp(-ell * u - beta * np.log(u))
 
-        val = _laplace_quad(
-            self, weight, self.b, max(beta.real, 0.0), self.alpha_right,
-            self.cfg.quad_tol, self.cfg.max_level,
-        )
+        val = _laplace_quad(self, weight, self.b, max(beta.real, 0.0), self.alpha_right)
         return self.sine * self.x_pow(x) * val
 
     def leading(self) -> complex:
@@ -273,12 +248,12 @@ class _Cut:
         self._require_integrable()
         return self.sine * gamma(1.0 - self.beta) * self.j(0.0)
 
-    def coeffs(self, M: int, nodes: int) -> list[complex]:
+    def coeffs(self, M: int) -> list[complex]:
         """Taylor coefficients lambda_0..M of J_xi at u = 0 (trapezoid rule
-        on |u| = watson_radius); lambda_0 is checked against J(0)."""
+        on |u| = WATSON_RADIUS); lambda_0 is checked against J(0)."""
         if M < 0 or M > 8:
             raise DomainError("Watson order M must be in [0, 8]")
-        r = self.cfg.watson_radius
+        r, nodes = WATSON_RADIUS, WATSON_NODES
         j0 = self.j(0.0)
         ang = 2.0 * math.pi * np.arange(nodes) / nodes
         if self.ring is not None:
@@ -302,7 +277,7 @@ class _Cut:
             return 0.0 + 0.0j
         log_ell = math.log(math.log(x))
         series = 0.0 + 0.0j
-        for k, lam in enumerate(self.coeffs(M, 256)):
+        for k, lam in enumerate(self.coeffs(M)):
             p = 1.0 - self.beta + k
             series += lam * gamma(p) * cmath.exp(-p * log_ell)
         return self.sine * self.x_pow(x) * series
@@ -325,7 +300,7 @@ class _Ctx:
         self.z = self.pars.z
         self.w = self.pars.w
         self._g_points: dict[complex, complex] = {}
-        self._lines: dict = {}
+        self._sweeps: dict[tuple[int, bool], RhoSweep] = {}
         self._cuts: dict = {}
 
     # -- residual Euler product, memoized pointwise --------------------------
@@ -351,22 +326,22 @@ class _Ctx:
         zi = self.pars.z_integer_case
         if key == "one":
             return _Cut(
-                self.cfg, beta=z, b=0.5, alpha_right=max(w.real, 0.0),
+                beta=z, b=0.5, alpha_right=max(w.real, 0.0),
                 sine=cmath.sin(cmath.pi * z) / math.pi,
                 x_pow=lambda x: x, j=self.j1,
                 mode=_mode(zi == 1, zi in (-1, 0)),
                 # Res_{s=1} F(s) Gamma(s) x^s = x * zeta(2)^w * G(1)
-                residue=lambda: cmath.exp(w * k.L1(2.0).value) * self.G(1.0),
+                residue=lambda: cmath.exp(w * k.L1(2.0)) * self.G(1.0),
             )
         if key == "half":
             # Res_{s=1/2} zeta(2s) = 1/2, with zeta(1/2)^z the boundary value
             # from above the cut (-inf, 1]
             def residue() -> complex:
-                zeta_half_z = cmath.exp(z * (math.log(2.0) + k.L1(0.5).value - 1j * math.pi))
+                zeta_half_z = cmath.exp(z * (math.log(2.0) + k.L1(0.5) - 1j * math.pi))
                 return 0.5 * SQRT_PI * zeta_half_z * self.G(0.5)
 
             return _Cut(
-                self.cfg, beta=w, b=0.5 - self.cfg.a, alpha_right=0.0,
+                beta=w, b=0.5 - self.cfg.a, alpha_right=0.0,
                 sine=cmath.sin(cmath.pi * (z + w)) / math.pi
                 * cmath.exp((1.0 - w) * math.log(2.0)),
                 x_pow=math.sqrt, j=self.j_half,
@@ -383,13 +358,13 @@ class _Ctx:
             return gamma(rho) * self.zeta_2rho_pow_w(index, conjugate) * self.G(rho) / zp
 
         return _Cut(
-            self.cfg, beta=-z, b=0.5 - self.cfg.a, alpha_right=0.0,
+            beta=-z, b=0.5 - self.cfg.a, alpha_right=0.0,
             sine=-cmath.sin(cmath.pi * z) / math.pi,
             x_pow=lambda x: cmath.exp(rho * math.log(x)),
-            j=lambda u, cu=None: self.j_rho_real(index, u.real, conjugate),
+            j=lambda u, cu=None: self.j_rho(index, conjugate, u),
             mode=_mode(zi == -1, zi in (0, 1)),
             residue=residue,
-            ring=lambda r, n: self.j_rho_circle(index, r, n, conjugate),
+            ring=lambda r, n: self.j_rho_ring(index, conjugate, r, n),
         )
 
     # -- integrands -----------------------------------------------------------
@@ -398,8 +373,8 @@ class _Ctx:
         """J_1; cu = 1/2 - u passed exactly near the right endpoint."""
         k = self.kernel
         one_minus_2u = 2.0 * cu if cu is not None else 1.0 - 2.0 * u
-        lz1 = k.L1(1.0 - u).value
-        lz2 = k.L1(2.0 - 2.0 * u).value
+        lz1 = k.L1(1.0 - u)
+        lz2 = k.L1(2.0 - 2.0 * u)
         return (
             cmath.exp(self.z * lz1 + self.w * lz2)
             * one_minus_2u ** (-self.w)
@@ -410,8 +385,8 @@ class _Ctx:
     def j_half(self, u: complex, cu: Optional[float] = None) -> complex:
         k = self.kernel
         half_minus = 0.5 - u
-        lz1 = k.L1(half_minus).value
-        lz2 = k.L1(1.0 - 2.0 * u).value
+        lz1 = k.L1(half_minus)
+        lz2 = k.L1(1.0 - 2.0 * u)
         return (
             half_minus
             * (0.5 + u) ** (-self.z)
@@ -421,30 +396,17 @@ class _Ctx:
             * gamma(half_minus)
         )
 
-    def _rho_lines(self, zero_index: int, conjugate: bool):
+    def sweep(self, zero_index: int, conjugate: bool = False) -> RhoSweep:
+        """The log sweep at one zero, built once per context."""
         key = (zero_index, conjugate)
-        got = self._lines.get(key)
-        if got is not None:
-            return got
-        k = self.kernel
-        rho = k.rho(zero_index, conjugate)
-        anchor_log, r = k._rho_anchor(zero_index, conjugate)
-        lrho = _LineCache(
-            lambda q: rho - q, k._h_rho(zero_index, conjugate), -r, anchor_log
-        )
-        height = 2.0 * rho.imag
-        clog = _LineCache(
-            lambda q: 2.0 * rho - 2.0 * q,
-            zeta,
-            -1.0,  # 2 rho - 2(-1) = 3 + i 2 gamma, the right-edge anchor
-            log_zeta_euler(complex(3.0, height)),
-        )
-        got = (rho, lrho, clog)
-        self._lines[key] = got
+        got = self._sweeps.get(key)
+        if got is None:
+            got = self._sweeps[key] = self.kernel.rho_sweep(zero_index, conjugate)
         return got
 
-    def j_rho(self, rho: complex, u: complex, lr: complex, cz: complex) -> complex:
-        """J_rho at u from the branch values lr = L_rho(rho-u), cz = log zeta(2rho-2u)."""
+    def _j_rho_at(self, rho: complex, u: complex, lr: complex, cz: complex) -> complex:
+        """J_rho at u from the branch values lr = log((s-1) zeta(s)/(s-rho)),
+        cz = log zeta(2s), s = rho - u."""
         s = rho - u
         return (
             (rho - 1.0 - u) ** (-self.z)
@@ -453,35 +415,20 @@ class _Ctx:
             * gamma(s)
         )
 
-    def j_rho_real(self, zero_index: int, u: float, conjugate: bool = False) -> complex:
-        """J_rho at real u (the Laplace path), via incremental line sweeps."""
-        rho, lrho, clog = self._rho_lines(zero_index, conjugate)
-        return self.j_rho(rho, u, lrho.value(u), clog.value(u))
+    def j_rho(self, zero_index: int, conjugate: bool, u: complex) -> complex:
+        sw = self.sweep(zero_index, conjugate)
+        return self._j_rho_at(sw.rho, u, sw.local(u), sw.zeta2(u))
 
-    def j_rho_circle(
-        self, zero_index: int, r: float, n: int, conjugate: bool = False
-    ) -> np.ndarray:
+    def j_rho_ring(self, zero_index: int, conjugate: bool, r: float, n: int) -> np.ndarray:
         """J_rho on the circle |u| = r (n nodes), walked from the real axis."""
-        rho, lrho, clog = self._rho_lines(zero_index, conjugate)
-        h_rho = self.kernel._h_rho(zero_index, conjugate)
-        ang = 2.0 * math.pi * np.arange(n) / n
-        us = r * np.exp(1j * ang)
-        lr = lrho.value(r)
-        cz = clog.value(r)
-        out = np.empty(n, dtype=np.complex128)
-        cur_u = complex(r)
-        for i, u in enumerate(us):
-            u = complex(u)
-            if i > 0:
-                lr = _track_log(h_rho, rho - cur_u, lr, rho - u)
-                cz = _track_log(zeta, 2.0 * rho - 2.0 * cur_u, cz, 2.0 * rho - 2.0 * u)
-                cur_u = u
-            out[i] = self.j_rho(rho, u, lr, cz)
-        return out
+        sw = self.sweep(zero_index, conjugate)
+        return np.array(
+            [self._j_rho_at(sw.rho, u, lr, cz) for u, lr, cz in sw.ring(r, n)],
+            dtype=np.complex128,
+        )
 
     def zeta_2rho_pow_w(self, zero_index: int, conjugate: bool = False) -> complex:
-        _, _, clog = self._rho_lines(zero_index, conjugate)
-        return cmath.exp(self.w * clog.value(0.0))
+        return cmath.exp(self.w * self.sweep(zero_index, conjugate).zeta2(0.0))
 
 
 def _ctx(spec: EpsilonSpec, cfg: Optional[FormulaConfig]) -> tuple[_Ctx, FormulaConfig]:
@@ -503,8 +450,6 @@ def J1(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -> co
     u = complex(u)
     if abs(u) >= 0.5 or (u.imag == 0 and u.real >= 0.5):
         raise RangeError("J1 requires |u| < 1/2 off the cut [1/2, inf)")
-    if (1.0 - u).real < 0.35:
-        raise RangeError("J1 requires Re(1-u) >= 0.35")
     ctx, _ = _ctx(spec, cfg)
     return ctx.j1(u)
 
@@ -526,21 +471,13 @@ def J_rho(
     u: complex,
     cfg: Optional[FormulaConfig] = None,
 ) -> complex:
-    """Integrand at zero rho_k; u real uses the cached line sweep."""
+    """Integrand at zero rho_k on its disc |u| <= gap radius (RangeError
+    outside); complex u continues off the real line sweep at Re u."""
     u = complex(u)
-    ctx, cfg = _ctx(spec, cfg)
-    k = ctx.kernel
-    rad = k.table.gap_radius(zero_index)
-    if abs(u) > rad:
-        raise RangeError(f"J_rho requires |u| <= {rad:.3f} at zero {zero_index}")
     if u.imag == 0.0 and 0.0 <= u.real and (0.5 - u.real) < 0.35 - 1e-12:
         raise RangeError("J_rho real path requires Re(rho - u) >= 0.35")
-    if u.imag == 0.0:
-        return ctx.j_rho_real(zero_index, u.real)
-    rho = k.rho(zero_index)
-    return ctx.j_rho(
-        rho, u, k.L_rho(zero_index, rho - u).value, k.clog_zeta(2.0 * rho - 2.0 * u)
-    )
+    ctx, _ = _ctx(spec, cfg)
+    return ctx.j_rho(zero_index, False, u)
 
 
 # --------------------------------------------------------------------------
@@ -617,17 +554,16 @@ def _parse_point(point):
 
 
 def watson_coeffs(
-    spec: EpsilonSpec, point, M: int, cfg: Optional[FormulaConfig] = None,
-    nodes: int = 256,
+    spec: EpsilonSpec, point, M: int, cfg: Optional[FormulaConfig] = None
 ) -> list[complex]:
     """Taylor coefficients lambda_{xi,0..M} of J_xi at u=0.
 
-    Trapezoid rule with 256 nodes on |u| = watson_radius (spectrally
-    accurate for analytic integrands); lambda_0 is cross-checked against
-    the direct value J_xi(0) to 1e-9 relative.
+    Trapezoid rule with WATSON_NODES nodes on |u| = WATSON_RADIUS
+    (spectrally accurate for analytic integrands); lambda_0 is
+    cross-checked against the direct value J_xi(0) to 1e-9 relative.
     """
     ctx, _ = _ctx(spec, cfg)
-    return ctx.cut(_parse_point(point)).coeffs(M, nodes)
+    return ctx.cut(_parse_point(point)).coeffs(M)
 
 
 def c_half(spec: EpsilonSpec, cfg: Optional[FormulaConfig] = None) -> complex:

@@ -17,6 +17,7 @@ import numpy as np
 from .eps_model import EpsilonSpec, eps_at
 from .errors import CapacityError, DomainError, RangeError
 
+#: A_exp sums stop at n <= DEFAULT_CUTOFF_MULT * x, where e^{-n/x} < 3e-20
 DEFAULT_CUTOFF_MULT = 45.0
 SPF_CAP = 10 ** 9
 DIRECT_X_CAP = 10 ** 8
@@ -144,11 +145,9 @@ def _sweep(spec: EpsilonSpec, n_max: int, consume) -> None:
         lo = hi
 
 
-def direct_exp_sum(
-    spec: EpsilonSpec, x: float, cutoff_mult: float = DEFAULT_CUTOFF_MULT
-) -> complex:
-    """A_exp(x) = sum_n f(n) e^{-n/x}, truncated at n <= cutoff_mult*x."""
-    return complex(direct_exp_sums_multi(spec, [x], cutoff_mult)[0])
+def direct_exp_sum(spec: EpsilonSpec, x: float) -> complex:
+    """A_exp(x) = sum_n f(n) e^{-n/x}, truncated at n <= DEFAULT_CUTOFF_MULT*x."""
+    return complex(direct_exp_sums_multi(spec, [x])[0])
 
 
 def direct_sharp_sum(spec: EpsilonSpec, x: float) -> complex:
@@ -166,26 +165,21 @@ def direct_sharp_sum(spec: EpsilonSpec, x: float) -> complex:
     return acc.s
 
 
-def direct_exp_sums_multi(
-    spec: EpsilonSpec,
-    xs: np.ndarray,
-    cutoff_mult: float = DEFAULT_CUTOFF_MULT,
-) -> np.ndarray:
+def direct_exp_sums_multi(spec: EpsilonSpec, xs: np.ndarray) -> np.ndarray:
     """A_exp at several ascending x values from one segmented pass.
 
-    Sample i only consumes blocks up to cutoff_mult*xs[i], so total work is
-    sum_i cutoff_mult*xs[i] exponentials rather than n_samples full passes.
+    Sample i only consumes blocks up to DEFAULT_CUTOFF_MULT*xs[i], so total
+    work is sum_i DEFAULT_CUTOFF_MULT*xs[i] exponentials rather than
+    n_samples full passes.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         return np.empty(0, dtype=np.complex128)
     if np.any(xs < 1) or np.any(np.diff(xs) < 0):
         raise DomainError("sample points must be ascending and >= 1")
-    if cutoff_mult < 30:
-        raise DomainError("cutoff_mult must be >= 30")
     if xs[-1] > DIRECT_X_CAP:
         raise CapacityError(f"x_max={xs[-1]} beyond cap {DIRECT_X_CAP}")
-    cut = np.floor(cutoff_mult * xs).astype(np.int64)
+    cut = np.floor(DEFAULT_CUTOFF_MULT * xs).astype(np.int64)
     accs = [_Kahan() for _ in xs]
 
     def consume(n, f):

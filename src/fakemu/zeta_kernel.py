@@ -3,8 +3,8 @@
 Provides the Riemann zeta function for complex argument (Euler-Maclaurin),
 the complex gamma function (reflection + Lanczos rational approximation),
 branch-tracked logarithms of (s-1)*zeta(s) normalized to vanish at s=1,
-local logarithms near nontrivial zeros, zeta'(rho) estimation, and the
-zero-ordinate table.
+the branch-tracked logs on the disc of each nontrivial zero (RhoSweep),
+zeta'(rho) estimation, and the zero-ordinate table.
 
 Branch conventions.  L1(s) denotes the holomorphic logarithm of
 (s-1)*zeta(s) on the zero-cut plane (cuts run leftward from each
@@ -16,16 +16,23 @@ Powers of zeta are assembled from it:
 Away from the real window, L1 is computed by argument-tracked continuation
 along the horizontal path from the anchor 3 + i*Im(s), where the standard
 (prime-sum) branch of log zeta applies.
+
+Near a zero rho this module alone fixes the two logs of the explicit
+formula's J_rho, log((s-1) zeta(s)/(s-rho)) and log zeta(2s) at
+s = rho - u: ZetaKernel.rho_sweep anchors them at rho + r and 3 + 2i Im rho,
+continues them along the line s = rho - u (u real, the Laplace path),
+leaves the line at Re u along one straight leg for complex u, and walks
+the Watson ring |u| = r' point to point.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -290,46 +297,38 @@ class ZeroTable:
         return 0.45 * min(gaps)
 
 
-def load_zero_table(path: str) -> ZeroTable:
-    """Load ordinates from a text file ('#' comments, one ordinate per line)."""
-    ords = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            ords.append(float(line))
-    return ZeroTable(tuple(ords), source=path)
-
-
-def default_zero_table() -> ZeroTable:
-    text = resources.files("fakemu.data").joinpath("zeros100.txt").read_text()
+def _parse_zero_table(text: str, source: str) -> ZeroTable:
+    """Ordinates from text: one per line, blank and '#' comment lines skipped."""
     ords = [
         float(ln)
         for ln in text.splitlines()
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
-    return ZeroTable(tuple(ords), source="builtin:zeros100.txt")
+    return ZeroTable(tuple(ords), source=source)
+
+
+def load_zero_table(path: str) -> ZeroTable:
+    """Load ordinates from a text file ('#' comments, one ordinate per line)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_zero_table(fh.read(), path)
+
+
+def default_zero_table() -> ZeroTable:
+    text = resources.files("fakemu.data").joinpath("zeros100.txt").read_text()
+    return _parse_zero_table(text, "builtin:zeros100.txt")
 
 
 # --------------------------------------------------------------------------
 # Branch-tracked logarithms
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContinuedLog:
-    """A branch value of a logarithm, fixed by continuation."""
-
-    value: complex
+# first step length and the hard floor of the halving step control
+_STEP0 = 0.25
+_STEP_FLOOR = 1e-6
 
 
 def _track_log(
-    h: Callable[[complex], complex],
-    s0: complex,
-    log0: complex,
-    s1: complex,
-    step0: float = 0.25,
-    floor: float = 1e-6,
+    h: Callable[[complex], complex], s0: complex, log0: complex, s1: complex
 ) -> complex:
     """Continue log h from s0 (known branch value log0) to s1 on a segment.
 
@@ -345,7 +344,7 @@ def _track_log(
     cur_h = cmath.exp(log0)
     cur_im = log0.imag
     remaining = dist
-    step = min(step0, dist)
+    step = min(_STEP0, dist)
     while remaining > 1e-15 * dist:
         step = min(step, remaining)
         while True:
@@ -358,14 +357,123 @@ def _track_log(
             if abs(dang) < 0.5 * math.pi:
                 break
             step *= 0.5
-            if step < floor:
+            if step < _STEP_FLOOR:
                 raise StepError("continuation step underflow")
         cur_im += dang
         cur_s = nxt
         cur_h = hn
         remaining -= step
-        step = min(step * 2.0, step0)
+        step = min(step * 2.0, _STEP0)
     return complex(math.log(abs(cur_h)), cur_im)
+
+
+class _LineCache:
+    """Branch values of log h at s_of(u), fixed by continuation.
+
+    Values at real u are kept: a new real u continues from the nearest
+    kept position (found by bisection; the left one on a tie), so a sweep
+    over quadrature nodes costs a couple of h evaluations per new node.
+    A complex u continues from the line value at Re u along one straight
+    leg, and is not kept.
+    """
+
+    def __init__(self, s_of, h, seed_pos: float, seed_val: complex):
+        self.s_of = s_of
+        self.h = h
+        self.vals: dict[float, complex] = {seed_pos: seed_val}
+        self.pos = [seed_pos]  # the keys of vals, ascending
+
+    def walk(self, log0: complex, u0: complex, u1: complex) -> complex:
+        return _track_log(self.h, self.s_of(u0), log0, self.s_of(u1))
+
+    def _nearest(self, q: float) -> float:
+        pos = self.pos
+        i = bisect_left(pos, q)
+        if i == len(pos) or (i > 0 and q - pos[i - 1] <= pos[i] - q):
+            i -= 1
+        return pos[i]
+
+    def on_line(self, q: float) -> complex:
+        got = self.vals.get(q)
+        if got is not None:
+            return got
+        near = self._nearest(q)
+        val = self.walk(self.vals[near], near, q)
+        self.vals[q] = val
+        insort(self.pos, q)
+        return val
+
+    def value(self, u: complex) -> complex:
+        q = u.real
+        val = self.on_line(q)
+        return val if u.imag == 0.0 else self.walk(val, q, u)
+
+
+class RhoSweep:
+    """The two branch-tracked logs that J_rho needs on the disc of one zero.
+
+    For s = rho - u with |u| <= radius (the zero's gap radius):
+
+      local(u) = log((s-1) zeta(s) / (s-rho)),  seeded at u = -r (s = rho + r,
+                 r = radius/2) with the value L1(rho + r) - ln r;
+      zeta2(u) = log zeta(2s),  seeded at u = -1 (2s = 3 + 2i Im rho) with
+                 the standard branch of log_zeta_euler.
+
+    Both are continued along the line s = rho - u (u real) from the
+    nearest value already known; complex u leaves the line at Re u along
+    one straight leg; ring(r', n) walks the circle |u| = r' from u = r'.
+    """
+
+    def __init__(
+        self, rho: complex, radius: float, zeta_prime: complex,
+        anchor_log: complex, r: float,
+    ):
+        self.rho = rho
+        self.radius = radius
+
+        def h(s: complex) -> complex:
+            if abs(s - rho) < 1e-8:
+                return (s - 1.0) * zeta_prime
+            return zeta_times_s_minus_1(s) / (s - rho)
+
+        self._local = _LineCache(lambda u: rho - u, h, -r, anchor_log)
+        self._zeta2 = _LineCache(
+            lambda u: 2.0 * rho - 2.0 * u,
+            zeta,
+            -1.0,
+            log_zeta_euler(complex(3.0, 2.0 * rho.imag)),
+        )
+
+    def _check(self, u: complex) -> complex:
+        u = complex(u)
+        if abs(u) > self.radius:
+            raise RangeError(
+                f"|u| = {abs(u):.3g} outside the disc of radius {self.radius:.3f} "
+                f"at rho = {self.rho}"
+            )
+        return u
+
+    def local(self, u: complex) -> complex:
+        """log((s-1) zeta(s) / (s-rho)) at s = rho - u."""
+        return self._local.value(self._check(u))
+
+    def zeta2(self, u: complex) -> complex:
+        """log zeta(2s) at s = rho - u."""
+        return self._zeta2.value(self._check(u))
+
+    def ring(self, r: float, n: int) -> Iterator[tuple[complex, complex, complex]]:
+        """(u, local(u), zeta2(u)) at u = r e^{2 pi i j/n}, j = 0..n-1, each
+        continued from the one before (j = 0 from the line value at u = r)."""
+        prev = self._check(r)
+        lr = self._local.value(prev)
+        cz = self._zeta2.value(prev)
+        ang = 2.0 * math.pi * np.arange(n) / n
+        for u in r * np.exp(1j * ang):
+            u = complex(u)
+            lr = self._local.walk(lr, prev, u)
+            cz = self._zeta2.walk(cz, prev, u)
+            prev = u
+            yield u, lr, cz
 
 
 class ZetaKernel:
@@ -396,114 +504,50 @@ class ZetaKernel:
             if 0 <= j < len(g) and abs(t - g[j]) <= 1e-9:
                 raise CutError(f"target {s} lies on a zero cut (gamma={g[j]})")
 
-    def L1(self, s: complex, path_hint: Optional[complex] = None) -> ContinuedLog:
+    def L1(self, s: complex) -> complex:
         """Branch of log((s-1) zeta(s)) with L1(1)=0, on the zero-cut plane."""
         s = complex(s)
         if s.real <= 1.0 / 3.0:
             raise RangeError("L1 requires Re s > 1/3")
         self._assert_off_cut(s)
         if s == 1.0:
-            return ContinuedLog(0.0 + 0.0j)
+            return 0.0 + 0.0j
         if s.real >= 1.2:
-            return ContinuedLog(log_zeta_euler(s) + cmath.log(s - 1.0))
+            return log_zeta_euler(s) + cmath.log(s - 1.0)
         if abs(s.imag) <= 0.35:
             h = zeta_times_s_minus_1(s)
             if h.real > 0.0:
-                return ContinuedLog(cmath.log(h))
-        anchor = path_hint if path_hint is not None else complex(3.0, s.imag)
-        if anchor.imag != s.imag or anchor.real < 1.2:
-            raise DomainError("path_hint must sit at the target height with Re >= 1.2")
+                return cmath.log(h)
+        anchor = complex(3.0, s.imag)
         log_a = log_zeta_euler(anchor) + cmath.log(anchor - 1.0)
-        return ContinuedLog(_track_log(zeta_times_s_minus_1, anchor, log_a, s))
+        return _track_log(zeta_times_s_minus_1, anchor, log_a, s)
 
     def Z(self, s: complex, z: complex) -> complex:
         """Z(s; z) = ((s-1) zeta(s))^z / s = exp(z L1(s)) / s."""
         s = complex(s)
         if s == 0:
             raise DomainError("Z(s; z) undefined at s = 0")
-        return cmath.exp(z * self.L1(s).value) / s
+        return cmath.exp(z * self.L1(s)) / s
 
-    # -- local logarithm near a zero ---------------------------------------
+    # -- logs on the disc of a zero ------------------------------------------
 
-    def _rho_anchor(self, k: int, conjugate: bool) -> tuple[complex, float]:
+    def rho_sweep(self, k: int, conjugate: bool = False) -> RhoSweep:
+        """A fresh RhoSweep at zero k (at its mirror -gamma_k if conjugate).
+
+        The anchor value L1(rho + r) - ln r is computed once per kernel.
+        """
         key = (k, conjugate)
-        got = self._rho_cache.get(key)
-        if got is not None:
-            return got
-        rho = self.rho(k, conjugate)
         rad = self.table.gap_radius(k)
-        r = 0.5 * rad
-        anchor_log = self.L1(rho + r).value - math.log(r)
-        self._rho_cache[key] = (anchor_log, r)
-        return anchor_log, r
-
-    def _h_rho(self, k: int, conjugate: bool) -> Callable[[complex], complex]:
         rho = self.rho(k, conjugate)
+        anchor = self._rho_cache.get(key)
+        if anchor is None:
+            r = 0.5 * rad
+            anchor = (self.L1(rho + r) - math.log(r), r)
+            self._rho_cache[key] = anchor
         zp = self.zeta_prime_at_zero(k)
         if conjugate:
             zp = zp.conjugate()
-
-        def h(s: complex) -> complex:
-            if abs(s - rho) < 1e-8:
-                return (s - 1.0) * zp
-            return zeta_times_s_minus_1(s) / (s - rho)
-
-        return h
-
-    def L_rho(
-        self, zero_index: int, s: complex, conjugate: bool = False
-    ) -> ContinuedLog:
-        """Branch of log((s-1) zeta(s) / (s-rho)) on the local disc.
-
-        Anchored at s_a = rho + r (r = half the disc radius) where the value
-        is L1(s_a) - ln r; continued along the straight segment to s.
-        """
-        s = complex(s)
-        rho = self.rho(zero_index, conjugate)
-        rad = self.table.gap_radius(zero_index)
-        if abs(s - rho) > rad + 1e-12:
-            raise RangeError(
-                f"L_rho target {s} outside disc of radius {rad:.3f} at zero "
-                f"{zero_index}"
-            )
-        anchor_log, r = self._rho_anchor(zero_index, conjugate)
-        return ContinuedLog(
-            _track_log(self._h_rho(zero_index, conjugate), rho + r, anchor_log, s)
-        )
-
-    # -- continued log of zeta itself (for zeta(2s)^w near zero heights) ----
-
-    def clog_zeta(self, s: complex) -> complex:
-        """Continued log zeta(s), anchored at 3 + i Im(s), horizontal path.
-
-        Intended for Re s > 1/2 (the paths used by the explicit formula stay
-        right of the critical line).  If the path would pass within 1e-3 of
-        a zero, it detours 2e-3 above it (cuts extend leftward only, so a
-        detour on the right side is branch-safe).
-        """
-        s = complex(s)
-        if s.real >= 1.2:
-            return log_zeta_euler(s)
-        t = s.imag
-        anchor = complex(3.0, t)
-        log_a = log_zeta_euler(anchor)
-
-        def h(w: complex) -> complex:
-            return zeta(w)
-
-        g = self.table.ordinates
-        i = bisect_left(g, abs(t))
-        near_zero = any(
-            0 <= j < len(g) and abs(abs(t) - g[j]) <= 1e-3 for j in (i - 1, i)
-        )
-        if near_zero and s.real <= 0.5 + 1e-3:
-            lift = 2e-3 if t >= 0 else -2e-3
-            mid1 = complex(3.0, t + lift)
-            mid2 = complex(s.real, t + lift)
-            val = _track_log(h, anchor, log_a, mid1)
-            val = _track_log(h, mid1, val, mid2)
-            return _track_log(h, mid2, val, s)
-        return _track_log(h, anchor, log_a, s)
+        return RhoSweep(rho, rad, zp, *anchor)
 
     # -- zeta'(rho) ----------------------------------------------------------
 

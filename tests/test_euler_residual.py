@@ -182,8 +182,8 @@ def test_global_factorization_identity(cfg, s):
         pars = zw_params(spec)
         acc = _Kahan()
         _sweep(spec, 10 ** 6, lambda n, f: acc.add(complex(np.sum(f * n ** (-s)))))
-        zeta_z = cmath.exp(pars.z * kernel.L1(s).value) * (s - 1) ** (-pars.z)
-        zeta2_w = cmath.exp(pars.w * kernel.L1(2 * s).value) * (2 * s - 1) ** (-pars.w)
+        zeta_z = cmath.exp(pars.z * kernel.L1(s)) * (s - 1) ** (-pars.z)
+        zeta2_w = cmath.exp(pars.w * kernel.L1(2 * s)) * (2 * s - 1) ** (-pars.w)
         rhs = zeta_z * zeta2_w * G_f(spec, s, cfg)
         series_tail = (10.0 ** 6) ** (1 - s) / (s - 1)
         g_tail = G_f_tail_estimate(spec, s, cfg) * abs(rhs)
@@ -199,7 +199,7 @@ def test_periodic_i_product_identity(cfg):
     u = np.exp(-s * np.log(p))
     lhs = complex(np.exp(np.sum(np.log(1 + 1j * u - (1 + 1j) * u * u))))
     lhs *= math.pi ** 4 / 90  # zeta(4)
-    zeta_z = cmath.exp(pars.z * kernel.L1(2.0).value) * (2.0 - 1) ** (-pars.z)
-    zeta2_w = cmath.exp(pars.w * kernel.L1(4.0).value) * (4.0 - 1) ** (-pars.w)
+    zeta_z = cmath.exp(pars.z * kernel.L1(2.0)) * (2.0 - 1) ** (-pars.z)
+    zeta2_w = cmath.exp(pars.w * kernel.L1(4.0)) * (4.0 - 1) ** (-pars.w)
     rhs = zeta_z * zeta2_w * G_f(FIG53, 2.0, cfg)
     assert abs(lhs - rhs) <= 1e-8 * abs(rhs)

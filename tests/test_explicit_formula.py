@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from fakemu import explicit_formula
 from fakemu.eps_model import parse_eps_spec, zw_params
 from fakemu.errors import (
     DomainError,
@@ -27,7 +28,8 @@ from fakemu.explicit_formula import (
     zero_sum,
 )
 from fakemu.sieve import direct_exp_sum
-from fakemu.zeta_kernel import default_kernel, gamma
+from fakemu.euler_residual import G_f
+from fakemu.zeta_kernel import default_kernel, gamma, zeta
 
 MOBIUS = parse_eps_spec("finite:[-1]")
 LIOUVILLE = parse_eps_spec("cm:xi=-1")
@@ -55,9 +57,7 @@ def test_j1_at_zero_general(cfg):
     # J1(0) = zeta(2)^w G(1)
     pars = zw_params(FIG53)
     kernel = default_kernel()
-    from fakemu.euler_residual import G_f
-
-    want = cmath.exp(pars.w * kernel.L1(2.0).value) * G_f(FIG53, 1.0, cfg.gf_config)
+    want = cmath.exp(pars.w * kernel.L1(2.0)) * G_f(FIG53, 1.0, cfg.gf_config)
     assert J1(FIG53, 0.0, cfg) == pytest.approx(want, rel=1e-10)
 
 
@@ -66,10 +66,8 @@ def test_j1_exp_identity_interior(cfg):
     u = 0.25
     kernel = default_kernel()
     pars = zw_params(LIOUVILLE)
-    from fakemu.euler_residual import G_f
-
     want = (
-        cmath.exp(pars.z * kernel.L1(1 - u).value + pars.w * kernel.L1(2 - 2 * u).value)
+        cmath.exp(pars.z * kernel.L1(1 - u) + pars.w * kernel.L1(2 - 2 * u))
         * (1 - 2 * u) ** (-pars.w)
         * G_f(LIOUVILLE, 1 - u, cfg.gf_config)
         * gamma(1 - u)
@@ -108,7 +106,7 @@ def test_j_half_range_error(cfg):
 
 
 def test_j_rho_limit_identity(cfg):
-    """J_rho(0) built from the L_rho continuation equals the direct product
+    """J_rho(0) built from the local log sweep equals the direct product
     with Z_rho(rho;z) = exp(z log((rho-1) zeta'(rho)))."""
     kernel = default_kernel()
     rho = kernel.rho(1)
@@ -139,6 +137,59 @@ def test_j_rho_gamma_decay_bound(cfg):
 def test_j_rho_range_error(cfg):
     with pytest.raises(RangeError):
         J_rho(FIG53, 1, 1.0, cfg)
+    with pytest.raises(RangeError):
+        J_rho(FIG53, 1, 0.3 + 0.4j, cfg)  # off the disc |u| <= 0.45
+
+
+# frozen from the previous continuation routes (a straight segment from
+# rho + r for the local log, a horizontal path from 3 + 2i gamma for
+# log zeta(2s)); the one-leg route agrees to ~3e-15 relative
+J_RHO_COMPLEX = [
+    (FIG53, 1, 0.03 + 0.02j, -5.638176460871695e-10 + 5.111343341295134e-10j),
+    (FIG53, 1, -0.05 + 0.1j, -9.746192955746177e-10 + 6.347822018496239e-10j),
+    (FIG53, 1, -0.3 + 0.2j, -2.195715716670576e-09 - 6.251129708381603e-11j),
+    (FIG53, 2, 0.1j, 1.1667528183666013e-14 - 5.4107483350537665e-15j),
+    (FIG53, 2, -0.3 + 0.2j, 2.4745464278391492e-14 - 2.4018064734504085e-14j),
+    (FIG51A, 1, 0.1j, -7.438560956316341e-10 - 4.985184098333281e-10j),
+    (FIG51A, 2, 0.03 + 0.02j, 1.845044615987107e-15 - 7.041137155004344e-15j),
+    (FIG51A, 2, -0.05 + 0.1j, 2.2210482929068254e-15 - 1.2382184611242055e-14j),
+    (MOBIUS, 1, -0.3 + 0.2j, -1.2515451541371074e-09 - 2.1462749010583277e-09j),
+    (MOBIUS, 2, 0.03 + 0.02j, 5.946152701165774e-15 - 7.138628987928883e-15j),
+]
+
+
+@pytest.mark.parametrize("spec, k, u, want", J_RHO_COMPLEX)
+def test_j_rho_complex_u_frozen(spec, k, u, want):
+    got = J_rho(spec, k, u, FormulaConfig(n_zeros=2))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_j_rho_continuous_off_the_line(cfg):
+    # a wrong branch off the line would jump by a factor e^{2 pi i z} or
+    # e^{2 pi i w}; the analytic J moves by ~1e-6 |J'| and its mean over
+    # u +- 1e-6 i by ~1e-12 |J''|
+    for spec in (FIG53, FIG51A):
+        for k in (1, 2):
+            for u in (0.05, 0.1, -0.2):
+                j0 = J_rho(spec, k, u, cfg)
+                up = J_rho(spec, k, complex(u, 1e-6), cfg)
+                down = J_rho(spec, k, complex(u, -1e-6), cfg)
+                assert abs(up - j0) <= 1e-4 * abs(j0), (k, u)
+                assert abs(down - j0) <= 1e-4 * abs(j0), (k, u)
+                assert abs((up + down) / 2 - j0) <= 1e-9 * abs(j0), (k, u)
+
+
+def test_j_rho_exp_identity_ones(cfg):
+    # cm:xi=1: z = 1, w = 0, so no branch enters and
+    # J_rho(u) = zeta(s) Gamma(s) G(s) (s-1) / ((rho-1-u)(s-rho)), s = rho - u
+    assert zw_params(ONES).z == 1 and zw_params(ONES).w == 0
+    kernel = default_kernel()
+    for k in (1, 2, 5):
+        rho = kernel.rho(k)
+        for u in (0.03 + 0.02j, -0.05 + 0.1j, 0.1j, -0.3 + 0.2j, 0.05, -0.2):
+            s = rho - u
+            want = -zeta(s) * gamma(s) * G_f(ONES, s, cfg.gf_config) / u
+            assert abs(J_rho(ONES, k, u, cfg) - want) <= 1e-12 * abs(want), (k, u)
 
 
 # ---------------------------------------------------------------- delta_1
@@ -251,10 +302,10 @@ def test_delta_rho_mirror_vs_conj_spec(cfg):
 
 # ---------------------------------------------------------------- quadrature
 
-def test_quadrature_error_when_capped():
-    cfg3 = FormulaConfig(max_level=3)
+def test_quadrature_error_when_capped(monkeypatch):
+    monkeypatch.setattr(explicit_formula, "MAX_LEVEL", 3)
     with pytest.raises(QuadratureError):
-        delta_1(FIG53, 1e3, cfg3)
+        delta_1(FIG53, 1e3, FormulaConfig())
 
 
 def test_config_invariants():
@@ -263,7 +314,7 @@ def test_config_invariants():
     with pytest.raises(DomainError):
         FormulaConfig(a=0.55)
     with pytest.raises(DomainError):
-        FormulaConfig(watson_radius=0.2)  # >= 1/2 - a
+        FormulaConfig(a=0.45)  # the Watson ring needs 1/2 - a > 0.05
     with pytest.raises(DomainError):
         FormulaConfig(n_zeros=101).get_kernel()  # exceeds table size
 
@@ -306,9 +357,10 @@ def test_watson_mobius_lambda_one(cfg):
     assert lam[0] == pytest.approx(1.0, rel=1e-10)
 
 
-def test_watson_node_doubling(cfg):
-    a = watson_coeffs(FIG53, "half", 4, cfg, nodes=256)
-    b = watson_coeffs(FIG53, "half", 4, cfg, nodes=512)
+def test_watson_node_doubling(cfg, monkeypatch):
+    a = watson_coeffs(FIG53, "half", 4, cfg)
+    monkeypatch.setattr(explicit_formula, "WATSON_NODES", 512)
+    b = watson_coeffs(FIG53, "half", 4, cfg)
     for x, y in zip(a, b):
         assert abs(x - y) <= 1e-11 * max(1.0, abs(y))
 

@@ -23,8 +23,8 @@ from fakemu.errors import (
     RangeError,
 )
 from fakemu.zeta_kernel import (
-    ContinuedLog,
     ZeroTable,
+    _LineCache,
     default_kernel,
     default_zero_table,
     gamma,
@@ -204,17 +204,17 @@ def test_zero_table_ordering_rejected():
 # ---------------------------------------------------------------- L1 / Z
 
 def test_L1_normalization(kernel):
-    assert kernel.L1(1.0).value == 0
-    assert kernel.L1(2.0).value == pytest.approx(math.log(math.pi ** 2 / 6), abs=1e-12)
+    assert kernel.L1(1.0) == 0
+    assert kernel.L1(2.0) == pytest.approx(math.log(math.pi ** 2 / 6), abs=1e-12)
     # (0.5-1) zeta(0.5) = 0.73017725440479343
-    assert kernel.L1(0.5).value == pytest.approx(
+    assert kernel.L1(0.5) == pytest.approx(
         math.log(0.73017725440479343), abs=1e-12
     )
 
 
 def test_L1_real_on_reals(kernel):
     for s in (0.4, 0.75, 1.5, 2.9, 5.0):
-        assert abs(kernel.L1(s).value.imag) <= 1e-13
+        assert abs(kernel.L1(s).imag) <= 1e-13
 
 
 def test_L1_exp_identity(kernel):
@@ -227,8 +227,8 @@ def test_L1_exp_identity(kernel):
         except CutError:
             continue
         h = zeta_times_s_minus_1(s)
-        assert abs(cmath.exp(v.value) - h) <= 1e-10 * (1 + abs(h)), s
-        assert isinstance(v, ContinuedLog)
+        assert abs(cmath.exp(v) - h) <= 1e-10 * (1 + abs(h)), s
+        assert isinstance(v, complex)
         done += 1
 
 
@@ -243,18 +243,9 @@ def test_L1_cut_guard(kernel):
 def test_L1_jump_across_cut(kernel):
     """Crossing a zero cut changes the branch by ~2 pi i."""
     g1 = kernel.table.ordinates[0]
-    above = kernel.L1(complex(0.45, g1 + 0.01)).value
-    below = kernel.L1(complex(0.45, g1 - 0.01)).value
+    above = kernel.L1(complex(0.45, g1 + 0.01))
+    below = kernel.L1(complex(0.45, g1 - 0.01))
     assert abs(above - below - 2j * math.pi) < 0.5
-
-
-def test_L1_path_hint(kernel):
-    s = complex(0.6, 30.0)
-    v1 = kernel.L1(s).value
-    v2 = kernel.L1(s, path_hint=complex(5.0, 30.0)).value
-    assert abs(v1 - v2) <= 1e-10
-    with pytest.raises(DomainError):
-        kernel.L1(s, path_hint=complex(3.0, 29.0))
 
 
 def test_Z_values(kernel):
@@ -265,36 +256,76 @@ def test_Z_values(kernel):
     assert kernel.Z(s, 0.0) == pytest.approx(1 / s)
 
 
-# ---------------------------------------------------------------- L_rho
+# ---------------------------------------------------------------- logs at a zero
 
 def test_L_rho_exp_identity(kernel):
+    # on the line (u real), off it (one leg from Re u) and at the zero
     rho = kernel.rho(1)
+    sweep = kernel.rho_sweep(1)
     for du in (0.01, -0.1, 0.2, 0.1j, 0.05 - 0.05j, -1e-5):
         s = rho + du
-        v = kernel.L_rho(1, s).value
+        v = sweep.local(-du)
         lhs = cmath.exp(v) * (s - rho)
         rhs = zeta_times_s_minus_1(s)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs), du
 
 
 def test_L_rho_at_the_zero(kernel):
-    rho = kernel.rho(1)
-    got = kernel.L_rho(1, rho).value
-    want = cmath.log((rho - 1) * kernel.zeta_prime_at_zero(1))
+    got = kernel.rho_sweep(1).local(0.0)
+    want = cmath.log((kernel.rho(1) - 1) * kernel.zeta_prime_at_zero(1))
     # same branch: the anchor normalization keeps it on the principal sheet
     assert abs(got - want) <= 1e-7
 
 
 def test_L_rho_range_error(kernel):
-    with pytest.raises(RangeError):
-        kernel.L_rho(1, kernel.rho(1) + 3.0)
+    sweep = kernel.rho_sweep(1)
+    for u in (3.0, 0.3 + 0.4j):  # |u| > 0.45, the gap radius at zero 1
+        with pytest.raises(RangeError):
+            sweep.local(u)
+        with pytest.raises(RangeError):
+            sweep.zeta2(u)
 
 
 def test_L_rho_conjugate_zero(kernel):
-    s = kernel.rho(1, conjugate=True) - 0.05
-    v = kernel.L_rho(1, s, conjugate=True).value
-    lhs = cmath.exp(v) * (s - kernel.rho(1, conjugate=True))
-    assert abs(lhs - zeta_times_s_minus_1(s)) <= 1e-9 * abs(lhs)
+    rho_bar = kernel.rho(1, conjugate=True)
+    sweep = kernel.rho_sweep(1, conjugate=True)
+    for u in (0.05, 0.05 + 0.03j):
+        s = rho_bar - u
+        lhs = cmath.exp(sweep.local(u)) * (s - rho_bar)
+        assert abs(lhs - zeta_times_s_minus_1(s)) <= 1e-9 * abs(lhs), u
+
+
+def test_rho_sweep_ring_matches_direct_values(kernel):
+    # the ring walk and the one-leg route land on the same branch
+    sweep = kernel.rho_sweep(2)
+    for u, lr, cz in sweep.ring(0.05, 16):
+        assert abs(lr - sweep.local(u)) <= 1e-13 * max(1.0, abs(lr)), u
+        assert abs(cz - sweep.zeta2(u)) <= 1e-13 * max(1.0, abs(cz)), u
+
+
+class _ScanLineCache(_LineCache):
+    """Reference: the nearest kept position by a full scan."""
+
+    def _nearest(self, q):
+        return min(self.vals, key=lambda p: abs(p - q))
+
+
+def test_line_cache_nearest_by_bisection():
+    def h(s):  # winds ~3 times over the line: the start point matters
+        return cmath.exp(5j * s) * (s + 3.0)
+
+    fast = _LineCache(lambda q: q, h, 0.0, complex(math.log(3.0)))
+    ref = _ScanLineCache(lambda q: q, h, 0.0, complex(math.log(3.0)))
+    rng = random.Random(11)
+    qs = [rng.uniform(-2.0, 2.0) for _ in range(300)]
+    qs += rng.sample(qs, 50)  # repeated positions are cache hits
+    for q in qs:
+        if q not in fast.vals:
+            assert fast._nearest(q) == ref._nearest(q), q
+        got = fast.on_line(q)
+        assert got == ref.on_line(q), q
+        assert abs(got - complex(math.log(q + 3.0), 5.0 * q)) <= 1e-12, q
+    assert fast.pos == sorted(fast.vals)
 
 
 # ---------------------------------------------------------------- zeta'(rho)
@@ -323,11 +354,13 @@ def test_zeta_prime_h_refinement(kernel):
     assert abs(fd(1e-4) - fd(5e-5)) < 1e-8
 
 
-# ---------------------------------------------------------------- clog zeta
+# ---------------------------------------------------------------- log zeta(2s) at a zero
 
 def test_clog_zeta_matches_exp(kernel):
+    # s = rho_k - u: 2s = 0.9 + 2i gamma_k on the line, then one leg off it
     for k in (1, 3, 10):
-        g = kernel.table.ordinates[k - 1]
-        s = complex(0.9, 2 * g)
-        v = kernel.clog_zeta(s)
-        assert abs(cmath.exp(v) - zeta(s)) <= 1e-10 * abs(zeta(s))
+        sweep = kernel.rho_sweep(k)
+        for u in (0.05, 0.05 + 0.03j):
+            s2 = 2.0 * kernel.rho(k) - 2.0 * u
+            v = sweep.zeta2(u)
+            assert abs(cmath.exp(v) - zeta(s2)) <= 1e-10 * abs(zeta(s2)), (k, u)
