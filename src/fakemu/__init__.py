@@ -19,6 +19,7 @@ from .errors import (
     FakeMuError,
     GridError,
     ParseError,
+    PlatformError,
     PoleError,
     QuadratureError,
     RangeError,
@@ -35,6 +36,7 @@ __all__ = [
     "g_eval",
     "FakeMuError",
     "ParseError",
+    "PlatformError",
     "DomainError",
     "RangeError",
     "PoleError",

@@ -47,3 +47,7 @@ class GridError(FakeMuError):
 
 class WindowError(FakeMuError):
     """Parameters (z, w) fall outside the treated window."""
+
+
+class PlatformError(FakeMuError):
+    """The platform's floating point is too narrow to keep the stated accuracy."""

@@ -490,10 +490,19 @@ def _require_x(x: float, minimum: float = 3.0) -> float:
     return float(x)
 
 
+def _require_window(ctx: _Ctx) -> None:
+    """The window bounds (z, w) only where the s = 1 part is a quadrature
+    (non-integer z)."""
+    pars = ctx.pars
+    if not pars.in_window and ctx.cut("one").mode == "quadrature":
+        raise WindowError(f"(z, w) = ({pars.z}, {pars.w}) outside treated window")
+
+
 def delta_1(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Main term from s=1.  Exactly 0 for z in {-1, 0}; residue for z=1."""
     x = _require_x(x)
     ctx, _ = _ctx(spec, cfg)
+    _require_window(ctx)
     return ctx.cut("one").delta(x)
 
 
@@ -595,10 +604,7 @@ def a_exp_formula(
     """All explicit-formula parts at one x; total = d1 + d1/2 + zero sum."""
     x = _require_x(x)
     ctx, cfg = _ctx(spec, cfg)
-    pars = ctx.pars
-    # the window bounds (z, w) only for non-integer z
-    if not pars.in_window and ctx.cut("one").mode == "quadrature":
-        raise WindowError(f"(z, w) = ({pars.z}, {pars.w}) outside treated window")
+    _require_window(ctx)
     modes = {
         "delta_1": ctx.cut("one").mode,
         "delta_half": ctx.cut("half").mode,

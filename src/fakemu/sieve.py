@@ -1,10 +1,31 @@
 """Ground-truth oracle: f(n) by sieve and direct summatory sums.
 
 f(n) = prod_p eps_{v_p(n)} over the distinct primes dividing n.  Point
-queries use a smallest-prime-factor table; the large direct sums
-A(x) = sum_{n<=x} f(n) and A_exp(x) = sum_n f(n) e^{-n/x} run a segmented
-factorization pass (blocks of 2^22) so nothing of size ~45x is ever held
-in memory at once.
+queries use a smallest-prime-factor table (`f_of_n`, also the reference
+the block sieve is tested against).  The large direct sums
+A(x) = sum_{n<=x} f(n) and A_exp(x) = sum_n f(n) e^{-n/x} run `_sweep`,
+which walks [1, n_max] in blocks of BLOCK = 2^18 numbers, sized for the
+L2 cache, so nothing of size ~45x is ever held in memory at once.
+
+A block is sieved by strided slice updates, with no integer division and
+no index gather.  A per-sweep plan lists every prime power q = p^k <=
+n_max with p <= sqrt(n_max), with r_k = e'_k / e'_{k-1}, where e'_k is
+eps_k with zeros replaced by 1 (e'_0 = 1), and dz_k = [eps_k = 0] -
+[eps_{k-1} = 0].  Each q updates its multiples in the block:
+
+    val[s::q]  *= r_k    val ends at prod_p e'_{v_p(n)}
+    zc[s::q]   += dz_k   zc counts the primes p of n with eps_{v_p(n)} = 0
+    prod[s::q] *= p      prod ends at the exact (int64) smooth part of n
+
+A block [lo, hi) takes the primes with p^2 < hi, so an n with prod != n
+has exactly one prime factor p with p^2 >= hi, to the first power; it
+takes e'_1, or f = 0 when eps_1 = 0.  Finally f = 0 where zc > 0.
+f is a product of ratios, so it differs from `f_of_n` by a few ulp.
+
+The consume contract: `_sweep(spec, n_max, consume)` calls consume(n, f)
+once per block, in ascending order of n, with n (float64) and f
+(complex128) as views into buffers that the next block overwrites.  They
+are valid only during the call; a consumer that keeps values copies them.
 """
 
 from __future__ import annotations
@@ -21,7 +42,7 @@ from .errors import CapacityError, DomainError, RangeError
 DEFAULT_CUTOFF_MULT = 45.0
 SPF_CAP = 10 ** 9
 DIRECT_X_CAP = 10 ** 8
-BLOCK = 1 << 22
+BLOCK = 1 << 18
 
 #: largest prime-power exponent reachable below the capacity caps (2^60)
 _MAX_VP = 60
@@ -65,10 +86,6 @@ def build_spf(limit: int, cap: int = SPF_CAP) -> SpfTable:
     return SpfTable(limit=limit, spf=spf)
 
 
-def _eps_table(spec: EpsilonSpec) -> np.ndarray:
-    return np.array([eps_at(spec, k) for k in range(_MAX_VP + 1)], dtype=np.complex128)
-
-
 def f_of_n(table: SpfTable, spec: EpsilonSpec, n: int) -> complex:
     """f(n) for 1 <= n <= table.limit."""
     if n < 1 or n > table.limit:
@@ -85,33 +102,69 @@ def f_of_n(table: SpfTable, spec: EpsilonSpec, n: int) -> complex:
     return val
 
 
-def _f_block(lo: int, hi: int, primes: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """f(n) for n in [lo, hi); primes must cover sqrt(hi-1)."""
+class _Plan:
+    """The prime powers of one sweep over [1, n_max], and the block
+    buffers it reuses (size min(BLOCK, n_max))."""
+
+    def __init__(self, spec: EpsilonSpec, n_max: int):
+        eps = [eps_at(spec, k) for k in range(_MAX_VP + 1)]
+        zero = [e == 0 for e in eps]
+        unit = [1.0 + 0.0j if z else e for e, z in zip(eps, zero)]  # e'_k
+        #: (q = p^k, p, r_k, dz_k), ordered by p, then k
+        self.powers: list[tuple[int, int, complex, int]] = []
+        for p in primes_up_to(math.isqrt(n_max)).tolist():
+            q, k = p, 1
+            while q <= n_max:
+                self.powers.append((q, p, unit[k] / unit[k - 1], zero[k] - zero[k - 1]))
+                q *= p
+                k += 1
+        self.e1 = unit[1]
+        self.z1 = zero[1]
+        self.zeros = any(dz for _, _, _, dz in self.powers)
+        self.size = min(BLOCK, n_max)
+        self.offsets = np.arange(self.size, dtype=np.int64)
+        self.n = np.empty(self.size, dtype=np.int64)
+        self.n_float = np.empty(self.size, dtype=np.float64)
+        self.val = np.empty(self.size, dtype=np.complex128)
+        self.prod = np.empty(self.size, dtype=np.int64)
+        self.zc = np.empty(self.size, dtype=np.int8)
+        self.mask = np.empty(self.size, dtype=bool)
+
+
+def _f_block(lo: int, hi: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """(n, f(n)) for n in [lo, hi), 1 <= lo < hi <= lo + plan.size, as
+    views into the plan's buffers."""
     size = hi - lo
-    val = np.ones(size, dtype=np.complex128)
-    rem = np.arange(lo, hi, dtype=np.int64)
-    for p in primes:
-        p = int(p)
+    n, val, prod, zc, mask = (
+        b[:size] for b in (plan.n, plan.val, plan.prod, plan.zc, plan.mask)
+    )
+    np.add(plan.offsets[:size], lo, out=n)
+    val.fill(1.0)
+    prod.fill(1)
+    if plan.zeros:
+        zc.fill(0)
+    for q, p, r, dz in plan.powers:
         if p * p >= hi:
             break
-        start = ((lo + p - 1) // p) * p
-        if start >= hi:
+        s = -lo % q  # first multiple of q in the block
+        if s >= size:
             continue
-        idx = np.arange(start - lo, size, p)
-        m = rem[idx] // p
-        v = np.ones(idx.size, dtype=np.int64)
-        cur = np.nonzero(m % p == 0)[0]
-        while cur.size:
-            m[cur] //= p
-            v[cur] += 1
-            cur = cur[m[cur] % p == 0]
-        rem[idx] = m
-        val[idx] *= eps[v]
-    big = rem > 1  # one prime factor above sqrt left
-    val[big] *= eps[1]
-    if lo == 0:
-        val[0] = 0.0  # n = 0 is not summed
-    return val
+        if r != 1:
+            val[s::q] *= r
+        if dz:
+            zc[s::q] += dz
+        prod[s::q] *= p
+    np.not_equal(prod, n, out=mask)  # one prime factor p with p^2 >= hi
+    if plan.z1:
+        np.copyto(val, 0, where=mask)
+    elif plan.e1 != 1:
+        np.multiply(val, plan.e1, out=val, where=mask)
+    if plan.zeros:
+        np.not_equal(zc, 0, out=mask)
+        np.copyto(val, 0, where=mask)
+    n_float = plan.n_float[:size]
+    np.copyto(n_float, n)
+    return n_float, val
 
 
 class _Kahan:
@@ -131,17 +184,15 @@ class _Kahan:
 
 
 def _sweep(spec: EpsilonSpec, n_max: int, consume) -> None:
-    """Run the segmented factorization over n in [1, n_max], calling
-    consume(n_array, f_array) per block."""
+    """Sieve n in [1, n_max] block by block, calling consume(n, f) per
+    block (the consume contract of the module docstring)."""
     if n_max < 1:
         return
-    primes = primes_up_to(math.isqrt(n_max))
-    eps = _eps_table(spec)
+    plan = _Plan(spec, n_max)
     lo = 1
     while lo <= n_max:
-        hi = min(lo + BLOCK, n_max + 1)
-        f = _f_block(lo, hi, primes, eps)
-        consume(np.arange(lo, hi, dtype=np.float64), f)
+        hi = min(lo + plan.size, n_max + 1)
+        consume(*_f_block(lo, hi, plan))
         lo = hi
 
 
@@ -181,15 +232,21 @@ def direct_exp_sums_multi(spec: EpsilonSpec, xs: np.ndarray) -> np.ndarray:
         raise CapacityError(f"x_max={xs[-1]} beyond cap {DIRECT_X_CAP}")
     cut = np.floor(DEFAULT_CUTOFF_MULT * xs).astype(np.int64)
     accs = [_Kahan() for _ in xs]
+    size = min(BLOCK, int(cut[-1]))
+    e = np.empty(size, dtype=np.float64)
+    fe = np.empty(size, dtype=np.complex128)
 
     def consume(n, f):
         lo = int(n[0])
         for i in range(xs.size):
-            hi_i = int(cut[i]) - lo + 1  # count of entries of this block used
-            if hi_i <= 0:
+            m = min(int(cut[i]) - lo + 1, n.size)  # entries of this block used
+            if m <= 0:
                 continue
-            hi_i = min(hi_i, n.size)
-            accs[i].add(complex(np.sum(f[:hi_i] * np.exp(-n[:hi_i] / xs[i]))))
+            e_i, fe_i = e[:m], fe[:m]
+            np.divide(n[:m], -xs[i], out=e_i)
+            np.exp(e_i, out=e_i)
+            np.multiply(f[:m], e_i, out=fe_i)
+            accs[i].add(complex(np.sum(fe_i)))
 
     _sweep(spec, int(cut[-1]), consume)
     return np.array([a.s for a in accs], dtype=np.complex128)

@@ -40,6 +40,7 @@ from .errors import (
     ConsistencyError,
     CutError,
     DomainError,
+    PlatformError,
     PoleError,
     RangeError,
     StepError,
@@ -81,6 +82,12 @@ _ZETA_RE_MIN, _ZETA_RE_MAX, _ZETA_IM_MAX = -1.0, 40.0, 600.0
 # would lose three digits there
 _F128 = getattr(np, "float128", np.float64)
 _TWO_PI_128 = _F128("6.283185307179586476925286766559005768")
+#: whether _F128 is wider than float64; where it is not, a phase t*log(n)
+#: of _PHASE_MAX_FLOAT64 rad or more raises PlatformError
+_EXTENDED_PHASE = np.finfo(_F128).nmant > np.finfo(np.float64).nmant
+#: a float64 phase below 8 rad lies in the binade of 2 pi, so it rounds as
+#: finely as a reduced one; each binade above loses one more bit
+_PHASE_MAX_FLOAT64 = 8.0
 
 _LOGN_CACHE = np.log(np.arange(1, 64, dtype=np.float64))
 _LOGN128_CACHE = np.log(np.arange(1, 64, dtype=_F128))
@@ -96,7 +103,13 @@ def _logn(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pow_minus_s(logn: np.ndarray, logn128: np.ndarray, s: complex) -> np.ndarray:
-    """n^{-s} with the phase t*log n reduced mod 2 pi in extended precision."""
+    """n^{-s} with the phase t*log n reduced mod 2 pi in extended precision
+    (logn ascending)."""
+    if not _EXTENDED_PHASE and abs(s.imag) * logn[-1] >= _PHASE_MAX_FLOAT64:
+        raise PlatformError(
+            f"phase {abs(s.imag) * logn[-1]:.4g} rad of n^(-s) at s={s} needs a "
+            "longdouble wider than float64 to keep double precision"
+        )
     mag = np.exp(-s.real * logn)
     phase = np.mod(_F128(s.imag) * logn128, _TWO_PI_128).astype(np.float64)
     return mag * np.exp(-1j * phase)

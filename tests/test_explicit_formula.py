@@ -245,6 +245,16 @@ def test_delta_half_window_error(cfg):
         delta_half(spec, 1e3, cfg)
 
 
+def test_delta_1_window_error(cfg):
+    # same spec: (1 - 2u)^(-w) overflows near u = 1/2 unless the window is
+    # checked before the quadrature
+    spec = parse_eps_spec("finite:[exp(i*1.8234765819369751),1]")
+    with pytest.raises(WindowError):
+        delta_1(spec, 1e3, cfg)
+    with pytest.raises(WindowError):
+        a_exp_formula(spec, 1e3, cfg)
+
+
 def test_delta_half_conj_spec_symmetry(cfg):
     a = delta_half(FIG53_CONJ, 1e3, cfg)
     b = delta_half(FIG53, 1e3, cfg).conjugate()

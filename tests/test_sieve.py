@@ -6,9 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from fakemu.eps_model import parse_eps_spec
+from fakemu import sieve
+from fakemu.eps_model import eps_at, parse_eps_spec
 from fakemu.errors import CapacityError, DomainError, RangeError
 from fakemu.sieve import (
+    DIRECT_X_CAP,
+    _f_block,
+    _Plan,
     build_spf,
     direct_exp_sum,
     direct_exp_sums_multi,
@@ -141,3 +145,92 @@ def test_multi_sums_match_single():
             for n in range(1, int(45 * x) + 1)
         )
         assert abs(got - single) <= 1e-10 * (1 + abs(single))
+
+
+# ------------------------------------------------------------ block sieve
+
+BLOCK_SPECS = [
+    "finite:[-1]",
+    "cm:xi=-1",
+    "cm:xi=1",
+    "finite:[exp(i*pi/5),1]",
+    "periodic:m=2:[i,-i]",
+    # eps_k != 0 after eps_{k-1} = 0: the zero counter goes up and down
+    "finite:[0]",
+    "finite:[1,0,1]",
+    "periodic:m=3:[0,i,1]",
+    "quadphase:alpha=0.381966",
+]
+SPF_TOP = 10 ** 7 + 3000
+
+
+@pytest.fixture(scope="module")
+def spf_1e7():
+    return build_spf(SPF_TOP)
+
+
+@pytest.mark.parametrize("text", BLOCK_SPECS)
+def test_f_block_matches_f_of_n(spf_1e7, text):
+    spec = parse_eps_spec(text)
+    plan = _Plan(spec, SPF_TOP)
+    rng = random.Random(text)
+    for lo in (1, rng.randint(2, 10 ** 7), rng.randint(2, 10 ** 7)):
+        n, f = _f_block(lo, lo + 3000, plan)
+        assert n.tolist() == list(range(lo, lo + 3000))
+        want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, lo + 3000)])
+        assert np.max(np.abs(f - want)) <= 1e-14
+
+
+def _factor(n: int, primes: list[int]) -> list[int]:
+    """Exponents of the prime factorization of n, by trial division."""
+    vs = []
+    for p in primes:
+        if p * p > n:
+            break
+        v = 0
+        while n % p == 0:
+            n //= p
+            v += 1
+        if v:
+            vs.append(v)
+    return vs + [1] if n > 1 else vs
+
+
+@pytest.mark.parametrize("lo", [2 ** 32 - 300, 45 * DIRECT_X_CAP - 600])
+def test_f_block_near_the_cap(lo):
+    # n above 2^31 in the int64 smooth part, and 2^32 = q itself
+    n_max = int(45 * DIRECT_X_CAP)
+    primes = primes_up_to(math.isqrt(n_max)).tolist()
+    exps = [_factor(k, primes) for k in range(lo, lo + 600)]
+    for text in ("finite:[1,0,1]", "cm:xi=exp(i*pi/5)", "periodic:m=3:[0,i,1]"):
+        spec = parse_eps_spec(text)
+        n, f = _f_block(lo, lo + 600, _Plan(spec, n_max))
+        assert n.tolist() == list(range(lo, lo + 600))
+        want = np.array([math.prod(eps_at(spec, v) for v in vs) for vs in exps])
+        assert np.max(np.abs(f - want)) <= 1e-14
+
+
+def _spf_sums(table, spec, x: float) -> tuple[complex, float]:
+    terms = [f_of_n(table, spec, n) * math.exp(-n / x) for n in range(1, int(45 * x) + 1)]
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    return total, math.fsum(abs(t) for t in terms)
+
+
+def test_sums_across_blocks(monkeypatch):
+    # blocks of 1000: cutoffs mid-block (1800), on a block's last n (2000),
+    # on the next block's first n (2001) and several blocks on (7200)
+    monkeypatch.setattr(sieve, "BLOCK", 1000)
+    xs = np.array([40.0, 44.45, 44.47, 160.0])
+    assert np.floor(45 * xs).tolist() == [1800, 2000, 2001, 7200]
+    table = build_spf(7200)
+    for spec in (PER_I, MOBIUS, parse_eps_spec("periodic:m=3:[0,i,1]")):
+        multi = direct_exp_sums_multi(spec, xs)
+        for x, got in zip(xs, multi):
+            want, mag = _spf_sums(table, spec, x)
+            assert abs(got - want) <= 1e-13 * mag
+        want, mag = _spf_sums(table, spec, xs[1])
+        assert abs(direct_exp_sum(spec, xs[1]) - want) <= 1e-13 * mag
+        for x in (999.5, 1000.0, 1001.0, 3500.5):
+            want = sum(f_of_n(table, spec, n) for n in range(1, int(x) + 1))
+            assert abs(direct_sharp_sum(spec, x) - want) <= 1e-13 * x
+    assert direct_sharp_sum(ONES, 3500.5) == 3500

@@ -19,9 +19,11 @@ from fakemu.errors import (
     ConsistencyError,
     CutError,
     DomainError,
+    PlatformError,
     PoleError,
     RangeError,
 )
+from fakemu import zeta_kernel
 from fakemu.zeta_kernel import (
     ZeroTable,
     _LineCache,
@@ -92,6 +94,20 @@ def test_zeta_errors():
         zeta(complex(41.0, 0.0))
     with pytest.raises(RangeError):
         zeta(complex(2.0, 601.0))
+
+
+def test_zeta_phase_needs_extended_precision(monkeypatch):
+    # where longdouble is no wider than float64, a phase t*log(n) that
+    # float64 rounds more coarsely than a reduced one raises PlatformError
+    if np.finfo(np.longdouble).nmant >= 63:
+        assert zeta_kernel._EXTENDED_PHASE
+    small, real = complex(2.0, 1.0), complex(0.5, 0.0)  # 1 rad * log 24 < 8
+    want = (zeta(small), zeta(real))
+    monkeypatch.setattr(zeta_kernel, "_EXTENDED_PHASE", False)
+    assert (zeta(small), zeta(real)) == want
+    for s in (complex(0.5, 14.134725), complex(2.0, -3.0)):
+        with pytest.raises(PlatformError):
+            zeta(s)
 
 
 def test_zeta_schwarz_reflection():
