@@ -31,8 +31,9 @@ from .errors import DomainError, ParseError
 #: Centralized so downstream integer-case branching is consistent.
 UNIT_TOL = 1e-12
 
-#: Truncation tolerance for QUADPHASE series evaluation.
-G_TOL = 1e-14
+#: Truncation tolerance for QUADPHASE series evaluation: at each u the
+#: dropped tail is at most G_TOL |u|^3, the size of log G_p at u = p^-s.
+G_TOL = 2.0 ** -52
 
 CM = "CM"
 PERIODIC = "PERIODIC"
@@ -310,8 +311,9 @@ def zw_params(spec: EpsilonSpec) -> FactorParams:
 def g_eval(spec: EpsilonSpec, u: complex) -> complex:
     """Generating function g(u) = sum_k eps_k u^k, |u| < 1.
 
-    CM, PERIODIC and FINITE use their closed forms; QUADPHASE sums partial
-    sums until the geometric tail bound |u|^{K+1}/(1-|u|) drops below G_TOL.
+    CM, PERIODIC and FINITE use their closed forms; QUADPHASE sums the
+    series to the least order K whose geometric tail bound
+    |u|^{K+1}/(1-|u|) is at most G_TOL |u|^3.
     """
     u = complex(u)
     if abs(u) >= 1.0:
@@ -334,16 +336,24 @@ def _g_eval_array(spec: EpsilonSpec, u: np.ndarray) -> np.ndarray:
         for v in reversed(spec.values):
             num = (num + v) * u
         return 1.0 + num / (1.0 - u ** spec.period)
-    # QUADPHASE: shared truncation order from the largest modulus present
-    umax = float(np.max(np.abs(u)))
-    if umax == 0.0:
-        return np.ones_like(u)
-    kmax = 1
-    while umax ** (kmax + 1) / (1.0 - umax) >= G_TOL:
-        kmax += 1
-        if kmax > 100_000:
-            raise DomainError("QUADPHASE series truncation did not converge")
-    acc = np.zeros_like(u)
-    for k in range(kmax, 0, -1):
-        acc = (acc + cmath.exp(2j * math.pi * math.fmod(spec.alpha * k * k, 1.0))) * u
-    return 1.0 + acc
+    # QUADPHASE: an order K per point, the least with |u|^{K-2} <= G_TOL
+    # (1-|u|).  Horner runs over the points sorted by decreasing K, so the
+    # points that still need the term of degree k are the first count[k].
+    r = np.abs(u)
+    with np.errstate(divide="ignore"):
+        order = 2.0 + np.ceil(np.log(G_TOL * (1.0 - r)) / np.log(r))
+    if not np.all(order <= 100_000):
+        raise DomainError("QUADPHASE series truncation did not converge")
+    by_order = np.argsort(-order, kind="stable")
+    ks = np.arange(int(order.max(initial=0.0)) + 1)
+    count = np.searchsorted(-order[by_order], -ks, side="right")
+    eps = np.exp(2j * np.pi * np.fmod(spec.alpha * ks * ks, 1.0))
+    us = np.asarray(u[by_order], dtype=np.complex128)
+    acc = np.zeros_like(us)
+    for k in range(ks[-1], 0, -1):
+        head = acc[: count[k]]
+        head += eps[k]
+        head *= us[: count[k]]
+    acc += 1.0
+    us[by_order] = acc  # back to the input order
+    return us

@@ -47,6 +47,10 @@ from .errors import DomainError, RangeError
 from .sieve import primes_up_to
 
 RE_S_MIN = 0.35
+#: Rounding floor of one per-prime log term, per unit of 1 + |z| + |w|:
+#: the arguments of its three logs lie near 1 and are rounded before the
+#: log is taken (G_f_tail_estimate; measured up to ~0.55 eps).
+TAIL_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 _NEAR_UNIT = 0.5  # | |v|^2 - 1 | at most this takes the log1p form
 
 
@@ -149,6 +153,14 @@ def G_f_tail_estimate(
     The local decay constant is calibrated on the top octave of sieved
     primes, C = max_{P/2<=p<=P} |log G_p| p^{3 sigma}, and the tail is
     C * int_P^inf t^{-3 sigma}/log t dt = C * E1((3 sigma - 1) log P).
+
+    Each log G_p is a cancellation of three logs of size ~p^-sigma down to
+    ~p^{-3 sigma}, whose arguments g(u), 1 - u and 1 - u^2 lie within a few
+    percent of 1 in the top octave and carry an absolute rounding of order
+    eps.  So each term has a rounding floor of TAIL_ROUNDING (1 + |z| + |w|).
+    Where every top-octave term lies within it (G identically 1, or Re s so
+    large that p^{-3 sigma} is below rounding) C would measure only
+    rounding, and the estimate is exactly 0.
     """
     s = complex(s)
     if s.real < RE_S_MIN:
@@ -161,8 +173,9 @@ def G_f_tail_estimate(
     top = logp[logp >= log_half]
     if top.size == 0:
         top = logp[-1:]
-    terms = _log_terms(spec, s, top)
-    c = float(np.max(np.abs(terms) * np.exp(3.0 * sigma * top)))
-    if c == 0.0:
+    pars = zw_params(spec)
+    terms = np.abs(_log_terms(spec, s, top))
+    if np.max(terms) <= TAIL_ROUNDING * (1.0 + abs(pars.z) + abs(pars.w)):
         return 0.0
+    c = float(np.max(terms * np.exp(3.0 * sigma * top)))
     return c * _exp1((3.0 * sigma - 1.0) * math.log(cfg.prime_limit))

@@ -34,10 +34,31 @@ limits pin these factors: at z = 0 the Selberg-Delange main term
 z = -1 (resp. w = 1) the residue formulas must.
 
 Quadrature is tanh-sinh, which absorbs the endpoint singularities; J(u) is
-cached per node, so evaluating at many x is cheap.  Watson coefficients
-lambda_{xi,k} of J_xi at u = 0 come from a WATSON_NODES-node trapezoid rule
-on the circle |u| = WATSON_RADIUS; Delta_xi ~ sine x^xi sum_k lambda_k
-Gamma(1-beta+k) L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
+cached per node, so evaluating at many x is cheap.
+
+At the tanh-sinh nodes G(s0 - u), s0 = 1, 1/2 or rho, comes from one
+Chebyshev interpolant per cut (class _GLine) on the segment 0 <= u <= b,
+i.e. [1/2, 1], [a, 1/2] or [rho - (1/2 - a), rho].  G is holomorphic on
+Re s > 1/3 (its truncation G_f even on Re s > 0), at least a - 1/3 away
+from each segment, so the Chebyshev coefficients decay geometrically
+(Trefethen, Approximation Theory and Approximation Practice, ch. 8).  A
+cut samples G_f on nested Chebyshev points of degree 16, 32, 64, ...,
+each level reusing the previous samples, until the last quarter of the
+coefficients lies below CHEB_TOL = 2^-46 of the largest, G_f's own
+rounding floor; past CHEB_MAX_DEGREE it raises QuadratureError.  The
+interpolant is built the first time the cut runs its quadrature and costs
+17-65 G_f calls, where a call per node cost hundreds.  Its stopping test
+is an a-posteriori estimate, not a bound: it reads the decay of the
+coefficients already computed.  A bound would need max |G| on a Bernstein
+ellipse around the segment, which nothing here computes, and a feature
+narrower than the sample spacing could pass the test unseen; G, holomorphic
+well past the segment, has none.  Every other G (the residues, J(0) in
+c_{1/2}, the Watson ring, J at complex u) is a direct G_f call.
+
+Watson coefficients lambda_{xi,k} of J_xi at u = 0 come from a
+WATSON_NODES-node trapezoid rule on the circle |u| = WATSON_RADIUS;
+Delta_xi ~ sine x^xi sum_k lambda_k Gamma(1-beta+k) L^{beta-1-k}, whose
+k = 0 term gives c_{1/2}.
 
 The two branch-tracked logs inside J_rho come from one
 zeta_kernel.RhoSweep per zero (and per mirror zero), kept on the
@@ -59,7 +80,7 @@ from .eps_model import EpsilonSpec, FactorParams, near_integer, zw_params
 from .errors import (
     ConsistencyError, DomainError, QuadratureError, RangeError, WindowError,
 )
-from .euler_residual import G_f, GfConfig
+from .euler_residual import RE_S_MIN, G_f, GfConfig
 from .zeta_kernel import RhoSweep, ZetaKernel, default_kernel, gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -72,15 +93,22 @@ MAX_LEVEL = 12
 #: which must lie inside the smallest analyticity disc, radius 1/2 - a.
 WATSON_RADIUS = 0.05
 WATSON_NODES = 256
+#: G on a cut's segment: Chebyshev degrees CHEB_MIN_DEGREE, doubling up to
+#: CHEB_MAX_DEGREE, until the last quarter of the coefficients lies below
+#: CHEB_TOL times the largest (the rounding floor of G_f).
+CHEB_MIN_DEGREE = 16
+CHEB_MAX_DEGREE = 256
+CHEB_TOL = 2.0 ** -46
 
 
 @dataclass(eq=False)
 class FormulaConfig:
     """Knobs for the explicit-formula evaluation.
 
-    a: abscissa of the leftmost contour line, 1/3 < a < 1/2 - WATSON_RADIUS
-    (the Watson ring must fit inside the disc of radius 1/2 - a).  n_zeros
-    pairs of zeros enter the zero sum.
+    a: abscissa of the leftmost contour line, RE_S_MIN <= a < 1/2 -
+    WATSON_RADIUS: G_f is evaluated down to Re s = a, and the Watson ring
+    must fit inside the disc of radius 1/2 - a.  n_zeros pairs of zeros
+    enter the zero sum.
     """
 
     a: float = 0.40
@@ -90,9 +118,9 @@ class FormulaConfig:
     _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not (1.0 / 3.0 < self.a < 0.5):
-            raise DomainError("a must lie in (1/3, 1/2)")
-        if 0.5 - self.a <= WATSON_RADIUS:
+        if not RE_S_MIN <= self.a:
+            raise DomainError(f"a must be >= {RE_S_MIN}: G_f is read down to Re s = a")
+        if not 0.5 - self.a > WATSON_RADIUS:
             raise DomainError(f"a must leave room for the Watson ring: 1/2 - a > {WATSON_RADIUS}")
         if self.n_zeros < 0:
             raise DomainError("n_zeros must be >= 0")
@@ -178,6 +206,73 @@ def _laplace_quad(
 
 
 # --------------------------------------------------------------------------
+# G along one cut's segment: a Chebyshev interpolant on nested points
+# --------------------------------------------------------------------------
+
+def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
+    """Coefficients of the interpolant through vals at x_j = cos(j pi/n),
+    j = 0..n (a DCT-I): c_k = (2/n) sum_j vals_j cos(jk pi/n), with the
+    terms j = 0, n and the coefficients c_0, c_n halved.  jk is reduced
+    mod 2n first, so each cosine is taken at a multiple of pi/n below 2 pi."""
+    n = vals.size - 1
+    j = np.arange(n + 1)
+    ends = np.ones(n + 1)
+    ends[[0, n]] = 0.5
+    cosines = np.cos(np.outer(j, j) % (2 * n) * (math.pi / n))
+    c = np.sum(cosines * (ends * vals), axis=1) * (2.0 / n)
+    c[[0, n]] *= 0.5
+    return c
+
+
+def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(x) over an array of x."""
+    b1 = np.zeros(x.shape, dtype=np.complex128)
+    b2 = np.zeros(x.shape, dtype=np.complex128)
+    x2 = 2.0 * x
+    for ck in c[:0:-1]:
+        b1, b2 = ck + x2 * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+class _GLine:
+    """G(s0 - u) for 0 <= u <= b, from samples at Chebyshev points.
+
+    u_j = b sin^2(j pi/2n) (x_j = cos(j pi/n) = 1 - 2u/b); each doubling of
+    n keeps the previous samples.  g is the direct G_f.
+    """
+
+    def __init__(self, g: Callable[[complex], complex], s0: complex, b: float):
+        self.b = b
+
+        def sample(n: int, j: np.ndarray) -> np.ndarray:
+            u = b * np.sin(j * (math.pi / (2 * n))) ** 2
+            return np.array([g(s0 - uj) for uj in u.tolist()], dtype=np.complex128)
+
+        n = CHEB_MIN_DEGREE
+        vals = sample(n, np.arange(n + 1))
+        while True:
+            c = _cheb_coeffs(vals)
+            mag = np.abs(c)
+            if np.max(mag[3 * n // 4:]) <= CHEB_TOL * np.max(mag):
+                break
+            if 2 * n > CHEB_MAX_DEGREE:
+                raise QuadratureError(
+                    f"Chebyshev coefficients of G on [{s0 - b}, {s0}] did not "
+                    f"decay to {CHEB_TOL:.3g} by degree {n}"
+                )
+            both = np.empty(2 * n + 1, dtype=np.complex128)
+            both[::2] = vals
+            both[1::2] = sample(2 * n, np.arange(1, 2 * n, 2))
+            vals, n = both, 2 * n
+        self.c = c
+
+    def __call__(self, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
+        """G at s0 - u, with cu = b - u; x comes from the smaller of the two."""
+        x = np.where(u <= cu, 1.0 - 2.0 * u / self.b, 2.0 * cu / self.b - 1.0)
+        return _clenshaw(self.c, x)
+
+
+# --------------------------------------------------------------------------
 # one branch point: Laplace quadrature, residue or exact zero, and Watson
 # --------------------------------------------------------------------------
 
@@ -185,11 +280,14 @@ def _laplace_quad(
 class _Cut:
     """The Selberg-Delange step at one branch point xi (module docstring).
 
-    j(u, cu) is J_xi, with cu = b - u passed exactly near the right end,
-    memoized per tanh-sinh node by values(); ring(r, n), if given, walks
-    J_xi around n equispaced points of |u| = r (else J is called at each);
-    residue() computes c_xi on first use.  J and its ring exist in every
-    mode.
+    j(u, cu, g) is J_xi, with cu = b - u passed exactly near the right end
+    and g the value of G at s = s0 - u (G_f is called when g is None).
+    values() memoizes J per tanh-sinh node and takes g from g_line, the
+    Chebyshev interpolant of G on the segment, built on first use; every
+    other J (Watson ring, J(0), complex u) calls G_f.  ring(r, n), if
+    given, walks J_xi around n equispaced points of |u| = r (else J is
+    called at each); residue() computes c_xi on first use.  J and its
+    ring exist in every mode.
     """
 
     beta: complex
@@ -200,21 +298,26 @@ class _Cut:
     j: Callable[..., complex]
     mode: str  # quadrature | residue | zero
     residue: Callable[[], complex]
+    s0: complex  # G is read at s0 - u
+    g: Callable[[complex], complex]  # the direct G_f
     ring: Optional[Callable[[float, int], np.ndarray]] = None
 
     def __post_init__(self):
         self.vals: dict[float, complex] = {}  # J by tanh-sinh parameter t
 
+    @cached_property
+    def g_line(self) -> _GLine:
+        return _GLine(self.g, self.s0, self.b)
+
     def values(self, t: np.ndarray, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-        out = np.empty(t.size, dtype=np.complex128)
-        for i, tk in enumerate(t):
-            key = float(tk)
-            v = self.vals.get(key)
-            if v is None:
-                v = self.j(complex(u[i]), float(cu[i]))
-                self.vals[key] = v
-            out[i] = v
-        return out
+        keys = t.tolist()
+        out = [self.vals.get(key) for key in keys]
+        if None in out:
+            new = [i for i, v in enumerate(out) if v is None]
+            g = self.g_line(u[new], cu[new]).tolist()
+            for i, gi in zip(new, g):
+                out[i] = self.vals[keys[i]] = self.j(complex(u[i]), float(cu[i]), gi)
+        return np.array(out, dtype=np.complex128)
 
     @cached_property
     def coef(self) -> complex:
@@ -299,19 +402,12 @@ class _Ctx:
         self.pars: FactorParams = zw_params(spec)
         self.z = self.pars.z
         self.w = self.pars.w
-        self._g_points: dict[complex, complex] = {}
         self._sweeps: dict[tuple[int, bool], RhoSweep] = {}
         self._cuts: dict = {}
 
-    # -- residual Euler product, memoized pointwise --------------------------
-
     def G(self, s: complex) -> complex:
-        s = complex(s)
-        got = self._g_points.get(s)
-        if got is None:
-            got = G_f(self.spec, s, self.cfg.gf_config)
-            self._g_points[s] = got
-        return got
+        """The residual Euler product, called directly."""
+        return G_f(self.spec, s, self.cfg.gf_config)
 
     # -- branch points ----------------------------------------------------------
 
@@ -332,6 +428,7 @@ class _Ctx:
                 mode=_mode(zi == 1, zi in (-1, 0)),
                 # Res_{s=1} F(s) Gamma(s) x^s = x * zeta(2)^w * G(1)
                 residue=lambda: cmath.exp(w * k.L1(2.0)) * self.G(1.0),
+                s0=1.0, g=self.G,
             )
         if key == "half":
             # Res_{s=1/2} zeta(2s) = 1/2, with zeta(1/2)^z the boundary value
@@ -347,6 +444,7 @@ class _Ctx:
                 x_pow=math.sqrt, j=self.j_half,
                 mode=_mode(self.pars.w_is_one, near_integer(z + w) is not None),
                 residue=residue,
+                s0=0.5, g=self.G,
             )
         index, conjugate = key
         rho = k.rho(index, conjugate)
@@ -361,16 +459,17 @@ class _Ctx:
             beta=-z, b=0.5 - self.cfg.a, alpha_right=0.0,
             sine=-cmath.sin(cmath.pi * z) / math.pi,
             x_pow=lambda x: cmath.exp(rho * math.log(x)),
-            j=lambda u, cu=None: self.j_rho(index, conjugate, u),
+            j=lambda u, cu=None, g=None: self.j_rho(index, conjugate, u, g),
             mode=_mode(zi == -1, zi in (0, 1)),
             residue=residue,
+            s0=rho, g=self.G,
             ring=lambda r, n: self.j_rho_ring(index, conjugate, r, n),
         )
 
     # -- integrands -----------------------------------------------------------
 
-    def j1(self, u: complex, cu: Optional[float] = None) -> complex:
-        """J_1; cu = 1/2 - u passed exactly near the right endpoint."""
+    def j1(self, u: complex, cu: Optional[float] = None, g: Optional[complex] = None) -> complex:
+        """J_1; cu = 1/2 - u passed exactly near the right endpoint, g = G(1 - u)."""
         k = self.kernel
         one_minus_2u = 2.0 * cu if cu is not None else 1.0 - 2.0 * u
         lz1 = k.L1(1.0 - u)
@@ -378,11 +477,12 @@ class _Ctx:
         return (
             cmath.exp(self.z * lz1 + self.w * lz2)
             * one_minus_2u ** (-self.w)
-            * self.G(1.0 - u)
+            * (self.G(1.0 - u) if g is None else g)
             * gamma(1.0 - u)
         )
 
-    def j_half(self, u: complex, cu: Optional[float] = None) -> complex:
+    def j_half(self, u: complex, cu: Optional[float] = None, g: Optional[complex] = None) -> complex:
+        """J_half; g = G(1/2 - u) (cu is not needed)."""
         k = self.kernel
         half_minus = 0.5 - u
         lz1 = k.L1(half_minus)
@@ -392,7 +492,7 @@ class _Ctx:
             * (0.5 + u) ** (-self.z)
             * cmath.exp(self.z * lz1 + self.w * lz2)
             / (1.0 - 2.0 * u)
-            * self.G(half_minus)
+            * (self.G(half_minus) if g is None else g)
             * gamma(half_minus)
         )
 
@@ -404,20 +504,24 @@ class _Ctx:
             got = self._sweeps[key] = self.kernel.rho_sweep(zero_index, conjugate)
         return got
 
-    def _j_rho_at(self, rho: complex, u: complex, lr: complex, cz: complex) -> complex:
+    def _j_rho_at(
+        self, rho: complex, u: complex, lr: complex, cz: complex, g: Optional[complex] = None
+    ) -> complex:
         """J_rho at u from the branch values lr = log((s-1) zeta(s)/(s-rho)),
-        cz = log zeta(2s), s = rho - u."""
+        cz = log zeta(2s), s = rho - u, and g = G(s)."""
         s = rho - u
         return (
             (rho - 1.0 - u) ** (-self.z)
-            * self.G(s)
+            * (self.G(s) if g is None else g)
             * cmath.exp(self.z * lr + self.w * cz)
             * gamma(s)
         )
 
-    def j_rho(self, zero_index: int, conjugate: bool, u: complex) -> complex:
+    def j_rho(
+        self, zero_index: int, conjugate: bool, u: complex, g: Optional[complex] = None
+    ) -> complex:
         sw = self.sweep(zero_index, conjugate)
-        return self._j_rho_at(sw.rho, u, sw.local(u), sw.zeta2(u))
+        return self._j_rho_at(sw.rho, u, sw.local(u), sw.zeta2(u), g)
 
     def j_rho_ring(self, zero_index: int, conjugate: bool, r: float, n: int) -> np.ndarray:
         """J_rho on the circle |u| = r (n nodes), walked from the real axis."""
@@ -460,8 +564,8 @@ def J_half(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -
     ctx, cfg = _ctx(spec, cfg)
     if abs(u) >= 0.5 - cfg.a:
         raise RangeError("J_half requires |u| < 1/2 - a")
-    if (0.5 - u).real < 0.35:
-        raise RangeError("J_half requires Re(1/2-u) >= 0.35")
+    if (0.5 - u).real < RE_S_MIN:
+        raise RangeError(f"J_half requires Re(1/2-u) >= {RE_S_MIN}")
     return ctx.j_half(u)
 
 
@@ -474,8 +578,8 @@ def J_rho(
     """Integrand at zero rho_k on its disc |u| <= gap radius (RangeError
     outside); complex u continues off the real line sweep at Re u."""
     u = complex(u)
-    if u.imag == 0.0 and 0.0 <= u.real and (0.5 - u.real) < 0.35 - 1e-12:
-        raise RangeError("J_rho real path requires Re(rho - u) >= 0.35")
+    if u.imag == 0.0 and 0.0 <= u.real and (0.5 - u.real) < RE_S_MIN - 1e-12:
+        raise RangeError(f"J_rho real path requires Re(rho - u) >= {RE_S_MIN}")
     ctx, _ = _ctx(spec, cfg)
     return ctx.j_rho(zero_index, False, u)
 

@@ -36,6 +36,22 @@ def test_classify_apparent(capsys):
     assert abs(rep["re_z_plus_w"]) < 1e-10
 
 
+@pytest.mark.parametrize("text", ["cm:xi=1", "cm:xi=-1"])
+def test_classify_tail_zero_where_G_is_one(text, capsys):
+    code, out, _ = run(["classify", "--eps", text], capsys)
+    assert code == 0
+    assert json.loads(out)["tail_estimate"] == 0.0
+
+
+def test_contour_below_re_s_min_is_a_domain_error(capsys):
+    # G_f is read down to Re s = a, and it needs Re s >= 0.35
+    code, _, err = run(
+        ["evaluate", "--eps", "periodic:m=2:[i,-i]", "--x", "1e3", "--a", "0.34"], capsys
+    )
+    assert code == 1
+    assert "a must be >= 0.35" in err
+
+
 def test_classify_parse_error_exit_2(capsys):
     code, _, err = run(["classify", "--eps", "finite:[bogus"], capsys)
     assert code == 2

@@ -3,17 +3,22 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fakemu.eps_model import (
+    G_TOL,
     EpsilonSpec,
+    _g_eval_array,
     eps_at,
     g_eval,
     parse_eps_spec,
     zw_params,
 )
 from fakemu.errors import DomainError, ParseError
+
+EPS = np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------- parsing
@@ -218,3 +223,19 @@ def test_window_bounds(spec):
     pars = zw_params(spec)
     assert abs(pars.z) <= 1 + 1e-12
     assert -2 - 1e-12 <= pars.w.real <= 25.0 / 16.0 + 1e-12
+
+
+def test_quadphase_order_per_point():
+    # each point takes its own truncation order: its value in one array
+    # (sorted by order inside) matches the point alone, and meets the
+    # defining series to the tail bound G_TOL |u|^3 plus rounding
+    spec = parse_eps_spec("quadphase:alpha=0.381966")
+    rng = np.random.default_rng(5)
+    r = np.concatenate([[0.0, 0.785, 1e-9], 10.0 ** rng.uniform(-6, -0.1, 60)])
+    u = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
+    together = _g_eval_array(spec, u)
+    for uk, gk in zip(u, together):
+        assert abs(gk - _g_eval_array(spec, np.array([uk]))[0]) <= 4 * EPS
+        series = sum(eps_at(spec, k) * uk ** k for k in range(400))
+        terms = sum(abs(uk) ** k for k in range(400))
+        assert abs(gk - series) <= G_TOL * abs(uk) ** 3 + 8 * EPS * terms, abs(uk)

@@ -157,6 +157,21 @@ def test_tail_estimate_examples(cfg):
     assert est2 < est
 
 
+def test_tail_estimate_zero_where_G_is_one(cfg):
+    # G is identically 1, so every top-octave term is rounding noise
+    for spec in (ONES, LIOUVILLE):
+        for s in REF_POINTS:
+            assert G_f_tail_estimate(spec, s, cfg) == 0.0, (spec.xi, s)
+
+
+def test_tail_estimate_zero_below_rounding(cfg):
+    # at Re s = 2 the top-octave terms, ~p^-6, lie below the rounding of
+    # their three logs, ~eps; at Re s <= 1 they do not
+    assert G_f_tail_estimate(FIG53, 2.0, cfg) == 0.0
+    assert G_f_tail_estimate(FIG53, 1.0, cfg) > 0.0
+    assert G_f_tail_estimate(FIG53, 0.5, cfg) == 0.0005010646952603314  # unchanged
+
+
 def test_truncation_convergence(cfg):
     big = GfConfig(prime_limit=200_000)
     for spec in TEST_SPECS:

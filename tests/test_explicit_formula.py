@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from fakemu import explicit_formula
@@ -322,6 +323,9 @@ def test_config_invariants():
     with pytest.raises(DomainError):
         FormulaConfig(a=0.3)
     with pytest.raises(DomainError):
+        FormulaConfig(a=0.34)  # G_f is read down to Re s = a >= 0.35
+    assert FormulaConfig(a=0.35).a == 0.35
+    with pytest.raises(DomainError):
         FormulaConfig(a=0.55)
     with pytest.raises(DomainError):
         FormulaConfig(a=0.45)  # the Watson ring needs 1/2 - a > 0.05
@@ -474,3 +478,221 @@ def test_a_exp_formula_vs_direct_small(cfg):
         b = a_exp_formula(spec, 1e3, cfg)
         d = direct_exp_sum(spec, 1e3)
         assert abs(d - b.total) <= 0.25 * 1e3 ** 0.45, spec.class_tag
+
+
+# ---------------------------------------------------------------- G on a cut
+
+QUAD = parse_eps_spec("quadphase:alpha=0.381966")
+CANONICAL = (MOBIUS, LIOUVILLE, ONES, FIG51A, FIG53)
+
+
+def _fill_cuts(spec, a):
+    """Run every part once; return the context's quadrature cuts.
+
+    quadphase's zero cuts hold ~2000-4000 nodes each at ~1 ms per direct
+    G_f, so it runs zero 1 alone; the others run two pairs."""
+    from fakemu.explicit_formula import _ctx
+
+    cfg = FormulaConfig(a=a, n_zeros=2)
+    if spec is QUAD:
+        delta_1(spec, 1e3, cfg)
+        delta_half(spec, 1e3, cfg)
+        delta_rho(spec, 1, 1e3, cfg)
+    else:
+        a_exp_formula(spec, 1e3, cfg)
+    ctx, _ = _ctx(spec, cfg)
+    return [cut for cut in ctx._cuts.values() if cut.mode == "quadrature"], cfg
+
+
+def _cut_nodes(cut):
+    t = np.array(sorted(cut.vals))
+    u, cu, _ = explicit_formula._ts_points(cut.b, t)
+    return u, cu
+
+
+# a = 0.45 itself leaves no room for the Watson ring (see
+# test_config_invariants); 0.449 is the shortest segment a config takes
+@pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
+@pytest.mark.parametrize(
+    "spec", CANONICAL + (QUAD,),
+    ids=["mobius", "liouville", "ones", "fig51a", "fig53", "quadphase"],
+)
+def test_g_line_matches_direct_at_every_node(spec, a):
+    # The interpolant and a direct G_f each sit within G_f's own rounding
+    # of the exact product (up to ~2.8e-14 relative at Im s ~ 21, against
+    # a long-double evaluation over the same primes), so they may differ
+    # by twice that, 4 CHEB_TOL.
+    cuts, cfg = _fill_cuts(spec, a)
+    if spec in (MOBIUS, LIOUVILLE, ONES):
+        assert cuts == []  # residue and zero parts: no interpolant
+        return
+    for cut in cuts:
+        u, cu = _cut_nodes(cut)
+        got = cut.g_line(u, cu)
+        want = np.array([G_f(spec, cut.s0 - uk, cfg.gf_config) for uk in u])
+        rel = np.abs(got - want) / np.abs(want)
+        assert rel.max() <= 4 * explicit_formula.CHEB_TOL, (cut.s0, rel.max())
+
+
+def _g_long_double(spec, s, logp):
+    """G(s) over the same float64 log-prime table, in long double."""
+    from fakemu.eps_model import _g_eval_array
+
+    pars = zw_params(spec)
+    logp = logp.astype(np.longdouble)
+    s = complex(s)
+    mod = np.exp(-np.longdouble(s.real) * logp)
+    ph = -np.longdouble(s.imag) * logp
+    u = mod * np.cos(ph) + 1j * (mod * np.sin(ph)).astype(np.clongdouble)
+    z, w = np.clongdouble(pars.z), np.clongdouble(pars.w)
+    total = np.sum(np.log(_g_eval_array(spec, u)) + z * np.log(1 - u) + w * np.log(1 - u * u))
+    return complex(np.exp(total))
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="long double is float64 on this platform",
+)
+def test_g_line_within_the_rounding_of_G_f():
+    # against the product in long double, the interpolant is as close as a
+    # direct G_f is (both <= 2 CHEB_TOL; the direct call reaches ~2.8e-14)
+    cuts, cfg = _fill_cuts(FIG53, 0.35)
+    logp = cfg.gf_config.logp
+    for cut in cuts:
+        u, cu = _cut_nodes(cut)
+        pick = slice(None, None, max(1, u.size // 12))
+        got = cut.g_line(u[pick], cu[pick])
+        want = np.array([_g_long_double(FIG53, cut.s0 - uk, logp) for uk in u[pick]])
+        rel = np.abs(got - want) / np.abs(want)
+        assert rel.max() <= 2 * explicit_formula.CHEB_TOL, (cut.s0, rel.max())
+
+
+def test_g_line_reproduces_its_samples():
+    # at its own Chebyshev points the interpolant returns the samples
+    calls = []
+
+    def g(s):
+        calls.append(s)
+        return cmath.exp(s * s) / (s + 2.0)
+
+    line = explicit_formula._GLine(g, 0.5 + 3j, 0.15)
+    n = line.c.size - 1
+    assert len(calls) == n + 1 and len(set(calls)) == n + 1  # nested: no point twice
+    j = np.arange(n + 1)
+    u = 0.15 * np.sin(j * math.pi / (2 * n)) ** 2
+    cu = 0.15 * np.cos(j * math.pi / (2 * n)) ** 2
+    want = np.array([g(0.5 + 3j - uk) for uk in u])
+    assert np.max(np.abs(line(u, cu) - want) / np.abs(want)) <= 1e-14
+
+
+def _count_G_f(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        explicit_formula, "G_f", lambda *args: calls.append(args) or G_f(*args)
+    )
+    return calls
+
+
+def test_g_line_degree_cap(monkeypatch):
+    # s = 1's segment [1/2, 1] needs degree 64 for fig53; capped at 32
+    # the coefficients have not decayed, and no per-node path takes over
+    monkeypatch.setattr(explicit_formula, "CHEB_MAX_DEGREE", 32)
+    calls = _count_G_f(monkeypatch)
+    with pytest.raises(QuadratureError, match="did not decay"):
+        delta_1(FIG53, 1e3, FormulaConfig())
+    assert len(calls) == 33  # 17 + 16 samples, nothing after the error
+
+
+def test_work_count_cold_evaluate(monkeypatch):
+    # one interpolant per cut (6 cuts at two pairs) instead of a G_f call
+    # per tanh-sinh node (808 calls before)
+    calls = _count_G_f(monkeypatch)
+    a_exp_formula(FIG53, 1e4, FormulaConfig(n_zeros=2))
+    assert len(calls) <= 250, len(calls)
+
+
+@pytest.mark.parametrize("spec", [FIG53, LIOUVILLE], ids=["quadrature", "residue"])
+def test_work_count_classify(monkeypatch, spec):
+    from fakemu import bias
+
+    calls = _count_G_f(monkeypatch)
+    bias.classify(spec, FormulaConfig())
+    assert len(calls) == 1
+
+
+# frozen from the per-node G_f path: (spec, x, delta_1, delta_half,
+# delta_rho at zero 1, its mirror, zero 2, its mirror), n_zeros = 2
+PARTS_FROZEN = [
+    (MOBIUS, 1e3, 0j, 0j, (
+        3.716591697017171e-09+2.2455256930287247e-08j, 3.716591697017171e-09-2.2455256930287247e-08j,
+        3.1748793785398606e-13-1.7738615670957993e-14j, 3.1748793785398606e-13+1.7738615670957993e-14j,
+    )),
+    (MOBIUS, 3e4, 0j, 0j, (
+        8.829980376086204e-08-8.800393846425157e-08j, 8.829980376086204e-08+8.800393846425157e-08j,
+        -1.197922036020641e-12+1.2642706477163492e-12j, -1.197922036020641e-12-1.2642706477163492e-12j,
+    )),
+    (LIOUVILLE, 1e3, 0j, -19.190515667893525+2.350160358667294e-15j, (
+        2.1449204706367947e-08+3.882412869325031e-08j, 2.144920470636795e-08-3.8824128693250296e-08j,
+        2.6106417045642785e-13+4.07919504497968e-14j, 2.6106417045642774e-13-4.079195044979681e-14j,
+    )),
+    (LIOUVILLE, 3e4, 0j, -105.11078321461602+1.2872358421965087e-14j, (
+        1.0487541805369319e-07-2.1914056499843947e-07j, 1.0487541805369317e-07+2.1914056499843947e-07j,
+        -1.1932251527011726e-12+8.190044349631498e-13j, -1.1932251527011726e-12-8.190044349631495e-13j,
+    )),
+    (ONES, 1e3, 1000.0000000000084+0j, 0j, (0j, 0j, 0j, 0j)),
+    (ONES, 3e4, 30000.000000000255+0j, 0j, (0j, 0j, 0j, 0j)),
+    (FIG51A, 1e3, 284.9911416614445+667.5946419059819j, 0.8192289524391818+0.17379573790885977j, (
+        2.924335139188248e-11+1.0834458701999965e-10j, 4.732404203516097e-12-1.3450556148537896e-10j,
+        9.743700698809722e-16-1.836707693865068e-16j, 1.3324194258499007e-16-1.5062976402493995e-16j,
+    )),
+    (FIG51A, 3e4, 3695.937089804742+20782.09121413137j, 4.1103055125126415+0.5274397428011548j, (
+        3.093906617387913e-10-3.957711260091153e-10j, 4.875681829886628e-10+3.523720312047033e-10j,
+        -2.548704366048165e-15+3.682381895483522e-15j, -8.952863965101841e-16+7.678195612652535e-17j,
+    )),
+    (FIG53, 1e3, -198.49728974842665+62.54599691891861j, -1.6823903708670418+0.01442621680278977j, (
+        2.4669684835065146e-09+3.1443133862555906e-09j, 4.9103589410664495e-09-6.309541764565646e-09j,
+        -2.3250767178841033e-14+6.340915033012365e-14j, -2.096908733407073e-14+1.152590526565119e-14j,
+    )),
+    (FIG53, 3e4, -4848.265035477774-692.8690345663126j, -7.577332876451255+1.256558338415274j, (
+        3.976269031494148e-09-1.807309009544519e-08j, 1.3370410167251296e-08+3.439190872986743e-08j,
+        -1.446926712807592e-13-2.751026709159794e-13j, 1.0893256863380801e-13+1.8522467567195096e-14j,
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, x, d1, dh, rho", PARTS_FROZEN, ids=lambda v: getattr(v, "class_tag", None)
+)
+def test_parts_frozen(spec, x, d1, dh, rho):
+    cfg = FormulaConfig(n_zeros=2)
+    got = [delta_1(spec, x, cfg), delta_half(spec, x, cfg)]
+    got += [delta_rho(spec, k, x, cfg, conj) for k in (1, 2) for conj in (False, True)]
+    for g, want in zip(got, (d1, dh) + rho):
+        assert abs(g - want) <= 2e-14 * abs(want), (g, want)
+
+
+def test_direct_G_paths_bitwise_frozen():
+    # c_1/2, Watson coefficients and residues call G_f directly: unchanged
+    cfg = FormulaConfig(n_zeros=2)
+    assert c_half(FIG53, cfg) == 0.06840968849739835 + 0.10362335917983173j
+    assert c_half(FIG51A, cfg) == -0.09422578122261611 + 0.06516941744283833j
+    assert c_half(LIOUVILLE, cfg) == -0.6068573898369096 + 7.43185960002689e-17j
+    assert watson_coeffs(FIG53, "one", 2, cfg) == [
+        0.8854657004659536 - 0.6946286740269211j,
+        -0.7116549555245355 - 2.39305362949768j,
+        -3.353757560888026 - 3.1953066404452497j,
+    ]
+    assert watson_coeffs(FIG53, "half", 2, cfg) == [
+        0.31880303445385105 + 0.3353786866282914j,
+        -0.8986811081294468 - 0.24279104743987395j,
+        -5.632969973908069 - 0.6117178597499855j,
+    ]
+    assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
+        -6.254788380768613e-10 + 4.208171784212866e-10j,
+        2.597102711916895e-09 + 1.3126628633246947e-09j,
+        2.0899383780858893e-09 - 7.055732049228336e-09j,
+    ]
+    assert delta_1(ONES, 1e3, cfg) == 1000.0000000000084 + 0j
+    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.190515667893525 + 2.350160358667294e-15j
+    assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.716591697017171e-09 + 2.2455256930287247e-08j
+    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045642774e-13 - 4.079195044979681e-14j
