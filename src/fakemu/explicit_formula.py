@@ -61,9 +61,9 @@ Delta_xi ~ sine x^xi sum_k lambda_k Gamma(1-beta+k) L^{beta-1-k}, whose
 k = 0 term gives c_{1/2}.
 
 The two branch-tracked logs inside J_rho come from one
-zeta_kernel.RhoSweep per zero (and per mirror zero), kept on the
-evaluation context: it serves the Laplace nodes, the Watson ring, the
-residue's zeta(2 rho)^w and the public J_rho at complex u.
+zeta_kernel.RhoSweep per zero (and per mirror zero), kept on the kernel
+for every spec and config: it serves the Laplace nodes, the Watson ring,
+the residue's zeta(2 rho)^w and J_rho at complex u.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from .errors import (
     ConsistencyError, DomainError, QuadratureError, RangeError, WindowError,
 )
 from .euler_residual import RE_S_MIN, G_f, GfConfig
-from .zeta_kernel import RhoSweep, ZetaKernel, default_kernel, gamma
+from .zeta_kernel import ZetaKernel, default_kernel, gamma
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -402,7 +402,6 @@ class _Ctx:
         self.pars: FactorParams = zw_params(spec)
         self.z = self.pars.z
         self.w = self.pars.w
-        self._sweeps: dict[tuple[int, bool], RhoSweep] = {}
         self._cuts: dict = {}
 
     def G(self, s: complex) -> complex:
@@ -496,14 +495,6 @@ class _Ctx:
             * gamma(half_minus)
         )
 
-    def sweep(self, zero_index: int, conjugate: bool = False) -> RhoSweep:
-        """The log sweep at one zero, built once per context."""
-        key = (zero_index, conjugate)
-        got = self._sweeps.get(key)
-        if got is None:
-            got = self._sweeps[key] = self.kernel.rho_sweep(zero_index, conjugate)
-        return got
-
     def _j_rho_at(
         self, rho: complex, u: complex, lr: complex, cz: complex, g: Optional[complex] = None
     ) -> complex:
@@ -520,19 +511,19 @@ class _Ctx:
     def j_rho(
         self, zero_index: int, conjugate: bool, u: complex, g: Optional[complex] = None
     ) -> complex:
-        sw = self.sweep(zero_index, conjugate)
+        sw = self.kernel.rho_sweep(zero_index, conjugate)
         return self._j_rho_at(sw.rho, u, sw.local(u), sw.zeta2(u), g)
 
     def j_rho_ring(self, zero_index: int, conjugate: bool, r: float, n: int) -> np.ndarray:
         """J_rho on the circle |u| = r (n nodes), walked from the real axis."""
-        sw = self.sweep(zero_index, conjugate)
+        sw = self.kernel.rho_sweep(zero_index, conjugate)
         return np.array(
             [self._j_rho_at(sw.rho, u, lr, cz) for u, lr, cz in sw.ring(r, n)],
             dtype=np.complex128,
         )
 
     def zeta_2rho_pow_w(self, zero_index: int, conjugate: bool = False) -> complex:
-        return cmath.exp(self.w * self.sweep(zero_index, conjugate).zeta2(0.0))
+        return cmath.exp(self.w * self.kernel.rho_sweep(zero_index, conjugate).zeta2(0.0))
 
 
 def _ctx(spec: EpsilonSpec, cfg: Optional[FormulaConfig]) -> tuple[_Ctx, FormulaConfig]:

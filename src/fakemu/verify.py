@@ -114,6 +114,15 @@ def check_gamma_recurrence() -> None:
         assert abs(g1 - s * zk.gamma(s)) <= 1e-12 * abs(g1), s
 
 
+def check_log_zeta_principal() -> None:
+    # |Im log zeta| <= (pi/2) log zeta(1.2) < pi on Re s >= 1.2, where the
+    # principal Log is therefore the standard branch
+    bound = 0.5 * math.pi * zk.log_zeta_euler(1.2).real
+    assert bound < math.pi, bound
+    for t in np.linspace(-600.0, 600.0, 241):
+        assert abs(zk.log_zeta_euler(complex(1.2, t)).imag) <= bound, t
+
+
 def check_zero_table() -> None:
     table = zk.default_kernel().table
     assert len(table) >= 100
@@ -128,6 +137,7 @@ CORE_CHECKS = [
     ("integer-power-coherence", check_branch_coherence),
     ("schwarz-reflection", check_schwarz_reflection),
     ("gamma-recurrence", check_gamma_recurrence),
+    ("log-zeta-principal", check_log_zeta_principal),
     ("zero-table-sanity", check_zero_table),
 ]
 

@@ -13,14 +13,15 @@ Powers of zeta are assembled from it:
 
     zeta(s)^z = (s-1)^{-z} exp(z*L1(s)),        Z(s; z) = exp(z*L1(s))/s.
 
-Away from the real window, L1 is computed by argument-tracked continuation
-along the horizontal path from the anchor 3 + i*Im(s), where the standard
-(prime-sum) branch of log zeta applies.
+Away from the real window, L1 is continued along the horizontal path from
+the anchor 1.2 + i*Im(s), where the standard branch of log zeta is the
+principal Log (log_zeta_euler).  A continued log is the principal Log at
+its end point plus 2 pi i k: the path picks only k.
 
 Near a zero rho this module alone fixes the two logs of the explicit
 formula's J_rho, log((s-1) zeta(s)/(s-rho)) and log zeta(2s) at
-s = rho - u: ZetaKernel.rho_sweep anchors them at rho + r and 3 + 2i Im rho,
-continues them along the line s = rho - u (u real, the Laplace path),
+s = rho - u: the kernel's one RhoSweep per zero anchors them at rho + r
+and 1.2 + 2i Im rho, continues them along the line s = rho - u (u real),
 leaves the line at Re u along one straight leg for complex u, and walks
 the Watson ring |u| = r' point to point.
 """
@@ -45,7 +46,6 @@ from .errors import (
     RangeError,
     StepError,
 )
-from .sieve import primes_up_to
 
 # --------------------------------------------------------------------------
 # Riemann zeta via Euler-Maclaurin
@@ -237,36 +237,24 @@ def gamma(s: complex) -> complex:
 # Standard branch of log zeta on Re s >= 1.2
 # --------------------------------------------------------------------------
 
-_LZ_PRIMES = primes_up_to(2000).astype(np.float64)
-_LZ_LOGP = np.log(_LZ_PRIMES)
+_PRINCIPAL_RE_MIN = 1.2
+#: Re s where L1 and RhoSweep's log zeta(2s) are anchored; any value
+#: >= _PRINCIPAL_RE_MIN gives the same bits
+_ANCHOR_RE = _PRINCIPAL_RE_MIN
 
 
 def log_zeta_euler(s: complex) -> complex:
     """Standard branch of log zeta(s) on Re s >= 1.2 (real on reals).
 
-    Prime sums sum_{p<=2000} sum_k p^{-ks}/k carry the branch; the
-    remaining tail equals the principal Log of zeta(s)*prod(1-p^{-s}),
-    whose argument provably stays below pi there, so the result is
-    accurate to ~1e-13 rather than the raw prime-sum tail bound.
+    That branch is sum_p -Log(1 - p^{-s}), and |Arg(1 - v)| <= arcsin|v|
+    <= (pi/2)|v| for |v| < 1, so |Im log zeta(s)| <= (pi/2) P(Re s) <=
+    (pi/2) P(1.2) < (pi/2) log zeta(1.2) = 2.70 < pi (P: the prime zeta
+    function): it is the principal Log.  Accuracy and range are zeta's.
     """
     s = complex(s)
-    sigma = s.real
-    if sigma < 1.2:
+    if s.real < _PRINCIPAL_RE_MIN:
         raise RangeError("log_zeta_euler requires Re s >= 1.2")
-    total = 0.0 + 0.0j
-    k = 1
-    while True:
-        # keep primes with p^{-k sigma} >= 1e-18
-        cutoff = math.exp(18.0 * math.log(10.0) / (k * sigma))
-        idx = int(np.searchsorted(_LZ_PRIMES, cutoff, side="right"))
-        if idx == 0:
-            break
-        total += np.sum(np.exp(-k * s * _LZ_LOGP[:idx])) / k
-        k += 1
-    if sigma <= 39.0:
-        euler_part = np.prod(1.0 - np.exp(-s * _LZ_LOGP))
-        total += cmath.log(zeta(s) * complex(euler_part))
-    return complex(total)
+    return cmath.log(zeta(s))
 
 
 # --------------------------------------------------------------------------
@@ -297,16 +285,22 @@ class ZeroTable:
     def __len__(self) -> int:
         return len(self.ordinates)
 
-    def gap_radius(self, k: int) -> float:
-        """Safe local disc radius 0.45*min(gap_prev, gap_next, 1) at zero k."""
+    def ordinate(self, k: int) -> float:
+        """gamma_k for k = 1..len(self); RangeError otherwise."""
         g = self.ordinates
         if not 1 <= k <= len(g):
             raise RangeError(f"zero index {k} outside table (size {len(g)})")
+        return g[k - 1]
+
+    def gap_radius(self, k: int) -> float:
+        """Safe local disc radius 0.45*min(gap_prev, gap_next, 1) at zero k."""
+        gk = self.ordinate(k)
+        g = self.ordinates
         gaps = [1.0]
         if k >= 2:
-            gaps.append(g[k - 1] - g[k - 2])
+            gaps.append(gk - g[k - 2])
         if k < len(g):
-            gaps.append(g[k] - g[k - 1])
+            gaps.append(g[k] - gk)
         return 0.45 * min(gaps)
 
 
@@ -343,10 +337,11 @@ _STEP_FLOOR = 1e-6
 def _track_log(
     h: Callable[[complex], complex], s0: complex, log0: complex, s1: complex
 ) -> complex:
-    """Continue log h from s0 (known branch value log0) to s1 on a segment.
+    """log h at s1 on the branch continued from s0 (value log0) along a segment.
 
     Each accepted step changes arg h by < pi/2; steps halve on violation
-    and StepError fires at the hard floor.
+    and StepError fires at the hard floor.  The walk picks only k in
+    Log h(s1) + 2 pi i k, so the bits do not depend on s0 or the steps.
     """
     total = s1 - s0
     dist = abs(total)
@@ -358,10 +353,11 @@ def _track_log(
     cur_im = log0.imag
     remaining = dist
     step = min(_STEP0, dist)
-    while remaining > 1e-15 * dist:
+    while remaining > 0.0:
         step = min(step, remaining)
         while True:
-            nxt = cur_s + direction * step
+            last = step == remaining
+            nxt = s1 if last else cur_s + direction * step
             hn = h(nxt)
             if hn == 0:
                 raise StepError(f"function vanished on continuation path at {nxt}")
@@ -375,9 +371,11 @@ def _track_log(
         cur_im += dang
         cur_s = nxt
         cur_h = hn
-        remaining -= step
+        remaining = 0.0 if last else remaining - step
         step = min(step * 2.0, _STEP0)
-    return complex(math.log(abs(cur_h)), cur_im)
+    log1 = cmath.log(cur_h)
+    k = round((cur_im - log1.imag) / (2.0 * math.pi))
+    return complex(log1.real, log1.imag + 2.0 * math.pi * k)
 
 
 class _LineCache:
@@ -387,7 +385,7 @@ class _LineCache:
     kept position (found by bisection; the left one on a tie), so a sweep
     over quadrature nodes costs a couple of h evaluations per new node.
     A complex u continues from the line value at Re u along one straight
-    leg, and is not kept.
+    leg, and is not kept.  Which positions are kept changes no bit.
     """
 
     def __init__(self, s_of, h, seed_pos: float, seed_val: complex):
@@ -429,8 +427,8 @@ class RhoSweep:
 
       local(u) = log((s-1) zeta(s) / (s-rho)),  seeded at u = -r (s = rho + r,
                  r = radius/2) with the value L1(rho + r) - ln r;
-      zeta2(u) = log zeta(2s),  seeded at u = -1 (2s = 3 + 2i Im rho) with
-                 the standard branch of log_zeta_euler.
+      zeta2(u) = log zeta(2s),  seeded at Re 2s = _ANCHOR_RE (u = -0.1)
+                 with the standard branch of log_zeta_euler.
 
     Both are continued along the line s = rho - u (u real) from the
     nearest value already known; complex u leaves the line at Re u along
@@ -453,8 +451,8 @@ class RhoSweep:
         self._zeta2 = _LineCache(
             lambda u: 2.0 * rho - 2.0 * u,
             zeta,
-            -1.0,
-            log_zeta_euler(complex(3.0, 2.0 * rho.imag)),
+            rho.real - 0.5 * _ANCHOR_RE,
+            log_zeta_euler(complex(_ANCHOR_RE, 2.0 * rho.imag)),
         )
 
     def _check(self, u: complex) -> complex:
@@ -490,19 +488,19 @@ class RhoSweep:
 
 
 class ZetaKernel:
-    """Immutable evaluator bundle: zeta, gamma, continued logs, zero table.
+    """Evaluator bundle: zeta, gamma, continued logs, zero table.
 
-    Per-zero anchor values and zeta'(rho) estimates are memoized; all
-    public results are pure functions of the inputs.
+    One RhoSweep per zero and zeta'(rho) are memoized; a sweep's values do
+    not depend on the points asked before, so results are pure functions.
     """
 
     def __init__(self, table: Optional[ZeroTable] = None):
         self.table = table if table is not None else default_zero_table()
-        self._rho_cache: dict[tuple[int, bool], tuple[complex, float]] = {}
+        self._sweeps: dict[tuple[int, bool], RhoSweep] = {}
         self._zprime_cache: dict[int, complex] = {}
 
     def rho(self, k: int, conjugate: bool = False) -> complex:
-        g = self.table.ordinates[k - 1]
+        g = self.table.ordinate(k)
         return complex(0.5, -g if conjugate else g)
 
     # -- L1 ----------------------------------------------------------------
@@ -525,15 +523,14 @@ class ZetaKernel:
         self._assert_off_cut(s)
         if s == 1.0:
             return 0.0 + 0.0j
-        if s.real >= 1.2:
+        if s.real >= _PRINCIPAL_RE_MIN:
             return log_zeta_euler(s) + cmath.log(s - 1.0)
         if abs(s.imag) <= 0.35:
             h = zeta_times_s_minus_1(s)
             if h.real > 0.0:
                 return cmath.log(h)
-        anchor = complex(3.0, s.imag)
-        log_a = log_zeta_euler(anchor) + cmath.log(anchor - 1.0)
-        return _track_log(zeta_times_s_minus_1, anchor, log_a, s)
+        anchor = complex(_ANCHOR_RE, s.imag)
+        return _track_log(zeta_times_s_minus_1, anchor, self.L1(anchor), s)
 
     def Z(self, s: complex, z: complex) -> complex:
         """Z(s; z) = ((s-1) zeta(s))^z / s = exp(z L1(s)) / s."""
@@ -545,22 +542,20 @@ class ZetaKernel:
     # -- logs on the disc of a zero ------------------------------------------
 
     def rho_sweep(self, k: int, conjugate: bool = False) -> RhoSweep:
-        """A fresh RhoSweep at zero k (at its mirror -gamma_k if conjugate).
-
-        The anchor value L1(rho + r) - ln r is computed once per kernel.
-        """
+        """The RhoSweep at zero k (at its mirror -gamma_k if conjugate),
+        built once per kernel."""
         key = (k, conjugate)
-        rad = self.table.gap_radius(k)
-        rho = self.rho(k, conjugate)
-        anchor = self._rho_cache.get(key)
-        if anchor is None:
+        got = self._sweeps.get(key)
+        if got is None:
+            rho = self.rho(k, conjugate)
+            rad = self.table.gap_radius(k)
             r = 0.5 * rad
-            anchor = (self.L1(rho + r) - math.log(r), r)
-            self._rho_cache[key] = anchor
-        zp = self.zeta_prime_at_zero(k)
-        if conjugate:
-            zp = zp.conjugate()
-        return RhoSweep(rho, rad, zp, *anchor)
+            zp = self.zeta_prime_at_zero(k)
+            if conjugate:
+                zp = zp.conjugate()
+            got = RhoSweep(rho, rad, zp, self.L1(rho + r) - math.log(r), r)
+            self._sweeps[key] = got
+        return got
 
     # -- zeta'(rho) ----------------------------------------------------------
 

@@ -239,8 +239,19 @@ def test_verify_core_suite_passes(capsys):
     code, out, _ = run(["verify", "--suite", "core"], capsys)
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
+    assert "PASS core:log-zeta-principal" in out
     # each check line and the suite line end with a wall time
     lines = out.strip().splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert all(re.search(r" \(\d+\.\d{3} s\)$", line) for line in lines)
+
+
+@pytest.mark.parametrize("point", ["zero:0", "zero:101"])
+def test_watson_zero_index_outside_table_exit_1(point, capsys):
+    code, _, err = run(
+        ["watson", "--eps", "periodic:m=2:[i,-i]", "--point", point], capsys
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "outside table" in err

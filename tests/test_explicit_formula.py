@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fakemu import explicit_formula
+from fakemu import explicit_formula, zeta_kernel
 from fakemu.eps_model import parse_eps_spec, zw_params
 from fakemu.errors import (
     DomainError,
@@ -30,7 +30,7 @@ from fakemu.explicit_formula import (
 )
 from fakemu.sieve import direct_exp_sum
 from fakemu.euler_residual import G_f
-from fakemu.zeta_kernel import default_kernel, gamma, zeta
+from fakemu.zeta_kernel import ZetaKernel, default_kernel, gamma, zeta
 
 MOBIUS = parse_eps_spec("finite:[-1]")
 LIOUVILLE = parse_eps_spec("cm:xi=-1")
@@ -678,9 +678,9 @@ def test_direct_G_paths_bitwise_frozen():
     assert c_half(FIG51A, cfg) == -0.09422578122261611 + 0.06516941744283833j
     assert c_half(LIOUVILLE, cfg) == -0.6068573898369096 + 7.43185960002689e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
-        0.8854657004659536 - 0.6946286740269211j,
-        -0.7116549555245355 - 2.39305362949768j,
-        -3.353757560888026 - 3.1953066404452497j,
+        0.8854657004659536 - 0.694628674026921j,
+        -0.7116549555245361 - 2.39305362949768j,
+        -3.353757560888026 - 3.195306640445266j,
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
         0.31880303445385105 + 0.3353786866282914j,
@@ -690,9 +690,86 @@ def test_direct_G_paths_bitwise_frozen():
     assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
         -6.254788380768613e-10 + 4.208171784212866e-10j,
         2.597102711916895e-09 + 1.3126628633246947e-09j,
-        2.0899383780858893e-09 - 7.055732049228336e-09j,
+        2.0899383780858922e-09 - 7.055732049228331e-09j,
     ]
     assert delta_1(ONES, 1e3, cfg) == 1000.0000000000084 + 0j
     assert delta_half(LIOUVILLE, 1e3, cfg) == -19.190515667893525 + 2.350160358667294e-15j
     assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.716591697017171e-09 + 2.2455256930287247e-08j
     assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045642774e-13 - 4.079195044979681e-14j
+
+
+# ---------------------------------------------------------------- zero index and shared sweeps
+
+@pytest.mark.parametrize("k", [0, 101])
+@pytest.mark.parametrize("spec", [ONES, MOBIUS, FIG53], ids=["zero", "residue", "quadrature"])
+def test_zero_index_outside_table(spec, k):
+    # k = 0 used to read the last zero (delta_rho(ONES, 0, 1e3) gave 0j),
+    # k = 101 a bare IndexError
+    cfg = FormulaConfig(n_zeros=2)
+    match = f"zero index {k} outside table"
+    with pytest.raises(RangeError, match=match):
+        delta_rho(spec, k, 1e3, cfg)
+    with pytest.raises(RangeError, match=match):
+        watson_coeffs(spec, f"zero:{k}", 1, cfg)
+    with pytest.raises(RangeError, match=match):
+        J_rho(spec, k, 0.05, cfg)
+
+
+def test_shared_sweeps_are_free_of_call_history():
+    # B after A on one kernel continues from the line values A kept (other
+    # nodes, since A's segment is longer); continued logs depend only on
+    # the end point, so B's bits are those of B alone
+    table = default_kernel().table
+
+    def run_b(kernel):
+        cfg = FormulaConfig(n_zeros=2, kernel=kernel)
+        parts = a_exp_formula(FIG51A, 1e3, cfg).delta_rho
+        cuts = cfg._memo[FIG51A]._cuts
+        return (
+            parts,
+            {key: cut.vals for key, cut in cuts.items()},  # J at every node
+            watson_coeffs(FIG51A, "zero:2", 2, cfg),
+            J_rho(FIG51A, 1, 0.06 + 0.02j, cfg),
+        )
+
+    alone = run_b(ZetaKernel(table))
+    shared = ZetaKernel(table)
+    a_exp_formula(FIG53, 1e3, FormulaConfig(a=0.37, n_zeros=2, kernel=shared))
+    assert run_b(shared) == alone
+
+
+def test_fresh_config_reuses_the_kernel_sweeps(monkeypatch):
+    # the Laplace nodes of every zero are read from the kernel's sweeps
+    kernel = ZetaKernel(default_kernel().table)
+
+    def run():
+        cfg = FormulaConfig(n_zeros=2, kernel=kernel)
+        return a_exp_formula(FIG53, 1e3, cfg), a_exp_formula(LIOUVILLE, 1e3, cfg)
+
+    first = run()
+    calls = []
+    track = zeta_kernel._track_log
+    monkeypatch.setattr(
+        zeta_kernel, "_track_log", lambda *args: calls.append(args) or track(*args)
+    )
+    assert run() == first
+    assert calls == []
+
+
+def _anchored_outputs():
+    """Outputs that read both continued logs of a zero, on a fresh kernel."""
+    cfg = FormulaConfig(n_zeros=2, kernel=ZetaKernel(default_kernel().table))
+    return (
+        a_exp_formula(FIG53, 1e3, cfg).delta_rho,
+        watson_coeffs(FIG53, "zero:1", 2, cfg),
+        delta_rho(LIOUVILLE, 2, 1e3, cfg, True),
+        J_rho(FIG53, 3, 0.04 + 0.03j, cfg),
+        cfg.kernel.L1(complex(0.45, 20.0)),
+    )
+
+
+@pytest.mark.parametrize("anchor", [2.0, 3.0])
+def test_anchor_moves_no_bit(monkeypatch, anchor):
+    want = _anchored_outputs()
+    monkeypatch.setattr(zeta_kernel, "_ANCHOR_RE", anchor)
+    assert _anchored_outputs() == want

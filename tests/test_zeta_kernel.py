@@ -26,7 +26,9 @@ from fakemu.errors import (
 from fakemu import zeta_kernel
 from fakemu.zeta_kernel import (
     ZeroTable,
+    ZetaKernel,
     _LineCache,
+    _track_log,
     default_kernel,
     default_zero_table,
     gamma,
@@ -183,6 +185,19 @@ def test_log_zeta_euler_vs_mpmath_high():
         assert abs(log_zeta_euler(s) - ref) <= 1e-12
 
 
+def test_log_zeta_euler_principal_on_re_1_2():
+    # |Im log zeta| <= (pi/2) P(1.2) < (pi/2) log zeta(1.2) = 2.70 < pi on
+    # Re s >= 1.2, so the principal Log is the standard branch there
+    bound = 0.5 * math.pi * float(mp.log(mp.zeta(1.2)))
+    assert bound < 2.71
+    for t in np.linspace(-600.0, 600.0, 121):
+        s = complex(1.2, t)
+        got = log_zeta_euler(s)
+        assert abs(got.imag) <= bound, t
+        ref = complex(mp.log(mp.zeta(mp.mpc(s.real, s.imag))))
+        assert abs(got - ref) <= 1e-14, t
+
+
 # ---------------------------------------------------------------- zero table
 
 def test_zero_table_sanity(kernel):
@@ -319,6 +334,20 @@ def test_rho_sweep_ring_matches_direct_values(kernel):
         assert abs(cz - sweep.zeta2(u)) <= 1e-13 * max(1.0, abs(cz)), u
 
 
+def test_track_log_depends_only_on_the_end_point():
+    def h(s):  # log h = 5is + log(s + 3) winds ~3 times over [-1, 2.5]
+        return cmath.exp(5j * s) * (s + 3.0)
+
+    def log_h(s):
+        return 5j * s + cmath.log(s + 3.0)
+
+    s1 = complex(1.3, 0.1)
+    got = [_track_log(h, s0, log_h(s0), s1) for s0 in (complex(-1.0, 0.2), complex(2.5, -0.3))]
+    assert got[0] == got[1]
+    assert got[0].real == cmath.log(h(s1)).real
+    assert abs(got[0] - log_h(s1)) <= 1e-13
+
+
 class _ScanLineCache(_LineCache):
     """Reference: the nearest kept position by a full scan."""
 
@@ -342,6 +371,21 @@ def test_line_cache_nearest_by_bisection():
         assert got == ref.on_line(q), q
         assert abs(got - complex(math.log(q + 3.0), 5.0 * q)) <= 1e-12, q
     assert fast.pos == sorted(fast.vals)
+
+
+@pytest.mark.parametrize("k", [0, 101])
+def test_zero_index_outside_table(kernel, k):
+    # k = 0 used to read the last ordinate (Python's index -1)
+    for call in (kernel.rho, kernel.rho_sweep, kernel.zeta_prime_at_zero):
+        with pytest.raises(RangeError, match=f"zero index {k} outside table"):
+            call(k)
+
+
+def test_rho_sweep_is_memoized_per_kernel(kernel):
+    assert kernel.rho_sweep(2) is kernel.rho_sweep(2)
+    assert kernel.rho_sweep(2, conjugate=True) is not kernel.rho_sweep(2)
+    fresh = ZetaKernel(kernel.table)
+    assert fresh.rho_sweep(2) is not kernel.rho_sweep(2)
 
 
 # ---------------------------------------------------------------- zeta'(rho)
