@@ -4,8 +4,8 @@ f(n) = prod_p eps_{v_p(n)} over the distinct primes dividing n.  Point
 queries use a smallest-prime-factor table (`f_of_n`, also the reference
 the block sieve is tested against).  The large direct sums
 A(x) = sum_{n<=x} f(n) and A_exp(x) = sum_n f(n) e^{-n/x} run `_sweep`,
-which walks [1, n_max] in blocks of BLOCK = 2^18 numbers, sized for the
-L2 cache, so nothing of size ~45x is ever held in memory at once.
+which walks [1, n_max] in blocks of BLOCK = W^2 = 2^18 numbers, sized
+for the L2 cache, so nothing of size ~45x is ever held in memory at once.
 
 A block is sieved by strided slice updates, with no integer division and
 no index gather.  A per-sweep plan lists every prime power q = p^k <=
@@ -26,6 +26,14 @@ The consume contract: `_sweep(spec, n_max, consume)` calls consume(n, f)
 once per block, in ascending order of n, with n (float64) and f
 (complex128) as views into buffers that the next block overwrites.  They
 are valid only during the call; a consumer that keeps values copies them.
+
+The weights e^{-n/x} of A_exp are never formed term by term.  A block is
+read as W rows of W numbers, n = lo + W a + b, and e^{-n/x} factors into
+e^{-(lo+Wa)/x} e^{-b/x}: the inner sums over b of every sample x are one
+matrix product with a table e^{-b/x}, and the outer factors cost one exp
+per row and x (`direct_exp_sums_multi`).  A block costs about W exps per
+active x instead of W^2, and the weights take O(W * X_CHUNK) memory
+however many x a sweep serves.
 """
 
 from __future__ import annotations
@@ -42,7 +50,11 @@ from .errors import CapacityError, DomainError, RangeError
 DEFAULT_CUTOFF_MULT = 45.0
 SPF_CAP = 10 ** 9
 DIRECT_X_CAP = 10 ** 8
-BLOCK = 1 << 18
+#: row width of the weight factorisation in `direct_exp_sums_multi`
+W = 512
+BLOCK = W * W
+#: sample points per column chunk of the weight product
+X_CHUNK = 128
 
 #: largest prime-power exponent reachable below the capacity caps (2^60)
 _MAX_VP = 60
@@ -217,11 +229,25 @@ def direct_sharp_sum(spec: EpsilonSpec, x: float) -> complex:
 
 
 def direct_exp_sums_multi(spec: EpsilonSpec, xs: np.ndarray) -> np.ndarray:
-    """A_exp at several ascending x values from one segmented pass.
+    """A_exp at several ascending x values from one sieve sweep.
 
-    Sample i only consumes blocks up to DEFAULT_CUTOFF_MULT*xs[i], so total
-    work is sum_i DEFAULT_CUTOFF_MULT*xs[i] exponentials rather than
-    n_samples full passes.
+    Each block [lo, hi) is read as rows of W numbers, n = lo + W a + b:
+
+        sum_n f(n) e^{-n/x} = sum_a e^{-(lo+Wa)/x} sum_b f(lo+Wa+b) e^{-b/x}.
+
+    The inner sums of every active x (cutoff >= lo) are one complex matrix
+    product of the block's rows with a table e^{-b/x}; the outer factors
+    cost one exp per row and x.  An x whose cutoff falls inside the block
+    takes its full rows from the product and its partial row (< W terms)
+    from one dot product with its table row; a short last row of the block
+    is likewise one vector-matrix product.  Per block that is about
+    rows * n_active exponentials (rows = BLOCK / W = W), against
+    BLOCK * n_active for a per-term weight, plus W per x for the table.
+    The x are taken in column chunks of X_CHUNK, so the table and the
+    products take O(W * X_CHUNK) memory for any number of x (besides the
+    O(n_x) sums); the table is built once per sweep when all x fit in one
+    chunk, else once per chunk and block.  Row sums meet in a pairwise
+    sum, blocks in a compensated one.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
@@ -231,22 +257,47 @@ def direct_exp_sums_multi(spec: EpsilonSpec, xs: np.ndarray) -> np.ndarray:
     if xs[-1] > DIRECT_X_CAP:
         raise CapacityError(f"x_max={xs[-1]} beyond cap {DIRECT_X_CAP}")
     cut = np.floor(DEFAULT_CUTOFF_MULT * xs).astype(np.int64)
-    accs = [_Kahan() for _ in xs]
-    size = min(BLOCK, int(cut[-1]))
-    e = np.empty(size, dtype=np.float64)
-    fe = np.empty(size, dtype=np.complex128)
+    n_x = xs.size
+    table = np.empty((min(X_CHUNK, n_x), W), dtype=np.complex128)  # e^{-b/x}
+    built = -1  # the chunk whose weights `table` holds
+    acc = np.zeros(n_x, dtype=np.complex128)
+    comp = np.zeros(n_x, dtype=np.complex128)  # Kahan compensation
+
+    def weights(c0: int, c1: int) -> np.ndarray:
+        nonlocal built
+        t = table[: c1 - c0]
+        if built != c0:
+            np.exp(np.divide(-np.arange(W, dtype=np.float64), xs[c0:c1, None]), out=t)
+            built = c0
+        return t
 
     def consume(n, f):
-        lo = int(n[0])
-        for i in range(xs.size):
-            m = min(int(cut[i]) - lo + 1, n.size)  # entries of this block used
-            if m <= 0:
-                continue
-            e_i, fe_i = e[:m], fe[:m]
-            np.divide(n[:m], -xs[i], out=e_i)
-            np.exp(e_i, out=e_i)
-            np.multiply(f[:m], e_i, out=fe_i)
-            accs[i].add(complex(np.sum(fe_i)))
+        lo, size = int(n[0]), n.size
+        full, short = divmod(size, W)
+        row_lo = lo + W * np.arange(full + (short > 0), dtype=np.float64)
+        i0 = int(np.searchsorted(cut, lo))  # first x with cut >= lo
+        for c0 in range(i0 - i0 % X_CHUNK, n_x, X_CHUNK):
+            c1 = min(c0 + X_CHUNK, n_x)
+            j0 = max(c0, i0)
+            e = weights(c0, c1)[j0 - c0 :]
+            # one row per x, one column per row of the block
+            inner = np.empty((c1 - j0, row_lo.size), dtype=np.complex128)
+            np.matmul(e, f[: full * W].reshape(full, W).T, out=inner[:, :full])
+            if short:
+                np.matmul(e[:, :short], f[full * W :], out=inner[:, full])
+            outer = np.exp(row_lo / -xs[j0:c1, None])
+            # x whose cutoff lies in the block: a partial row, then nothing
+            for j in range(j0, c1):
+                m = int(cut[j]) - lo + 1
+                if m >= size:
+                    break
+                a, b = divmod(m, W)
+                inner[j - j0, a] = e[j - j0, :b] @ f[a * W : a * W + b]
+                outer[j - j0, a + 1 :] = 0.0
+            y = (outer * inner).sum(axis=1) - comp[j0:c1]  # pairwise along the rows
+            t = acc[j0:c1] + y
+            comp[j0:c1] = (t - acc[j0:c1]) - y
+            acc[j0:c1] = t
 
     _sweep(spec, int(cut[-1]), consume)
-    return np.array([a.s for a in accs], dtype=np.complex128)
+    return acc

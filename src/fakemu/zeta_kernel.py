@@ -33,7 +33,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -454,6 +454,7 @@ class RhoSweep:
             rho.real - 0.5 * _ANCHOR_RE,
             log_zeta_euler(complex(_ANCHOR_RE, 2.0 * rho.imag)),
         )
+        self._rings: dict[tuple[float, int], list[tuple[complex, complex, complex]]] = {}
 
     def _check(self, u: complex) -> complex:
         u = complex(u)
@@ -472,19 +473,26 @@ class RhoSweep:
         """log zeta(2s) at s = rho - u."""
         return self._zeta2.value(self._check(u))
 
-    def ring(self, r: float, n: int) -> Iterator[tuple[complex, complex, complex]]:
+    def ring(self, r: float, n: int) -> list[tuple[complex, complex, complex]]:
         """(u, local(u), zeta2(u)) at u = r e^{2 pi i j/n}, j = 0..n-1, each
-        continued from the one before (j = 0 from the line value at u = r)."""
+        continued from the one before (j = 0 from the line value at u = r);
+        walked once per (r, n)."""
+        got = self._rings.get((r, n))
+        if got is not None:
+            return got
         prev = self._check(r)
         lr = self._local.value(prev)
         cz = self._zeta2.value(prev)
         ang = 2.0 * math.pi * np.arange(n) / n
+        got = []
         for u in r * np.exp(1j * ang):
             u = complex(u)
             lr = self._local.walk(lr, prev, u)
             cz = self._zeta2.walk(cz, prev, u)
             prev = u
-            yield u, lr, cz
+            got.append((u, lr, cz))
+        self._rings[(r, n)] = got
+        return got
 
 
 class ZetaKernel:

@@ -756,6 +756,21 @@ def test_fresh_config_reuses_the_kernel_sweeps(monkeypatch):
     assert calls == []
 
 
+def test_watson_ring_is_walked_once_per_kernel(monkeypatch):
+    # the ring's logs depend only on the zero: a second config or spec
+    # reads them from the kernel's sweep
+    kernel = ZetaKernel(default_kernel().table)
+    first = watson_coeffs(FIG53, "zero:1", 2, FormulaConfig(kernel=kernel))
+    calls = []
+    track = zeta_kernel._track_log
+    monkeypatch.setattr(
+        zeta_kernel, "_track_log", lambda *args: calls.append(args) or track(*args)
+    )
+    assert watson_coeffs(FIG53, "zero:1", 2, FormulaConfig(kernel=kernel)) == first
+    watson_coeffs(FIG51A, "zero:1", 2, FormulaConfig(kernel=kernel))
+    assert calls == []
+
+
 def _anchored_outputs():
     """Outputs that read both continued logs of a zero, on a fresh kernel."""
     cfg = FormulaConfig(n_zeros=2, kernel=ZetaKernel(default_kernel().table))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,27 +211,60 @@ def test_f_block_near_the_cap(lo):
         assert np.max(np.abs(f - want)) <= 1e-14
 
 
-def _spf_sums(table, spec, x: float) -> tuple[complex, float]:
-    terms = [f_of_n(table, spec, n) * math.exp(-n / x) for n in range(1, int(45 * x) + 1)]
+def _spf_sums(table, spec, x: float, mult: float = 45.0) -> tuple[complex, float]:
+    n_max = math.floor(mult * x)
+    terms = [f_of_n(table, spec, n) * math.exp(-n / x) for n in range(1, n_max + 1)]
     total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     return total, math.fsum(abs(t) for t in terms)
 
 
 def test_sums_across_blocks(monkeypatch):
-    # blocks of 1000: cutoffs mid-block (1800), on a block's last n (2000),
-    # on the next block's first n (2001) and several blocks on (7200)
+    # blocks of 1000 read as rows of W = 512 and a short row of 488:
+    # cutoffs below W (300), on a row's last n (1512), on the next row's
+    # first n (1513), mid-row (1800), on a block's last n (2000), on the
+    # next block's first n (2001) and several blocks on (7200); the x are
+    # taken in one column chunk and in chunks of 3.  At the 45x cutoff the
+    # terms near it are e^-45 of the sum, so the cutoffs are also taken at
+    # 2x, where a term lost or kept at the edge shows.
     monkeypatch.setattr(sieve, "BLOCK", 1000)
-    xs = np.array([40.0, 44.45, 44.47, 160.0])
-    assert np.floor(45 * xs).tolist() == [1800, 2000, 2001, 7200]
+    assert sieve.W == 512
+    edges = [300, 1512, 1513, 1800, 2000, 2001, 7200]
     table = build_spf(7200)
-    for spec in (PER_I, MOBIUS, parse_eps_spec("periodic:m=3:[0,i,1]")):
-        multi = direct_exp_sums_multi(spec, xs)
-        for x, got in zip(xs, multi):
-            want, mag = _spf_sums(table, spec, x)
-            assert abs(got - want) <= 1e-13 * mag
-        want, mag = _spf_sums(table, spec, xs[1])
-        assert abs(direct_exp_sum(spec, xs[1]) - want) <= 1e-13 * mag
+    chunks = (sieve.X_CHUNK, 3)
+    specs = (PER_I, MOBIUS, parse_eps_spec("periodic:m=3:[0,i,1]"))
+    for mult in (45.0, 2.0):
+        monkeypatch.setattr(sieve, "DEFAULT_CUTOFF_MULT", mult)
+        xs = (np.array(edges) + 0.5) / mult
+        assert np.floor(mult * xs).tolist() == edges
+        for spec in specs:
+            wants = [_spf_sums(table, spec, x, mult) for x in xs]
+            for chunk in chunks:
+                monkeypatch.setattr(sieve, "X_CHUNK", chunk)
+                multi = direct_exp_sums_multi(spec, xs)
+                for got, (want, mag) in zip(multi, wants):
+                    assert abs(got - want) <= 1e-13 * mag
+            for i in (0, 2, 4):
+                want, mag = wants[i]
+                assert abs(direct_exp_sum(spec, xs[i]) - want) <= 1e-13 * mag
+    for spec in specs:
         for x in (999.5, 1000.0, 1001.0, 3500.5):
             want = sum(f_of_n(table, spec, n) for n in range(1, int(x) + 1))
             assert abs(direct_sharp_sum(spec, x) - want) <= 1e-13 * x
     assert direct_sharp_sum(ONES, 3500.5) == 3500
+
+
+def _peak_bytes(xs: np.ndarray) -> int:
+    tracemalloc.start()
+    try:
+        direct_exp_sums_multi(PER_I, xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_multi_sum_memory_does_not_grow_with_the_points():
+    # the weights are taken in column chunks: a W x n_x table for 5000 x
+    # alone would be 40 MB, several times the sieve's block buffers
+    few = _peak_bytes(np.geomspace(10.0, 1e4, 50))
+    many = _peak_bytes(np.geomspace(10.0, 1e4, 5000))
+    assert many <= 2 * few, (few, many)
