@@ -80,8 +80,8 @@ def B_of_x(
     DIRECT sums f(n) e^{-n/x} by sieve; FORMULA uses the explicit-formula
     parts.  Delta_1 always comes from the formula/residue path.
     """
-    if x < 3:
-        raise DomainError("B(x) requires x >= 3")
+    if not 3 <= x < math.inf:
+        raise DomainError(f"B(x) requires a finite x >= 3, got {x}")
     if cfg is None:
         cfg = FormulaConfig()
     mode = mode.upper()
@@ -166,8 +166,8 @@ def trajectory(
     DIRECT mode reuses one segmented sieve sweep for all samples and
     refuses x_max > 1e8.
     """
-    if not (3 <= x_min < x_max):
-        raise DomainError("need 3 <= x_min < x_max")
+    if not (3 <= x_min < x_max < math.inf):
+        raise DomainError("need 3 <= x_min < x_max < inf")
     if not (2 <= n_points <= 10 ** 5):
         raise DomainError("n_points must be in [2, 1e5]")
     if cfg is None:

@@ -70,8 +70,8 @@ class EpsilonSpec:
             for v in self.values:
                 _check_unimodular_or_zero(v)
         elif tag == QUADPHASE:
-            if self.alpha is None:
-                raise DomainError("QUADPHASE spec requires alpha")
+            if self.alpha is None or not math.isfinite(self.alpha):
+                raise DomainError(f"QUADPHASE spec requires a finite alpha, got {self.alpha}")
         else:
             raise DomainError(f"unknown class tag {tag!r}")
 
@@ -98,8 +98,9 @@ class FactorParams:
 
 
 def _check_unimodular_or_zero(v: complex) -> None:
+    # NaN fails both tests: exp(i*1e400) parses to nan+nanj
     m = abs(v)
-    if m > UNIT_TOL and abs(m - 1.0) > UNIT_TOL:
+    if not (m <= UNIT_TOL or abs(m - 1.0) <= UNIT_TOL):
         raise DomainError(f"epsilon value {v!r} is neither unimodular nor zero")
 
 

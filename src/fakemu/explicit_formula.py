@@ -33,8 +33,11 @@ limits pin these factors: at z = 0 the Selberg-Delange main term
 2^{-w} sqrt(pi) G(1/2) x^{1/2} L^{w-1} / Gamma(w) must emerge, and at
 z = -1 (resp. w = 1) the residue formulas must.
 
-Quadrature is tanh-sinh, which absorbs the endpoint singularities; J(u) is
-cached per node, so evaluating at many x is cheap.
+Quadrature is tanh-sinh, which absorbs the endpoint singularities.  Only
+e^{-Lu} depends on x, so a cut builds each level L (nodes t = k 2^{1-L}:
+u, log u, weights and J) once, as arrays, and evaluates J only at the odd
+k, the even k being level L-1's nodes.  A cut holds at most MAX_LEVEL - 2
+levels; another x reads them and builds no node.
 
 At the tanh-sinh nodes G(s0 - u), s0 = 1, 1/2 or rho, comes from one
 Chebyshev interpolant per cut (class _GLine) on the segment 0 <= u <= b,
@@ -151,7 +154,7 @@ class FormulaBreakdown:
 
 
 # --------------------------------------------------------------------------
-# tanh-sinh quadrature with per-node integrand caching
+# tanh-sinh nodes, one table per level
 # --------------------------------------------------------------------------
 
 _T_HARD_MAX = math.asinh(680.0 / math.pi)
@@ -174,35 +177,6 @@ def _ts_points(b: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     cu = b * np.where(right, g, 1.0) / denom
     w = b * math.pi * np.cosh(t) * g / (denom * denom)
     return u, cu, w
-
-
-def _laplace_quad(
-    cache: _Cut,
-    weight: Callable[[np.ndarray], np.ndarray],
-    b: float,
-    alpha_left: float,
-    alpha_right: float,
-) -> complex:
-    """int_0^b weight(u) J(u) du by level-doubling tanh-sinh (J from cache.values)."""
-    t_left = _t_cut(alpha_left)
-    t_right = _t_cut(alpha_right)
-    prev = None
-    for level in range(3, MAX_LEVEL + 1):
-        h = 2.0 ** (1 - level)
-        k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
-        t = k * h
-        u, cu, wts = _ts_points(b, t)
-        j = cache.values(t, u, cu)
-        terms = wts * weight(u) * j
-        cur = h * complex(np.sum(terms))
-        mass = h * float(np.sum(np.abs(terms)))
-        if prev is not None:
-            if abs(cur - prev) <= QUAD_TOL * (abs(cur) + 1e-13 * mass) + 1e-300:
-                return cur
-        prev = cur
-    raise QuadratureError(
-        f"tanh-sinh did not reach tol={QUAD_TOL} at level {MAX_LEVEL}"
-    )
 
 
 # --------------------------------------------------------------------------
@@ -282,12 +256,12 @@ class _Cut:
 
     j(u, cu, g) is J_xi, with cu = b - u passed exactly near the right end
     and g the value of G at s = s0 - u (G_f is called when g is None).
-    values() memoizes J per tanh-sinh node and takes g from g_line, the
-    Chebyshev interpolant of G on the segment, built on first use; every
-    other J (Watson ring, J(0), complex u) calls G_f.  ring(r, n), if
-    given, walks J_xi around n equispaced points of |u| = r (else J is
-    called at each); residue() computes c_xi on first use.  J and its
-    ring exist in every mode.
+    level(L) builds tanh-sinh level L once and takes G at its nodes from
+    g_line, the Chebyshev interpolant of G on the segment, built on first
+    use; every other J (Watson ring, J(0), complex u) calls G_f.
+    ring(r, n), if given, walks J_xi around n equispaced points of
+    |u| = r (else J is called at each); residue() computes c_xi on first
+    use.  J and its ring exist in every mode.
     """
 
     beta: complex
@@ -301,23 +275,38 @@ class _Cut:
     s0: complex  # G is read at s0 - u
     g: Callable[[complex], complex]  # the direct G_f
     ring: Optional[Callable[[float, int], np.ndarray]] = None
-
-    def __post_init__(self):
-        self.vals: dict[float, complex] = {}  # J by tanh-sinh parameter t
+    levels: list = field(default_factory=list, init=False, repr=False)  # level L at L - 3
 
     @cached_property
     def g_line(self) -> _GLine:
         return _GLine(self.g, self.s0, self.b)
 
-    def values(self, t: np.ndarray, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-        keys = t.tolist()
-        out = [self.vals.get(key) for key in keys]
-        if None in out:
-            new = [i for i, v in enumerate(out) if v is None]
-            g = self.g_line(u[new], cu[new]).tolist()
-            for i, gi in zip(new, g):
-                out[i] = self.vals[keys[i]] = self.j(complex(u[i]), float(cu[i]), gi)
-        return np.array(out, dtype=np.complex128)
+    @cached_property
+    def t_range(self) -> tuple[float, float]:
+        """Truncation |t| at the left (u^{-beta}) and right ends."""
+        return _t_cut(max(self.beta.real, 0.0)), _t_cut(self.alpha_right)
+
+    def level(self, L: int) -> tuple[np.ndarray, ...]:
+        """(u, cu = b - u, log u, weight, J) at the nodes t = k 2^{1-L} of
+        level L >= 3, built once.  Levels are nested: the even k of level L
+        are the nodes of level L-1, whose J it copies, so G and J are
+        evaluated only at its odd k."""
+        if L - 3 < len(self.levels):
+            return self.levels[L - 3]
+        below = self.level(L - 1)[4] if L > 3 else None
+        t_left, t_right = self.t_range
+        h = 2.0 ** (1 - L)
+        k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
+        u, cu, wts = _ts_points(self.b, k * h)
+        new = k % 2 == 1 if below is not None else np.full(k.size, True)
+        g = self.g_line(u[new], cu[new]).tolist()
+        j = np.empty(k.size, dtype=np.complex128)
+        new_u, new_cu = u[new].tolist(), cu[new].tolist()
+        j[new] = [self.j(complex(uk), ck, gk) for uk, ck, gk in zip(new_u, new_cu, g)]
+        if below is not None:
+            j[~new] = below
+        self.levels.append((u, cu, np.log(u), wts, j))
+        return self.levels[-1]
 
     @cached_property
     def coef(self) -> complex:
@@ -334,13 +323,18 @@ class _Cut:
             return self.x_pow(x) * self.coef
         self._require_integrable()
         ell = math.log(x)
-        beta = self.beta
-
-        def weight(u: np.ndarray) -> np.ndarray:
-            return np.exp(-ell * u - beta * np.log(u))
-
-        val = _laplace_quad(self, weight, self.b, max(beta.real, 0.0), self.alpha_right)
-        return self.sine * self.x_pow(x) * val
+        prev = None
+        for L in range(3, MAX_LEVEL + 1):
+            h = 2.0 ** (1 - L)
+            u, _, logu, wts, j = self.level(L)
+            terms = wts * np.exp(-ell * u - self.beta * logu) * j
+            cur = h * complex(np.sum(terms))
+            mass = h * float(np.sum(np.abs(terms)))
+            if prev is not None:
+                if abs(cur - prev) <= QUAD_TOL * (abs(cur) + 1e-13 * mass) + 1e-300:
+                    return self.sine * self.x_pow(x) * cur
+            prev = cur
+        raise QuadratureError(f"tanh-sinh did not reach tol={QUAD_TOL} at level {MAX_LEVEL}")
 
     def leading(self) -> complex:
         """c with Delta_xi(x) ~ c x^xi L^{beta-1}: Watson order 0, lambda_0 = J(0)."""
@@ -580,8 +574,8 @@ def J_rho(
 # --------------------------------------------------------------------------
 
 def _require_x(x: float, minimum: float = 3.0) -> float:
-    if x < minimum:
-        raise DomainError(f"x must be >= {minimum}")
+    if not minimum <= x < math.inf:
+        raise DomainError(f"x must be finite and >= {minimum}, got {x}")
     return float(x)
 
 
@@ -652,7 +646,7 @@ def _parse_point(point):
     p = f"zero:{point[1]}" if isinstance(point, tuple) else str(point).lower()
     if p in ("one", "half"):
         return p
-    if p.startswith("zero:"):
+    if p.startswith("zero:") and p[5:].removeprefix("-").isdecimal():
         return (int(p[5:]), False)
     raise DomainError(f"unknown expansion point {point!r}")
 

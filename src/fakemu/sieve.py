@@ -215,8 +215,8 @@ def direct_exp_sum(spec: EpsilonSpec, x: float) -> complex:
 
 def direct_sharp_sum(spec: EpsilonSpec, x: float) -> complex:
     """A(x) = sum_{n <= x} f(n), exact over n <= floor(x)."""
-    if x < 1:
-        raise DomainError("direct_sharp_sum requires x >= 1")
+    if not 1 <= x < math.inf:
+        raise DomainError(f"direct_sharp_sum requires a finite x >= 1, got {x}")
     if x > DIRECT_X_CAP:
         raise CapacityError(f"x={x} beyond direct-summation cap {DIRECT_X_CAP}")
     acc = _Kahan()
@@ -252,8 +252,8 @@ def direct_exp_sums_multi(spec: EpsilonSpec, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         return np.empty(0, dtype=np.complex128)
-    if np.any(xs < 1) or np.any(np.diff(xs) < 0):
-        raise DomainError("sample points must be ascending and >= 1")
+    if not np.all((1 <= xs) & (xs < np.inf)) or np.any(np.diff(xs) < 0):
+        raise DomainError("sample points must be finite, ascending and >= 1")
     if xs[-1] > DIRECT_X_CAP:
         raise CapacityError(f"x_max={xs[-1]} beyond cap {DIRECT_X_CAP}")
     cut = np.floor(DEFAULT_CUTOFF_MULT * xs).astype(np.int64)

@@ -48,6 +48,10 @@ def test_B_converges_toward_c_half(cfg):
 def test_B_precondition(cfg):
     with pytest.raises(DomainError):
         bias.B_of_x(FIG53, 2.0, bias.DIRECT, cfg)
+    for x in (math.nan, math.inf):  # nan used to give a NaN B
+        for mode in (bias.DIRECT, bias.FORMULA):
+            with pytest.raises(DomainError, match="finite"):
+                bias.B_of_x(FIG53, x, mode, cfg)
 
 
 # ---------------------------------------------------------------- classify
@@ -183,3 +187,5 @@ def test_trajectory_preconditions(cfg):
         bias.trajectory(ONES, 10.0, 100.0, 1, "LOG", bias.FORMULA, cfg)
     with pytest.raises(DomainError):
         bias.trajectory(ONES, 10.0, 100.0, 5, "SQRT", bias.FORMULA, cfg)
+    with pytest.raises(DomainError):
+        bias.trajectory(ONES, 10.0, math.inf, 5, "LOG", bias.FORMULA, cfg)

@@ -247,6 +247,33 @@ def test_verify_core_suite_passes(capsys):
     assert all(re.search(r" \(\d+\.\d{3} s\)$", line) for line in lines)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--eps", "finite:[-1]", "--x", "nan"],
+        ["evaluate", "--eps", "finite:[-1]", "--x", "nan", "--mode", "formula"],
+        ["evaluate", "--eps", "finite:[-1]", "--x", "inf", "--mode", "formula"],
+        ["evaluate", "--eps", "finite:[-1]", "--x", "inf", "--mode", "direct"],
+        ["classify", "--eps", "cm:xi=exp(i*1e400)"],
+        ["classify", "--eps", "quadphase:alpha=1e400"],
+        ["watson", "--eps", "periodic:m=2:[i,-i]", "--point", "zero:abc"],
+        ["trajectory", "--eps", "finite:[-1]", "--x-min", "nan", "--x-max", "100",
+         "--points", "5"],
+        ["trajectory", "--eps", "finite:[-1]", "--x-min", "10", "--x-max", "inf",
+         "--points", "5", "--mode", "formula"],
+    ],
+    ids=["evaluate-nan", "formula-nan", "formula-inf", "direct-inf", "cm-xi-nan",
+         "quadphase-alpha-inf", "watson-point", "trajectory-nan", "trajectory-inf"],
+)
+def test_malformed_input_is_a_domain_error_exit_1(argv, capsys):
+    # a typed error: exit 1, one "error:" line, no traceback and no NaN output
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("point", ["zero:0", "zero:101"])
 def test_watson_zero_index_outside_table_exit_1(point, capsys):
     code, _, err = run(

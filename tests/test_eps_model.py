@@ -92,6 +92,10 @@ def test_parse_syntax_errors(text):
         "periodic:m=0:[]",       # m = 0
         "finite:[]",             # empty list
         "cm:xi=2",               # |xi| not in {0, 1}
+        "cm:xi=exp(i*1e400)",    # xi = nan+nanj
+        "finite:[1,exp(i*1e400)]",
+        "periodic:m=1:[1e400]",  # |v| = inf
+        "quadphase:alpha=1e400",  # alpha = inf
     ],
 )
 def test_parse_domain_errors(text):

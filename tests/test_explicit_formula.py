@@ -212,6 +212,25 @@ def test_delta_1_precondition(cfg):
         delta_1(MOBIUS, 2.0, cfg)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "part",
+    [
+        lambda x: a_exp_formula(MOBIUS, x),
+        lambda x: delta_1(FIG53, x),
+        lambda x: delta_half(FIG53, x),
+        lambda x: delta_rho(FIG53, 1, x),
+        lambda x: zero_sum(MOBIUS, x),
+        lambda x: watson_delta_half(FIG53, x, 2),
+    ],
+    ids=["a_exp_formula", "delta_1", "delta_half", "delta_rho", "zero_sum", "watson"],
+)
+def test_non_finite_x_is_a_domain_error(part, x):
+    # nan used to give NaN parts (or a QuadratureError), inf a bare ValueError
+    with pytest.raises(DomainError, match="finite"):
+        part(x)
+
+
 # ---------------------------------------------------------------- delta_half
 
 def test_delta_half_liouville_residue(cfg):
@@ -384,6 +403,13 @@ def test_watson_order_cap(cfg):
         watson_coeffs(FIG53, "half", 9, cfg)
 
 
+@pytest.mark.parametrize("point", ["zero:abc", "zero:", "zero:1.5", "two", ("zero", "x")])
+def test_unknown_expansion_point(cfg, point):
+    # "zero:abc" used to fail in a bare int()
+    with pytest.raises(DomainError, match="unknown expansion point"):
+        watson_coeffs(FIG53, point, 1, cfg)
+
+
 def test_watson_delta_half_m0_is_c_half(cfg):
     x = 1e6
     pars = zw_params(FIG53)
@@ -505,8 +531,8 @@ def _fill_cuts(spec, a):
 
 
 def _cut_nodes(cut):
-    t = np.array(sorted(cut.vals))
-    u, cu, _ = explicit_formula._ts_points(cut.b, t)
+    # the deepest level holds every node of the levels below it
+    u, cu = cut.levels[-1][:2]
     return u, cu
 
 
@@ -620,6 +646,64 @@ def test_work_count_classify(monkeypatch, spec):
     assert len(calls) == 1
 
 
+# ---------------------------------------------------------------- tanh-sinh level tables
+
+CUT_KINDS = {"one": "one", "half": "half", "zero": (1, False), "mirror": (1, True)}
+
+
+def _counting_cut(a, kind):
+    """A fresh fig53 quadrature cut whose J calls are counted."""
+    from fakemu.explicit_formula import _ctx
+
+    ctx, _ = _ctx(FIG53, FormulaConfig(a=a, n_zeros=1))
+    cut = ctx.cut(CUT_KINDS[kind])
+    assert cut.mode == "quadrature" and cut.levels == []
+    calls = []
+    j = cut.j
+    cut.j = lambda *args: calls.append(args) or j(*args)
+    return cut, calls
+
+
+@pytest.mark.parametrize("kind", list(CUT_KINDS))
+@pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
+def test_levels_are_nested_bit_for_bit(a, kind):
+    # level L's even k are level L-1's nodes: same u, cu, log u, weight and J
+    cut, _ = _counting_cut(a, kind)
+    cut.delta(1e4)
+    assert len(cut.levels) >= 2
+    t_left = cut.t_range[0]
+    for L in range(4, len(cut.levels) + 3):
+        even = slice(math.floor(t_left / 2.0 ** (1 - L)) % 2, None, 2)
+        for below, here in zip(cut.level(L - 1), cut.level(L)):
+            assert below.tobytes() == here[even].tobytes()
+
+
+@pytest.mark.parametrize("kind", list(CUT_KINDS))
+@pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
+def test_cold_delta_calls_j_once_per_node(a, kind):
+    cut, calls = _counting_cut(a, kind)
+    cut.delta(1e4)
+    assert len(calls) == cut.levels[-1][0].size
+    assert len({c[:2] for c in calls}) == len(calls)  # no (u, b - u) twice
+
+
+@pytest.mark.parametrize("kind", list(CUT_KINDS))
+@pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
+def test_warm_delta_reads_the_level_table(monkeypatch, a, kind):
+    # a new x on a warm cut builds no node and calls no J
+    cut, calls = _counting_cut(a, kind)
+    for x in (1e3, 1e5, 1e8):
+        cut.delta(x)
+    depth, n_calls = len(cut.levels), len(calls)
+    points = []
+    ts_points = explicit_formula._ts_points
+    monkeypatch.setattr(
+        explicit_formula, "_ts_points", lambda *args: points.append(args) or ts_points(*args)
+    )
+    cut.delta(3e4)
+    assert (len(cut.levels), len(calls), points) == (depth, n_calls, [])
+
+
 # frozen from the per-node G_f path: (spec, x, delta_1, delta_half,
 # delta_rho at zero 1, its mirror, zero 2, its mirror), n_zeros = 2
 PARTS_FROZEN = [
@@ -727,7 +811,8 @@ def test_shared_sweeps_are_free_of_call_history():
         cuts = cfg._memo[FIG51A]._cuts
         return (
             parts,
-            {key: cut.vals for key, cut in cuts.items()},  # J at every node
+            # J at every node of every tanh-sinh level
+            {key: [lv[4].tolist() for lv in cut.levels] for key, cut in cuts.items()},
             watson_coeffs(FIG51A, "zero:2", 2, cfg),
             J_rho(FIG51A, 1, 0.06 + 0.02j, cfg),
         )

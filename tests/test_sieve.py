@@ -117,6 +117,15 @@ def test_exp_sum_preconditions():
         direct_exp_sum(MOBIUS, 0.5)
     with pytest.raises(CapacityError):
         direct_exp_sum(MOBIUS, 2e8)
+    # nan used to sum to 0j after a cast warning (or fail in a bare int()
+    # for the sharp sum), inf to be refused as beyond the cap
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            direct_exp_sum(MOBIUS, x)
+        with pytest.raises(DomainError, match="finite"):
+            direct_exp_sums_multi(MOBIUS, [10.0, x])
+        with pytest.raises(DomainError, match="finite"):
+            direct_sharp_sum(MOBIUS, x)
 
 
 def test_dirichlet_series_consistency():
