@@ -8,9 +8,9 @@ Commands:
   verify      self-check suites; exit 0 iff all pass
 
 Exit codes: 0 ok, 1 suite failure or another typed error (a domain error
-such as a non-finite x, a range or quadrature error), 2 parse error,
-3 window error, 4 capacity error.  Each error prints one "... error:" line
-on stderr.
+such as a non-finite x or an unreadable zeros file, a range or quadrature
+error), 2 parse error, 3 window error, 4 capacity error.  Each error prints
+one "... error:" line on stderr.
 """
 
 from __future__ import annotations

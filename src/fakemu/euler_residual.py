@@ -12,12 +12,55 @@ calibrated heuristic bounds the dropped tail.  Any winding error a
 principal log could commit at the few smallest primes is caught by the
 global factorization-identity tests rather than per-factor logic.
 
-The three per-prime logs go through `_log_near_unit` rather than
-`np.log`.  Almost all of their arguments lie within ~p^{-Re s} of 1.  For
-such values off the real axis numpy's complex log (the C library's clog)
-takes its careful |v| ~ 1 path, which forms |v|^2 - 1 exactly at ~200 ns
-per element, several times the cost of the rest of G.  The kernel writes
-log v = log|v| + i arg v with
+One kernel evaluates it: G_f_line(spec, s0, u) returns G(s0 - u_j) for an
+array of real u_j >= 0, the points of a horizontal segment, and G_f(s) is
+its one-point case u = [0].  With sigma_min = Re s0 - max u, every point
+has |p^{-s}| <= p^{-sigma_min}, and the primes split in two (H. Cohen,
+High precision computation of Hardy-Littlewood constants, 1998):
+
+- explicit primes, p^{-sigma_min} > RHO_SERIES = 0.07 (301 primes at
+  sigma_min = 0.35, 46 at 1/2, 6 at 1), take the three principal logs of
+  `_log_terms` at each point;
+- every other prime enters log G_p = sum_{k>=3} a_k u^k, u = p^{-s}.
+
+Power series.  For |u| <= R < 1/2 and eps_k unimodular or zero,
+|g(u) - 1| <= sum_k R^k = R/(1-R) < 1, so log g, log(1-u) and log(1-u^2)
+are analytic on the disc, equal to their principal values, and their sum
+h(u) = log[g(u) (1-u)^z (1-u^2)^w] is the power series sum_k a_k u^k.
+_log_coeffs computes the a_k once per spec, on first use: with L_k the
+coefficients of log g, b_k = k L_k = k eps_k - sum_{j<k} b_j eps_{k-j}
+(from g' = g (log g)'), and k a_k = b_k - z - 2w [k even].  a_1 and a_2
+vanish by the choice of z and w.  On |u| = R,
+
+    |h| <= M = -log(1 - R/(1-R)) + |z| (-log(1-R)) + |w| (-log(1-R^2)),
+
+so Cauchy's estimate gives |a_k| <= M R^{-k}, R = CAUCHY_RADIUS = 0.45.  A
+series prime has r = p^{-sigma_min}/R <= 0.156, and dropping its orders
+above K leaves at most M r^{K+1}/(1-r) in log G.  Its order K_p is the
+least K with that at most SERIES_TOL/N, N series primes, so the dropped
+terms of all series primes together move log G by at most SERIES_TOL =
+2^-53, i.e. G by a relative 2^-53.  Orders reach 25 at sigma_min = 0.35
+(about 130000 prime-order pairs per point, 23000 at sigma_min = 1), and a
+prime whose K_p is 2 is left out.  On series primes |g| >= 1 - 0.07/0.93,
+so only the explicit primes can raise DomainError for a vanishing g.
+
+Shared phase.  On the segment u_p(s0 - u_j) = p^{-s0} p^{u_j}, so a call
+takes one complex exp per series prime and one real exp per (prime,
+point).  Per block of primes and per k, the row p^{-k s0} viewed as
+(2 x primes) reals times the real (primes x points) matrix p^{k u_j} is
+one matrix product.  Both are updated in place by one more factor, on the
+prefix of primes whose order reaches k; it shrinks as k grows.  The
+buffers hold _BLOCK = 2^15 entries (256 kB) each: a block holds
+_BLOCK / points primes (at least 256), so memory does not grow with the
+number of points or primes.
+
+Rounding.  A series term carries rounding relative to its own size,
+|u|^3 and below, so G's rounding comes from the explicit primes.  Their
+three logs go through `_log_near_unit` rather than `np.log`.  Almost all of
+their arguments lie within ~p^{-Re s} of 1.  For such values off the real
+axis numpy's complex log (the C library's clog) takes its careful |v| ~ 1
+path, which forms |v|^2 - 1 exactly at ~200 ns per element, several times
+the cost of the rest of G.  The kernel writes log v = log|v| + i arg v with
 
     log|v| = log1p(d) / 2,   d = |v|^2 - 1 = (re - 1)(re + 1) + im^2.
 
@@ -27,7 +70,14 @@ a few ulp of |log v| however close v is to 1.  Where |d| > 1/2,
 1 + d no longer carries log|v| to full accuracy as |v| -> 0 and im^2 can
 overflow, so those entries use log(abs(v)) instead.  The imaginary part
 is atan2(im, re): the principal branch, with the sign of a zero imaginary
-part picking +pi or -pi on the negative real axis as np.log does.
+part picking +pi or -pi on the negative real axis as np.log does.  Where
+the phase Im(s) log p of p^{-s} reaches 8 rad it is reduced mod 2 pi in
+extended precision, as in zeta: in double precision it loses ~1e-14 at
+Im s ~ 21, which the smallest primes pass on to G.  What is left is the rounding of the log
+arguments g(u), 1 - u and 1 - u^2 near 1, an absolute ~eps per explicit
+prime: against a long-double product over the same primes G is within
+6e-15 relative on every fig53 segment at a = 0.35, where the sum of the
+three logs over all 9592 primes reaches 2.6e-14.
 
 The sieved log-prime table is shared by every GfConfig of one prime limit
 and is read-only.
@@ -37,14 +87,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .eps_model import EpsilonSpec, _g_eval_array, zw_params
+from .eps_model import EpsilonSpec, _g_eval_array, eps_at, zw_params
 from .errors import DomainError, RangeError
 from .sieve import primes_up_to
+from .zeta_kernel import _F128, _PHASE_MAX_FLOAT64, _TWO_PI_128
 
 RE_S_MIN = 0.35
 #: Rounding floor of one per-prime log term, per unit of 1 + |z| + |w|:
@@ -52,6 +103,18 @@ RE_S_MIN = 0.35
 #: log is taken (G_f_tail_estimate; measured up to ~0.55 eps).
 TAIL_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 _NEAR_UNIT = 0.5  # | |v|^2 - 1 | at most this takes the log1p form
+#: A prime with p^{-sigma_min} above RHO_SERIES keeps its three principal
+#: logs; every other prime enters the power series of log G_p.
+RHO_SERIES = 0.07
+#: Radius R < 1/2 of the Cauchy estimate |a_k| <= M R^{-k}.
+CAUCHY_RADIUS = 0.45
+#: Bound on the dropped series terms of log G, summed over all primes.
+SERIES_TOL = 2.0 ** -53
+#: Coefficients a_k are computed for k <= _MAX_ORDER; a series prime needs
+#: at most ~30 (module docstring); 64 would take ~1e36 series primes.
+_MAX_ORDER = 64
+#: Entries of one (primes x points) buffer of the series sum: 256 kB.
+_BLOCK = 2 ** 15
 
 
 @cache
@@ -91,15 +154,25 @@ def _log_near_unit(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_terms(spec: EpsilonSpec, s: complex, logp: np.ndarray) -> np.ndarray:
-    """Per-prime log G_p(s) with principal logs."""
+def _log_terms(spec: EpsilonSpec, s, logp: np.ndarray) -> np.ndarray:
+    """Per-prime log G_p(s) with principal logs; s is a point or a column
+    of points, which broadcasts against logp (ascending).  A phase
+    Im(s) log p of u = p^{-s} of _PHASE_MAX_FLOAT64 rad or more is reduced
+    mod 2 pi in extended precision, as in zeta."""
     pars = zw_params(spec)
-    u = np.exp(-s * logp)
-    g = _g_eval_array(spec, u)
+    s = np.asarray(s, dtype=np.complex128)
+    if logp.size and np.max(np.abs(s.imag)) * logp[-1] >= _PHASE_MAX_FLOAT64:
+        phase = np.mod(s.imag.astype(_F128) * logp.astype(_F128), _TWO_PI_128)
+        u = np.exp(-s.real * logp) * np.exp(-1j * phase.astype(np.float64))
+    else:
+        u = np.exp(-s * logp)
+    g = _g_eval_array(spec, u.ravel()).reshape(u.shape)
     if np.any(np.abs(g) < 1e-12):
-        p_bad = math.exp(logp[int(np.argmin(np.abs(g)))])
+        bad = np.unravel_index(int(np.argmin(np.abs(g))), g.shape)
+        p_bad = math.exp(logp[bad[-1]])
         raise DomainError(
-            f"local factor g(p^-s) vanishes at p ~ {p_bad:.0f}, s = {s}"
+            f"local factor g(p^-s) vanishes at p ~ {p_bad:.0f}, "
+            f"s = {complex(np.broadcast_to(s, g.shape)[bad])}"
         )
     return (
         _log_near_unit(g)
@@ -108,14 +181,118 @@ def _log_terms(spec: EpsilonSpec, s: complex, logp: np.ndarray) -> np.ndarray:
     )
 
 
-def G_f(spec: EpsilonSpec, s: complex, cfg: Optional[GfConfig] = None) -> complex:
-    """Truncated residual Euler product at s (Re s >= 0.35)."""
-    s = complex(s)
-    if s.real < RE_S_MIN:
+@lru_cache(maxsize=64)
+def _log_coeffs(spec: EpsilonSpec) -> np.ndarray:
+    """a_0.._MAX_ORDER with log[g(u) (1-u)^z (1-u^2)^w] = sum_k a_k u^k.
+
+    b_k = k L_k, where log g = sum_k L_k u^k, follows from g' = g (log g)':
+    b_k = k eps_k - sum_{j<k} b_j eps_{k-j}.  Then k a_k = b_k - z - 2w [k
+    even], since log(1-u) = -sum u^k/k and log(1-u^2) = -sum_{k even}
+    2u^k/k.  a_1 = 0 exactly and a_2 = 0 to rounding, by the choice of z
+    and w; for f = mu, lambda and 1 every b_k is a small integer and every
+    a_k exactly 0.
+    """
+    pars = zw_params(spec)
+    eps = np.array([eps_at(spec, k) for k in range(_MAX_ORDER + 1)])
+    b = np.zeros(_MAX_ORDER + 1, dtype=np.complex128)
+    for k in range(1, _MAX_ORDER + 1):
+        b[k] = k * eps[k] - np.dot(b[1:k], eps[k - 1:0:-1])
+    k = np.arange(_MAX_ORDER + 1)
+    a = np.zeros(_MAX_ORDER + 1, dtype=np.complex128)
+    a[1:] = (b[1:] - pars.z - np.where(k[1:] % 2 == 0, 2.0 * pars.w, 0.0)) / k[1:]
+    a.flags.writeable = False
+    return a
+
+
+def _series_orders(spec: EpsilonSpec, sigma_min: float, logq: np.ndarray) -> np.ndarray:
+    """Last order K_p >= 2 of each series prime's power series at Re s >=
+    sigma_min: the least K with M r^{K+1}/(1-r) <= SERIES_TOL/N, where r =
+    p^{-sigma_min}/CAUCHY_RADIUS and N = logq.size.  Orders fall as p grows;
+    K_p = 2 drops the prime."""
+    pars = zw_params(spec)
+    radius = CAUCHY_RADIUS
+    m = (
+        -math.log1p(-radius / (1.0 - radius))
+        - abs(pars.z) * math.log1p(-radius)
+        - abs(pars.w) * math.log1p(-radius * radius)
+    )
+    r = np.exp(-sigma_min * logq) / radius
+    k = np.ceil(np.log(SERIES_TOL * (1.0 - r) / (logq.size * m)) / np.log(r)) - 1.0
+    return np.maximum(k, 2.0).astype(np.int64)
+
+
+def _series_sum(
+    a: np.ndarray, s0: complex, u: np.ndarray, logq: np.ndarray, order: np.ndarray
+) -> np.ndarray:
+    """sum_p sum_{k=3}^{K_p} a_k u_p^k at s0 - u_j, with u_p = p^{-s0} p^{u_j}.
+
+    Per block of primes and per k, the complex row p^{-k s0}, viewed as
+    (2 x primes) reals, times the real (primes x points) matrix p^{k u_j}.
+    Both are updated in place by one more factor, on the prefix of primes
+    whose order reaches k, which shrinks as k grows.
+    """
+    out = np.zeros(u.size, dtype=np.complex128)
+    top = int(order[0])
+    # active[k]: the primes whose order reaches k, a prefix of logq
+    active = np.searchsorted(-order, -np.arange(top + 2), side="right")
+    n = int(active[3])
+    if n == 0:
+        return out
+    width = min(n, max(256, _BLOCK // u.size))
+    e1_buf, ek_buf = np.empty((width, u.size)), np.empty((width, u.size))
+    c1_buf, ck_buf = np.empty(width, np.complex128), np.empty(width, np.complex128)
+    sums = np.empty((top + 1, 2, u.size))
+    for lo in range(0, n, width):
+        nb = min(width, n - lo)
+        e1, ek, c1, ck = e1_buf[:nb], ek_buf[:nb], c1_buf[:nb], ck_buf[:nb]
+        q = logq[lo : lo + nb]
+        np.exp(np.multiply(-s0, q, out=c1), out=c1)
+        np.exp(np.multiply.outer(q, u, out=e1), out=e1)
+        np.multiply(np.multiply(e1, e1, out=ek), e1, out=ek)
+        np.multiply(np.multiply(c1, c1, out=ck), c1, out=ck)
+        ck_pairs = ck.view(np.float64).reshape(nb, 2)
+        count = np.clip(active - lo, 0, nb)
+        k = 3
+        while True:
+            np.matmul(ck_pairs[: count[k]].T, ek[: count[k]], out=sums[k])
+            nxt = count[k + 1]
+            if not nxt:
+                break
+            np.multiply(ek[:nxt], e1[:nxt], out=ek[:nxt])
+            np.multiply(ck[:nxt], c1[:nxt], out=ck[:nxt])
+            k += 1
+        out += a[3 : k + 1] @ (sums[3 : k + 1, 0] + 1j * sums[3 : k + 1, 1])
+    return out
+
+
+def G_f_line(
+    spec: EpsilonSpec, s0: complex, u, cfg: Optional[GfConfig] = None
+) -> np.ndarray:
+    """Truncated residual Euler product at s0 - u_j for real u_j >= 0
+    (Re s0 - max u >= 0.35), one call per batch of points."""
+    s0 = complex(s0)
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1 or u.size == 0 or not np.all(np.isfinite(u) & (u >= 0.0)):
+        raise DomainError("G_f_line requires a non-empty 1-d array of finite u >= 0")
+    sigma_min = s0.real - float(u.max())
+    if not sigma_min >= RE_S_MIN:
         raise RangeError(f"G_f requires Re s >= {RE_S_MIN}")
     if cfg is None:
         cfg = GfConfig()
-    return complex(np.exp(np.sum(_log_terms(spec, s, cfg.logp))))
+    logp = cfg.logp
+    n_exp = int(np.searchsorted(logp, -math.log(RHO_SERIES) / sigma_min))
+    log_g = np.sum(_log_terms(spec, (s0 - u)[:, None], logp[:n_exp]), axis=1)
+    a = _log_coeffs(spec)
+    if n_exp < logp.size and np.any(a[3:]):
+        logq = logp[n_exp:]
+        log_g += _series_sum(a, s0, u, logq, _series_orders(spec, sigma_min, logq))
+    return np.exp(log_g)
+
+
+def G_f(spec: EpsilonSpec, s: complex, cfg: Optional[GfConfig] = None) -> complex:
+    """Truncated residual Euler product at s (Re s >= 0.35): G_f_line at
+    the one point u = 0."""
+    return complex(G_f_line(spec, s, np.zeros(1), cfg)[0])
 
 
 def _exp1(x: float) -> float:

@@ -45,12 +45,13 @@ i.e. [1/2, 1], [a, 1/2] or [rho - (1/2 - a), rho].  G is holomorphic on
 Re s > 1/3 (its truncation G_f even on Re s > 0), at least a - 1/3 away
 from each segment, so the Chebyshev coefficients decay geometrically
 (Trefethen, Approximation Theory and Approximation Practice, ch. 8).  A
-cut samples G_f on nested Chebyshev points of degree 16, 32, 64, ...,
+cut samples G on nested Chebyshev points of degree 16, 32, 64, ...,
 each level reusing the previous samples, until the last quarter of the
-coefficients lies below CHEB_TOL = 2^-46 of the largest, G_f's own
-rounding floor; past CHEB_MAX_DEGREE it raises QuadratureError.  The
-interpolant is built the first time the cut runs its quadrature and costs
-17-65 G_f calls, where a call per node cost hundreds.  Its stopping test
+coefficients lies below CHEB_TOL = 2^-46 of the largest; past
+CHEB_MAX_DEGREE it raises QuadratureError.  The interpolant is built the
+first time the cut runs its quadrature, with one call of the G kernel
+euler_residual.G_f_line per level (17 points, then 16, 32, ...), where a
+G_f call per node cost hundreds.  Its stopping test
 is an a-posteriori estimate, not a bound: it reads the decay of the
 coefficients already computed.  A bound would need max |G| on a Bernstein
 ellipse around the segment, which nothing here computes, and a feature
@@ -83,7 +84,7 @@ from .eps_model import EpsilonSpec, FactorParams, near_integer, zw_params
 from .errors import (
     ConsistencyError, DomainError, QuadratureError, RangeError, WindowError,
 )
-from .euler_residual import RE_S_MIN, G_f, GfConfig
+from .euler_residual import RE_S_MIN, G_f, G_f_line, GfConfig
 from .zeta_kernel import ZetaKernel, default_kernel, gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -98,7 +99,7 @@ WATSON_RADIUS = 0.05
 WATSON_NODES = 256
 #: G on a cut's segment: Chebyshev degrees CHEB_MIN_DEGREE, doubling up to
 #: CHEB_MAX_DEGREE, until the last quarter of the coefficients lies below
-#: CHEB_TOL times the largest (the rounding floor of G_f).
+#: CHEB_TOL times the largest.
 CHEB_MIN_DEGREE = 16
 CHEB_MAX_DEGREE = 256
 CHEB_TOL = 2.0 ** -46
@@ -212,15 +213,17 @@ class _GLine:
     """G(s0 - u) for 0 <= u <= b, from samples at Chebyshev points.
 
     u_j = b sin^2(j pi/2n) (x_j = cos(j pi/n) = 1 - 2u/b); each doubling of
-    n keeps the previous samples.  g is the direct G_f.
+    n keeps the previous samples.  line(s0, u) is G at s0 - u over an array
+    of real u (G_f_line), called once per degree.
     """
 
-    def __init__(self, g: Callable[[complex], complex], s0: complex, b: float):
+    def __init__(
+        self, line: Callable[[complex, np.ndarray], np.ndarray], s0: complex, b: float
+    ):
         self.b = b
 
         def sample(n: int, j: np.ndarray) -> np.ndarray:
-            u = b * np.sin(j * (math.pi / (2 * n))) ** 2
-            return np.array([g(s0 - uj) for uj in u.tolist()], dtype=np.complex128)
+            return line(s0, b * np.sin(j * (math.pi / (2 * n))) ** 2)
 
         n = CHEB_MIN_DEGREE
         vals = sample(n, np.arange(n + 1))
@@ -273,13 +276,13 @@ class _Cut:
     mode: str  # quadrature | residue | zero
     residue: Callable[[], complex]
     s0: complex  # G is read at s0 - u
-    g: Callable[[complex], complex]  # the direct G_f
+    g_on_line: Callable[[complex, np.ndarray], np.ndarray]  # G_f_line
     ring: Optional[Callable[[float, int], np.ndarray]] = None
     levels: list = field(default_factory=list, init=False, repr=False)  # level L at L - 3
 
     @cached_property
     def g_line(self) -> _GLine:
-        return _GLine(self.g, self.s0, self.b)
+        return _GLine(self.g_on_line, self.s0, self.b)
 
     @cached_property
     def t_range(self) -> tuple[float, float]:
@@ -402,6 +405,10 @@ class _Ctx:
         """The residual Euler product, called directly."""
         return G_f(self.spec, s, self.cfg.gf_config)
 
+    def G_line(self, s0: complex, u: np.ndarray) -> np.ndarray:
+        """G at s0 - u over an array of real u >= 0, in one call."""
+        return G_f_line(self.spec, s0, u, self.cfg.gf_config)
+
     # -- branch points ----------------------------------------------------------
 
     def cut(self, key) -> _Cut:
@@ -421,7 +428,7 @@ class _Ctx:
                 mode=_mode(zi == 1, zi in (-1, 0)),
                 # Res_{s=1} F(s) Gamma(s) x^s = x * zeta(2)^w * G(1)
                 residue=lambda: cmath.exp(w * k.L1(2.0)) * self.G(1.0),
-                s0=1.0, g=self.G,
+                s0=1.0, g_on_line=self.G_line,
             )
         if key == "half":
             # Res_{s=1/2} zeta(2s) = 1/2, with zeta(1/2)^z the boundary value
@@ -437,7 +444,7 @@ class _Ctx:
                 x_pow=math.sqrt, j=self.j_half,
                 mode=_mode(self.pars.w_is_one, near_integer(z + w) is not None),
                 residue=residue,
-                s0=0.5, g=self.G,
+                s0=0.5, g_on_line=self.G_line,
             )
         index, conjugate = key
         rho = k.rho(index, conjugate)
@@ -455,7 +462,7 @@ class _Ctx:
             j=lambda u, cu=None, g=None: self.j_rho(index, conjugate, u, g),
             mode=_mode(zi == -1, zi in (0, 1)),
             residue=residue,
-            s0=rho, g=self.G,
+            s0=rho, g_on_line=self.G_line,
             ring=lambda r, n: self.j_rho_ring(index, conjugate, r, n),
         )
 

@@ -1,6 +1,6 @@
 """Self-check suites behind `fakemu verify --suite {core|oracle|asymptotics}`.
 
-core:         parser/sequence semantics, zeta-kernel identities
+core:         parser/sequence semantics, the coefficients of log G, zeta-kernel identities
 oracle:       sieve ground truths and direct-vs-formula closure
 asymptotics:  Watson remainder order, sine-factor exactness, bias labels
 
@@ -20,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import bias, eps_model, explicit_formula as xf, sieve, zeta_kernel as zk
+from . import bias, eps_model, sieve
+from . import euler_residual as er, explicit_formula as xf, zeta_kernel as zk
 
 CANONICAL = (
     ("mobius", "finite:[-1]"),
@@ -28,6 +29,13 @@ CANONICAL = (
     ("ones", "cm:xi=1"),
     ("fig51a", "finite:[exp(i*pi/5),1]"),
     ("fig53", "periodic:m=2:[i,-i]"),
+)
+#: specs whose generating function g is checked as a power series
+G_SERIES_SPECS = (
+    "cm:xi=exp(i*pi/7)",
+    "periodic:m=3:[i,-1,exp(i*1.0)]",
+    "finite:[exp(i*pi/5),1]",
+    "quadphase:alpha=0.381966",
 )
 
 
@@ -55,19 +63,28 @@ def check_parser_semantics() -> None:
 
 def check_g_series_agreement() -> None:
     rng = random.Random(11)
-    specs = [
-        _spec("cm:xi=exp(i*pi/7)"),
-        _spec("periodic:m=3:[i,-1,exp(i*1.0)]"),
-        _spec("finite:[exp(i*pi/5),1]"),
-        _spec("quadphase:alpha=0.381966"),
-    ]
-    for spec in specs:
+    for spec in map(_spec, G_SERIES_SPECS):
         for _ in range(8):
             u = cmath.rect(rng.uniform(0, 0.5), rng.uniform(0, 2 * math.pi))
             series = sum(
                 eps_model.eps_at(spec, k) * u ** k for k in range(201)
             )
             assert abs(eps_model.g_eval(spec, u) - series) <= 1e-12, (spec, u)
+
+
+def check_log_G_coefficients() -> None:
+    # z and w cancel a_1 and a_2 of log[g(u) (1-u)^z (1-u^2)^w] = sum a_k u^k,
+    # so log G_p = O(p^{-3s}); the G kernel (explicit primes plus that
+    # series) against three principal logs summed over every prime
+    cfg = er.GfConfig()
+    for text in G_SERIES_SPECS:
+        spec = _spec(text)
+        a = er._log_coeffs(spec)
+        assert abs(a[1]) <= 1e-15 and abs(a[2]) <= 1e-15, (text, a[1], a[2])
+        for s in (0.45, 0.42 + 14.13j):
+            got = er.G_f(spec, s, cfg)
+            want = complex(np.exp(np.sum(er._log_terms(spec, s, cfg.logp))))
+            assert abs(got - want) <= 3e-14 * abs(want), (text, s, abs(got / want - 1))
 
 
 def check_exp_log_identity() -> None:
@@ -133,6 +150,7 @@ def check_zero_table() -> None:
 CORE_CHECKS = [
     ("parser-semantics", check_parser_semantics),
     ("g-series-agreement", check_g_series_agreement),
+    ("log-G-coefficients", check_log_G_coefficients),
     ("exp-log-identity", check_exp_log_identity),
     ("integer-power-coherence", check_branch_coherence),
     ("schwarz-reflection", check_schwarz_reflection),

@@ -315,9 +315,14 @@ def _parse_zero_table(text: str, source: str) -> ZeroTable:
 
 
 def load_zero_table(path: str) -> ZeroTable:
-    """Load ordinates from a text file ('#' comments, one ordinate per line)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_zero_table(fh.read(), path)
+    """Load ordinates from a text file ('#' comments, one ordinate per line);
+    a file that cannot be read raises DomainError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DomainError(f"cannot read zeros file {path!r}: {exc.strerror or exc}") from exc
+    return _parse_zero_table(text, path)
 
 
 def default_zero_table() -> ZeroTable:

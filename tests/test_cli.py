@@ -239,11 +239,12 @@ def test_verify_core_suite_passes(capsys):
     code, out, _ = run(["verify", "--suite", "core"], capsys)
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
     assert "PASS core:log-zeta-principal" in out
+    assert "PASS core:log-G-coefficients" in out
     # each check line and the suite line end with a wall time
     lines = out.strip().splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(re.search(r" \(\d+\.\d{3} s\)$", line) for line in lines)
 
 
@@ -261,9 +262,12 @@ def test_verify_core_suite_passes(capsys):
          "--points", "5"],
         ["trajectory", "--eps", "finite:[-1]", "--x-min", "10", "--x-max", "inf",
          "--points", "5", "--mode", "formula"],
+        ["evaluate", "--eps", "finite:[-1]", "--x", "1e3", "--zeros-file",
+         "/nonexistent/zeros.txt"],
     ],
     ids=["evaluate-nan", "formula-nan", "formula-inf", "direct-inf", "cm-xi-nan",
-         "quadphase-alpha-inf", "watson-point", "trajectory-nan", "trajectory-inf"],
+         "quadphase-alpha-inf", "watson-point", "trajectory-nan", "trajectory-inf",
+         "missing-zeros-file"],
 )
 def test_malformed_input_is_a_domain_error_exit_1(argv, capsys):
     # a typed error: exit 1, one "error:" line, no traceback and no NaN output

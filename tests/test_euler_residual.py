@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fakemu import euler_residual
-from fakemu.eps_model import _g_eval_array, parse_eps_spec, zw_params
+from fakemu.eps_model import _g_eval_array, eps_at, parse_eps_spec, zw_params
 from fakemu.errors import DomainError, RangeError
 from fakemu.euler_residual import (
     G_f,
@@ -218,3 +218,92 @@ def test_periodic_i_product_identity(cfg):
     zeta2_w = cmath.exp(pars.w * kernel.L1(4.0)) * (4.0 - 1) ** (-pars.w)
     rhs = zeta_z * zeta2_w * G_f(FIG53, 2.0, cfg)
     assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
+
+
+# ---------------------------------------------------------------- the G kernel
+
+CANONICAL = [MOBIUS, LIOUVILLE, ONES, FIG51A, FIG53]
+PERIODIC3 = parse_eps_spec("periodic:m=3:[i,-1,exp(i*1.0)]")
+
+
+@pytest.mark.parametrize(
+    "spec", CANONICAL + [QUAD, PERIODIC3],
+    ids=["mobius", "liouville", "ones", "fig51a", "fig53", "quadphase", "periodic3"],
+)
+def test_log_coefficients_against_mpmath_taylor(spec):
+    # a_1 and a_2 vanish by the choice of z and w; a_3..a_12 are the Taylor
+    # coefficients of log[g(u) (1-u)^z (1-u^2)^w] at u = 0
+    import mpmath as mp
+
+    a = euler_residual._log_coeffs(spec)
+    assert abs(a[0]) == 0.0 and abs(a[1]) <= 1e-15 and abs(a[2]) <= 1e-15
+    pars = zw_params(spec)
+    eps = [mp.mpc(eps_at(spec, k)) for k in range(1, 120)]
+
+    def log_h(u):
+        g = 1 + mp.fsum(e * u ** k for k, e in enumerate(eps, start=1))
+        return mp.log(g) + pars.z * mp.log(1 - u) + pars.w * mp.log(1 - u * u)
+
+    with mp.workdps(40):
+        want = mp.taylor(log_h, 0, 12)
+    for k in range(3, 13):
+        assert abs(a[k] - complex(want[k])) <= 1e-14 * max(1.0, abs(a[k])), (k, a[k], want[k])
+
+
+@pytest.mark.parametrize("sigma", [0.35, 1.0])
+@pytest.mark.parametrize("spec", [FIG53, FIG51A, QUAD], ids=["fig53", "fig51a", "quadphase"])
+def test_ten_more_series_terms_stay_within_the_bound(spec, sigma, cfg):
+    # the terms k = K_p + 1 .. K_p + 10 of every series prime, which the
+    # kernel drops, add up to no more than SERIES_TOL
+    logp = cfg.logp
+    n_exp = int(np.searchsorted(logp, -math.log(euler_residual.RHO_SERIES) / sigma))
+    logq = logp[n_exp:]
+    order = euler_residual._series_orders(spec, sigma, logq)
+    a = euler_residual._log_coeffs(spec)
+    for t in (0.0, 14.13, 21.02):
+        s = complex(sigma, t)
+        k = order[:, None] + np.arange(1, 11)  # primes x 10 dropped orders
+        extra = np.sum(a[k] * np.exp(-k * s * logq[:, None]))
+        assert abs(extra) <= euler_residual.SERIES_TOL, (s, abs(extra))
+    assert order.max() < euler_residual._MAX_ORDER - 10
+
+
+@pytest.mark.parametrize("limit", [200, 100_000])
+def test_kernel_matches_the_all_primes_logs(limit):
+    # below 200 every prime is explicit at Re s <= 1/2; at P = 1e5 all
+    # but ~300 are series primes.  Where G is identically 1 the all-primes
+    # sum carries up to 4.3e-13 of its own rounding (cm:xi=1 at s = 2: the
+    # roundings of 1/(1-u) and 1 - u near 1 do not cancel over 9592
+    # primes), so only the other specs are compared at 1e5.
+    cfg = GfConfig(prime_limit=limit)
+    specs = REF_SPECS if limit == 200 else [FIG51A, FIG53, QUAD]
+    for spec in specs:
+        for s in REF_POINTS:
+            got = euler_residual.G_f_line(spec, s, [0.0], cfg)
+            want = np.exp(np.sum(euler_residual._log_terms(spec, s, cfg.logp)))
+            assert got.shape == (1,)
+            assert abs(got[0] - want) <= 3e-14 * abs(want), (spec.class_tag, s)
+
+
+def test_kernel_batch_agrees_with_single_points(cfg):
+    # a batch shares the phase p^{-s0} and the split of the primes at its
+    # leftmost point; each point on its own may split elsewhere
+    u = 0.15 * np.sin(np.arange(17) * math.pi / 32) ** 2
+    for spec in (FIG53, QUAD):
+        for s0 in (0.5, 0.5 + 21.022j, 1.0):
+            got = euler_residual.G_f_line(spec, s0, u, cfg)
+            want = np.array([G_f(spec, s0 - uk, cfg) for uk in u])
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, (spec.class_tag, s0)
+
+
+def test_kernel_argument_errors(cfg):
+    with pytest.raises(RangeError):
+        euler_residual.G_f_line(FIG53, 0.5, [0.0, 0.2], cfg)  # reaches Re s = 0.3
+    for u in ([-0.1], [math.nan], [[0.1]], []):
+        with pytest.raises(DomainError):
+            euler_residual.G_f_line(FIG53, 0.5, u, cfg)
+    # a vanishing local factor is caught on the explicit primes of a batch
+    spec = parse_eps_spec("finite:[-1,-1]")
+    s_star = -math.log((math.sqrt(5.0) - 1.0) / 2.0) / math.log(2.0)
+    with pytest.raises(DomainError, match="p ~ 2,"):
+        euler_residual.G_f_line(spec, s_star + 0.1, [0.0, 0.1], cfg)

@@ -29,7 +29,7 @@ from fakemu.explicit_formula import (
     zero_sum,
 )
 from fakemu.sieve import direct_exp_sum
-from fakemu.euler_residual import G_f
+from fakemu.euler_residual import G_f, G_f_line
 from fakemu.zeta_kernel import ZetaKernel, default_kernel, gamma, zeta
 
 MOBIUS = parse_eps_spec("finite:[-1]")
@@ -544,10 +544,9 @@ def _cut_nodes(cut):
     ids=["mobius", "liouville", "ones", "fig51a", "fig53", "quadphase"],
 )
 def test_g_line_matches_direct_at_every_node(spec, a):
-    # The interpolant and a direct G_f each sit within G_f's own rounding
-    # of the exact product (up to ~2.8e-14 relative at Im s ~ 21, against
-    # a long-double evaluation over the same primes), so they may differ
-    # by twice that, 4 CHEB_TOL.
+    # The interpolant sits within CHEB_TOL of G and the kernel within
+    # ~6e-15 of it (against a long-double evaluation over the same
+    # primes), so they may differ by 4 CHEB_TOL.
     cuts, cfg = _fill_cuts(spec, a)
     if spec in (MOBIUS, LIOUVILLE, ONES):
         assert cuts == []  # residue and zero parts: no interpolant
@@ -555,40 +554,88 @@ def test_g_line_matches_direct_at_every_node(spec, a):
     for cut in cuts:
         u, cu = _cut_nodes(cut)
         got = cut.g_line(u, cu)
-        want = np.array([G_f(spec, cut.s0 - uk, cfg.gf_config) for uk in u])
+        want = G_f_line(spec, cut.s0, u, cfg.gf_config)
         rel = np.abs(got - want) / np.abs(want)
         assert rel.max() <= 4 * explicit_formula.CHEB_TOL, (cut.s0, rel.max())
 
 
 def _g_long_double(spec, s, logp):
-    """G(s) over the same float64 log-prime table, in long double."""
-    from fakemu.eps_model import _g_eval_array
+    """G over the same float64 log-prime table, in long double, at an array
+    of points s (blocks of 16 keep the (points x primes) arrays small).
+
+    g(u) takes the closed forms of _g_eval_array, which keep the long
+    double; a quadratic phase sums its series to |u|^K < 1e-21 instead."""
+    from fakemu.eps_model import _g_eval_array, eps_at
+
+    def g(u):
+        if spec.class_tag != "QUADPHASE":
+            return _g_eval_array(spec, u)
+        order = int(np.ceil(np.log(1e-21) / np.log(float(np.max(np.abs(u))))))
+        acc = np.zeros_like(u)
+        for k in range(order, 0, -1):
+            acc = (acc + np.clongdouble(eps_at(spec, k))) * u
+        return 1 + acc
 
     pars = zw_params(spec)
-    logp = logp.astype(np.longdouble)
-    s = complex(s)
-    mod = np.exp(-np.longdouble(s.real) * logp)
-    ph = -np.longdouble(s.imag) * logp
-    u = mod * np.cos(ph) + 1j * (mod * np.sin(ph)).astype(np.clongdouble)
     z, w = np.clongdouble(pars.z), np.clongdouble(pars.w)
-    total = np.sum(np.log(_g_eval_array(spec, u)) + z * np.log(1 - u) + w * np.log(1 - u * u))
-    return complex(np.exp(total))
+    logp = logp.astype(np.longdouble)
+    s = np.atleast_1d(np.asarray(s, dtype=np.complex128))
+    out = np.empty(s.size, dtype=np.complex128)
+    for lo in range(0, s.size, 16):
+        col = s[lo : lo + 16, None]
+        mod = np.exp(-col.real.astype(np.longdouble) * logp)
+        ph = -col.imag.astype(np.longdouble) * logp
+        u = (mod * np.cos(ph)).astype(np.clongdouble) + 1j * (mod * np.sin(ph))
+        total = np.sum(np.log(g(u)) + z * np.log(1 - u) + w * np.log(1 - u * u), axis=1)
+        out[lo : lo + 16] = np.exp(total)
+    return out
 
 
-@pytest.mark.skipif(
+LONG_DOUBLE = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
     reason="long double is float64 on this platform",
 )
-def test_g_line_within_the_rounding_of_G_f():
-    # against the product in long double, the interpolant is as close as a
-    # direct G_f is (both <= 2 CHEB_TOL; the direct call reaches ~2.8e-14)
+#: the reference points of test_euler_residual
+REF_SPECS = (MOBIUS, LIOUVILLE, ONES, FIG51A, FIG53, QUAD)
+REF_POINTS = [0.35, 0.4, 0.5, 0.45 + 0.03j, 0.42 + 14.13j, 1.0, 2.0]
+
+
+@pytest.fixture(scope="module")
+def fig53_nodes_long_double():
+    """fig53's quadrature cuts at a = 0.35, each with every node of its
+    deepest level and G there in long double."""
     cuts, cfg = _fill_cuts(FIG53, 0.35)
     logp = cfg.gf_config.logp
-    for cut in cuts:
-        u, cu = _cut_nodes(cut)
-        pick = slice(None, None, max(1, u.size // 12))
-        got = cut.g_line(u[pick], cu[pick])
-        want = np.array([_g_long_double(FIG53, cut.s0 - uk, logp) for uk in u[pick]])
+    return cfg, [
+        (cut, *_cut_nodes(cut), _g_long_double(FIG53, cut.s0 - _cut_nodes(cut)[0], logp))
+        for cut in cuts
+    ]
+
+
+@LONG_DOUBLE
+def test_G_kernel_within_8e_15_of_long_double(fig53_nodes_long_double):
+    # the parent's sum of three principal logs over all 9592 primes
+    # reached 2.6e-14 here: each log carries ~eps of absolute rounding
+    cfg, cuts = fig53_nodes_long_double
+    logp = cfg.gf_config.logp
+    for spec in REF_SPECS:
+        got = np.array([G_f(spec, s, cfg.gf_config) for s in REF_POINTS])
+        want = _g_long_double(spec, REF_POINTS, logp)
+        rel = np.abs(got - want) / np.abs(want)
+        assert rel.max() <= 8e-15, (spec.class_tag, rel.max())
+    for cut, u, _, want in cuts:
+        got = G_f_line(FIG53, cut.s0, u, cfg.gf_config)
+        rel = np.abs(got - want) / np.abs(want)
+        assert rel.max() <= 8e-15, (cut.s0, rel.max())
+
+
+@LONG_DOUBLE
+def test_g_line_within_the_rounding_of_G_f(fig53_nodes_long_double):
+    # against the product in long double, the interpolant is within
+    # 2 CHEB_TOL, its own bound (the kernel G_f_line reaches ~6e-15)
+    _, cuts = fig53_nodes_long_double
+    for cut, u, cu, want in cuts:
+        got = cut.g_line(u, cu)
         rel = np.abs(got - want) / np.abs(want)
         assert rel.max() <= 2 * explicit_formula.CHEB_TOL, (cut.s0, rel.max())
 
@@ -597,18 +644,23 @@ def test_g_line_reproduces_its_samples():
     # at its own Chebyshev points the interpolant returns the samples
     calls = []
 
-    def g(s):
-        calls.append(s)
-        return cmath.exp(s * s) / (s + 2.0)
+    def line(s0, u):
+        calls.append((s0, u))
+        s = s0 - u
+        return np.exp(s * s) / (s + 2.0)
 
-    line = explicit_formula._GLine(g, 0.5 + 3j, 0.15)
-    n = line.c.size - 1
-    assert len(calls) == n + 1 and len(set(calls)) == n + 1  # nested: no point twice
+    line_s0 = 0.5 + 3j
+    g_line = explicit_formula._GLine(line, line_s0, 0.15)
+    n = g_line.c.size - 1
+    points = np.concatenate([u for _, u in calls])
+    assert all(s0 == line_s0 for s0, _ in calls)
+    assert len(calls) == round(math.log2(n / 16)) + 1  # one call per degree
+    assert points.size == n + 1 and np.unique(points).size == n + 1  # nested: no point twice
     j = np.arange(n + 1)
     u = 0.15 * np.sin(j * math.pi / (2 * n)) ** 2
     cu = 0.15 * np.cos(j * math.pi / (2 * n)) ** 2
-    want = np.array([g(0.5 + 3j - uk) for uk in u])
-    assert np.max(np.abs(line(u, cu) - want) / np.abs(want)) <= 1e-14
+    want = line(line_s0, u)
+    assert np.max(np.abs(g_line(u, cu) - want) / np.abs(want)) <= 1e-14
 
 
 def _count_G_f(monkeypatch):
@@ -619,22 +671,43 @@ def _count_G_f(monkeypatch):
     return calls
 
 
+def _count_G_f_line(monkeypatch):
+    """Points of each G_f_line call, in call order."""
+    points = []
+    monkeypatch.setattr(
+        explicit_formula,
+        "G_f_line",
+        lambda spec, s0, u, cfg: points.append(len(u)) or G_f_line(spec, s0, u, cfg),
+    )
+    return points
+
+
 def test_g_line_degree_cap(monkeypatch):
     # s = 1's segment [1/2, 1] needs degree 64 for fig53; capped at 32
     # the coefficients have not decayed, and no per-node path takes over
     monkeypatch.setattr(explicit_formula, "CHEB_MAX_DEGREE", 32)
+    points = _count_G_f_line(monkeypatch)
     calls = _count_G_f(monkeypatch)
     with pytest.raises(QuadratureError, match="did not decay"):
         delta_1(FIG53, 1e3, FormulaConfig())
-    assert len(calls) == 33  # 17 + 16 samples, nothing after the error
+    # 17 + 16 points in two kernel calls, nothing after the error
+    assert (points, calls) == ([17, 16], [])
 
 
 def test_work_count_cold_evaluate(monkeypatch):
-    # one interpolant per cut (6 cuts at two pairs) instead of a G_f call
-    # per tanh-sinh node (808 calls before)
-    calls = _count_G_f(monkeypatch)
-    a_exp_formula(FIG53, 1e4, FormulaConfig(n_zeros=2))
-    assert len(calls) <= 250, len(calls)
+    # one kernel call per Chebyshev degree of each cut's interpolant (6
+    # cuts at two pairs), where a G_f call per tanh-sinh node took 808
+    from fakemu.explicit_formula import _ctx
+
+    points = _count_G_f_line(monkeypatch)
+    cfg = FormulaConfig(n_zeros=2)
+    a_exp_formula(FIG53, 1e4, cfg)
+    assert sum(points) <= 250, points
+    ctx, _ = _ctx(FIG53, cfg)
+    degrees = [cut.g_line.c.size - 1 for cut in ctx._cuts.values() if cut.mode == "quadrature"]
+    assert len(degrees) == 6
+    assert len(points) <= sum(round(math.log2(n / 16)) + 1 for n in degrees), (points, degrees)
+    assert sum(points) == sum(n + 1 for n in degrees)
 
 
 @pytest.mark.parametrize("spec", [FIG53, LIOUVILLE], ids=["quadrature", "residue"])
@@ -756,30 +829,31 @@ def test_parts_frozen(spec, x, d1, dh, rho):
 
 
 def test_direct_G_paths_bitwise_frozen():
-    # c_1/2, Watson coefficients and residues call G_f directly: unchanged
+    # c_1/2, Watson coefficients and residues call G_f directly, the G kernel
+    # at one point; frozen from it (Mobius, whose G is exactly 1, kept its bits)
     cfg = FormulaConfig(n_zeros=2)
-    assert c_half(FIG53, cfg) == 0.06840968849739835 + 0.10362335917983173j
-    assert c_half(FIG51A, cfg) == -0.09422578122261611 + 0.06516941744283833j
-    assert c_half(LIOUVILLE, cfg) == -0.6068573898369096 + 7.43185960002689e-17j
+    assert c_half(FIG53, cfg) == 0.06840968849739895 + 0.10362335917983154j
+    assert c_half(FIG51A, cfg) == -0.09422578122261548 + 0.06516941744283823j
+    assert c_half(LIOUVILLE, cfg) == -0.6068573898369163 + 7.431859600026971e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
-        0.8854657004659536 - 0.694628674026921j,
-        -0.7116549555245361 - 2.39305362949768j,
-        -3.353757560888026 - 3.195306640445266j,
+        0.8854657004659545 - 0.694628674026921j,
+        -0.7116549555245355 - 2.3930536294976803j,
+        -3.3537575608880426 - 3.1953066404451884j,
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
-        0.31880303445385105 + 0.3353786866282914j,
-        -0.8986811081294468 - 0.24279104743987395j,
-        -5.632969973908069 - 0.6117178597499855j,
+        0.31880303445385116 + 0.3353786866282914j,
+        -0.8986811081294499 - 0.24279104743987145j,
+        -5.632969973908088 - 0.6117178597499661j,
     ]
     assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
-        -6.254788380768613e-10 + 4.208171784212866e-10j,
-        2.597102711916895e-09 + 1.3126628633246947e-09j,
-        2.0899383780858922e-09 - 7.055732049228331e-09j,
+        -6.254788380768611e-10 + 4.208171784212864e-10j,
+        2.5971027119168934e-09 + 1.3126628633246947e-09j,
+        2.0899383780858686e-09 - 7.055732049228336e-09j,
     ]
-    assert delta_1(ONES, 1e3, cfg) == 1000.0000000000084 + 0j
-    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.190515667893525 + 2.350160358667294e-15j
+    assert delta_1(ONES, 1e3, cfg) == 1000.0 + 0j  # G(1) = 1 exactly
+    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.190515667893735 + 2.3501603586673195e-15j
     assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.716591697017171e-09 + 2.2455256930287247e-08j
-    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045642774e-13 - 4.079195044979681e-14j
+    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.610641704564282e-13 - 4.079195044979681e-14j
 
 
 # ---------------------------------------------------------------- zero index and shared sweeps
