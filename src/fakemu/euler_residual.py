@@ -12,11 +12,13 @@ calibrated heuristic bounds the dropped tail.  Any winding error a
 principal log could commit at the few smallest primes is caught by the
 global factorization-identity tests rather than per-factor logic.
 
-One kernel evaluates it: G_f_line(spec, s0, u) returns G(s0 - u_j) for an
-array of real u_j >= 0, the points of a horizontal segment, and G_f(s) is
-its one-point case u = [0].  With sigma_min = Re s0 - max u, every point
-has |p^{-s}| <= p^{-sigma_min}, and the primes split in two (H. Cohen,
-High precision computation of Hardy-Littlewood constants, 1998):
+One kernel evaluates it: G_f_line(spec, s0, u) returns G(s0_i - u_j)
+for real u_j >= 0, the points of a horizontal segment, and for one s0 or
+an array of them with one common real part (the cut at 1/2 and the zero
+cuts of the explicit formula); G_f(s) is its 1 x 1 case, s0 = s and
+u = [0].  With sigma_min = Re s0 - max u, every point has
+|p^{-s}| <= p^{-sigma_min}, and the primes split in two (H. Cohen, High
+precision computation of Hardy-Littlewood constants, 1998):
 
 - explicit primes, p^{-sigma_min} > RHO_SERIES = 0.07 (301 primes at
   sigma_min = 0.35, 46 at 1/2, 6 at 1), take the three principal logs of
@@ -34,25 +36,38 @@ vanish by the choice of z and w.  On |u| = R,
 
     |h| <= M = -log(1 - R/(1-R)) + |z| (-log(1-R)) + |w| (-log(1-R^2)),
 
-so Cauchy's estimate gives |a_k| <= M R^{-k}, R = CAUCHY_RADIUS = 0.45.  A
-series prime has r = p^{-sigma_min}/R <= 0.156, and dropping its orders
-above K leaves at most M r^{K+1}/(1-r) in log G.  Its order K_p is the
-least K with that at most SERIES_TOL/N, N series primes, so the dropped
-terms of all series primes together move log G by at most SERIES_TOL =
-2^-53, i.e. G by a relative 2^-53.  Orders reach 25 at sigma_min = 0.35
-(about 130000 prime-order pairs per point, 23000 at sigma_min = 1), and a
-prime whose K_p is 2 is left out.  On series primes |g| >= 1 - 0.07/0.93,
-so only the explicit primes can raise DomainError for a vanishing g.
+so Cauchy's estimate gives |a_k| <= M R^{-k}, R = CAUCHY_RADIUS = 0.45.
+The order bound reads the computed a_k up to _MAX_ORDER = 64 and Cauchy's
+estimate only past it: with rho = p^{-sigma_min} <= 0.07 and
+r = rho/R <= 0.156, dropping a series prime's orders above K leaves at most
+
+    T(rho, K) = sum_{K<k<=64} |a_k| rho^k + M r^65/(1-r)
+
+in log G.  Its order K_p is the least K with T <= SERIES_TOL/N, N series
+primes, so the dropped terms of all series primes together move log G by
+at most SERIES_TOL = 2^-53, i.e. G by a relative 2^-53.  T falls with
+rho, so one bisection per K over the primes finds where K starts to
+suffice.  Orders reach 18-19 at sigma_min = 0.35 (about 85000
+prime-order pairs per point at sigma_min = 0.4, against 109000 from
+Cauchy's estimate alone at every order), and a prime whose K_p is 2 is
+left out.  The orders are taken at sigma_min rounded down to a multiple
+of 1/256, which only adds terms (0.4% more pairs at 0.4), and kept for 64
+(spec, rounded sigma_min, prime limit).  On series primes |g| >= 1 - 0.07/0.93, so only
+the explicit primes can raise DomainError for a vanishing g.
 
 Shared phase.  On the segment u_p(s0 - u_j) = p^{-s0} p^{u_j}, so a call
-takes one complex exp per series prime and one real exp per (prime,
-point).  Per block of primes and per k, the row p^{-k s0} viewed as
-(2 x primes) reals times the real (primes x points) matrix p^{k u_j} is
-one matrix product.  Both are updated in place by one more factor, on the
-prefix of primes whose order reaches k; it shrinks as k grows.  The
-buffers hold _BLOCK = 2^15 entries (256 kB) each: a block holds
-_BLOCK / points primes (at least 256), so memory does not grow with the
-number of points or primes.
+takes one complex exp per (series prime, s0) and one real exp per (prime,
+point).  Per block of primes the real (primes x points) matrix p^{u_j},
+its cube and its update per order are computed once for all s0; per
+order k and per s0, the row p^{-k s0} viewed as (2 x primes) reals times
+p^{k u_j} is one matrix product, kept per row because BLAS blocking over
+several rows moves a row's bits with their number.  A zero's mirror,
+s0 = conj(rho), takes the products of rho with their imaginary parts
+negated: complex exp and products are conjugate-symmetric to the bit.  So
+each row has the bits it has in a call of its own.  The buffers hold at
+most _BLOCK = 2^14 float64 entries (128 kB) each, and the explicit logs
+go in blocks of 64 kB of complex, so memory does not grow with the number
+of rows, points or primes.
 
 Rounding.  A series term carries rounding relative to its own size,
 |u|^3 and below, so G's rounding comes from the explicit primes.  Their
@@ -113,8 +128,11 @@ SERIES_TOL = 2.0 ** -53
 #: Coefficients a_k are computed for k <= _MAX_ORDER; a series prime needs
 #: at most ~30 (module docstring); 64 would take ~1e36 series primes.
 _MAX_ORDER = 64
-#: Entries of one (primes x points) buffer of the series sum: 256 kB.
-_BLOCK = 2 ** 15
+#: Series orders are taken at sigma_min rounded down to a multiple of
+#: 1/_ORDER_GRID, and kept per (spec, that value, prime limit).
+_ORDER_GRID = 256
+#: Entries of one (primes x points) buffer of the series sum: 128 kB.
+_BLOCK = 2 ** 14
 
 
 @cache
@@ -156,16 +174,23 @@ def _log_near_unit(v: np.ndarray) -> np.ndarray:
 
 def _log_terms(spec: EpsilonSpec, s, logp: np.ndarray) -> np.ndarray:
     """Per-prime log G_p(s) with principal logs; s is a point or a column
-    of points, which broadcasts against logp (ascending).  A phase
-    Im(s) log p of u = p^{-s} of _PHASE_MAX_FLOAT64 rad or more is reduced
-    mod 2 pi in extended precision, as in zeta."""
+    of points, which broadcasts against logp (ascending).  At a point whose
+    phase Im(s) log p of u = p^{-s} reaches _PHASE_MAX_FLOAT64 rad the
+    phase is reduced mod 2 pi in extended precision, as in zeta; the choice
+    is made per point, so a point's bits do not depend on its batch."""
     pars = zw_params(spec)
     s = np.asarray(s, dtype=np.complex128)
-    if logp.size and np.max(np.abs(s.imag)) * logp[-1] >= _PHASE_MAX_FLOAT64:
-        phase = np.mod(s.imag.astype(_F128) * logp.astype(_F128), _TWO_PI_128)
-        u = np.exp(-s.real * logp) * np.exp(-1j * phase.astype(np.float64))
-    else:
-        u = np.exp(-s * logp)
+    shape = np.broadcast_shapes(s.shape, logp.shape)
+    col = s.reshape(-1, 1)
+    u = np.empty((col.shape[0], logp.size), dtype=np.complex128)
+    wide = np.abs(col[:, 0].imag) * (logp[-1] if logp.size else 0.0) >= _PHASE_MAX_FLOAT64
+    if not np.all(wide):
+        u[~wide] = np.exp(-col[~wide] * logp)
+    if np.any(wide):
+        w = col[wide]
+        phase = np.mod(w.imag.astype(_F128) * logp.astype(_F128), _TWO_PI_128)
+        u[wide] = np.exp(-w.real * logp) * np.exp(-1j * phase.astype(np.float64))
+    u = u.reshape(shape)
     g = _g_eval_array(spec, u.ravel()).reshape(u.shape)
     if np.any(np.abs(g) < 1e-12):
         bad = np.unravel_index(int(np.argmin(np.abs(g))), g.shape)
@@ -204,89 +229,191 @@ def _log_coeffs(spec: EpsilonSpec) -> np.ndarray:
     return a
 
 
-def _series_orders(spec: EpsilonSpec, sigma_min: float, logq: np.ndarray) -> np.ndarray:
-    """Last order K_p >= 2 of each series prime's power series at Re s >=
-    sigma_min: the least K with M r^{K+1}/(1-r) <= SERIES_TOL/N, where r =
-    p^{-sigma_min}/CAUCHY_RADIUS and N = logq.size.  Orders fall as p grows;
-    K_p = 2 drops the prime."""
+def _cauchy_m(spec: EpsilonSpec) -> float:
+    """M >= |log[g(u) (1-u)^z (1-u^2)^w]| on |u| = CAUCHY_RADIUS."""
     pars = zw_params(spec)
     radius = CAUCHY_RADIUS
-    m = (
+    return (
         -math.log1p(-radius / (1.0 - radius))
         - abs(pars.z) * math.log1p(-radius)
         - abs(pars.w) * math.log1p(-radius * radius)
     )
-    r = np.exp(-sigma_min * logq) / radius
-    k = np.ceil(np.log(SERIES_TOL * (1.0 - r) / (logq.size * m)) / np.log(r)) - 1.0
-    return np.maximum(k, 2.0).astype(np.int64)
+
+
+def _series_orders(spec: EpsilonSpec, sigma_min: float, logq: np.ndarray) -> np.ndarray:
+    """Last order K_p >= 2 of each series prime's power series at Re s >=
+    sigma_min: the least K whose dropped terms are bounded by SERIES_TOL/N,
+    N = logq.size, with rho = p^{-sigma_min} and r = rho/CAUCHY_RADIUS:
+
+        T(rho, K) = sum_{K<k<=_MAX_ORDER} |a_k| rho^k + M r^{_MAX_ORDER+1}/(1-r).
+
+    T falls with rho, so the primes that meet the bound at order K are the
+    primes from some index i_K on; a bisection per K finds i_K, and K_p is
+    the least K with i_K <= p.  Orders fall as p grows; K_p = 2 drops the
+    prime."""
+    a = np.abs(_log_coeffs(spec))[3:]  # k = 3.._MAX_ORDER
+    k = np.arange(3, _MAX_ORDER + 1)
+    m = _cauchy_m(spec)
+    n = logq.size
+    tol = SERIES_TOL / max(n, 1)
+    orders = np.arange(2, _MAX_ORDER + 1)  # K
+
+    def tail(i: np.ndarray) -> np.ndarray:
+        """T(rho_{i_K}, K) for each K, rho_i = p_i^{-sigma_min}."""
+        rho = np.exp(-sigma_min * logq[i])
+        r = rho / CAUCHY_RADIUS
+        rest = m * r ** (_MAX_ORDER + 1) / (1.0 - r)
+        # above[j, K - 2]: the terms of order above K at rho_j
+        above = np.cumsum((rho[:, None] ** k * a)[:, ::-1], axis=1)[:, ::-1]
+        above = np.concatenate([above, np.zeros((rho.size, 1))], axis=1) + rest[:, None]
+        return above[np.arange(orders.size), orders - 2]
+
+    lo = np.zeros(orders.size, dtype=np.int64)
+    hi = np.full(orders.size, n, dtype=np.int64)  # n: no prime meets it
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        good = tail(np.minimum(mid, n - 1)) <= tol
+        hi = np.where(good & (lo < hi), mid, hi)
+        lo = np.where(~good & (lo < hi), mid + 1, lo)
+    if n and hi[-1] > 0:
+        raise RangeError(f"series primes need orders above {_MAX_ORDER}")
+    first = np.sort(hi)  # i_K, non-increasing in K
+    # K_p = 2 + the number of K whose first index lies beyond p
+    return 2 + orders.size - np.searchsorted(first, np.arange(n), side="right")
+
+
+@lru_cache(maxsize=64)
+def _series_active(spec: EpsilonSpec, sigma_min: float, prime_limit: int, n_exp: int) -> np.ndarray:
+    """active[k]: the number of series primes (a prefix of the primes past
+    the n_exp explicit ones) whose order reaches k, k = 0..top+1."""
+    order = _series_orders(spec, sigma_min, _log_primes(prime_limit)[n_exp:])
+    active = np.searchsorted(-order, -np.arange(int(order[0]) + 2), side="right")
+    active.flags.writeable = False
+    return active
 
 
 def _series_sum(
-    a: np.ndarray, s0: complex, u: np.ndarray, logq: np.ndarray, order: np.ndarray
+    a: np.ndarray, s0: np.ndarray, u: np.ndarray, logq: np.ndarray, active: np.ndarray
 ) -> np.ndarray:
-    """sum_p sum_{k=3}^{K_p} a_k u_p^k at s0 - u_j, with u_p = p^{-s0} p^{u_j}.
+    """sum_p sum_{k=3}^{K_p} a_k u_p^k at s0_i - u_j, u_p = p^{-s0_i} p^{u_j},
+    as an (s0 x u) array.
 
-    Per block of primes and per k, the complex row p^{-k s0}, viewed as
-    (2 x primes) reals, times the real (primes x points) matrix p^{k u_j}.
-    Both are updated in place by one more factor, on the prefix of primes
-    whose order reaches k, which shrinks as k grows.
+    Per block of primes, the real (primes x points) matrix e1 = p^{u_j},
+    its cube ek and its per-order updates are shared by all rows s0_i.  Per
+    order k and per row, the complex row p^{-k s0_i}, viewed as (2 x
+    primes) reals, times ek is one matrix product: BLAS blocking over
+    several rows would move a row's bits with their number.  A row whose
+    s0 is the conjugate of an earlier one (a zero's mirror) takes that
+    row's products with the sign of their imaginary part flipped: complex
+    exp and products are conjugate-symmetric to the bit, so these are the
+    products the row would compute.  Both factors are updated in place by
+    one more factor, on the prefix of primes whose order reaches k, which
+    shrinks as k grows.  Each buffer holds at most _BLOCK float64 entries;
+    the rows go in as many groups as their p^{-k s0} buffer needs.
     """
-    out = np.zeros(u.size, dtype=np.complex128)
-    top = int(order[0])
-    # active[k]: the primes whose order reaches k, a prefix of logq
-    active = np.searchsorted(-order, -np.arange(top + 2), side="right")
+    reps: list[complex] = []  # the rows whose products are computed
+    src, sign = [], []
+    for v in s0.tolist():
+        for j, r in enumerate(reps):
+            if v == r or v == r.conjugate():
+                src.append(j)
+                sign.append(1.0 if v == r else -1.0)
+                break
+        else:
+            src.append(len(reps))
+            sign.append(1.0)
+            reps.append(v)
+    out = np.zeros((s0.size, u.size), dtype=np.complex128)
+    top = active.size - 2
     n = int(active[3])
     if n == 0:
         return out
+    m = len(reps)
     width = min(n, max(256, _BLOCK // u.size))
+    rows = min(m, max(1, _BLOCK // (2 * width)))
     e1_buf, ek_buf = np.empty((width, u.size)), np.empty((width, u.size))
-    c1_buf, ck_buf = np.empty(width, np.complex128), np.empty(width, np.complex128)
-    sums = np.empty((top + 1, 2, u.size))
+    c1_buf = np.empty((rows, width), np.complex128)
+    ck_buf = np.empty((rows, width), np.complex128)
+    sums = np.empty((top + 1, rows, 2, u.size))
+    minus_s0 = -np.array(reps)
     for lo in range(0, n, width):
         nb = min(width, n - lo)
-        e1, ek, c1, ck = e1_buf[:nb], ek_buf[:nb], c1_buf[:nb], ck_buf[:nb]
         q = logq[lo : lo + nb]
-        np.exp(np.multiply(-s0, q, out=c1), out=c1)
-        np.exp(np.multiply.outer(q, u, out=e1), out=e1)
-        np.multiply(np.multiply(e1, e1, out=ek), e1, out=ek)
-        np.multiply(np.multiply(c1, c1, out=ck), c1, out=ck)
-        ck_pairs = ck.view(np.float64).reshape(nb, 2)
         count = np.clip(active - lo, 0, nb)
-        k = 3
-        while True:
-            np.matmul(ck_pairs[: count[k]].T, ek[: count[k]], out=sums[k])
-            nxt = count[k + 1]
-            if not nxt:
-                break
-            np.multiply(ek[:nxt], e1[:nxt], out=ek[:nxt])
-            np.multiply(ck[:nxt], c1[:nxt], out=ck[:nxt])
-            k += 1
-        out += a[3 : k + 1] @ (sums[3 : k + 1, 0] + 1j * sums[3 : k + 1, 1])
+        for r0 in range(0, m, rows):
+            mr = min(rows, m - r0)
+            e1, ek = e1_buf[:nb], ek_buf[:nb]
+            c1, ck = c1_buf[:mr, :nb], ck_buf[:mr, :nb]
+            np.exp(np.multiply.outer(q, u, out=e1), out=e1)
+            np.multiply(np.multiply(e1, e1, out=ek), e1, out=ek)
+            np.exp(np.multiply.outer(minus_s0[r0 : r0 + mr], q, out=c1), out=c1)
+            np.multiply(np.multiply(c1, c1, out=ck), c1, out=ck)
+            # (rows x 2 x primes): numpy takes one product per row of the stack
+            ck_pairs = ck.view(np.float64).reshape(mr, nb, 2).transpose(0, 2, 1)
+            k = 3
+            while True:
+                np.matmul(ck_pairs[:, :, : count[k]], ek[: count[k]], out=sums[k, :mr])
+                nxt = count[k + 1]
+                if not nxt:
+                    break
+                np.multiply(ek[:nxt], e1[:nxt], out=ek[:nxt])
+                np.multiply(ck[:, :nxt], c1[:, :nxt], out=ck[:, :nxt])
+                k += 1
+            for i, (j, sg) in enumerate(zip(src, sign)):
+                if r0 <= j < r0 + mr:
+                    terms = sums[3 : k + 1, j - r0]
+                    im = terms[:, 1] if sg > 0 else -terms[:, 1]
+                    out[i] += a[3 : k + 1] @ (terms[:, 0] + 1j * im)
     return out
 
 
+#: (points x explicit primes) entries per block of the explicit logs:
+#: 64 kB of complex for each of their few temporaries
+_EXPLICIT_BLOCK = _BLOCK // 8
+
+
 def G_f_line(
-    spec: EpsilonSpec, s0: complex, u, cfg: Optional[GfConfig] = None
+    spec: EpsilonSpec, s0, u, cfg: Optional[GfConfig] = None
 ) -> np.ndarray:
-    """Truncated residual Euler product at s0 - u_j for real u_j >= 0
-    (Re s0 - max u >= 0.35), one call per batch of points."""
-    s0 = complex(s0)
+    """Truncated residual Euler product at s0_i - u_j for real u_j >= 0
+    (Re s0 - max u >= 0.35), one call per batch of points.
+
+    s0 is one point, which gives an array over u, or a 1-d array of points
+    with one common real part, which gives an (s0 x u) array; each row has
+    the bits it has alone.
+    """
+    s0_in = np.asarray(s0, dtype=np.complex128)
+    rows = s0_in.reshape(-1)
+    if s0_in.ndim > 1 or rows.size == 0 or not np.all(np.isfinite(rows)):
+        raise DomainError("G_f_line requires one finite s0 or a non-empty 1-d array of them")
+    if np.any(rows.real != rows[0].real):
+        raise DomainError("the s0 of one G_f_line call must share their real part")
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size == 0 or not np.all(np.isfinite(u) & (u >= 0.0)):
         raise DomainError("G_f_line requires a non-empty 1-d array of finite u >= 0")
-    sigma_min = s0.real - float(u.max())
+    sigma_min = float(rows[0].real) - float(u.max())
     if not sigma_min >= RE_S_MIN:
         raise RangeError(f"G_f requires Re s >= {RE_S_MIN}")
     if cfg is None:
         cfg = GfConfig()
     logp = cfg.logp
     n_exp = int(np.searchsorted(logp, -math.log(RHO_SERIES) / sigma_min))
-    log_g = np.sum(_log_terms(spec, (s0 - u)[:, None], logp[:n_exp]), axis=1)
+    points = (rows[:, None] - u).reshape(-1)
+    log_g = np.empty(points.size, dtype=np.complex128)
+    step = max(1, _EXPLICIT_BLOCK // max(n_exp, 1))
+    for lo in range(0, points.size, step):
+        col = points[lo : lo + step, None]
+        log_g[lo : lo + step] = np.sum(_log_terms(spec, col, logp[:n_exp]), axis=1)
+    log_g = log_g.reshape(rows.size, u.size)
     a = _log_coeffs(spec)
     if n_exp < logp.size and np.any(a[3:]):
-        logq = logp[n_exp:]
-        log_g += _series_sum(a, s0, u, logq, _series_orders(spec, sigma_min, logq))
-    return np.exp(log_g)
+        # orders for a Re s below sigma_min still bound the dropped terms;
+        # a grid of them keeps few in the cache (a Watson ring has 256 Re s)
+        sigma_grid = math.floor(sigma_min * _ORDER_GRID) / _ORDER_GRID
+        active = _series_active(spec, sigma_grid, cfg.prime_limit, n_exp)
+        log_g += _series_sum(a, rows, u, logp[n_exp:], active)
+    out = np.exp(log_g)
+    return out if s0_in.ndim == 1 else out[0]
 
 
 def G_f(spec: EpsilonSpec, s: complex, cfg: Optional[GfConfig] = None) -> complex:

@@ -36,8 +36,14 @@ z = -1 (resp. w = 1) the residue formulas must.
 Quadrature is tanh-sinh, which absorbs the endpoint singularities.  Only
 e^{-Lu} depends on x, so a cut builds each level L (nodes t = k 2^{1-L}:
 u, log u, weights and J) once, as arrays, and evaluates J only at the odd
-k, the even k being level L-1's nodes.  A cut holds at most MAX_LEVEL - 2
-levels; another x reads them and builds no node.
+k, the even k being level L-1's nodes, in one call on their arrays.  J is
+an array function throughout: zeta, gamma and L1 take arrays, L1 on the
+cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.line reads
+or continues both logs at all new nodes at once; J1, J_half, J_rho and
+J(0) are its one-point case, and a point's J has the same bits alone and
+inside a level.  A cut
+holds at most MAX_LEVEL - 2 levels; another x reads them and builds no
+node.
 
 At the tanh-sinh nodes G(s0 - u), s0 = 1, 1/2 or rho, comes from one
 Chebyshev interpolant per cut (class _GLine) on the segment 0 <= u <= b,
@@ -50,8 +56,15 @@ each level reusing the previous samples, until the last quarter of the
 coefficients lies below CHEB_TOL = 2^-46 of the largest; past
 CHEB_MAX_DEGREE it raises QuadratureError.  The interpolant is built the
 first time the cut runs its quadrature, with one call of the G kernel
-euler_residual.G_f_line per level (17 points, then 16, 32, ...), where a
-G_f call per node cost hundreds.  Its stopping test
+euler_residual.G_f_line per degree (17 points, then 16, 32, ...), where a
+G_f call per node cost hundreds.  The cut at 1/2 and every zero cut share
+the segment length 1/2 - a and Re s0 = 1/2, so a_exp_formula and zero_sum
+sample all of those in quadrature mode in lock-step (_sample_g_lines):
+one kernel call per degree for the whole group, whose rows share the
+prime powers p^{u_j}.  Each cut applies its own stopping test, only the
+unconverged ones go on to the next degree, and each row has the bits it
+has alone, so a cut's interpolant does not depend on its group;
+delta_half or delta_rho called alone is a group of one.  The stopping test
 is an a-posteriori estimate, not a bound: it reads the decay of the
 coefficients already computed.  A bound would need max |G| on a Bernstein
 ellipse around the segment, which nothing here computes, and a feature
@@ -210,43 +223,61 @@ def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class _GLine:
-    """G(s0 - u) for 0 <= u <= b, from samples at Chebyshev points.
+    """G(s0 - u) for 0 <= u <= b, from its Chebyshev coefficients c.
 
-    u_j = b sin^2(j pi/2n) (x_j = cos(j pi/n) = 1 - 2u/b); each doubling of
-    n keeps the previous samples.  line(s0, u) is G at s0 - u over an array
-    of real u (G_f_line), called once per degree.
+    The samples come from _sample_g_lines: u_j = b sin^2(j pi/2n) (x_j =
+    cos(j pi/n) = 1 - 2u/b).
     """
 
-    def __init__(
-        self, line: Callable[[complex, np.ndarray], np.ndarray], s0: complex, b: float
-    ):
-        self.b = b
-
-        def sample(n: int, j: np.ndarray) -> np.ndarray:
-            return line(s0, b * np.sin(j * (math.pi / (2 * n))) ** 2)
-
-        n = CHEB_MIN_DEGREE
-        vals = sample(n, np.arange(n + 1))
-        while True:
-            c = _cheb_coeffs(vals)
-            mag = np.abs(c)
-            if np.max(mag[3 * n // 4:]) <= CHEB_TOL * np.max(mag):
-                break
-            if 2 * n > CHEB_MAX_DEGREE:
-                raise QuadratureError(
-                    f"Chebyshev coefficients of G on [{s0 - b}, {s0}] did not "
-                    f"decay to {CHEB_TOL:.3g} by degree {n}"
-                )
-            both = np.empty(2 * n + 1, dtype=np.complex128)
-            both[::2] = vals
-            both[1::2] = sample(2 * n, np.arange(1, 2 * n, 2))
-            vals, n = both, 2 * n
+    def __init__(self, c: np.ndarray, b: float):
         self.c = c
+        self.b = b
 
     def __call__(self, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
         """G at s0 - u, with cu = b - u; x comes from the smaller of the two."""
         x = np.where(u <= cu, 1.0 - 2.0 * u / self.b, 2.0 * cu / self.b - 1.0)
         return _clenshaw(self.c, x)
+
+
+def _sample_g_lines(
+    line: Callable[[np.ndarray, np.ndarray], np.ndarray], s0: np.ndarray, b: float
+) -> list[_GLine]:
+    """The interpolants of G on the segments s0_i - [0, b], in lock-step.
+
+    line(s0, u) is G at s0_i - u_j as an (s0 x u) array (G_f_line).  All
+    rows are sampled at degree CHEB_MIN_DEGREE in one call; each doubling
+    of n keeps the previous samples, and only the rows whose own stopping
+    test failed go on to the next degree, again in one call.  A row's
+    samples and coefficients do not depend on the rows beside it.
+    """
+    def points(n: int, j: np.ndarray) -> np.ndarray:
+        return b * np.sin(j * (math.pi / (2 * n))) ** 2
+
+    n = CHEB_MIN_DEGREE
+    live = np.arange(s0.size)
+    vals = line(s0, points(n, np.arange(n + 1)))
+    coeffs: list[Optional[np.ndarray]] = [None] * s0.size
+    while True:
+        done = np.zeros(live.size, dtype=bool)
+        for i, row in enumerate(vals):
+            c = _cheb_coeffs(row)
+            mag = np.abs(c)
+            if np.max(mag[3 * n // 4:]) <= CHEB_TOL * np.max(mag):
+                coeffs[live[i]] = c
+                done[i] = True
+        if np.all(done):
+            return [_GLine(c, b) for c in coeffs]
+        live, vals = live[~done], vals[~done]
+        if 2 * n > CHEB_MAX_DEGREE:
+            s = complex(s0[live[0]])
+            raise QuadratureError(
+                f"Chebyshev coefficients of G on [{s - b}, {s}] did not "
+                f"decay to {CHEB_TOL:.3g} by degree {n}"
+            )
+        both = np.empty((live.size, 2 * n + 1), dtype=np.complex128)
+        both[:, ::2] = vals
+        both[:, 1::2] = line(s0[live], points(2 * n, np.arange(1, 2 * n, 2)))
+        vals, n = both, 2 * n
 
 
 # --------------------------------------------------------------------------
@@ -257,14 +288,16 @@ class _GLine:
 class _Cut:
     """The Selberg-Delange step at one branch point xi (module docstring).
 
-    j(u, cu, g) is J_xi, with cu = b - u passed exactly near the right end
-    and g the value of G at s = s0 - u (G_f is called when g is None).
-    level(L) builds tanh-sinh level L once and takes G at its nodes from
-    g_line, the Chebyshev interpolant of G on the segment, built on first
-    use; every other J (Watson ring, J(0), complex u) calls G_f.
-    ring(r, n), if given, walks J_xi around n equispaced points of
-    |u| = r (else J is called at each); residue() computes c_xi on first
-    use.  J and its ring exist in every mode.
+    j(u, cu, g) is J_xi over an array of u, with cu = b - u passed exactly
+    near the right end and g the values of G at s = s0 - u (G_f is called
+    at each point when g is None).  level(L) builds tanh-sinh level L once,
+    takes G at its new nodes from g_line, the Chebyshev interpolant of G on
+    the segment, and calls j once on them; every other J (Watson ring,
+    J(0), complex u) calls G_f.  g_line is sampled on first use, alone,
+    unless a caller sampled it with other cuts of its segment
+    (_sample_g_lines).  ring(r, n), if given, gives J_xi at n equispaced
+    points of |u| = r (else j is called on them); residue() computes c_xi
+    on first use.  J and its ring exist in every mode.
     """
 
     beta: complex
@@ -272,17 +305,14 @@ class _Cut:
     alpha_right: float
     sine: complex
     x_pow: Callable[[float], complex]
-    j: Callable[..., complex]
+    j: Callable[..., np.ndarray]
     mode: str  # quadrature | residue | zero
     residue: Callable[[], complex]
     s0: complex  # G is read at s0 - u
-    g_on_line: Callable[[complex, np.ndarray], np.ndarray]  # G_f_line
+    g_on_line: Callable[[np.ndarray, np.ndarray], np.ndarray]  # G_f_line
     ring: Optional[Callable[[float, int], np.ndarray]] = None
+    g_line: Optional[_GLine] = field(default=None, init=False, repr=False)
     levels: list = field(default_factory=list, init=False, repr=False)  # level L at L - 3
-
-    @cached_property
-    def g_line(self) -> _GLine:
-        return _GLine(self.g_on_line, self.s0, self.b)
 
     @cached_property
     def t_range(self) -> tuple[float, float]:
@@ -293,19 +323,19 @@ class _Cut:
         """(u, cu = b - u, log u, weight, J) at the nodes t = k 2^{1-L} of
         level L >= 3, built once.  Levels are nested: the even k of level L
         are the nodes of level L-1, whose J it copies, so G and J are
-        evaluated only at its odd k."""
+        evaluated only at its odd k, in one call each."""
         if L - 3 < len(self.levels):
             return self.levels[L - 3]
         below = self.level(L - 1)[4] if L > 3 else None
+        if self.g_line is None:
+            (self.g_line,) = _sample_g_lines(self.g_on_line, np.array([self.s0]), self.b)
         t_left, t_right = self.t_range
         h = 2.0 ** (1 - L)
         k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
         u, cu, wts = _ts_points(self.b, k * h)
         new = k % 2 == 1 if below is not None else np.full(k.size, True)
-        g = self.g_line(u[new], cu[new]).tolist()
         j = np.empty(k.size, dtype=np.complex128)
-        new_u, new_cu = u[new].tolist(), cu[new].tolist()
-        j[new] = [self.j(complex(uk), ck, gk) for uk, ck, gk in zip(new_u, new_cu, g)]
+        j[new] = self.j(u[new], cu[new], self.g_line(u[new], cu[new]))
         if below is not None:
             j[~new] = below
         self.levels.append((u, cu, np.log(u), wts, j))
@@ -314,6 +344,11 @@ class _Cut:
     @cached_property
     def coef(self) -> complex:
         return self.residue()
+
+    @cached_property
+    def j0(self) -> complex:
+        """J_xi(0), the one-point case of j."""
+        return complex(self.j(np.zeros(1))[0])
 
     def _require_integrable(self) -> None:
         if self.beta.real >= 1.0:
@@ -346,7 +381,7 @@ class _Cut:
         if self.mode == "residue":
             return self.coef
         self._require_integrable()
-        return self.sine * gamma(1.0 - self.beta) * self.j(0.0)
+        return self.sine * gamma(1.0 - self.beta) * self.j0
 
     def coeffs(self, M: int) -> list[complex]:
         """Taylor coefficients lambda_0..M of J_xi at u = 0 (trapezoid rule
@@ -354,12 +389,12 @@ class _Cut:
         if M < 0 or M > 8:
             raise DomainError("Watson order M must be in [0, 8]")
         r, nodes = WATSON_RADIUS, WATSON_NODES
-        j0 = self.j(0.0)
+        j0 = self.j0
         ang = 2.0 * math.pi * np.arange(nodes) / nodes
         if self.ring is not None:
             vals = self.ring(r, nodes)
         else:
-            vals = np.array([self.j(complex(r * np.cos(t), r * np.sin(t))) for t in ang])
+            vals = self.j(r * np.exp(1j * ang))
         coeffs = [
             complex(np.mean(vals * np.exp(-1j * k * ang))) / r ** k
             for k in range(M + 1)
@@ -400,14 +435,39 @@ class _Ctx:
         self.z = self.pars.z
         self.w = self.pars.w
         self._cuts: dict = {}
+        self._sampled: set[bool] = set()  # sample_a_segment calls done
 
     def G(self, s: complex) -> complex:
         """The residual Euler product, called directly."""
         return G_f(self.spec, s, self.cfg.gf_config)
 
-    def G_line(self, s0: complex, u: np.ndarray) -> np.ndarray:
-        """G at s0 - u over an array of real u >= 0, in one call."""
+    def G_points(self, s: np.ndarray) -> np.ndarray:
+        """G_f at each point of an array."""
+        return np.array([self.G(v) for v in s.tolist()], dtype=np.complex128)
+
+    def G_line(self, s0: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """G at s0_i - u_j, an (s0 x u) array, in one call."""
         return G_f_line(self.spec, s0, u, self.cfg.gf_config)
+
+    def sample_a_segment(self, half: bool) -> None:
+        """Sample, in lock-step, the G interpolants of the quadrature cuts
+        of the first n_zeros zeros (and their mirrors), with the cut at 1/2
+        if half, that have none yet: all lie on the a-segment, b = 1/2 - a
+        and Re s0 = 1/2.  Done once per context for each value of half."""
+        if half in self._sampled:
+            return
+        self._sampled.add(half)
+        keys = ["half"] if half else []
+        keys += _zero_keys(self.cfg.n_zeros, self.spec.is_real_valued())
+        cuts = [self.cut(key) for key in keys]
+        cuts = [
+            c for c in cuts
+            if c.mode == "quadrature" and c.g_line is None and c.beta.real < 1.0
+        ]
+        if cuts:
+            lines = _sample_g_lines(self.G_line, np.array([c.s0 for c in cuts]), cuts[0].b)
+            for cut, line in zip(cuts, lines):
+                cut.g_line = line
 
     # -- branch points ----------------------------------------------------------
 
@@ -467,61 +527,72 @@ class _Ctx:
         )
 
     # -- integrands -----------------------------------------------------------
+    # Each takes an array of u (real nodes or complex ring points) and
+    # returns J there; g holds G at s0 - u, or None for a G_f call per point.
 
-    def j1(self, u: complex, cu: Optional[float] = None, g: Optional[complex] = None) -> complex:
+    def j1(self, u, cu: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None) -> np.ndarray:
         """J_1; cu = 1/2 - u passed exactly near the right endpoint, g = G(1 - u)."""
         k = self.kernel
+        u = np.asarray(u, dtype=np.complex128)
         one_minus_2u = 2.0 * cu if cu is not None else 1.0 - 2.0 * u
         lz1 = k.L1(1.0 - u)
         lz2 = k.L1(2.0 - 2.0 * u)
         return (
-            cmath.exp(self.z * lz1 + self.w * lz2)
+            np.exp(self.z * lz1 + self.w * lz2)
             * one_minus_2u ** (-self.w)
-            * (self.G(1.0 - u) if g is None else g)
+            * (self.G_points(1.0 - u) if g is None else g)
             * gamma(1.0 - u)
         )
 
-    def j_half(self, u: complex, cu: Optional[float] = None, g: Optional[complex] = None) -> complex:
+    def j_half(self, u, cu: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None) -> np.ndarray:
         """J_half; g = G(1/2 - u) (cu is not needed)."""
         k = self.kernel
+        u = np.asarray(u, dtype=np.complex128)
         half_minus = 0.5 - u
         lz1 = k.L1(half_minus)
         lz2 = k.L1(1.0 - 2.0 * u)
         return (
             half_minus
             * (0.5 + u) ** (-self.z)
-            * cmath.exp(self.z * lz1 + self.w * lz2)
+            * np.exp(self.z * lz1 + self.w * lz2)
             / (1.0 - 2.0 * u)
-            * (self.G(half_minus) if g is None else g)
+            * (self.G_points(half_minus) if g is None else g)
             * gamma(half_minus)
         )
 
     def _j_rho_at(
-        self, rho: complex, u: complex, lr: complex, cz: complex, g: Optional[complex] = None
-    ) -> complex:
+        self, rho: complex, u: np.ndarray, lr: np.ndarray, cz: np.ndarray,
+        g: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """J_rho at u from the branch values lr = log((s-1) zeta(s)/(s-rho)),
         cz = log zeta(2s), s = rho - u, and g = G(s)."""
         s = rho - u
         return (
             (rho - 1.0 - u) ** (-self.z)
-            * (self.G(s) if g is None else g)
-            * cmath.exp(self.z * lr + self.w * cz)
+            * (self.G_points(s) if g is None else g)
+            * np.exp(self.z * lr + self.w * cz)
             * gamma(s)
         )
 
     def j_rho(
-        self, zero_index: int, conjugate: bool, u: complex, g: Optional[complex] = None
-    ) -> complex:
+        self, zero_index: int, conjugate: bool, u, g: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """J_rho; real u read the sweep's line in one call, complex u leave
+        it one point at a time."""
         sw = self.kernel.rho_sweep(zero_index, conjugate)
-        return self._j_rho_at(sw.rho, u, sw.local(u), sw.zeta2(u), g)
+        u = np.asarray(u, dtype=np.complex128)
+        if np.all(u.imag == 0.0):
+            lr, cz = sw.line(u.real)
+        else:
+            lr = np.array([sw.local(v) for v in u.tolist()], dtype=np.complex128)
+            cz = np.array([sw.zeta2(v) for v in u.tolist()], dtype=np.complex128)
+        return self._j_rho_at(sw.rho, u, lr, cz, g)
 
     def j_rho_ring(self, zero_index: int, conjugate: bool, r: float, n: int) -> np.ndarray:
         """J_rho on the circle |u| = r (n nodes), walked from the real axis."""
         sw = self.kernel.rho_sweep(zero_index, conjugate)
-        return np.array(
-            [self._j_rho_at(sw.rho, u, lr, cz) for u, lr, cz in sw.ring(r, n)],
-            dtype=np.complex128,
-        )
+        u, lr, cz = (np.array(v, dtype=np.complex128) for v in zip(*sw.ring(r, n)))
+        return self._j_rho_at(sw.rho, u, lr, cz)
 
     def zeta_2rho_pow_w(self, zero_index: int, conjugate: bool = False) -> complex:
         return cmath.exp(self.w * self.kernel.rho_sweep(zero_index, conjugate).zeta2(0.0))
@@ -547,7 +618,7 @@ def J1(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -> co
     if abs(u) >= 0.5 or (u.imag == 0 and u.real >= 0.5):
         raise RangeError("J1 requires |u| < 1/2 off the cut [1/2, inf)")
     ctx, _ = _ctx(spec, cfg)
-    return ctx.j1(u)
+    return complex(ctx.j1(np.array([u]))[0])
 
 
 def J_half(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -> complex:
@@ -558,7 +629,7 @@ def J_half(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -
         raise RangeError("J_half requires |u| < 1/2 - a")
     if (0.5 - u).real < RE_S_MIN:
         raise RangeError(f"J_half requires Re(1/2-u) >= {RE_S_MIN}")
-    return ctx.j_half(u)
+    return complex(ctx.j_half(np.array([u]))[0])
 
 
 def J_rho(
@@ -573,7 +644,7 @@ def J_rho(
     if u.imag == 0.0 and 0.0 <= u.real and (0.5 - u.real) < RE_S_MIN - 1e-12:
         raise RangeError(f"J_rho real path requires Re(rho - u) >= {RE_S_MIN}")
     ctx, _ = _ctx(spec, cfg)
-    return ctx.j_rho(zero_index, False, u)
+    return complex(ctx.j_rho(zero_index, False, np.array([u]))[0])
 
 
 # --------------------------------------------------------------------------
@@ -624,11 +695,19 @@ def delta_rho(
     return ctx.cut((zero_index, conjugate)).delta(x)
 
 
+def _zero_keys(n_zeros: int, real: bool) -> list:
+    """Cut keys of the first n_zeros zeros and, unless the spec is real
+    (its mirror terms are conjugates), of their mirrors."""
+    return [(k, conj) for k in range(1, n_zeros + 1) for conj in ((False,) if real else (False, True))]
+
+
 def _zero_pairs(
     spec: EpsilonSpec, x: float, cfg: FormulaConfig
 ) -> list[tuple[int, complex]]:
-    """(k, Delta_rho + Delta_{conj rho}) for the first n_zeros zeros."""
+    """(k, Delta_rho + Delta_{conj rho}) for the first n_zeros zeros; the
+    G interpolants of their cuts are sampled in lock-step first."""
     real = spec.is_real_valued()
+    _ctx(spec, cfg)[0].sample_a_segment(half=False)
     pairs = []
     for k in range(1, cfg.n_zeros + 1):
         d = delta_rho(spec, k, x, cfg)
@@ -707,6 +786,7 @@ def a_exp_formula(
         "delta_rho": ctx.cut((1, False)).mode,
     }
     d1 = delta_1(spec, x, cfg)
+    ctx.sample_a_segment(half=True)
     dh = delta_half(spec, x, cfg)
     pairs = _zero_pairs(spec, x, cfg)
     zsum = sum((p for _, p in pairs), 0.0 + 0.0j)

@@ -1,6 +1,7 @@
 """Self-check suites behind `fakemu verify --suite {core|oracle|asymptotics}`.
 
-core:         parser/sequence semantics, the coefficients of log G, zeta-kernel identities
+core:         parser/sequence semantics, the coefficients of log G, zeta-kernel
+              identities, and batch against one-point bits of the array kernels
 oracle:       sieve ground truths and direct-vs-formula closure
 asymptotics:  Watson remainder order, sine-factor exactness, bias labels
 
@@ -147,10 +148,43 @@ def check_zero_table() -> None:
         assert abs(zk.zeta(complex(0.5, g))) <= 1e-8, g
 
 
+def check_array_kernels() -> None:
+    # a point's bits are the same alone and inside a mixed batch: zeta and
+    # gamma, J over one tanh-sinh level (on fresh kernels, so the zero's
+    # sweep computes every node), and a G line sampled with others on its
+    # segment or alone
+    rng = random.Random(29)
+    pts = [complex(rng.uniform(-1.0, 5.0), rng.uniform(-60.0, 60.0)) for _ in range(24)]
+    pts += [0.5, 2.0, 0.5 + 14.134725141734694j]
+    for fn in (zk.zeta, zk.gamma):
+        batch = fn(np.array(pts)).tolist()
+        for s, got in zip(pts, batch):
+            assert got == fn(s), (fn.__name__, s)
+    spec = _spec("periodic:m=2:[i,-i]")
+    table = zk.default_kernel().table
+    u = 0.1 * np.linspace(0.02, 0.98, 9)
+    g = np.ones(u.size, dtype=np.complex128)
+    for key in ("one", "half", (1, False)):
+        cuts = [
+            xf._ctx(spec, xf.FormulaConfig(n_zeros=1, kernel=zk.ZetaKernel(table)))[0].cut(key)
+            for _ in range(2)
+        ]
+        cu = cuts[0].b - u
+        batch = cuts[0].j(u, cu, g).tolist()
+        for i, got in enumerate(batch):
+            assert got == complex(cuts[1].j(u[i : i + 1], cu[i : i + 1], g[:1])[0]), (key, i)
+    cfg = er.GfConfig()
+    s0 = np.array([0.5, 0.5 + 14.134725141734694j, 0.5 - 21.022039638771555j])
+    grouped = er.G_f_line(spec, s0, u, cfg)
+    for row, s in zip(grouped, s0.tolist()):
+        assert np.array_equal(row, er.G_f_line(spec, s, u, cfg)), s
+
+
 CORE_CHECKS = [
     ("parser-semantics", check_parser_semantics),
     ("g-series-agreement", check_g_series_agreement),
     ("log-G-coefficients", check_log_G_coefficients),
+    ("array-kernels", check_array_kernels),
     ("exp-log-identity", check_exp_log_identity),
     ("integer-power-coherence", check_branch_coherence),
     ("schwarz-reflection", check_schwarz_reflection),

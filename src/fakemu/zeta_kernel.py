@@ -24,6 +24,24 @@ s = rho - u: the kernel's one RhoSweep per zero anchors them at rho + r
 and 1.2 + 2i Im rho, continues them along the line s = rho - u (u real),
 leaves the line at Re u along one straight leg for complex u, and walks
 the Watson ring |u| = r' point to point.
+
+Arrays.  zeta, zeta_times_s_minus_1, gamma, log_zeta_euler and
+ZetaKernel.L1 take a point or an array of points, and the point is the
+one-point case of the array code, with the same bits it has inside any
+batch: numpy's elementwise loops round an element the same way wherever
+it sits, and every row reduction runs over one C-contiguous row.
+Euler-Maclaurin keeps N(s) = max(24, floor(1.5 |Im s|) + 1) per point
+and groups a batch by N, in (points x N) blocks of at most 256 kB; its
+Bernoulli corrections are summed per point in Python complex arithmetic,
+the arithmetic zeta had as a scalar function, because the estimators of
+zeta'(rho) amplify zeta's rounding ~1e4 times.  L1 of an array is a plain
+log wherever |Im s| <= 0.35 (and on Re s >= 1.2 the principal log), which
+covers every node and ring point of the cuts at 1 and 1/2; any other point
+is continued one at a time.  RhoSweep.line(u) gives both logs at an
+array of real u: it evaluates each function once at all new positions,
+and a new position takes a kept neighbour's branch by _track_log's single
+accepted step (distance <= _STEP0, arg step < pi/2); any other position
+falls back to _track_log.
 """
 
 from __future__ import annotations
@@ -89,11 +107,53 @@ _EXTENDED_PHASE = np.finfo(_F128).nmant > np.finfo(np.float64).nmant
 #: finely as a reduced one; each binade above loses one more bit
 _PHASE_MAX_FLOAT64 = 8.0
 
+def _points(s) -> tuple[np.ndarray, bool]:
+    """s as a 1-d complex array, and whether s was a scalar.
+
+    A scalar is evaluated as a one-point array: numpy's elementwise loops
+    give each element the same bits whatever the length of the array, but
+    its scalar types and Python's complex arithmetic round differently.
+    """
+    arr = np.asarray(s, dtype=np.complex128)
+    return arr.reshape(-1), arr.ndim == 0
+
+
+def _shaped(out: np.ndarray, s, scalar: bool):
+    """out for the input s: a complex for a scalar, else s's shape."""
+    return complex(out[0]) if scalar else out.reshape(np.shape(s))
+
+
+def _pow_minus_s(logn: np.ndarray, logn128: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """n^{-s} as a (points x n) matrix, with the phase t*log n reduced mod
+    2 pi in extended precision (logn ascending)."""
+    if not _EXTENDED_PHASE:
+        phase = np.abs(s.imag) * logn[-1]
+        if np.any(phase >= _PHASE_MAX_FLOAT64):
+            i = int(np.argmax(phase))
+            raise PlatformError(
+                f"phase {phase[i]:.4g} rad of n^(-s) at s={complex(s[i])} needs a "
+                "longdouble wider than float64 to keep double precision"
+            )
+    mag = np.exp(np.multiply.outer(-s.real, logn))
+    phase = np.mod(np.multiply.outer(s.imag.astype(_F128), logn128), _TWO_PI_128)
+    return mag * np.exp(-1j * phase.astype(np.float64))
+
+
+#: Euler-Maclaurin: (points x terms) entries per block, 256 kB of complex
+_EM_BLOCK = 2 ** 14
+
+
+def _em_terms(s: np.ndarray) -> np.ndarray:
+    """Number N(s) = max(24, floor(1.5 |Im s|) + 1) of direct terms."""
+    return np.maximum(24, (1.5 * np.abs(s.imag)).astype(np.int64) + 1)
+
+
 _LOGN_CACHE = np.log(np.arange(1, 64, dtype=np.float64))
 _LOGN128_CACHE = np.log(np.arange(1, 64, dtype=_F128))
 
 
 def _logn(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """log k and its extended-precision twin for k = 1..n-1."""
     global _LOGN_CACHE, _LOGN128_CACHE
     if n > _LOGN_CACHE.size + 1:
         top = max(n, 2 * _LOGN_CACHE.size)
@@ -102,67 +162,88 @@ def _logn(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _LOGN_CACHE[: n - 1], _LOGN128_CACHE[: n - 1]
 
 
-def _pow_minus_s(logn: np.ndarray, logn128: np.ndarray, s: complex) -> np.ndarray:
-    """n^{-s} with the phase t*log n reduced mod 2 pi in extended precision
-    (logn ascending)."""
-    if not _EXTENDED_PHASE and abs(s.imag) * logn[-1] >= _PHASE_MAX_FLOAT64:
-        raise PlatformError(
-            f"phase {abs(s.imag) * logn[-1]:.4g} rad of n^(-s) at s={s} needs a "
-            "longdouble wider than float64 to keep double precision"
-        )
-    mag = np.exp(-s.real * logn)
-    phase = np.mod(_F128(s.imag) * logn128, _TWO_PI_128).astype(np.float64)
-    return mag * np.exp(-1j * phase)
+def _zeta_em(s: np.ndarray, n_terms: int) -> np.ndarray:
+    """Euler-Maclaurin with n_terms direct terms at every point of s.
 
-
-def zeta(s: complex) -> complex:
-    """zeta(s) for -1 <= Re s <= 40, |Im s| <= 600, s != 1.
-
-    Euler-Maclaurin with N = max(24, 1.5|Im s|) direct terms and 12
-    Bernoulli corrections; relative accuracy ~1e-12 away from zeros
-    (absolute ~1e-13 near them).
+    The direct terms are one (points x N) matrix; the Bernoulli
+    corrections are summed per point in Python complex arithmetic, whose
+    rounding the estimators of zeta'(rho) pass on amplified ~1e4.
     """
-    s = complex(s)
-    if s == 1.0:
-        raise PoleError("zeta has a pole at s=1")
-    if not (_ZETA_RE_MIN <= s.real <= _ZETA_RE_MAX) or abs(s.imag) > _ZETA_IM_MAX:
-        raise RangeError(f"zeta evaluation box exceeded at s={s}")
-    n_terms = max(24, int(1.5 * abs(s.imag)) + 1)
-    logn, logn128 = _logn(n_terms)
-    head = np.sum(_pow_minus_s(logn, logn128, s))
+    logn, logn128 = _logn(n_terms + 1)
+    logn = logn.copy()
+    logn[-1] = math.log(n_terms)
+    powers = _pow_minus_s(logn, logn128, s)  # n = 1..N; the last is N^{-s}
+    heads = np.sum(powers[:, :-1], axis=1).tolist()
     big_n = float(n_terms)
-    n_pow = complex(
-        _pow_minus_s(
-            np.array([math.log(big_n)]),
-            np.log(np.array([big_n], dtype=_F128)),
-            s,
-        )[0]
-    )
-    result = head + big_n * n_pow / (s - 1) + 0.5 * n_pow
-    rising = s
-    npow = n_pow / big_n
     nsq = 1.0 / (big_n * big_n)
-    for k, coef in enumerate(_EM_COEF, start=1):
-        result += coef * rising * npow
-        rising *= (s + (2 * k - 1)) * (s + 2 * k)
-        npow *= nsq
-    return complex(result)
+    out = []
+    for si, head, n_pow in zip(s.tolist(), heads, powers[:, -1].tolist()):
+        result = head + big_n * n_pow / (si - 1) + 0.5 * n_pow
+        rising = si
+        npow = n_pow / big_n
+        for k, coef in enumerate(_EM_COEF, start=1):
+            result += coef * rising * npow
+            rising *= (si + (2 * k - 1)) * (si + 2 * k)
+            npow *= nsq
+        out.append(result)
+    return np.array(out, dtype=np.complex128)
 
 
-def zeta_times_s_minus_1(s: complex) -> complex:
-    """(s-1)*zeta(s), stable through the pole (Stieltjes series near s=1)."""
-    s = complex(s)
-    d = s - 1.0
-    if abs(d) <= 1e-3:
-        acc = 0.0 + 0.0j
-        dp = d
-        fact = 1.0
-        for n, g in enumerate(_STIELTJES):
-            acc += ((-1) ** n) * g / fact * dp
-            dp *= d
-            fact *= n + 1
-        return 1.0 + acc
-    return d * zeta(s)
+def zeta(s):
+    """zeta(s) for -1 <= Re s <= 40, |Im s| <= 600, s != 1; s a point or
+    an array of points (the point is the one-point case).
+
+    Euler-Maclaurin with N(s) = max(24, floor(1.5|Im s|) + 1) direct terms
+    and 12 Bernoulli corrections; relative accuracy ~1e-12 away from zeros
+    (absolute ~1e-13 near them).  An array is evaluated per value of N in
+    (points x N) blocks of at most 256 kB, so a value's bits do not depend
+    on the batch it comes in.
+    """
+    pts, scalar = _points(s)
+    inside = (
+        (_ZETA_RE_MIN <= pts.real) & (pts.real <= _ZETA_RE_MAX)
+        & (np.abs(pts.imag) <= _ZETA_IM_MAX)
+    )
+    if not np.all(inside):
+        raise RangeError(f"zeta evaluation box exceeded at s={complex(pts[~inside][0])}")
+    if np.any(pts == 1.0):
+        raise PoleError("zeta has a pole at s=1")
+    n_terms = _em_terms(pts)
+    lo, hi = int(n_terms.min()), int(n_terms.max())
+    if lo == hi and pts.size * lo <= _EM_BLOCK:
+        out = _zeta_em(pts, lo)
+    else:
+        out = np.empty(pts.size, dtype=np.complex128)
+        for n in sorted(set(n_terms.tolist())):
+            idx = np.flatnonzero(n_terms == n)
+            rows = max(1, _EM_BLOCK // n)
+            for start in range(0, idx.size, rows):
+                part = idx[start : start + rows]
+                out[part] = _zeta_em(pts[part], n)
+    return _shaped(out, s, scalar)
+
+
+def zeta_times_s_minus_1(s):
+    """(s-1)*zeta(s), stable through the pole (Stieltjes series near s=1);
+    s a point or an array."""
+    pts, scalar = _points(s)
+    d = pts - 1.0
+    near = np.abs(d) <= 1e-3
+    if not np.any(near):
+        return _shaped(d * zeta(pts), s, scalar)
+    out = np.empty(pts.size, dtype=np.complex128)
+    dn = d[near]
+    acc = np.zeros(dn.size, dtype=np.complex128)
+    dp = dn.copy()
+    fact = 1.0
+    for n, g in enumerate(_STIELTJES):
+        acc += ((-1) ** n) * g / fact * dp
+        dp *= dn
+        fact *= n + 1
+    out[near] = 1.0 + acc
+    if not np.all(near):
+        out[~near] = d[~near] * zeta(pts[~near])
+    return _shaped(out, s, scalar)
 
 
 # --------------------------------------------------------------------------
@@ -170,7 +251,7 @@ def zeta_times_s_minus_1(s: complex) -> complex:
 # --------------------------------------------------------------------------
 
 _LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
+_LANCZOS_C = np.array([
     0.99999999999999709182,
     57.156235665862923517,
     -59.597960355475491248,
@@ -186,51 +267,70 @@ _LANCZOS_C = (
     8.4418223983852743293e-5,
     -2.6190838401581408670e-5,
     3.6899182659531622704e-6,
-)
+])
+_LANCZOS_SHIFT = np.arange(len(_LANCZOS_C) - 1, dtype=np.float64)  # k - 1, k = 1..14
 _LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
 
 
-def _loggamma_right(s: complex) -> complex:
-    """log Gamma(s) for Re s >= 0.5 (a branch; callers exponentiate)."""
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (s - 1 + k)
-    t = s + _LANCZOS_G - 0.5
-    return _LOG_SQRT_2PI + (s - 0.5) * cmath.log(t) - t + cmath.log(acc)
+def _loggamma_right(s: np.ndarray) -> np.ndarray:
+    """log Gamma(s) for Re s >= 0.5 (a branch; callers exponentiate); the
+    (points x terms) Lanczos sum goes in blocks of at most 256 kB."""
+    acc = np.empty(s.size, dtype=np.complex128)
+    rows = _EM_BLOCK // _LANCZOS_SHIFT.size
+    for lo in range(0, s.size, rows):
+        col = s[lo : lo + rows, None]
+        acc[lo : lo + rows] = np.sum(_LANCZOS_C[1:] / (col + _LANCZOS_SHIFT), axis=1)
+    acc += _LANCZOS_C[0]
+    t = s + (_LANCZOS_G - 0.5)
+    return _LOG_SQRT_2PI + (s - 0.5) * np.log(t) - t + np.log(acc)
 
 
-def _log_sin_pi(s: complex) -> complex:
+def _log_sin_pi(s: np.ndarray) -> np.ndarray:
     """A branch of log sin(pi s), overflow-safe for large |Im s|."""
-    if abs(s.imag) < 20.0:
-        return cmath.log(cmath.sin(math.pi * s))
+    small = np.abs(s.imag) < 20.0
+    if np.all(small):
+        return np.log(np.sin(math.pi * s))
+    out = np.empty(s.size, dtype=np.complex128)
+    out[small] = np.log(np.sin(math.pi * s[small]))
     # |exp(+-2 i pi s)| <= e^{-40 pi}: the log(1-..) correction is below
     # double precision, plain log is exact here
-    if s.imag > 0:
+    up = ~small & (s.imag > 0)
+    if np.any(up):
         # sin(pi s) = e^{-i pi s} (1 - e^{2 i pi s}) * (i/2)
-        return (
-            -1j * math.pi * s
-            + cmath.log(1.0 - cmath.exp(2j * math.pi * s))
+        v = s[up]
+        out[up] = (
+            -1j * math.pi * v
+            + np.log(1.0 - np.exp(2j * math.pi * v))
             + complex(-math.log(2.0), 0.5 * math.pi)
         )
-    # sin(pi s) = e^{i pi s} (1 - e^{-2 i pi s}) / (2i)
-    return (
-        1j * math.pi * s
-        + cmath.log(1.0 - cmath.exp(-2j * math.pi * s))
-        + complex(-math.log(2.0), -0.5 * math.pi)
-    )
+    down = ~small & ~up
+    if np.any(down):
+        # sin(pi s) = e^{i pi s} (1 - e^{-2 i pi s}) / (2i)
+        v = s[down]
+        out[down] = (
+            1j * math.pi * v
+            + np.log(1.0 - np.exp(-2j * math.pi * v))
+            + complex(-math.log(2.0), -0.5 * math.pi)
+        )
+    return out
 
 
-def gamma(s: complex) -> complex:
-    """Gamma(s) for complex s; PoleError at non-positive integers."""
-    s = complex(s)
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real):
-        raise PoleError(f"gamma has a pole at s={s}")
-    if s.real >= 0.5:
-        return cmath.exp(_loggamma_right(s))
+def gamma(s):
+    """Gamma(s) for complex s, a point or an array of points (the point is
+    the one-point case); PoleError at non-positive integers."""
+    pts, scalar = _points(s)
+    right = pts.real >= 0.5
+    if np.all(right):
+        return _shaped(np.exp(_loggamma_right(pts)), s, scalar)
+    v = pts[~right]
+    pole = (v.imag == 0.0) & (v.real <= 0.0) & (v.real == np.round(v.real))
+    if np.any(pole):
+        raise PoleError(f"gamma has a pole at s={complex(v[pole][0])}")
+    out = np.empty(pts.size, dtype=np.complex128)
+    out[right] = np.exp(_loggamma_right(pts[right]))
     # reflection in log space: Gamma(s) = pi / (sin(pi s) Gamma(1-s))
-    return cmath.exp(
-        math.log(math.pi) - _log_sin_pi(s) - _loggamma_right(1.0 - s)
-    )
+    out[~right] = np.exp(math.log(math.pi) - _log_sin_pi(v) - _loggamma_right(1.0 - v))
+    return _shaped(out, s, scalar)
 
 
 # --------------------------------------------------------------------------
@@ -243,18 +343,19 @@ _PRINCIPAL_RE_MIN = 1.2
 _ANCHOR_RE = _PRINCIPAL_RE_MIN
 
 
-def log_zeta_euler(s: complex) -> complex:
-    """Standard branch of log zeta(s) on Re s >= 1.2 (real on reals).
+def log_zeta_euler(s):
+    """Standard branch of log zeta(s) on Re s >= 1.2 (real on reals); s a
+    point or an array.
 
     That branch is sum_p -Log(1 - p^{-s}), and |Arg(1 - v)| <= arcsin|v|
     <= (pi/2)|v| for |v| < 1, so |Im log zeta(s)| <= (pi/2) P(Re s) <=
     (pi/2) P(1.2) < (pi/2) log zeta(1.2) = 2.70 < pi (P: the prime zeta
     function): it is the principal Log.  Accuracy and range are zeta's.
     """
-    s = complex(s)
-    if s.real < _PRINCIPAL_RE_MIN:
+    pts, scalar = _points(s)
+    if np.any(pts.real < _PRINCIPAL_RE_MIN):
         raise RangeError("log_zeta_euler requires Re s >= 1.2")
-    return cmath.log(zeta(s))
+    return _shaped(np.log(zeta(pts)), s, scalar)
 
 
 # --------------------------------------------------------------------------
@@ -276,11 +377,11 @@ class ZeroTable:
             raise DomainError("zero ordinates must be strictly increasing")
         if not (14.13 < g[0] < 14.14):
             raise DomainError(f"first ordinate {g[0]} not in (14.13, 14.14)")
-        for gk in g:
-            if abs(zeta(complex(0.5, gk))) > 1e-8:
-                raise ConsistencyError(
-                    f"|zeta(1/2 + {gk}i)| > 1e-8; corrupt zero table?"
-                )
+        off = np.abs(zeta(0.5 + 1j * np.array(g))) > 1e-8
+        if np.any(off):
+            raise ConsistencyError(
+                f"|zeta(1/2 + {g[int(np.argmax(off))]}i)| > 1e-8; corrupt zero table?"
+            )
 
     def __len__(self) -> int:
         return len(self.ordinates)
@@ -305,23 +406,34 @@ class ZeroTable:
 
 
 def _parse_zero_table(text: str, source: str) -> ZeroTable:
-    """Ordinates from text: one per line, blank and '#' comment lines skipped."""
-    ords = [
-        float(ln)
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    """Ordinates from text: one per line, blank and '#' comment lines
+    skipped; a line that is not a number raises DomainError naming the
+    source and the line."""
+    ords = []
+    for number, ln in enumerate(text.splitlines(), start=1):
+        if not ln.strip() or ln.lstrip().startswith("#"):
+            continue
+        try:
+            ords.append(float(ln))
+        except ValueError:
+            raise DomainError(
+                f"zeros file {source!r}, line {number}: not a number: {ln.strip()[:40]!r}"
+            ) from None
     return ZeroTable(tuple(ords), source=source)
 
 
 def load_zero_table(path: str) -> ZeroTable:
     """Load ordinates from a text file ('#' comments, one ordinate per line);
-    a file that cannot be read raises DomainError naming the path."""
+    a file that cannot be read or decoded as UTF-8 raises DomainError
+    naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read zeros file {path!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise DomainError(f"zeros file {path!r}, line {line}: not UTF-8 text") from None
     return _parse_zero_table(text, path)
 
 
@@ -386,11 +498,16 @@ def _track_log(
 class _LineCache:
     """Branch values of log h at s_of(u), fixed by continuation.
 
-    Values at real u are kept: a new real u continues from the nearest
-    kept position (found by bisection; the left one on a tie), so a sweep
-    over quadrature nodes costs a couple of h evaluations per new node.
+    Values at real u are kept.  line(q) takes a whole array of real
+    positions: it evaluates h once at all new ones, and a new position
+    within _STEP0 of a kept one whose arg h differs from that one's by
+    < pi/2 takes that one's branch, which is exactly _track_log's single
+    accepted step; positions so resolved are kept and serve the next
+    round.  A position left over continues from the nearest kept one
+    (found by bisection; the left one on a tie) by _track_log (on_line).
     A complex u continues from the line value at Re u along one straight
-    leg, and is not kept.  Which positions are kept changes no bit.
+    leg, and is not kept.  Every value is Log h at its position plus
+    2 pi i k, so which positions are kept changes no bit.
     """
 
     def __init__(self, s_of, h, seed_pos: float, seed_val: complex):
@@ -419,9 +536,46 @@ class _LineCache:
         insort(self.pos, q)
         return val
 
+    def line(self, q: np.ndarray) -> np.ndarray:
+        """Values at an array of real positions, h in one call at the new ones."""
+        vals = self.vals
+        keys = np.asarray(q, dtype=np.float64).tolist()
+        new = np.array(sorted({p for p in keys if p not in vals}))
+        if new.size:
+            hs = self.h(self.s_of(new))
+            logs = [cmath.log(v) for v in hs.tolist()]  # _track_log's last Log
+            todo = np.arange(new.size)
+            while todo.size:
+                pos = np.array(self.pos)
+                at = new[todo]
+                i = np.searchsorted(pos, at)
+                left = np.maximum(i - 1, 0)
+                right = np.minimum(i, pos.size - 1)
+                take_left = (i == pos.size) | ((i > 0) & (at - pos[left] <= pos[right] - at))
+                near = np.where(take_left, pos[left], pos[right])
+                log0 = np.array([vals[p] for p in near.tolist()])
+                ratio = hs[todo] / np.exp(log0)
+                dang = np.arctan2(ratio.imag, ratio.real)
+                step = (np.abs(at - near) <= _STEP0) & (np.abs(dang) < 0.5 * math.pi)
+                step &= hs[todo] != 0
+                if not np.any(step):
+                    # the position nearest to a kept one walks by _track_log
+                    j = int(np.argmin(np.abs(at - near)))
+                    self.on_line(float(at[j]))
+                    todo = np.delete(todo, j)
+                    continue
+                cur_im = log0.imag + dang
+                for n, c in zip(todo[step].tolist(), cur_im[step].tolist()):
+                    log1 = logs[n]
+                    k = round((c - log1.imag) / (2.0 * math.pi))
+                    vals[float(new[n])] = complex(log1.real, log1.imag + 2.0 * math.pi * k)
+                self.pos = sorted(vals)
+                todo = todo[~step]
+        return np.array([vals[p] for p in keys])
+
     def value(self, u: complex) -> complex:
         q = u.real
-        val = self.on_line(q)
+        val = complex(self.line(np.array([q]))[0])
         return val if u.imag == 0.0 else self.walk(val, q, u)
 
 
@@ -436,8 +590,10 @@ class RhoSweep:
                  with the standard branch of log_zeta_euler.
 
     Both are continued along the line s = rho - u (u real) from the
-    nearest value already known; complex u leaves the line at Re u along
-    one straight leg; ring(r', n) walks the circle |u| = r' from u = r'.
+    nearest value already known; line(u) gives both at an array of real
+    u, with one array call of each function at the new positions; complex
+    u leaves the line at Re u along one straight leg; ring(r', n) walks
+    the circle |u| = r' from u = r'.
     """
 
     def __init__(
@@ -447,10 +603,15 @@ class RhoSweep:
         self.rho = rho
         self.radius = radius
 
-        def h(s: complex) -> complex:
-            if abs(s - rho) < 1e-8:
-                return (s - 1.0) * zeta_prime
-            return zeta_times_s_minus_1(s) / (s - rho)
+        def h(s):
+            pts, scalar = _points(s)
+            out = np.empty(pts.size, dtype=np.complex128)
+            at_rho = np.abs(pts - rho) < 1e-8
+            out[at_rho] = (pts[at_rho] - 1.0) * zeta_prime
+            off = ~at_rho
+            if np.any(off):
+                out[off] = zeta_times_s_minus_1(pts[off]) / (pts[off] - rho)
+            return _shaped(out, s, scalar)
 
         self._local = _LineCache(lambda u: rho - u, h, -r, anchor_log)
         self._zeta2 = _LineCache(
@@ -461,22 +622,28 @@ class RhoSweep:
         )
         self._rings: dict[tuple[float, int], list[tuple[complex, complex, complex]]] = {}
 
-    def _check(self, u: complex) -> complex:
-        u = complex(u)
-        if abs(u) > self.radius:
+    def _check(self, u):
+        out = np.abs(u) > self.radius
+        if np.any(out):
+            bad = np.max(np.abs(u))
             raise RangeError(
-                f"|u| = {abs(u):.3g} outside the disc of radius {self.radius:.3f} "
+                f"|u| = {bad:.3g} outside the disc of radius {self.radius:.3f} "
                 f"at rho = {self.rho}"
             )
         return u
 
     def local(self, u: complex) -> complex:
         """log((s-1) zeta(s) / (s-rho)) at s = rho - u."""
-        return self._local.value(self._check(u))
+        return self._local.value(self._check(complex(u)))
 
     def zeta2(self, u: complex) -> complex:
         """log zeta(2s) at s = rho - u."""
-        return self._zeta2.value(self._check(u))
+        return self._zeta2.value(self._check(complex(u)))
+
+    def line(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(local(u), zeta2(u)) over an array of real u."""
+        u = self._check(np.asarray(u, dtype=np.float64))
+        return self._local.line(u), self._zeta2.line(u)
 
     def ring(self, r: float, n: int) -> list[tuple[complex, complex, complex]]:
         """(u, local(u), zeta2(u)) at u = r e^{2 pi i j/n}, j = 0..n-1, each
@@ -485,7 +652,7 @@ class RhoSweep:
         got = self._rings.get((r, n))
         if got is not None:
             return got
-        prev = self._check(r)
+        prev = self._check(complex(r))
         lr = self._local.value(prev)
         cz = self._zeta2.value(prev)
         ang = 2.0 * math.pi * np.arange(n) / n
@@ -509,6 +676,7 @@ class ZetaKernel:
 
     def __init__(self, table: Optional[ZeroTable] = None):
         self.table = table if table is not None else default_zero_table()
+        self._ordinates = np.array(self.table.ordinates)
         self._sweeps: dict[tuple[int, bool], RhoSweep] = {}
         self._zprime_cache: dict[int, complex] = {}
 
@@ -518,32 +686,51 @@ class ZetaKernel:
 
     # -- L1 ----------------------------------------------------------------
 
-    def _assert_off_cut(self, s: complex) -> None:
-        if s.real > 0.5 + 1e-9:
+    def _assert_off_cut(self, s: np.ndarray) -> None:
+        left = s[s.real <= 0.5 + 1e-9]
+        if not left.size:
             return
-        t = abs(s.imag)
-        g = self.table.ordinates
-        i = bisect_left(g, t)
-        for j in (i - 1, i):
-            if 0 <= j < len(g) and abs(t - g[j]) <= 1e-9:
-                raise CutError(f"target {s} lies on a zero cut (gamma={g[j]})")
+        t = np.abs(left.imag)
+        g = self._ordinates
+        i = np.searchsorted(g, t)
+        for j in (np.maximum(i - 1, 0), np.minimum(i, g.size - 1)):
+            hit = np.abs(t - g[j]) <= 1e-9
+            if np.any(hit):
+                n = int(np.argmax(hit))
+                raise CutError(f"target {complex(left[n])} lies on a zero cut (gamma={g[j[n]]})")
 
-    def L1(self, s: complex) -> complex:
-        """Branch of log((s-1) zeta(s)) with L1(1)=0, on the zero-cut plane."""
-        s = complex(s)
-        if s.real <= 1.0 / 3.0:
+    def L1(self, s):
+        """Branch of log((s-1) zeta(s)) with L1(1)=0, on the zero-cut plane;
+        s a point or an array.
+
+        Re s >= 1.2 takes log_zeta_euler + Log(s-1); |Im s| <= 0.35 with
+        Re (s-1) zeta(s) > 0 the plain Log of (s-1) zeta(s), which covers the
+        real segment (1/3, 1.2) and the Watson rings of the cuts at 1 and
+        1/2.  Any other point is continued from 1.2 + i Im s, one point at
+        a time.
+        """
+        pts, scalar = _points(s)
+        if np.any(pts.real <= 1.0 / 3.0):
             raise RangeError("L1 requires Re s > 1/3")
-        self._assert_off_cut(s)
-        if s == 1.0:
-            return 0.0 + 0.0j
-        if s.real >= _PRINCIPAL_RE_MIN:
-            return log_zeta_euler(s) + cmath.log(s - 1.0)
-        if abs(s.imag) <= 0.35:
-            h = zeta_times_s_minus_1(s)
-            if h.real > 0.0:
-                return cmath.log(h)
-        anchor = complex(_ANCHOR_RE, s.imag)
-        return _track_log(zeta_times_s_minus_1, anchor, self.L1(anchor), s)
+        self._assert_off_cut(pts)
+        out = np.zeros(pts.size, dtype=np.complex128)
+        todo = pts != 1.0
+        right = todo & (pts.real >= _PRINCIPAL_RE_MIN)
+        if np.any(right):
+            v = pts[right]
+            out[right] = log_zeta_euler(v) + np.log(v - 1.0)
+        todo &= ~right
+        near = np.flatnonzero(todo & (np.abs(pts.imag) <= 0.35))
+        if near.size:
+            h = zeta_times_s_minus_1(pts[near])
+            plain = h.real > 0.0
+            out[near[plain]] = np.log(h[plain])
+            todo[near[plain]] = False
+        for i in np.flatnonzero(todo).tolist():
+            v = complex(pts[i])
+            anchor = complex(_ANCHOR_RE, v.imag)
+            out[i] = _track_log(zeta_times_s_minus_1, anchor, self.L1(anchor), v)
+        return _shaped(out, s, scalar)
 
     def Z(self, s: complex, z: complex) -> complex:
         """Z(s; z) = ((s-1) zeta(s))^z / s = exp(z L1(s)) / s."""
@@ -583,16 +770,15 @@ class ZetaKernel:
             return got
         rho = self.rho(zero_index)
         h = 1e-4
-        fd = (
-            -zeta(rho + 2 * h) + 8 * zeta(rho + h) - 8 * zeta(rho - h) + zeta(rho - 2 * h)
-        ) / (12 * h)
+        z2, z1, zm1, zm2 = zeta(np.array([rho + 2 * h, rho + h, rho - h, rho - 2 * h])).tolist()
+        fd = (-z2 + 8 * z1 - 8 * zm1 + zm2) / (12 * h)
         r = 1e-3
         n = 64
+        # the nodes' values in one call; the sum in Python complex arithmetic
+        es = [cmath.exp(1j * (2 * math.pi * j / n)) for j in range(n)]
         acc = 0.0 + 0.0j
-        for j in range(n):
-            ang = 2 * math.pi * j / n
-            e = cmath.exp(1j * ang)
-            acc += zeta(rho + r * e) / e
+        for v, e in zip(zeta(np.array([rho + r * e for e in es])).tolist(), es):
+            acc += v / e
         cc = acc / (n * r)
         if abs(fd - cc) > 1e-7 * max(abs(fd), abs(cc)):
             raise ConsistencyError(

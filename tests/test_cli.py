@@ -239,12 +239,13 @@ def test_verify_core_suite_passes(capsys):
     code, out, _ = run(["verify", "--suite", "core"], capsys)
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 9
+    assert out.count("PASS") == 10
     assert "PASS core:log-zeta-principal" in out
     assert "PASS core:log-G-coefficients" in out
+    assert "PASS core:array-kernels" in out
     # each check line and the suite line end with a wall time
     lines = out.strip().splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(re.search(r" \(\d+\.\d{3} s\)$", line) for line in lines)
 
 
@@ -264,13 +265,25 @@ def test_verify_core_suite_passes(capsys):
          "--points", "5", "--mode", "formula"],
         ["evaluate", "--eps", "finite:[-1]", "--x", "1e3", "--zeros-file",
          "/nonexistent/zeros.txt"],
+        ["evaluate", "--eps", "finite:[-1]", "--x", "1e3", "--zeros-file",
+         "{non-numeric-line}"],
+        ["evaluate", "--eps", "finite:[-1]", "--x", "1e3", "--zeros-file",
+         "{not-utf8}"],
     ],
     ids=["evaluate-nan", "formula-nan", "formula-inf", "direct-inf", "cm-xi-nan",
          "quadphase-alpha-inf", "watson-point", "trajectory-nan", "trajectory-inf",
-         "missing-zeros-file"],
+         "missing-zeros-file", "non-numeric-zeros-file", "non-utf8-zeros-file"],
 )
-def test_malformed_input_is_a_domain_error_exit_1(argv, capsys):
+def test_malformed_input_is_a_domain_error_exit_1(argv, capsys, tmp_path):
     # a typed error: exit 1, one "error:" line, no traceback and no NaN output
+    files = {
+        "{non-numeric-line}": b"14.134725141734694\nnot-a-zero\n",
+        "{not-utf8}": b"14.134725141734694\n\xff21.022039638771555\n",
+    }
+    if argv[-1] in files:
+        path = tmp_path / "zeros.txt"
+        path.write_bytes(files[argv[-1]])
+        argv = argv[:-1] + [str(path)]
     code, out, err = run(argv, capsys)
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1, err

@@ -646,20 +646,20 @@ def test_g_line_reproduces_its_samples():
 
     def line(s0, u):
         calls.append((s0, u))
-        s = s0 - u
+        s = s0[:, None] - u
         return np.exp(s * s) / (s + 2.0)
 
     line_s0 = 0.5 + 3j
-    g_line = explicit_formula._GLine(line, line_s0, 0.15)
+    (g_line,) = explicit_formula._sample_g_lines(line, np.array([line_s0]), 0.15)
     n = g_line.c.size - 1
     points = np.concatenate([u for _, u in calls])
-    assert all(s0 == line_s0 for s0, _ in calls)
+    assert all(s0.tolist() == [line_s0] for s0, _ in calls)
     assert len(calls) == round(math.log2(n / 16)) + 1  # one call per degree
     assert points.size == n + 1 and np.unique(points).size == n + 1  # nested: no point twice
     j = np.arange(n + 1)
     u = 0.15 * np.sin(j * math.pi / (2 * n)) ** 2
     cu = 0.15 * np.cos(j * math.pi / (2 * n)) ** 2
-    want = line(line_s0, u)
+    want = line(np.array([line_s0]), u)[0]
     assert np.max(np.abs(g_line(u, cu) - want) / np.abs(want)) <= 1e-14
 
 
@@ -672,12 +672,13 @@ def _count_G_f(monkeypatch):
 
 
 def _count_G_f_line(monkeypatch):
-    """Points of each G_f_line call, in call order."""
+    """Kernel points (rows x points) of each G_f_line call, in call order."""
     points = []
     monkeypatch.setattr(
         explicit_formula,
         "G_f_line",
-        lambda spec, s0, u, cfg: points.append(len(u)) or G_f_line(spec, s0, u, cfg),
+        lambda spec, s0, u, cfg: points.append(np.size(s0) * len(u))
+        or G_f_line(spec, s0, u, cfg),
     )
     return points
 
@@ -695,8 +696,9 @@ def test_g_line_degree_cap(monkeypatch):
 
 
 def test_work_count_cold_evaluate(monkeypatch):
-    # one kernel call per Chebyshev degree of each cut's interpolant (6
-    # cuts at two pairs), where a G_f call per tanh-sinh node took 808
+    # one kernel call per Chebyshev degree of each segment group: the cut
+    # at 1 alone, and the cut at 1/2 with the 4 zero cuts of two pairs in
+    # lock-step on the a-segment; a G_f call per tanh-sinh node took 808
     from fakemu.explicit_formula import _ctx
 
     points = _count_G_f_line(monkeypatch)
@@ -704,10 +706,14 @@ def test_work_count_cold_evaluate(monkeypatch):
     a_exp_formula(FIG53, 1e4, cfg)
     assert sum(points) <= 250, points
     ctx, _ = _ctx(FIG53, cfg)
-    degrees = [cut.g_line.c.size - 1 for cut in ctx._cuts.values() if cut.mode == "quadrature"]
+    degrees = {
+        key: cut.g_line.c.size - 1 for key, cut in ctx._cuts.items() if cut.mode == "quadrature"
+    }
     assert len(degrees) == 6
-    assert len(points) <= sum(round(math.log2(n / 16)) + 1 for n in degrees), (points, degrees)
-    assert sum(points) == sum(n + 1 for n in degrees)
+    calls = {key: round(math.log2(n / 16)) + 1 for key, n in degrees.items()}
+    one = calls.pop("one")
+    assert len(points) <= one + max(calls.values()), (points, degrees)
+    assert sum(points) == sum(n + 1 for n in degrees.values())
 
 
 @pytest.mark.parametrize("spec", [FIG53, LIOUVILLE], ids=["quadrature", "residue"])
@@ -754,10 +760,14 @@ def test_levels_are_nested_bit_for_bit(a, kind):
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
 @pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
 def test_cold_delta_calls_j_once_per_node(a, kind):
+    # one J call per level, on the arrays of its new nodes: every node of
+    # the deepest level is in exactly one call
     cut, calls = _counting_cut(a, kind)
     cut.delta(1e4)
-    assert len(calls) == cut.levels[-1][0].size
-    assert len({c[:2] for c in calls}) == len(calls)  # no (u, b - u) twice
+    assert len(calls) == len(cut.levels)
+    nodes = [(u, cu) for c in calls for u, cu in zip(c[0].tolist(), c[1].tolist())]
+    assert len(nodes) == cut.levels[-1][0].size
+    assert len(set(nodes)) == len(nodes)  # no (u, b - u) twice
 
 
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
@@ -830,25 +840,26 @@ def test_parts_frozen(spec, x, d1, dh, rho):
 
 def test_direct_G_paths_bitwise_frozen():
     # c_1/2, Watson coefficients and residues call G_f directly, the G kernel
-    # at one point; frozen from it (Mobius, whose G is exactly 1, kept its bits)
+    # at one point; frozen from it (Mobius, whose G is exactly 1, kept its
+    # bits).  J in numpy arrays moved c_1/2 and the Watson lines by <= 7.2e-15
     cfg = FormulaConfig(n_zeros=2)
-    assert c_half(FIG53, cfg) == 0.06840968849739895 + 0.10362335917983154j
-    assert c_half(FIG51A, cfg) == -0.09422578122261548 + 0.06516941744283823j
+    assert c_half(FIG53, cfg) == 0.06840968849739901 + 0.10362335917983158j
+    assert c_half(FIG51A, cfg) == -0.09422578122261546 + 0.06516941744283822j
     assert c_half(LIOUVILLE, cfg) == -0.6068573898369163 + 7.431859600026971e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
-        0.8854657004659545 - 0.694628674026921j,
-        -0.7116549555245355 - 2.3930536294976803j,
-        -3.3537575608880426 - 3.1953066404451884j,
+        0.8854657004659544 - 0.6946286740269207j,
+        -0.7116549555245333 - 2.393053629497679j,
+        -3.3537575608880315 - 3.1953066404451773j,
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
         0.31880303445385116 + 0.3353786866282914j,
         -0.8986811081294499 - 0.24279104743987145j,
-        -5.632969973908088 - 0.6117178597499661j,
+        -5.632969973908085 - 0.6117178597499716j,
     ]
     assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
-        -6.254788380768611e-10 + 4.208171784212864e-10j,
-        2.5971027119168934e-09 + 1.3126628633246947e-09j,
-        2.0899383780858686e-09 - 7.055732049228336e-09j,
+        -6.254788380768611e-10 + 4.2081717842128656e-10j,
+        2.5971027119168934e-09 + 1.3126628633246937e-09j,
+        2.089938378085835e-09 - 7.055732049228377e-09j,
     ]
     assert delta_1(ONES, 1e3, cfg) == 1000.0 + 0j  # G(1) = 1 exactly
     assert delta_half(LIOUVILLE, 1e3, cfg) == -19.190515667893735 + 2.3501603586673195e-15j
@@ -947,3 +958,94 @@ def test_anchor_moves_no_bit(monkeypatch, anchor):
     want = _anchored_outputs()
     monkeypatch.setattr(zeta_kernel, "_ANCHOR_RE", anchor)
     assert _anchored_outputs() == want
+
+
+# ---------------------------------------------------------------- array paths
+
+@pytest.mark.parametrize("spec", [FIG53, FIG51A], ids=["fig53", "fig51a"])
+def test_grouped_g_lines_equal_alone(spec):
+    # the cut at 1/2 and the zero cuts sample G in lock-step; each keeps
+    # the interpolant (degree and coefficients) it gets when built alone
+    from fakemu.explicit_formula import _ctx
+
+    grouped = FormulaConfig(n_zeros=3)
+    a_exp_formula(spec, 1e3, grouped)
+    cuts = {k: c for k, c in _ctx(spec, grouped)[0]._cuts.items() if c.mode == "quadrature"}
+    assert len(cuts) == 8
+    for key, cut in cuts.items():
+        alone = _ctx(spec, FormulaConfig(n_zeros=3))[0].cut(key)
+        alone.delta(1e3)
+        assert alone.g_line.c.tobytes() == cut.g_line.c.tobytes(), key
+
+
+def test_g_line_groups_share_one_kernel_call_per_degree(monkeypatch):
+    # a zero_sum alone samples its zero cuts together; delta_half alone is
+    # a group of one
+    rows = []
+    monkeypatch.setattr(
+        explicit_formula,
+        "G_f_line",
+        lambda spec, s0, u, cfg: rows.append(np.size(s0)) or G_f_line(spec, s0, u, cfg),
+    )
+    cfg = FormulaConfig(n_zeros=2)
+    zero_sum(FIG53, 1e3, cfg)
+    assert rows[0] == 4 and len(rows) <= 3, rows
+    rows.clear()
+    delta_half(FIG53, 1e3, cfg)
+    assert rows and set(rows) == {1}, rows
+
+
+@pytest.mark.parametrize("kind", list(CUT_KINDS))
+def test_j_batch_bits_equal_one_point(kind):
+    # J over a level's nodes in one call against one node at a time, each
+    # on a fresh kernel; J(0) and the public J are the one-point case
+    from fakemu.explicit_formula import _ctx
+
+    table = default_kernel().table
+
+    def fresh_cut():
+        cfg = FormulaConfig(n_zeros=1, kernel=ZetaKernel(table))
+        return _ctx(FIG53, cfg)[0].cut(CUT_KINDS[kind])
+
+    cut = fresh_cut()
+    u, cu = cut.level(5)[:2]
+    g = cut.g_line(u, cu)
+    batch = cut.j(u, cu, g)
+    one = fresh_cut()
+    assert batch.tolist() == [
+        complex(one.j(u[i : i + 1], cu[i : i + 1], g[i : i + 1])[0]) for i in range(u.size)
+    ]
+    public = {"one": J1, "half": J_half}.get(kind)
+    if public is not None:
+        assert public(FIG53, 0.0, FormulaConfig(n_zeros=1)) == cut.j0
+    elif kind == "zero":
+        assert J_rho(FIG53, 1, 0.0, FormulaConfig(n_zeros=1)) == cut.j0
+
+
+def test_kernel_buffers_stay_within_256_kB():
+    # every (points x terms) temporary of the array kernels is blocked to at
+    # most 256 kB, so a call's peak does not grow with its rows and points:
+    # unblocked, the G call below would hold ~6 MB per temporary, zeta
+    # ~20 MB and gamma ~1 MB
+    import tracemalloc
+
+    from fakemu.euler_residual import _log_primes
+
+    kernel = default_kernel()
+    g = np.array(kernel.table.ordinates[:10])
+    s0 = np.concatenate([[0.5], 0.5 + 1j * g, 0.5 - 1j * g])
+    u = 0.1 * np.sin(np.arange(129) * math.pi / 256) ** 2
+    _log_primes(100_000)
+    calls = [
+        lambda: G_f_line(FIG53, s0, u),
+        lambda: zeta(0.5 + 1j * np.linspace(500.0, 501.0, 2000)),
+        lambda: gamma(np.linspace(-3.0, 3.0, 5000) + 0.5j),
+        lambda: kernel.L1(np.linspace(0.4, 2.0, 5000)),
+    ]
+    for call in calls:
+        call()
+        tracemalloc.start()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 16 * 256 * 1024, peak

@@ -424,3 +424,108 @@ def test_clog_zeta_matches_exp(kernel):
             s2 = 2.0 * kernel.rho(k) - 2.0 * u
             v = sweep.zeta2(u)
             assert abs(cmath.exp(v) - zeta(s2)) <= 1e-10 * abs(zeta(s2)), (k, u)
+
+
+# ---------------------------------------------------------------- array kernels
+
+def test_zeta_array_against_mpmath_in_its_box():
+    rng = np.random.default_rng(41)
+    s = rng.uniform(-1.0, 40.0, 60) + 1j * rng.uniform(-600.0, 600.0, 60)
+    got = zeta(s)
+    assert got.shape == s.shape
+    for v, g in zip(s.tolist(), got.tolist()):
+        ref = complex(mp.zeta(mp.mpc(v.real, v.imag)))
+        assert abs(g - ref) <= 1e-12 * abs(ref), v
+
+
+def test_gamma_array_against_mpmath():
+    # exp of a log-gamma of size ~pi |t|/2 carries ~eps pi |t|/2 of relative
+    # rounding, so the box stops at |t| = 8
+    rng = np.random.default_rng(43)
+    s = rng.uniform(-4.0, 6.0, 200) + 1j * rng.uniform(-8.0, 8.0, 200)
+    got = gamma(s)
+    for v, g in zip(s.tolist(), got.tolist()):
+        ref = complex(mp.gamma(mp.mpc(v.real, v.imag)))
+        assert abs(g - ref) <= 1e-14 * abs(ref), v
+
+
+def _mixed_points():
+    """Points of several Euler-Maclaurin term counts, both gamma routes and
+    every L1 route (principal, plain log, continuation)."""
+    rng = np.random.default_rng(47)
+    pts = rng.uniform(0.36, 3.0, 40) + 1j * rng.uniform(-0.35, 0.35, 40)
+    pts = np.concatenate([
+        pts,
+        rng.uniform(0.36, 3.0, 20) + 1j * rng.uniform(-60.0, 60.0, 20),
+        [0.5, 1.0 + 1e-4, 1.3, 0.45 + 14.0j, 0.7 - 21.5j],
+    ])
+    return pts[rng.permutation(pts.size)]
+
+
+@pytest.mark.parametrize("name", ["zeta", "gamma", "zeta_times_s_minus_1", "L1"])
+def test_batch_bits_equal_one_point(name):
+    # a value's bits do not depend on the batch it comes in: N(s) is per
+    # point and every row reduction runs over one C-contiguous row
+    fn = getattr(zeta_kernel, name, None) or default_kernel().L1
+    pts = _mixed_points()
+    if name == "gamma":
+        pts = np.concatenate([pts, pts - 3.0])  # the reflection route too
+    batch = fn(pts)
+    assert batch.dtype == np.complex128 and batch.shape == pts.shape
+    assert batch.tolist() == [fn(v) for v in pts.tolist()]
+    assert fn(pts[::-1]).tolist() == batch.tolist()[::-1]
+
+
+def test_zeta_one_point_is_a_complex():
+    assert isinstance(zeta(2.0), complex) and isinstance(gamma(0.5), complex)
+    assert isinstance(default_kernel().L1(0.5), complex)
+    with pytest.raises(PoleError):
+        zeta(np.array([2.0, 1.0]))
+    with pytest.raises(RangeError):
+        zeta(np.array([2.0, 41.0]))
+    with pytest.raises(PoleError):
+        gamma(np.array([0.5, -2.0]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_rho_sweep_line_matches_point_by_point(k, conjugate):
+    # one array call at all new positions against one point at a time, each
+    # on a fresh kernel; positions beyond one step of the seed and of each
+    # other take the _track_log route
+    table = default_kernel().table
+    sweep = ZetaKernel(table).rho_sweep(k, conjugate)
+    rng = np.random.default_rng(53 + k)
+    u = np.sort(rng.uniform(-0.9, 0.9, 40) * sweep.radius)
+    u = np.concatenate([u, u[:5]])  # repeated positions read kept values
+    lr, cz = sweep.line(u)
+    ref = ZetaKernel(table).rho_sweep(k, conjugate)
+    assert lr.tolist() == [ref.local(v) for v in u.tolist()]
+    assert cz.tolist() == [ref.zeta2(v) for v in u.tolist()]
+    far = ZetaKernel(table).rho_sweep(k, conjugate)
+    v = 0.95 * far.radius  # beyond one step of the seed at -radius/2
+    lr, cz = far.line(np.array([v]))
+    assert (complex(lr[0]), complex(cz[0])) == (ref.local(v), ref.zeta2(v))
+    with pytest.raises(RangeError):
+        sweep.line(np.array([0.0, 1.01 * sweep.radius]))
+
+
+def test_rho_sweep_line_takes_single_steps(monkeypatch):
+    # nodes within one step of a kept value call no _track_log
+    sweep = ZetaKernel(default_kernel().table).rho_sweep(1)
+    calls = []
+    track = zeta_kernel._track_log
+    monkeypatch.setattr(
+        zeta_kernel, "_track_log", lambda *args: calls.append(args) or track(*args)
+    )
+    sweep.line(np.linspace(-0.2, 0.1, 31))
+    assert calls == []
+
+
+def test_malformed_zero_table_is_a_domain_error(tmp_path):
+    with pytest.raises(DomainError, match="'test', line 3: not a number"):
+        zeta_kernel._parse_zero_table("# c\n14.134725141734694\n21.0x\n", "test")
+    p = tmp_path / "zeros.txt"
+    p.write_bytes(b"14.134725141734694\n\xff\n")
+    with pytest.raises(DomainError, match="line 2: not UTF-8"):
+        load_zero_table(str(p))
