@@ -60,9 +60,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _add_shared(p: argparse.ArgumentParser) -> None:
     """Flags of every command that evaluates a spec (all but verify)."""
     p.add_argument("--eps", required=True, help="epsilon-spec string")
-    p.add_argument("--prime-limit", type=int, default=100_000)
-    p.add_argument("--n-zeros", type=int, default=30)
-    p.add_argument("--a", type=float, default=0.40)
+    p.add_argument("--prime-limit", type=int, default=GfConfig.prime_limit)
+    p.add_argument("--n-zeros", type=int, default=FormulaConfig.n_zeros)
+    p.add_argument("--a", type=float, default=FormulaConfig.a)
     p.add_argument("--zeros-file", default=None)
     p.add_argument("--out", default=None)
 

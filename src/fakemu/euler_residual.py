@@ -14,9 +14,11 @@ global factorization-identity tests rather than per-factor logic.
 
 One kernel evaluates it: G_f_line(spec, s0, u) returns G(s0_i - u_j)
 for real u_j >= 0, the points of a horizontal segment, and for one s0 or
-an array of them with one common real part (the cut at 1/2 and the zero
-cuts of the explicit formula); G_f(s) is its 1 x 1 case, s0 = s and
-u = [0].  With sigma_min = Re s0 - max u, every point has
+an array of them (the cut at 1/2 and the zero cuts of the explicit
+formula share one real part); it takes the rows in groups of one real
+part.  G_f(s) is its case u = [0] with s as the rows, for a point or an
+array of points (a Watson ring).  Within a group, with sigma_min =
+Re s0 - max u, every point has
 |p^{-s}| <= p^{-sigma_min}, and the primes split in two (H. Cohen, High
 precision computation of Hardy-Littlewood constants, 1998):
 
@@ -372,30 +374,9 @@ def _series_sum(
 _EXPLICIT_BLOCK = _BLOCK // 8
 
 
-def G_f_line(
-    spec: EpsilonSpec, s0, u, cfg: Optional[GfConfig] = None
-) -> np.ndarray:
-    """Truncated residual Euler product at s0_i - u_j for real u_j >= 0
-    (Re s0 - max u >= 0.35), one call per batch of points.
-
-    s0 is one point, which gives an array over u, or a 1-d array of points
-    with one common real part, which gives an (s0 x u) array; each row has
-    the bits it has alone.
-    """
-    s0_in = np.asarray(s0, dtype=np.complex128)
-    rows = s0_in.reshape(-1)
-    if s0_in.ndim > 1 or rows.size == 0 or not np.all(np.isfinite(rows)):
-        raise DomainError("G_f_line requires one finite s0 or a non-empty 1-d array of them")
-    if np.any(rows.real != rows[0].real):
-        raise DomainError("the s0 of one G_f_line call must share their real part")
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or u.size == 0 or not np.all(np.isfinite(u) & (u >= 0.0)):
-        raise DomainError("G_f_line requires a non-empty 1-d array of finite u >= 0")
+def _G_rows(spec: EpsilonSpec, rows: np.ndarray, u: np.ndarray, cfg: GfConfig) -> np.ndarray:
+    """G at rows_i - u_j as a (rows x u) array, for rows of one real part."""
     sigma_min = float(rows[0].real) - float(u.max())
-    if not sigma_min >= RE_S_MIN:
-        raise RangeError(f"G_f requires Re s >= {RE_S_MIN}")
-    if cfg is None:
-        cfg = GfConfig()
     logp = cfg.logp
     n_exp = int(np.searchsorted(logp, -math.log(RHO_SERIES) / sigma_min))
     points = (rows[:, None] - u).reshape(-1)
@@ -412,14 +393,45 @@ def G_f_line(
         sigma_grid = math.floor(sigma_min * _ORDER_GRID) / _ORDER_GRID
         active = _series_active(spec, sigma_grid, cfg.prime_limit, n_exp)
         log_g += _series_sum(a, rows, u, logp[n_exp:], active)
-    out = np.exp(log_g)
+    return np.exp(log_g)
+
+
+def G_f_line(
+    spec: EpsilonSpec, s0, u, cfg: Optional[GfConfig] = None
+) -> np.ndarray:
+    """Truncated residual Euler product at s0_i - u_j for real u_j >= 0
+    (Re s0 - max u >= 0.35), one call per batch of points.
+
+    s0 is one point, which gives an array over u, or a 1-d array of
+    points, which gives an (s0 x u) array.  The rows go through the
+    kernel in groups of one real part, so rows of one group share their
+    explicit-prime count and series orders; each row has the bits it has
+    alone.
+    """
+    s0_in = np.asarray(s0, dtype=np.complex128)
+    rows = s0_in.reshape(-1)
+    if s0_in.ndim > 1 or rows.size == 0 or not np.all(np.isfinite(rows)):
+        raise DomainError("G_f_line requires one finite s0 or a non-empty 1-d array of them")
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1 or u.size == 0 or not np.all(np.isfinite(u) & (u >= 0.0)):
+        raise DomainError("G_f_line requires a non-empty 1-d array of finite u >= 0")
+    if not float(rows.real.min()) - float(u.max()) >= RE_S_MIN:
+        raise RangeError(f"G_f requires Re s >= {RE_S_MIN}")
+    if cfg is None:
+        cfg = GfConfig()
+    out = np.empty((rows.size, u.size), dtype=np.complex128)
+    for re in set(rows.real.tolist()):
+        group = rows.real == re
+        out[group] = _G_rows(spec, rows[group], u, cfg)
     return out if s0_in.ndim == 1 else out[0]
 
 
-def G_f(spec: EpsilonSpec, s: complex, cfg: Optional[GfConfig] = None) -> complex:
-    """Truncated residual Euler product at s (Re s >= 0.35): G_f_line at
-    the one point u = 0."""
-    return complex(G_f_line(spec, s, np.zeros(1), cfg)[0])
+def G_f(spec: EpsilonSpec, s, cfg: Optional[GfConfig] = None):
+    """Truncated residual Euler product at s (Re s >= 0.35), a point or an
+    array of points: G_f_line at the one point u = 0, with s as its s0."""
+    pts = np.asarray(s, dtype=np.complex128)
+    out = G_f_line(spec, pts.reshape(-1), np.zeros(1), cfg)[:, 0]
+    return complex(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
 
 def _exp1(x: float) -> float:

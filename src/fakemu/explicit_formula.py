@@ -38,12 +38,11 @@ e^{-Lu} depends on x, so a cut builds each level L (nodes t = k 2^{1-L}:
 u, log u, weights and J) once, as arrays, and evaluates J only at the odd
 k, the even k being level L-1's nodes, in one call on their arrays.  J is
 an array function throughout: zeta, gamma and L1 take arrays, L1 on the
-cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.line reads
-or continues both logs at all new nodes at once; J1, J_half, J_rho and
+cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
+or continues both logs at all new points at once; J1, J_half, J_rho and
 J(0) are its one-point case, and a point's J has the same bits alone and
-inside a level.  A cut
-holds at most MAX_LEVEL - 2 levels; another x reads them and builds no
-node.
+inside a level or a Watson ring.  A cut holds at most MAX_LEVEL - 2
+levels; another x reads them and builds no node.
 
 At the tanh-sinh nodes G(s0 - u), s0 = 1, 1/2 or rho, comes from one
 Chebyshev interpolant per cut (class _GLine) on the segment 0 <= u <= b,
@@ -70,17 +69,21 @@ coefficients already computed.  A bound would need max |G| on a Bernstein
 ellipse around the segment, which nothing here computes, and a feature
 narrower than the sample spacing could pass the test unseen; G, holomorphic
 well past the segment, has none.  Every other G (the residues, J(0) in
-c_{1/2}, the Watson ring, J at complex u) is a direct G_f call.
+c_{1/2}, the Watson ring, J at complex u) is a direct G_f call, one for
+all points of an array: G_f_line at u = 0, with the points as its rows,
+grouped by real part.
 
 Watson coefficients lambda_{xi,k} of J_xi at u = 0 come from a
-WATSON_NODES-node trapezoid rule on the circle |u| = WATSON_RADIUS;
-Delta_xi ~ sine x^xi sum_k lambda_k Gamma(1-beta+k) L^{beta-1-k}, whose
-k = 0 term gives c_{1/2}.
+WATSON_NODES-node trapezoid rule on the circle |u| = WATSON_RADIUS
+(Trefethen and Weideman, SIAM Review 56, 2014); every cut takes the ring
+as one call of j on its points.  Delta_xi ~ sine x^xi sum_k lambda_k
+Gamma(1-beta+k) L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
 
 The two branch-tracked logs inside J_rho come from one
 zeta_kernel.RhoSweep per zero (and per mirror zero), kept on the kernel
 for every spec and config: it serves the Laplace nodes, the Watson ring,
-the residue's zeta(2 rho)^w and J_rho at complex u.
+the residue's zeta(2 rho)^w and J_rho at complex u.  Its line values are
+kept; a ring point is one leg off the line, taken again at each call.
 """
 
 from __future__ import annotations
@@ -288,16 +291,16 @@ def _sample_g_lines(
 class _Cut:
     """The Selberg-Delange step at one branch point xi (module docstring).
 
-    j(u, cu, g) is J_xi over an array of u, with cu = b - u passed exactly
-    near the right end and g the values of G at s = s0 - u (G_f is called
-    at each point when g is None).  level(L) builds tanh-sinh level L once,
-    takes G at its new nodes from g_line, the Chebyshev interpolant of G on
-    the segment, and calls j once on them; every other J (Watson ring,
-    J(0), complex u) calls G_f.  g_line is sampled on first use, alone,
-    unless a caller sampled it with other cuts of its segment
-    (_sample_g_lines).  ring(r, n), if given, gives J_xi at n equispaced
-    points of |u| = r (else j is called on them); residue() computes c_xi
-    on first use.  J and its ring exist in every mode.
+    j(u, cu, g) is J_xi over an array of u, real or complex, with cu =
+    b - u passed exactly near the right end and g the values of G at
+    s = s0 - u (one G_f call on all of them when g is None).  level(L)
+    builds tanh-sinh level L once, takes G at its new nodes from g_line,
+    the Chebyshev interpolant of G on the segment, and calls j once on
+    them; every other J (the Watson ring in coeffs, J(0)) is one j call
+    with g None.  g_line is sampled on first use, alone, unless a caller
+    sampled it with other cuts of its segment (_sample_g_lines).
+    residue() computes c_xi on first use.  J and its ring exist in every
+    mode.
     """
 
     beta: complex
@@ -310,7 +313,6 @@ class _Cut:
     residue: Callable[[], complex]
     s0: complex  # G is read at s0 - u
     g_on_line: Callable[[np.ndarray, np.ndarray], np.ndarray]  # G_f_line
-    ring: Optional[Callable[[float, int], np.ndarray]] = None
     g_line: Optional[_GLine] = field(default=None, init=False, repr=False)
     levels: list = field(default_factory=list, init=False, repr=False)  # level L at L - 3
 
@@ -391,10 +393,7 @@ class _Cut:
         r, nodes = WATSON_RADIUS, WATSON_NODES
         j0 = self.j0
         ang = 2.0 * math.pi * np.arange(nodes) / nodes
-        if self.ring is not None:
-            vals = self.ring(r, nodes)
-        else:
-            vals = self.j(r * np.exp(1j * ang))
+        vals = self.j(r * np.exp(1j * ang))
         coeffs = [
             complex(np.mean(vals * np.exp(-1j * k * ang))) / r ** k
             for k in range(M + 1)
@@ -437,13 +436,10 @@ class _Ctx:
         self._cuts: dict = {}
         self._sampled: set[bool] = set()  # sample_a_segment calls done
 
-    def G(self, s: complex) -> complex:
-        """The residual Euler product, called directly."""
+    def G(self, s):
+        """The residual Euler product at a point or an array of points,
+        called directly."""
         return G_f(self.spec, s, self.cfg.gf_config)
-
-    def G_points(self, s: np.ndarray) -> np.ndarray:
-        """G_f at each point of an array."""
-        return np.array([self.G(v) for v in s.tolist()], dtype=np.complex128)
 
     def G_line(self, s0: np.ndarray, u: np.ndarray) -> np.ndarray:
         """G at s0_i - u_j, an (s0 x u) array, in one call."""
@@ -523,12 +519,12 @@ class _Ctx:
             mode=_mode(zi == -1, zi in (0, 1)),
             residue=residue,
             s0=rho, g_on_line=self.G_line,
-            ring=lambda r, n: self.j_rho_ring(index, conjugate, r, n),
         )
 
     # -- integrands -----------------------------------------------------------
     # Each takes an array of u (real nodes or complex ring points) and
-    # returns J there; g holds G at s0 - u, or None for a G_f call per point.
+    # returns J there; g holds G at s0 - u, or None for one G_f call on
+    # all of them.
 
     def j1(self, u, cu: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None) -> np.ndarray:
         """J_1; cu = 1/2 - u passed exactly near the right endpoint, g = G(1 - u)."""
@@ -540,7 +536,7 @@ class _Ctx:
         return (
             np.exp(self.z * lz1 + self.w * lz2)
             * one_minus_2u ** (-self.w)
-            * (self.G_points(1.0 - u) if g is None else g)
+            * (self.G(1.0 - u) if g is None else g)
             * gamma(1.0 - u)
         )
 
@@ -556,43 +552,26 @@ class _Ctx:
             * (0.5 + u) ** (-self.z)
             * np.exp(self.z * lz1 + self.w * lz2)
             / (1.0 - 2.0 * u)
-            * (self.G_points(half_minus) if g is None else g)
+            * (self.G(half_minus) if g is None else g)
             * gamma(half_minus)
-        )
-
-    def _j_rho_at(
-        self, rho: complex, u: np.ndarray, lr: np.ndarray, cz: np.ndarray,
-        g: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """J_rho at u from the branch values lr = log((s-1) zeta(s)/(s-rho)),
-        cz = log zeta(2s), s = rho - u, and g = G(s)."""
-        s = rho - u
-        return (
-            (rho - 1.0 - u) ** (-self.z)
-            * (self.G_points(s) if g is None else g)
-            * np.exp(self.z * lr + self.w * cz)
-            * gamma(s)
         )
 
     def j_rho(
         self, zero_index: int, conjugate: bool, u, g: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """J_rho; real u read the sweep's line in one call, complex u leave
-        it one point at a time."""
+        """J_rho; g = G(rho - u).  The zero's sweep gives both branch-tracked
+        logs, log((s-1) zeta(s)/(s-rho)) and log zeta(2s) at s = rho - u, at
+        all u, real or complex, in one call."""
         sw = self.kernel.rho_sweep(zero_index, conjugate)
         u = np.asarray(u, dtype=np.complex128)
-        if np.all(u.imag == 0.0):
-            lr, cz = sw.line(u.real)
-        else:
-            lr = np.array([sw.local(v) for v in u.tolist()], dtype=np.complex128)
-            cz = np.array([sw.zeta2(v) for v in u.tolist()], dtype=np.complex128)
-        return self._j_rho_at(sw.rho, u, lr, cz, g)
-
-    def j_rho_ring(self, zero_index: int, conjugate: bool, r: float, n: int) -> np.ndarray:
-        """J_rho on the circle |u| = r (n nodes), walked from the real axis."""
-        sw = self.kernel.rho_sweep(zero_index, conjugate)
-        u, lr, cz = (np.array(v, dtype=np.complex128) for v in zip(*sw.ring(r, n)))
-        return self._j_rho_at(sw.rho, u, lr, cz)
+        lr, cz = sw.at(u)
+        s = sw.rho - u
+        return (
+            (sw.rho - 1.0 - u) ** (-self.z)
+            * (self.G(s) if g is None else g)
+            * np.exp(self.z * lr + self.w * cz)
+            * gamma(s)
+        )
 
     def zeta_2rho_pow_w(self, zero_index: int, conjugate: bool = False) -> complex:
         return cmath.exp(self.w * self.kernel.rho_sweep(zero_index, conjugate).zeta2(0.0))

@@ -150,9 +150,9 @@ def check_zero_table() -> None:
 
 def check_array_kernels() -> None:
     # a point's bits are the same alone and inside a mixed batch: zeta and
-    # gamma, J over one tanh-sinh level (on fresh kernels, so the zero's
-    # sweep computes every node), and a G line sampled with others on its
-    # segment or alone
+    # gamma; J over one tanh-sinh level and on the Watson ring (on fresh
+    # kernels, so the zero's sweep computes every point); a G line sampled
+    # with others on its segment or alone, and G rows of mixed real parts
     rng = random.Random(29)
     pts = [complex(rng.uniform(-1.0, 5.0), rng.uniform(-60.0, 60.0)) for _ in range(24)]
     pts += [0.5, 2.0, 0.5 + 14.134725141734694j]
@@ -164,20 +164,29 @@ def check_array_kernels() -> None:
     table = zk.default_kernel().table
     u = 0.1 * np.linspace(0.02, 0.98, 9)
     g = np.ones(u.size, dtype=np.complex128)
+    n = xf.WATSON_NODES
+    ring = xf.WATSON_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
     for key in ("one", "half", (1, False)):
         cuts = [
             xf._ctx(spec, xf.FormulaConfig(n_zeros=1, kernel=zk.ZetaKernel(table)))[0].cut(key)
-            for _ in range(2)
+            for _ in range(3)
         ]
         cu = cuts[0].b - u
         batch = cuts[0].j(u, cu, g).tolist()
         for i, got in enumerate(batch):
             assert got == complex(cuts[1].j(u[i : i + 1], cu[i : i + 1], g[:1])[0]), (key, i)
+        batch = cuts[0].j(ring).tolist()
+        for i in range(0, n, 16):
+            assert batch[i] == complex(cuts[2].j(ring[i : i + 1])[0]), (key, i)
     cfg = er.GfConfig()
     s0 = np.array([0.5, 0.5 + 14.134725141734694j, 0.5 - 21.022039638771555j])
     grouped = er.G_f_line(spec, s0, u, cfg)
     for row, s in zip(grouped, s0.tolist()):
         assert np.array_equal(row, er.G_f_line(spec, s, u, cfg)), s
+    s0 = np.array([0.45 + 0.02j, 0.5, 0.45 - 0.02j, 0.5 + 14.134725141734694j, 0.7 - 1.0j])
+    grouped = er.G_f_line(spec, s0, u[:4], cfg)
+    for row, s in zip(grouped, s0.tolist()):
+        assert np.array_equal(row, er.G_f_line(spec, s, u[:4], cfg)), s
 
 
 CORE_CHECKS = [

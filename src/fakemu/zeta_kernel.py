@@ -13,17 +13,22 @@ Powers of zeta are assembled from it:
 
     zeta(s)^z = (s-1)^{-z} exp(z*L1(s)),        Z(s; z) = exp(z*L1(s))/s.
 
-Away from the real window, L1 is continued along the horizontal path from
-the anchor 1.2 + i*Im(s), where the standard branch of log zeta is the
-principal Log (log_zeta_euler).  A continued log is the principal Log at
-its end point plus 2 pi i k: the path picks only k.
+Every branch-tracked log comes from one routine, _continue_log: log h at
+the vertices of polylines, each continued from a known value.  It halves
+the steps longer than _STEP0, calls h once at all unknown vertices, then
+halves the steps along which arg h moves by pi/2 or more, one call of h
+per round, and returns Log h at each vertex plus 2 pi i k: the path
+picks only k, so a value's bits depend only on its vertex.  Away from the real
+window, L1 is continued along one straight leg from the anchor
+1.2 + i*Im(s), where the standard branch of log zeta is the principal
+Log (log_zeta_euler).
 
 Near a zero rho this module alone fixes the two logs of the explicit
 formula's J_rho, log((s-1) zeta(s)/(s-rho)) and log zeta(2s) at
 s = rho - u: the kernel's one RhoSweep per zero anchors them at rho + r
 and 1.2 + 2i Im rho, continues them along the line s = rho - u (u real),
-leaves the line at Re u along one straight leg for complex u, and walks
-the Watson ring |u| = r' point to point.
+keeping the values there, and gives a complex u (a Watson ring point)
+one straight leg from the line value at Re u.
 
 Arrays.  zeta, zeta_times_s_minus_1, gamma, log_zeta_euler and
 ZetaKernel.L1 take a point or an array of points, and the point is the
@@ -36,19 +41,17 @@ Bernoulli corrections are summed per point in Python complex arithmetic,
 the arithmetic zeta had as a scalar function, because the estimators of
 zeta'(rho) amplify zeta's rounding ~1e4 times.  L1 of an array is a plain
 log wherever |Im s| <= 0.35 (and on Re s >= 1.2 the principal log), which
-covers every node and ring point of the cuts at 1 and 1/2; any other point
-is continued one at a time.  RhoSweep.line(u) gives both logs at an
-array of real u: it evaluates each function once at all new positions,
-and a new position takes a kept neighbour's branch by _track_log's single
-accepted step (distance <= _STEP0, arg step < pi/2); any other position
-falls back to _track_log.
+covers every node and ring point of the cuts at 1 and 1/2; all other
+points take their legs in one _continue_log call.  RhoSweep.at(u) gives
+both logs at an array of u, real or complex: the new line positions
+continue in runs from the kept ones, in one call of each function, and
+the legs off the line in one more.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
@@ -451,132 +454,130 @@ _STEP0 = 0.25
 _STEP_FLOOR = 1e-6
 
 
-def _track_log(
-    h: Callable[[complex], complex], s0: complex, log0: complex, s1: complex
-) -> complex:
-    """log h at s1 on the branch continued from s0 (value log0) along a segment.
+def _continue_log(
+    h: Callable[[np.ndarray], np.ndarray], s: np.ndarray, log: np.ndarray, known: np.ndarray
+) -> np.ndarray:
+    """log h at the vertices s of polylines, on the branches continued
+    from the known values.
 
-    Each accepted step changes arg h by < pi/2; steps halve on violation
-    and StepError fires at the hard floor.  The walk picks only k in
-    Log h(s1) + 2 pi i k, so the bits do not depend on s0 or the steps.
+    A polyline starts at a known vertex (known[i], value log[i]; s[0] is
+    one), and every other vertex continues from the vertex before it.
+    Steps longer than _STEP0 are halved first, their midpoints joining
+    the polyline; h is then called once at all unknown vertices, and once
+    per round at the midpoints of the steps along which arg h moves by
+    pi/2 or more.  StepError fires where h vanishes or a step falls below
+    _STEP_FLOOR.  A value is Log h at its vertex (cmath.log) plus 2 pi i k:
+    the path picks only k, so the bits depend only on the vertex.
     """
-    total = s1 - s0
-    dist = abs(total)
-    if dist == 0.0:
-        return log0
-    direction = total / dist
-    cur_s = s0
-    cur_h = cmath.exp(log0)
-    cur_im = log0.imag
-    remaining = dist
-    step = min(_STEP0, dist)
-    while remaining > 0.0:
-        step = min(step, remaining)
-        while True:
-            last = step == remaining
-            nxt = s1 if last else cur_s + direction * step
-            hn = h(nxt)
-            if hn == 0:
-                raise StepError(f"function vanished on continuation path at {nxt}")
-            ratio = hn / cur_h
-            dang = math.atan2(ratio.imag, ratio.real)
-            if abs(dang) < 0.5 * math.pi:
-                break
-            step *= 0.5
-            if step < _STEP_FLOOR:
-                raise StepError("continuation step underflow")
-        cur_im += dang
-        cur_s = nxt
-        cur_h = hn
-        remaining = 0.0 if last else remaining - step
-        step = min(step * 2.0, _STEP0)
-    log1 = cmath.log(cur_h)
-    k = round((cur_im - log1.imag) / (2.0 * math.pi))
-    return complex(log1.real, log1.imag + 2.0 * math.pi * k)
+    end = np.flatnonzero(~known)
+    far = end[np.abs(s[end] - s[end - 1]) > _STEP0]
+    if far.size:
+        mid = 0.5 * (s[far - 1] + s[far])
+        inner = far + np.arange(far.size)  # where the midpoints land
+        keep = np.ones(s.size + far.size, dtype=bool)
+        keep[inner] = False
+        return _continue_log(
+            h, np.insert(s, far, mid), np.insert(log, far, 0.0), np.insert(known, far, False)
+        )[keep]
+    out = log.copy()
+    if not end.size:
+        return out
+    hv = h(s[end])
+    arg = np.where(known, log.imag, 0.0)  # the known values' Im, else Arg h
+    arg[end] = np.arctan2(hv.imag, hv.real)
+    seg = np.arange(end.size)  # the pieces of the steps into the unknown vertices
+    p0, p1, arg0, arg1 = s[end - 1], s[end], arg[end - 1], arg[end]
+    new = hv
+    while True:
+        if (new == 0).any():
+            raise StepError("function vanished on continuation path")
+        turn = np.remainder(arg1 - arg0 + math.pi, 2.0 * math.pi) - math.pi
+        bad = np.abs(turn) >= 0.5 * math.pi
+        if not bad.any():
+            break
+        if (np.abs(p1[bad] - p0[bad]) < 2.0 * _STEP_FLOOR).any():
+            raise StepError("continuation step underflow")
+        pm = 0.5 * (p0[bad] + p1[bad])
+        new = h(pm)
+        am = np.arctan2(new.imag, new.real)
+        ok = ~bad
+        p0 = np.concatenate([p0[ok], p0[bad], pm])
+        p1 = np.concatenate([p1[ok], pm, p1[bad]])
+        arg0 = np.concatenate([arg0[ok], arg0[bad], am])
+        arg1 = np.concatenate([arg1[ok], am, arg1[bad]])
+        seg = np.concatenate([seg[ok], seg[bad], seg[bad]])
+    turns = np.bincount(seg, weights=turn, minlength=end.size)
+    wind = np.zeros(s.size, dtype=np.int64)
+    wind[end] = np.rint((arg[end - 1] + turns - arg[end]) / (2.0 * math.pi))
+    # k adds up the windings along each polyline from its known vertex
+    k = wind.cumsum()
+    k -= k[known][known.cumsum() - 1]
+    two_pi = 2.0 * math.pi
+    out[end] = [
+        complex(v.real, v.imag + two_pi * j)
+        for v, j in zip(map(cmath.log, hv.tolist()), k[end].tolist())
+    ]
+    return out
+
+
+def _continue_legs(
+    h: Callable[[np.ndarray], np.ndarray], s0: np.ndarray, log0: np.ndarray, s1: np.ndarray
+) -> np.ndarray:
+    """log h at each s1[i], continued along the segment from s0[i], where
+    it is log0[i]: a polyline of two vertices each."""
+    s = np.empty(2 * s1.size, dtype=np.complex128)
+    s[0::2], s[1::2] = s0, s1
+    log = np.zeros(s.size, dtype=np.complex128)
+    log[0::2] = log0
+    return _continue_log(h, s, log, np.arange(s.size) % 2 == 0)[1::2]
 
 
 class _LineCache:
-    """Branch values of log h at s_of(u), fixed by continuation.
+    """Branch values of log h at s_of(u), kept at real u.
 
-    Values at real u are kept.  line(q) takes a whole array of real
-    positions: it evaluates h once at all new ones, and a new position
-    within _STEP0 of a kept one whose arg h differs from that one's by
-    < pi/2 takes that one's branch, which is exactly _track_log's single
-    accepted step; positions so resolved are kept and serve the next
-    round.  A position left over continues from the nearest kept one
-    (found by bisection; the left one on a tie) by _track_log (on_line).
-    A complex u continues from the line value at Re u along one straight
-    leg, and is not kept.  Every value is Log h at its position plus
+    line(q) gives them at an array of real positions.  The new positions
+    continue in runs: each from the position just below it, and those
+    below the lowest kept one downward from it, all in one _continue_log
+    call; they are kept.  at(u) gives an array of complex u, each
+    continued along one straight leg from the line value at Re u, and
+    keeps only the line values.  Every value is Log h at its position plus
     2 pi i k, so which positions are kept changes no bit.
     """
 
     def __init__(self, s_of, h, seed_pos: float, seed_val: complex):
         self.s_of = s_of
         self.h = h
-        self.vals: dict[float, complex] = {seed_pos: seed_val}
-        self.pos = [seed_pos]  # the keys of vals, ascending
-
-    def walk(self, log0: complex, u0: complex, u1: complex) -> complex:
-        return _track_log(self.h, self.s_of(u0), log0, self.s_of(u1))
-
-    def _nearest(self, q: float) -> float:
-        pos = self.pos
-        i = bisect_left(pos, q)
-        if i == len(pos) or (i > 0 and q - pos[i - 1] <= pos[i] - q):
-            i -= 1
-        return pos[i]
-
-    def on_line(self, q: float) -> complex:
-        got = self.vals.get(q)
-        if got is not None:
-            return got
-        near = self._nearest(q)
-        val = self.walk(self.vals[near], near, q)
-        self.vals[q] = val
-        insort(self.pos, q)
-        return val
+        self.pos = np.array([seed_pos])  # kept positions, ascending
+        self.val = np.array([seed_val], dtype=np.complex128)
 
     def line(self, q: np.ndarray) -> np.ndarray:
-        """Values at an array of real positions, h in one call at the new ones."""
-        vals = self.vals
-        keys = np.asarray(q, dtype=np.float64).tolist()
-        new = np.array(sorted({p for p in keys if p not in vals}))
+        i = np.minimum(np.searchsorted(self.pos, q), self.pos.size - 1)
+        new = q[self.pos[i] != q]
         if new.size:
-            hs = self.h(self.s_of(new))
-            logs = [cmath.log(v) for v in hs.tolist()]  # _track_log's last Log
-            todo = np.arange(new.size)
-            while todo.size:
-                pos = np.array(self.pos)
-                at = new[todo]
-                i = np.searchsorted(pos, at)
-                left = np.maximum(i - 1, 0)
-                right = np.minimum(i, pos.size - 1)
-                take_left = (i == pos.size) | ((i > 0) & (at - pos[left] <= pos[right] - at))
-                near = np.where(take_left, pos[left], pos[right])
-                log0 = np.array([vals[p] for p in near.tolist()])
-                ratio = hs[todo] / np.exp(log0)
-                dang = np.arctan2(ratio.imag, ratio.real)
-                step = (np.abs(at - near) <= _STEP0) & (np.abs(dang) < 0.5 * math.pi)
-                step &= hs[todo] != 0
-                if not np.any(step):
-                    # the position nearest to a kept one walks by _track_log
-                    j = int(np.argmin(np.abs(at - near)))
-                    self.on_line(float(at[j]))
-                    todo = np.delete(todo, j)
-                    continue
-                cur_im = log0.imag + dang
-                for n, c in zip(todo[step].tolist(), cur_im[step].tolist()):
-                    log1 = logs[n]
-                    k = round((c - log1.imag) / (2.0 * math.pi))
-                    vals[float(new[n])] = complex(log1.real, log1.imag + 2.0 * math.pi * k)
-                self.pos = sorted(vals)
-                todo = todo[~step]
-        return np.array([vals[p] for p in keys])
+            pos = np.concatenate([self.pos, new])
+            order = np.argsort(pos, kind="stable")
+            pos = pos[order]
+            fresh = np.concatenate([[True], pos[1:] != pos[:-1]])  # repeats drop
+            order, pos = order[fresh], pos[fresh]
+            known = order < self.pos.size
+            val = np.concatenate([self.val, np.zeros(new.size, dtype=np.complex128)])[order]
+            low = int(known.argmax())
+            path = np.concatenate([np.arange(low, -1, -1), np.arange(low, pos.size)])
+            # the new positions, each run after the kept one it starts from
+            run = ~known[path]
+            path = path[run | np.concatenate([run[1:], [False]])]
+            val[path] = _continue_log(self.h, self.s_of(pos[path]), val[path], known[path])
+            self.pos, self.val = pos, val
+            i = np.searchsorted(pos, q)
+        return self.val[i]
 
-    def value(self, u: complex) -> complex:
-        q = u.real
-        val = complex(self.line(np.array([q]))[0])
-        return val if u.imag == 0.0 else self.walk(val, q, u)
+    def at(self, u: np.ndarray) -> np.ndarray:
+        out = self.line(u.real)
+        off = u.imag != 0.0
+        if off.any():
+            q = u.real[off]
+            out[off] = _continue_legs(self.h, self.s_of(q), out[off], self.s_of(u[off]))
+        return out
 
 
 class RhoSweep:
@@ -589,11 +590,12 @@ class RhoSweep:
       zeta2(u) = log zeta(2s),  seeded at Re 2s = _ANCHOR_RE (u = -0.1)
                  with the standard branch of log_zeta_euler.
 
-    Both are continued along the line s = rho - u (u real) from the
-    nearest value already known; line(u) gives both at an array of real
-    u, with one array call of each function at the new positions; complex
-    u leaves the line at Re u along one straight leg; ring(r', n) walks
-    the circle |u| = r' from u = r'.
+    at(u) gives both at an array of complex u: the line s = rho - u (u
+    real) is continued from the values already kept, and a u off the
+    line takes one straight leg from the line value at Re u.  Each
+    function is called once at all new line positions and once at all
+    legs.  line(u) is at(u) for real u, local(u) and zeta2(u) one point
+    of it.
     """
 
     def __init__(
@@ -604,14 +606,13 @@ class RhoSweep:
         self.radius = radius
 
         def h(s):
-            pts, scalar = _points(s)
-            out = np.empty(pts.size, dtype=np.complex128)
-            at_rho = np.abs(pts - rho) < 1e-8
-            out[at_rho] = (pts[at_rho] - 1.0) * zeta_prime
+            out = np.empty(s.size, dtype=np.complex128)
+            at_rho = np.abs(s - rho) < 1e-8
+            out[at_rho] = (s[at_rho] - 1.0) * zeta_prime
             off = ~at_rho
             if np.any(off):
-                out[off] = zeta_times_s_minus_1(pts[off]) / (pts[off] - rho)
-            return _shaped(out, s, scalar)
+                out[off] = zeta_times_s_minus_1(s[off]) / (s[off] - rho)
+            return out
 
         self._local = _LineCache(lambda u: rho - u, h, -r, anchor_log)
         self._zeta2 = _LineCache(
@@ -620,9 +621,8 @@ class RhoSweep:
             rho.real - 0.5 * _ANCHOR_RE,
             log_zeta_euler(complex(_ANCHOR_RE, 2.0 * rho.imag)),
         )
-        self._rings: dict[tuple[float, int], list[tuple[complex, complex, complex]]] = {}
 
-    def _check(self, u):
+    def _check(self, u: np.ndarray) -> np.ndarray:
         out = np.abs(u) > self.radius
         if np.any(out):
             bad = np.max(np.abs(u))
@@ -632,39 +632,23 @@ class RhoSweep:
             )
         return u
 
-    def local(self, u: complex) -> complex:
-        """log((s-1) zeta(s) / (s-rho)) at s = rho - u."""
-        return self._local.value(self._check(complex(u)))
+    def at(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """(local(u), zeta2(u)) over an array of complex u."""
+        u = self._check(np.asarray(u, dtype=np.complex128).reshape(-1))
+        return self._local.at(u), self._zeta2.at(u)
 
-    def zeta2(self, u: complex) -> complex:
-        """log zeta(2s) at s = rho - u."""
-        return self._zeta2.value(self._check(complex(u)))
-
-    def line(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def line(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(local(u), zeta2(u)) over an array of real u."""
         u = self._check(np.asarray(u, dtype=np.float64))
         return self._local.line(u), self._zeta2.line(u)
 
-    def ring(self, r: float, n: int) -> list[tuple[complex, complex, complex]]:
-        """(u, local(u), zeta2(u)) at u = r e^{2 pi i j/n}, j = 0..n-1, each
-        continued from the one before (j = 0 from the line value at u = r);
-        walked once per (r, n)."""
-        got = self._rings.get((r, n))
-        if got is not None:
-            return got
-        prev = self._check(complex(r))
-        lr = self._local.value(prev)
-        cz = self._zeta2.value(prev)
-        ang = 2.0 * math.pi * np.arange(n) / n
-        got = []
-        for u in r * np.exp(1j * ang):
-            u = complex(u)
-            lr = self._local.walk(lr, prev, u)
-            cz = self._zeta2.walk(cz, prev, u)
-            prev = u
-            got.append((u, lr, cz))
-        self._rings[(r, n)] = got
-        return got
+    def local(self, u: complex) -> complex:
+        """log((s-1) zeta(s) / (s-rho)) at s = rho - u."""
+        return complex(self._local.at(self._check(np.array([complex(u)])))[0])
+
+    def zeta2(self, u: complex) -> complex:
+        """log zeta(2s) at s = rho - u."""
+        return complex(self._zeta2.at(self._check(np.array([complex(u)])))[0])
 
 
 class ZetaKernel:
@@ -706,8 +690,8 @@ class ZetaKernel:
         Re s >= 1.2 takes log_zeta_euler + Log(s-1); |Im s| <= 0.35 with
         Re (s-1) zeta(s) > 0 the plain Log of (s-1) zeta(s), which covers the
         real segment (1/3, 1.2) and the Watson rings of the cuts at 1 and
-        1/2.  Any other point is continued from 1.2 + i Im s, one point at
-        a time.
+        1/2.  Every other point is continued along one straight leg from
+        1.2 + i Im s, all of them in one _continue_legs call.
         """
         pts, scalar = _points(s)
         if np.any(pts.real <= 1.0 / 3.0):
@@ -726,10 +710,10 @@ class ZetaKernel:
             plain = h.real > 0.0
             out[near[plain]] = np.log(h[plain])
             todo[near[plain]] = False
-        for i in np.flatnonzero(todo).tolist():
-            v = complex(pts[i])
-            anchor = complex(_ANCHOR_RE, v.imag)
-            out[i] = _track_log(zeta_times_s_minus_1, anchor, self.L1(anchor), v)
+        if np.any(todo):
+            v = pts[todo]
+            anchor = _ANCHOR_RE + 1j * v.imag
+            out[todo] = _continue_legs(zeta_times_s_minus_1, anchor, self.L1(anchor), v)
         return _shaped(out, s, scalar)
 
     def Z(self, s: complex, z: complex) -> complex:
@@ -763,7 +747,11 @@ class ZetaKernel:
         """zeta'(rho_k) from two independent estimators (must agree to 1e-7).
 
         Mean of a 4-point central difference (h = 1e-4) and a trapezoid
-        Cauchy-circle derivative (radius 1e-3, 64 nodes).
+        Cauchy-circle derivative (radius 1e-3, 64 nodes).  Both divide
+        zeta's absolute rounding near the zero (~1e-13) by a small step, so
+        the result is good to ~3e-12 relative, not to double precision:
+        against mpmath at 40 digits the error is 3.05e-12 at zero 1, and
+        7.6e-13, 2.45e-13, 9.9e-13 and 3.9e-13 at zeros 2, 5, 30 and 100.
         """
         got = self._zprime_cache.get(zero_index)
         if got is not None:

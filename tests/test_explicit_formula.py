@@ -332,6 +332,33 @@ def test_delta_rho_mirror_vs_conj_spec(cfg):
 
 # ---------------------------------------------------------------- quadrature
 
+def _endpoint_case(part, text, xfail=False):
+    marks = pytest.mark.xfail(strict=True, raises=QuadratureError) if xfail else ()
+    return pytest.param(part, text, marks=marks, id=f"{part}-{text}")
+
+
+# Cuts whose endpoint exponent Re beta nears 1 inside the paper's window:
+# the mass of u^{-beta} near u = 0 sits below every node tanh-sinh reaches
+# in double precision, and the quadrature stops at MAX_LEVEL.  The known
+# failures are pinned beside their passing neighbours, at x = 1e4 with two
+# pairs of zeros; a fix of the endpoint treatment flips the xfails.
+@pytest.mark.parametrize("part, text", [
+    _endpoint_case("delta_1", "finite:[exp(i*0.25)]"),  # Re z = 0.969
+    _endpoint_case("delta_1", "finite:[exp(i*0.2)]", xfail=True),  # Re z = 0.980
+    _endpoint_case("delta_rho", "finite:[exp(i*3.1)]", xfail=True),  # Re(-z) = 0.999
+    _endpoint_case("delta_half", "finite:[exp(i*1.009099),1]"),  # Re w = 0.95
+    _endpoint_case("delta_half", "finite:[exp(i*1.024249),1]", xfail=True),  # Re w = 0.97
+])
+def test_endpoint_exponent_near_one(part, text):
+    spec = parse_eps_spec(text)
+    cfg = FormulaConfig(n_zeros=2)
+    if part == "delta_rho":
+        got = delta_rho(spec, 1, 1e4, cfg)
+    else:
+        got = {"delta_1": delta_1, "delta_half": delta_half}[part](spec, 1e4, cfg)
+    assert cmath.isfinite(got) and got != 0
+
+
 def test_quadrature_error_when_capped(monkeypatch):
     monkeypatch.setattr(explicit_formula, "MAX_LEVEL", 3)
     with pytest.raises(QuadratureError):
@@ -908,8 +935,19 @@ def test_shared_sweeps_are_free_of_call_history():
     assert run_b(shared) == alone
 
 
-def test_fresh_config_reuses_the_kernel_sweeps(monkeypatch):
-    # the Laplace nodes of every zero are read from the kernel's sweeps
+def _count_sweep_calls(kernel) -> list:
+    """Points of each call of the functions of every sweep kept on kernel."""
+    calls = []
+    for sweep in kernel._sweeps.values():
+        for cache in (sweep._local, sweep._zeta2):
+            h = cache.h
+            cache.h = lambda s, h=h: calls.append(np.size(s)) or h(s)
+    return calls
+
+
+def test_fresh_config_reuses_the_kernel_sweeps():
+    # the Laplace nodes of every zero are read from the kernel's sweeps: a
+    # warm kernel calls neither of their functions
     kernel = ZetaKernel(default_kernel().table)
 
     def run():
@@ -917,28 +955,23 @@ def test_fresh_config_reuses_the_kernel_sweeps(monkeypatch):
         return a_exp_formula(FIG53, 1e3, cfg), a_exp_formula(LIOUVILLE, 1e3, cfg)
 
     first = run()
-    calls = []
-    track = zeta_kernel._track_log
-    monkeypatch.setattr(
-        zeta_kernel, "_track_log", lambda *args: calls.append(args) or track(*args)
-    )
+    calls = _count_sweep_calls(kernel)
     assert run() == first
     assert calls == []
 
 
-def test_watson_ring_is_walked_once_per_kernel(monkeypatch):
-    # the ring's logs depend only on the zero: a second config or spec
-    # reads them from the kernel's sweep
+def test_watson_ring_repeats_bit_for_bit():
+    # the ring's logs depend only on the zero: a second config, a second
+    # spec and a fresh kernel give the same bits, and the ring is one call
+    # of each of the sweep's functions
     kernel = ZetaKernel(default_kernel().table)
     first = watson_coeffs(FIG53, "zero:1", 2, FormulaConfig(kernel=kernel))
-    calls = []
-    track = zeta_kernel._track_log
-    monkeypatch.setattr(
-        zeta_kernel, "_track_log", lambda *args: calls.append(args) or track(*args)
-    )
+    calls = _count_sweep_calls(kernel)
     assert watson_coeffs(FIG53, "zero:1", 2, FormulaConfig(kernel=kernel)) == first
-    watson_coeffs(FIG51A, "zero:1", 2, FormulaConfig(kernel=kernel))
-    assert calls == []
+    assert len(calls) == 2
+    other = watson_coeffs(FIG51A, "zero:1", 2, FormulaConfig(kernel=kernel))
+    fresh = FormulaConfig(kernel=ZetaKernel(default_kernel().table))
+    assert watson_coeffs(FIG51A, "zero:1", 2, fresh) == other
 
 
 def _anchored_outputs():

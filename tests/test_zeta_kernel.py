@@ -22,13 +22,15 @@ from fakemu.errors import (
     PlatformError,
     PoleError,
     RangeError,
+    StepError,
 )
 from fakemu import zeta_kernel
 from fakemu.zeta_kernel import (
     ZeroTable,
     ZetaKernel,
+    _continue_legs,
+    _continue_log,
     _LineCache,
-    _track_log,
     default_kernel,
     default_zero_table,
     gamma,
@@ -327,50 +329,77 @@ def test_L_rho_conjugate_zero(kernel):
 
 
 def test_rho_sweep_ring_matches_direct_values(kernel):
-    # the ring walk and the one-leg route land on the same branch
+    # the ring in one array call, each point one leg from the line at Re u,
+    # against one point at a time on a fresh sweep
     sweep = kernel.rho_sweep(2)
-    for u, lr, cz in sweep.ring(0.05, 16):
-        assert abs(lr - sweep.local(u)) <= 1e-13 * max(1.0, abs(lr)), u
-        assert abs(cz - sweep.zeta2(u)) <= 1e-13 * max(1.0, abs(cz)), u
+    ring = 0.05 * np.exp(2j * math.pi * np.arange(16) / 16)
+    lr, cz = sweep.at(ring)
+    ref = ZetaKernel(kernel.table).rho_sweep(2)
+    assert lr.tolist() == [ref.local(u) for u in ring.tolist()]
+    assert cz.tolist() == [ref.zeta2(u) for u in ring.tolist()]
+    for u, v, c in zip(ring.tolist(), lr.tolist(), cz.tolist()):
+        s = sweep.rho - u
+        assert abs(cmath.exp(v) * (s - sweep.rho) - zeta_times_s_minus_1(s)) <= 1e-12, u
+        assert abs(cmath.exp(c) - zeta(2.0 * s)) <= 1e-12 * abs(zeta(2.0 * s)), u
 
 
-def test_track_log_depends_only_on_the_end_point():
-    def h(s):  # log h = 5is + log(s + 3) winds ~3 times over [-1, 2.5]
-        return cmath.exp(5j * s) * (s + 3.0)
+def _winding(s):  # log h = 5is + log(s + 3) winds ~3 times over [-1, 2.5]
+    s = np.asarray(s)
+    return np.exp(5j * s) * (s + 3.0)
 
-    def log_h(s):
-        return 5j * s + cmath.log(s + 3.0)
 
+def _winding_log(s):
+    return 5j * s + np.log(s + 3.0)
+
+
+def test_continue_log_depends_only_on_the_end_point():
     s1 = complex(1.3, 0.1)
-    got = [_track_log(h, s0, log_h(s0), s1) for s0 in (complex(-1.0, 0.2), complex(2.5, -0.3))]
+    s0 = np.array([-1.0 + 0.2j, 2.5 - 0.3j])
+    got = _continue_legs(_winding, s0, _winding_log(s0), np.array([s1, s1]))
     assert got[0] == got[1]
-    assert got[0].real == cmath.log(h(s1)).real
-    assert abs(got[0] - log_h(s1)) <= 1e-13
+    assert got[0].real == cmath.log(_winding(s1)).real
+    assert abs(got[0] - _winding_log(s1)) <= 1e-13
+    # the same end point at the end of a longer polyline
+    s = np.array([-1.0 + 0.2j, 0.3 - 0.4j, 2.0 + 0.3j, s1])
+    known = np.array([True, False, False, False])
+    log = np.zeros(4, dtype=np.complex128)
+    log[0] = _winding_log(s[0])
+    assert _continue_log(_winding, s, log, known)[3] == got[0]
 
 
-class _ScanLineCache(_LineCache):
-    """Reference: the nearest kept position by a full scan."""
+def test_continue_log_raises_where_h_vanishes():
+    # h = s - 1/2 vanishes on the path from 0 to 1, at a halving midpoint
+    def h(s):
+        return np.asarray(s) - 0.5
 
-    def _nearest(self, q):
-        return min(self.vals, key=lambda p: abs(p - q))
+    s0 = np.array([0.0 + 0.0j])
+    with pytest.raises(StepError, match="vanished"):
+        _continue_legs(h, s0, np.log(h(s0) + 0j), np.array([1.0 + 0.0j]))
 
 
-def test_line_cache_nearest_by_bisection():
-    def h(s):  # winds ~3 times over the line: the start point matters
-        return cmath.exp(5j * s) * (s + 3.0)
+def test_continue_log_raises_on_step_underflow():
+    # arg h jumps by pi at s = 0.3 (h = sign(Re s - 0.3), Re h never 0):
+    # the steps around the jump halve down to the floor
+    def h(s):
+        return np.where(np.asarray(s).real < 0.3, -1.0, 1.0) + 0j
 
-    fast = _LineCache(lambda q: q, h, 0.0, complex(math.log(3.0)))
-    ref = _ScanLineCache(lambda q: q, h, 0.0, complex(math.log(3.0)))
+    s0 = np.array([0.1 + 0.0j])
+    with pytest.raises(StepError, match="underflow"):
+        _continue_legs(h, s0, np.array([1j * math.pi]), np.array([0.35 + 0.0j]))
+
+
+def test_line_cache_batches_equal_one_at_a_time():
+    # positions in batches, some far from every kept one, against one at a
+    # time: the same bits, on the branch of a function that winds
     rng = random.Random(11)
     qs = [rng.uniform(-2.0, 2.0) for _ in range(300)]
-    qs += rng.sample(qs, 50)  # repeated positions are cache hits
-    for q in qs:
-        if q not in fast.vals:
-            assert fast._nearest(q) == ref._nearest(q), q
-        got = fast.on_line(q)
-        assert got == ref.on_line(q), q
-        assert abs(got - complex(math.log(q + 3.0), 5.0 * q)) <= 1e-12, q
-    assert fast.pos == sorted(fast.vals)
+    qs += rng.sample(qs, 50)  # repeated positions read kept values
+    batched = _LineCache(lambda q: q + 0j, _winding, 0.0, complex(math.log(3.0)))
+    single = _LineCache(lambda q: q + 0j, _winding, 0.0, complex(math.log(3.0)))
+    got = np.concatenate([batched.line(np.array(qs[i : i + 70])) for i in range(0, len(qs), 70)])
+    assert got.tolist() == [complex(single.line(np.array([q]))[0]) for q in qs]
+    assert np.max(np.abs(got - _winding_log(np.array(qs) + 0j))) <= 1e-12
+    assert batched.pos.tolist() == sorted(set(qs) | {0.0})
 
 
 @pytest.mark.parametrize("k", [0, 101])
@@ -391,11 +420,15 @@ def test_rho_sweep_is_memoized_per_kernel(kernel):
 # ---------------------------------------------------------------- zeta'(rho)
 
 def test_zeta_prime_first_zero(kernel):
-    # frozen from mpmath.zeta(zetazero(1), derivative=1), confirmed by a
-    # 2-point finite difference at 40 digits
-    want = complex(0.7832965118670309, 0.1246998297481711)
-    got = kernel.zeta_prime_at_zero(1)
-    assert abs(got - want) <= 1e-8 * abs(want)
+    # against mpmath's zeta' at 40 digits, at the table's rho, for the
+    # first zero and four more up the table (measured 3.05e-12 at zero 1,
+    # 7.6e-13, 2.45e-13, 9.9e-13 and 3.9e-13 at zeros 2, 5, 30 and 100)
+    for k in (1, 2, 5, 30, 100):
+        rho = kernel.rho(k)
+        with mp.workdps(40):
+            want = complex(mp.zeta(mp.mpc(rho.real, rho.imag), derivative=1))
+        got = kernel.zeta_prime_at_zero(k)
+        assert abs(got - want) <= 5e-12 * abs(want), k
 
 
 def test_zeta_prime_simple_zero_magnitude(kernel):
@@ -510,16 +543,27 @@ def test_rho_sweep_line_matches_point_by_point(k, conjugate):
         sweep.line(np.array([0.0, 1.01 * sweep.radius]))
 
 
-def test_rho_sweep_line_takes_single_steps(monkeypatch):
-    # nodes within one step of a kept value call no _track_log
-    sweep = ZetaKernel(default_kernel().table).rho_sweep(1)
+def _count_h_calls(sweep) -> list:
+    """Points of each call of the sweep's two functions, in call order."""
     calls = []
-    track = zeta_kernel._track_log
-    monkeypatch.setattr(
-        zeta_kernel, "_track_log", lambda *args: calls.append(args) or track(*args)
-    )
-    sweep.line(np.linspace(-0.2, 0.1, 31))
+    for cache in (sweep._local, sweep._zeta2):
+        h = cache.h
+        cache.h = lambda s, h=h: calls.append(np.size(s)) or h(s)
+    return calls
+
+
+def test_rho_sweep_line_takes_single_steps():
+    # nodes within one step of a kept value: one call of each function at
+    # all of them, no halving round; kept nodes call nothing
+    sweep = ZetaKernel(default_kernel().table).rho_sweep(1)
+    calls = _count_h_calls(sweep)
+    u = np.linspace(-0.2, 0.1, 31)
+    first = sweep.line(u)
+    assert calls == [31, 31], calls
+    calls.clear()
+    again = sweep.line(u)
     assert calls == []
+    assert [v.tolist() for v in again] == [v.tolist() for v in first]
 
 
 def test_malformed_zero_table_is_a_domain_error(tmp_path):
