@@ -7,8 +7,9 @@ Evaluation truncates the log-sum
 
     log G(s) ~ sum_{p <= P} [log g(p^{-s}) + z log(1-p^{-s}) + w log(1-p^{-2s})]
 
-at P = prime_limit (default 1e5) with principal logs per factor; a
-calibrated heuristic bounds the dropped tail.  Any winding error a
+at P = prime_limit (default 1e5) with principal logs per factor;
+G_f_tail_estimate bounds the dropped tail in closed form from the a_k
+below and a bound on pi(t).  Any winding error a
 principal log could commit at the few smallest primes is caught by the
 global factorization-identity tests rather than per-factor logic.
 
@@ -55,7 +56,9 @@ Cauchy's estimate alone at every order), and a prime whose K_p is 2 is
 left out.  The orders are taken at sigma_min rounded down to a multiple
 of 1/256, which only adds terms (0.4% more pairs at 0.4), and kept for 64
 (spec, rounded sigma_min, prime limit).  On series primes |g| >= 1 - 0.07/0.93, so only
-the explicit primes can raise DomainError for a vanishing g.
+an explicit prime can meet a zero of g.  G is 0 there, a legitimate value:
+the log of g is -inf (or very negative where g is only rounded to ~0),
+and the exp of the sum is the product.
 
 Shared phase.  On the segment u_p(s0 - u_j) = p^{-s0} p^{u_j}, so a call
 takes one complex exp per (series prime, s0) and one real exp per (prime,
@@ -67,9 +70,11 @@ several rows moves a row's bits with their number.  A zero's mirror,
 s0 = conj(rho), takes the products of rho with their imaginary parts
 negated: complex exp and products are conjugate-symmetric to the bit.  So
 each row has the bits it has in a call of its own.  The buffers hold at
-most _BLOCK = 2^14 float64 entries (128 kB) each, and the explicit logs
-go in blocks of 64 kB of complex, so memory does not grow with the number
-of rows, points or primes.
+most _BLOCK = 2^14 float64 entries (128 kB) each: a block takes at most
+_BLOCK/2 primes, since a complex row p^{-k s0} holds two entries per
+prime, so a one-point G (~9500 series primes) takes two blocks.  The
+explicit logs go in blocks of 64 kB of complex, so memory does not grow
+with the number of rows, points or primes.
 
 Rounding.  A series term carries rounding relative to its own size,
 |u|^3 and below, so G's rounding comes from the explicit primes.  Their
@@ -102,6 +107,7 @@ and is read-only.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -112,13 +118,9 @@ import numpy as np
 from .eps_model import EpsilonSpec, _g_eval_array, eps_at, zw_params
 from .errors import DomainError, RangeError
 from .sieve import primes_up_to
-from .zeta_kernel import _F128, _PHASE_MAX_FLOAT64, _TWO_PI_128
+from .zeta_kernel import _F128, _PHASE_MAX_FLOAT64, _pow_minus_s
 
 RE_S_MIN = 0.35
-#: Rounding floor of one per-prime log term, per unit of 1 + |z| + |w|:
-#: the arguments of its three logs lie near 1 and are rounded before the
-#: log is taken (G_f_tail_estimate; measured up to ~0.55 eps).
-TAIL_ROUNDING = 4.0 * float(np.finfo(np.float64).eps)
 _NEAR_UNIT = 0.5  # | |v|^2 - 1 | at most this takes the log1p form
 #: A prime with p^{-sigma_min} above RHO_SERIES keeps its three principal
 #: logs; every other prime enters the power series of log G_p.
@@ -169,7 +171,8 @@ def _log_near_unit(v: np.ndarray) -> np.ndarray:
     out = np.empty(v.shape, dtype=np.complex128)
     np.log1p(d, out=out.real)
     out.real *= 0.5
-    out.real[far] = np.log(np.abs(v[far]))
+    with np.errstate(divide="ignore"):  # log 0 = -inf at a zero of g
+        out.real[far] = np.log(np.abs(v[far]))
     np.arctan2(im, re, out=out.imag)
     return out
 
@@ -177,9 +180,11 @@ def _log_near_unit(v: np.ndarray) -> np.ndarray:
 def _log_terms(spec: EpsilonSpec, s, logp: np.ndarray) -> np.ndarray:
     """Per-prime log G_p(s) with principal logs; s is a point or a column
     of points, which broadcasts against logp (ascending).  At a point whose
-    phase Im(s) log p of u = p^{-s} reaches _PHASE_MAX_FLOAT64 rad the
-    phase is reduced mod 2 pi in extended precision, as in zeta; the choice
-    is made per point, so a point's bits do not depend on its batch."""
+    phase Im(s) log p of u = p^{-s} reaches _PHASE_MAX_FLOAT64 rad, u is
+    zeta's _pow_minus_s, which reduces the phase mod 2 pi in extended
+    precision or raises PlatformError where longdouble is float64; the
+    choice is made per point, so a point's bits do not depend on its
+    batch."""
     pars = zw_params(spec)
     s = np.asarray(s, dtype=np.complex128)
     shape = np.broadcast_shapes(s.shape, logp.shape)
@@ -189,18 +194,9 @@ def _log_terms(spec: EpsilonSpec, s, logp: np.ndarray) -> np.ndarray:
     if not np.all(wide):
         u[~wide] = np.exp(-col[~wide] * logp)
     if np.any(wide):
-        w = col[wide]
-        phase = np.mod(w.imag.astype(_F128) * logp.astype(_F128), _TWO_PI_128)
-        u[wide] = np.exp(-w.real * logp) * np.exp(-1j * phase.astype(np.float64))
+        u[wide] = _pow_minus_s(logp, logp.astype(_F128), col[wide, 0])
     u = u.reshape(shape)
     g = _g_eval_array(spec, u.ravel()).reshape(u.shape)
-    if np.any(np.abs(g) < 1e-12):
-        bad = np.unravel_index(int(np.argmin(np.abs(g))), g.shape)
-        p_bad = math.exp(logp[bad[-1]])
-        raise DomainError(
-            f"local factor g(p^-s) vanishes at p ~ {p_bad:.0f}, "
-            f"s = {complex(np.broadcast_to(s, g.shape)[bad])}"
-        )
     return (
         _log_near_unit(g)
         + pars.z * _log_near_unit(1.0 - u)
@@ -331,7 +327,8 @@ def _series_sum(
     if n == 0:
         return out
     m = len(reps)
-    width = min(n, max(256, _BLOCK // u.size))
+    # a row of complex c1 takes 2 width entries, so width stays <= _BLOCK/2
+    width = min(n, max(256, _BLOCK // u.size), _BLOCK // 2)
     rows = min(m, max(1, _BLOCK // (2 * width)))
     e1_buf, ek_buf = np.empty((width, u.size)), np.empty((width, u.size))
     c1_buf = np.empty((rows, width), np.complex128)
@@ -434,64 +431,53 @@ def G_f(spec: EpsilonSpec, s, cfg: Optional[GfConfig] = None):
     return complex(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
 
-def _exp1(x: float) -> float:
-    """Exponential integral E1(x), x > 0 (series below 1, Lentz CF above)."""
-    if x <= 0:
-        raise DomainError("E1 requires x > 0")
-    if x <= 1.0:
-        total = -0.5772156649015329 - math.log(x)
-        term = 1.0
-        for k in range(1, 30):
-            term *= -x / k
-            total -= term / k
-        return total
-    # continued fraction e^{-x}/(x+1- 1/(x+3- 4/(x+5- ...)))
-    b = x + 1.0
-    c = 1e308
-    d = 1.0 / b
-    h = d
-    for k in range(1, 60):
-        a = -(k * k)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        h *= c * d
-        if abs(c * d - 1.0) < 1e-15:
-            break
-    return math.exp(-x) * h
+#: Rosser and Schoenfeld, Illinois J. Math. 6 (1962), (3.6): pi(t) <
+#: _PI_BOUND t / log t for every t > 1.
+_PI_BOUND = 1.25506
 
 
 def G_f_tail_estimate(
     spec: EpsilonSpec, s: complex, cfg: Optional[GfConfig] = None
 ) -> float:
-    """Heuristic absolute bound on the truncated part of log G(s).
+    """Bound T on |log G(s) - log G_P(s)|, the primes past P = prime_limit.
 
-    The local decay constant is calibrated on the top octave of sieved
-    primes, C = max_{P/2<=p<=P} |log G_p| p^{3 sigma}, and the tail is
-    C * int_P^inf t^{-3 sigma}/log t dt = C * E1((3 sigma - 1) log P).
+    With sigma = Re s, every p > P has |u| = p^{-sigma} < P^{-sigma}.  Where
+    P^{-sigma} < R = CAUCHY_RADIUS each log G_p is its power series, and
+    the computed a_k (k <= _MAX_ORDER = 64) with Cauchy's |a_k| <= M R^{-k}
+    past them give
 
-    Each log G_p is a cancellation of three logs of size ~p^-sigma down to
-    ~p^{-3 sigma}, whose arguments g(u), 1 - u and 1 - u^2 lie within a few
-    percent of 1 in the top octave and carry an absolute rounding of order
-    eps.  So each term has a rounding floor of TAIL_ROUNDING (1 + |z| + |w|).
-    Where every top-octave term lies within it (G identically 1, or Re s so
-    large that p^{-3 sigma} is below rounding) C would measure only
-    rounding, and the estimate is exactly 0.
+        |log G_p(s)| <= sum_{k=3}^{64} |a_k| p^{-k sigma}
+                        + M R^{-65} p^{-65 sigma} / (1 - P^{-sigma}/R).
+
+    For alpha > 1, partial summation against pi(t) < 1.25506 t / log t
+    bounds the sum over the primes past P:
+
+        sum_{p>P} p^{-alpha} <= alpha int_P^inf pi(t) t^{-alpha-1} dt
+                             <= S(alpha) = 1.25506 alpha P^{1-alpha}
+                                           / ((alpha - 1) log P),
+
+    and alpha = k sigma >= 3 * 0.35 = 1.05 for every term.  So
+
+        T = sum_{k=3}^{64} |a_k| S(k sigma) + M R^{-65} S(65 sigma)
+                                              / (1 - P^{-sigma}/R).
+
+    T is inf where P^{-sigma} >= R.  Where G is identically 1 every a_k is
+    0 and only the Cauchy remainder is left (~3e-136 at sigma = 1/2).
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("tail bound requires a finite s")
     if s.real < RE_S_MIN:
         raise RangeError(f"tail estimate requires Re s >= {RE_S_MIN}")
     if cfg is None:
         cfg = GfConfig()
     sigma = s.real
-    logp = cfg.logp
-    log_half = math.log(cfg.prime_limit / 2.0)
-    top = logp[logp >= log_half]
-    if top.size == 0:
-        top = logp[-1:]
-    pars = zw_params(spec)
-    terms = np.abs(_log_terms(spec, s, top))
-    if np.max(terms) <= TAIL_ROUNDING * (1.0 + abs(pars.z) + abs(pars.w)):
-        return 0.0
-    c = float(np.max(terms * np.exp(3.0 * sigma * top)))
-    return c * _exp1((3.0 * sigma - 1.0) * math.log(cfg.prime_limit))
+    log_p = math.log(cfg.prime_limit)
+    rho = math.exp(-sigma * log_p)  # P^{-sigma}
+    if rho >= CAUCHY_RADIUS:
+        return math.inf
+    alpha = sigma * np.arange(3, _MAX_ORDER + 2)  # k = 3.._MAX_ORDER + 1
+    prime_sums = _PI_BOUND * alpha * np.exp((1.0 - alpha) * log_p) / ((alpha - 1.0) * log_p)
+    a = np.abs(_log_coeffs(spec)[3:])
+    rest = _cauchy_m(spec) * CAUCHY_RADIUS ** -(_MAX_ORDER + 1) / (1.0 - rho / CAUCHY_RADIUS)
+    return float(a @ prime_sums[:-1] + rest * prime_sums[-1])

@@ -38,9 +38,39 @@ def test_classify_apparent(capsys):
 
 @pytest.mark.parametrize("text", ["cm:xi=1", "cm:xi=-1"])
 def test_classify_tail_zero_where_G_is_one(text, capsys):
+    # every a_k is 0: what is left is the Cauchy remainder, ~3e-136
     code, out, _ = run(["classify", "--eps", text], capsys)
     assert code == 0
-    assert json.loads(out)["tail_estimate"] == 0.0
+    assert 0.0 <= json.loads(out)["tail_estimate"] <= 1e-90
+
+
+def test_classify_at_a_zero_of_a_local_factor(capsys):
+    # g(2^{-1/2}) ~ 2e-16 for this in-window spec, so G(1/2) and c_1/2 are 0
+    # to rounding; the label follows from Re(z+w) = -1.473 alone
+    text = "finite:[exp(i*-2.65489769851502),exp(i*2.4188584057763776)]"
+    code, out, _ = run(["classify", "--eps", text], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["classification"] == "UNBOUNDED"
+    assert abs(complex(rep["c_half"]["re"], rep["c_half"]["im"])) <= 1e-14
+
+
+def test_classify_takes_logs_only_at_the_explicit_primes(capsys, monkeypatch):
+    # G(1/2) takes three logs at each of its 46 explicit primes; the tail
+    # bound takes none
+    from fakemu import euler_residual
+
+    sizes = []
+    log_terms = euler_residual._log_terms
+
+    def spy(spec, s, logp):
+        sizes.append(logp.size)
+        return log_terms(spec, s, logp)
+
+    monkeypatch.setattr(euler_residual, "_log_terms", spy)
+    code, _, _ = run(["classify", "--eps", "periodic:m=2:[i,-i]"], capsys)
+    assert code == 0
+    assert sizes == [46]
 
 
 def test_contour_below_re_s_min_is_a_domain_error(capsys):

@@ -868,9 +868,12 @@ def test_parts_frozen(spec, x, d1, dh, rho):
 def test_direct_G_paths_bitwise_frozen():
     # c_1/2, Watson coefficients and residues call G_f directly, the G kernel
     # at one point; frozen from it (Mobius, whose G is exactly 1, kept its
-    # bits).  J in numpy arrays moved c_1/2 and the Watson lines by <= 7.2e-15
+    # bits).  J in numpy arrays moved c_1/2 and the Watson lines by <= 7.2e-15;
+    # capping the series buffers at 2^14 entries re-blocked one-point G and
+    # moved c_1/2(FIG53).imag (...158j -> ...16j) and the "half" line's
+    # lambda_0.imag (...2914j -> ...29134j), both by ~2e-16 relative
     cfg = FormulaConfig(n_zeros=2)
-    assert c_half(FIG53, cfg) == 0.06840968849739901 + 0.10362335917983158j
+    assert c_half(FIG53, cfg) == 0.06840968849739901 + 0.1036233591798316j
     assert c_half(FIG51A, cfg) == -0.09422578122261546 + 0.06516941744283822j
     assert c_half(LIOUVILLE, cfg) == -0.6068573898369163 + 7.431859600026971e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
@@ -879,7 +882,7 @@ def test_direct_G_paths_bitwise_frozen():
         -3.3537575608880315 - 3.1953066404451773j,
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
-        0.31880303445385116 + 0.3353786866282914j,
+        0.31880303445385116 + 0.33537868662829134j,
         -0.8986811081294499 - 0.24279104743987145j,
         -5.632969973908085 - 0.6117178597499716j,
     ]
