@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 from typing import Optional
@@ -71,6 +72,7 @@ def cmd_classify(args) -> int:
     spec = parse_eps_spec(args.eps)
     cfg = _config_from_args(args)
     report = bias_mod.classify(spec, cfg)
+    tail = G_f_tail_estimate(spec, 0.5, cfg.gf_config)
     payload = {
         "z": _c(report.params.z),
         "w": _c(report.params.w),
@@ -78,7 +80,7 @@ def cmd_classify(args) -> int:
         "c_half": _c(report.c_half),
         "classification": report.classification,
         "prime_limit": args.prime_limit,
-        "tail_estimate": G_f_tail_estimate(spec, 0.5, cfg.gf_config),
+        "tail_estimate": tail if math.isfinite(tail) else None,  # JSON has no inf
         "notes": list(report.notes),
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)

@@ -1,7 +1,8 @@
 """Self-check suites behind `fakemu verify --suite {core|oracle|asymptotics}`.
 
 core:         parser/sequence semantics, the coefficients of log G, zeta-kernel
-              identities, and batch against one-point bits of the array kernels
+              identities, zeta'(rho) against a Cauchy integral, and batch
+              against one-point bits of the array kernels
 oracle:       sieve ground truths and direct-vs-formula closure
 asymptotics:  Watson remainder order, sine-factor exactness, bias labels
 
@@ -148,6 +149,19 @@ def check_zero_table() -> None:
         assert abs(zk.zeta(complex(0.5, g))) <= 1e-8, g
 
 
+def check_zeta_prime() -> None:
+    # zeta'(rho) from the differentiated Euler-Maclaurin sum against the
+    # trapezoid Cauchy integral, the mean of zeta(s)/(s - rho) on 64 nodes
+    # of |s - rho| = 1e-3 (zeta's ~1e-13 rounding over the radius: ~1e-10)
+    kernel = zk.default_kernel()
+    e = np.exp(2j * math.pi * np.arange(64) / 64)
+    for k in (1, 2, 30, 100):
+        rho = kernel.rho(k)
+        circle = complex(np.mean(zk.zeta(rho + 1e-3 * e) / (1e-3 * e)))
+        got = kernel.zeta_prime_at_zero(k)
+        assert abs(got - circle) <= 1e-9 * abs(circle), (k, got, circle)
+
+
 def check_array_kernels() -> None:
     # a point's bits are the same alone and inside a mixed batch: zeta and
     # gamma; J over one tanh-sinh level and on the Watson ring (on fresh
@@ -200,6 +214,7 @@ CORE_CHECKS = [
     ("gamma-recurrence", check_gamma_recurrence),
     ("log-zeta-principal", check_log_zeta_principal),
     ("zero-table-sanity", check_zero_table),
+    ("zeta-prime", check_zeta_prime),
 ]
 
 

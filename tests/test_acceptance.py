@@ -185,9 +185,10 @@ def test_criterion_7_watson_vs_quadrature_order(cfg):
 
 
 def test_criterion_8_branch_identity_suites():
-    """zeta-kernel invariants, the core checks of `verify` past the parser:
-    exp-log-identity, integer-power-coherence, schwarz-reflection,
-    gamma-recurrence, log-zeta-principal and zero-table-sanity."""
+    """The core checks of `verify` past the parser and the g series, nine
+    in all: log-G-coefficients, array-kernels, exp-log-identity,
+    integer-power-coherence, schwarz-reflection, gamma-recurrence,
+    log-zeta-principal, zero-table-sanity and zeta-prime."""
     ran, failures = [], []
     for label, fn in verify.CORE_CHECKS:
         if label in ("parser-semantics", "g-series-agreement"):

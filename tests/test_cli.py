@@ -44,6 +44,20 @@ def test_classify_tail_zero_where_G_is_one(text, capsys):
     assert 0.0 <= json.loads(out)["tail_estimate"] <= 1e-90
 
 
+def test_classify_infinite_tail_is_json_null(capsys):
+    # P^{-1/2} = 0.5 >= 0.45 at P = 4: the bound is inf, written as null,
+    # so the output is strict JSON
+    code, out, _ = run(
+        ["classify", "--eps", "periodic:m=2:[i,-i]", "--prime-limit", "4"], capsys
+    )
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    assert json.loads(out, parse_constant=reject)["tail_estimate"] is None
+
+
 def test_classify_at_a_zero_of_a_local_factor(capsys):
     # g(2^{-1/2}) ~ 2e-16 for this in-window spec, so G(1/2) and c_1/2 are 0
     # to rounding; the label follows from Re(z+w) = -1.473 alone
@@ -269,13 +283,14 @@ def test_verify_core_suite_passes(capsys):
     code, out, _ = run(["verify", "--suite", "core"], capsys)
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 11
     assert "PASS core:log-zeta-principal" in out
     assert "PASS core:log-G-coefficients" in out
     assert "PASS core:array-kernels" in out
+    assert "PASS core:zeta-prime" in out
     # each check line and the suite line end with a wall time
     lines = out.strip().splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(re.search(r" \(\d+\.\d{3} s\)$", line) for line in lines)
 
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -293,6 +294,18 @@ def test_delta_rho_mobius_residue(cfg):
     assert got == pytest.approx(
         complex(-5.922727565412239e-08, 4.0897995000733135e-08), rel=1e-7
     )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_delta_rho_mobius_residue_against_mpmath(cfg, k):
+    # Gamma(rho) x^rho / zeta'(rho) at the table's rho, with mpmath at 40
+    # digits (measured 1.0e-14 and 1.5e-14 relative at zeros 1 and 2)
+    rho = default_kernel().rho(k)
+    with mp.workdps(40):
+        r = mp.mpc(rho.real, rho.imag)
+        want = complex(mp.gamma(r) * mp.power(1e3, r) / mp.zeta(r, derivative=1))
+    got = delta_rho(MOBIUS, k, 1e3, cfg)
+    assert abs(got - want) <= 5e-14 * abs(want)
 
 
 def test_delta_rho_sine_zeros(cfg):
@@ -815,23 +828,26 @@ def test_warm_delta_reads_the_level_table(monkeypatch, a, kind):
 
 
 # frozen from the per-node G_f path: (spec, x, delta_1, delta_half,
-# delta_rho at zero 1, its mirror, zero 2, its mirror), n_zeros = 2
+# delta_rho at zero 1, its mirror, zero 2, its mirror), n_zeros = 2; the
+# Mobius and Liouville delta_rho re-frozen when zeta'(rho) came from the
+# differentiated Euler-Maclaurin sum (moved <= 3.4e-12, now <= 1.5e-14
+# from mpmath)
 PARTS_FROZEN = [
     (MOBIUS, 1e3, 0j, 0j, (
-        3.716591697017171e-09+2.2455256930287247e-08j, 3.716591697017171e-09-2.2455256930287247e-08j,
-        3.1748793785398606e-13-1.7738615670957993e-14j, 3.1748793785398606e-13+1.7738615670957993e-14j,
+        3.7165916970526058e-09+2.2455256930346824e-08j, 3.7165916970526058e-09-2.2455256930346824e-08j,
+        3.174879378542069e-13-1.7738615671056418e-14j, 3.174879378542069e-13+1.7738615671056418e-14j,
     )),
     (MOBIUS, 3e4, 0j, 0j, (
-        8.829980376086204e-08-8.800393846425157e-08j, 8.829980376086204e-08+8.800393846425157e-08j,
-        -1.197922036020641e-12+1.2642706477163492e-12j, -1.197922036020641e-12-1.2642706477163492e-12j,
+        8.829980376101494e-08-8.800393846459909e-08j, 8.829980376101494e-08+8.800393846459909e-08j,
+        -1.1979220360211507e-12+1.2642706477175716e-12j, -1.1979220360211507e-12-1.2642706477175716e-12j,
     )),
     (LIOUVILLE, 1e3, 0j, -19.190515667893525+2.350160358667294e-15j, (
-        2.1449204706367947e-08+3.882412869325031e-08j, 2.144920470636795e-08-3.8824128693250296e-08j,
-        2.6106417045642785e-13+4.07919504497968e-14j, 2.6106417045642774e-13-4.079195044979681e-14j,
+        2.1449204706471864e-08+3.882412869333671e-08j, 2.1449204706471848e-08-3.882412869333667e-08j,
+        2.6106417045662464e-13+4.07919504497552e-14j, 2.6106417045662475e-13-4.079195044975517e-14j,
     )),
     (LIOUVILLE, 3e4, 0j, -105.11078321461602+1.2872358421965087e-14j, (
-        1.0487541805369319e-07-2.1914056499843947e-07j, 1.0487541805369317e-07+2.1914056499843947e-07j,
-        -1.1932251527011726e-12+8.190044349631498e-13j, -1.1932251527011726e-12-8.190044349631495e-13j,
+        1.048754180537479e-07-2.1914056499917766e-07j, 1.0487541805374772e-07+2.1914056499917745e-07j,
+        -1.1932251527018003e-12+8.190044349640555e-13j, -1.1932251527018009e-12-8.19004434964056e-13j,
     )),
     (ONES, 1e3, 1000.0000000000084+0j, 0j, (0j, 0j, 0j, 0j)),
     (ONES, 3e4, 30000.000000000255+0j, 0j, (0j, 0j, 0j, 0j)),
@@ -871,30 +887,35 @@ def test_direct_G_paths_bitwise_frozen():
     # bits).  J in numpy arrays moved c_1/2 and the Watson lines by <= 7.2e-15;
     # capping the series buffers at 2^14 entries re-blocked one-point G and
     # moved c_1/2(FIG53).imag (...158j -> ...16j) and the "half" line's
-    # lambda_0.imag (...2914j -> ...29134j), both by ~2e-16 relative
+    # lambda_0.imag (...2914j -> ...29134j), both by ~2e-16 relative.  The
+    # Bernoulli corrections of zeta as array operations and the continued
+    # logs' np.log moved c_1/2, the "one" and "half" lines and delta_half
+    # by <= 2.7e-15 relative and the "zero:1" line by <= 1.0e-14 (its
+    # lambda_2); zeta'(rho) from the differentiated sum moved the two
+    # residues by 3.0e-12 and 7.6e-13, to within 1.5e-14 of mpmath
     cfg = FormulaConfig(n_zeros=2)
-    assert c_half(FIG53, cfg) == 0.06840968849739901 + 0.1036233591798316j
-    assert c_half(FIG51A, cfg) == -0.09422578122261546 + 0.06516941744283822j
-    assert c_half(LIOUVILLE, cfg) == -0.6068573898369163 + 7.431859600026971e-17j
+    assert c_half(FIG53, cfg) == 0.06840968849739917 + 0.10362335917983151j
+    assert c_half(FIG51A, cfg) == -0.09422578122261532 + 0.06516941744283823j
+    assert c_half(LIOUVILLE, cfg) == -0.6068573898369171 + 7.431859600026981e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
-        0.8854657004659544 - 0.6946286740269207j,
-        -0.7116549555245333 - 2.393053629497679j,
-        -3.3537575608880315 - 3.1953066404451773j,
+        0.8854657004659543 - 0.694628674026921j,
+        -0.7116549555245344 - 2.39305362949768j,
+        -3.3537575608880204 - 3.195306640445183j,
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
-        0.31880303445385116 + 0.33537868662829134j,
-        -0.8986811081294499 - 0.24279104743987145j,
-        -5.632969973908085 - 0.6117178597499716j,
+        0.31880303445385116 + 0.3353786866282914j,
+        -0.898681108129449 - 0.2427910474398723j,
+        -5.632969973908085 - 0.6117178597499688j,
     ]
     assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
-        -6.254788380768611e-10 + 4.2081717842128656e-10j,
-        2.5971027119168934e-09 + 1.3126628633246937e-09j,
-        2.089938378085835e-09 - 7.055732049228377e-09j,
+        -6.254788380768612e-10 + 4.208171784212865e-10j,
+        2.5971027119168942e-09 + 1.312662863324693e-09j,
+        2.0899383780858455e-09 - 7.05573204922845e-09j,
     ]
     assert delta_1(ONES, 1e3, cfg) == 1000.0 + 0j  # G(1) = 1 exactly
-    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.190515667893735 + 2.3501603586673195e-15j
-    assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.716591697017171e-09 + 2.2455256930287247e-08j
-    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.610641704564282e-13 - 4.079195044979681e-14j
+    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.19051566789376 + 2.3501603586673227e-15j
+    assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.7165916970526058e-09 + 2.2455256930346824e-08j
+    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045662475e-13 - 4.079195044975517e-14j
 
 
 # ---------------------------------------------------------------- zero index and shared sweeps

@@ -421,14 +421,25 @@ def test_rho_sweep_is_memoized_per_kernel(kernel):
 
 def test_zeta_prime_first_zero(kernel):
     # against mpmath's zeta' at 40 digits, at the table's rho, for the
-    # first zero and four more up the table (measured 3.05e-12 at zero 1,
-    # 7.6e-13, 2.45e-13, 9.9e-13 and 3.9e-13 at zeros 2, 5, 30 and 100)
+    # first zero and four more up the table (measured 1.3e-16 at zero 1,
+    # 3.3e-16, 1.0e-15, 4.9e-16 and 5.1e-16 at zeros 2, 5, 30 and 100)
     for k in (1, 2, 5, 30, 100):
         rho = kernel.rho(k)
         with mp.workdps(40):
             want = complex(mp.zeta(mp.mpc(rho.real, rho.imag), derivative=1))
         got = kernel.zeta_prime_at_zero(k)
-        assert abs(got - want) <= 5e-12 * abs(want), k
+        assert abs(got - want) <= 1e-14 * abs(want), k
+
+
+@pytest.mark.parametrize("s", [0.5 + 3j, -0.5 + 10j, 0.25 + 0.1j, 3.0 + 100j, -1.0 + 599j])
+def test_zeta_prime_off_the_zeros(s):
+    # the differentiated Euler-Maclaurin sum that gives zeta'(rho), at
+    # points off the zeros (measured <= 1.4e-14 relative)
+    pts = np.array([s])
+    got = complex(zeta_kernel._zeta_em(pts, int(zeta_kernel._em_terms(pts)[0]), True)[0])
+    with mp.workdps(40):
+        want = complex(mp.zeta(mp.mpc(s.real, s.imag), derivative=1))
+    assert abs(got - want) <= 3e-14 * abs(want)
 
 
 def test_zeta_prime_simple_zero_magnitude(kernel):
