@@ -9,7 +9,9 @@ classes are supported:
     FINITE     eps_k = 0 for k > m     (polynomial generating function)
     QUADPHASE  eps_k = e^{2 pi i alpha k^2}
 
-Every eps_k must be unimodular or zero.  The module also evaluates the
+Every eps_k must be unimodular or zero; a value within UNIT_TOL of 0 is
+stored as an exact 0, so that every consumer (the sieve, f(n) by SPF
+table and the formula) sees the same zeros.  The module also evaluates the
 generating function g(u) = sum_k eps_k u^k and derives the factorization
 parameters z = eps_1, w = eps_2 - eps_1(eps_1 + 1)/2 that control the
 zeta-power factorization of the Dirichlet series.
@@ -56,19 +58,17 @@ class EpsilonSpec:
         if tag == CM:
             if self.xi is None:
                 raise DomainError("CM spec requires xi")
-            _check_unimodular_or_zero(self.xi)
+            object.__setattr__(self, "xi", _unit_or_zero(self.xi))
         elif tag == PERIODIC:
             if not self.period or self.period < 1:
                 raise DomainError("PERIODIC spec requires period m >= 1")
             if not self.values or len(self.values) != self.period:
                 raise DomainError("PERIODIC spec requires exactly m values")
-            for v in self.values:
-                _check_unimodular_or_zero(v)
+            object.__setattr__(self, "values", tuple(map(_unit_or_zero, self.values)))
         elif tag == FINITE:
             if not self.values:
                 raise DomainError("FINITE spec requires at least one value")
-            for v in self.values:
-                _check_unimodular_or_zero(v)
+            object.__setattr__(self, "values", tuple(map(_unit_or_zero, self.values)))
         elif tag == QUADPHASE:
             if self.alpha is None or not math.isfinite(self.alpha):
                 raise DomainError(f"QUADPHASE spec requires a finite alpha, got {self.alpha}")
@@ -97,11 +97,15 @@ class FactorParams:
     in_window: bool
 
 
-def _check_unimodular_or_zero(v: complex) -> None:
+def _unit_or_zero(v: complex) -> complex:
+    """v if unimodular, 0 if within UNIT_TOL of 0, else DomainError."""
     # NaN fails both tests: exp(i*1e400) parses to nan+nanj
     m = abs(v)
-    if not (m <= UNIT_TOL or abs(m - 1.0) <= UNIT_TOL):
-        raise DomainError(f"epsilon value {v!r} is neither unimodular nor zero")
+    if m <= UNIT_TOL:
+        return 0j
+    if abs(m - 1.0) <= UNIT_TOL:
+        return v
+    raise DomainError(f"epsilon value {v!r} is neither unimodular nor zero")
 
 
 def near_integer(c: complex) -> Optional[int]:

@@ -4,28 +4,53 @@ f(n) = prod_p eps_{v_p(n)} over the distinct primes dividing n.  Point
 queries use a smallest-prime-factor table (`f_of_n`, also the reference
 the block sieve is tested against).  The large direct sums
 A(x) = sum_{n<=x} f(n) and A_exp(x) = sum_n f(n) e^{-n/x} run `_sweep`,
-which walks [1, n_max] in blocks of BLOCK = W^2 = 2^18 numbers, sized
-for the L2 cache, so nothing of size ~45x is ever held in memory at once.
+which walks [1, n_max] in blocks of BLOCK = W^2 = 2^18 numbers, so
+nothing of size ~45x is ever held in memory at once.  (A block's complex
+buffer is 4 MB, more than a core's L2; smaller blocks were slower all
+the same, because the per-block Python loop over the prime powers then
+dominates.)
 
-A block is sieved by strided slice updates, with no integer division and
-no index gather.  A per-sweep plan lists every prime power q = p^k <=
-n_max with p <= sqrt(n_max), with r_k = e'_k / e'_{k-1}, where e'_k is
-eps_k with zeros replaced by 1 (e'_0 = 1), and dz_k = [eps_k = 0] -
-[eps_{k-1} = 0].  Each q updates its multiples in the block:
+A block is sieved into one complex buffer by strided slice updates, with
+no integer division and no index gather.  A per-sweep plan lists every
+prime power q = p^k <= n_max with p <= sqrt(n_max), with
+r_k = e'_k / e'_{k-1}, where e'_k is eps_k with zeros replaced by 1
+(e'_0 = 1), and dz_k = [eps_k = 0] - [eps_{k-1} = 0].  Each q updates its
+multiples in the block:
 
-    val[s::q]  *= r_k    val ends at prod_p e'_{v_p(n)}
-    zc[s::q]   += dz_k   zc counts the primes p of n with eps_{v_p(n)} = 0
-    prod[s::q] *= p      prod ends at the exact (int64) smooth part of n
+    val[s::q] *= m_k     m_k = p r_k (or r_k, below)
+    zc[s::q]  += 2 dz_k  zc is twice the number of primes p of n with
+                         eps_{v_p(n)} = 0
 
-A block [lo, hi) takes the primes with p^2 < hi, so an n with prod != n
-has exactly one prime factor p with p^2 >= hi, to the first power; it
-takes e'_1, or f = 0 when eps_1 = 0.  Finally f = 0 where zc > 0.
-f is a product of ratios, so it differs from `f_of_n` by a few ulp.
+A block [lo, hi) takes the primes with p^2 < hi, so n is its smooth part
+S (the product of the sieved prime powers) times at most one prime
+p^2 >= hi, to the first power, which takes e'_1, or f = 0 when eps_1 = 0.
+
+The smooth part rides in the modulus.  With m_k = p r_k, val ends at
+S prod_p e'_{v_p(n)}.  This rests on every nonzero eps having |eps| close
+to 1: the spec stores an eps within UNIT_TOL = 1e-12 of 0 as an exact 0
+(`eps_model`), and every other eps_k is within UNIT_TOL of the unit
+circle, save cm:xi, whose |xi^k| = |xi|^k may drift by about k UNIT_TOL.
+So |prod_p e'_{v_p(n)}| is within Omega(n) UNIT_TOL of 1, and an
+n <= 45 DIRECT_X_CAP < 2^33 has Omega(n) <= 32.  The rounding of the
+ratios r_k and of the Omega(n) complex products adds ~1e-14 relative.
+|val| is then within 3.3e-11 relative of the integer S, under 0.15
+absolute, against the 0.5 that S = rint(|val|) needs to be exact; S != n
+marks the large prime.  f is val / S times F[zc + [S != n]] with
+F = (1, e'_1 or 0, 0), the index clipped at 2.  The division is taken
+on the real and the imaginary part apart, each correctly rounded, so
+where every eps is in {0, +-1, +-i} (every product an exact integer) f
+is exact; numpy's complex-by-real division is not (161/161 gave
+0.9999999999999999).
+Where eps_1 = 1 the large prime leaves f alone: m_k = r_k, and the plan
+keeps only the powers with r_k != 1 or dz_k != 0, so f = 1 (cm:xi=1)
+takes no strided update at all.  f is a product of ratios, so elsewhere
+it differs from `f_of_n` by a few ulp.
 
 The consume contract: `_sweep(spec, n_max, consume)` calls consume(n, f)
-once per block, in ascending order of n, with n (float64) and f
-(complex128) as views into buffers that the next block overwrites.  They
-are valid only during the call; a consumer that keeps values copies them.
+once per block, in ascending order of n, with n (float64, read-only) and
+f (complex128) as views into buffers that the next block overwrites.
+They are valid only during the call; a consumer that keeps values copies
+them.
 
 The weights e^{-n/x} of A_exp are never formed term by term.  A block is
 read as W rows of W numbers, n = lo + W a + b, and e^{-n/x} factors into
@@ -115,68 +140,79 @@ def f_of_n(table: SpfTable, spec: EpsilonSpec, n: int) -> complex:
 
 
 class _Plan:
-    """The prime powers of one sweep over [1, n_max], and the block
-    buffers it reuses (size min(BLOCK, n_max))."""
+    """The prime powers of one sweep over [1, n_max] and the block buffers
+    it reuses (size min(BLOCK, n_max))."""
 
     def __init__(self, spec: EpsilonSpec, n_max: int):
         eps = [eps_at(spec, k) for k in range(_MAX_VP + 1)]
         zero = [e == 0 for e in eps]
         unit = [1.0 + 0.0j if z else e for e, z in zip(eps, zero)]  # e'_k
-        #: (q = p^k, p, r_k, dz_k), ordered by p, then k
+        #: the smooth part rides in |val| where the large prime changes f
+        self.modulus = zero[1] or unit[1] != 1
+        #: f's last factor, indexed by zc + [large prime] and clipped at 2
+        self.factor = np.array([1, 0 if zero[1] else unit[1], 0], dtype=np.complex128)
+        #: (q = p^k, p, m_k, 2 dz_k) ordered by p, then k
         self.powers: list[tuple[int, int, complex, int]] = []
         for p in primes_up_to(math.isqrt(n_max)).tolist():
             q, k = p, 1
             while q <= n_max:
-                self.powers.append((q, p, unit[k] / unit[k - 1], zero[k] - zero[k - 1]))
+                m = unit[k] / unit[k - 1]
+                if self.modulus:
+                    m *= p
+                dz = 2 * (zero[k] - zero[k - 1])
+                if m != 1 or dz:
+                    self.powers.append((q, p, m, dz))
                 q *= p
                 k += 1
-        self.e1 = unit[1]
-        self.z1 = zero[1]
-        self.zeros = any(dz for _, _, _, dz in self.powers)
+        self.zeros = any(dz for *_, dz in self.powers)
         self.size = min(BLOCK, n_max)
-        self.offsets = np.arange(self.size, dtype=np.int64)
-        self.n = np.empty(self.size, dtype=np.int64)
-        self.n_float = np.empty(self.size, dtype=np.float64)
+        self.n = np.arange(self.size, dtype=np.float64)
+        self.n_lo = 0  # n holds n_lo, n_lo + 1, ...
         self.val = np.empty(self.size, dtype=np.complex128)
-        self.prod = np.empty(self.size, dtype=np.int64)
+        self.work = np.empty(self.size, dtype=np.complex128)  # |val|, then factor
         self.zc = np.empty(self.size, dtype=np.int8)
         self.mask = np.empty(self.size, dtype=bool)
 
 
 def _f_block(lo: int, hi: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     """(n, f(n)) for n in [lo, hi), 1 <= lo < hi <= lo + plan.size, as
-    views into the plan's buffers."""
+    views into the plan's buffers (n read-only)."""
     size = hi - lo
-    n, val, prod, zc, mask = (
-        b[:size] for b in (plan.n, plan.val, plan.prod, plan.zc, plan.mask)
-    )
-    np.add(plan.offsets[:size], lo, out=n)
+    if plan.n_lo != lo:
+        plan.n += lo - plan.n_lo
+        plan.n_lo = lo
+    n, val, zc, mask = (b[:size] for b in (plan.n, plan.val, plan.zc, plan.mask))
+    n.flags.writeable = False
     val.fill(1.0)
-    prod.fill(1)
     if plan.zeros:
         zc.fill(0)
-    for q, p, r, dz in plan.powers:
+    for q, p, m, dz in plan.powers:
         if p * p >= hi:
             break
         s = -lo % q  # first multiple of q in the block
         if s >= size:
             continue
-        if r != 1:
-            val[s::q] *= r
+        if m != 1:
+            val[s::q] *= m
         if dz:
             zc[s::q] += dz
-        prod[s::q] *= p
-    np.not_equal(prod, n, out=mask)  # one prime factor p with p^2 >= hi
-    if plan.z1:
-        np.copyto(val, 0, where=mask)
-    elif plan.e1 != 1:
-        np.multiply(val, plan.e1, out=val, where=mask)
-    if plan.zeros:
-        np.not_equal(zc, 0, out=mask)
-        np.copyto(val, 0, where=mask)
-    n_float = plan.n_float[:size]
-    np.copyto(n_float, n)
-    return n_float, val
+    if plan.modulus:
+        smooth = plan.work.view(np.float64)[:size]
+        np.abs(val, out=smooth)
+        np.rint(smooth, out=smooth)  # the exact smooth part
+        np.not_equal(smooth, n, out=mask)  # one prime factor p with p^2 >= hi
+        # real division keeps +-1 and +-i exact, unlike complex by real
+        np.divide(val.real, smooth, out=val.real)
+        np.divide(val.imag, smooth, out=val.imag)
+        index = np.add(zc, mask, out=zc) if plan.zeros else mask.view(np.int8)
+    elif plan.zeros:
+        index = zc
+    else:
+        return n, val
+    factor = plan.work[:size]  # smooth is spent
+    np.take(plan.factor, index, out=factor, mode="clip")
+    val *= factor
+    return n, val
 
 
 class _Kahan:

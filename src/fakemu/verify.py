@@ -3,7 +3,8 @@
 core:         parser/sequence semantics, the coefficients of log G, zeta-kernel
               identities, zeta'(rho) against a Cauchy integral, and batch
               against one-point bits of the array kernels
-oracle:       sieve ground truths and direct-vs-formula closure
+oracle:       sieve ground truths, the block sieve against the SPF table's
+              f(n), and direct-vs-formula closure
 asymptotics:  Watson remainder order, sine-factor exactness, bias labels
 
 Each check either returns quietly or raises AssertionError; the runner
@@ -270,6 +271,20 @@ def check_dirichlet_consistency() -> None:
     assert abs(series - prod) <= 10 * (series_tail + prod_tail), abs(series - prod)
 
 
+def check_block_sieve() -> None:
+    n_max = 100_000
+    table = sieve.build_spf(n_max)
+    for name, text in CANONICAL:
+        spec = _spec(text)
+        blocks = []
+        sieve._sweep(spec, n_max, lambda n, f: blocks.append((n.copy(), f.copy())))
+        n, f = (np.concatenate(parts) for parts in zip(*blocks))
+        assert n.tolist() == list(range(1, n_max + 1)), name
+        want = np.array([sieve.f_of_n(table, spec, k) for k in range(1, n_max + 1)])
+        err = float(np.max(np.abs(f - want)))
+        assert err <= 1e-14, (name, err)
+
+
 def check_direct_vs_formula() -> None:
     cfg = xf.FormulaConfig()
     for name, text in CANONICAL:
@@ -284,6 +299,7 @@ ORACLE_CHECKS = [
     ("geometric-closed-form", check_geometric_closed_form),
     ("multiplicativity", check_multiplicativity),
     ("dirichlet-consistency", check_dirichlet_consistency),
+    ("block-sieve", check_block_sieve),
     ("direct-vs-formula", check_direct_vs_formula),
 ]
 

@@ -220,6 +220,72 @@ def test_f_block_near_the_cap(lo):
         assert np.max(np.abs(f - want)) <= 1e-14
 
 
+def _swept(spec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, f) of one `_sweep` over [1, n_max], copied out of its blocks."""
+    blocks = []
+    sieve._sweep(spec, n_max, lambda n, f: blocks.append((n.copy(), f.copy())))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def test_sweep_matches_f_of_n_at_block_edges(monkeypatch):
+    # sweeps of one short block, whose plan holds no prime (n_max < 4) or
+    # only 2; then blocks of 1000, each shifting the float n buffer and
+    # taking the primes with p^2 < hi afresh
+    table = build_spf(12_000)
+    cases = [(n_max, sieve.BLOCK) for n_max in (1, 2, 3, 4, 8)]
+    for n_max, block in cases + [(12_000, 1000)]:
+        monkeypatch.setattr(sieve, "BLOCK", block)
+        for text in BLOCK_SPECS:
+            spec = parse_eps_spec(text)
+            n, f = _swept(spec, n_max)
+            assert n.tolist() == list(range(1, n_max + 1)), (text, n_max)
+            want = np.array([f_of_n(table, spec, k) for k in range(1, n_max + 1)])
+            assert np.max(np.abs(f - want)) <= 1e-14, (text, n_max)
+
+
+@pytest.mark.parametrize("text", ["finite:[1e-13]", "cm:xi=1e-13", "periodic:m=2:[-1,1e-13]"])
+def test_sweep_matches_f_of_n_for_tiny_eps(spf_1e5, text):
+    # an eps within UNIT_TOL of 0 is stored as 0, so the smooth part that
+    # rides in |val| is never divided by rint(2e-13) = 0
+    spec = parse_eps_spec(text)
+    assert 0j in (eps_at(spec, 1), eps_at(spec, 2))
+    n, f = _swept(spec, 3000)
+    want = np.array([f_of_n(spf_1e5, spec, k) for k in range(1, 3001)])
+    assert np.array_equal(f, want)
+    smoothed = np.sum(want[:2250] * np.exp(-np.arange(1, 2251) / 50.0))
+    assert abs(direct_exp_sum(spec, 50.0) - smoothed) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "finite:[-1]",
+        "cm:xi=-1",
+        "periodic:m=2:[i,-i]",
+        "periodic:m=3:[0,i,1]",
+        "finite:[1,0,1]",
+    ],
+)
+def test_f_block_exact_for_lattice_specs(spf_1e7, text):
+    # every eps in {0, +-1, +-i}: the smooth part S times f is exact in
+    # float64, and so is the division by S that takes it out again
+    spec = parse_eps_spec(text)
+    plan = _Plan(spec, SPF_TOP)
+    for lo in (1, random.Random(text).randint(2, 10 ** 7)):
+        n, f = _f_block(lo, lo + 3000, plan)
+        want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, lo + 3000)])
+        assert np.array_equal(f, want), lo
+    n_max = int(45 * DIRECT_X_CAP)
+    primes = primes_up_to(math.isqrt(n_max)).tolist()
+    plan = _Plan(spec, n_max)
+    for lo in (2 ** 32 - 300, n_max - 600):
+        n, f = _f_block(lo, lo + 600, plan)
+        want = np.array(
+            [math.prod(eps_at(spec, v) for v in _factor(k, primes)) for k in range(lo, lo + 600)]
+        )
+        assert np.array_equal(f, want), lo
+
+
 def _spf_sums(table, spec, x: float, mult: float = 45.0) -> tuple[complex, float]:
     n_max = math.floor(mult * x)
     terms = [f_of_n(table, spec, n) * math.exp(-n / x) for n in range(1, n_max + 1)]
