@@ -6,7 +6,7 @@ s=1/2 (from zeta(s)^z and zeta(2s)^w) and at each nontrivial zero rho.
 Each part is the same Selberg-Delange step, taken once by class _Cut:
 
   Delta_xi(x) = x^xi * { sine * int_0^b e^{-Lu} u^{-beta} J_xi(u) du   (quadrature)
-                       { c_xi                                          (residue)
+                       { phase_xi * J_xi(0)                            (residue)
                        { 0                                             (zero)
 
 with L = log x, right = the tanh-sinh exponent at u = b, and
@@ -16,22 +16,34 @@ with L = log x, right = the tanh-sinh exponent at u = b, and
   1/2  w     sin(pi(z+w))/pi 2^{1-w}  1/2-a  0            z+w in Z, w!=1   w = 1
   rho  -z    -sin(pi z)/pi            1/2-a  0            z in {0, 1}      z = -1
 
-At the "zero" exponents the sine vanishes; at the "residue" ones the jump
-integral collapses to the residue of a pole (Tenenbaum, Introduction to
-Analytic and Probabilistic Number Theory, II.5), with c_xi = zeta(2)^w G(1),
-sqrt(pi)/2 zeta(1/2)^z G(1/2) and Gamma(rho) zeta(2rho)^w G(rho)/zeta'(rho)
-respectively.  The integrands are
+At the "zero" exponents the sine vanishes; at the "residue" ones beta = 1
+and the jump integral collapses to the residue of a simple pole
+(Tenenbaum, Introduction to Analytic and Probabilistic Number Theory,
+II.5).  One integrand serves all three points:
 
-  J_1(u)    = exp(z L1(1-u) + w L1(2-2u)) (1-2u)^{-w} G(1-u) Gamma(1-u)
-  J_half(u) = (1/2-u)^2 (1/2+u)^{-z} Z(1/2-u;z) Z(1-2u;w) G(1/2-u) Gamma(1/2-u)
-  J_rho(u)  = (rho-1-u)^{-z} G(rho-u) Z_rho(rho-u;z) zeta(2rho-2u)^w Gamma(rho-u)
+  J_xi(u) = P_xi(u) exp(z l1(s) + w l2(s)) G(s) Gamma(s),   s = xi - u,
 
-The (1/2-u)^2 in J_half and the (rho-1-u) argument in J_rho come from
-substituting t = 1/2 - u (resp. s = rho - u) into the cut jump of
-t (t-1)^{-z} Z(t;z) * 2t (2t-1)^{-w} Z(2t;w) G(t) Gamma(t) x^t.  Two
-limits pin these factors: at z = 0 the Selberg-Delange main term
-2^{-w} sqrt(pi) G(1/2) x^{1/2} L^{w-1} / Gamma(w) must emerge, and at
-z = -1 (resp. w = 1) the residue formulas must.
+  xi   P_xi(u)              l1(s), l2(s)                                phase_xi
+  1    (1-2u)^{-w}          L1(s), L1(2s)                               1
+  1/2  (1/2)(1/2+u)^{-z}    L1(s), L1(2s)                               e^{-i pi z}
+  rho  (rho-1-u)^{-z}       log((s-1) zeta(s)/(s-rho)), log zeta(2s)    1
+
+with L1(s) = log((s-1) zeta(s)), so that zeta(s)^z = (s-1)^{-z} e^{z L1(s)}
+and zeta(2s)^w = (2s-1)^{-w} e^{w L1(2s)}.  The power of s - 1, 2s - 1 or
+s - rho that is singular at xi gives u^{-beta} and the sine; P_xi is what
+is left of the others (at 1/2 less the phase, and with the 2^{-w} of
+(-2u)^{-w} split between P's 1/2 and the sine's 2^{1-w}).  At xi = 1 the
+exact 1 - 2u = 2 cu (cu = 1/2 - u) is passed near the right end.  A cut
+holds only this data, and _Cut.j is the one integrand.  The residue is
+c_xi = phase_xi J_xi(0), the same step's limit, since
+x^xi c_xi = Res_{s=xi} F(s) Gamma(s) x^s:
+
+  xi = 1, z = 1:     zeta(s) = e^{L1(s)}/(s-1): the residue is x J_1(0).
+  xi = 1/2, w = 1:   zeta(2s) = e^{L1(2s)} (1/2)/(s-1/2) gives P's 1/2, and
+                     zeta(1/2)^z, from above the cut (-inf, 1], takes
+                     (s-1)^{-z} = (1/2)^{-z} e^{-i pi z}: phase e^{-i pi z}.
+  xi = rho, z = -1:  1/zeta(s) = (s-1) e^{-l1(s)}/(s-rho) with (rho-1)
+                     e^{-l1(rho)} = 1/zeta'(rho): the residue is x^rho J_rho(0).
 
 Quadrature is tanh-sinh, which absorbs the endpoint singularities.  Only
 e^{-Lu} depends on x, so a cut builds each level L (nodes t = k 2^{1-L}:
@@ -39,8 +51,8 @@ u, log u, weights and J) once, as arrays, and evaluates J only at the odd
 k, the even k being level L-1's nodes, in one call on their arrays.  J is
 an array function throughout: zeta, gamma and L1 take arrays, L1 on the
 cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
-or continues both logs at all new points at once; J1, J_half, J_rho and
-J(0) are its one-point case, and a point's J has the same bits alone and
+or continues both logs at all new points at once; the public J1, J_half
+and J_rho and J(0) are its one-point case, and a point's J has the same bits alone and
 inside a level or a Watson ring.  A cut holds at most MAX_LEVEL - 2
 levels; another x reads them and builds no node.
 
@@ -79,11 +91,12 @@ WATSON_NODES-node trapezoid rule on the circle |u| = WATSON_RADIUS
 as one call of j on its points.  Delta_xi ~ sine x^xi sum_k lambda_k
 Gamma(1-beta+k) L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
 
-The two branch-tracked logs inside J_rho come from one
-zeta_kernel.RhoSweep per zero (and per mirror zero), kept on the kernel
-for every spec and config: it serves the Laplace nodes, the Watson ring,
-the residue's zeta(2 rho)^w and J_rho at complex u.  Its line values are
-kept; a ring point is one leg off the line, taken again at each call.
+The two branch-tracked logs of J_rho come from one zeta_kernel.RhoSweep
+per zero (and per mirror zero), kept on the kernel for every spec and
+config and built at the first J of the zero: it serves the Laplace
+nodes, the Watson ring, the residue's J_rho(0) and J_rho at complex u.
+Its line values are kept; a ring point is one leg off the line, taken
+again at each call.
 """
 
 from __future__ import annotations
@@ -102,8 +115,6 @@ from .errors import (
 )
 from .euler_residual import RE_S_MIN, G_f, G_f_line, GfConfig
 from .zeta_kernel import ZetaKernel, default_kernel, gamma
-
-SQRT_PI = math.sqrt(math.pi)
 
 #: tanh-sinh stopping tolerance (relative change between levels) and the
 #: last level tried before QuadratureError.
@@ -291,16 +302,17 @@ def _sample_g_lines(
 class _Cut:
     """The Selberg-Delange step at one branch point xi (module docstring).
 
-    j(u, cu, g) is J_xi over an array of u, real or complex, with cu =
-    b - u passed exactly near the right end and g the values of G at
-    s = s0 - u (one G_f call on all of them when g is None).  level(L)
-    builds tanh-sinh level L once, takes G at its new nodes from g_line,
-    the Chebyshev interpolant of G on the segment, and calls j once on
-    them; every other J (the Watson ring in coeffs, J(0)) is one j call
+    A cut holds only xi's data: its exponent, sine and mode, the prefactor
+    P_xi(u, cu), the two logs l1, l2 at s = s0 - u and the residue phase.
+    j(u, cu, g) is the one integrand J_xi over an array of u, real or
+    complex, with cu = b - u passed exactly near the right end and g the
+    values of G at s (one G_f call on all of them when g is None).
+    level(L) builds tanh-sinh level L once, takes G at its new nodes from
+    g_line, the Chebyshev interpolant of G on the segment, and calls j once
+    on them; every other J (the Watson ring in coeffs, J(0)) is one j call
     with g None.  g_line is sampled on first use, alone, unless a caller
-    sampled it with other cuts of its segment (_sample_g_lines).
-    residue() computes c_xi on first use.  J and its ring exist in every
-    mode.
+    sampled it with other cuts of its segment (_sample_g_lines).  J and its
+    ring exist in every mode.
     """
 
     beta: complex
@@ -308,13 +320,33 @@ class _Cut:
     alpha_right: float
     sine: complex
     x_pow: Callable[[float], complex]
-    j: Callable[..., np.ndarray]
     mode: str  # quadrature | residue | zero
-    residue: Callable[[], complex]
-    s0: complex  # G is read at s0 - u
+    s0: complex  # J is read at s = s0 - u
+    z: complex
+    w: complex
+    prefactor: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]  # P_xi(u, cu)
+    logs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # (l1, l2)(s, u)
+    phase: complex  # c_xi = phase J_xi(0)
+    g_at: Callable[[np.ndarray], np.ndarray]  # G_f
     g_on_line: Callable[[np.ndarray, np.ndarray], np.ndarray]  # G_f_line
     g_line: Optional[_GLine] = field(default=None, init=False, repr=False)
     levels: list = field(default_factory=list, init=False, repr=False)  # level L at L - 3
+
+    def j(self, u, cu: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None) -> np.ndarray:
+        """J_xi(u) = P_xi(u) exp(z l1(s) + w l2(s)) G(s) Gamma(s), s = s0 - u."""
+        u = np.asarray(u, dtype=np.complex128)
+        s = self.s0 - u
+        l1, l2 = self.logs(s, u)
+        return (
+            self.prefactor(u, cu)
+            * np.exp(self.z * l1 + self.w * l2)
+            * (self.g_at(s) if g is None else g)
+            * gamma(s)
+        )
+
+    def at(self, u: complex) -> complex:
+        """J_xi at one point, the one-point case of j."""
+        return complex(self.j(np.array([complex(u)]))[0])
 
     @cached_property
     def t_range(self) -> tuple[float, float]:
@@ -344,13 +376,13 @@ class _Cut:
         return self.levels[-1]
 
     @cached_property
-    def coef(self) -> complex:
-        return self.residue()
+    def j0(self) -> complex:
+        return self.at(0.0)
 
     @cached_property
-    def j0(self) -> complex:
-        """J_xi(0), the one-point case of j."""
-        return complex(self.j(np.zeros(1))[0])
+    def residue(self) -> complex:
+        """c_xi = phase J_xi(0), the integral's limit at an integer exponent."""
+        return self.phase * self.j0
 
     def _require_integrable(self) -> None:
         if self.beta.real >= 1.0:
@@ -360,7 +392,7 @@ class _Cut:
         if self.mode == "zero":
             return 0.0 + 0.0j
         if self.mode == "residue":
-            return self.x_pow(x) * self.coef
+            return self.x_pow(x) * self.residue
         self._require_integrable()
         ell = math.log(x)
         prev = None
@@ -381,7 +413,7 @@ class _Cut:
         if self.mode == "zero":
             return 0.0 + 0.0j
         if self.mode == "residue":
-            return self.coef
+            return self.residue
         self._require_integrable()
         return self.sine * gamma(1.0 - self.beta) * self.j0
 
@@ -431,8 +463,6 @@ class _Ctx:
         self.cfg = cfg
         self.kernel = cfg.get_kernel()
         self.pars: FactorParams = zw_params(spec)
-        self.z = self.pars.z
-        self.w = self.pars.w
         self._cuts: dict = {}
         self._sampled: set[bool] = set()  # sample_a_segment calls done
 
@@ -474,107 +504,48 @@ class _Ctx:
         return self._cuts[key]
 
     def _build_cut(self, key) -> _Cut:
-        z, w, k = self.z, self.w, self.kernel
+        z, w, k = self.pars.z, self.pars.w, self.kernel
         zi = self.pars.z_integer_case
+        data = dict(z=z, w=w, g_at=self.G, g_on_line=self.G_line)
+
+        def logs_L1(s, u):
+            # one L1 call; a point's bits do not depend on its batch
+            both = k.L1(np.concatenate([s, 2.0 * s]))
+            return both[: s.size], both[s.size :]
+
         if key == "one":
             return _Cut(
                 beta=z, b=0.5, alpha_right=max(w.real, 0.0),
                 sine=cmath.sin(cmath.pi * z) / math.pi,
-                x_pow=lambda x: x, j=self.j1,
-                mode=_mode(zi == 1, zi in (-1, 0)),
-                # Res_{s=1} F(s) Gamma(s) x^s = x * zeta(2)^w * G(1)
-                residue=lambda: cmath.exp(w * k.L1(2.0)) * self.G(1.0),
-                s0=1.0, g_on_line=self.G_line,
+                x_pow=lambda x: x,
+                mode=_mode(zi == 1, zi in (-1, 0)), s0=1.0,
+                # 1 - 2u = 2 cu, exact near the right end
+                prefactor=lambda u, cu: (1.0 - 2.0 * u if cu is None else 2.0 * cu) ** (-w),
+                logs=logs_L1, phase=1.0, **data,
             )
         if key == "half":
-            # Res_{s=1/2} zeta(2s) = 1/2, with zeta(1/2)^z the boundary value
-            # from above the cut (-inf, 1]
-            def residue() -> complex:
-                zeta_half_z = cmath.exp(z * (math.log(2.0) + k.L1(0.5) - 1j * math.pi))
-                return 0.5 * SQRT_PI * zeta_half_z * self.G(0.5)
-
             return _Cut(
                 beta=w, b=0.5 - self.cfg.a, alpha_right=0.0,
                 sine=cmath.sin(cmath.pi * (z + w)) / math.pi
                 * cmath.exp((1.0 - w) * math.log(2.0)),
-                x_pow=math.sqrt, j=self.j_half,
-                mode=_mode(self.pars.w_is_one, near_integer(z + w) is not None),
-                residue=residue,
-                s0=0.5, g_on_line=self.G_line,
+                x_pow=math.sqrt,
+                mode=_mode(self.pars.w_is_one, near_integer(z + w) is not None), s0=0.5,
+                prefactor=lambda u, cu: 0.5 * (0.5 + u) ** (-z), logs=logs_L1,
+                # zeta(1/2)^z from above the cut (-inf, 1]: s - 1 = (1/2 + u) e^{i pi}
+                phase=cmath.exp(-1j * math.pi * z), **data,
             )
         index, conjugate = key
         rho = k.rho(index, conjugate)
-
-        def residue() -> complex:
-            zp = k.zeta_prime_at_zero(index)
-            if conjugate:
-                zp = zp.conjugate()
-            return gamma(rho) * self.zeta_2rho_pow_w(index, conjugate) * self.G(rho) / zp
-
         return _Cut(
             beta=-z, b=0.5 - self.cfg.a, alpha_right=0.0,
             sine=-cmath.sin(cmath.pi * z) / math.pi,
             x_pow=lambda x: cmath.exp(rho * math.log(x)),
-            j=lambda u, cu=None, g=None: self.j_rho(index, conjugate, u, g),
-            mode=_mode(zi == -1, zi in (0, 1)),
-            residue=residue,
-            s0=rho, g_on_line=self.G_line,
+            mode=_mode(zi == -1, zi in (0, 1)), s0=rho,
+            prefactor=lambda u, cu: (rho - 1.0 - u) ** (-z),
+            # the zero's sweep is built at the first J: a zero-mode cut builds none
+            logs=lambda s, u: k.rho_sweep(index, conjugate).at(u),
+            phase=1.0, **data,
         )
-
-    # -- integrands -----------------------------------------------------------
-    # Each takes an array of u (real nodes or complex ring points) and
-    # returns J there; g holds G at s0 - u, or None for one G_f call on
-    # all of them.
-
-    def j1(self, u, cu: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None) -> np.ndarray:
-        """J_1; cu = 1/2 - u passed exactly near the right endpoint, g = G(1 - u)."""
-        k = self.kernel
-        u = np.asarray(u, dtype=np.complex128)
-        one_minus_2u = 2.0 * cu if cu is not None else 1.0 - 2.0 * u
-        lz1 = k.L1(1.0 - u)
-        lz2 = k.L1(2.0 - 2.0 * u)
-        return (
-            np.exp(self.z * lz1 + self.w * lz2)
-            * one_minus_2u ** (-self.w)
-            * (self.G(1.0 - u) if g is None else g)
-            * gamma(1.0 - u)
-        )
-
-    def j_half(self, u, cu: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None) -> np.ndarray:
-        """J_half; g = G(1/2 - u) (cu is not needed)."""
-        k = self.kernel
-        u = np.asarray(u, dtype=np.complex128)
-        half_minus = 0.5 - u
-        lz1 = k.L1(half_minus)
-        lz2 = k.L1(1.0 - 2.0 * u)
-        return (
-            half_minus
-            * (0.5 + u) ** (-self.z)
-            * np.exp(self.z * lz1 + self.w * lz2)
-            / (1.0 - 2.0 * u)
-            * (self.G(half_minus) if g is None else g)
-            * gamma(half_minus)
-        )
-
-    def j_rho(
-        self, zero_index: int, conjugate: bool, u, g: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """J_rho; g = G(rho - u).  The zero's sweep gives both branch-tracked
-        logs, log((s-1) zeta(s)/(s-rho)) and log zeta(2s) at s = rho - u, at
-        all u, real or complex, in one call."""
-        sw = self.kernel.rho_sweep(zero_index, conjugate)
-        u = np.asarray(u, dtype=np.complex128)
-        lr, cz = sw.at(u)
-        s = sw.rho - u
-        return (
-            (sw.rho - 1.0 - u) ** (-self.z)
-            * (self.G(s) if g is None else g)
-            * np.exp(self.z * lr + self.w * cz)
-            * gamma(s)
-        )
-
-    def zeta_2rho_pow_w(self, zero_index: int, conjugate: bool = False) -> complex:
-        return cmath.exp(self.w * self.kernel.rho_sweep(zero_index, conjugate).zeta2(0.0))
 
 
 def _ctx(spec: EpsilonSpec, cfg: Optional[FormulaConfig]) -> tuple[_Ctx, FormulaConfig]:
@@ -597,7 +568,7 @@ def J1(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -> co
     if abs(u) >= 0.5 or (u.imag == 0 and u.real >= 0.5):
         raise RangeError("J1 requires |u| < 1/2 off the cut [1/2, inf)")
     ctx, _ = _ctx(spec, cfg)
-    return complex(ctx.j1(np.array([u]))[0])
+    return ctx.cut("one").at(u)
 
 
 def J_half(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -> complex:
@@ -608,7 +579,7 @@ def J_half(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -
         raise RangeError("J_half requires |u| < 1/2 - a")
     if (0.5 - u).real < RE_S_MIN:
         raise RangeError(f"J_half requires Re(1/2-u) >= {RE_S_MIN}")
-    return complex(ctx.j_half(np.array([u]))[0])
+    return ctx.cut("half").at(u)
 
 
 def J_rho(
@@ -623,7 +594,7 @@ def J_rho(
     if u.imag == 0.0 and 0.0 <= u.real and (0.5 - u.real) < RE_S_MIN - 1e-12:
         raise RangeError(f"J_rho real path requires Re(rho - u) >= {RE_S_MIN}")
     ctx, _ = _ctx(spec, cfg)
-    return complex(ctx.j_rho(zero_index, False, np.array([u]))[0])
+    return ctx.cut((zero_index, False)).at(u)
 
 
 # --------------------------------------------------------------------------
@@ -638,9 +609,11 @@ def _require_x(x: float, minimum: float = 3.0) -> float:
 
 def _require_window(ctx: _Ctx) -> None:
     """The window bounds (z, w) only where the s = 1 part is a quadrature
-    (non-integer z)."""
+    (non-integer z).  There (1 - 2u)^{-w} is integrable at u = 1/2 only
+    for Re w < 1, so the w = 1 that in_window admits for the residue at
+    1/2 is refused too."""
     pars = ctx.pars
-    if not pars.in_window and ctx.cut("one").mode == "quadrature":
+    if (pars.w_is_one or not pars.in_window) and ctx.cut("one").mode == "quadrature":
         raise WindowError(f"(z, w) = ({pars.z}, {pars.w}) outside treated window")
 
 

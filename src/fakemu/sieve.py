@@ -1,14 +1,13 @@
-"""Ground-truth oracle: f(n) by sieve and direct summatory sums.
+"""Ground-truth oracle: f(n) by sieve and the direct smoothed sum.
 
 f(n) = prod_p eps_{v_p(n)} over the distinct primes dividing n.  Point
 queries use a smallest-prime-factor table (`f_of_n`, also the reference
-the block sieve is tested against).  The large direct sums
-A(x) = sum_{n<=x} f(n) and A_exp(x) = sum_n f(n) e^{-n/x} run `_sweep`,
-which walks [1, n_max] in blocks of BLOCK = W^2 = 2^18 numbers, so
-nothing of size ~45x is ever held in memory at once.  (A block's complex
-buffer is 4 MB, more than a core's L2; smaller blocks were slower all
-the same, because the per-block Python loop over the prime powers then
-dominates.)
+the block sieve is tested against).  The large direct sum
+A_exp(x) = sum_n f(n) e^{-n/x} runs `_sweep`, which walks [1, n_max] in
+blocks of BLOCK = W^2 = 2^18 numbers, so nothing of size ~45x is ever
+held in memory at once.  (A block's complex buffer is 4 MB, more than a
+core's L2; smaller blocks were slower all the same, because the
+per-block Python loop over the prime powers then dominates.)
 
 A block is sieved into one complex buffer by strided slice updates, with
 no integer division and no index gather.  A per-sweep plan lists every
@@ -215,22 +214,6 @@ def _f_block(lo: int, hi: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     return n, val
 
 
-class _Kahan:
-    """Compensated complex accumulator (block partial sums feed it)."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0 + 0.0j
-        self.c = 0.0 + 0.0j
-
-    def add(self, v: complex) -> None:
-        y = v - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-
 def _sweep(spec: EpsilonSpec, n_max: int, consume) -> None:
     """Sieve n in [1, n_max] block by block, calling consume(n, f) per
     block (the consume contract of the module docstring)."""
@@ -247,21 +230,6 @@ def _sweep(spec: EpsilonSpec, n_max: int, consume) -> None:
 def direct_exp_sum(spec: EpsilonSpec, x: float) -> complex:
     """A_exp(x) = sum_n f(n) e^{-n/x}, truncated at n <= DEFAULT_CUTOFF_MULT*x."""
     return complex(direct_exp_sums_multi(spec, [x])[0])
-
-
-def direct_sharp_sum(spec: EpsilonSpec, x: float) -> complex:
-    """A(x) = sum_{n <= x} f(n), exact over n <= floor(x)."""
-    if not 1 <= x < math.inf:
-        raise DomainError(f"direct_sharp_sum requires a finite x >= 1, got {x}")
-    if x > DIRECT_X_CAP:
-        raise CapacityError(f"x={x} beyond direct-summation cap {DIRECT_X_CAP}")
-    acc = _Kahan()
-
-    def consume(n, f):
-        acc.add(complex(np.sum(f)))
-
-    _sweep(spec, int(math.floor(x)), consume)
-    return acc.s
 
 
 def direct_exp_sums_multi(spec: EpsilonSpec, xs: np.ndarray) -> np.ndarray:

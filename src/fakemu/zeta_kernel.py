@@ -11,7 +11,7 @@ Branch conventions.  L1(s) denotes the holomorphic logarithm of
 nontrivial zero), normalized by L1(1) = 0 and L1(s) real for s > 1.
 Powers of zeta are assembled from it:
 
-    zeta(s)^z = (s-1)^{-z} exp(z*L1(s)),        Z(s; z) = exp(z*L1(s))/s.
+    zeta(s)^z = (s-1)^{-z} exp(z*L1(s)).
 
 Every branch-tracked log comes from one routine, _continue_log: log h at
 the vertices of polylines, each continued from a known value.  It halves
@@ -50,7 +50,6 @@ each function, and the legs off the line in one more.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -587,8 +586,7 @@ class RhoSweep:
     real) is continued from the values already kept, and a u off the
     line takes one straight leg from the line value at Re u.  Each
     function is called once at all new line positions and once at all
-    legs.  line(u) is at(u) for real u, local(u) and zeta2(u) one point
-    of it.
+    legs.
     """
 
     def __init__(
@@ -629,19 +627,6 @@ class RhoSweep:
         """(local(u), zeta2(u)) over an array of complex u."""
         u = self._check(np.asarray(u, dtype=np.complex128).reshape(-1))
         return self._local.at(u), self._zeta2.at(u)
-
-    def line(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(local(u), zeta2(u)) over an array of real u."""
-        u = self._check(np.asarray(u, dtype=np.float64))
-        return self._local.line(u), self._zeta2.line(u)
-
-    def local(self, u: complex) -> complex:
-        """log((s-1) zeta(s) / (s-rho)) at s = rho - u."""
-        return complex(self._local.at(self._check(np.array([complex(u)])))[0])
-
-    def zeta2(self, u: complex) -> complex:
-        """log zeta(2s) at s = rho - u."""
-        return complex(self._zeta2.at(self._check(np.array([complex(u)])))[0])
 
 
 class ZetaKernel:
@@ -708,13 +693,6 @@ class ZetaKernel:
             anchor = _ANCHOR_RE + 1j * v.imag
             out[todo] = _continue_legs(zeta_times_s_minus_1, anchor, self.L1(anchor), v)
         return _shaped(out, s, scalar)
-
-    def Z(self, s: complex, z: complex) -> complex:
-        """Z(s; z) = ((s-1) zeta(s))^z / s = exp(z L1(s)) / s."""
-        s = complex(s)
-        if s == 0:
-            raise DomainError("Z(s; z) undefined at s = 0")
-        return cmath.exp(z * self.L1(s)) / s
 
     # -- logs on the disc of a zero ------------------------------------------
 

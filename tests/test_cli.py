@@ -110,6 +110,31 @@ def test_classify_window_error_exit_3(capsys):
     assert "window" in err
 
 
+W_ONE = "finite:[exp(i*1.3181160716528177),exp(i*0.8127555613686607)]"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["evaluate", "--eps", W_ONE, "--x", "1e4"], 3),
+        (["trajectory", "--eps", W_ONE, "--x-min", "10", "--x-max", "1000", "--points", "3"], 3),
+        (["classify", "--eps", W_ONE], 0),
+        (["trajectory", "--eps", W_ONE, "--x-min", "10", "--x-max", "1000", "--points", "3",
+          "--mode", "formula", "--n-zeros", "2"], 0),
+    ],
+    ids=["evaluate", "direct-trajectory", "classify", "formula-trajectory"],
+)
+def test_w_one_at_non_integer_z_exit_codes(argv, want, capsys):
+    # w = 1, z = 1/4 + i sqrt(15)/4: Delta_1 is a quadrature that diverges at
+    # u = 1/2, so what reads it is a window error; c_1/2 and the FORMULA
+    # B(x) take the residue at 1/2 and no Delta_1
+    code, out, err = run(argv, capsys)
+    assert code == want, err
+    if want == 3:
+        assert err.startswith("window error:") and err.count("\n") == 1, err
+        assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -39,6 +39,8 @@ ONES = parse_eps_spec("cm:xi=1")
 FIG53 = parse_eps_spec("periodic:m=2:[i,-i]")
 FIG53_CONJ = parse_eps_spec("periodic:m=2:[-i,i]")
 FIG51A = parse_eps_spec("finite:[exp(i*pi/5),1]")
+# w = 1 (within 2.2e-16) at the non-real z = 1/4 + i sqrt(15)/4
+W_ONE = parse_eps_spec("finite:[exp(i*1.3181160716528177),exp(i*0.8127555613686607)]")
 
 ZETA_HALF = -1.4603545088095868
 L1_HALF = math.log(0.73017725440479343)
@@ -121,7 +123,7 @@ def test_j_rho_limit_identity(cfg):
         (rho - 1.0) ** (-pars.z)
         * ctx.G(rho)
         * cmath.exp(pars.z * cmath.log((rho - 1.0) * zp))
-        * ctx.zeta_2rho_pow_w(1)
+        * cmath.exp(pars.w * complex(kernel.rho_sweep(1).at(0.0)[1][0]))  # zeta(2 rho)^w
         * gamma(rho)
     )
     assert J_rho(FIG53, 1, 0.0, cfg) == pytest.approx(direct, rel=1e-7)
@@ -267,13 +269,14 @@ def test_delta_half_window_error(cfg):
 
 
 def test_delta_1_window_error(cfg):
-    # same spec: (1 - 2u)^(-w) overflows near u = 1/2 unless the window is
-    # checked before the quadrature
-    spec = parse_eps_spec("finite:[exp(i*1.8234765819369751),1]")
-    with pytest.raises(WindowError):
-        delta_1(spec, 1e3, cfg)
-    with pytest.raises(WindowError):
-        a_exp_formula(spec, 1e3, cfg)
+    # (1 - 2u)^(-w) is not integrable at u = 1/2 for Re w >= 1: the window is
+    # checked before the quadrature, also at the w = 1 that the residue at
+    # 1/2 admits (W_ONE's quadrature used to stop at MAX_LEVEL instead)
+    for spec in (parse_eps_spec("finite:[exp(i*1.8234765819369751),1]"), W_ONE):
+        with pytest.raises(WindowError):
+            delta_1(spec, 1e3, cfg)
+        with pytest.raises(WindowError):
+            a_exp_formula(spec, 1e3, cfg)
 
 
 def test_delta_half_conj_spec_symmetry(cfg):
@@ -483,6 +486,23 @@ def test_c_half_liouville(cfg):
 
 def test_c_half_sine_zero(cfg):
     assert c_half(ONES, cfg) == 0
+
+
+def test_c_half_residue_phase_at_non_real_z(cfg):
+    # z = 1/4 + i sqrt(15)/4 and w = 1: the residue at 1/2 takes
+    # zeta(1/2)^z from above the cut (-inf, 1], a phase e^{-i pi z} that is
+    # not real, unlike Liouville's -1
+    pars = zw_params(W_ONE)
+    assert pars.w_is_one and pars.z_integer_case is None
+    assert abs(pars.z - complex(0.25, math.sqrt(15.0) / 4.0)) <= 1e-15
+    ln_zeta_half = float(mp.log(-mp.zeta(0.5)))
+    want = (
+        math.sqrt(math.pi) / 2.0
+        * cmath.exp(pars.z * (ln_zeta_half - 1j * math.pi))
+        * G_f(W_ONE, 0.5, cfg.gf_config)
+    )
+    got = c_half(W_ONE, cfg)
+    assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
 
 def test_c_half_builds_only_the_half_cut():
@@ -892,30 +912,32 @@ def test_direct_G_paths_bitwise_frozen():
     # logs' np.log moved c_1/2, the "one" and "half" lines and delta_half
     # by <= 2.7e-15 relative and the "zero:1" line by <= 1.0e-14 (its
     # lambda_2); zeta'(rho) from the differentiated sum moved the two
-    # residues by 3.0e-12 and 7.6e-13, to within 1.5e-14 of mpmath
+    # residues by 3.0e-12 and 7.6e-13, to within 1.5e-14 of mpmath.  One
+    # integrand for the three cuts, and each residue as phase * J(0), moved
+    # the Watson lines by <= 4.5e-15 and the residues by <= 4.6e-16
     cfg = FormulaConfig(n_zeros=2)
     assert c_half(FIG53, cfg) == 0.06840968849739917 + 0.10362335917983151j
     assert c_half(FIG51A, cfg) == -0.09422578122261532 + 0.06516941744283823j
-    assert c_half(LIOUVILLE, cfg) == -0.6068573898369171 + 7.431859600026981e-17j
+    assert c_half(LIOUVILLE, cfg) == -0.6068573898369171 + 7.43185960002698e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
         0.8854657004659543 - 0.694628674026921j,
         -0.7116549555245344 - 2.39305362949768j,
-        -3.3537575608880204 - 3.195306640445183j,
+        -3.353757560888026 - 3.195306640445183j,
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
-        0.31880303445385116 + 0.3353786866282914j,
+        0.3188030344538511 + 0.3353786866282914j,
         -0.898681108129449 - 0.2427910474398723j,
-        -5.632969973908085 - 0.6117178597499688j,
+        -5.632969973908088 - 0.6117178597499744j,
     ]
     assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
         -6.254788380768612e-10 + 4.208171784212865e-10j,
-        2.5971027119168942e-09 + 1.312662863324693e-09j,
-        2.0899383780858455e-09 - 7.05573204922845e-09j,
+        2.5971027119168942e-09 + 1.3126628633246926e-09j,
+        2.089938378085835e-09 - 7.0557320492284186e-09j,
     ]
-    assert delta_1(ONES, 1e3, cfg) == 1000.0 + 0j  # G(1) = 1 exactly
-    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.19051566789376 + 2.3501603586673227e-15j
-    assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.7165916970526058e-09 + 2.2455256930346824e-08j
-    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045662475e-13 - 4.079195044975517e-14j
+    assert delta_1(ONES, 1e3, cfg) == 999.9999999999995 + 0j  # G(1) = 1, Gamma(1) = 1 - 4.4e-16
+    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.19051566789376 + 2.3501603586673223e-15j
+    assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.7165916970526033e-09 + 2.2455256930346827e-08j
+    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045662475e-13 - 4.0791950449755147e-14j
 
 
 # ---------------------------------------------------------------- zero index and shared sweeps

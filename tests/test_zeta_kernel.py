@@ -282,11 +282,15 @@ def test_L1_jump_across_cut(kernel):
 
 
 def test_Z_values(kernel):
+    # Z(s; z) = ((s-1) zeta(s))^z / s = exp(z L1(s)) / s
+    def Z(s, z):
+        return cmath.exp(z * kernel.L1(s)) / s
+
     for w in (0.3 + 0.1j, -1.0, 2.0):
-        assert kernel.Z(1.0, w) == pytest.approx(1.0)
-    assert kernel.Z(2.0, 1.0) == pytest.approx(math.pi ** 2 / 12, rel=1e-12)
+        assert Z(1.0, w) == pytest.approx(1.0)
+    assert Z(2.0, 1.0) == pytest.approx(math.pi ** 2 / 12, rel=1e-12)
     s = 0.4 + 0.1j
-    assert kernel.Z(s, 0.0) == pytest.approx(1 / s)
+    assert Z(s, 0.0) == pytest.approx(1 / s)
 
 
 # ---------------------------------------------------------------- logs at a zero
@@ -297,14 +301,14 @@ def test_L_rho_exp_identity(kernel):
     sweep = kernel.rho_sweep(1)
     for du in (0.01, -0.1, 0.2, 0.1j, 0.05 - 0.05j, -1e-5):
         s = rho + du
-        v = sweep.local(-du)
+        v = complex(sweep.at(-du)[0][0])
         lhs = cmath.exp(v) * (s - rho)
         rhs = zeta_times_s_minus_1(s)
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs), du
 
 
 def test_L_rho_at_the_zero(kernel):
-    got = kernel.rho_sweep(1).local(0.0)
+    got = complex(kernel.rho_sweep(1).at(0.0)[0][0])
     want = cmath.log((kernel.rho(1) - 1) * kernel.zeta_prime_at_zero(1))
     # same branch: the anchor normalization keeps it on the principal sheet
     assert abs(got - want) <= 1e-7
@@ -314,9 +318,7 @@ def test_L_rho_range_error(kernel):
     sweep = kernel.rho_sweep(1)
     for u in (3.0, 0.3 + 0.4j):  # |u| > 0.45, the gap radius at zero 1
         with pytest.raises(RangeError):
-            sweep.local(u)
-        with pytest.raises(RangeError):
-            sweep.zeta2(u)
+            sweep.at(u)
 
 
 def test_L_rho_conjugate_zero(kernel):
@@ -324,7 +326,7 @@ def test_L_rho_conjugate_zero(kernel):
     sweep = kernel.rho_sweep(1, conjugate=True)
     for u in (0.05, 0.05 + 0.03j):
         s = rho_bar - u
-        lhs = cmath.exp(sweep.local(u)) * (s - rho_bar)
+        lhs = cmath.exp(complex(sweep.at(u)[0][0])) * (s - rho_bar)
         assert abs(lhs - zeta_times_s_minus_1(s)) <= 1e-9 * abs(lhs), u
 
 
@@ -335,8 +337,9 @@ def test_rho_sweep_ring_matches_direct_values(kernel):
     ring = 0.05 * np.exp(2j * math.pi * np.arange(16) / 16)
     lr, cz = sweep.at(ring)
     ref = ZetaKernel(kernel.table).rho_sweep(2)
-    assert lr.tolist() == [ref.local(u) for u in ring.tolist()]
-    assert cz.tolist() == [ref.zeta2(u) for u in ring.tolist()]
+    one = [ref.at(u) for u in ring.tolist()]
+    assert lr.tolist() == [complex(v[0][0]) for v in one]
+    assert cz.tolist() == [complex(v[1][0]) for v in one]
     for u, v, c in zip(ring.tolist(), lr.tolist(), cz.tolist()):
         s = sweep.rho - u
         assert abs(cmath.exp(v) * (s - sweep.rho) - zeta_times_s_minus_1(s)) <= 1e-12, u
@@ -470,7 +473,7 @@ def test_clog_zeta_matches_exp(kernel):
         sweep = kernel.rho_sweep(k)
         for u in (0.05, 0.05 + 0.03j):
             s2 = 2.0 * kernel.rho(k) - 2.0 * u
-            v = sweep.zeta2(u)
+            v = complex(sweep.at(u)[1][0])
             assert abs(cmath.exp(v) - zeta(s2)) <= 1e-10 * abs(zeta(s2)), (k, u)
 
 
@@ -546,16 +549,18 @@ def test_rho_sweep_line_matches_point_by_point(k, conjugate):
     rng = np.random.default_rng(53 + k)
     u = np.sort(rng.uniform(-0.9, 0.9, 40) * sweep.radius)
     u = np.concatenate([u, u[:5]])  # repeated positions read kept values
-    lr, cz = sweep.line(u)
+    lr, cz = sweep.at(u)
     ref = ZetaKernel(table).rho_sweep(k, conjugate)
-    assert lr.tolist() == [ref.local(v) for v in u.tolist()]
-    assert cz.tolist() == [ref.zeta2(v) for v in u.tolist()]
+    one = [ref.at(v) for v in u.tolist()]
+    assert lr.tolist() == [complex(v[0][0]) for v in one]
+    assert cz.tolist() == [complex(v[1][0]) for v in one]
     far = ZetaKernel(table).rho_sweep(k, conjugate)
     v = 0.95 * far.radius  # beyond one step of the seed at -radius/2
-    lr, cz = far.line(np.array([v]))
-    assert (complex(lr[0]), complex(cz[0])) == (ref.local(v), ref.zeta2(v))
+    lr, cz = far.at(v)
+    want = ref.at(v)
+    assert (complex(lr[0]), complex(cz[0])) == (complex(want[0][0]), complex(want[1][0]))
     with pytest.raises(RangeError):
-        sweep.line(np.array([0.0, 1.01 * sweep.radius]))
+        sweep.at(np.array([0.0, 1.01 * sweep.radius]))
 
 
 def _count_h_calls(sweep) -> list:
@@ -573,10 +578,10 @@ def test_rho_sweep_line_takes_single_steps():
     sweep = ZetaKernel(default_kernel().table).rho_sweep(1)
     calls = _count_h_calls(sweep)
     u = np.linspace(-0.2, 0.1, 31)
-    first = sweep.line(u)
+    first = sweep.at(u)
     assert calls == [31, 31], calls
     calls.clear()
-    again = sweep.line(u)
+    again = sweep.at(u)
     assert calls == []
     assert [v.tolist() for v in again] == [v.tolist() for v in first]
 
