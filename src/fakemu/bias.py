@@ -87,7 +87,8 @@ def B_of_x(
     mode = mode.upper()
     pars = zw_params(spec)
     if mode == DIRECT:
-        numer = direct_exp_sum(spec, x) - delta_1(spec, x, cfg)
+        d1 = delta_1(spec, x, cfg)  # first: a window error exits before the sieve runs
+        numer = direct_exp_sum(spec, x) - d1
     elif mode == FORMULA:
         numer = delta_half(spec, x, cfg) + zero_sum(spec, x, cfg)
     else:
@@ -195,9 +196,11 @@ def trajectory(
         bvals = [B_of_x(spec, float(x), FORMULA, cfg) for x in xs]
     else:
         w = zw_params(spec).w
+        # Delta_1 first: a window error exits before the sieve runs
+        d1 = [delta_1(spec, float(x), cfg) for x in xs]
         bvals = [
-            (a - delta_1(spec, float(x), cfg)) / _scale(float(x), w)
-            for x, a in zip(xs, direct_exp_sums_multi(spec, xs))
+            (a - d) / _scale(float(x), w)
+            for x, a, d in zip(xs, direct_exp_sums_multi(spec, xs), d1)
         ]
     return [
         TrajectorySample(float(x), b, b - c, mode) for x, b in zip(xs, bvals)

@@ -39,12 +39,15 @@ def _c(v: complex) -> dict:
 
 
 def _config_from_args(args) -> FormulaConfig:
+    """The config of the command's flags; a flag it does not register
+    keeps the FormulaConfig default."""
+    flags = vars(args)
     kernel = None
-    if args.zeros_file:
+    if flags.get("zeros_file"):
         kernel = ZetaKernel(load_zero_table(args.zeros_file))
     return FormulaConfig(
-        a=args.a,
-        n_zeros=args.n_zeros,
+        a=flags.get("a", FormulaConfig.a),
+        n_zeros=flags.get("n_zeros", FormulaConfig.n_zeros),
         gf_config=GfConfig(prime_limit=args.prime_limit),
         kernel=kernel,
     )
@@ -58,13 +61,17 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    """Flags of every command that evaluates a spec (all but verify)."""
+def _add_shared(p: argparse.ArgumentParser, *, zeros_file: bool, contour: bool) -> None:
+    """Flags of a command that evaluates a spec (all but verify): those of
+    every such command, --zeros-file if it reads the zero table, and
+    --n-zeros and --a if it reads the contour's zeros and abscissa."""
     p.add_argument("--eps", required=True, help="epsilon-spec string")
     p.add_argument("--prime-limit", type=int, default=GfConfig.prime_limit)
-    p.add_argument("--n-zeros", type=int, default=FormulaConfig.n_zeros)
-    p.add_argument("--a", type=float, default=FormulaConfig.a)
-    p.add_argument("--zeros-file", default=None)
+    if contour:
+        p.add_argument("--n-zeros", type=int, default=FormulaConfig.n_zeros)
+        p.add_argument("--a", type=float, default=FormulaConfig.a)
+    if zeros_file:
+        p.add_argument("--zeros-file", default=None)
     p.add_argument("--out", default=None)
 
 
@@ -124,12 +131,11 @@ def cmd_evaluate(args) -> int:
     spec = parse_eps_spec(args.eps)
     cfg = _config_from_args(args)
     mode = args.mode.lower()
-    direct = None
-    if mode in ("direct", "both"):
-        direct = direct_exp_sum(spec, args.x)
+    # the formula first: a window error exits before the sieve runs
+    b = a_exp_formula(spec, args.x, cfg) if mode in ("formula", "both") else None
+    direct = direct_exp_sum(spec, args.x) if mode in ("direct", "both") else None
     payload = {"x": args.x}
-    if mode in ("formula", "both"):
-        b = a_exp_formula(spec, args.x, cfg)
+    if b is not None:
         payload.update(
             {
                 "delta_1": _c(b.delta_1),
@@ -176,12 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # c_1/2 reads only J_1/2(0): no zero, no contour
     p = sub.add_parser("classify", help="bias classification report")
-    _add_shared(p)
+    _add_shared(p, zeros_file=False, contour=False)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("trajectory", help="emit B(x) samples")
-    _add_shared(p)
+    _add_shared(p, zeros_file=True, contour=True)
     p.add_argument("--x-min", type=float, required=True)
     p.add_argument("--x-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
@@ -197,13 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trajectory)
 
     p = sub.add_parser("evaluate", help="formula breakdown at one x")
-    _add_shared(p)
+    _add_shared(p, zeros_file=True, contour=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--mode", choices=("direct", "formula", "both"), default="both")
     p.set_defaults(fn=cmd_evaluate)
 
+    # a Watson ring reads J on |u| = 0.05 only: neither a nor n_zeros
     p = sub.add_parser("watson", help="Taylor coefficients of an integrand")
-    _add_shared(p)
+    _add_shared(p, zeros_file=True, contour=False)
     p.add_argument("--point", required=True, help="one | half | zero:K")
     p.add_argument("--order", type=int, default=3)
     p.set_defaults(fn=cmd_watson)

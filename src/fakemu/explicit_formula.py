@@ -51,10 +51,11 @@ u, log u, weights and J) once, as arrays, and evaluates J only at the odd
 k, the even k being level L-1's nodes, in one call on their arrays.  J is
 an array function throughout: zeta, gamma and L1 take arrays, L1 on the
 cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
-or continues both logs at all new points at once; the public J1, J_half
-and J_rho and J(0) are its one-point case, and a point's J has the same bits alone and
-inside a level or a Watson ring.  A cut holds at most MAX_LEVEL - 2
-levels; another x reads them and builds no node.
+both logs where it has them and continues all new points at once; the
+public J1, J_half and J_rho and J(0) are its one-point case, and a
+point's J has the same bits alone and inside a level or a Watson ring.
+A cut holds at most MAX_LEVEL - 2 levels; another x reads them and
+builds no node.
 
 At the tanh-sinh nodes G(s0 - u), s0 = 1, 1/2 or rho, comes from one
 Chebyshev interpolant per cut (class _GLine) on the segment 0 <= u <= b,
@@ -94,9 +95,8 @@ Gamma(1-beta+k) L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
 The two branch-tracked logs of J_rho come from one zeta_kernel.RhoSweep
 per zero (and per mirror zero), kept on the kernel for every spec and
 config and built at the first J of the zero: it serves the Laplace
-nodes, the Watson ring, the residue's J_rho(0) and J_rho at complex u.
-Its line values are kept; a ring point is one leg off the line, taken
-again at each call.
+nodes, the Watson ring, the residue's J_rho(0) and J_rho at complex u,
+each a leg from u = 0, and keeps every value it serves.
 """
 
 from __future__ import annotations
@@ -589,7 +589,7 @@ def J_rho(
     cfg: Optional[FormulaConfig] = None,
 ) -> complex:
     """Integrand at zero rho_k on its disc |u| <= gap radius (RangeError
-    outside); complex u continues off the real line sweep at Re u."""
+    outside); every u continues the zero's logs along one leg from u = 0."""
     u = complex(u)
     if u.imag == 0.0 and 0.0 <= u.real and (0.5 - u.real) < RE_S_MIN - 1e-12:
         raise RangeError(f"J_rho real path requires Re(rho - u) >= {RE_S_MIN}")

@@ -13,22 +13,22 @@ Powers of zeta are assembled from it:
 
     zeta(s)^z = (s-1)^{-z} exp(z*L1(s)).
 
-Every branch-tracked log comes from one routine, _continue_log: log h at
-the vertices of polylines, each continued from a known value.  It halves
-the steps longer than _STEP0, calls h once at all unknown vertices, then
-halves the steps along which arg h moves by pi/2 or more, one call of h
-per round, and returns Log h at each vertex plus 2 pi i k: the path
-picks only k, so a value's bits depend only on its vertex.  Away from the real
-window, L1 is continued along one straight leg from the anchor
+Every branch-tracked log comes from one routine, _continue_legs: log h
+at the end of straight legs, each from a point where the log is known.
+It cuts a leg into pieces of at most _STEP0, calls h once at all piece
+ends, then halves the pieces along which arg h moves by pi/2 or more, one
+call of h per round, and returns Log h at each end plus 2 pi i k: the
+path picks only k, so a value's bits depend only on its end point.  Away
+from the real window, L1 is continued along one leg from the anchor
 1.2 + i*Im(s), where the standard branch of log zeta is the principal
 Log (log_zeta_euler).
 
 Near a zero rho this module alone fixes the two logs of the explicit
 formula's J_rho, log((s-1) zeta(s)/(s-rho)) and log zeta(2s) at
-s = rho - u: the kernel's one RhoSweep per zero anchors them at rho + r
-and 1.2 + 2i Im rho, continues them along the line s = rho - u (u real),
-keeping the values there, and gives a complex u (a Watson ring point)
-one straight leg from the line value at Re u.
+s = rho - u: the kernel's one RhoSweep per zero continues them once to
+u = 0, from rho + r and 1.2 + 2i Im rho, and every other u (a Laplace
+node or a Watson ring point) takes one leg from u = 0.  The sweep keeps
+every value it has served.
 
 Arrays.  zeta, zeta_times_s_minus_1, gamma, log_zeta_euler and
 ZetaKernel.L1 take a point or an array of points, and the point is the
@@ -42,10 +42,10 @@ the same sum differentiated term by term, good to ~1e-15 relative at the
 zeros: no difference step amplifies zeta's rounding.  L1 of an array is
 a plain log wherever |Im s| <= 0.35 (and on Re s >= 1.2 the principal
 log), which covers every node and ring point of the cuts at 1 and 1/2;
-all other points take their legs in one _continue_log call.
-RhoSweep.at(u) gives both logs at an array of u, real or complex: the
-new line positions continue in runs from the kept ones, in one call of
-each function, and the legs off the line in one more.
+all other points take their legs in one _continue_legs call.
+RhoSweep.at(u) gives both logs at an array of u, real or complex: it
+reads the kept ones and continues the new ones in one call of each
+function.
 """
 
 from __future__ import annotations
@@ -450,39 +450,32 @@ _STEP0 = 0.25
 _STEP_FLOOR = 1e-6
 
 
-def _continue_log(
-    h: Callable[[np.ndarray], np.ndarray], s: np.ndarray, log: np.ndarray, known: np.ndarray
+def _continue_legs(
+    h: Callable[[np.ndarray], np.ndarray], s0, log0, s1: np.ndarray
 ) -> np.ndarray:
-    """log h at the vertices s of polylines, on the branches continued
-    from the known values.
+    """log h at each s1[i], continued along the segment from s0[i], where
+    it is log0[i] (s0 and log0 may be one value for all legs).
 
-    A polyline starts at a known vertex (known[i], value log[i]; s[0] is
-    one), and every other vertex continues from the vertex before it.
-    Steps longer than _STEP0 are halved first, their midpoints joining
-    the polyline; h is then called once at all unknown vertices, and once
-    per round at the midpoints of the steps along which arg h moves by
-    pi/2 or more.  StepError fires where h vanishes or a step falls below
-    _STEP_FLOOR.  A value is Log h at its vertex (np.log) plus 2 pi i k:
-    the path picks only k, so the bits depend only on the vertex.
+    Each leg is cut into ceil(|s1 - s0| / _STEP0) equal pieces, and h is
+    called once at all piece ends; then the pieces along which arg h moves
+    by pi/2 or more are halved, one call of h per round.  StepError fires
+    where h vanishes or a piece falls below _STEP_FLOOR.  A value is Log h
+    at s1 (np.log) plus 2 pi i k: the path picks only k, so the bits
+    depend only on s1.
     """
-    end = np.flatnonzero(~known)
-    far = end[np.abs(s[end] - s[end - 1]) > _STEP0]
-    if far.size:
-        mid = 0.5 * (s[far - 1] + s[far])
-        inner = far + np.arange(far.size)  # where the midpoints land
-        keep = np.ones(s.size + far.size, dtype=bool)
-        keep[inner] = False
-        return _continue_log(
-            h, np.insert(s, far, mid), np.insert(log, far, 0.0), np.insert(known, far, False)
-        )[keep]
-    out = log.copy()
-    if not end.size:
-        return out
-    hv = h(s[end])
-    arg = np.where(known, log.imag, 0.0)  # the known values' Im, else Arg h
-    arg[end] = np.arctan2(hv.imag, hv.real)
-    seg = np.arange(end.size)  # the pieces of the steps into the unknown vertices
-    p0, p1, arg0, arg1 = s[end - 1], s[end], arg[end - 1], arg[end]
+    s0, log0 = np.broadcast_to(s0, s1.shape), np.broadcast_to(log0, s1.shape)
+    n = np.maximum(1, np.ceil(np.abs(s1 - s0) / _STEP0)).astype(np.int64)
+    leg = np.repeat(np.arange(s1.size), n)
+    last = n.cumsum() - 1  # each leg's end
+    j = np.arange(leg.size) - (last - n)[leg]  # piece j = 1..n of its leg
+    ends = s0[leg] + (j / n[leg]) * (s1 - s0)[leg]
+    ends[last] = s1
+    hv = h(ends)
+    arg = np.arctan2(hv.imag, hv.real)
+    first = j == 1
+    p0 = np.where(first, s0[leg], np.roll(ends, 1))
+    arg0 = np.where(first, log0.imag[leg], np.roll(arg, 1))
+    p1, arg1, seg = ends, arg, leg
     new = hv
     while True:
         if (new == 0).any():
@@ -502,74 +495,9 @@ def _continue_log(
         arg0 = np.concatenate([arg0[ok], arg0[bad], am])
         arg1 = np.concatenate([arg1[ok], am, arg1[bad]])
         seg = np.concatenate([seg[ok], seg[bad], seg[bad]])
-    turns = np.bincount(seg, weights=turn, minlength=end.size)
-    wind = np.zeros(s.size, dtype=np.int64)
-    wind[end] = np.rint((arg[end - 1] + turns - arg[end]) / (2.0 * math.pi))
-    # k adds up the windings along each polyline from its known vertex
-    k = wind.cumsum()
-    k -= k[known][known.cumsum() - 1]
-    out[end] = np.log(hv) + 2j * math.pi * k[end]
-    return out
-
-
-def _continue_legs(
-    h: Callable[[np.ndarray], np.ndarray], s0: np.ndarray, log0: np.ndarray, s1: np.ndarray
-) -> np.ndarray:
-    """log h at each s1[i], continued along the segment from s0[i], where
-    it is log0[i]: a polyline of two vertices each."""
-    s = np.empty(2 * s1.size, dtype=np.complex128)
-    s[0::2], s[1::2] = s0, s1
-    log = np.zeros(s.size, dtype=np.complex128)
-    log[0::2] = log0
-    return _continue_log(h, s, log, np.arange(s.size) % 2 == 0)[1::2]
-
-
-class _LineCache:
-    """Branch values of log h at s_of(u), kept at real u.
-
-    line(q) gives them at an array of real positions.  The new positions
-    continue in runs: each from the position just below it, and those
-    below the lowest kept one downward from it, all in one _continue_log
-    call; they are kept.  at(u) gives an array of complex u, each
-    continued along one straight leg from the line value at Re u, and
-    keeps only the line values.  Every value is Log h at its position plus
-    2 pi i k, so which positions are kept changes no bit.
-    """
-
-    def __init__(self, s_of, h, seed_pos: float, seed_val: complex):
-        self.s_of = s_of
-        self.h = h
-        self.pos = np.array([seed_pos])  # kept positions, ascending
-        self.val = np.array([seed_val], dtype=np.complex128)
-
-    def line(self, q: np.ndarray) -> np.ndarray:
-        i = np.minimum(np.searchsorted(self.pos, q), self.pos.size - 1)
-        new = q[self.pos[i] != q]
-        if new.size:
-            pos = np.concatenate([self.pos, new])
-            order = np.argsort(pos, kind="stable")
-            pos = pos[order]
-            fresh = np.concatenate([[True], pos[1:] != pos[:-1]])  # repeats drop
-            order, pos = order[fresh], pos[fresh]
-            known = order < self.pos.size
-            val = np.concatenate([self.val, np.zeros(new.size, dtype=np.complex128)])[order]
-            low = int(known.argmax())
-            path = np.concatenate([np.arange(low, -1, -1), np.arange(low, pos.size)])
-            # the new positions, each run after the kept one it starts from
-            run = ~known[path]
-            path = path[run | np.concatenate([run[1:], [False]])]
-            val[path] = _continue_log(self.h, self.s_of(pos[path]), val[path], known[path])
-            self.pos, self.val = pos, val
-            i = np.searchsorted(pos, q)
-        return self.val[i]
-
-    def at(self, u: np.ndarray) -> np.ndarray:
-        out = self.line(u.real)
-        off = u.imag != 0.0
-        if off.any():
-            q = u.real[off]
-            out[off] = _continue_legs(self.h, self.s_of(q), out[off], self.s_of(u[off]))
-        return out
+    turns = np.bincount(seg, weights=turn, minlength=s1.size)
+    k = np.rint((log0.imag + turns - arg[last]) / (2.0 * math.pi))
+    return np.log(hv[last]) + 2j * math.pi * k
 
 
 class RhoSweep:
@@ -577,16 +505,17 @@ class RhoSweep:
 
     For s = rho - u with |u| <= radius (the zero's gap radius):
 
-      local(u) = log((s-1) zeta(s) / (s-rho)),  seeded at u = -r (s = rho + r,
-                 r = radius/2) with the value L1(rho + r) - ln r;
-      zeta2(u) = log zeta(2s),  seeded at Re 2s = _ANCHOR_RE (u = -0.1)
-                 with the standard branch of log_zeta_euler.
+      local(u) = log((s-1) zeta(s) / (s-rho)),  continued to u = 0 from
+                 s = rho + r (r = radius/2), where it is L1(rho + r) - ln r;
+      zeta2(u) = log zeta(2s),  continued to u = 0 from
+                 2s = _ANCHOR_RE + 2i Im rho, where it is log_zeta_euler.
 
-    at(u) gives both at an array of complex u: the line s = rho - u (u
-    real) is continued from the values already kept, and a u off the
-    line takes one straight leg from the line value at Re u.  Each
-    function is called once at all new line positions and once at all
-    legs.
+    local is holomorphic on the disc, which holds no other zero, and
+    zeta2 on its part Re 2s > 1/2 (Re u < 1/4), which holds every u the
+    formula reads; there a straight leg from u = 0 has the branch of any
+    path.  at(u) gives both at an array of complex u: every u not asked
+    before takes one leg from u = 0, in one _continue_legs call of each
+    function, and is kept, so a u asked again calls nothing.
     """
 
     def __init__(
@@ -605,13 +534,12 @@ class RhoSweep:
                 out[off] = zeta_times_s_minus_1(s[off]) / (s[off] - rho)
             return out
 
-        self._local = _LineCache(lambda u: rho - u, h, -r, anchor_log)
-        self._zeta2 = _LineCache(
-            lambda u: 2.0 * rho - 2.0 * u,
-            zeta,
-            rho.real - 0.5 * _ANCHOR_RE,
-            log_zeta_euler(complex(_ANCHOR_RE, 2.0 * rho.imag)),
-        )
+        self.h_local, self.h_zeta2 = h, zeta
+        anchor2 = complex(_ANCHOR_RE, 2.0 * rho.imag)
+        self.u = np.zeros(1, dtype=np.complex128)  # every u served, ascending
+        self.local = _continue_legs(h, rho + r, anchor_log, self.u + rho)
+        self.zeta2 = _continue_legs(zeta, anchor2, log_zeta_euler(anchor2), self.u + 2.0 * rho)
+        self.local0, self.zeta20 = self.local[0], self.zeta2[0]
 
     def _check(self, u: np.ndarray) -> np.ndarray:
         out = np.abs(u) > self.radius
@@ -626,7 +554,19 @@ class RhoSweep:
     def at(self, u) -> tuple[np.ndarray, np.ndarray]:
         """(local(u), zeta2(u)) over an array of complex u."""
         u = self._check(np.asarray(u, dtype=np.complex128).reshape(-1))
-        return self._local.at(u), self._zeta2.at(u)
+        i = np.minimum(np.searchsorted(self.u, u), self.u.size - 1)
+        new = np.sort(u[self.u[i] != u])
+        if new.size:
+            new = new[np.concatenate([[True], new[1:] != new[:-1]])]  # repeats drop
+            rho = self.rho
+            local = _continue_legs(self.h_local, rho, self.local0, rho - new)
+            zeta2 = _continue_legs(self.h_zeta2, 2.0 * rho, self.zeta20, 2.0 * rho - 2.0 * new)
+            order = np.argsort(np.concatenate([self.u, new]))
+            self.u = np.concatenate([self.u, new])[order]
+            self.local = np.concatenate([self.local, local])[order]
+            self.zeta2 = np.concatenate([self.zeta2, zeta2])[order]
+            i = np.searchsorted(self.u, u)
+        return self.local[i], self.zeta2[i]
 
 
 class ZetaKernel:

@@ -32,6 +32,19 @@ def test_B_ones_against_closed_form(cfg):
     assert abs(got) < 0.05
 
 
+def test_B_direct_window_error_comes_before_the_sieve(cfg, monkeypatch):
+    # w = 1 at non-integer z: Delta_1 is a window error, raised unsieved
+    from fakemu import sieve
+
+    def no_sieve(*args):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr(sieve, "_sweep", no_sieve)
+    w_one = parse_eps_spec("finite:[exp(i*1.3181160716528177),exp(i*0.8127555613686607)]")
+    with pytest.raises(WindowError):
+        bias.B_of_x(w_one, 1e6, bias.DIRECT, cfg)
+
+
 def test_B_direct_vs_formula(cfg):
     x = 1e4
     bd = bias.B_of_x(FIG53, x, bias.DIRECT, cfg)

@@ -135,11 +135,34 @@ def test_w_one_at_non_integer_z_exit_codes(argv, want, capsys):
         assert out == ""
 
 
+def test_window_error_exits_before_the_sieve(monkeypatch, capsys):
+    # Delta_1 of W_ONE is a window error: evaluate and a DIRECT trajectory
+    # exit 3 without sieving, however large x is
+    from fakemu import sieve
+
+    def no_sieve(*args):
+        raise AssertionError("the sieve ran")
+
+    monkeypatch.setattr(sieve, "_sweep", no_sieve)
+    for argv in (
+        ["evaluate", "--eps", W_ONE, "--x", "1e6"],
+        ["trajectory", "--eps", W_ONE, "--x-min", "10", "--x-max", "1e6", "--points", "3"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and err.startswith("window error:") and out == "", err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["classify", "--eps", "cm:xi=1", "--format", "csv"],
         ["verify", "--suite", "core", "--n-zeros", "3"],
+        # c_1/2 reads only J_1/2(0), and a Watson ring J on |u| = 0.05
+        ["classify", "--eps", "cm:xi=1", "--n-zeros", "200"],
+        ["classify", "--eps", "cm:xi=1", "--a", "0.4"],
+        ["classify", "--eps", "cm:xi=1", "--zeros-file", "zeros.txt"],
+        ["watson", "--eps", "cm:xi=1", "--point", "zero:1", "--n-zeros", "2"],
+        ["watson", "--eps", "cm:xi=1", "--point", "half", "--a", "0.4"],
     ],
 )
 def test_unread_flags_are_usage_errors(argv, capsys):
@@ -289,17 +312,19 @@ def test_watson_zero_point(capsys):
 
 # ---------------------------------------------------------------- zeros file
 
-def test_classify_with_custom_zeros_file(tmp_path, capsys):
+def test_watson_with_custom_zeros_file(tmp_path, capsys):
+    # the builtin table written out and read back gives the same bits
     from fakemu.zeta_kernel import default_zero_table
 
     table = default_zero_table()
     zf = tmp_path / "zeros.txt"
     zf.write_text("\n".join(f"{g:.17g}" for g in table.ordinates) + "\n")
-    code, out, _ = run(
-        ["classify", "--eps", "finite:[-1]", "--zeros-file", str(zf)], capsys
-    )
+    argv = ["watson", "--eps", "periodic:m=2:[i,-i]", "--point", "zero:1", "--order", "2"]
+    code, builtin, _ = run(argv, capsys)
     assert code == 0
-    assert json.loads(out)["classification"] == "INTEGER_SPECIAL"
+    code, out, _ = run(argv + ["--zeros-file", str(zf)], capsys)
+    assert code == 0
+    assert out == builtin
 
 
 # ---------------------------------------------------------------- verify

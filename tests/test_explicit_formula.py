@@ -985,9 +985,9 @@ def _count_sweep_calls(kernel) -> list:
     """Points of each call of the functions of every sweep kept on kernel."""
     calls = []
     for sweep in kernel._sweeps.values():
-        for cache in (sweep._local, sweep._zeta2):
-            h = cache.h
-            cache.h = lambda s, h=h: calls.append(np.size(s)) or h(s)
+        for name in ("h_local", "h_zeta2"):
+            h = getattr(sweep, name)
+            setattr(sweep, name, lambda s, h=h: calls.append(np.size(s)) or h(s))
     return calls
 
 
@@ -1008,16 +1008,49 @@ def test_fresh_config_reuses_the_kernel_sweeps():
 
 def test_watson_ring_repeats_bit_for_bit():
     # the ring's logs depend only on the zero: a second config, a second
-    # spec and a fresh kernel give the same bits, and the ring is one call
-    # of each of the sweep's functions
+    # spec and a fresh kernel give the same bits, and the kept ring calls
+    # neither of the sweep's functions
     kernel = ZetaKernel(default_kernel().table)
     first = watson_coeffs(FIG53, "zero:1", 2, FormulaConfig(kernel=kernel))
     calls = _count_sweep_calls(kernel)
     assert watson_coeffs(FIG53, "zero:1", 2, FormulaConfig(kernel=kernel)) == first
-    assert len(calls) == 2
+    assert calls == []
     other = watson_coeffs(FIG51A, "zero:1", 2, FormulaConfig(kernel=kernel))
     fresh = FormulaConfig(kernel=ZetaKernel(default_kernel().table))
     assert watson_coeffs(FIG51A, "zero:1", 2, fresh) == other
+
+
+def test_residue_reads_the_kept_value_at_the_zero():
+    # the sweep keeps both logs at u = 0 from its construction: J_rho(0)
+    # of a residue (z = -1) calls neither of its functions
+    kernel = ZetaKernel(default_kernel().table)
+    kernel.rho_sweep(1)
+    calls = _count_sweep_calls(kernel)
+    got = delta_rho(MOBIUS, 1, 1e3, FormulaConfig(kernel=kernel))
+    assert calls == []
+    assert got == delta_rho(MOBIUS, 1, 1e3, FormulaConfig(kernel=ZetaKernel(kernel.table)))
+
+
+def test_each_level_is_one_call_of_each_sweep_function():
+    # at the shortest abscissa the legs from u = 0 reach |u| = b = 0.15
+    # (|2u| = 0.3 for zeta(2s), whose legs past |2u| = 0.25 take two
+    # pieces); the new nodes of each tanh-sinh level still take one call
+    # of each function, with no halving round
+    from fakemu.euler_residual import RE_S_MIN
+    from fakemu.explicit_formula import _ctx
+
+    kernel = ZetaKernel(default_kernel().table)
+    kernel.rho_sweep(1)
+    calls = _count_sweep_calls(kernel)
+    ctx, _ = _ctx(FIG53, FormulaConfig(a=RE_S_MIN, n_zeros=1, kernel=kernel))
+    cut = ctx.cut((1, False))
+    for L in range(3, explicit_formula.MAX_LEVEL + 1):
+        calls.clear()
+        u = cut.level(L)[0]
+        if L > 3:
+            u = u[np.isin(u, cut.level(L - 1)[0], invert=True)]
+        two = np.count_nonzero(2.0 * u > zeta_kernel._STEP0)
+        assert calls == [u.size, u.size + two], (L, calls)
 
 
 def _anchored_outputs():

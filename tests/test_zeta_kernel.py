@@ -29,8 +29,6 @@ from fakemu.zeta_kernel import (
     ZeroTable,
     ZetaKernel,
     _continue_legs,
-    _continue_log,
-    _LineCache,
     default_kernel,
     default_zero_table,
     gamma,
@@ -362,12 +360,6 @@ def test_continue_log_depends_only_on_the_end_point():
     assert got[0] == got[1]
     assert got[0].real == cmath.log(_winding(s1)).real
     assert abs(got[0] - _winding_log(s1)) <= 1e-13
-    # the same end point at the end of a longer polyline
-    s = np.array([-1.0 + 0.2j, 0.3 - 0.4j, 2.0 + 0.3j, s1])
-    known = np.array([True, False, False, False])
-    log = np.zeros(4, dtype=np.complex128)
-    log[0] = _winding_log(s[0])
-    assert _continue_log(_winding, s, log, known)[3] == got[0]
 
 
 def test_continue_log_raises_where_h_vanishes():
@@ -389,20 +381,6 @@ def test_continue_log_raises_on_step_underflow():
     s0 = np.array([0.1 + 0.0j])
     with pytest.raises(StepError, match="underflow"):
         _continue_legs(h, s0, np.array([1j * math.pi]), np.array([0.35 + 0.0j]))
-
-
-def test_line_cache_batches_equal_one_at_a_time():
-    # positions in batches, some far from every kept one, against one at a
-    # time: the same bits, on the branch of a function that winds
-    rng = random.Random(11)
-    qs = [rng.uniform(-2.0, 2.0) for _ in range(300)]
-    qs += rng.sample(qs, 50)  # repeated positions read kept values
-    batched = _LineCache(lambda q: q + 0j, _winding, 0.0, complex(math.log(3.0)))
-    single = _LineCache(lambda q: q + 0j, _winding, 0.0, complex(math.log(3.0)))
-    got = np.concatenate([batched.line(np.array(qs[i : i + 70])) for i in range(0, len(qs), 70)])
-    assert got.tolist() == [complex(single.line(np.array([q]))[0]) for q in qs]
-    assert np.max(np.abs(got - _winding_log(np.array(qs) + 0j))) <= 1e-12
-    assert batched.pos.tolist() == sorted(set(qs) | {0.0})
 
 
 @pytest.mark.parametrize("k", [0, 101])
@@ -566,18 +544,19 @@ def test_rho_sweep_line_matches_point_by_point(k, conjugate):
 def _count_h_calls(sweep) -> list:
     """Points of each call of the sweep's two functions, in call order."""
     calls = []
-    for cache in (sweep._local, sweep._zeta2):
-        h = cache.h
-        cache.h = lambda s, h=h: calls.append(np.size(s)) or h(s)
+    for name in ("h_local", "h_zeta2"):
+        h = getattr(sweep, name)
+        setattr(sweep, name, lambda s, h=h: calls.append(np.size(s)) or h(s))
     return calls
 
 
 def test_rho_sweep_line_takes_single_steps():
-    # nodes within one step of a kept value: one call of each function at
-    # all of them, no halving round; kept nodes call nothing
+    # nodes whose legs from u = 0 are within one step (|u|, |2u| <= 0.25):
+    # one call of each function at all of them, no halving round; kept
+    # nodes call nothing
     sweep = ZetaKernel(default_kernel().table).rho_sweep(1)
     calls = _count_h_calls(sweep)
-    u = np.linspace(-0.2, 0.1, 31)
+    u = np.linspace(-0.12, 0.12, 32)[:31]  # 31 nodes, none at the kept u = 0
     first = sweep.at(u)
     assert calls == [31, 31], calls
     calls.clear()
