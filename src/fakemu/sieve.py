@@ -4,14 +4,17 @@ f(n) = prod_p eps_{v_p(n)} over the distinct primes dividing n.  Point
 queries use a smallest-prime-factor table (`f_of_n`, also the reference
 the block sieve is tested against).  The large direct sum
 A_exp(x) = sum_n f(n) e^{-n/x} runs `_sweep`, which walks [1, n_max] in
-blocks of BLOCK = W^2 = 2^18 numbers, so nothing of size ~45x is ever
-held in memory at once.  (A block's complex buffer is 4 MB, more than a
-core's L2; smaller blocks were slower all the same, because the
-per-block Python loop over the prime powers then dominates.)
+blocks of BLOCK = W^2 = 2^18 numbers, so nothing of size ~37.5x is ever
+held in memory at once.  (A block's buffer is 4 MB complex or 2 MB real,
+not less than a core's L2; smaller blocks were slower all the same,
+because the per-block Python loop over the prime powers then dominates.)
 
-A block is sieved into one complex buffer by strided slice updates, with
-no integer division and no index gather.  A per-sweep plan lists every
-prime power q = p^k <= n_max with p <= sqrt(n_max), with
+A block is sieved into one buffer by strided slice updates, with no
+integer division and no index gather.  The buffer is float64 where every
+eps_k (k <= 60) has an imaginary part of exactly 0, so that f is real,
+and complex128 otherwise; the plan picks it once per sweep, and both
+take the same steps.  A per-sweep plan lists every prime power
+q = p^k <= n_max with p <= sqrt(n_max), with
 r_k = e'_k / e'_{k-1}, where e'_k is eps_k with zeros replaced by 1
 (e'_0 = 1), and dz_k = [eps_k = 0] - [eps_{k-1} = 0].  Each q updates its
 multiples in the block:
@@ -30,16 +33,18 @@ to 1: the spec stores an eps within UNIT_TOL = 1e-12 of 0 as an exact 0
 (`eps_model`), and every other eps_k is within UNIT_TOL of the unit
 circle, save cm:xi, whose |xi^k| = |xi|^k may drift by about k UNIT_TOL.
 So |prod_p e'_{v_p(n)}| is within Omega(n) UNIT_TOL of 1, and an
-n <= 45 DIRECT_X_CAP < 2^33 has Omega(n) <= 32.  The rounding of the
-ratios r_k and of the Omega(n) complex products adds ~1e-14 relative.
-|val| is then within 3.3e-11 relative of the integer S, under 0.15
-absolute, against the 0.5 that S = rint(|val|) needs to be exact; S != n
-marks the large prime.  f is val / S times F[zc + [S != n]] with
-F = (1, e'_1 or 0, 0), the index clipped at 2.  The division is taken
-on the real and the imaginary part apart, each correctly rounded, so
-where every eps is in {0, +-1, +-i} (every product an exact integer) f
-is exact; numpy's complex-by-real division is not (161/161 gave
-0.9999999999999999).
+n <= DEFAULT_CUTOFF_MULT DIRECT_X_CAP = 3.75e9 < 2^32 has Omega(n) <= 31.
+The rounding of the ratios r_k and of the Omega(n) products adds ~1e-14
+relative.  |val| is then within 3.2e-11 relative of the integer S, under
+0.12 absolute, against the 0.5 that S = rint(|val|) needs to be exact;
+S != n marks the large prime.  f is val / S times F[zc + [S != n]] with
+F = (1, e'_1 or 0, 0), the index clipped at 2.  A real buffer is divided
+by S in one pass, a complex one on the real and the imaginary part
+apart, each correctly rounded, so where every eps is in {0, +-1, +-i}
+(every product an exact integer) f is exact; numpy's complex-by-real
+division is not (161/161 gave 0.9999999999999999).  A real product
+rounds as the real part of the same complex product, so the float64
+buffer holds bit for bit what the complex one would.
 Where eps_1 = 1 the large prime leaves f alone: m_k = r_k, and the plan
 keeps only the powers with r_k != 1 or dz_k != 0, so f = 1 (cm:xi=1)
 takes no strided update at all.  f is a product of ratios, so elsewhere
@@ -47,17 +52,19 @@ it differs from `f_of_n` by a few ulp.
 
 The consume contract: `_sweep(spec, n_max, consume)` calls consume(n, f)
 once per block, in ascending order of n, with n (float64, read-only) and
-f (complex128) as views into buffers that the next block overwrites.
+f (float64 where every eps_k is real, else complex128) as views into
+buffers that the next block overwrites.
 They are valid only during the call; a consumer that keeps values copies
 them.
 
 The weights e^{-n/x} of A_exp are never formed term by term.  A block is
 read as W rows of W numbers, n = lo + W a + b, and e^{-n/x} factors into
 e^{-(lo+Wa)/x} e^{-b/x}: the inner sums over b of every sample x are one
-matrix product with a table e^{-b/x}, and the outer factors cost one exp
-per row and x (`direct_exp_sums_multi`).  A block costs about W exps per
-active x instead of W^2, and the weights take O(W * X_CHUNK) memory
-however many x a sweep serves.
+matrix product with a float64 table e^{-b/x} (a real one for a real f),
+and the outer factors cost one exp per row and x
+(`direct_exp_sums_multi`).  A block costs about W exps per active x
+instead of W^2, and the weights take O(W * X_CHUNK) memory however many
+x a sweep serves.
 """
 
 from __future__ import annotations
@@ -70,8 +77,12 @@ import numpy as np
 from .eps_model import EpsilonSpec, eps_at
 from .errors import CapacityError, DomainError, RangeError
 
-#: A_exp sums stop at n <= DEFAULT_CUTOFF_MULT * x, where e^{-n/x} < 3e-20
-DEFAULT_CUTOFF_MULT = 45.0
+#: A_exp sums stop at n <= C x, C = DEFAULT_CUTOFF_MULT.  For |f| <= 1 the
+#: dropped tail is at most e^{-C} / (1 - e^{-1/x}) <= (x + 1) e^{-C}, which
+#: is <= 2^-53 x for every x >= 1 where C >= 54 ln 2 = 37.43: below the
+#: rounding unit of x, and x > 1/expm1(1/x) = sum e^{-n/x} is the largest
+#: sum of |terms| that any |f| <= 1 reaches.
+DEFAULT_CUTOFF_MULT = 37.5
 SPF_CAP = 10 ** 9
 DIRECT_X_CAP = 10 ** 8
 #: row width of the weight factorisation in `direct_exp_sums_multi`
@@ -144,14 +155,19 @@ class _Plan:
 
     def __init__(self, spec: EpsilonSpec, n_max: int):
         eps = [eps_at(spec, k) for k in range(_MAX_VP + 1)]
+        #: f is real where every eps_k is; exp(i pi) = -1 + 1.2e-16i is not
+        self.real = all(e.imag == 0 for e in eps)
+        if self.real:
+            eps = [e.real for e in eps]
+        dtype = np.float64 if self.real else np.complex128
         zero = [e == 0 for e in eps]
-        unit = [1.0 + 0.0j if z else e for e, z in zip(eps, zero)]  # e'_k
+        unit = [1.0 if z else e for e, z in zip(eps, zero)]  # e'_k
         #: the smooth part rides in |val| where the large prime changes f
         self.modulus = zero[1] or unit[1] != 1
         #: f's last factor, indexed by zc + [large prime] and clipped at 2
-        self.factor = np.array([1, 0 if zero[1] else unit[1], 0], dtype=np.complex128)
+        self.factor = np.array([1, 0 if zero[1] else unit[1], 0], dtype=dtype)
         #: (q = p^k, p, m_k, 2 dz_k) ordered by p, then k
-        self.powers: list[tuple[int, int, complex, int]] = []
+        self.powers: list[tuple[int, int, float | complex, int]] = []
         for p in primes_up_to(math.isqrt(n_max)).tolist():
             q, k = p, 1
             while q <= n_max:
@@ -167,8 +183,8 @@ class _Plan:
         self.size = min(BLOCK, n_max)
         self.n = np.arange(self.size, dtype=np.float64)
         self.n_lo = 0  # n holds n_lo, n_lo + 1, ...
-        self.val = np.empty(self.size, dtype=np.complex128)
-        self.work = np.empty(self.size, dtype=np.complex128)  # |val|, then factor
+        self.val = np.empty(self.size, dtype=dtype)
+        self.work = np.empty(self.size, dtype=dtype)  # |val|, then factor
         self.zc = np.empty(self.size, dtype=np.int8)
         self.mask = np.empty(self.size, dtype=bool)
 
@@ -200,9 +216,11 @@ def _f_block(lo: int, hi: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
         np.abs(val, out=smooth)
         np.rint(smooth, out=smooth)  # the exact smooth part
         np.not_equal(smooth, n, out=mask)  # one prime factor p with p^2 >= hi
-        # real division keeps +-1 and +-i exact, unlike complex by real
-        np.divide(val.real, smooth, out=val.real)
-        np.divide(val.imag, smooth, out=val.imag)
+        if plan.real:
+            np.divide(val, smooth, out=val)
+        else:  # real division keeps +-1 and +-i exact, unlike complex by real
+            np.divide(val.real, smooth, out=val.real)
+            np.divide(val.imag, smooth, out=val.imag)
         index = np.add(zc, mask, out=zc) if plan.zeros else mask.view(np.int8)
     elif plan.zeros:
         index = zc
@@ -228,7 +246,8 @@ def _sweep(spec: EpsilonSpec, n_max: int, consume) -> None:
 
 
 def direct_exp_sum(spec: EpsilonSpec, x: float) -> complex:
-    """A_exp(x) = sum_n f(n) e^{-n/x}, truncated at n <= DEFAULT_CUTOFF_MULT*x."""
+    """A_exp(x) = sum_n f(n) e^{-n/x}, truncated at n <= C x with
+    C = DEFAULT_CUTOFF_MULT, which drops at most (x + 1) e^{-C} <= 2^-53 x."""
     return complex(direct_exp_sums_multi(spec, [x])[0])
 
 
@@ -239,19 +258,22 @@ def direct_exp_sums_multi(spec: EpsilonSpec, xs: np.ndarray) -> np.ndarray:
 
         sum_n f(n) e^{-n/x} = sum_a e^{-(lo+Wa)/x} sum_b f(lo+Wa+b) e^{-b/x}.
 
-    The inner sums of every active x (cutoff >= lo) are one complex matrix
-    product of the block's rows with a table e^{-b/x}; the outer factors
-    cost one exp per row and x.  An x whose cutoff falls inside the block
-    takes its full rows from the product and its partial row (< W terms)
-    from one dot product with its table row; a short last row of the block
-    is likewise one vector-matrix product.  Per block that is about
+    The inner sums of every active x (cutoff >= lo) are one matrix product
+    of the block's rows with a float64 table e^{-b/x}: a real product where
+    f is real (float64), else numpy promotes the table to f's complex128.
+    The outer factors cost one exp per row and x.  An x whose cutoff falls
+    inside the block takes its full rows from the product and its partial
+    row (< W terms) from one dot product with its table row; a short last
+    row of the block is likewise one vector-matrix product.  Per block that is about
     rows * n_active exponentials (rows = BLOCK / W = W), against
     BLOCK * n_active for a per-term weight, plus W per x for the table.
     The x are taken in column chunks of X_CHUNK, so the table and the
     products take O(W * X_CHUNK) memory for any number of x (besides the
     O(n_x) sums); the table is built once per sweep when all x fit in one
     chunk, else once per chunk and block.  Row sums meet in a pairwise
-    sum, blocks in a compensated one.
+    sum, blocks in a compensated complex one.  Each sum stops at
+    n <= DEFAULT_CUTOFF_MULT * x, whose dropped tail is at most
+    (x + 1) e^{-C} <= 2^-53 x (see DEFAULT_CUTOFF_MULT).
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
@@ -262,7 +284,7 @@ def direct_exp_sums_multi(spec: EpsilonSpec, xs: np.ndarray) -> np.ndarray:
         raise CapacityError(f"x_max={xs[-1]} beyond cap {DIRECT_X_CAP}")
     cut = np.floor(DEFAULT_CUTOFF_MULT * xs).astype(np.int64)
     n_x = xs.size
-    table = np.empty((min(X_CHUNK, n_x), W), dtype=np.complex128)  # e^{-b/x}
+    table = np.empty((min(X_CHUNK, n_x), W))  # e^{-b/x}
     built = -1  # the chunk whose weights `table` holds
     acc = np.zeros(n_x, dtype=np.complex128)
     comp = np.zeros(n_x, dtype=np.complex128)  # Kahan compensation
@@ -285,7 +307,7 @@ def direct_exp_sums_multi(spec: EpsilonSpec, xs: np.ndarray) -> np.ndarray:
             j0 = max(c0, i0)
             e = weights(c0, c1)[j0 - c0 :]
             # one row per x, one column per row of the block
-            inner = np.empty((c1 - j0, row_lo.size), dtype=np.complex128)
+            inner = np.empty((c1 - j0, row_lo.size), dtype=f.dtype)
             np.matmul(e, f[: full * W].reshape(full, W).T, out=inner[:, :full])
             if short:
                 np.matmul(e[:, :short], f[full * W :], out=inner[:, full])

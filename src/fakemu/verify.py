@@ -225,7 +225,9 @@ def check_geometric_closed_form() -> None:
     xs = (10.0, 100.0, 1000.0)
     for x, got in zip(xs, sieve.direct_exp_sums_multi(_spec("cm:xi=1"), xs)):
         want = 1.0 / math.expm1(1.0 / x)
-        assert abs(got - want) <= 1e-9 * want, x
+        # the cutoff's tail bound and the rounding of W-term inner sums
+        bound = (x + 1) * math.exp(-sieve.DEFAULT_CUTOFF_MULT) + sieve.W * 2.0 ** -53 * x
+        assert abs(got - want) <= bound, (x, abs(got - want))
 
 
 def check_multiplicativity() -> None:

@@ -11,7 +11,9 @@ from fakemu import sieve
 from fakemu.eps_model import eps_at, parse_eps_spec
 from fakemu.errors import CapacityError, DomainError, RangeError
 from fakemu.sieve import (
+    BLOCK,
     DIRECT_X_CAP,
+    W,
     _f_block,
     _Plan,
     build_spf,
@@ -99,8 +101,23 @@ def test_exp_sum_geometric_closed_form():
         assert abs(direct_exp_sum(ONES, x) - want) <= 1e-9 * want
 
 
+def test_exp_sum_cutoff_is_set_by_its_tail_bound():
+    # |sum_{n > C x} f(n) e^{-n/x}| <= (x + 1) e^{-C} for |f| <= 1; C keeps
+    # that below 2^-53 x, the rounding unit of a sum of |terms| <= x, and
+    # half a unit less would not (x = 1, where (x + 1) / x is largest)
+    c = sieve.DEFAULT_CUTOFF_MULT
+    for x in [1.0, *np.geomspace(1.0, DIRECT_X_CAP, 41)]:
+        assert (x + 1) * math.exp(-c) <= 2.0 ** -53 * x, x
+    assert 2 * math.exp(-(c - 0.5)) > 2.0 ** -53
+    for x in (1.0, 10.0, 1e3, 1e5):
+        want = 1.0 / math.expm1(1.0 / x)
+        bound = (x + 1) * math.exp(-c) + W * 2.0 ** -53 * x
+        assert abs(direct_exp_sum(ONES, x) - want) <= bound, x
+
+
 def test_exp_sum_mobius_hand_oracle():
-    # 45-term hand summation at x=1 (tail < e^-45)
+    # hand summation of mu(1..45) at x=1; the sieve sum stops at n = 37
+    # (DEFAULT_CUTOFF_MULT = 37.5), and the terms 38..45 add < 5e-17
     want = sum(mu * math.exp(-n) for n, mu in enumerate(MU_45, start=1))
     assert direct_exp_sum(MOBIUS, 1.0) == pytest.approx(want, abs=1e-12)
 
@@ -278,7 +295,42 @@ def test_f_block_exact_for_lattice_specs(spf_1e7, text):
         assert np.array_equal(f, want), lo
 
 
-def _spf_sums(table, spec, x: float, mult: float = 45.0) -> tuple[complex, float]:
+REAL_SPECS = ["finite:[-1]", "cm:xi=-1", "cm:xi=1", "finite:[1,0,1]", "periodic:m=2:[-1,1]"]
+
+
+@pytest.mark.parametrize(
+    "text, dtype",
+    [(text, np.float64) for text in REAL_SPECS]
+    # eps_1 = exp(i pi) = -1 + 1.2e-16i is not real, however close
+    + [("cm:xi=exp(i*pi)", np.complex128), ("periodic:m=2:[i,-i]", np.complex128)],
+)
+def test_plan_buffers_are_real_only_for_real_eps(text, dtype):
+    plan = _Plan(parse_eps_spec(text), 10 ** 6)
+    assert plan.val.dtype == plan.work.dtype == plan.factor.dtype == dtype
+
+
+@pytest.mark.parametrize("text", REAL_SPECS)
+def test_real_f_on_the_float64_path(spf_1e7, text):
+    # f is the real part of f_of_n bit for bit, on a block near 2e6 and on
+    # the (short) top block of a full sweep at x = 2e5
+    spec = parse_eps_spec(text)
+    lo = 2 * 10 ** 6
+    blocks = [_f_block(lo, lo + BLOCK, _Plan(spec, SPF_TOP))]
+    n_max = int(sieve.DEFAULT_CUTOFF_MULT * 2e5)
+
+    def keep_top(n, f):
+        if n[-1] == n_max:
+            blocks.append((n.copy(), f.copy()))
+
+    sieve._sweep(spec, n_max, keep_top)
+    assert len(blocks) == 2
+    for n, f in blocks:
+        assert f.dtype == np.float64
+        want = np.array([f_of_n(spf_1e7, spec, k) for k in n.astype(np.int64).tolist()])
+        assert np.array_equal(f, want.real), int(n[0])
+
+
+def _spf_sums(table, spec, x: float, mult: float) -> tuple[complex, float]:
     n_max = math.floor(mult * x)
     terms = [f_of_n(table, spec, n) * math.exp(-n / x) for n in range(1, n_max + 1)]
     total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
@@ -290,16 +342,24 @@ def test_sums_across_blocks(monkeypatch):
     # cutoffs below W (300), on a row's last n (1512), on the next row's
     # first n (1513), mid-row (1800), on a block's last n (2000), on the
     # next block's first n (2001) and several blocks on (7200); the x are
-    # taken in one column chunk and in chunks of 3.  At the 45x cutoff the
-    # terms near it are e^-45 of the sum, so the cutoffs are also taken at
-    # 2x, where a term lost or kept at the edge shows.
+    # taken in one column chunk and in chunks of 3.  At the default cutoff
+    # the terms near it are e^-37.5 of the sum, so the cutoffs are also
+    # taken at 2x, where a term lost or kept at the edge shows.  The real
+    # specs (finite:[1,0,1] with no modulus step, Mobius and Liouville
+    # with one) take the float64 buffers and a real matrix product.
     monkeypatch.setattr(sieve, "BLOCK", 1000)
     assert sieve.W == 512
     edges = [300, 1512, 1513, 1800, 2000, 2001, 7200]
     table = build_spf(7200)
     chunks = (sieve.X_CHUNK, 3)
-    specs = (PER_I, MOBIUS, parse_eps_spec("periodic:m=3:[0,i,1]"))
-    for mult in (45.0, 2.0):
+    specs = (
+        PER_I,
+        MOBIUS,
+        parse_eps_spec("periodic:m=3:[0,i,1]"),
+        parse_eps_spec("finite:[1,0,1]"),
+        LIOUVILLE,
+    )
+    for mult in (sieve.DEFAULT_CUTOFF_MULT, 2.0):
         monkeypatch.setattr(sieve, "DEFAULT_CUTOFF_MULT", mult)
         xs = (np.array(edges) + 0.5) / mult
         assert np.floor(mult * xs).tolist() == edges
