@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .eps_model import EpsilonSpec, FactorParams, zw_params
-from .errors import CapacityError, DomainError, GridError, WindowError
+from .errors import CapacityError, DomainError, GridError
 from .explicit_formula import (
     FormulaConfig,
     c_half,
@@ -101,9 +101,7 @@ def classify(spec: EpsilonSpec, cfg: Optional[FormulaConfig] = None) -> BiasRepo
     if cfg is None:
         cfg = FormulaConfig()
     pars = zw_params(spec)
-    if pars.w.real >= 1.0 and not pars.w_is_one:
-        raise WindowError(f"Re w = {pars.w.real} >= 1 is outside the treated window")
-    c = c_half(spec, cfg)
+    c = c_half(spec, cfg)  # WindowError outside Re w < 1, as every part
     notes = []
     rzw = pars.re_z_plus_w
     if pars.z_integer_case is not None or pars.w_is_one:

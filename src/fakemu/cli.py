@@ -101,10 +101,6 @@ def cmd_trajectory(args) -> int:
         spec, args.x_min, args.x_max, args.points,
         grid=args.grid.upper(), mode=args.mode.upper(), cfg=cfg,
     )
-    if not args.center:
-        samples = [
-            bias_mod.TrajectorySample(s.x, s.B, s.B, s.mode) for s in samples
-        ]
     if args.format == "csv":
         rows = ["x,re_B,im_B,re_B_centered,im_B_centered,mode"]
         for s in samples:
@@ -195,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", choices=("log", "loglog"), default="log")
     p.add_argument("--mode", choices=("direct", "formula"), default="direct")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument(
-        "--center",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="subtract c_1/2 in the centered columns (default on)",
-    )
     p.set_defaults(fn=cmd_trajectory)
 
     p = sub.add_parser("evaluate", help="formula breakdown at one x")

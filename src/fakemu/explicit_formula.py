@@ -52,8 +52,11 @@ k, the even k being level L-1's nodes, in one call on their arrays.  J is
 an array function throughout: zeta, gamma and L1 take arrays, L1 on the
 cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
 both logs where it has them and continues all new points at once; the
-public J1, J_half and J_rho and J(0) are its one-point case, and a
-point's J has the same bits alone and inside a level or a Watson ring.
+public J and J(0) are its one-point case, and a point's J has the same
+bits alone and inside a level or a Watson ring.  Each cut owns its disc,
+|u| < radius (1/2 at s = 1, 1/2 - a at s = 1/2, the zero's gap radius at
+rho), and the paper's window, Re w < 1 (_Cut._require_integrable): the
+one check of each.
 A cut holds at most MAX_LEVEL - 2 levels; another x reads them and
 builds no node.
 
@@ -306,7 +309,8 @@ class _Cut:
     P_xi(u, cu), the two logs l1, l2 at s = s0 - u and the residue phase.
     j(u, cu, g) is the one integrand J_xi over an array of u, real or
     complex, with cu = b - u passed exactly near the right end and g the
-    values of G at s (one G_f call on all of them when g is None).
+    values of G at s (one G_f call on all of them when g is None); at(u)
+    is its one point, checked against the disc |u| < radius.
     level(L) builds tanh-sinh level L once, takes G at its new nodes from
     g_line, the Chebyshev interpolant of G on the segment, and calls j once
     on them; every other J (the Watson ring in coeffs, J(0)) is one j call
@@ -317,6 +321,7 @@ class _Cut:
 
     beta: complex
     b: float
+    radius: float  # J's disc |u| < radius
     alpha_right: float
     sine: complex
     x_pow: Callable[[float], complex]
@@ -345,8 +350,15 @@ class _Cut:
         )
 
     def at(self, u: complex) -> complex:
-        """J_xi at one point, the one-point case of j."""
-        return complex(self.j(np.array([complex(u)]))[0])
+        """J_xi at one point, the one-point case of j: RangeError unless
+        |u| < radius and Re(s0 - u) >= RE_S_MIN, before any work."""
+        u = complex(u)
+        if not (abs(u) < self.radius and (self.s0 - u).real >= RE_S_MIN):
+            raise RangeError(
+                f"J at s0 = {self.s0} requires |u| < {self.radius:.3g} and "
+                f"Re(s0 - u) >= {RE_S_MIN}, got u = {u}"
+            )
+        return complex(self.j(np.array([u]))[0])
 
     @cached_property
     def t_range(self) -> tuple[float, float]:
@@ -385,15 +397,22 @@ class _Cut:
         return self.phase * self.j0
 
     def _require_integrable(self) -> None:
-        if self.beta.real >= 1.0:
+        """The window Re w < 1: every part but a residue needs the integral
+        at the left end (a zero part is it times a vanishing sine), and a
+        quadrature at the right end too."""
+        if self.mode != "residue" and self.beta.real >= 1.0:
             raise WindowError(f"Re beta = {self.beta.real} >= 1: outside the treated window")
+        if self.mode == "quadrature" and self.alpha_right >= 1.0:
+            raise WindowError(
+                f"right-end exponent {self.alpha_right} >= 1: outside the treated window"
+            )
 
     def delta(self, x: float) -> complex:
+        self._require_integrable()
         if self.mode == "zero":
             return 0.0 + 0.0j
         if self.mode == "residue":
             return self.x_pow(x) * self.residue
-        self._require_integrable()
         ell = math.log(x)
         prev = None
         for L in range(3, MAX_LEVEL + 1):
@@ -410,11 +429,11 @@ class _Cut:
 
     def leading(self) -> complex:
         """c with Delta_xi(x) ~ c x^xi L^{beta-1}: Watson order 0, lambda_0 = J(0)."""
+        self._require_integrable()
         if self.mode == "zero":
             return 0.0 + 0.0j
         if self.mode == "residue":
             return self.residue
-        self._require_integrable()
         return self.sine * gamma(1.0 - self.beta) * self.j0
 
     def coeffs(self, M: int) -> list[complex]:
@@ -436,9 +455,9 @@ class _Cut:
 
     def watson(self, x: float, M: int) -> complex:
         """Truncated Watson expansion of Delta_xi (no error term added)."""
+        self._require_integrable()
         if self.mode == "residue":
             raise WindowError("no Watson expansion on a residue path")
-        self._require_integrable()
         if self.mode == "zero":
             return 0.0 + 0.0j
         log_ell = math.log(math.log(x))
@@ -515,7 +534,9 @@ class _Ctx:
 
         if key == "one":
             return _Cut(
-                beta=z, b=0.5, alpha_right=max(w.real, 0.0),
+                beta=z, b=0.5, radius=0.5,
+                # (1 - 2u)^{-w} at u = 1/2: w = 1 within UNIT_TOL counts as 1
+                alpha_right=1.0 if self.pars.w_is_one else max(w.real, 0.0),
                 sine=cmath.sin(cmath.pi * z) / math.pi,
                 x_pow=lambda x: x,
                 mode=_mode(zi == 1, zi in (-1, 0)), s0=1.0,
@@ -525,7 +546,7 @@ class _Ctx:
             )
         if key == "half":
             return _Cut(
-                beta=w, b=0.5 - self.cfg.a, alpha_right=0.0,
+                beta=w, b=0.5 - self.cfg.a, radius=0.5 - self.cfg.a, alpha_right=0.0,
                 sine=cmath.sin(cmath.pi * (z + w)) / math.pi
                 * cmath.exp((1.0 - w) * math.log(2.0)),
                 x_pow=math.sqrt,
@@ -537,7 +558,7 @@ class _Ctx:
         index, conjugate = key
         rho = k.rho(index, conjugate)
         return _Cut(
-            beta=-z, b=0.5 - self.cfg.a, alpha_right=0.0,
+            beta=-z, b=0.5 - self.cfg.a, radius=k.table.gap_radius(index), alpha_right=0.0,
             sine=-cmath.sin(cmath.pi * z) / math.pi,
             x_pow=lambda x: cmath.exp(rho * math.log(x)),
             mode=_mode(zi == -1, zi in (0, 1)), s0=rho,
@@ -559,45 +580,6 @@ def _ctx(spec: EpsilonSpec, cfg: Optional[FormulaConfig]) -> tuple[_Ctx, Formula
 
 
 # --------------------------------------------------------------------------
-# public integrand evaluators
-# --------------------------------------------------------------------------
-
-def J1(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -> complex:
-    """Integrand at the s=1 branch point, analytic on |u| < 1/2 off [1/2, inf)."""
-    u = complex(u)
-    if abs(u) >= 0.5 or (u.imag == 0 and u.real >= 0.5):
-        raise RangeError("J1 requires |u| < 1/2 off the cut [1/2, inf)")
-    ctx, _ = _ctx(spec, cfg)
-    return ctx.cut("one").at(u)
-
-
-def J_half(spec: EpsilonSpec, u: complex, cfg: Optional[FormulaConfig] = None) -> complex:
-    """Integrand at the s=1/2 branch point, analytic on |u| < 1/2 - a."""
-    u = complex(u)
-    ctx, cfg = _ctx(spec, cfg)
-    if abs(u) >= 0.5 - cfg.a:
-        raise RangeError("J_half requires |u| < 1/2 - a")
-    if (0.5 - u).real < RE_S_MIN:
-        raise RangeError(f"J_half requires Re(1/2-u) >= {RE_S_MIN}")
-    return ctx.cut("half").at(u)
-
-
-def J_rho(
-    spec: EpsilonSpec,
-    zero_index: int,
-    u: complex,
-    cfg: Optional[FormulaConfig] = None,
-) -> complex:
-    """Integrand at zero rho_k on its disc |u| <= gap radius (RangeError
-    outside); every u continues the zero's logs along one leg from u = 0."""
-    u = complex(u)
-    if u.imag == 0.0 and 0.0 <= u.real and (0.5 - u.real) < RE_S_MIN - 1e-12:
-        raise RangeError(f"J_rho real path requires Re(rho - u) >= {RE_S_MIN}")
-    ctx, _ = _ctx(spec, cfg)
-    return ctx.cut((zero_index, False)).at(u)
-
-
-# --------------------------------------------------------------------------
 # Laplace-form parts
 # --------------------------------------------------------------------------
 
@@ -607,21 +589,10 @@ def _require_x(x: float, minimum: float = 3.0) -> float:
     return float(x)
 
 
-def _require_window(ctx: _Ctx) -> None:
-    """The window bounds (z, w) only where the s = 1 part is a quadrature
-    (non-integer z).  There (1 - 2u)^{-w} is integrable at u = 1/2 only
-    for Re w < 1, so the w = 1 that in_window admits for the residue at
-    1/2 is refused too."""
-    pars = ctx.pars
-    if (pars.w_is_one or not pars.in_window) and ctx.cut("one").mode == "quadrature":
-        raise WindowError(f"(z, w) = ({pars.z}, {pars.w}) outside treated window")
-
-
 def delta_1(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Main term from s=1.  Exactly 0 for z in {-1, 0}; residue for z=1."""
     x = _require_x(x)
     ctx, _ = _ctx(spec, cfg)
-    _require_window(ctx)
     return ctx.cut("one").delta(x)
 
 
@@ -689,6 +660,15 @@ def _parse_point(point):
     raise DomainError(f"unknown expansion point {point!r}")
 
 
+def J(spec: EpsilonSpec, point, u: complex, cfg: Optional[FormulaConfig] = None) -> complex:
+    """The integrand J_xi(u) at an expansion point of watson_coeffs, on its
+    cut's disc: RangeError unless |u| < radius (1/2 at "one", 1/2 - a at
+    "half", the gap radius at "zero:K") and Re(xi - u) >= RE_S_MIN.  At a
+    zero every u continues the zero's logs along one leg from u = 0."""
+    ctx, _ = _ctx(spec, cfg)
+    return ctx.cut(_parse_point(point)).at(u)
+
+
 def watson_coeffs(
     spec: EpsilonSpec, point, M: int, cfg: Optional[FormulaConfig] = None
 ) -> list[complex]:
@@ -731,13 +711,12 @@ def a_exp_formula(
     """All explicit-formula parts at one x; total = d1 + d1/2 + zero sum."""
     x = _require_x(x)
     ctx, cfg = _ctx(spec, cfg)
-    _require_window(ctx)
     modes = {
         "delta_1": ctx.cut("one").mode,
         "delta_half": ctx.cut("half").mode,
         "delta_rho": ctx.cut((1, False)).mode,
     }
-    d1 = delta_1(spec, x, cfg)
+    d1 = delta_1(spec, x, cfg)  # first part: a window error exits here
     ctx.sample_a_segment(half=True)
     dh = delta_half(spec, x, cfg)
     pairs = _zero_pairs(spec, x, cfg)

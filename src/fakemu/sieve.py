@@ -216,6 +216,10 @@ def _f_block(lo: int, hi: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
         np.abs(val, out=smooth)
         np.rint(smooth, out=smooth)  # the exact smooth part
         np.not_equal(smooth, n, out=mask)  # one prime factor p with p^2 >= hi
+        # Two forms, not one: a broadcast division of val's float64 view by
+        # smooth[:, None] has the same bits, but on a 2^18 block (copy
+        # included, best of 7 x 50, one Xeon vCPU) it took 1.76 ms against
+        # 1.28 ms for a complex val and 0.42 ms against 0.43 ms for a real one
         if plan.real:
             np.divide(val, smooth, out=val)
         else:  # real division keeps +-1 and +-i exact, unlike complex by real

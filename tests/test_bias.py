@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fakemu import bias
-from fakemu.eps_model import parse_eps_spec, zw_params
+from fakemu.eps_model import near_integer, parse_eps_spec, zw_params
 from fakemu.errors import CapacityError, DomainError, GridError, WindowError
-from fakemu.explicit_formula import FormulaConfig, c_half
+from fakemu.explicit_formula import FormulaConfig, c_half, delta_half
 
 ONES = parse_eps_spec("cm:xi=1")
 FIG53 = parse_eps_spec("periodic:m=2:[i,-i]")
@@ -97,6 +97,32 @@ def test_classify_integer_specials(cfg):
 def test_classify_window_error(cfg):
     with pytest.raises(WindowError):
         bias.classify(parse_eps_spec("finite:[exp(i*1.8234765819369751),1]"), cfg)
+
+
+# z + w = 1 (a zero part at 1/2) with w = 5/4 - 0.968i: the vanishing
+# sine multiplies an integral that diverges at u = 0, so every reader of
+# Delta_{1/2} or c_{1/2} refuses it, not only the quadrature at s = 1
+WINDOW_CORNER = parse_eps_spec(
+    "finite:[exp(i*1.8234765819369754),0.6875000000000001-0.72618437741389075i]"
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: c_half(WINDOW_CORNER, cfg),
+        lambda cfg: delta_half(WINDOW_CORNER, 1e3, cfg),
+        lambda cfg: bias.B_of_x(WINDOW_CORNER, 1e3, bias.FORMULA, cfg),
+        lambda cfg: bias.trajectory(WINDOW_CORNER, 1e3, 1e4, 3, mode=bias.FORMULA, cfg=cfg),
+        lambda cfg: bias.classify(WINDOW_CORNER, cfg),
+    ],
+    ids=["c_half", "delta_half", "B_formula", "trajectory_formula", "classify"],
+)
+def test_window_corner_zero_part_is_a_window_error(call):
+    pars = zw_params(WINDOW_CORNER)
+    assert near_integer(pars.z + pars.w) == 1 and pars.w.real > 1.0
+    with pytest.raises(WindowError):
+        call(FormulaConfig(n_zeros=2))
 
 
 def test_classify_report_invariants(cfg):

@@ -242,6 +242,28 @@ def test_trajectory_deterministic(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_trajectory_json_matches_csv(tmp_path, capsys):
+    # the JSON of a run carries the CSV's x, B, B_centered and mode, each
+    # float exactly: repr in the JSON, 17 significant digits in the CSV
+    args = [
+        "trajectory", "--eps", "periodic:m=2:[i,-i]", "--x-min", "100",
+        "--x-max", "10000", "--points", "4", "--mode", "formula", "--n-zeros", "2",
+    ]
+    csv_file, json_file = tmp_path / "t.csv", tmp_path / "t.json"
+    assert main(args + ["--out", str(csv_file)]) == 0
+    assert main(args + ["--format", "json", "--out", str(json_file)]) == 0
+    capsys.readouterr()
+    rows = [row.split(",") for row in csv_file.read_text().strip().splitlines()[1:]]
+    samples = json.loads(json_file.read_text())
+    assert len(samples) == len(rows) == 4
+    for row, s in zip(rows, samples):
+        assert set(s) == {"x", "B", "B_centered", "mode"}
+        got = [s["x"], s["B"]["re"], s["B"]["im"], s["B_centered"]["re"], s["B_centered"]["im"]]
+        assert got == [float(cell) for cell in row[:5]]
+        assert s["mode"] == row[5] == "FORMULA"
+        assert s["B_centered"] != s["B"]  # c_1/2 of this spec is not 0
+
+
 def test_trajectory_loglog_grid(tmp_path, capsys):
     import math
 

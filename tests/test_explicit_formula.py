@@ -17,9 +17,7 @@ from fakemu.errors import (
 )
 from fakemu.explicit_formula import (
     FormulaConfig,
-    J1,
-    J_half,
-    J_rho,
+    J,
     a_exp_formula,
     c_half,
     delta_1,
@@ -54,7 +52,7 @@ def cfg():
 # ---------------------------------------------------------------- integrands
 
 def test_j1_at_zero_mobius(cfg):
-    assert J1(MOBIUS, 0.0, cfg) == pytest.approx(1.0, rel=1e-12)
+    assert J(MOBIUS, "one", 0.0, cfg) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_j1_at_zero_general(cfg):
@@ -62,7 +60,7 @@ def test_j1_at_zero_general(cfg):
     pars = zw_params(FIG53)
     kernel = default_kernel()
     want = cmath.exp(pars.w * kernel.L1(2.0)) * G_f(FIG53, 1.0, cfg.gf_config)
-    assert J1(FIG53, 0.0, cfg) == pytest.approx(want, rel=1e-10)
+    assert J(FIG53, "one", 0.0, cfg) == pytest.approx(want, rel=1e-10)
 
 
 def test_j1_exp_identity_interior(cfg):
@@ -76,14 +74,14 @@ def test_j1_exp_identity_interior(cfg):
         * G_f(LIOUVILLE, 1 - u, cfg.gf_config)
         * gamma(1 - u)
     )
-    assert J1(LIOUVILLE, u, cfg) == pytest.approx(want, rel=1e-12)
+    assert J(LIOUVILLE, "one", u, cfg) == pytest.approx(want, rel=1e-12)
 
 
 def test_j1_range_errors(cfg):
     with pytest.raises(RangeError):
-        J1(MOBIUS, 0.6, cfg)
+        J(MOBIUS, "one", 0.6, cfg)
     with pytest.raises(RangeError):
-        J1(MOBIUS, 0.5, cfg)
+        J(MOBIUS, "one", 0.5, cfg)
 
 
 def test_j_half_at_zero_mobius(cfg):
@@ -93,20 +91,20 @@ def test_j_half_at_zero_mobius(cfg):
     """
     want = 0.25 * 0.5 * (2 * math.exp(-L1_HALF)) * math.sqrt(math.pi)
     assert want == pytest.approx(0.6068573898369161, rel=1e-12)
-    assert J_half(MOBIUS, 0.0, cfg) == pytest.approx(want, rel=1e-10)
+    assert J(MOBIUS, "half", 0.0, cfg) == pytest.approx(want, rel=1e-10)
 
 
 def test_j_half_conj_symmetry(cfg):
     # real-eps spec: Schwarz reflection in u
     u = 0.03 + 0.02j
-    a = J_half(MOBIUS, u.conjugate(), cfg)
-    b = J_half(MOBIUS, u, cfg).conjugate()
+    a = J(MOBIUS, "half", u.conjugate(), cfg)
+    b = J(MOBIUS, "half", u, cfg).conjugate()
     assert a == pytest.approx(b, rel=1e-11)
 
 
 def test_j_half_range_error(cfg):
     with pytest.raises(RangeError):
-        J_half(MOBIUS, 0.2, cfg)
+        J(MOBIUS, "half", 0.2, cfg)
 
 
 def test_j_rho_limit_identity(cfg):
@@ -126,7 +124,7 @@ def test_j_rho_limit_identity(cfg):
         * cmath.exp(pars.w * complex(kernel.rho_sweep(1).at(0.0)[1][0]))  # zeta(2 rho)^w
         * gamma(rho)
     )
-    assert J_rho(FIG53, 1, 0.0, cfg) == pytest.approx(direct, rel=1e-7)
+    assert J(FIG53, ("zero", 1), 0.0, cfg) == pytest.approx(direct, rel=1e-7)
 
 
 def test_j_rho_gamma_decay_bound(cfg):
@@ -134,15 +132,26 @@ def test_j_rho_gamma_decay_bound(cfg):
     for k in (1, 3):
         g = kernel.table.ordinates[k - 1]
         for u in (0.0, 0.05, 0.1):
-            val = abs(J_rho(FIG53, k, u, cfg))
+            val = abs(J(FIG53, ("zero", k), u, cfg))
             assert val <= 1e3 * math.exp(-math.pi * g / 2) * (1 + g) ** 3
 
 
 def test_j_rho_range_error(cfg):
     with pytest.raises(RangeError):
-        J_rho(FIG53, 1, 1.0, cfg)
+        J(FIG53, ("zero", 1), 1.0, cfg)
     with pytest.raises(RangeError):
-        J_rho(FIG53, 1, 0.3 + 0.4j, cfg)  # off the disc |u| <= 0.45
+        J(FIG53, ("zero", 1), 0.3 + 0.4j, cfg)  # off the disc |u| <= 0.45
+
+
+def test_j_off_the_disc_does_no_work():
+    # u = 0.2 + 0.1i is inside zero 1's gap radius 0.45 but at Re s = 0.3 <
+    # RE_S_MIN: J refuses it before it continues the zero's logs there
+    kernel = ZetaKernel(default_kernel().table)
+    cfg = FormulaConfig(n_zeros=1, kernel=kernel)
+    with pytest.raises(RangeError):
+        J(FIG53, ("zero", 1), 0.2 + 0.1j, cfg)
+    assert kernel.rho_sweep(1).u.size == 1
+    assert J(FIG53, "zero:1", 0.05, cfg) == J(FIG53, ("zero", 1), 0.05, cfg)
 
 
 # frozen from the previous continuation routes (a straight segment from
@@ -164,7 +173,7 @@ J_RHO_COMPLEX = [
 
 @pytest.mark.parametrize("spec, k, u, want", J_RHO_COMPLEX)
 def test_j_rho_complex_u_frozen(spec, k, u, want):
-    got = J_rho(spec, k, u, FormulaConfig(n_zeros=2))
+    got = J(spec, ("zero", k), u, FormulaConfig(n_zeros=2))
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -175,9 +184,9 @@ def test_j_rho_continuous_off_the_line(cfg):
     for spec in (FIG53, FIG51A):
         for k in (1, 2):
             for u in (0.05, 0.1, -0.2):
-                j0 = J_rho(spec, k, u, cfg)
-                up = J_rho(spec, k, complex(u, 1e-6), cfg)
-                down = J_rho(spec, k, complex(u, -1e-6), cfg)
+                j0 = J(spec, ("zero", k), u, cfg)
+                up = J(spec, ("zero", k), complex(u, 1e-6), cfg)
+                down = J(spec, ("zero", k), complex(u, -1e-6), cfg)
                 assert abs(up - j0) <= 1e-4 * abs(j0), (k, u)
                 assert abs(down - j0) <= 1e-4 * abs(j0), (k, u)
                 assert abs((up + down) / 2 - j0) <= 1e-9 * abs(j0), (k, u)
@@ -193,7 +202,7 @@ def test_j_rho_exp_identity_ones(cfg):
         for u in (0.03 + 0.02j, -0.05 + 0.1j, 0.1j, -0.3 + 0.2j, 0.05, -0.2):
             s = rho - u
             want = -zeta(s) * gamma(s) * G_f(ONES, s, cfg.gf_config) / u
-            assert abs(J_rho(ONES, k, u, cfg) - want) <= 1e-12 * abs(want), (k, u)
+            assert abs(J(ONES, ("zero", k), u, cfg) - want) <= 1e-12 * abs(want), (k, u)
 
 
 # ---------------------------------------------------------------- delta_1
@@ -405,9 +414,9 @@ def test_quadrature_deterministic(cfg):
 
 def test_watson_lambda0_matches_j(cfg):
     for point, j0 in (
-        ("one", J1(FIG53, 0.0, cfg)),
-        ("half", J_half(FIG53, 0.0, cfg)),
-        (("zero", 1), J_rho(FIG53, 1, 0.0, cfg)),
+        ("one", J(FIG53, "one", 0.0, cfg)),
+        ("half", J(FIG53, "half", 0.0, cfg)),
+        (("zero", 1), J(FIG53, ("zero", 1), 0.0, cfg)),
     ):
         lam = watson_coeffs(FIG53, point, 2, cfg)
         assert abs(lam[0] - j0) <= 1e-9 * abs(j0)
@@ -416,9 +425,9 @@ def test_watson_lambda0_matches_j(cfg):
 @pytest.mark.parametrize(
     "spec, point, j0",
     [
-        (MOBIUS, "one", lambda cfg: J1(MOBIUS, 0.0, cfg)),            # zero part
-        (MOBIUS, "zero:1", lambda cfg: J_rho(MOBIUS, 1, 0.0, cfg)),   # residue part
-        (LIOUVILLE, "half", lambda cfg: J_half(LIOUVILLE, 0.0, cfg)),  # residue part
+        (MOBIUS, "one", lambda cfg: J(MOBIUS, "one", 0.0, cfg)),              # zero part
+        (MOBIUS, "zero:1", lambda cfg: J(MOBIUS, ("zero", 1), 0.0, cfg)),     # residue part
+        (LIOUVILLE, "half", lambda cfg: J(LIOUVILLE, "half", 0.0, cfg)),      # residue part
     ],
 )
 def test_watson_lambda0_off_quadrature(cfg, spec, point, j0):
@@ -954,7 +963,7 @@ def test_zero_index_outside_table(spec, k):
     with pytest.raises(RangeError, match=match):
         watson_coeffs(spec, f"zero:{k}", 1, cfg)
     with pytest.raises(RangeError, match=match):
-        J_rho(spec, k, 0.05, cfg)
+        J(spec, ("zero", k), 0.05, cfg)
 
 
 def test_shared_sweeps_are_free_of_call_history():
@@ -972,7 +981,7 @@ def test_shared_sweeps_are_free_of_call_history():
             # J at every node of every tanh-sinh level
             {key: [lv[4].tolist() for lv in cut.levels] for key, cut in cuts.items()},
             watson_coeffs(FIG51A, "zero:2", 2, cfg),
-            J_rho(FIG51A, 1, 0.06 + 0.02j, cfg),
+            J(FIG51A, ("zero", 1), 0.06 + 0.02j, cfg),
         )
 
     alone = run_b(ZetaKernel(table))
@@ -1060,7 +1069,7 @@ def _anchored_outputs():
         a_exp_formula(FIG53, 1e3, cfg).delta_rho,
         watson_coeffs(FIG53, "zero:1", 2, cfg),
         delta_rho(LIOUVILLE, 2, 1e3, cfg, True),
-        J_rho(FIG53, 3, 0.04 + 0.03j, cfg),
+        J(FIG53, ("zero", 3), 0.04 + 0.03j, cfg),
         cfg.kernel.L1(complex(0.45, 20.0)),
     )
 
@@ -1127,11 +1136,9 @@ def test_j_batch_bits_equal_one_point(kind):
     assert batch.tolist() == [
         complex(one.j(u[i : i + 1], cu[i : i + 1], g[i : i + 1])[0]) for i in range(u.size)
     ]
-    public = {"one": J1, "half": J_half}.get(kind)
-    if public is not None:
-        assert public(FIG53, 0.0, FormulaConfig(n_zeros=1)) == cut.j0
-    elif kind == "zero":
-        assert J_rho(FIG53, 1, 0.0, FormulaConfig(n_zeros=1)) == cut.j0
+    point = {"one": "one", "half": "half", "zero": ("zero", 1)}.get(kind)
+    if point is not None:
+        assert J(FIG53, point, 0.0, FormulaConfig(n_zeros=1)) == cut.j0
 
 
 def test_kernel_buffers_stay_within_256_kB():
