@@ -94,7 +94,6 @@ class FactorParams:
     re_z_plus_w: float
     z_integer_case: Optional[int]
     w_is_one: bool
-    in_window: bool
 
 
 def _unit_or_zero(v: complex) -> complex:
@@ -133,6 +132,10 @@ _CNUM_AB_RE = re.compile(rf"^({_REAL_RE})([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+
 _CNUM_REAL_RE = re.compile(rf"^{_REAL_RE}$")
 
 
+#: Deepest nesting of parentheses and unary signs: one parser recursion each.
+MAX_NESTING = 100
+
+
 class _RexprParser:
     """Recursive-descent parser for real arithmetic over decimals and pi."""
 
@@ -148,6 +151,7 @@ class _RexprParser:
             self.tokens.append(text[m.start() : m.end()].strip())
             pos = m.end()
         self.i = 0
+        self.depth = 0  # open parentheses and unary signs above the factor
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -188,15 +192,15 @@ class _RexprParser:
 
     def factor(self) -> float:
         tok = self.take()
-        if tok == "-":
-            return -self.factor()
-        if tok == "+":
-            return self.factor()
-        if tok == "(":
-            val = self.expr()
-            if self.take() != ")":
+        if tok in ("-", "+", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"expression nests deeper than {MAX_NESTING}")
+            val = self.expr() if tok == "(" else self.factor()
+            if tok == "(" and self.take() != ")":
                 raise ParseError("missing closing parenthesis")
-            return val
+            self.depth -= 1
+            return -val if tok == "-" else val
         if tok == "pi":
             return math.pi
         try:
@@ -294,22 +298,15 @@ def eps_at(spec: EpsilonSpec, k: int) -> complex:
 
 
 def zw_params(spec: EpsilonSpec) -> FactorParams:
-    """Derive (z, w) = (eps_1, eps_2 - eps_1(eps_1+1)/2) and window flags."""
+    """Derive (z, w) = (eps_1, eps_2 - eps_1(eps_1+1)/2) and their integer cases."""
     z = eps_at(spec, 1)
     w = eps_at(spec, 2) - z * (z + 1) / 2
-    w_int = near_integer(w)
-    w_is_one = w_int == 1
-    in_window = (
-        -1 - UNIT_TOL <= z.real <= 1 + UNIT_TOL
-        and (-2 - UNIT_TOL <= w.real < 1 or w_is_one)
-    )
     return FactorParams(
         z=z,
         w=w,
         re_z_plus_w=(z + w).real,
         z_integer_case=near_integer(z),
-        w_is_one=w_is_one,
-        in_window=in_window,
+        w_is_one=near_integer(w) == 1,
     )
 
 

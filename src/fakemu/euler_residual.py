@@ -116,7 +116,7 @@ from typing import Optional
 import numpy as np
 
 from .eps_model import EpsilonSpec, _g_eval_array, eps_at, zw_params
-from .errors import DomainError, RangeError
+from .errors import CapacityError, DomainError, RangeError
 from .sieve import primes_up_to
 from .zeta_kernel import _F128, _PHASE_MAX_FLOAT64, _pow_minus_s
 
@@ -137,6 +137,8 @@ _MAX_ORDER = 64
 _ORDER_GRID = 256
 #: Entries of one (primes x points) buffer of the series sum: 128 kB.
 _BLOCK = 2 ** 14
+#: Largest prime limit: a 100 MB sieve mask, 46 MB per array of its primes.
+PRIME_LIMIT_CAP = 10 ** 8
 
 
 @cache
@@ -147,15 +149,18 @@ def _log_primes(prime_limit: int) -> np.ndarray:
     return logp
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GfConfig:
-    """Prime-limit configuration; configs of one limit share one prime table."""
+    """Prime-limit configuration; configs of one limit share one prime table.
+    Frozen: the limit fixes the G lines a FormulaConfig's cache keeps."""
 
     prime_limit: int = 100_000
 
     def __post_init__(self):
         if self.prime_limit < 2:
             raise DomainError("prime_limit must be >= 2")
+        if self.prime_limit > PRIME_LIMIT_CAP:
+            raise CapacityError(f"prime_limit {self.prime_limit} exceeds cap {PRIME_LIMIT_CAP}")
 
     @property
     def logp(self) -> np.ndarray:

@@ -69,17 +69,16 @@ from each segment, so the Chebyshev coefficients decay geometrically
 cut samples G on nested Chebyshev points of degree 16, 32, 64, ...,
 each level reusing the previous samples, until the last quarter of the
 coefficients lies below CHEB_TOL = 2^-46 of the largest; past
-CHEB_MAX_DEGREE it raises QuadratureError.  The interpolant is built the
-first time the cut runs its quadrature, with one call of the G kernel
-euler_residual.G_f_line per degree (17 points, then 16, 32, ...), where a
-G_f call per node cost hundreds.  The cut at 1/2 and every zero cut share
-the segment length 1/2 - a and Re s0 = 1/2, so a_exp_formula and zero_sum
-sample all of those in quadrature mode in lock-step (_sample_g_lines):
-one kernel call per degree for the whole group, whose rows share the
-prime powers p^{u_j}.  Each cut applies its own stopping test, only the
-unconverged ones go on to the next degree, and each row has the bits it
-has alone, so a cut's interpolant does not depend on its group;
-delta_half or delta_rho called alone is a group of one.  The stopping test
+CHEB_MAX_DEGREE it raises QuadratureError.  One sampler, _Ctx.sample(keys),
+makes every interpolant: the cuts of one segment length in lock-step
+(_sample_g_lines), one call of the G kernel G_f_line per degree (17
+points, then 16, 32, ...) where a G_f call per node cost hundreds.  The
+cut at 1/2 and the zero cuts share b = 1/2 - a and Re s0 = 1/2, so
+a_exp_formula samples them all and zero_sum the zero cuts: the group's
+rows share the prime powers p^{u_j}.  Each cut applies its own stopping
+test, only the unconverged ones go on, and each row has the bits it has
+alone; a cut not yet sampled when its quadrature runs (the cut at 1,
+delta_half alone) is a group of one.  The stopping test
 is an a-posteriori estimate, not a bound: it reads the decay of the
 coefficients already computed.  A bound would need max |G| on a Bernstein
 ellipse around the segment, which nothing here computes, and a feature
@@ -92,7 +91,7 @@ grouped by real part.
 Watson coefficients lambda_{xi,k} of J_xi at u = 0 come from a
 WATSON_NODES-node trapezoid rule on the circle |u| = WATSON_RADIUS
 (Trefethen and Weideman, SIAM Review 56, 2014); every cut takes the ring
-as one call of j on its points.  Delta_xi ~ sine x^xi sum_k lambda_k
+once, as one call of j on its points.  Delta_xi ~ sine x^xi sum_k lambda_k
 Gamma(1-beta+k) L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
 
 The two branch-tracked logs of J_rho come from one zeta_kernel.RhoSweep
@@ -127,6 +126,7 @@ MAX_LEVEL = 12
 #: which must lie inside the smallest analyticity disc, radius 1/2 - a.
 WATSON_RADIUS = 0.05
 WATSON_NODES = 256
+WATSON_MAX_ORDER = 8
 #: G on a cut's segment: Chebyshev degrees CHEB_MIN_DEGREE, doubling up to
 #: CHEB_MAX_DEGREE, until the last quarter of the coefficients lies below
 #: CHEB_TOL times the largest.
@@ -135,21 +135,23 @@ CHEB_MAX_DEGREE = 256
 CHEB_TOL = 2.0 ** -46
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FormulaConfig:
     """Knobs for the explicit-formula evaluation.
 
     a: abscissa of the leftmost contour line, RE_S_MIN <= a < 1/2 -
     WATSON_RADIUS: G_f is evaluated down to Re s = a, and the Watson ring
     must fit inside the disc of radius 1/2 - a.  n_zeros pairs of zeros
-    enter the zero sum.
+    enter the zero sum, at most kernel's table (None: the default kernel).
+    Frozen because it holds the cache, _memo, of what these fields fix
+    (cuts, levels, G lines); dataclasses.replace starts an empty one.
     """
 
     a: float = 0.40
     n_zeros: int = 30
     gf_config: GfConfig = field(default_factory=GfConfig)
     kernel: Optional[ZetaKernel] = None
-    _memo: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not RE_S_MIN <= self.a:
@@ -158,16 +160,13 @@ class FormulaConfig:
             raise DomainError(f"a must leave room for the Watson ring: 1/2 - a > {WATSON_RADIUS}")
         if self.n_zeros < 0:
             raise DomainError("n_zeros must be >= 0")
-
-    def get_kernel(self) -> ZetaKernel:
         if self.kernel is None:
-            self.kernel = default_kernel()
+            object.__setattr__(self, "kernel", default_kernel())
         if self.n_zeros > len(self.kernel.table):
             raise DomainError(
                 f"n_zeros={self.n_zeros} exceeds zero table size "
                 f"{len(self.kernel.table)}"
             )
-        return self.kernel
 
 
 @dataclass(frozen=True)
@@ -313,10 +312,9 @@ class _Cut:
     is its one point, checked against the disc |u| < radius.
     level(L) builds tanh-sinh level L once, takes G at its new nodes from
     g_line, the Chebyshev interpolant of G on the segment, and calls j once
-    on them; every other J (the Watson ring in coeffs, J(0)) is one j call
-    with g None.  g_line is sampled on first use, alone, unless a caller
-    sampled it with other cuts of its segment (_sample_g_lines).  J and its
-    ring exist in every mode.
+    on them; every other J (the Watson ring in lambdas, J(0)) is one j call
+    with g None.  An unsampled g_line comes from the hook sample, the
+    context's one sampler on this cut.  J and its ring exist in every mode.
     """
 
     beta: complex
@@ -333,7 +331,7 @@ class _Cut:
     logs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # (l1, l2)(s, u)
     phase: complex  # c_xi = phase J_xi(0)
     g_at: Callable[[np.ndarray], np.ndarray]  # G_f
-    g_on_line: Callable[[np.ndarray, np.ndarray], np.ndarray]  # G_f_line
+    sample: Callable[[], None]  # sets g_line (_Ctx.sample)
     g_line: Optional[_GLine] = field(default=None, init=False, repr=False)
     levels: list = field(default_factory=list, init=False, repr=False)  # level L at L - 3
 
@@ -374,7 +372,7 @@ class _Cut:
             return self.levels[L - 3]
         below = self.level(L - 1)[4] if L > 3 else None
         if self.g_line is None:
-            (self.g_line,) = _sample_g_lines(self.g_on_line, np.array([self.s0]), self.b)
+            self.sample()
         t_left, t_right = self.t_range
         h = 2.0 ** (1 - L)
         k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
@@ -436,22 +434,27 @@ class _Cut:
             return self.residue
         return self.sine * gamma(1.0 - self.beta) * self.j0
 
-    def coeffs(self, M: int) -> list[complex]:
-        """Taylor coefficients lambda_0..M of J_xi at u = 0 (trapezoid rule
-        on |u| = WATSON_RADIUS); lambda_0 is checked against J(0)."""
-        if M < 0 or M > 8:
-            raise DomainError("Watson order M must be in [0, 8]")
+    @cached_property
+    def lambdas(self) -> list[complex]:
+        """Taylor coefficients lambda_0..WATSON_MAX_ORDER of J_xi at u = 0
+        (trapezoid rule on |u| = WATSON_RADIUS); lambda_0 is checked
+        against J(0)."""
         r, nodes = WATSON_RADIUS, WATSON_NODES
         j0 = self.j0
         ang = 2.0 * math.pi * np.arange(nodes) / nodes
         vals = self.j(r * np.exp(1j * ang))
-        coeffs = [
+        lambdas = [
             complex(np.mean(vals * np.exp(-1j * k * ang))) / r ** k
-            for k in range(M + 1)
+            for k in range(WATSON_MAX_ORDER + 1)
         ]
-        if abs(coeffs[0] - j0) > 1e-9 * max(abs(j0), 1e-300):
-            raise ConsistencyError(f"lambda_0 = {coeffs[0]} disagrees with J(0) = {j0}")
-        return coeffs
+        if abs(lambdas[0] - j0) > 1e-9 * max(abs(j0), 1e-300):
+            raise ConsistencyError(f"lambda_0 = {lambdas[0]} disagrees with J(0) = {j0}")
+        return lambdas
+
+    def coeffs(self, M: int) -> list[complex]:
+        if M < 0 or M > WATSON_MAX_ORDER:
+            raise DomainError(f"Watson order M must be in [0, {WATSON_MAX_ORDER}]")
+        return self.lambdas[: M + 1]
 
     def watson(self, x: float, M: int) -> complex:
         """Truncated Watson expansion of Delta_xi (no error term added)."""
@@ -473,17 +476,15 @@ def _mode(residue: bool, zero: bool) -> str:
 
 
 # --------------------------------------------------------------------------
-# evaluation context (per spec + config), memoized on the config
+# evaluation context (per spec + config), memoized on the frozen config
 # --------------------------------------------------------------------------
 
 class _Ctx:
     def __init__(self, spec: EpsilonSpec, cfg: FormulaConfig):
         self.spec = spec
         self.cfg = cfg
-        self.kernel = cfg.get_kernel()
         self.pars: FactorParams = zw_params(spec)
         self._cuts: dict = {}
-        self._sampled: set[bool] = set()  # sample_a_segment calls done
 
     def G(self, s):
         """The residual Euler product at a point or an array of points,
@@ -494,23 +495,17 @@ class _Ctx:
         """G at s0_i - u_j, an (s0 x u) array, in one call."""
         return G_f_line(self.spec, s0, u, self.cfg.gf_config)
 
-    def sample_a_segment(self, half: bool) -> None:
-        """Sample, in lock-step, the G interpolants of the quadrature cuts
-        of the first n_zeros zeros (and their mirrors), with the cut at 1/2
-        if half, that have none yet: all lie on the a-segment, b = 1/2 - a
-        and Re s0 = 1/2.  Done once per context for each value of half."""
-        if half in self._sampled:
-            return
-        self._sampled.add(half)
-        keys = ["half"] if half else []
-        keys += _zero_keys(self.cfg.n_zeros, self.spec.is_real_valued())
-        cuts = [self.cut(key) for key in keys]
-        cuts = [
-            c for c in cuts
-            if c.mode == "quadrature" and c.g_line is None and c.beta.real < 1.0
-        ]
-        if cuts:
-            lines = _sample_g_lines(self.G_line, np.array([c.s0 for c in cuts]), cuts[0].b)
+    def sample(self, keys) -> None:
+        """Sample the G interpolants of the quadrature cuts among keys that
+        have none yet, one _sample_g_lines call per segment length b; a
+        cut's bits do not depend on its group."""
+        groups: dict[float, list[_Cut]] = {}
+        for key in keys:
+            c = self.cut(key)
+            if c.mode == "quadrature" and c.g_line is None:
+                groups.setdefault(c.b, []).append(c)
+        for b, cuts in groups.items():
+            lines = _sample_g_lines(self.G_line, np.array([c.s0 for c in cuts]), b)
             for cut, line in zip(cuts, lines):
                 cut.g_line = line
 
@@ -523,9 +518,9 @@ class _Ctx:
         return self._cuts[key]
 
     def _build_cut(self, key) -> _Cut:
-        z, w, k = self.pars.z, self.pars.w, self.kernel
+        z, w, k = self.pars.z, self.pars.w, self.cfg.kernel
         zi = self.pars.z_integer_case
-        data = dict(z=z, w=w, g_at=self.G, g_on_line=self.G_line)
+        data = dict(z=z, w=w, g_at=self.G, sample=lambda: self.sample([key]))
 
         def logs_L1(s, u):
             # one L1 call; a point's bits do not depend on its batch
@@ -630,7 +625,7 @@ def _zero_pairs(
     """(k, Delta_rho + Delta_{conj rho}) for the first n_zeros zeros; the
     G interpolants of their cuts are sampled in lock-step first."""
     real = spec.is_real_valued()
-    _ctx(spec, cfg)[0].sample_a_segment(half=False)
+    _ctx(spec, cfg)[0].sample(_zero_keys(cfg.n_zeros, real))
     pairs = []
     for k in range(1, cfg.n_zeros + 1):
         d = delta_rho(spec, k, x, cfg)
@@ -717,7 +712,7 @@ def a_exp_formula(
         "delta_rho": ctx.cut((1, False)).mode,
     }
     d1 = delta_1(spec, x, cfg)  # first part: a window error exits here
-    ctx.sample_a_segment(half=True)
+    ctx.sample(["half", *_zero_keys(cfg.n_zeros, spec.is_real_valued())])
     dh = delta_half(spec, x, cfg)
     pairs = _zero_pairs(spec, x, cfg)
     zsum = sum((p for _, p in pairs), 0.0 + 0.0j)

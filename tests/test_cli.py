@@ -1,7 +1,11 @@
 """CLI surface: commands, exit codes, output formats, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +234,14 @@ def test_trajectory_capacity_exit_4(capsys):
     assert "capacity" in err
 
 
+def test_prime_limit_capacity_exit_4(capsys):
+    code, _, err = run(
+        ["classify", "--eps", "periodic:m=2:[i,-i]", "--prime-limit", "1000000000000"], capsys
+    )
+    assert code == 4
+    assert "capacity" in err
+
+
 def test_trajectory_deterministic(tmp_path, capsys):
     args = [
         "trajectory", "--eps", "periodic:m=2:[i,-i]", "--x-min", "100",
@@ -416,3 +428,32 @@ def test_watson_zero_index_outside_table_exit_1(point, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert "outside table" in err
+
+
+# the CLI with only numpy importable: the test suite's oracles blocked
+_NUMPY_ONLY = """
+import sys
+for name in ("mpmath", "scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None  # import raises ImportError
+from fakemu.cli import main
+out = sys.argv[1]
+sys.exit(max(
+    main(["classify", "--eps", "periodic:m=2:[i,-i]", "--out", out + "-classify"]),
+    main(["evaluate", "--eps", "periodic:m=2:[i,-i]", "--x", "1e3", "--mode", "both",
+          "--n-zeros", "2", "--out", out + "-evaluate"]),
+    main(["watson", "--eps", "periodic:m=2:[i,-i]", "--point", "half", "--out", out + "-watson"]),
+))
+"""
+
+
+def test_cli_runs_with_numpy_only(tmp_path):
+    # README: numpy is the only runtime dependency
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY, str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for command in ("classify", "evaluate", "watson"):
+        json.loads(Path(f"{out}-{command}").read_text())

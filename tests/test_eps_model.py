@@ -77,6 +77,9 @@ def test_cm_xi_zero_allowed():
         "finite:",
         "quadphase:alpha=i",
         "finite:[1+i]",  # missing coefficient on i
+        # nested past MAX_NESTING: a ParseError, not a RecursionError
+        pytest.param("cm:xi=exp(i*" + "(" * 3000 + "1" + ")" * 3000 + ")", id="3000-parentheses"),
+        pytest.param("cm:xi=exp(i*" + "-" * 5000 + "1)", id="5000-minus-signs"),
     ],
 )
 def test_parse_syntax_errors(text):
@@ -133,7 +136,6 @@ def test_zw_mobius():
     assert pars.z == -1 and pars.w == 0
     assert pars.z_integer_case == -1
     assert not pars.w_is_one
-    assert pars.in_window
 
 
 def test_zw_cm_angle_pi_3():
@@ -150,7 +152,7 @@ def test_zw_finite_first_figure_case():
 def test_zw_liouville_w_is_one():
     pars = zw_params(parse_eps_spec("cm:xi=-1"))
     assert pars.z == -1 and pars.w == 1
-    assert pars.w_is_one and pars.in_window
+    assert pars.w_is_one
 
 
 # ---------------------------------------------------------------- g_eval

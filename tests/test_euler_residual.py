@@ -9,7 +9,7 @@ import pytest
 
 from fakemu import euler_residual, zeta_kernel
 from fakemu.eps_model import eps_at, parse_eps_spec, zw_params
-from fakemu.errors import DomainError, PlatformError, RangeError
+from fakemu.errors import CapacityError, DomainError, PlatformError, RangeError
 from fakemu.euler_residual import G_f, G_f_tail_estimate, GfConfig, _log_near_unit
 from fakemu.sieve import _sweep, primes_up_to
 from fakemu.zeta_kernel import default_kernel
@@ -39,6 +39,15 @@ def test_configs_share_one_read_only_prime_table():
     big = GfConfig(prime_limit=200_000).logp
     assert big is not a and big.size > a.size
     assert np.array_equal(big[: a.size], a)
+
+
+def test_prime_limit_bounds():
+    # refused before any sieve: the mask alone would take prime_limit bytes
+    with pytest.raises(CapacityError):
+        GfConfig(prime_limit=10 ** 8 + 1)
+    with pytest.raises(DomainError):
+        GfConfig(prime_limit=1)
+    assert GfConfig(prime_limit=10 ** 7).prime_limit == 10 ** 7
 
 
 def test_log_near_unit_matches_cmath():

@@ -1,6 +1,7 @@
 """Explicit-formula parts: integrands, quadrature, residues, Watson."""
 
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -401,7 +402,26 @@ def test_config_invariants():
     with pytest.raises(DomainError):
         FormulaConfig(a=0.45)  # the Watson ring needs 1/2 - a > 0.05
     with pytest.raises(DomainError):
-        FormulaConfig(n_zeros=101).get_kernel()  # exceeds table size
+        FormulaConfig(n_zeros=101)  # exceeds table size
+
+
+def test_config_is_frozen_once_used():
+    # the config holds its contexts' cache, whose cuts its fields fixed
+    cfg = FormulaConfig(n_zeros=2)
+    delta_half(FIG53, 1e3, cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.a = 0.36
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_zeros = -3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.gf_config.prime_limit = 1000
+
+
+def test_replaced_config_starts_an_empty_cache():
+    cfg = FormulaConfig(n_zeros=2)
+    delta_half(FIG53, 1e3, cfg)
+    got = delta_half(FIG53, 1e3, dataclasses.replace(cfg, a=0.36))
+    assert got == delta_half(FIG53, 1e3, FormulaConfig(a=0.36))
 
 
 def test_quadrature_deterministic(cfg):
@@ -445,9 +465,19 @@ def test_watson_mobius_lambda_one(cfg):
 def test_watson_node_doubling(cfg, monkeypatch):
     a = watson_coeffs(FIG53, "half", 4, cfg)
     monkeypatch.setattr(explicit_formula, "WATSON_NODES", 512)
-    b = watson_coeffs(FIG53, "half", 4, cfg)
+    b = watson_coeffs(FIG53, "half", 4, FormulaConfig())  # cfg's cut keeps its ring
     for x, y in zip(a, b):
         assert abs(x - y) <= 1e-11 * max(1.0, abs(y))
+
+
+def test_watson_ring_is_read_once_per_cut(monkeypatch):
+    # lambda_0..8 come from one ring per cut; a later x or order reads them
+    cfg = FormulaConfig(n_zeros=2)
+    watson_delta_half(FIG53, 1e3, 3, cfg)
+    calls = _count_G_f(monkeypatch)
+    watson_delta_half(FIG53, 1e4, 3, cfg)
+    assert watson_coeffs(FIG53, "half", 8, cfg)[:4] == watson_coeffs(FIG53, "half", 3, cfg)
+    assert calls == []
 
 
 def test_watson_order_cap(cfg):
