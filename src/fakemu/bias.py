@@ -32,7 +32,7 @@ from .explicit_formula import (
     delta_half,
     zero_sum,
 )
-from .sieve import DIRECT_X_CAP, direct_exp_sum, direct_exp_sums_multi
+from .sieve import DIRECT_X_CAP, direct_exp_sums_multi
 
 PERSISTENT = "PERSISTENT"
 APPARENT = "APPARENT"
@@ -69,31 +69,34 @@ def _scale(x: float, w: complex) -> complex:
     return math.sqrt(x) * cmath.exp((w - 1.0) * math.log(math.log(x)))
 
 
+def _B_values(
+    spec: EpsilonSpec, xs: np.ndarray, mode: str, cfg: FormulaConfig
+) -> list[complex]:
+    """B at ascending xs >= 3.  DIRECT sums f(n) e^{-n/x} in one sieve
+    sweep for all xs; FORMULA uses the explicit-formula parts.  Delta_1
+    always comes from the formula/residue path, and comes first: a window
+    error exits before the sieve runs."""
+    w = zw_params(spec).w
+    if mode == FORMULA:
+        numer = [delta_half(spec, float(x), cfg) + zero_sum(spec, float(x), cfg) for x in xs]
+    elif mode == DIRECT:
+        d1 = [delta_1(spec, float(x), cfg) for x in xs]
+        numer = [complex(a) - d for a, d in zip(direct_exp_sums_multi(spec, xs), d1)]
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    return [v / _scale(float(x), w) for x, v in zip(xs, numer)]
+
+
 def B_of_x(
     spec: EpsilonSpec,
     x: float,
     mode: str = DIRECT,
     cfg: Optional[FormulaConfig] = None,
 ) -> complex:
-    """Normalized summatory value at x >= 3.
-
-    DIRECT sums f(n) e^{-n/x} by sieve; FORMULA uses the explicit-formula
-    parts.  Delta_1 always comes from the formula/residue path.
-    """
+    """Normalized summatory value at x >= 3: trajectory's one-point case."""
     if not 3 <= x < math.inf:
         raise DomainError(f"B(x) requires a finite x >= 3, got {x}")
-    if cfg is None:
-        cfg = FormulaConfig()
-    mode = mode.upper()
-    pars = zw_params(spec)
-    if mode == DIRECT:
-        d1 = delta_1(spec, x, cfg)  # first: a window error exits before the sieve runs
-        numer = direct_exp_sum(spec, x) - d1
-    elif mode == FORMULA:
-        numer = delta_half(spec, x, cfg) + zero_sum(spec, x, cfg)
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return numer / _scale(x, pars.w)
+    return _B_values(spec, np.array([float(x)]), mode.upper(), cfg or FormulaConfig())[0]
 
 
 def classify(spec: EpsilonSpec, cfg: Optional[FormulaConfig] = None) -> BiasReport:
@@ -190,16 +193,7 @@ def trajectory(
     if mode == DIRECT and x_max > DIRECT_X_CAP:
         raise CapacityError(f"DIRECT trajectories refuse x_max > {DIRECT_X_CAP}")
     c = c_half(spec, cfg)
-    if mode == FORMULA:
-        bvals = [B_of_x(spec, float(x), FORMULA, cfg) for x in xs]
-    else:
-        w = zw_params(spec).w
-        # Delta_1 first: a window error exits before the sieve runs
-        d1 = [delta_1(spec, float(x), cfg) for x in xs]
-        bvals = [
-            (a - d) / _scale(float(x), w)
-            for x, a, d in zip(xs, direct_exp_sums_multi(spec, xs), d1)
-        ]
+    bvals = _B_values(spec, xs, mode, cfg)
     return [
         TrajectorySample(float(x), b, b - c, mode) for x, b in zip(xs, bvals)
     ]

@@ -111,6 +111,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -157,6 +158,8 @@ class GfConfig:
     prime_limit: int = 100_000
 
     def __post_init__(self):
+        if isinstance(self.prime_limit, bool) or not isinstance(self.prime_limit, Integral):
+            raise DomainError(f"prime_limit must be an integer, got {self.prime_limit!r}")
         if self.prime_limit < 2:
             raise DomainError("prime_limit must be >= 2")
         if self.prime_limit > PRIME_LIMIT_CAP:

@@ -46,19 +46,20 @@ x^xi c_xi = Res_{s=xi} F(s) Gamma(s) x^s:
                      e^{-l1(rho)} = 1/zeta'(rho): the residue is x^rho J_rho(0).
 
 Quadrature is tanh-sinh, which absorbs the endpoint singularities.  Only
-e^{-Lu} depends on x, so a cut builds each level L (nodes t = k 2^{1-L}:
-u, log u, weights and J) once, as arrays, and evaluates J only at the odd
-k, the even k being level L-1's nodes, in one call on their arrays.  J is
-an array function throughout: zeta, gamma and L1 take arrays, L1 on the
-cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
+e^{-Lu} depends on x, so a cut keeps, per level L, one layer of the new
+nodes t = k 2^{1-L} (all k at L = 3, the odd k above): u, c = weight
+u^{-beta} J and |c|, J from one call.  The sums nest, T_L = T_{L-1}/2 +
+h_L sum c e^{-Lu} (the mass with |c|): an x costs one real exp per node.
+J is an array function throughout: zeta, gamma and L1 take arrays, L1 on
+the cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
 both logs where it has them and continues all new points at once; the
 public J and J(0) are its one-point case, and a point's J has the same
 bits alone and inside a level or a Watson ring.  Each cut owns its disc,
 |u| < radius (1/2 at s = 1, 1/2 - a at s = 1/2, the zero's gap radius at
 rho), and the paper's window, Re w < 1 (_Cut._require_integrable): the
 one check of each.
-A cut holds at most MAX_LEVEL - 2 levels; another x reads them and
-builds no node.
+A cut holds at most MAX_LEVEL - 2 layers; another x reads them and
+builds no node, and the context's zero cuts and modes, built once.
 
 At the tanh-sinh nodes G(s0 - u), s0 = 1, 1/2 or rho, comes from one
 Chebyshev interpolant per cut (class _GLine) on the segment 0 <= u <= b,
@@ -69,16 +70,18 @@ from each segment, so the Chebyshev coefficients decay geometrically
 cut samples G on nested Chebyshev points of degree 16, 32, 64, ...,
 each level reusing the previous samples, until the last quarter of the
 coefficients lies below CHEB_TOL = 2^-46 of the largest; past
-CHEB_MAX_DEGREE it raises QuadratureError.  One sampler, _Ctx.sample(keys),
+CHEB_MAX_DEGREE it raises QuadratureError.  One sampler, _Ctx.sample(cuts),
 makes every interpolant: the cuts of one segment length in lock-step
 (_sample_g_lines), one call of the G kernel G_f_line per degree (17
-points, then 16, 32, ...) where a G_f call per node cost hundreds.  The
-cut at 1/2 and the zero cuts share b = 1/2 - a and Re s0 = 1/2, so
-a_exp_formula samples them all and zero_sum the zero cuts: the group's
-rows share the prime powers p^{u_j}.  Each cut applies its own stopping
-test, only the unconverged ones go on, and each row has the bits it has
-alone; a cut not yet sampled when its quadrature runs (the cut at 1,
-delta_half alone) is a group of one.  The stopping test
+points, then 16, 32, ...) where a G_f call per node cost hundreds.  A
+cut samples when its quadrature first needs G, together with the cuts of
+the context's zero list that have no interpolant yet.  The cut at 1/2
+and the zero cuts share b = 1/2 - a and Re s0 = 1/2, so a_exp_formula,
+which lists the zeros before delta_half runs, samples them all and
+zero_sum the zero cuts: the group's rows share the prime powers p^{u_j}.
+Each cut applies its own stopping test, only the unconverged ones go on,
+and each row has the bits it has alone; a cut sampled before any zero
+list (the cut at 1, delta_half alone) is a group of one.  The stopping test
 is an a-posteriori estimate, not a bound: it reads the decay of the
 coefficients already computed.  A bound would need max |G| on a Bernstein
 ellipse around the segment, which nothing here computes, and a feature
@@ -106,7 +109,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -158,6 +162,8 @@ class FormulaConfig:
             raise DomainError(f"a must be >= {RE_S_MIN}: G_f is read down to Re s = a")
         if not 0.5 - self.a > WATSON_RADIUS:
             raise DomainError(f"a must leave room for the Watson ring: 1/2 - a > {WATSON_RADIUS}")
+        if isinstance(self.n_zeros, bool) or not isinstance(self.n_zeros, Integral):
+            raise DomainError(f"n_zeros must be an integer, got {self.n_zeros!r}")
         if self.n_zeros < 0:
             raise DomainError("n_zeros must be >= 0")
         if self.kernel is None:
@@ -310,8 +316,8 @@ class _Cut:
     complex, with cu = b - u passed exactly near the right end and g the
     values of G at s (one G_f call on all of them when g is None); at(u)
     is its one point, checked against the disc |u| < radius.
-    level(L) builds tanh-sinh level L once, takes G at its new nodes from
-    g_line, the Chebyshev interpolant of G on the segment, and calls j once
+    layer(L) builds level L's tanh-sinh layer once, G at its new nodes from
+    g_line, the Chebyshev interpolant of G on the segment, and one j call
     on them; every other J (the Watson ring in lambdas, J(0)) is one j call
     with g None.  An unsampled g_line comes from the hook sample, the
     context's one sampler on this cut.  J and its ring exist in every mode.
@@ -333,7 +339,7 @@ class _Cut:
     g_at: Callable[[np.ndarray], np.ndarray]  # G_f
     sample: Callable[[], None]  # sets g_line (_Ctx.sample)
     g_line: Optional[_GLine] = field(default=None, init=False, repr=False)
-    levels: list = field(default_factory=list, init=False, repr=False)  # level L at L - 3
+    layers: list = field(default_factory=list, init=False, repr=False)  # level L at L - 3
 
     def j(self, u, cu: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None) -> np.ndarray:
         """J_xi(u) = P_xi(u) exp(z l1(s) + w l2(s)) G(s) Gamma(s), s = s0 - u."""
@@ -363,27 +369,20 @@ class _Cut:
         """Truncation |t| at the left (u^{-beta}) and right ends."""
         return _t_cut(max(self.beta.real, 0.0)), _t_cut(self.alpha_right)
 
-    def level(self, L: int) -> tuple[np.ndarray, ...]:
-        """(u, cu = b - u, log u, weight, J) at the nodes t = k 2^{1-L} of
-        level L >= 3, built once.  Levels are nested: the even k of level L
-        are the nodes of level L-1, whose J it copies, so G and J are
-        evaluated only at its odd k, in one call each."""
-        if L - 3 < len(self.levels):
-            return self.levels[L - 3]
-        below = self.level(L - 1)[4] if L > 3 else None
-        if self.g_line is None:
-            self.sample()
+    def layer(self, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, c, |c|) at the nodes t = k 2^{1-L} new at level L (every k at
+        L = 3, the odd k above), c = weight u^{-beta} J, built once with the
+        levels below it: G from g_line and one j call each."""
         t_left, t_right = self.t_range
-        h = 2.0 ** (1 - L)
-        k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
-        u, cu, wts = _ts_points(self.b, k * h)
-        new = k % 2 == 1 if below is not None else np.full(k.size, True)
-        j = np.empty(k.size, dtype=np.complex128)
-        j[new] = self.j(u[new], cu[new], self.g_line(u[new], cu[new]))
-        if below is not None:
-            j[~new] = below
-        self.levels.append((u, cu, np.log(u), wts, j))
-        return self.levels[-1]
+        while len(self.layers) <= L - 3:
+            if self.g_line is None:
+                self.sample()
+            h = 2.0 ** (-2 - len(self.layers))  # 2^{1-L} at the next level
+            k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
+            u, cu, wts = _ts_points(self.b, (k[k % 2 == 1] if self.layers else k) * h)
+            c = wts * np.exp(-self.beta * np.log(u)) * self.j(u, cu, self.g_line(u, cu))
+            self.layers.append((u, c, np.abs(c)))
+        return self.layers[L - 3]
 
     @cached_property
     def j0(self) -> complex:
@@ -412,16 +411,16 @@ class _Cut:
         if self.mode == "residue":
             return self.x_pow(x) * self.residue
         ell = math.log(x)
-        prev = None
+        cur = mass = 0.0
         for L in range(3, MAX_LEVEL + 1):
+            # nested trapezoid: T_L = T_{L-1}/2 + h_L sum over the new nodes
             h = 2.0 ** (1 - L)
-            u, _, logu, wts, j = self.level(L)
-            terms = wts * np.exp(-ell * u - self.beta * logu) * j
-            cur = h * complex(np.sum(terms))
-            mass = h * float(np.sum(np.abs(terms)))
-            if prev is not None:
-                if abs(cur - prev) <= QUAD_TOL * (abs(cur) + 1e-13 * mass) + 1e-300:
-                    return self.sine * self.x_pow(x) * cur
+            u, c, size = self.layer(L)
+            e = np.exp(-ell * u)
+            cur = 0.5 * cur + h * complex(np.sum(c * e))
+            mass = 0.5 * mass + h * float(np.sum(size * e))
+            if L > 3 and abs(cur - prev) <= QUAD_TOL * (abs(cur) + 1e-13 * mass) + 1e-300:
+                return self.sine * self.x_pow(x) * cur
             prev = cur
         raise QuadratureError(f"tanh-sinh did not reach tol={QUAD_TOL} at level {MAX_LEVEL}")
 
@@ -485,29 +484,48 @@ class _Ctx:
         self.cfg = cfg
         self.pars: FactorParams = zw_params(spec)
         self._cuts: dict = {}
+        self.zero_cuts: list[_Cut] = []  # the cuts of zeros, once it is built
 
     def G(self, s):
         """The residual Euler product at a point or an array of points,
         called directly."""
         return G_f(self.spec, s, self.cfg.gf_config)
 
-    def G_line(self, s0: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """G at s0_i - u_j, an (s0 x u) array, in one call."""
-        return G_f_line(self.spec, s0, u, self.cfg.gf_config)
-
-    def sample(self, keys) -> None:
-        """Sample the G interpolants of the quadrature cuts among keys that
+    def sample(self, cuts) -> None:
+        """Sample the G interpolants of the quadrature cuts among cuts that
         have none yet, one _sample_g_lines call per segment length b; a
         cut's bits do not depend on its group."""
         groups: dict[float, list[_Cut]] = {}
-        for key in keys:
-            c = self.cut(key)
+        for c in dict.fromkeys(cuts):
             if c.mode == "quadrature" and c.g_line is None:
                 groups.setdefault(c.b, []).append(c)
-        for b, cuts in groups.items():
-            lines = _sample_g_lines(self.G_line, np.array([c.s0 for c in cuts]), b)
-            for cut, line in zip(cuts, lines):
+        g_kernel = partial(G_f_line, self.spec, cfg=self.cfg.gf_config)
+        for b, group in groups.items():
+            lines = _sample_g_lines(g_kernel, np.array([c.s0 for c in group]), b)
+            for cut, line in zip(group, lines):
                 cut.g_line = line
+
+    @cached_property
+    def modes(self) -> dict:
+        return {
+            "delta_1": self.cut("one").mode,
+            "delta_half": self.cut("half").mode,
+            "delta_rho": self.cut((1, False)).mode,
+        }
+
+    @cached_property
+    def zeros(self) -> list[tuple[int, _Cut, Optional[_Cut]]]:
+        """(k, cut at rho_k, cut at its mirror) for the first n_zeros zeros;
+        the mirror is None for a real spec, whose mirror term is the
+        conjugate.  Once listed, their cuts join the next G sample of any
+        cut (the hook _Cut.sample)."""
+        real = self.spec.is_real_valued()
+        zeros = [
+            (k, self.cut((k, False)), None if real else self.cut((k, True)))
+            for k in range(1, self.cfg.n_zeros + 1)
+        ]
+        self.zero_cuts = [c for _, cut, mirror in zeros for c in (cut, mirror) if c]
+        return zeros
 
     # -- branch points ----------------------------------------------------------
 
@@ -520,7 +538,9 @@ class _Ctx:
     def _build_cut(self, key) -> _Cut:
         z, w, k = self.pars.z, self.pars.w, self.cfg.kernel
         zi = self.pars.z_integer_case
-        data = dict(z=z, w=w, g_at=self.G, sample=lambda: self.sample([key]))
+        data = dict(
+            z=z, w=w, g_at=self.G, sample=lambda: self.sample([self.cut(key), *self.zero_cuts])
+        )
 
         def logs_L1(s, u):
             # one L1 call; a point's bits do not depend on its batch
@@ -564,14 +584,13 @@ class _Ctx:
         )
 
 
-def _ctx(spec: EpsilonSpec, cfg: Optional[FormulaConfig]) -> tuple[_Ctx, FormulaConfig]:
+def _ctx(spec: EpsilonSpec, cfg: Optional[FormulaConfig]) -> _Ctx:
     if cfg is None:
         cfg = FormulaConfig()
-    got = cfg._memo.get(spec)
-    if got is None:
-        got = _Ctx(spec, cfg)
-        cfg._memo[spec] = got
-    return got, cfg
+    ctx = cfg._memo.get(spec)
+    if ctx is None:
+        ctx = cfg._memo[spec] = _Ctx(spec, cfg)
+    return ctx
 
 
 # --------------------------------------------------------------------------
@@ -587,16 +606,14 @@ def _require_x(x: float, minimum: float = 3.0) -> float:
 def delta_1(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Main term from s=1.  Exactly 0 for z in {-1, 0}; residue for z=1."""
     x = _require_x(x)
-    ctx, _ = _ctx(spec, cfg)
-    return ctx.cut("one").delta(x)
+    return _ctx(spec, cfg).cut("one").delta(x)
 
 
 def delta_half(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Secondary term from s=1/2.  Exactly 0 for z+w integer (w != 1);
     residue for w=1."""
     x = _require_x(x)
-    ctx, _ = _ctx(spec, cfg)
-    return ctx.cut("half").delta(x)
+    return _ctx(spec, cfg).cut("half").delta(x)
 
 
 def delta_rho(
@@ -609,36 +626,22 @@ def delta_rho(
     """Oscillatory term of one zero.  Exactly 0 for z in {0, 1}; residue
     Gamma(rho) x^rho zeta(2 rho)^w G(rho) / zeta'(rho) for z = -1."""
     x = _require_x(x)
-    ctx, _ = _ctx(spec, cfg)
-    return ctx.cut((zero_index, conjugate)).delta(x)
-
-
-def _zero_keys(n_zeros: int, real: bool) -> list:
-    """Cut keys of the first n_zeros zeros and, unless the spec is real
-    (its mirror terms are conjugates), of their mirrors."""
-    return [(k, conj) for k in range(1, n_zeros + 1) for conj in ((False,) if real else (False, True))]
-
-
-def _zero_pairs(
-    spec: EpsilonSpec, x: float, cfg: FormulaConfig
-) -> list[tuple[int, complex]]:
-    """(k, Delta_rho + Delta_{conj rho}) for the first n_zeros zeros; the
-    G interpolants of their cuts are sampled in lock-step first."""
-    real = spec.is_real_valued()
-    _ctx(spec, cfg)[0].sample(_zero_keys(cfg.n_zeros, real))
-    pairs = []
-    for k in range(1, cfg.n_zeros + 1):
-        d = delta_rho(spec, k, x, cfg)
-        mirror = d.conjugate() if real else delta_rho(spec, k, x, cfg, conjugate=True)
-        pairs.append((k, d + mirror))
-    return pairs
+    return _ctx(spec, cfg).cut((zero_index, conjugate)).delta(x)
 
 
 def zero_sum(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Sum over the first n_zeros zeros, each with its mirror at -gamma."""
     x = _require_x(x)
-    _, cfg = _ctx(spec, cfg)
-    return sum((p for _, p in _zero_pairs(spec, x, cfg)), 0.0 + 0.0j)
+    return sum((p for _, p in _zero_pairs(_ctx(spec, cfg).zeros, x)), 0.0 + 0.0j)
+
+
+def _zero_pairs(zeros, x: float) -> list[tuple[int, complex]]:
+    """(k, Delta_rho + Delta_{conj rho}) for the zeros of _Ctx.zeros."""
+    pairs = []
+    for k, cut, mirror in zeros:
+        d = cut.delta(x)
+        pairs.append((k, d + (d.conjugate() if mirror is None else mirror.delta(x))))
+    return pairs
 
 
 # --------------------------------------------------------------------------
@@ -660,8 +663,7 @@ def J(spec: EpsilonSpec, point, u: complex, cfg: Optional[FormulaConfig] = None)
     cut's disc: RangeError unless |u| < radius (1/2 at "one", 1/2 - a at
     "half", the gap radius at "zero:K") and Re(xi - u) >= RE_S_MIN.  At a
     zero every u continues the zero's logs along one leg from u = 0."""
-    ctx, _ = _ctx(spec, cfg)
-    return ctx.cut(_parse_point(point)).at(u)
+    return _ctx(spec, cfg).cut(_parse_point(point)).at(u)
 
 
 def watson_coeffs(
@@ -673,8 +675,7 @@ def watson_coeffs(
     (spectrally accurate for analytic integrands); lambda_0 is
     cross-checked against the direct value J_xi(0) to 1e-9 relative.
     """
-    ctx, _ = _ctx(spec, cfg)
-    return ctx.cut(_parse_point(point)).coeffs(M)
+    return _ctx(spec, cfg).cut(_parse_point(point)).coeffs(M)
 
 
 def c_half(spec: EpsilonSpec, cfg: Optional[FormulaConfig] = None) -> complex:
@@ -683,8 +684,7 @@ def c_half(spec: EpsilonSpec, cfg: Optional[FormulaConfig] = None) -> complex:
     For w = 1 the residue path gives Gamma(1/2) zeta(1/2)^z G(1/2) / 2,
     the coefficient of sqrt(x) in Delta_{1/2}.
     """
-    ctx, _ = _ctx(spec, cfg)
-    return ctx.cut("half").leading()
+    return _ctx(spec, cfg).cut("half").leading()
 
 
 def watson_delta_half(
@@ -692,8 +692,7 @@ def watson_delta_half(
 ) -> complex:
     """Truncated Watson expansion of Delta_{1/2} (no error term added)."""
     x = _require_x(x, 10.0)
-    ctx, _ = _ctx(spec, cfg)
-    return ctx.cut("half").watson(x, M)
+    return _ctx(spec, cfg).cut("half").watson(x, M)
 
 
 # --------------------------------------------------------------------------
@@ -705,16 +704,11 @@ def a_exp_formula(
 ) -> FormulaBreakdown:
     """All explicit-formula parts at one x; total = d1 + d1/2 + zero sum."""
     x = _require_x(x)
-    ctx, cfg = _ctx(spec, cfg)
-    modes = {
-        "delta_1": ctx.cut("one").mode,
-        "delta_half": ctx.cut("half").mode,
-        "delta_rho": ctx.cut((1, False)).mode,
-    }
-    d1 = delta_1(spec, x, cfg)  # first part: a window error exits here
-    ctx.sample(["half", *_zero_keys(cfg.n_zeros, spec.is_real_valued())])
-    dh = delta_half(spec, x, cfg)
-    pairs = _zero_pairs(spec, x, cfg)
+    ctx = _ctx(spec, cfg)
+    d1 = ctx.cut("one").delta(x)  # first part: a window error exits here
+    zeros = ctx.zeros  # listed first, so the cut at 1/2 samples G with them
+    dh = ctx.cut("half").delta(x)
+    pairs = _zero_pairs(zeros, x)
     zsum = sum((p for _, p in pairs), 0.0 + 0.0j)
     return FormulaBreakdown(
         x=x,
@@ -723,6 +717,6 @@ def a_exp_formula(
         delta_rho=tuple(pairs),
         zero_sum=zsum,
         total=d1 + dh + zsum,
-        modes=modes,
+        modes=dict(ctx.modes),
         zero_tail=abs(pairs[-1][1]) if pairs else 0.0,
     )

@@ -183,7 +183,7 @@ def check_array_kernels() -> None:
     ring = xf.WATSON_RADIUS * np.exp(2j * math.pi * np.arange(n) / n)
     for key in ("one", "half", (1, False)):
         cuts = [
-            xf._ctx(spec, xf.FormulaConfig(n_zeros=1, kernel=zk.ZetaKernel(table)))[0].cut(key)
+            xf._ctx(spec, xf.FormulaConfig(n_zeros=1, kernel=zk.ZetaKernel(table))).cut(key)
             for _ in range(3)
         ]
         cu = cuts[0].b - u

@@ -9,7 +9,7 @@ import pytest
 from fakemu import bias
 from fakemu.eps_model import near_integer, parse_eps_spec, zw_params
 from fakemu.errors import CapacityError, DomainError, GridError, WindowError
-from fakemu.explicit_formula import FormulaConfig, c_half, delta_half
+from fakemu.explicit_formula import FormulaConfig, c_half, delta_1, delta_half
 
 ONES = parse_eps_spec("cm:xi=1")
 FIG53 = parse_eps_spec("periodic:m=2:[i,-i]")
@@ -65,6 +65,28 @@ def test_B_precondition(cfg):
         for mode in (bias.DIRECT, bias.FORMULA):
             with pytest.raises(DomainError, match="finite"):
                 bias.B_of_x(FIG53, x, mode, cfg)
+
+
+@pytest.mark.parametrize("mode", [bias.DIRECT, bias.FORMULA])
+def test_B_of_x_is_the_one_point_trajectory(cfg, mode):
+    # one path per mode: a FORMULA sample has B_of_x's bits.  A DIRECT
+    # sample shares its sieve sweep with the other x, whose matrix product
+    # rounds A_exp(x) by a few ulps otherwise (~2 here), so its numerator
+    # is within 4 ulps of |A_exp(x)| of B_of_x's; alone in its sweep, it
+    # has B_of_x's bits
+    from fakemu.sieve import direct_exp_sum
+
+    w = zw_params(FIG53).w
+    samples = bias.trajectory(FIG53, 1e3, 1e4, 3, "LOG", mode, cfg)
+    for s in samples:
+        got = bias.B_of_x(FIG53, s.x, mode, cfg)
+        if mode == bias.FORMULA:
+            assert (got.real.hex(), got.imag.hex()) == (s.B.real.hex(), s.B.imag.hex())
+        else:
+            scale = bias._scale(s.x, w)
+            assert abs(got - s.B) * abs(scale) <= 4 * np.spacing(abs(direct_exp_sum(FIG53, s.x)))
+            d1 = delta_1(FIG53, s.x, cfg)
+            assert got == (direct_exp_sum(FIG53, s.x) - d1) / scale
 
 
 # ---------------------------------------------------------------- classify

@@ -50,6 +50,14 @@ def test_prime_limit_bounds():
     assert GfConfig(prime_limit=10 ** 7).prime_limit == 10 ** 7
 
 
+@pytest.mark.parametrize("limit", [1e5, 100_000.0, True, "100000", None])
+def test_prime_limit_must_be_an_integer(limit):
+    # 1e5 used to pass and fail at the first logp with a bare TypeError
+    with pytest.raises(DomainError, match="prime_limit must be an integer"):
+        GfConfig(prime_limit=limit)
+    assert GfConfig(prime_limit=np.int64(1000)).logp.size == 168
+
+
 def test_log_near_unit_matches_cmath():
     angles = (0.0, 1e-3, 0.7, -2.5, 3.1)
     moduli = [1.0 + d for d in (1e-12, -1e-12, 1e-6, -1e-6, 0.3, -0.3)]

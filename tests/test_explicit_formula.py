@@ -117,7 +117,7 @@ def test_j_rho_limit_identity(cfg):
     zp = kernel.zeta_prime_at_zero(1)
     from fakemu.explicit_formula import _ctx
 
-    ctx, _ = _ctx(FIG53, cfg)
+    ctx = _ctx(FIG53, cfg)
     direct = (
         (rho - 1.0) ** (-pars.z)
         * ctx.G(rho)
@@ -405,6 +405,15 @@ def test_config_invariants():
         FormulaConfig(n_zeros=101)  # exceeds table size
 
 
+@pytest.mark.parametrize("n_zeros", [2.5, 2.0, True, "2", None])
+def test_n_zeros_must_be_an_integer(n_zeros):
+    # 2.5 used to pass and fail in the zero sum with a bare TypeError
+    with pytest.raises(DomainError, match="n_zeros must be an integer"):
+        FormulaConfig(n_zeros=n_zeros)
+    cfg = FormulaConfig(n_zeros=np.int64(1))
+    assert len(a_exp_formula(FIG53, 1e3, cfg).delta_rho) == 1
+
+
 def test_config_is_frozen_once_used():
     # the config holds its contexts' cache, whose cuts its fields fixed
     cfg = FormulaConfig(n_zeros=2)
@@ -549,7 +558,7 @@ def test_c_half_builds_only_the_half_cut():
 
     cfg = FormulaConfig()
     c_half(LIOUVILLE, cfg)
-    ctx, _ = _ctx(LIOUVILLE, cfg)
+    ctx = _ctx(LIOUVILLE, cfg)
     assert list(ctx._cuts) == ["half"]
 
 
@@ -625,13 +634,22 @@ def _fill_cuts(spec, a):
         delta_rho(spec, 1, 1e3, cfg)
     else:
         a_exp_formula(spec, 1e3, cfg)
-    ctx, _ = _ctx(spec, cfg)
+    ctx = _ctx(spec, cfg)
     return [cut for cut in ctx._cuts.values() if cut.mode == "quadrature"], cfg
 
 
+def _full_grid(cut, L):
+    """(u, cu, weight) at every node t = k 2^{1-L} of level L, in one
+    _ts_points call: the grid the layers up to L hold, each node once."""
+    t_left, t_right = cut.t_range
+    h = 2.0 ** (1 - L)
+    k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
+    return explicit_formula._ts_points(cut.b, k * h)
+
+
 def _cut_nodes(cut):
-    # the deepest level holds every node of the levels below it
-    u, cu = cut.levels[-1][:2]
+    # the deepest level's grid holds every node of the levels below it
+    u, cu, _ = _full_grid(cut, len(cut.layers) + 2)
     return u, cu
 
 
@@ -804,7 +822,7 @@ def test_work_count_cold_evaluate(monkeypatch):
     cfg = FormulaConfig(n_zeros=2)
     a_exp_formula(FIG53, 1e4, cfg)
     assert sum(points) <= 250, points
-    ctx, _ = _ctx(FIG53, cfg)
+    ctx = _ctx(FIG53, cfg)
     degrees = {
         key: cut.g_line.c.size - 1 for key, cut in ctx._cuts.items() if cut.mode == "quadrature"
     }
@@ -833,9 +851,9 @@ def _counting_cut(a, kind):
     """A fresh fig53 quadrature cut whose J calls are counted."""
     from fakemu.explicit_formula import _ctx
 
-    ctx, _ = _ctx(FIG53, FormulaConfig(a=a, n_zeros=1))
+    ctx = _ctx(FIG53, FormulaConfig(a=a, n_zeros=1))
     cut = ctx.cut(CUT_KINDS[kind])
-    assert cut.mode == "quadrature" and cut.levels == []
+    assert cut.mode == "quadrature" and cut.layers == []
     calls = []
     j = cut.j
     cut.j = lambda *args: calls.append(args) or j(*args)
@@ -845,15 +863,23 @@ def _counting_cut(a, kind):
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
 @pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
 def test_levels_are_nested_bit_for_bit(a, kind):
-    # level L's even k are level L-1's nodes: same u, cu, log u, weight and J
+    # level L's grid is the layers up to L, each node in one layer: its
+    # odd k in layer L, the k = 2 mod 4 in layer L-1, ..., the multiples of
+    # 2^{L-3} in layer 3; every layer has the bits of the full grid's u
+    # and c = weight u^{-beta} J at its nodes, and |c|
     cut, _ = _counting_cut(a, kind)
     cut.delta(1e4)
-    assert len(cut.levels) >= 2
+    assert len(cut.layers) >= 2
     t_left = cut.t_range[0]
-    for L in range(4, len(cut.levels) + 3):
-        even = slice(math.floor(t_left / 2.0 ** (1 - L)) % 2, None, 2)
-        for below, here in zip(cut.level(L - 1), cut.level(L)):
-            assert below.tobytes() == here[even].tobytes()
+    for L in range(3, len(cut.layers) + 3):
+        u, cu, wts = _full_grid(cut, L)
+        c = wts * np.exp(-cut.beta * np.log(u)) * cut.j(u, cu, cut.g_line(u, cu))
+        k = np.arange(u.size) - math.floor(t_left / 2.0 ** (1 - L))
+        for lv in range(3, L + 1):
+            step = 2 ** (L - lv)
+            at = k % step == 0 if lv == 3 else k % (2 * step) == step
+            for full, here in zip((u, c, np.abs(c)), cut.layer(lv)):
+                assert full[at].tobytes() == here.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
@@ -863,9 +889,9 @@ def test_cold_delta_calls_j_once_per_node(a, kind):
     # the deepest level is in exactly one call
     cut, calls = _counting_cut(a, kind)
     cut.delta(1e4)
-    assert len(calls) == len(cut.levels)
+    assert len(calls) == len(cut.layers)
     nodes = [(u, cu) for c in calls for u, cu in zip(c[0].tolist(), c[1].tolist())]
-    assert len(nodes) == cut.levels[-1][0].size
+    assert set(nodes) == set(zip(*(v.tolist() for v in _cut_nodes(cut))))
     assert len(set(nodes)) == len(nodes)  # no (u, b - u) twice
 
 
@@ -876,14 +902,69 @@ def test_warm_delta_reads_the_level_table(monkeypatch, a, kind):
     cut, calls = _counting_cut(a, kind)
     for x in (1e3, 1e5, 1e8):
         cut.delta(x)
-    depth, n_calls = len(cut.levels), len(calls)
+    depth, n_calls = len(cut.layers), len(calls)
     points = []
     ts_points = explicit_formula._ts_points
     monkeypatch.setattr(
         explicit_formula, "_ts_points", lambda *args: points.append(args) or ts_points(*args)
     )
     cut.delta(3e4)
-    assert (len(cut.levels), len(calls), points) == (depth, n_calls, [])
+    assert (len(cut.layers), len(calls), points) == (depth, n_calls, [])
+
+
+@pytest.mark.parametrize("x", [1e3, 1e8])
+@pytest.mark.parametrize("kind", list(CUT_KINDS))
+@pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
+def test_layers_sum_to_the_plain_trapezoid(a, kind, x):
+    # at every level a cold cut reaches, h_L times the sum over the layers
+    # up to L of c e^{-Lu} is the plain trapezoid over level L's full grid,
+    # J from cut.j and the G line, within 8 ulps of its mass; delta is the
+    # deepest one times sine x^xi
+    cut, _ = _counting_cut(a, kind)
+    got = cut.delta(x)
+    ell = math.log(x)
+    for L in range(3, len(cut.layers) + 3):
+        h = 2.0 ** (1 - L)
+        u, cu, wts = _full_grid(cut, L)
+        j = cut.j(u, cu, cut.g_line(u, cu))
+        terms = wts * np.exp(-ell * u - cut.beta * np.log(u)) * j
+        want, mass = h * complex(np.sum(terms)), h * float(np.sum(np.abs(terms)))
+        layers = [cut.layer(lv) for lv in range(3, L + 1)]
+        nested = h * sum(complex(np.sum(c * np.exp(-ell * u))) for u, c, _ in layers)
+        assert abs(nested - want) <= 8 * 2.0 ** -53 * mass, (L, nested, want, mass)
+    scale = cut.sine * cut.x_pow(x)
+    assert abs(got - scale * want) <= 8 * 2.0 ** -53 * abs(scale) * mass, (got, scale * want)
+
+
+def test_warm_a_exp_formula_does_only_x_work(monkeypatch):
+    # a new x on a filled config reads the layers and the context's cut
+    # lists: no J, G, node, gamma, zeta, realness or sampling call, and
+    # the bits a cold config gets at that x
+    from fakemu.eps_model import EpsilonSpec
+
+    specs = (FIG53, FIG51A, LIOUVILLE, QUAD)
+    cfg = FormulaConfig(n_zeros=1)
+    for spec in specs:
+        for x in (1e3, 1e5, 1e8):
+            a_exp_formula(spec, x, cfg)
+    cold = [a_exp_formula(spec, 3.7e5, FormulaConfig(n_zeros=1)) for spec in specs]
+    calls = []
+    for owner, name in (
+        (explicit_formula._Cut, "j"),
+        (explicit_formula, "G_f_line"),
+        (explicit_formula, "G_f"),
+        (explicit_formula, "_ts_points"),
+        (explicit_formula, "gamma"),
+        (zeta_kernel, "zeta"),
+        (EpsilonSpec, "is_real_valued"),
+        (explicit_formula._Ctx, "sample"),
+    ):
+        f = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, f=f, name=name: calls.append(name) or f(*args)
+        )
+    assert [a_exp_formula(spec, 3.7e5, cfg) for spec in specs] == cold
+    assert calls == []
 
 
 # frozen from the per-node G_f path: (spec, x, delta_1, delta_half,
@@ -1002,14 +1083,22 @@ def test_shared_sweeps_are_free_of_call_history():
     # the end point, so B's bits are those of B alone
     table = default_kernel().table
 
+    def nodes(cut):
+        # c = weight u^{-beta} J in every layer, and J on the deepest level's
+        # full grid, from the cut's G line
+        if not cut.layers:
+            return []
+        u, cu, _ = _full_grid(cut, len(cut.layers) + 2)
+        c = [layer[1].tolist() for layer in cut.layers]
+        return [c, cut.j(u, cu, cut.g_line(u, cu)).tolist()]
+
     def run_b(kernel):
         cfg = FormulaConfig(n_zeros=2, kernel=kernel)
         parts = a_exp_formula(FIG51A, 1e3, cfg).delta_rho
         cuts = cfg._memo[FIG51A]._cuts
         return (
             parts,
-            # J at every node of every tanh-sinh level
-            {key: [lv[4].tolist() for lv in cut.levels] for key, cut in cuts.items()},
+            {key: nodes(cut) for key, cut in cuts.items()},
             watson_coeffs(FIG51A, "zero:2", 2, cfg),
             J(FIG51A, ("zero", 1), 0.06 + 0.02j, cfg),
         )
@@ -1081,13 +1170,15 @@ def test_each_level_is_one_call_of_each_sweep_function():
     kernel = ZetaKernel(default_kernel().table)
     kernel.rho_sweep(1)
     calls = _count_sweep_calls(kernel)
-    ctx, _ = _ctx(FIG53, FormulaConfig(a=RE_S_MIN, n_zeros=1, kernel=kernel))
+    ctx = _ctx(FIG53, FormulaConfig(a=RE_S_MIN, n_zeros=1, kernel=kernel))
     cut = ctx.cut((1, False))
     for L in range(3, explicit_formula.MAX_LEVEL + 1):
         calls.clear()
-        u = cut.level(L)[0]
-        if L > 3:
-            u = u[np.isin(u, cut.level(L - 1)[0], invert=True)]
+        u = cut.layer(L)[0]  # the new nodes of level L
+        # less those whose u rounds onto a lower level's: the sweep kept it
+        below = [cut.layer(lv)[0] for lv in range(3, L)]
+        if below:
+            u = u[np.isin(u, np.concatenate(below), invert=True)]
         two = np.count_nonzero(2.0 * u > zeta_kernel._STEP0)
         assert calls == [u.size, u.size + two], (L, calls)
 
@@ -1121,10 +1212,10 @@ def test_grouped_g_lines_equal_alone(spec):
 
     grouped = FormulaConfig(n_zeros=3)
     a_exp_formula(spec, 1e3, grouped)
-    cuts = {k: c for k, c in _ctx(spec, grouped)[0]._cuts.items() if c.mode == "quadrature"}
+    cuts = {k: c for k, c in _ctx(spec, grouped)._cuts.items() if c.mode == "quadrature"}
     assert len(cuts) == 8
     for key, cut in cuts.items():
-        alone = _ctx(spec, FormulaConfig(n_zeros=3))[0].cut(key)
+        alone = _ctx(spec, FormulaConfig(n_zeros=3)).cut(key)
         alone.delta(1e3)
         assert alone.g_line.c.tobytes() == cut.g_line.c.tobytes(), key
 
@@ -1156,10 +1247,11 @@ def test_j_batch_bits_equal_one_point(kind):
 
     def fresh_cut():
         cfg = FormulaConfig(n_zeros=1, kernel=ZetaKernel(table))
-        return _ctx(FIG53, cfg)[0].cut(CUT_KINDS[kind])
+        return _ctx(FIG53, cfg).cut(CUT_KINDS[kind])
 
     cut = fresh_cut()
-    u, cu = cut.level(5)[:2]
+    cut.layer(5)  # samples the G line
+    u, cu, _ = _full_grid(cut, 5)
     g = cut.g_line(u, cu)
     batch = cut.j(u, cu, g)
     one = fresh_cut()
