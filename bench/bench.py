@@ -1,0 +1,173 @@
+"""Timings of fakemu's end-to-end operations, written as one JSON file.
+
+    python bench/bench.py --out BENCH.json [--other CHECKOUT]
+
+Each of the RUNS runs per checkout is a fresh interpreter that imports
+fakemu from the checkout's ``src`` and times every case once with
+``time.perf_counter``; the file holds, per case, the median and the
+quartiles over the runs.  With ``--other`` the runs alternate between
+this checkout and the other one (this one first in even runs, the other
+first in odd runs), and each case also records in how many of the run
+pairs this checkout was faster.
+
+A "cold" case starts from a new FormulaConfig over a new ZetaKernel (the
+kernel keeps the continued logs of every zero it has served), so only the
+per-process tables (zero table, log-prime table) are already built.  A
+"warm" case first fills its config on the same grid it then times.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIG53 = "periodic:m=2:[i,-i]"
+QUAD = "quadphase:alpha=0.381966"
+RUNS = 15  # per checkout: enough for a median and quartiles
+WARM_POINTS = 64  # a LOG grid on [1e3, 1e8], as a trajectory takes it
+SIEVE_POINTS = 48  # a LOG grid on [1e3, 2e5]
+
+
+def _timed(fn) -> float:
+    gc.collect()
+    t = time.perf_counter()
+    fn()
+    return time.perf_counter() - t
+
+
+def run_cases(tree: str) -> dict[str, float]:
+    """One sample of every case, in seconds, with fakemu from tree/src."""
+    sys.path.insert(0, os.path.join(tree, "src"))
+    import numpy as np
+
+    from fakemu import bias, explicit_formula as xf, sieve, zeta_kernel as zk
+    from fakemu.eps_model import parse_eps_spec
+
+    spec, quad = parse_eps_spec(FIG53), parse_eps_spec(QUAD)
+    table = zk.default_kernel().table
+
+    def fresh(n_zeros: int):
+        return xf.FormulaConfig(n_zeros=n_zeros, kernel=zk.ZetaKernel(table))
+
+    grid = [float(x) for x in np.exp(np.linspace(math.log(1e3), math.log(1e8), WARM_POINTS))]
+    out = {}
+    for n in (2, 30):
+        out[f"a_exp_formula.cold.fig53.n_zeros={n}"] = _timed(
+            lambda: xf.a_exp_formula(spec, 1e4, fresh(n))
+        )
+        cfg = fresh(n)
+        for x in grid:
+            xf.a_exp_formula(spec, x, cfg)
+        # per x, over the grid
+        out[f"a_exp_formula.warm.fig53.n_zeros={n}"] = _timed(
+            lambda: [xf.a_exp_formula(spec, x, cfg) for x in grid]
+        ) / len(grid)
+    # one part on the config a_exp_formula filled, per x
+    out["delta_1.warm.fig53.n_zeros=30"] = _timed(
+        lambda: [xf.delta_1(spec, x, cfg) for x in grid]
+    ) / len(grid)
+    out["a_exp_formula.cold.quadphase.n_zeros=30"] = _timed(
+        lambda: xf.a_exp_formula(quad, 1e4, fresh(30))
+    )
+    cfg = fresh(30)
+    for state in ("cold", "warm"):
+        out[f"trajectory.formula.fig53.{WARM_POINTS}.{state}"] = _timed(
+            lambda: bias.trajectory(spec, 1e3, 1e8, WARM_POINTS, "LOG", bias.FORMULA, cfg)
+        )
+    out["classify.fig53.cold"] = _timed(lambda: bias.classify(spec, fresh(30)))
+    xs = np.exp(np.linspace(math.log(1e3), math.log(2e5), SIEVE_POINTS))
+    out[f"sieve.direct_exp_sums_multi.fig53.{SIEVE_POINTS}"] = _timed(
+        lambda: sieve.direct_exp_sums_multi(spec, xs)
+    )
+    return out
+
+
+def _sample(tree: str) -> dict[str, float]:
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--worker", tree],
+        check=True, capture_output=True, text=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _commit(tree: str):
+    """The checkout's commit, "-dirty" if its files differ from it."""
+    done = subprocess.run(
+        ["git", "-C", tree, "describe", "--always", "--dirty"], capture_output=True, text=True
+    )
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _machine() -> dict:
+    import numpy as np
+
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "nproc": len(os.sched_getaffinity(0)),  # the CPUs this process may use
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "longdouble_eps": float(np.finfo(np.longdouble).eps),
+    }
+
+
+def _stats(samples: list[float]) -> dict:
+    import numpy as np
+
+    q1, med, q3 = (float(v) for v in np.percentile(samples, [25, 50, 75]))
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "samples": samples}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", help="JSON file to write")
+    ap.add_argument("--other", help="a second checkout, alternated with this one")
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        print(json.dumps(run_cases(args.worker)))
+        return 0
+    if not args.out:
+        ap.error("--out is required")
+    trees = {"this": ROOT}
+    if args.other:
+        trees["other"] = os.path.abspath(args.other)
+    runs: dict[str, list[dict]] = {name: [] for name in trees}
+    for r in range(RUNS):
+        order = list(trees) if r % 2 == 0 else list(trees)[::-1]
+        for name in order:
+            runs[name].append(_sample(trees[name]))
+            print(f"run {r + 1}/{RUNS} {name}", file=sys.stderr)
+    cases = {}
+    for case in runs["this"][0]:
+        entry = {"unit": "s"}
+        for name in trees:
+            entry[name] = _stats([sample[case] for sample in runs[name]])
+        if "other" in trees:
+            pairs = zip(runs["this"], runs["other"])
+            entry["this_faster_pairs"] = sum(a[case] < b[case] for a, b in pairs)
+            entry["pairs"] = RUNS
+        cases[case] = entry
+    report = {
+        "machine": _machine(),
+        "timer": "time.perf_counter",
+        "runs": RUNS,
+        "trees": {name: {"commit": _commit(path)} for name, path in trees.items()},
+        "cases": cases,
+    }
+    with open(args.out, "w") as f:
+        json.dump(report, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

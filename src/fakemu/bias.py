@@ -25,13 +25,7 @@ import numpy as np
 
 from .eps_model import EpsilonSpec, FactorParams, zw_params
 from .errors import CapacityError, DomainError, GridError
-from .explicit_formula import (
-    FormulaConfig,
-    c_half,
-    delta_1,
-    delta_half,
-    zero_sum,
-)
+from .explicit_formula import FormulaConfig, c_half, delta_1, delta_half_and_zero_sum
 from .sieve import DIRECT_X_CAP, direct_exp_sums_multi
 
 PERSISTENT = "PERSISTENT"
@@ -73,12 +67,14 @@ def _B_values(
     spec: EpsilonSpec, xs: np.ndarray, mode: str, cfg: FormulaConfig
 ) -> list[complex]:
     """B at ascending xs >= 3.  DIRECT sums f(n) e^{-n/x} in one sieve
-    sweep for all xs; FORMULA uses the explicit-formula parts.  Delta_1
-    always comes from the formula/residue path, and comes first: a window
-    error exits before the sieve runs."""
+    sweep for all xs; FORMULA takes Delta_{1/2} and the zero sum from one
+    pass of the explicit formula per x.  Delta_1 always comes from the
+    formula/residue path, and comes first: a window error exits before
+    the sieve runs."""
     w = zw_params(spec).w
     if mode == FORMULA:
-        numer = [delta_half(spec, float(x), cfg) + zero_sum(spec, float(x), cfg) for x in xs]
+        parts = (delta_half_and_zero_sum(spec, float(x), cfg) for x in xs)
+        numer = [dh + zs for dh, zs in parts]
     elif mode == DIRECT:
         d1 = [delta_1(spec, float(x), cfg) for x in xs]
         numer = [complex(a) - d for a, d in zip(direct_exp_sums_multi(spec, xs), d1)]

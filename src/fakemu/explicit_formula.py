@@ -46,10 +46,17 @@ x^xi c_xi = Res_{s=xi} F(s) Gamma(s) x^s:
                      e^{-l1(rho)} = 1/zeta'(rho): the residue is x^rho J_rho(0).
 
 Quadrature is tanh-sinh, which absorbs the endpoint singularities.  Only
-e^{-Lu} depends on x, so a cut keeps, per level L, one layer of the new
+e^{-Lu} depends on x, so a cut builds, per level L, one layer of the new
 nodes t = k 2^{1-L} (all k at L = 3, the odd k above): u, c = weight
-u^{-beta} J and |c|, J from one call.  The sums nest, T_L = T_{L-1}/2 +
-h_L sum c e^{-Lu} (the mass with |c|): an x costs one real exp per node.
+u^{-beta} J and |c|, J from one call.  The layers of all quadrature cuts
+of a context are the segments of one node table (_Nodes), and an x is one
+pass over the segments of the cuts it asks for (_Ctx.deltas; every cut in
+a_exp_formula): one real exp per row, then each segment's sums of
+c e^{-Lu} and |c| e^{-Lu}, one np.add.reduceat each.  A cut nests its
+own layer sums, T_L = T_{L-1}/2 + h_L S_L (the mass the same way), up to
+its stop level, and builds and sums a further layer only where the stored
+ones do not converge.  A layer sum has the bits of np.sum over the layer
+alone, so a part has the same bits alone and in any pass, on any table.
 J is an array function throughout: zeta, gamma and L1 take arrays, L1 on
 the cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
 both logs where it has them and continues all new points at once; the
@@ -58,7 +65,7 @@ bits alone and inside a level or a Watson ring.  Each cut owns its disc,
 |u| < radius (1/2 at s = 1, 1/2 - a at s = 1/2, the zero's gap radius at
 rho), and the paper's window, Re w < 1 (_Cut._require_integrable): the
 one check of each.
-A cut holds at most MAX_LEVEL - 2 layers; another x reads them and
+A cut holds at most MAX_LEVEL - 2 layers; another x reads the table and
 builds no node, and the context's zero cuts and modes, built once.
 
 At the tanh-sinh nodes G(s0 - u), s0 = 1, 1/2 or rho, comes from one
@@ -70,18 +77,19 @@ from each segment, so the Chebyshev coefficients decay geometrically
 cut samples G on nested Chebyshev points of degree 16, 32, 64, ...,
 each level reusing the previous samples, until the last quarter of the
 coefficients lies below CHEB_TOL = 2^-46 of the largest; past
-CHEB_MAX_DEGREE it raises QuadratureError.  One sampler, _Ctx.sample(cuts),
-makes every interpolant: the cuts of one segment length in lock-step
-(_sample_g_lines), one call of the G kernel G_f_line per degree (17
-points, then 16, 32, ...) where a G_f call per node cost hundreds.  A
+CHEB_MAX_DEGREE it raises QuadratureError.  One sampler, _Ctx.sample(cut),
+makes every interpolant, in lock-step (_sample_g_lines) for a group of
+cuts of one segment length: one call of the G kernel G_f_line per degree
+(17 points, then 16, 32, ...) where a G_f call per node cost hundreds.  A
 cut samples when its quadrature first needs G, together with the cuts of
-the context's zero list that have no interpolant yet.  The cut at 1/2
-and the zero cuts share b = 1/2 - a and Re s0 = 1/2, so a_exp_formula,
-which lists the zeros before delta_half runs, samples them all and
-zero_sum the zero cuts: the group's rows share the prime powers p^{u_j}.
-Each cut applies its own stopping test, only the unconverged ones go on,
-and each row has the bits it has alone; a cut sampled before any zero
-list (the cut at 1, delta_half alone) is a group of one.  The stopping test
+the context's zero list of its segment length that have no interpolant
+yet.  The cut at 1/2 and the zero cuts share b = 1/2 - a and Re s0 = 1/2,
+so a_exp_formula and delta_half_and_zero_sum, which list the zeros before
+their pass, sample them all and zero_sum the zero cuts: the group's rows
+share the prime powers p^{u_j}.  Each cut applies its own stopping test,
+only the unconverged ones go on, and each row has the bits it has alone;
+the cut at 1 (b = 1/2) and a cut sampled before any zero list
+(delta_half alone) are groups of one.  The stopping test
 is an a-posteriori estimate, not a bound: it reads the decay of the
 coefficients already computed.  A bound would need max |G| on a Bernstein
 ellipse around the segment, which nothing here computes, and a feature
@@ -148,7 +156,7 @@ class FormulaConfig:
     must fit inside the disc of radius 1/2 - a.  n_zeros pairs of zeros
     enter the zero sum, at most kernel's table (None: the default kernel).
     Frozen because it holds the cache, _memo, of what these fields fix
-    (cuts, levels, G lines); dataclasses.replace starts an empty one.
+    (cuts, their node table, G lines); dataclasses.replace starts an empty one.
     """
 
     a: float = 0.40
@@ -303,6 +311,78 @@ def _sample_g_lines(
 
 
 # --------------------------------------------------------------------------
+# the node table of a context, and its one pass per x
+# --------------------------------------------------------------------------
+
+class _Nodes:
+    """Every stored tanh-sinh layer of a context's quadrature cuts, one
+    segment each, numbered in the order they were built.
+
+    A segment is a zero row, then the layer's u, c = weight u^{-beta} J and
+    |c|.  np.add.reduceat seeds each segment's sum with its first row and
+    adds the rest pairwise, so the zero row makes a layer sum numpy's
+    pairwise sum over the layer alone, np.sum's bits: the same in any
+    table and any pass.  A pass over several segments reads them as one
+    flat table, concatenated once and kept while the passes ask for the
+    same segments.
+    """
+
+    def __init__(self):
+        self.layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (u, c, |c|)
+        self._flat: tuple = ((), ())  # (segment numbers, their table)
+
+    def add(self, u: np.ndarray, c: np.ndarray) -> int:
+        """Store one layer; its segment number."""
+        self.layers.append(tuple(np.concatenate([[0.0], col]) for col in (u, c, np.abs(c))))
+        return len(self.layers) - 1
+
+    def layer(self, seg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, c, |c|) of segment seg, views without its zero row."""
+        u, c, size = self.layers[seg]
+        return u[1:], c[1:], size[1:]
+
+    def _table(self, segs: tuple) -> tuple:
+        """(u, c, |c|, each segment's first row) of segments segs, one flat
+        table; one segment is read in place, and the last table of several
+        is kept for the next pass that asks for the same ones."""
+        if len(segs) == 1:
+            return (*self.layers[segs[0]], [0])
+        key, table = self._flat
+        if key != segs:
+            rows = [self.layers[seg] for seg in segs]
+            starts = np.cumsum([0] + [u.size for u, _, _ in rows[:-1]])
+            table = (*(np.concatenate(col) for col in zip(*rows)), starts)
+            self._flat = (segs, table)
+        return table
+
+    def sums(self, ell: float, segs: tuple) -> tuple[list, list]:
+        """sum c e^{-Lu} and sum |c| e^{-Lu} over each of segments segs, at
+        L = ell: one exp over their rows and one segmented sum each."""
+        if not segs:
+            return [], []
+        u, c, size, at = self._table(segs)
+        e = np.exp(-ell * u)
+        return np.add.reduceat(c * e, at).tolist(), np.add.reduceat(size * e, at).tolist()
+
+
+class _LayerSums:
+    """The layer sums of a node table at one x by segment, c[seg] =
+    sum c e^{-Lu} and size[seg] = sum |c| e^{-Lu}: the segments a pass
+    asks for in one _Nodes.sums, then each layer a cut builds deeper."""
+
+    def __init__(self, nodes: _Nodes, x: float):
+        self.nodes, self.ell = nodes, math.log(x)
+        self.c: dict[int, complex] = {}
+        self.size: dict[int, float] = {}
+
+    def add(self, segs: list[int]) -> None:
+        """Sum segments segs, in one _Nodes.sums."""
+        c, size = self.nodes.sums(self.ell, tuple(segs))
+        self.c.update(zip(segs, c))
+        self.size.update(zip(segs, size))
+
+
+# --------------------------------------------------------------------------
 # one branch point: Laplace quadrature, residue or exact zero, and Watson
 # --------------------------------------------------------------------------
 
@@ -316,11 +396,13 @@ class _Cut:
     complex, with cu = b - u passed exactly near the right end and g the
     values of G at s (one G_f call on all of them when g is None); at(u)
     is its one point, checked against the disc |u| < radius.
-    layer(L) builds level L's tanh-sinh layer once, G at its new nodes from
-    g_line, the Chebyshev interpolant of G on the segment, and one j call
-    on them; every other J (the Watson ring in lambdas, J(0)) is one j call
-    with g None.  An unsampled g_line comes from the hook sample, the
-    context's one sampler on this cut.  J and its ring exist in every mode.
+    segment(L) builds level L's tanh-sinh layer once into nodes, the
+    context's table, G at its new nodes from g_line, the Chebyshev
+    interpolant of G on the segment, and one j call on them; every other J
+    (the Watson ring in lambdas, J(0)) is one j call with g None.  An
+    unsampled g_line comes from the hook sample, the context's one sampler
+    on this cut.  delta reads the layer sums of the context's pass.  J and
+    its ring exist in every mode.
     """
 
     beta: complex
@@ -338,8 +420,9 @@ class _Cut:
     phase: complex  # c_xi = phase J_xi(0)
     g_at: Callable[[np.ndarray], np.ndarray]  # G_f
     sample: Callable[[], None]  # sets g_line (_Ctx.sample)
+    nodes: _Nodes  # the context's table, which holds this cut's layers
     g_line: Optional[_GLine] = field(default=None, init=False, repr=False)
-    layers: list = field(default_factory=list, init=False, repr=False)  # level L at L - 3
+    segs: list = field(default_factory=list, init=False, repr=False)  # level L's at L - 3
 
     def j(self, u, cu: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None) -> np.ndarray:
         """J_xi(u) = P_xi(u) exp(z l1(s) + w l2(s)) G(s) Gamma(s), s = s0 - u."""
@@ -369,20 +452,25 @@ class _Cut:
         """Truncation |t| at the left (u^{-beta}) and right ends."""
         return _t_cut(max(self.beta.real, 0.0)), _t_cut(self.alpha_right)
 
-    def layer(self, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, c, |c|) at the nodes t = k 2^{1-L} new at level L (every k at
-        L = 3, the odd k above), c = weight u^{-beta} J, built once with the
-        levels below it: G from g_line and one j call each."""
-        t_left, t_right = self.t_range
-        while len(self.layers) <= L - 3:
+    def segment(self, L: int) -> int:
+        """The table segment of level L's layer: u and c = weight u^{-beta} J
+        at the nodes t = k 2^{1-L} new at level L (every k at L = 3, the odd
+        k above), built once with the levels below it: G from g_line and
+        one j call each."""
+        while len(self.segs) <= L - 3:
             if self.g_line is None:
                 self.sample()
-            h = 2.0 ** (-2 - len(self.layers))  # 2^{1-L} at the next level
+            t_left, t_right = self.t_range
+            h = 2.0 ** (-2 - len(self.segs))  # 2^{1-L} at the next level
             k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
-            u, cu, wts = _ts_points(self.b, (k[k % 2 == 1] if self.layers else k) * h)
+            u, cu, wts = _ts_points(self.b, (k[k % 2 == 1] if self.segs else k) * h)
             c = wts * np.exp(-self.beta * np.log(u)) * self.j(u, cu, self.g_line(u, cu))
-            self.layers.append((u, c, np.abs(c)))
-        return self.layers[L - 3]
+            self.segs.append(self.nodes.add(u, c))
+        return self.segs[L - 3]
+
+    def layer(self, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, c, |c|) of level L's layer, views of the table."""
+        return self.nodes.layer(self.segment(L))
 
     @cached_property
     def j0(self) -> complex:
@@ -404,21 +492,25 @@ class _Cut:
                 f"right-end exponent {self.alpha_right} >= 1: outside the treated window"
             )
 
-    def delta(self, x: float) -> complex:
-        self._require_integrable()
+    def delta(self, x: float, sums: _LayerSums) -> complex:
+        """Delta_xi(x) in the context's pass (_Ctx.deltas, which checks the
+        window), a quadrature from sums, the layer sums at x: the nested
+        trapezoid T_L = T_{L-1}/2 + h_L sum c e^{-Lu} (its mass the same
+        way with |c|) up to the first level L > 3 that moves T by at most
+        QUAD_TOL, building each layer the stored ones lack."""
         if self.mode == "zero":
             return 0.0 + 0.0j
         if self.mode == "residue":
             return self.x_pow(x) * self.residue
-        ell = math.log(x)
+        segs = self.segs
         cur = mass = 0.0
         for L in range(3, MAX_LEVEL + 1):
-            # nested trapezoid: T_L = T_{L-1}/2 + h_L sum over the new nodes
+            seg = segs[L - 3] if L - 3 < len(segs) else self.segment(L)
+            if seg not in sums.c:
+                sums.add([seg])
             h = 2.0 ** (1 - L)
-            u, c, size = self.layer(L)
-            e = np.exp(-ell * u)
-            cur = 0.5 * cur + h * complex(np.sum(c * e))
-            mass = 0.5 * mass + h * float(np.sum(size * e))
+            cur = 0.5 * cur + h * sums.c[seg]
+            mass = 0.5 * mass + h * sums.size[seg]
             if L > 3 and abs(cur - prev) <= QUAD_TOL * (abs(cur) + 1e-13 * mass) + 1e-300:
                 return self.sine * self.x_pow(x) * cur
             prev = cur
@@ -484,26 +576,37 @@ class _Ctx:
         self.cfg = cfg
         self.pars: FactorParams = zw_params(spec)
         self._cuts: dict = {}
-        self.zero_cuts: list[_Cut] = []  # the cuts of zeros, once it is built
+        self.nodes = _Nodes()
+        self.zero_cuts: list[_Cut] = []  # the cuts of zeros, once listed
 
     def G(self, s):
         """The residual Euler product at a point or an array of points,
         called directly."""
         return G_f(self.spec, s, self.cfg.gf_config)
 
-    def sample(self, cuts) -> None:
-        """Sample the G interpolants of the quadrature cuts among cuts that
-        have none yet, one _sample_g_lines call per segment length b; a
-        cut's bits do not depend on its group."""
-        groups: dict[float, list[_Cut]] = {}
-        for c in dict.fromkeys(cuts):
-            if c.mode == "quadrature" and c.g_line is None:
-                groups.setdefault(c.b, []).append(c)
+    def sample(self, cut: _Cut) -> None:
+        """Sample cut's G interpolant, in lock-step (one _sample_g_lines
+        call) with the listed zero cuts of its segment length b that have
+        none yet; a cut's bits do not depend on its group."""
+        group = [
+            c for c in dict.fromkeys([cut, *self.zero_cuts])
+            if c.b == cut.b and c.mode == "quadrature" and c.g_line is None
+        ]
         g_kernel = partial(G_f_line, self.spec, cfg=self.cfg.gf_config)
-        for b, group in groups.items():
-            lines = _sample_g_lines(g_kernel, np.array([c.s0 for c in group]), b)
-            for cut, line in zip(group, lines):
-                cut.g_line = line
+        lines = _sample_g_lines(g_kernel, np.array([c.s0 for c in group]), cut.b)
+        for c, line in zip(group, lines):
+            c.g_line = line
+
+    def deltas(self, x: float, cuts: list[_Cut]) -> list[complex]:
+        """Delta_xi(x) at each of cuts, in one pass: every window first, so
+        a window error comes before any G sample, then the sums of every
+        stored layer of these cuts (no other cut's) in one _Nodes.sums, and
+        each cut in turn from them."""
+        for cut in cuts:
+            cut._require_integrable()
+        sums = _LayerSums(self.nodes, x)
+        sums.add([seg for cut in cuts for seg in cut.segs])
+        return [cut.delta(x, sums) for cut in cuts]
 
     @cached_property
     def modes(self) -> dict:
@@ -517,8 +620,8 @@ class _Ctx:
     def zeros(self) -> list[tuple[int, _Cut, Optional[_Cut]]]:
         """(k, cut at rho_k, cut at its mirror) for the first n_zeros zeros;
         the mirror is None for a real spec, whose mirror term is the
-        conjugate.  Once listed, their cuts join the next G sample of any
-        cut (the hook _Cut.sample)."""
+        conjugate.  Once listed, their cuts join the next G sample of a cut
+        of their segment length (the hook _Cut.sample)."""
         real = self.spec.is_real_valued()
         zeros = [
             (k, self.cut((k, False)), None if real else self.cut((k, True)))
@@ -539,7 +642,7 @@ class _Ctx:
         z, w, k = self.pars.z, self.pars.w, self.cfg.kernel
         zi = self.pars.z_integer_case
         data = dict(
-            z=z, w=w, g_at=self.G, sample=lambda: self.sample([self.cut(key), *self.zero_cuts])
+            z=z, w=w, g_at=self.G, sample=lambda: self.sample(self.cut(key)), nodes=self.nodes
         )
 
         def logs_L1(s, u):
@@ -603,17 +706,21 @@ def _require_x(x: float, minimum: float = 3.0) -> float:
     return float(x)
 
 
+def _part(spec: EpsilonSpec, key, x: float, cfg: Optional[FormulaConfig]) -> complex:
+    x = _require_x(x)
+    ctx = _ctx(spec, cfg)
+    return ctx.deltas(x, [ctx.cut(key)])[0]
+
+
 def delta_1(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Main term from s=1.  Exactly 0 for z in {-1, 0}; residue for z=1."""
-    x = _require_x(x)
-    return _ctx(spec, cfg).cut("one").delta(x)
+    return _part(spec, "one", x, cfg)
 
 
 def delta_half(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Secondary term from s=1/2.  Exactly 0 for z+w integer (w != 1);
     residue for w=1."""
-    x = _require_x(x)
-    return _ctx(spec, cfg).cut("half").delta(x)
+    return _part(spec, "half", x, cfg)
 
 
 def delta_rho(
@@ -625,23 +732,42 @@ def delta_rho(
 ) -> complex:
     """Oscillatory term of one zero.  Exactly 0 for z in {0, 1}; residue
     Gamma(rho) x^rho zeta(2 rho)^w G(rho) / zeta'(rho) for z = -1."""
-    x = _require_x(x)
-    return _ctx(spec, cfg).cut((zero_index, conjugate)).delta(x)
+    return _part(spec, (zero_index, conjugate), x, cfg)
 
 
 def zero_sum(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -> complex:
     """Sum over the first n_zeros zeros, each with its mirror at -gamma."""
     x = _require_x(x)
-    return sum((p for _, p in _zero_pairs(_ctx(spec, cfg).zeros, x)), 0.0 + 0.0j)
+    ctx = _ctx(spec, cfg)
+    zeros = ctx.zeros  # lists ctx.zero_cuts
+    return _total(_zero_pairs(zeros, ctx.deltas(x, ctx.zero_cuts)))
 
 
-def _zero_pairs(zeros, x: float) -> list[tuple[int, complex]]:
-    """(k, Delta_rho + Delta_{conj rho}) for the zeros of _Ctx.zeros."""
+def delta_half_and_zero_sum(
+    spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None
+) -> tuple[complex, complex]:
+    """Delta_{1/2}(x) and the zero sum in one pass, which leaves out the
+    cut at 1: the formula's A_exp(x) - Delta_1(x) is their sum."""
+    x = _require_x(x)
+    ctx = _ctx(spec, cfg)
+    zeros = ctx.zeros  # listed first, so the cut at 1/2 samples G with them
+    dh, *rho = ctx.deltas(x, [ctx.cut("half"), *ctx.zero_cuts])
+    return dh, _total(_zero_pairs(zeros, rho))
+
+
+def _zero_pairs(zeros, values: list[complex]) -> list[tuple[int, complex]]:
+    """(k, Delta_rho + Delta_{conj rho}) for the zeros of _Ctx.zeros, from
+    the values of their cuts in the order of _Ctx.zero_cuts."""
+    values = iter(values)
     pairs = []
-    for k, cut, mirror in zeros:
-        d = cut.delta(x)
-        pairs.append((k, d + (d.conjugate() if mirror is None else mirror.delta(x))))
+    for k, _, mirror in zeros:
+        d = next(values)
+        pairs.append((k, d + (d.conjugate() if mirror is None else next(values))))
     return pairs
+
+
+def _total(pairs: list[tuple[int, complex]]) -> complex:
+    return sum((p for _, p in pairs), 0.0 + 0.0j)
 
 
 # --------------------------------------------------------------------------
@@ -702,14 +828,16 @@ def watson_delta_half(
 def a_exp_formula(
     spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None
 ) -> FormulaBreakdown:
-    """All explicit-formula parts at one x; total = d1 + d1/2 + zero sum."""
+    """All explicit-formula parts at one x, in one pass over the context's
+    cuts; total = d1 + d1/2 + zero sum."""
     x = _require_x(x)
     ctx = _ctx(spec, cfg)
-    d1 = ctx.cut("one").delta(x)  # first part: a window error exits here
-    zeros = ctx.zeros  # listed first, so the cut at 1/2 samples G with them
-    dh = ctx.cut("half").delta(x)
-    pairs = _zero_pairs(zeros, x)
-    zsum = sum((p for _, p in pairs), 0.0 + 0.0j)
+    # listed first: the cut at 1/2 samples G with the zero cuts, and the
+    # cut at 1, of another segment length, alone
+    zeros = ctx.zeros
+    d1, dh, *rho = ctx.deltas(x, [ctx.cut("one"), ctx.cut("half"), *ctx.zero_cuts])
+    pairs = _zero_pairs(zeros, rho)
+    zsum = _total(pairs)
     return FormulaBreakdown(
         x=x,
         delta_1=d1,

@@ -609,9 +609,14 @@ class ZetaKernel:
         Re (s-1) zeta(s) > 0 the plain Log of (s-1) zeta(s), which covers the
         real segment (1/3, 1.2) and the Watson rings of the cuts at 1 and
         1/2.  Every other point is continued along one straight leg from
-        1.2 + i Im s, all of them in one _continue_legs call.
+        1.2 + i Im s, all of them in one _continue_legs call.  Each distinct
+        point is evaluated once (tanh-sinh nodes at the end of a cut round
+        onto one s) and its value scattered to its repeats.
         """
-        pts, scalar = _points(s)
+        given, scalar = _points(s)
+        bits = np.ascontiguousarray(given).view(np.dtype((np.void, 16)))
+        _, first, back = np.unique(bits, return_index=True, return_inverse=True)
+        pts = given[first]
         if np.any(pts.real <= 1.0 / 3.0):
             raise RangeError("L1 requires Re s > 1/3")
         self._assert_off_cut(pts)
@@ -632,7 +637,7 @@ class ZetaKernel:
             v = pts[todo]
             anchor = _ANCHOR_RE + 1j * v.imag
             out[todo] = _continue_legs(zeta_times_s_minus_1, anchor, self.L1(anchor), v)
-        return _shaped(out, s, scalar)
+        return _shaped(out[back], s, scalar)
 
     # -- logs on the disc of a zero ------------------------------------------
 

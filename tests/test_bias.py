@@ -89,6 +89,21 @@ def test_B_of_x_is_the_one_point_trajectory(cfg, mode):
             assert got == (direct_exp_sum(FIG53, s.x) - d1) / scale
 
 
+def test_formula_trajectory_takes_one_pass_per_x(monkeypatch):
+    # FORMULA reads Delta_{1/2} and the zero sum from one pass of the
+    # explicit formula per x, not one each
+    from fakemu import explicit_formula
+
+    passes = []
+    deltas = explicit_formula._Ctx.deltas
+    monkeypatch.setattr(
+        explicit_formula._Ctx, "deltas",
+        lambda ctx, x, cuts: passes.append(x) or deltas(ctx, x, cuts),
+    )
+    samples = bias.trajectory(FIG53, 1e3, 1e6, 8, "LOG", bias.FORMULA, FormulaConfig(n_zeros=2))
+    assert passes == [s.x for s in samples]
+
+
 # ---------------------------------------------------------------- classify
 
 @pytest.mark.parametrize(

@@ -649,7 +649,7 @@ def _full_grid(cut, L):
 
 def _cut_nodes(cut):
     # the deepest level's grid holds every node of the levels below it
-    u, cu, _ = _full_grid(cut, len(cut.layers) + 2)
+    u, cu, _ = _full_grid(cut, len(cut.segs) + 2)
     return u, cu
 
 
@@ -833,6 +833,39 @@ def test_work_count_cold_evaluate(monkeypatch):
     assert sum(points) == sum(n + 1 for n in degrees.values())
 
 
+def test_l1_sends_zeta_each_point_once(monkeypatch):
+    # tanh-sinh nodes at the ends of the cuts at 1 and 1/2 round onto one
+    # s (1/2, and a and 2a): in a cold evaluate, L1 gets repeated points,
+    # and zeta gets each point of one L1 call once; a repeat keeps its
+    # point's bits
+    got, sent, depth = [], [], [0]
+    L1 = ZetaKernel.L1
+
+    def counting_L1(kernel, s):
+        if not depth[0]:
+            got.append(np.ravel(s).tolist())
+            sent.append([])
+        depth[0] += 1
+        try:
+            return L1(kernel, s)
+        finally:
+            depth[0] -= 1
+
+    def counting_zeta(s):
+        if depth[0]:
+            sent[-1].extend(np.ravel(s).tolist())
+        return zeta(s)
+
+    monkeypatch.setattr(ZetaKernel, "L1", counting_L1)
+    monkeypatch.setattr(zeta_kernel, "zeta", counting_zeta)
+    kernel = ZetaKernel(default_kernel().table)
+    a_exp_formula(FIG53, 1e4, FormulaConfig(n_zeros=2, kernel=kernel))
+    assert any(len(s) > len(set(s)) for s in got)
+    assert all(len(s) == len(set(s)) for s in sent)
+    points = np.array([0.5, 0.8, 0.5, 0.45 + 0.1j, 0.5, 0.8])
+    assert L1(kernel, points).tolist() == [L1(kernel, s) for s in points.tolist()]
+
+
 @pytest.mark.parametrize("spec", [FIG53, LIOUVILLE], ids=["quadrature", "residue"])
 def test_work_count_classify(monkeypatch, spec):
     from fakemu import bias
@@ -848,16 +881,17 @@ CUT_KINDS = {"one": "one", "half": "half", "zero": (1, False), "mirror": (1, Tru
 
 
 def _counting_cut(a, kind):
-    """A fresh fig53 quadrature cut whose J calls are counted."""
+    """A fresh fig53 quadrature cut whose J calls are counted, and its
+    context."""
     from fakemu.explicit_formula import _ctx
 
     ctx = _ctx(FIG53, FormulaConfig(a=a, n_zeros=1))
     cut = ctx.cut(CUT_KINDS[kind])
-    assert cut.mode == "quadrature" and cut.layers == []
+    assert cut.mode == "quadrature" and cut.segs == []
     calls = []
     j = cut.j
     cut.j = lambda *args: calls.append(args) or j(*args)
-    return cut, calls
+    return ctx, cut, calls
 
 
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
@@ -867,11 +901,11 @@ def test_levels_are_nested_bit_for_bit(a, kind):
     # odd k in layer L, the k = 2 mod 4 in layer L-1, ..., the multiples of
     # 2^{L-3} in layer 3; every layer has the bits of the full grid's u
     # and c = weight u^{-beta} J at its nodes, and |c|
-    cut, _ = _counting_cut(a, kind)
-    cut.delta(1e4)
-    assert len(cut.layers) >= 2
+    ctx, cut, _ = _counting_cut(a, kind)
+    ctx.deltas(1e4, [cut])
+    assert len(cut.segs) >= 2
     t_left = cut.t_range[0]
-    for L in range(3, len(cut.layers) + 3):
+    for L in range(3, len(cut.segs) + 3):
         u, cu, wts = _full_grid(cut, L)
         c = wts * np.exp(-cut.beta * np.log(u)) * cut.j(u, cu, cut.g_line(u, cu))
         k = np.arange(u.size) - math.floor(t_left / 2.0 ** (1 - L))
@@ -887,9 +921,9 @@ def test_levels_are_nested_bit_for_bit(a, kind):
 def test_cold_delta_calls_j_once_per_node(a, kind):
     # one J call per level, on the arrays of its new nodes: every node of
     # the deepest level is in exactly one call
-    cut, calls = _counting_cut(a, kind)
-    cut.delta(1e4)
-    assert len(calls) == len(cut.layers)
+    ctx, cut, calls = _counting_cut(a, kind)
+    ctx.deltas(1e4, [cut])
+    assert len(calls) == len(cut.segs)
     nodes = [(u, cu) for c in calls for u, cu in zip(c[0].tolist(), c[1].tolist())]
     assert set(nodes) == set(zip(*(v.tolist() for v in _cut_nodes(cut))))
     assert len(set(nodes)) == len(nodes)  # no (u, b - u) twice
@@ -899,17 +933,17 @@ def test_cold_delta_calls_j_once_per_node(a, kind):
 @pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
 def test_warm_delta_reads_the_level_table(monkeypatch, a, kind):
     # a new x on a warm cut builds no node and calls no J
-    cut, calls = _counting_cut(a, kind)
+    ctx, cut, calls = _counting_cut(a, kind)
     for x in (1e3, 1e5, 1e8):
-        cut.delta(x)
-    depth, n_calls = len(cut.layers), len(calls)
+        ctx.deltas(x, [cut])
+    depth, n_calls = len(cut.segs), len(calls)
     points = []
     ts_points = explicit_formula._ts_points
     monkeypatch.setattr(
         explicit_formula, "_ts_points", lambda *args: points.append(args) or ts_points(*args)
     )
-    cut.delta(3e4)
-    assert (len(cut.layers), len(calls), points) == (depth, n_calls, [])
+    ctx.deltas(3e4, [cut])
+    assert (len(cut.segs), len(calls), points) == (depth, n_calls, [])
 
 
 @pytest.mark.parametrize("x", [1e3, 1e8])
@@ -920,10 +954,10 @@ def test_layers_sum_to_the_plain_trapezoid(a, kind, x):
     # up to L of c e^{-Lu} is the plain trapezoid over level L's full grid,
     # J from cut.j and the G line, within 8 ulps of its mass; delta is the
     # deepest one times sine x^xi
-    cut, _ = _counting_cut(a, kind)
-    got = cut.delta(x)
+    ctx, cut, _ = _counting_cut(a, kind)
+    [got] = ctx.deltas(x, [cut])
     ell = math.log(x)
-    for L in range(3, len(cut.layers) + 3):
+    for L in range(3, len(cut.segs) + 3):
         h = 2.0 ** (1 - L)
         u, cu, wts = _full_grid(cut, L)
         j = cut.j(u, cu, cut.g_line(u, cu))
@@ -965,6 +999,62 @@ def test_warm_a_exp_formula_does_only_x_work(monkeypatch):
         )
     assert [a_exp_formula(spec, 3.7e5, cfg) for spec in specs] == cold
     assert calls == []
+
+
+def _parts_alone(spec, x, cfg_of):
+    """delta_1, delta_half, each zero pair and zero_sum, each part on the
+    config cfg_of() gives (a pair's mirror term as a_exp_formula takes it)."""
+    real = spec.is_real_valued()
+    parts = [delta_1(spec, x, cfg_of()), delta_half(spec, x, cfg_of())]
+    for k in (1, 2):
+        d = delta_rho(spec, k, x, cfg_of())
+        parts.append(d + (d.conjugate() if real else delta_rho(spec, k, x, cfg_of(), True)))
+    return parts + [zero_sum(spec, x, cfg_of())]
+
+
+@pytest.mark.parametrize("x", [1e3, 3.7e5])
+@pytest.mark.parametrize("spec", [FIG53, FIG51A, QUAD, LIOUVILLE], ids=lambda s: s.class_tag)
+def test_a_part_has_the_same_bits_in_any_pass(spec, x):
+    # a part alone on a fresh config, alone on one warmed at 1e3 and 1e8
+    # (whose table holds deeper layers and every other cut), and inside
+    # a_exp_formula on a fresh config: each layer sum is its own
+    # segment's, so the three are bitwise equal
+    warm = FormulaConfig(n_zeros=2)
+    for x_fill in (1e3, 1e8):
+        a_exp_formula(spec, x_fill, warm)
+    b = a_exp_formula(spec, x, FormulaConfig(n_zeros=2))
+    inside = [b.delta_1, b.delta_half, *(p for _, p in b.delta_rho), b.zero_sum]
+    alone = _parts_alone(spec, x, lambda: FormulaConfig(n_zeros=2))
+    assert alone == _parts_alone(spec, x, lambda: warm) == inside
+
+
+def test_warm_a_exp_formula_is_one_pass_over_the_table(monkeypatch):
+    # a new x on a filled config: one exp over every segment of the node
+    # table (one _Nodes.sums) and no layer built; a part alone on that
+    # config sums its own cut's segments and no other cut's
+    from fakemu.explicit_formula import _ctx, _Nodes
+
+    cfg = FormulaConfig(n_zeros=2)
+    for spec in (FIG53, FIG51A, QUAD):
+        for x in (1e3, 1e8):
+            a_exp_formula(spec, x, cfg)
+    calls = []
+    sums, add = _Nodes.sums, _Nodes.add
+    monkeypatch.setattr(
+        _Nodes, "sums",
+        lambda nodes, ell, segs: calls.append((nodes, sorted(segs))) or sums(nodes, ell, segs),
+    )
+    monkeypatch.setattr(_Nodes, "add", lambda *args: calls.append("add") or add(*args))
+    for spec in (FIG53, FIG51A, QUAD):
+        ctx = _ctx(spec, cfg)
+        calls.clear()
+        a_exp_formula(spec, 3.7e5, cfg)
+        assert calls == [(ctx.nodes, list(range(len(ctx.nodes.layers))))]
+        for part, key in ((delta_1, "one"), (delta_half, "half")):
+            calls.clear()
+            part(spec, 3.7e5, cfg)
+            assert calls == [(ctx.nodes, sorted(ctx.cut(key).segs))], key
+            assert 0 < len(ctx.cut(key).segs) < len(ctx.nodes.layers)
 
 
 # frozen from the per-node G_f path: (spec, x, delta_1, delta_half,
@@ -1086,10 +1176,10 @@ def test_shared_sweeps_are_free_of_call_history():
     def nodes(cut):
         # c = weight u^{-beta} J in every layer, and J on the deepest level's
         # full grid, from the cut's G line
-        if not cut.layers:
+        if not cut.segs:
             return []
-        u, cu, _ = _full_grid(cut, len(cut.layers) + 2)
-        c = [layer[1].tolist() for layer in cut.layers]
+        u, cu, _ = _full_grid(cut, len(cut.segs) + 2)
+        c = [cut.layer(L)[1].tolist() for L in range(3, len(cut.segs) + 3)]
         return [c, cut.j(u, cu, cut.g_line(u, cu)).tolist()]
 
     def run_b(kernel):
@@ -1215,8 +1305,9 @@ def test_grouped_g_lines_equal_alone(spec):
     cuts = {k: c for k, c in _ctx(spec, grouped)._cuts.items() if c.mode == "quadrature"}
     assert len(cuts) == 8
     for key, cut in cuts.items():
-        alone = _ctx(spec, FormulaConfig(n_zeros=3)).cut(key)
-        alone.delta(1e3)
+        ctx = _ctx(spec, FormulaConfig(n_zeros=3))
+        alone = ctx.cut(key)
+        ctx.deltas(1e3, [alone])
         assert alone.g_line.c.tobytes() == cut.g_line.c.tobytes(), key
 
 
