@@ -13,13 +13,17 @@ pairs this checkout was faster.
 A "cold" case starts from a new FormulaConfig over a new ZetaKernel (the
 kernel keeps the continued logs of every zero it has served), so only the
 per-process tables (zero table, log-prime table) are already built.  A
-"warm" case first fills its config on the same grid it then times.
+"warm" case first fills its config on the same grid it then times.  The
+"cli" cases run a command in-process through cli.main, its output
+captured, on the default kernel, which no case before them has used.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -48,7 +52,7 @@ def run_cases(tree: str) -> dict[str, float]:
     sys.path.insert(0, os.path.join(tree, "src"))
     import numpy as np
 
-    from fakemu import bias, explicit_formula as xf, sieve, zeta_kernel as zk
+    from fakemu import bias, cli, explicit_formula as xf, sieve, zeta_kernel as zk
     from fakemu.eps_model import parse_eps_spec
 
     spec, quad = parse_eps_spec(FIG53), parse_eps_spec(QUAD)
@@ -86,6 +90,19 @@ def run_cases(tree: str) -> dict[str, float]:
     xs = np.exp(np.linspace(math.log(1e3), math.log(2e5), SIEVE_POINTS))
     out[f"sieve.direct_exp_sums_multi.fig53.{SIEVE_POINTS}"] = _timed(
         lambda: sieve.direct_exp_sums_multi(spec, xs)
+    )
+
+    def command(*argv: str) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(list(argv)) != 0:
+                raise RuntimeError(f"fakemu {' '.join(argv)} failed")
+
+    cli._parser()  # built once per process, outside the timed commands
+    out["cli.classify.fig53"] = _timed(lambda: command("classify", "--eps", FIG53))
+    out["cli.evaluate.both.fig53.n_zeros=2"] = _timed(
+        lambda: command(
+            "evaluate", "--eps", FIG53, "--x", "1e4", "--mode", "both", "--n-zeros", "2"
+        )
     )
     return out
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -166,6 +167,8 @@ def trajectory(
     """
     if not (3 <= x_min < x_max < math.inf):
         raise DomainError("need 3 <= x_min < x_max < inf")
+    if isinstance(n_points, bool) or not isinstance(n_points, Integral):
+        raise DomainError(f"n_points must be an integer, got {n_points!r}")
     if not (2 <= n_points <= 10 ** 5):
         raise DomainError("n_points must be in [2, 1e5]")
     if cfg is None:

@@ -46,17 +46,19 @@ x^xi c_xi = Res_{s=xi} F(s) Gamma(s) x^s:
                      e^{-l1(rho)} = 1/zeta'(rho): the residue is x^rho J_rho(0).
 
 Quadrature is tanh-sinh, which absorbs the endpoint singularities.  Only
-e^{-Lu} depends on x, so a cut builds, per level L, one layer of the new
-nodes t = k 2^{1-L} (all k at L = 3, the odd k above): u, c = weight
-u^{-beta} J and |c|, J from one call.  The layers of all quadrature cuts
-of a context are the segments of one node table (_Nodes), and an x is one
-pass over the segments of the cuts it asks for (_Ctx.deltas; every cut in
-a_exp_formula): one real exp per row, then each segment's sums of
-c e^{-Lu} and |c| e^{-Lu}, one np.add.reduceat each.  A cut nests its
-own layer sums, T_L = T_{L-1}/2 + h_L S_L (the mass the same way), up to
-its stop level, and builds and sums a further layer only where the stored
-ones do not converge.  A layer sum has the bits of np.sum over the layer
-alone, so a part has the same bits alone and in any pass, on any table.
+e^{-Lu} depends on x, so level L of a cut is one layer of the new nodes
+t = k 2^{1-L} (all k at L = 3, the odd k above): u, c = weight u^{-beta} J
+and |c|, J from one call.  The context owns every step of it, and an x is
+one pass, _Ctx.deltas, over the cuts it asks for (every cut in
+a_exp_formula): every window first, then G on the segment of each
+quadrature cut that lacks it, then the sums of c e^{-Lu} and |c| e^{-Lu}
+over every stored layer of these cuts, the segments of the context's one
+node table (_Nodes): one real exp per row and one np.add.reduceat each.
+Each cut's part nests its layer sums, T_L = T_{L-1}/2 + h_L S_L (the mass
+the same way), up to its stop level, and the context builds and sums a
+further layer (_Ctx._grow) only where the stored ones do not converge.  A
+layer sum has the bits of np.sum over the layer alone, so a part has the
+same bits alone and in any pass, on any table.
 J is an array function throughout: zeta, gamma and L1 take arrays, L1 on
 the cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
 both logs where it has them and continues all new points at once; the
@@ -77,27 +79,23 @@ from each segment, so the Chebyshev coefficients decay geometrically
 cut samples G on nested Chebyshev points of degree 16, 32, 64, ...,
 each level reusing the previous samples, until the last quarter of the
 coefficients lies below CHEB_TOL = 2^-46 of the largest; past
-CHEB_MAX_DEGREE it raises QuadratureError.  One sampler, _Ctx.sample(cut),
-makes every interpolant, in lock-step (_sample_g_lines) for a group of
-cuts of one segment length: one call of the G kernel G_f_line per degree
-(17 points, then 16, 32, ...) where a G_f call per node cost hundreds.  A
-cut samples when its quadrature first needs G, together with the cuts of
-the context's zero list of its segment length that have no interpolant
-yet.  The cut at 1/2 and the zero cuts share b = 1/2 - a and Re s0 = 1/2,
-so a_exp_formula and delta_half_and_zero_sum, which list the zeros before
-their pass, sample them all and zero_sum the zero cuts: the group's rows
-share the prime powers p^{u_j}.  Each cut applies its own stopping test,
-only the unconverged ones go on, and each row has the bits it has alone;
-the cut at 1 (b = 1/2) and a cut sampled before any zero list
-(delta_half alone) are groups of one.  The stopping test
-is an a-posteriori estimate, not a bound: it reads the decay of the
-coefficients already computed.  A bound would need max |G| on a Bernstein
-ellipse around the segment, which nothing here computes, and a feature
-narrower than the sample spacing could pass the test unseen; G, holomorphic
-well past the segment, has none.  Every other G (the residues, J(0) in
-c_{1/2}, the Watson ring, J at complex u) is a direct G_f call, one for
-all points of an array: G_f_line at u = 0, with the points as its rows,
-grouped by real part.
+CHEB_MAX_DEGREE it raises QuadratureError.  A pass samples the cuts it
+asks for that have no interpolant, in lock-step (_sample_g_lines) for
+each segment length: one call of the G kernel G_f_line per degree (17
+points, then 16, 32, ...) where a G_f call per node cost hundreds.  The
+cut at 1/2 and the zero cuts share b = 1/2 - a and Re s0 = 1/2, so in
+a_exp_formula, zero_sum and delta_half_and_zero_sum they are one group,
+whose rows share the prime powers p^{u_j}; the cut at 1 (b = 1/2) is a
+group of its own.  Each cut applies its own stopping test, only the
+unconverged ones go on, and each row has the bits it has alone.  The
+stopping test is an a-posteriori estimate, not a bound: it reads the
+decay of the coefficients already computed.  A bound would need max |G|
+on a Bernstein ellipse around the segment, which nothing here computes,
+and a feature narrower than the sample spacing could pass the test
+unseen; G, holomorphic well past the segment, has none.  Every other G
+(the residues, J(0) in c_{1/2}, the Watson ring, J at complex u) is a
+direct G_f call, one for all points of an array: G_f_line at u = 0, with
+the points as its rows, grouped by real part.
 
 Watson coefficients lambda_{xi,k} of J_xi at u = 0 come from a
 WATSON_NODES-node trapezoid rule on the circle |u| = WATSON_RADIUS
@@ -365,23 +363,6 @@ class _Nodes:
         return np.add.reduceat(c * e, at).tolist(), np.add.reduceat(size * e, at).tolist()
 
 
-class _LayerSums:
-    """The layer sums of a node table at one x by segment, c[seg] =
-    sum c e^{-Lu} and size[seg] = sum |c| e^{-Lu}: the segments a pass
-    asks for in one _Nodes.sums, then each layer a cut builds deeper."""
-
-    def __init__(self, nodes: _Nodes, x: float):
-        self.nodes, self.ell = nodes, math.log(x)
-        self.c: dict[int, complex] = {}
-        self.size: dict[int, float] = {}
-
-    def add(self, segs: list[int]) -> None:
-        """Sum segments segs, in one _Nodes.sums."""
-        c, size = self.nodes.sums(self.ell, tuple(segs))
-        self.c.update(zip(segs, c))
-        self.size.update(zip(segs, size))
-
-
 # --------------------------------------------------------------------------
 # one branch point: Laplace quadrature, residue or exact zero, and Watson
 # --------------------------------------------------------------------------
@@ -391,18 +372,15 @@ class _Cut:
     """The Selberg-Delange step at one branch point xi (module docstring).
 
     A cut holds only xi's data: its exponent, sine and mode, the prefactor
-    P_xi(u, cu), the two logs l1, l2 at s = s0 - u and the residue phase.
-    j(u, cu, g) is the one integrand J_xi over an array of u, real or
-    complex, with cu = b - u passed exactly near the right end and g the
-    values of G at s (one G_f call on all of them when g is None); at(u)
-    is its one point, checked against the disc |u| < radius.
-    segment(L) builds level L's tanh-sinh layer once into nodes, the
-    context's table, G at its new nodes from g_line, the Chebyshev
-    interpolant of G on the segment, and one j call on them; every other J
-    (the Watson ring in lambdas, J(0)) is one j call with g None.  An
-    unsampled g_line comes from the hook sample, the context's one sampler
-    on this cut.  delta reads the layer sums of the context's pass.  J and
-    its ring exist in every mode.
+    P_xi(u, cu), the two logs l1, l2 at s = s0 - u and the residue phase,
+    and what the context's quadrature keeps of it: g_line, the Chebyshev
+    interpolant of G on the segment, and segs, its layers' segments of the
+    context's table.  j(u, cu, g) is the one integrand J_xi over an array
+    of u, real or complex, with cu = b - u passed exactly near the right
+    end and g the values of G at s (one G_f call on all of them when g is
+    None); at(u) is its one point, checked against the disc |u| < radius.
+    Every J but a layer's (the Watson ring in lambdas, J(0)) is one j call
+    with g None.  J and its ring exist in every mode.
     """
 
     beta: complex
@@ -419,8 +397,6 @@ class _Cut:
     logs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # (l1, l2)(s, u)
     phase: complex  # c_xi = phase J_xi(0)
     g_at: Callable[[np.ndarray], np.ndarray]  # G_f
-    sample: Callable[[], None]  # sets g_line (_Ctx.sample)
-    nodes: _Nodes  # the context's table, which holds this cut's layers
     g_line: Optional[_GLine] = field(default=None, init=False, repr=False)
     segs: list = field(default_factory=list, init=False, repr=False)  # level L's at L - 3
 
@@ -452,26 +428,6 @@ class _Cut:
         """Truncation |t| at the left (u^{-beta}) and right ends."""
         return _t_cut(max(self.beta.real, 0.0)), _t_cut(self.alpha_right)
 
-    def segment(self, L: int) -> int:
-        """The table segment of level L's layer: u and c = weight u^{-beta} J
-        at the nodes t = k 2^{1-L} new at level L (every k at L = 3, the odd
-        k above), built once with the levels below it: G from g_line and
-        one j call each."""
-        while len(self.segs) <= L - 3:
-            if self.g_line is None:
-                self.sample()
-            t_left, t_right = self.t_range
-            h = 2.0 ** (-2 - len(self.segs))  # 2^{1-L} at the next level
-            k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
-            u, cu, wts = _ts_points(self.b, (k[k % 2 == 1] if self.segs else k) * h)
-            c = wts * np.exp(-self.beta * np.log(u)) * self.j(u, cu, self.g_line(u, cu))
-            self.segs.append(self.nodes.add(u, c))
-        return self.segs[L - 3]
-
-    def layer(self, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, c, |c|) of level L's layer, views of the table."""
-        return self.nodes.layer(self.segment(L))
-
     @cached_property
     def j0(self) -> complex:
         return self.at(0.0)
@@ -491,30 +447,6 @@ class _Cut:
             raise WindowError(
                 f"right-end exponent {self.alpha_right} >= 1: outside the treated window"
             )
-
-    def delta(self, x: float, sums: _LayerSums) -> complex:
-        """Delta_xi(x) in the context's pass (_Ctx.deltas, which checks the
-        window), a quadrature from sums, the layer sums at x: the nested
-        trapezoid T_L = T_{L-1}/2 + h_L sum c e^{-Lu} (its mass the same
-        way with |c|) up to the first level L > 3 that moves T by at most
-        QUAD_TOL, building each layer the stored ones lack."""
-        if self.mode == "zero":
-            return 0.0 + 0.0j
-        if self.mode == "residue":
-            return self.x_pow(x) * self.residue
-        segs = self.segs
-        cur = mass = 0.0
-        for L in range(3, MAX_LEVEL + 1):
-            seg = segs[L - 3] if L - 3 < len(segs) else self.segment(L)
-            if seg not in sums.c:
-                sums.add([seg])
-            h = 2.0 ** (1 - L)
-            cur = 0.5 * cur + h * sums.c[seg]
-            mass = 0.5 * mass + h * sums.size[seg]
-            if L > 3 and abs(cur - prev) <= QUAD_TOL * (abs(cur) + 1e-13 * mass) + 1e-300:
-                return self.sine * self.x_pow(x) * cur
-            prev = cur
-        raise QuadratureError(f"tanh-sinh did not reach tol={QUAD_TOL} at level {MAX_LEVEL}")
 
     def leading(self) -> complex:
         """c with Delta_xi(x) ~ c x^xi L^{beta-1}: Watson order 0, lambda_0 = J(0)."""
@@ -577,36 +509,70 @@ class _Ctx:
         self.pars: FactorParams = zw_params(spec)
         self._cuts: dict = {}
         self.nodes = _Nodes()
-        self.zero_cuts: list[_Cut] = []  # the cuts of zeros, once listed
 
     def G(self, s):
         """The residual Euler product at a point or an array of points,
         called directly."""
         return G_f(self.spec, s, self.cfg.gf_config)
 
-    def sample(self, cut: _Cut) -> None:
-        """Sample cut's G interpolant, in lock-step (one _sample_g_lines
-        call) with the listed zero cuts of its segment length b that have
-        none yet; a cut's bits do not depend on its group."""
-        group = [
-            c for c in dict.fromkeys([cut, *self.zero_cuts])
-            if c.b == cut.b and c.mode == "quadrature" and c.g_line is None
-        ]
-        g_kernel = partial(G_f_line, self.spec, cfg=self.cfg.gf_config)
-        lines = _sample_g_lines(g_kernel, np.array([c.s0 for c in group]), cut.b)
-        for c, line in zip(group, lines):
-            c.g_line = line
-
     def deltas(self, x: float, cuts: list[_Cut]) -> list[complex]:
-        """Delta_xi(x) at each of cuts, in one pass: every window first, so
-        a window error comes before any G sample, then the sums of every
-        stored layer of these cuts (no other cut's) in one _Nodes.sums, and
-        each cut in turn from them."""
+        """Delta_xi(x) at each of cuts, in one pass that owns the quadrature:
+        every window first, so a window error comes before any G sample;
+        one _sample_g_lines call per segment length for the quadrature cuts
+        with no G line; the sums of every stored layer of these cuts (no
+        other cut's) in one _Nodes.sums; then each cut's nested trapezoid
+        T_L = T_{L-1}/2 + h_L sum c e^{-Lu} (its mass the same way with |c|)
+        up to the first level L > 3 that moves T by at most QUAD_TOL,
+        building and summing each layer the stored ones lack."""
         for cut in cuts:
             cut._require_integrable()
-        sums = _LayerSums(self.nodes, x)
-        sums.add([seg for cut in cuts for seg in cut.segs])
-        return [cut.delta(x, sums) for cut in cuts]
+        bare = [cut for cut in cuts if cut.mode == "quadrature" and cut.g_line is None]
+        for b in {cut.b: None for cut in bare}:
+            group = [cut for cut in bare if cut.b == b]
+            g_kernel = partial(G_f_line, self.spec, cfg=self.cfg.gf_config)
+            lines = _sample_g_lines(g_kernel, np.array([cut.s0 for cut in group]), b)
+            for cut, line in zip(group, lines):
+                cut.g_line = line
+        ell = math.log(x)
+        # only a quadrature cut has layers
+        segs = tuple([seg for cut in cuts for seg in cut.segs])
+        stored = dict(zip(segs, zip(*self.nodes.sums(ell, segs))))
+        out = []
+        for cut in cuts:
+            if cut.mode != "quadrature":
+                out.append(cut.x_pow(x) * cut.residue if cut.mode == "residue" else 0j)
+                continue
+            own = cut.segs
+            cur = mass = 0.0
+            for L in range(3, MAX_LEVEL + 1):
+                if L - 3 < len(own):
+                    c, size = stored[own[L - 3]]
+                else:
+                    self._grow(cut)
+                    (c,), (size,) = self.nodes.sums(ell, (own[-1],))
+                h = 2.0 ** (1 - L)
+                cur = 0.5 * cur + h * c
+                mass = 0.5 * mass + h * size
+                if L > 3 and abs(cur - prev) <= QUAD_TOL * (abs(cur) + 1e-13 * mass) + 1e-300:
+                    break
+                prev = cur
+            else:
+                raise QuadratureError(
+                    f"tanh-sinh did not reach tol={QUAD_TOL} at level {MAX_LEVEL}"
+                )
+            out.append(cut.sine * cut.x_pow(x) * cur)
+        return out
+
+    def _grow(self, cut: _Cut) -> None:
+        """Store cut's next layer: u and c = weight u^{-beta} J at the nodes
+        t = k 2^{1-L} new at its level L (every k at L = 3, the odd k
+        above), G from its line and one j call."""
+        t_left, t_right = cut.t_range
+        h = 2.0 ** (-2 - len(cut.segs))  # 2^{1-L} at the next level
+        k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
+        u, cu, wts = _ts_points(cut.b, (k[k % 2 == 1] if cut.segs else k) * h)
+        c = wts * np.exp(-cut.beta * np.log(u)) * cut.j(u, cu, cut.g_line(u, cu))
+        cut.segs.append(self.nodes.add(u, c))
 
     @cached_property
     def modes(self) -> dict:
@@ -620,15 +586,17 @@ class _Ctx:
     def zeros(self) -> list[tuple[int, _Cut, Optional[_Cut]]]:
         """(k, cut at rho_k, cut at its mirror) for the first n_zeros zeros;
         the mirror is None for a real spec, whose mirror term is the
-        conjugate.  Once listed, their cuts join the next G sample of a cut
-        of their segment length (the hook _Cut.sample)."""
+        conjugate."""
         real = self.spec.is_real_valued()
-        zeros = [
+        return [
             (k, self.cut((k, False)), None if real else self.cut((k, True)))
             for k in range(1, self.cfg.n_zeros + 1)
         ]
-        self.zero_cuts = [c for _, cut, mirror in zeros for c in (cut, mirror) if c]
-        return zeros
+
+    @cached_property
+    def zero_cuts(self) -> list[_Cut]:
+        """The cuts of zeros in _zero_pairs' order: each zero, then its mirror."""
+        return [c for _, cut, mirror in self.zeros for c in (cut, mirror) if c]
 
     # -- branch points ----------------------------------------------------------
 
@@ -641,9 +609,7 @@ class _Ctx:
     def _build_cut(self, key) -> _Cut:
         z, w, k = self.pars.z, self.pars.w, self.cfg.kernel
         zi = self.pars.z_integer_case
-        data = dict(
-            z=z, w=w, g_at=self.G, sample=lambda: self.sample(self.cut(key)), nodes=self.nodes
-        )
+        data = dict(z=z, w=w, g_at=self.G)
 
         def logs_L1(s, u):
             # one L1 call; a point's bits do not depend on its batch
@@ -739,8 +705,7 @@ def zero_sum(spec: EpsilonSpec, x: float, cfg: Optional[FormulaConfig] = None) -
     """Sum over the first n_zeros zeros, each with its mirror at -gamma."""
     x = _require_x(x)
     ctx = _ctx(spec, cfg)
-    zeros = ctx.zeros  # lists ctx.zero_cuts
-    return _total(_zero_pairs(zeros, ctx.deltas(x, ctx.zero_cuts)))
+    return _total(_zero_pairs(ctx.zeros, ctx.deltas(x, ctx.zero_cuts)))
 
 
 def delta_half_and_zero_sum(
@@ -750,9 +715,8 @@ def delta_half_and_zero_sum(
     cut at 1: the formula's A_exp(x) - Delta_1(x) is their sum."""
     x = _require_x(x)
     ctx = _ctx(spec, cfg)
-    zeros = ctx.zeros  # listed first, so the cut at 1/2 samples G with them
     dh, *rho = ctx.deltas(x, [ctx.cut("half"), *ctx.zero_cuts])
-    return dh, _total(_zero_pairs(zeros, rho))
+    return dh, _total(_zero_pairs(ctx.zeros, rho))
 
 
 def _zero_pairs(zeros, values: list[complex]) -> list[tuple[int, complex]]:
@@ -832,11 +796,8 @@ def a_exp_formula(
     cuts; total = d1 + d1/2 + zero sum."""
     x = _require_x(x)
     ctx = _ctx(spec, cfg)
-    # listed first: the cut at 1/2 samples G with the zero cuts, and the
-    # cut at 1, of another segment length, alone
-    zeros = ctx.zeros
     d1, dh, *rho = ctx.deltas(x, [ctx.cut("one"), ctx.cut("half"), *ctx.zero_cuts])
-    pairs = _zero_pairs(zeros, rho)
+    pairs = _zero_pairs(ctx.zeros, rho)
     zsum = _total(pairs)
     return FormulaBreakdown(
         x=x,

@@ -609,14 +609,12 @@ class ZetaKernel:
         Re (s-1) zeta(s) > 0 the plain Log of (s-1) zeta(s), which covers the
         real segment (1/3, 1.2) and the Watson rings of the cuts at 1 and
         1/2.  Every other point is continued along one straight leg from
-        1.2 + i Im s, all of them in one _continue_legs call.  Each distinct
-        point is evaluated once (tanh-sinh nodes at the end of a cut round
-        onto one s) and its value scattered to its repeats.
+        1.2 + i Im s, all of them in one _continue_legs call.  A point's
+        value does not depend on the others of its call, so a repeated
+        point (tanh-sinh nodes at the end of a cut round onto one s) gets
+        its bits again.
         """
-        given, scalar = _points(s)
-        bits = np.ascontiguousarray(given).view(np.dtype((np.void, 16)))
-        _, first, back = np.unique(bits, return_index=True, return_inverse=True)
-        pts = given[first]
+        pts, scalar = _points(s)
         if np.any(pts.real <= 1.0 / 3.0):
             raise RangeError("L1 requires Re s > 1/3")
         self._assert_off_cut(pts)
@@ -637,7 +635,7 @@ class ZetaKernel:
             v = pts[todo]
             anchor = _ANCHOR_RE + 1j * v.imag
             out[todo] = _continue_legs(zeta_times_s_minus_1, anchor, self.L1(anchor), v)
-        return _shaped(out[back], s, scalar)
+        return _shaped(out, s, scalar)
 
     # -- logs on the disc of a zero ------------------------------------------
 

@@ -265,3 +265,12 @@ def test_trajectory_preconditions(cfg):
         bias.trajectory(ONES, 10.0, 100.0, 5, "SQRT", bias.FORMULA, cfg)
     with pytest.raises(DomainError):
         bias.trajectory(ONES, 10.0, math.inf, 5, "LOG", bias.FORMULA, cfg)
+
+
+@pytest.mark.parametrize("n_points", [2.5, 5.0, "5", True, None])
+def test_trajectory_n_points_must_be_an_integer(n_points):
+    # 2.5, 5.0 and "5" used to raise a bare TypeError, and True read as 1
+    with pytest.raises(DomainError, match="n_points must be an integer"):
+        bias.trajectory(ONES, 10.0, 100.0, n_points, "LOG", bias.FORMULA, FormulaConfig())
+    got = bias.trajectory(ONES, 10.0, 100.0, np.int64(5), "LOG", bias.FORMULA, FormulaConfig())
+    assert len(got) == 5

@@ -387,8 +387,9 @@ def test_endpoint_exponent_near_one(part, text):
 
 def test_quadrature_error_when_capped(monkeypatch):
     monkeypatch.setattr(explicit_formula, "MAX_LEVEL", 3)
-    with pytest.raises(QuadratureError):
-        delta_1(FIG53, 1e3, FormulaConfig())
+    for part in (delta_1, a_exp_formula, zero_sum):
+        with pytest.raises(QuadratureError, match="did not reach tol"):
+            part(FIG53, 1e3, FormulaConfig(n_zeros=2))
 
 
 def test_config_invariants():
@@ -833,35 +834,18 @@ def test_work_count_cold_evaluate(monkeypatch):
     assert sum(points) == sum(n + 1 for n in degrees.values())
 
 
-def test_l1_sends_zeta_each_point_once(monkeypatch):
+def test_l1_repeats_keep_their_point_bits(monkeypatch):
     # tanh-sinh nodes at the ends of the cuts at 1 and 1/2 round onto one
     # s (1/2, and a and 2a): in a cold evaluate, L1 gets repeated points,
-    # and zeta gets each point of one L1 call once; a repeat keeps its
-    # point's bits
-    got, sent, depth = [], [], [0]
+    # and a repeat keeps its point's bits
+    got = []
     L1 = ZetaKernel.L1
-
-    def counting_L1(kernel, s):
-        if not depth[0]:
-            got.append(np.ravel(s).tolist())
-            sent.append([])
-        depth[0] += 1
-        try:
-            return L1(kernel, s)
-        finally:
-            depth[0] -= 1
-
-    def counting_zeta(s):
-        if depth[0]:
-            sent[-1].extend(np.ravel(s).tolist())
-        return zeta(s)
-
-    monkeypatch.setattr(ZetaKernel, "L1", counting_L1)
-    monkeypatch.setattr(zeta_kernel, "zeta", counting_zeta)
+    monkeypatch.setattr(
+        ZetaKernel, "L1", lambda kernel, s: got.append(np.ravel(s).tolist()) or L1(kernel, s)
+    )
     kernel = ZetaKernel(default_kernel().table)
     a_exp_formula(FIG53, 1e4, FormulaConfig(n_zeros=2, kernel=kernel))
     assert any(len(s) > len(set(s)) for s in got)
-    assert all(len(s) == len(set(s)) for s in sent)
     points = np.array([0.5, 0.8, 0.5, 0.45 + 0.1j, 0.5, 0.8])
     assert L1(kernel, points).tolist() == [L1(kernel, s) for s in points.tolist()]
 
@@ -912,7 +896,7 @@ def test_levels_are_nested_bit_for_bit(a, kind):
         for lv in range(3, L + 1):
             step = 2 ** (L - lv)
             at = k % step == 0 if lv == 3 else k % (2 * step) == step
-            for full, here in zip((u, c, np.abs(c)), cut.layer(lv)):
+            for full, here in zip((u, c, np.abs(c)), ctx.nodes.layer(cut.segs[lv - 3])):
                 assert full[at].tobytes() == here.tobytes()
 
 
@@ -963,7 +947,7 @@ def test_layers_sum_to_the_plain_trapezoid(a, kind, x):
         j = cut.j(u, cu, cut.g_line(u, cu))
         terms = wts * np.exp(-ell * u - cut.beta * np.log(u)) * j
         want, mass = h * complex(np.sum(terms)), h * float(np.sum(np.abs(terms)))
-        layers = [cut.layer(lv) for lv in range(3, L + 1)]
+        layers = [ctx.nodes.layer(cut.segs[lv - 3]) for lv in range(3, L + 1)]
         nested = h * sum(complex(np.sum(c * np.exp(-ell * u))) for u, c, _ in layers)
         assert abs(nested - want) <= 8 * 2.0 ** -53 * mass, (L, nested, want, mass)
     scale = cut.sine * cut.x_pow(x)
@@ -972,8 +956,8 @@ def test_layers_sum_to_the_plain_trapezoid(a, kind, x):
 
 def test_warm_a_exp_formula_does_only_x_work(monkeypatch):
     # a new x on a filled config reads the layers and the context's cut
-    # lists: no J, G, node, gamma, zeta, realness or sampling call, and
-    # the bits a cold config gets at that x
+    # lists: no J, G, node, layer, gamma, zeta, realness or sampling call,
+    # and the bits a cold config gets at that x
     from fakemu.eps_model import EpsilonSpec
 
     specs = (FIG53, FIG51A, LIOUVILLE, QUAD)
@@ -991,7 +975,8 @@ def test_warm_a_exp_formula_does_only_x_work(monkeypatch):
         (explicit_formula, "gamma"),
         (zeta_kernel, "zeta"),
         (EpsilonSpec, "is_real_valued"),
-        (explicit_formula._Ctx, "sample"),
+        (explicit_formula, "_sample_g_lines"),
+        (explicit_formula._Ctx, "_grow"),
     ):
         f = getattr(owner, name)
         monkeypatch.setattr(
@@ -1018,14 +1003,21 @@ def test_a_part_has_the_same_bits_in_any_pass(spec, x):
     # a part alone on a fresh config, alone on one warmed at 1e3 and 1e8
     # (whose table holds deeper layers and every other cut), and inside
     # a_exp_formula on a fresh config: each layer sum is its own
-    # segment's, so the three are bitwise equal
+    # segment's, so the three are bitwise equal, and each cut stops at the
+    # same level alone as inside a_exp_formula
     warm = FormulaConfig(n_zeros=2)
     for x_fill in (1e3, 1e8):
         a_exp_formula(spec, x_fill, warm)
-    b = a_exp_formula(spec, x, FormulaConfig(n_zeros=2))
+    cfg = FormulaConfig(n_zeros=2)
+    b = a_exp_formula(spec, x, cfg)
     inside = [b.delta_1, b.delta_half, *(p for _, p in b.delta_rho), b.zero_sum]
-    alone = _parts_alone(spec, x, lambda: FormulaConfig(n_zeros=2))
+    fresh = []
+    alone = _parts_alone(spec, x, lambda: fresh.append(FormulaConfig(n_zeros=2)) or fresh[-1])
     assert alone == _parts_alone(spec, x, lambda: warm) == inside
+    depth = {key: len(cut.segs) for key, cut in cfg._memo[spec]._cuts.items()}
+    alone_depth = [(key, len(cut.segs)) for c in fresh for key, cut in c._memo[spec]._cuts.items()]
+    assert {key for key, _ in alone_depth} == set(depth)
+    assert alone_depth == [(key, depth[key]) for key, _ in alone_depth]
 
 
 def test_warm_a_exp_formula_is_one_pass_over_the_table(monkeypatch):
@@ -1173,22 +1165,22 @@ def test_shared_sweeps_are_free_of_call_history():
     # the end point, so B's bits are those of B alone
     table = default_kernel().table
 
-    def nodes(cut):
+    def nodes(ctx, cut):
         # c = weight u^{-beta} J in every layer, and J on the deepest level's
         # full grid, from the cut's G line
         if not cut.segs:
             return []
         u, cu, _ = _full_grid(cut, len(cut.segs) + 2)
-        c = [cut.layer(L)[1].tolist() for L in range(3, len(cut.segs) + 3)]
+        c = [ctx.nodes.layer(seg)[1].tolist() for seg in cut.segs]
         return [c, cut.j(u, cu, cut.g_line(u, cu)).tolist()]
 
     def run_b(kernel):
         cfg = FormulaConfig(n_zeros=2, kernel=kernel)
         parts = a_exp_formula(FIG51A, 1e3, cfg).delta_rho
-        cuts = cfg._memo[FIG51A]._cuts
+        ctx = cfg._memo[FIG51A]
         return (
             parts,
-            {key: nodes(cut) for key, cut in cuts.items()},
+            {key: nodes(ctx, cut) for key, cut in ctx._cuts.items()},
             watson_coeffs(FIG51A, "zero:2", 2, cfg),
             J(FIG51A, ("zero", 1), 0.06 + 0.02j, cfg),
         )
@@ -1253,7 +1245,8 @@ def test_each_level_is_one_call_of_each_sweep_function():
     # at the shortest abscissa the legs from u = 0 reach |u| = b = 0.15
     # (|2u| = 0.3 for zeta(2s), whose legs past |2u| = 0.25 take two
     # pieces); the new nodes of each tanh-sinh level still take one call
-    # of each function, with no halving round
+    # of each function, with no halving round, in the levels the pass
+    # builds and in those the context grows past its stop level
     from fakemu.euler_residual import RE_S_MIN
     from fakemu.explicit_formula import _ctx
 
@@ -1262,15 +1255,26 @@ def test_each_level_is_one_call_of_each_sweep_function():
     calls = _count_sweep_calls(kernel)
     ctx = _ctx(FIG53, FormulaConfig(a=RE_S_MIN, n_zeros=1, kernel=kernel))
     cut = ctx.cut((1, False))
-    for L in range(3, explicit_formula.MAX_LEVEL + 1):
+    per_layer, grow = [], ctx._grow
+
+    def counted_grow(c):
         calls.clear()
-        u = cut.layer(L)[0]  # the new nodes of level L
+        grow(c)
+        per_layer.append(list(calls))
+
+    ctx._grow = counted_grow
+    ctx.deltas(1e4, [cut])
+    while len(cut.segs) < explicit_formula.MAX_LEVEL - 2:
+        ctx._grow(cut)
+    assert len(per_layer) == explicit_formula.MAX_LEVEL - 2
+    layers = [ctx.nodes.layer(seg)[0] for seg in cut.segs]
+    for L, got in enumerate(per_layer, 3):
+        u = layers[L - 3]  # the new nodes of level L
         # less those whose u rounds onto a lower level's: the sweep kept it
-        below = [cut.layer(lv)[0] for lv in range(3, L)]
-        if below:
-            u = u[np.isin(u, np.concatenate(below), invert=True)]
+        if L > 3:
+            u = u[np.isin(u, np.concatenate(layers[: L - 3]), invert=True)]
         two = np.count_nonzero(2.0 * u > zeta_kernel._STEP0)
-        assert calls == [u.size, u.size + two], (L, calls)
+        assert got == [u.size, u.size + two], (L, got)
 
 
 def _anchored_outputs():
@@ -1336,16 +1340,19 @@ def test_j_batch_bits_equal_one_point(kind):
 
     table = default_kernel().table
 
-    def fresh_cut():
+    def fresh_ctx():
         cfg = FormulaConfig(n_zeros=1, kernel=ZetaKernel(table))
-        return _ctx(FIG53, cfg).cut(CUT_KINDS[kind])
+        ctx = _ctx(FIG53, cfg)
+        return ctx, ctx.cut(CUT_KINDS[kind])
 
-    cut = fresh_cut()
-    cut.layer(5)  # samples the G line
+    ctx, cut = fresh_ctx()
+    ctx.deltas(1e4, [cut])  # samples the G line and builds the levels
+    while len(cut.segs) < 3:
+        ctx._grow(cut)
     u, cu, _ = _full_grid(cut, 5)
     g = cut.g_line(u, cu)
     batch = cut.j(u, cu, g)
-    one = fresh_cut()
+    _, one = fresh_ctx()
     assert batch.tolist() == [
         complex(one.j(u[i : i + 1], cu[i : i + 1], g[i : i + 1])[0]) for i in range(u.size)
     ]
