@@ -35,6 +35,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIG53 = "periodic:m=2:[i,-i]"
 QUAD = "quadphase:alpha=0.381966"
+EDGE = "finite:[exp(i*0.25)]"  # Re z = 0.969: Delta_1's left end near the window's edge
 RUNS = 15  # per checkout: enough for a median and quartiles
 WARM_POINTS = 64  # a LOG grid on [1e3, 1e8], as a trajectory takes it
 SIEVE_POINTS = 48  # a LOG grid on [1e3, 2e5]
@@ -55,7 +56,7 @@ def run_cases(tree: str) -> dict[str, float]:
     from fakemu import bias, cli, explicit_formula as xf, sieve, zeta_kernel as zk
     from fakemu.eps_model import parse_eps_spec
 
-    spec, quad = parse_eps_spec(FIG53), parse_eps_spec(QUAD)
+    spec, quad, edge = parse_eps_spec(FIG53), parse_eps_spec(QUAD), parse_eps_spec(EDGE)
     table = zk.default_kernel().table
 
     def fresh(n_zeros: int):
@@ -81,6 +82,7 @@ def run_cases(tree: str) -> dict[str, float]:
     out["a_exp_formula.cold.quadphase.n_zeros=30"] = _timed(
         lambda: xf.a_exp_formula(quad, 1e4, fresh(30))
     )
+    out["delta_1.cold.edge.n_zeros=2"] = _timed(lambda: xf.delta_1(edge, 1e4, fresh(2)))
     cfg = fresh(30)
     for state in ("cold", "warm"):
         out[f"trajectory.formula.fig53.{WARM_POINTS}.{state}"] = _timed(

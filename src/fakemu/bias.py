@@ -26,7 +26,7 @@ import numpy as np
 
 from .eps_model import EpsilonSpec, FactorParams, zw_params
 from .errors import CapacityError, DomainError, GridError
-from .explicit_formula import FormulaConfig, c_half, delta_1, delta_half_and_zero_sum
+from .explicit_formula import FormulaConfig, _require_x, c_half, delta_1, delta_half_and_zero_sum
 from .sieve import DIRECT_X_CAP, direct_exp_sums_multi
 
 PERSISTENT = "PERSISTENT"
@@ -91,9 +91,8 @@ def B_of_x(
     cfg: Optional[FormulaConfig] = None,
 ) -> complex:
     """Normalized summatory value at x >= 3: trajectory's one-point case."""
-    if not 3 <= x < math.inf:
-        raise DomainError(f"B(x) requires a finite x >= 3, got {x}")
-    return _B_values(spec, np.array([float(x)]), mode.upper(), cfg or FormulaConfig())[0]
+    mode = mode.upper() if isinstance(mode, str) else mode  # else an unknown mode
+    return _B_values(spec, np.array([_require_x(x)]), mode, cfg or FormulaConfig())[0]
 
 
 def classify(spec: EpsilonSpec, cfg: Optional[FormulaConfig] = None) -> BiasReport:
@@ -165,7 +164,8 @@ def trajectory(
     DIRECT mode reuses one segmented sieve sweep for all samples and
     refuses x_max > 1e8.
     """
-    if not (3 <= x_min < x_max < math.inf):
+    x_min, x_max = _require_x(x_min), _require_x(x_max)
+    if not x_min < x_max:
         raise DomainError("need 3 <= x_min < x_max < inf")
     if isinstance(n_points, bool) or not isinstance(n_points, Integral):
         raise DomainError(f"n_points must be an integer, got {n_points!r}")
@@ -173,8 +173,7 @@ def trajectory(
         raise DomainError("n_points must be in [2, 1e5]")
     if cfg is None:
         cfg = FormulaConfig()
-    mode = mode.upper()
-    grid = grid.upper()
+    mode, grid = (v.upper() if isinstance(v, str) else v for v in (mode, grid))  # else unknown
     if grid == "LOG":
         xs = np.exp(np.linspace(math.log(x_min), math.log(x_max), n_points))
     elif grid == "LOGLOG":

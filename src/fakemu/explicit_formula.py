@@ -32,10 +32,10 @@ with L1(s) = log((s-1) zeta(s)), so that zeta(s)^z = (s-1)^{-z} e^{z L1(s)}
 and zeta(2s)^w = (2s-1)^{-w} e^{w L1(2s)}.  The power of s - 1, 2s - 1 or
 s - rho that is singular at xi gives u^{-beta} and the sine; P_xi is what
 is left of the others (at 1/2 less the phase, and with the 2^{-w} of
-(-2u)^{-w} split between P's 1/2 and the sine's 2^{1-w}).  At xi = 1 the
-exact 1 - 2u = 2 cu (cu = 1/2 - u) is passed near the right end.  A cut
-holds only this data, and _Cut.j is the one integrand.  The residue is
-c_xi = phase_xi J_xi(0), the same step's limit, since
+(-2u)^{-w} split between P's 1/2 and the sine's 2^{1-w}).  A cut holds
+only this data, with log P_xi (at xi = 1, log 2 + log cu for log(1 - 2u),
+cu = 1/2 - u exact near the right end), and _Cut.j is the one integrand.
+The residue is c_xi = phase_xi J_xi(0), the same step's limit, since
 x^xi c_xi = Res_{s=xi} F(s) Gamma(s) x^s:
 
   xi = 1, z = 1:     zeta(s) = e^{L1(s)}/(s-1): the residue is x J_1(0).
@@ -45,12 +45,17 @@ x^xi c_xi = Res_{s=xi} F(s) Gamma(s) x^s:
   xi = rho, z = -1:  1/zeta(s) = (s-1) e^{-l1(s)}/(s-rho) with (rho-1)
                      e^{-l1(rho)} = 1/zeta'(rho): the residue is x^rho J_rho(0).
 
-Quadrature is tanh-sinh, which absorbs the endpoint singularities.  Only
-e^{-Lu} depends on x, so level L of a cut is one layer of the new nodes
-t = k 2^{1-L} (all k at L = 3, the odd k above): u, c = weight u^{-beta} J
-and |c|, J from one call.  The context owns every step of it, and an x is
-one pass, _Ctx.deltas, over the cuts it asks for (every cut in
-a_exp_formula): every window first, then G on the segment of each
+Quadrature is tanh-sinh, which absorbs the endpoint singularities, with
+node terms in log space (Takahasi and Mori, 1974): c = weight u^{-beta} J
+is one exp in _Cut.j, of the log weight - beta log u that _ts_points gives
+from t plus log P_xi + z l1 + w l2, so no factor underflows alone, and an
+end with exponent alpha < 1 (Re beta at u = 0, right at u = b) is cut at
+the |t| of its bound alone, e^{-(1-alpha) pi sinh t} < 1e-16 (_t_cut).
+Only e^{-Lu} depends on x, so level L of a cut is one layer of the new
+nodes t = k 2^{1-L} (all k at L = 3, the odd k above): u, c and |c|, J
+from one call.  The context owns every step of it, and an x is one pass,
+_Ctx.deltas, over the cuts it asks for (every cut in a_exp_formula):
+every window first, then G on the segment of each
 quadrature cut that lacks it, then the sums of c e^{-Lu} and |c| e^{-Lu}
 over every stored layer of these cuts, the segments of the context's one
 node table (_Nodes): one real exp per row and one np.add.reduceat each.
@@ -116,7 +121,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -199,26 +204,25 @@ class FormulaBreakdown:
 # tanh-sinh nodes, one table per level
 # --------------------------------------------------------------------------
 
-_T_HARD_MAX = math.asinh(680.0 / math.pi)
 _SINH_TAIL = 16.0 * math.log(10.0) / math.pi  # e^{-pi sinh t} < 1e-16
 
 
 def _t_cut(alpha: float) -> float:
-    """Truncation |t| for an endpoint singularity u^{-alpha}."""
-    a = min(max(alpha, 0.0), 0.98)
-    return min(math.asinh(_SINH_TAIL / max(1.0 - a, 0.02)), _T_HARD_MAX)
+    """|t| at an end u^{-alpha}, alpha < 1, past which e^{-(1-alpha) pi sinh t} < 1e-16."""
+    return math.asinh(_SINH_TAIL / (1.0 - alpha))
 
 
 def _ts_points(b: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map tanh-sinh parameters t to (u, b-u, weight) on (0, b), cancellation-free."""
+    """(log u, log(b-u), log weight) at tanh-sinh parameters t on (0, b):
+    with g = e^{-pi |sinh t|}, the near end is b g/(1+g) away and the far one
+    b/(1+g), and the weight is pi cosh t b g/(1+g)^2."""
     a = math.pi * np.sinh(t)
-    g = np.exp(-np.abs(a))
-    denom = 1.0 + g
+    log_denom = np.log1p(np.exp(-np.abs(a)))
+    far = math.log(b) - log_denom
+    near = far - np.abs(a)
     right = a >= 0
-    u = b * np.where(right, 1.0, g) / denom
-    cu = b * np.where(right, g, 1.0) / denom
-    w = b * math.pi * np.cosh(t) * g / (denom * denom)
-    return u, cu, w
+    log_w = near - log_denom + np.log(math.pi * np.cosh(t))
+    return np.where(right, far, near), np.where(right, near, far), log_w
 
 
 # --------------------------------------------------------------------------
@@ -371,16 +375,16 @@ class _Nodes:
 class _Cut:
     """The Selberg-Delange step at one branch point xi (module docstring).
 
-    A cut holds only xi's data: its exponent, sine and mode, the prefactor
-    P_xi(u, cu), the two logs l1, l2 at s = s0 - u and the residue phase,
-    and what the context's quadrature keeps of it: g_line, the Chebyshev
+    A cut holds only xi's data: its exponent, sine and mode, log P_xi(u,
+    log cu), the two logs l1, l2 at s = s0 - u and the residue phase, and
+    what the context's quadrature keeps of it: g_line, the Chebyshev
     interpolant of G on the segment, and segs, its layers' segments of the
-    context's table.  j(u, cu, g) is the one integrand J_xi over an array
-    of u, real or complex, with cu = b - u passed exactly near the right
-    end and g the values of G at s (one G_f call on all of them when g is
-    None); at(u) is its one point, checked against the disc |u| < radius.
-    Every J but a layer's (the Watson ring in lambdas, J(0)) is one j call
-    with g None.  J and its ring exist in every mode.
+    context's table.  j(u, log_cu, g, log_scale) is e^{log_scale} J_xi over
+    an array of u, real or complex, with log cu = log(b - u) exact near the
+    right end and g the values of G at s (one G_f call on all of them when
+    g is None); at(u) is its one point, checked against the disc |u| <
+    radius.  Every J but a layer's (the Watson ring in lambdas, J(0)) is
+    one j call with g None.  J and its ring exist in every mode.
     """
 
     beta: complex
@@ -393,21 +397,21 @@ class _Cut:
     s0: complex  # J is read at s = s0 - u
     z: complex
     w: complex
-    prefactor: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray]  # P_xi(u, cu)
+    log_prefactor: Callable  # log P_xi(u, log cu)
     logs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # (l1, l2)(s, u)
     phase: complex  # c_xi = phase J_xi(0)
     g_at: Callable[[np.ndarray], np.ndarray]  # G_f
     g_line: Optional[_GLine] = field(default=None, init=False, repr=False)
     segs: list = field(default_factory=list, init=False, repr=False)  # level L's at L - 3
 
-    def j(self, u, cu: Optional[np.ndarray] = None, g: Optional[np.ndarray] = None) -> np.ndarray:
-        """J_xi(u) = P_xi(u) exp(z l1(s) + w l2(s)) G(s) Gamma(s), s = s0 - u."""
+    def j(self, u, log_cu=None, g=None, log_scale=0.0) -> np.ndarray:
+        """e^{log_scale} J_xi(u) = exp(log_scale + log P_xi(u) + z l1(s) +
+        w l2(s)) G(s) Gamma(s), s = s0 - u, in one exp."""
         u = np.asarray(u, dtype=np.complex128)
         s = self.s0 - u
         l1, l2 = self.logs(s, u)
         return (
-            self.prefactor(u, cu)
-            * np.exp(self.z * l1 + self.w * l2)
+            np.exp(log_scale + self.log_prefactor(u, log_cu) + self.z * l1 + self.w * l2)
             * (self.g_at(s) if g is None else g)
             * gamma(s)
         )
@@ -570,8 +574,9 @@ class _Ctx:
         t_left, t_right = cut.t_range
         h = 2.0 ** (-2 - len(cut.segs))  # 2^{1-L} at the next level
         k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
-        u, cu, wts = _ts_points(cut.b, (k[k % 2 == 1] if cut.segs else k) * h)
-        c = wts * np.exp(-cut.beta * np.log(u)) * cut.j(u, cu, cut.g_line(u, cu))
+        log_u, log_cu, log_w = _ts_points(cut.b, (k[k % 2 == 1] if cut.segs else k) * h)
+        u, cu = np.exp(log_u), np.exp(log_cu)
+        c = cut.j(u, log_cu, cut.g_line(u, cu), log_w - cut.beta * log_u)
         cut.segs.append(self.nodes.add(u, c))
 
     @cached_property
@@ -624,8 +629,9 @@ class _Ctx:
                 sine=cmath.sin(cmath.pi * z) / math.pi,
                 x_pow=lambda x: x,
                 mode=_mode(zi == 1, zi in (-1, 0)), s0=1.0,
-                # 1 - 2u = 2 cu, exact near the right end
-                prefactor=lambda u, cu: (1.0 - 2.0 * u if cu is None else 2.0 * cu) ** (-w),
+                log_prefactor=lambda u, log_cu: -w * (  # 1 - 2u = 2 cu, exact near u = b
+                    np.log(1.0 - 2.0 * u) if log_cu is None else math.log(2.0) + log_cu
+                ),
                 logs=logs_L1, phase=1.0, **data,
             )
         if key == "half":
@@ -633,9 +639,9 @@ class _Ctx:
                 beta=w, b=0.5 - self.cfg.a, radius=0.5 - self.cfg.a, alpha_right=0.0,
                 sine=cmath.sin(cmath.pi * (z + w)) / math.pi
                 * cmath.exp((1.0 - w) * math.log(2.0)),
-                x_pow=math.sqrt,
+                x_pow=math.sqrt, logs=logs_L1,
                 mode=_mode(self.pars.w_is_one, near_integer(z + w) is not None), s0=0.5,
-                prefactor=lambda u, cu: 0.5 * (0.5 + u) ** (-z), logs=logs_L1,
+                log_prefactor=lambda u, log_cu: -math.log(2.0) - z * np.log(0.5 + u),
                 # zeta(1/2)^z from above the cut (-inf, 1]: s - 1 = (1/2 + u) e^{i pi}
                 phase=cmath.exp(-1j * math.pi * z), **data,
             )
@@ -646,7 +652,7 @@ class _Ctx:
             sine=-cmath.sin(cmath.pi * z) / math.pi,
             x_pow=lambda x: cmath.exp(rho * math.log(x)),
             mode=_mode(zi == -1, zi in (0, 1)), s0=rho,
-            prefactor=lambda u, cu: (rho - 1.0 - u) ** (-z),
+            log_prefactor=lambda u, log_cu: -z * np.log(rho - 1.0 - u),
             # the zero's sweep is built at the first J: a zero-mode cut builds none
             logs=lambda s, u: k.rho_sweep(index, conjugate).at(u),
             phase=1.0, **data,
@@ -667,8 +673,8 @@ def _ctx(spec: EpsilonSpec, cfg: Optional[FormulaConfig]) -> _Ctx:
 # --------------------------------------------------------------------------
 
 def _require_x(x: float, minimum: float = 3.0) -> float:
-    if not minimum <= x < math.inf:
-        raise DomainError(f"x must be finite and >= {minimum}, got {x}")
+    if not (isinstance(x, Real) and minimum <= x < math.inf):
+        raise DomainError(f"x must be a finite real number >= {minimum}, got {x!r}")
     return float(x)
 
 

@@ -151,16 +151,15 @@ def check_zero_table() -> None:
 
 
 def check_zeta_prime() -> None:
-    # zeta'(rho) from the differentiated Euler-Maclaurin sum against the
-    # trapezoid Cauchy integral, the mean of zeta(s)/(s - rho) on 64 nodes
-    # of |s - rho| = 1e-3 (zeta's ~1e-13 rounding over the radius: ~1e-10)
-    kernel = zk.default_kernel()
-    e = np.exp(2j * math.pi * np.arange(64) / 64)
+    # two independent estimates of zeta'(rho): the differentiated
+    # Euler-Maclaurin sum, and the zero's RhoSweep at u = 0, a trapezoid
+    # Cauchy ring of zeta values of radius 2 gap radii (<= 3.6e-15 apart)
+    kernel = zk.ZetaKernel(zk.default_kernel().table)
     for k in (1, 2, 30, 100):
         rho = kernel.rho(k)
-        circle = complex(np.mean(zk.zeta(rho + 1e-3 * e) / (1e-3 * e)))
+        ring = complex(kernel.rho_sweep(k).h_local(np.array([rho]))[0]) / (rho - 1.0)
         got = kernel.zeta_prime_at_zero(k)
-        assert abs(got - circle) <= 1e-9 * abs(circle), (k, got, circle)
+        assert abs(got - ring) <= 1e-14 * abs(ring), (k, got, ring)
 
 
 def check_array_kernels() -> None:
@@ -186,10 +185,10 @@ def check_array_kernels() -> None:
             xf._ctx(spec, xf.FormulaConfig(n_zeros=1, kernel=zk.ZetaKernel(table))).cut(key)
             for _ in range(3)
         ]
-        cu = cuts[0].b - u
-        batch = cuts[0].j(u, cu, g).tolist()
+        args = (u, np.log(cuts[0].b - u), g, -cuts[0].beta * np.log(u))  # (u, log cu, G, scale)
+        batch = cuts[0].j(*args).tolist()
         for i, got in enumerate(batch):
-            assert got == complex(cuts[1].j(u[i : i + 1], cu[i : i + 1], g[:1])[0]), (key, i)
+            assert got == complex(cuts[1].j(*(v[i : i + 1] for v in args))[0]), (key, i)
         batch = cuts[0].j(ring).tolist()
         for i in range(0, n, 16):
             assert batch[i] == complex(cuts[2].j(ring[i : i + 1])[0]), (key, i)

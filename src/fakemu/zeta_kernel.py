@@ -28,7 +28,7 @@ formula's J_rho, log((s-1) zeta(s)/(s-rho)) and log zeta(2s) at
 s = rho - u: the kernel's one RhoSweep per zero continues them once to
 u = 0, from rho + r and 1.2 + 2i Im rho, and every other u (a Laplace
 node or a Watson ring point) takes one leg from u = 0.  The sweep keeps
-every value it has served.
+every value it has served; (s-1) zeta(s)/(s-rho) comes off a Cauchy ring.
 
 Arrays.  zeta, zeta_times_s_minus_1, gamma, log_zeta_euler and
 ZetaKernel.L1 take a point or an array of points, and the point is the
@@ -448,6 +448,8 @@ def default_zero_table() -> ZeroTable:
 # first step length and the hard floor of the halving step control
 _STEP0 = 0.25
 _STEP_FLOOR = 1e-6
+#: nodes of RhoSweep's Cauchy ring |t - rho| = 2 radius: error (|u|/(2 radius))^64 <= 2^-64
+_RING_NODES = 64
 
 
 def _continue_legs(
@@ -513,31 +515,35 @@ class RhoSweep:
     local is holomorphic on the disc, which holds no other zero, and
     zeta2 on its part Re 2s > 1/2 (Re u < 1/4), which holds every u the
     formula reads; there a straight leg from u = 0 has the branch of any
-    path.  at(u) gives both at an array of complex u: every u not asked
-    before takes one leg from u = 0, in one _continue_legs call of each
-    function, and is kept, so a u asked again calls nothing.
+    path.  local's h_local(s) = (s-1) mean_k zeta(t_k)/(t_k - s) over the
+    ring t_k of _RING_NODES points on |t - rho| = 2 radius is the trapezoid
+    rule (Trefethen and Weideman, SIAM Review 56, 2014) for (s-1)(1/2 pi i)
+    oint zeta(t) dt/((t-s)(t-rho)) = (s-1)(zeta(s) - zeta(rho))/(s-rho),
+    with no case at s = rho.  at(u) gives both at an array of complex u:
+    every u not asked before takes one leg from u = 0, in one
+    _continue_legs call of each function, and is kept, so a u asked again
+    calls nothing.
     """
 
-    def __init__(
-        self, rho: complex, radius: float, zeta_prime: complex,
-        anchor_log: complex, r: float,
-    ):
+    def __init__(self, rho: complex, radius: float, L1: Callable):
         self.rho = rho
         self.radius = radius
+        r = 0.5 * radius
+        ring = rho + 2.0 * radius * np.exp(2j * math.pi * np.arange(_RING_NODES) / _RING_NODES)
+        zeta_ring = zeta(ring)
 
         def h(s):
+            # one (points x ring) block of at most 256 kB at a time
             out = np.empty(s.size, dtype=np.complex128)
-            at_rho = np.abs(s - rho) < 1e-8
-            out[at_rho] = (s[at_rho] - 1.0) * zeta_prime
-            off = ~at_rho
-            if np.any(off):
-                out[off] = zeta_times_s_minus_1(s[off]) / (s[off] - rho)
-            return out
+            rows = _EM_BLOCK // _RING_NODES
+            for lo in range(0, s.size, rows):
+                out[lo : lo + rows] = np.mean(zeta_ring / (ring - s[lo : lo + rows, None]), axis=1)
+            return (s - 1.0) * out
 
         self.h_local, self.h_zeta2 = h, zeta
         anchor2 = complex(_ANCHOR_RE, 2.0 * rho.imag)
         self.u = np.zeros(1, dtype=np.complex128)  # every u served, ascending
-        self.local = _continue_legs(h, rho + r, anchor_log, self.u + rho)
+        self.local = _continue_legs(h, rho + r, L1(rho + r) - math.log(r), self.u + rho)
         self.zeta2 = _continue_legs(zeta, anchor2, log_zeta_euler(anchor2), self.u + 2.0 * rho)
         self.local0, self.zeta20 = self.local[0], self.zeta2[0]
 
@@ -572,15 +578,14 @@ class RhoSweep:
 class ZetaKernel:
     """Evaluator bundle: zeta, gamma, continued logs, zero table.
 
-    One RhoSweep per zero and zeta'(rho) are memoized; a sweep's values do
-    not depend on the points asked before, so results are pure functions.
+    One RhoSweep per zero is memoized; a sweep's values do not depend on
+    the points asked before, so results are pure functions.
     """
 
     def __init__(self, table: Optional[ZeroTable] = None):
         self.table = table if table is not None else default_zero_table()
         self._ordinates = np.array(self.table.ordinates)
         self._sweeps: dict[tuple[int, bool], RhoSweep] = {}
-        self._zprime_cache: dict[int, complex] = {}
 
     def rho(self, k: int, conjugate: bool = False) -> complex:
         g = self.table.ordinate(k)
@@ -645,13 +650,7 @@ class ZetaKernel:
         key = (k, conjugate)
         got = self._sweeps.get(key)
         if got is None:
-            rho = self.rho(k, conjugate)
-            rad = self.table.gap_radius(k)
-            r = 0.5 * rad
-            zp = self.zeta_prime_at_zero(k)
-            if conjugate:
-                zp = zp.conjugate()
-            got = RhoSweep(rho, rad, zp, self.L1(rho + r) - math.log(r), r)
+            got = RhoSweep(self.rho(k, conjugate), self.table.gap_radius(k), self.L1)
             self._sweeps[key] = got
         return got
 
@@ -661,14 +660,10 @@ class ZetaKernel:
         """zeta'(rho_k): zeta's Euler-Maclaurin sum at rho_k, differentiated
         term by term (_zeta_em).  Against mpmath at 40 digits the error is
         1.3e-16, 3.3e-16, 1.0e-15, 4.9e-16 and 5.1e-16 relative at zeros 1,
-        2, 5, 30 and 100.
+        2, 5, 30 and 100.  The formula reads it from the zero's RhoSweep.
         """
-        got = self._zprime_cache.get(zero_index)
-        if got is None:
-            rho = np.array([self.rho(zero_index)])
-            got = complex(_zeta_em(rho, int(_em_terms(rho)[0]), derivative=True)[0])
-            self._zprime_cache[zero_index] = got
-        return got
+        rho = np.array([self.rho(zero_index)])
+        return complex(_zeta_em(rho, int(_em_terms(rho)[0]), derivative=True)[0])
 
 
 _DEFAULT_KERNEL: Optional[ZetaKernel] = None

@@ -67,6 +67,24 @@ def test_B_precondition(cfg):
                 bias.B_of_x(FIG53, x, mode, cfg)
 
 
+@pytest.mark.parametrize("bad", ["1e3", None, 1e3 + 0j])
+def test_arguments_of_the_wrong_type_are_domain_errors(bad):
+    # an x that is not a real number used to raise a bare TypeError, and a
+    # mode or grid that is not a string an AttributeError
+    cfg = FormulaConfig(n_zeros=1)
+    calls = [
+        lambda: bias.B_of_x(ONES, bad, bias.FORMULA, cfg),
+        lambda: bias.B_of_x(ONES, 1e3, bad, cfg),
+        lambda: bias.trajectory(ONES, bad, 100.0, 5, "LOG", bias.FORMULA, cfg),
+        lambda: bias.trajectory(ONES, 10.0, bad, 5, "LOG", bias.FORMULA, cfg),
+        lambda: bias.trajectory(ONES, 10.0, 100.0, 5, bad, bias.FORMULA, cfg),
+        lambda: bias.trajectory(ONES, 10.0, 100.0, 5, "LOG", bad, cfg),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
 @pytest.mark.parametrize("mode", [bias.DIRECT, bias.FORMULA])
 def test_B_of_x_is_the_one_point_trajectory(cfg, mode):
     # one path per mode: a FORMULA sample has B_of_x's bits.  A DIRECT

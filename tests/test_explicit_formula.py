@@ -342,6 +342,16 @@ def test_zero_sum_real_for_real_eps(cfg):
     assert abs(v) <= 1e-6
 
 
+@pytest.mark.parametrize("x", ["1e3", None, 1e3 + 0j])
+def test_x_must_be_a_real_number(x):
+    # each used to raise a bare TypeError from the range comparison
+    cfg = FormulaConfig(n_zeros=1)
+    for part in (delta_1, delta_half, zero_sum, a_exp_formula):
+        with pytest.raises(DomainError, match="x must be a finite real number"):
+            part(ONES, x, cfg)
+    assert delta_1(ONES, np.float64(1e3), cfg) == delta_1(ONES, 1000, cfg)
+
+
 @pytest.mark.parametrize("n_zeros", [0, 1])
 def test_zero_sum_checks_x(n_zeros):
     # x is checked up front, also when no zero pair is summed
@@ -358,31 +368,59 @@ def test_delta_rho_mirror_vs_conj_spec(cfg):
 
 # ---------------------------------------------------------------- quadrature
 
-def _endpoint_case(part, text, xfail=False):
-    marks = pytest.mark.xfail(strict=True, raises=QuadratureError) if xfail else ()
-    return pytest.param(part, text, marks=marks, id=f"{part}-{text}")
-
-
-# Cuts whose endpoint exponent Re beta nears 1 inside the paper's window:
-# the mass of u^{-beta} near u = 0 sits below every node tanh-sinh reaches
-# in double precision, and the quadrature stops at MAX_LEVEL.  The known
-# failures are pinned beside their passing neighbours, at x = 1e4 with two
-# pairs of zeros; a fix of the endpoint treatment flips the xfails.
-@pytest.mark.parametrize("part, text", [
-    _endpoint_case("delta_1", "finite:[exp(i*0.25)]"),  # Re z = 0.969
-    _endpoint_case("delta_1", "finite:[exp(i*0.2)]", xfail=True),  # Re z = 0.980
-    _endpoint_case("delta_rho", "finite:[exp(i*3.1)]", xfail=True),  # Re(-z) = 0.999
-    _endpoint_case("delta_half", "finite:[exp(i*1.009099),1]"),  # Re w = 0.95
-    _endpoint_case("delta_half", "finite:[exp(i*1.024249),1]", xfail=True),  # Re w = 0.97
+# Cuts whose endpoint exponent Re beta nears 1 inside the paper's window,
+# at x = 1e4 with two pairs of zeros.  Node terms are formed in log space,
+# so the truncation |t| follows from e^{-(1-alpha) pi sinh t} < 1e-16 alone
+# and no node's weight or u^{-beta} underflows; the parts with a reference
+# and the whole evaluates used to stop at MAX_LEVEL with QuadratureError.
+# The references are a Hankel-loop quadrature of the same integrals
+# (Gauss-Legendre on a loop around each end, no tanh-sinh), stable to
+# ~1e-14 across its radii.
+@pytest.mark.parametrize("part, text, want", [
+    pytest.param(part, text, want, id=f"{part}-{text}") for part, text, want in (
+        ("delta_1", "finite:[exp(i*0.25)]", None),  # Re z = 0.969
+        ("delta_1", "finite:[exp(i*0.2)]", 5371.6245279803 + 2638.2880784156j),  # Re z = 0.980
+        # Re(-z) = 0.999
+        ("delta_rho", "finite:[exp(i*3.1)]", -5.3181352971019e-8 + 4.8430474702713e-8j),
+        ("delta_half", "finite:[exp(i*1.009099),1]", None),  # Re w = 0.95
+        ("delta_half", "finite:[exp(i*1.024249),1]", 5.3445290241617 - 5.1923255611412j),  # 0.97
+        # Re w = 0.990: the right end of the cut at 1 and the left end at 1/2
+        ("a_exp_formula", "finite:[exp(i*1.0398),1]", None),
+        ("a_exp_formula", "finite:[exp(i*2.55),i]", None),  # Re(-z) = 0.83: the zero cuts
+        ("a_exp_formula", "finite:[exp(i*3.34),i]", None),  # Re(-z) = 0.98
+    )
 ])
-def test_endpoint_exponent_near_one(part, text):
+def test_endpoint_exponent_near_one(part, text, want):
     spec = parse_eps_spec(text)
     cfg = FormulaConfig(n_zeros=2)
     if part == "delta_rho":
         got = delta_rho(spec, 1, 1e4, cfg)
+    elif part == "a_exp_formula":
+        got = a_exp_formula(spec, 1e4, cfg).total
     else:
         got = {"delta_1": delta_1, "delta_half": delta_half}[part](spec, 1e4, cfg)
     assert cmath.isfinite(got) and got != 0
+    if want is not None:
+        assert abs(got - want) <= 1e-12 * abs(want), got
+
+
+def test_zero_parts_hold_at_a_tighter_tolerance(monkeypatch):
+    # the zero cut's integrand has no noise floor near u = 0 (the ring's
+    # divided difference), so Delta_rho at QUAD_TOL = 1e-13 stays within
+    # 1e-12 of its default value; the quadphase zero used to creep to
+    # level 10 on a ~1e-10 floor, and the others stopped at MAX_LEVEL
+    specs = [
+        parse_eps_spec(text) for text in (
+            "finite:[exp(i*3.1)]", "finite:[exp(i*2.55),i]", "finite:[exp(i*3.34),i]",
+            "quadphase:alpha=0.381966",
+        )
+    ]
+    default = [delta_rho(spec, 1, 1e4, FormulaConfig(n_zeros=1)) for spec in specs]
+    monkeypatch.setattr(explicit_formula, "QUAD_TOL", 1e-13)
+    monkeypatch.setattr(explicit_formula, "MAX_LEVEL", 16)
+    for spec, want in zip(specs, default):
+        got = delta_rho(spec, 1, 1e4, FormulaConfig(n_zeros=1))
+        assert abs(got - want) <= 1e-12 * abs(want), (spec, got, want)
 
 
 def test_quadrature_error_when_capped(monkeypatch):
@@ -640,17 +678,19 @@ def _fill_cuts(spec, a):
 
 
 def _full_grid(cut, L):
-    """(u, cu, weight) at every node t = k 2^{1-L} of level L, in one
-    _ts_points call: the grid the layers up to L hold, each node once."""
+    """(u, cu, log cu, log weight - beta log u) at every node t = k 2^{1-L}
+    of level L, in one _ts_points call: the grid the layers up to L hold,
+    each node once, with the scale _Ctx._grow passes to cut.j."""
     t_left, t_right = cut.t_range
     h = 2.0 ** (1 - L)
     k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
-    return explicit_formula._ts_points(cut.b, k * h)
+    log_u, log_cu, log_w = explicit_formula._ts_points(cut.b, k * h)
+    return np.exp(log_u), np.exp(log_cu), log_cu, log_w - cut.beta * log_u
 
 
 def _cut_nodes(cut):
     # the deepest level's grid holds every node of the levels below it
-    u, cu, _ = _full_grid(cut, len(cut.segs) + 2)
+    u, cu, _, _ = _full_grid(cut, len(cut.segs) + 2)
     return u, cu
 
 
@@ -834,6 +874,20 @@ def test_work_count_cold_evaluate(monkeypatch):
     assert sum(points) == sum(n + 1 for n in degrees.values())
 
 
+@pytest.mark.parametrize("x", [1e3, 3e4, 1e6])
+def test_work_count_quadphase_zero_cuts(x):
+    # each zero cut of quadphase stops at level 6 (245 nodes), as the other
+    # canonical specs do; on the zero quotient's ~1e-10 noise floor it
+    # used to run to levels 8-10 (979-3916 nodes)
+    from fakemu.explicit_formula import _ctx
+
+    cfg = FormulaConfig(n_zeros=2)
+    a_exp_formula(QUAD, x, cfg)
+    ctx = _ctx(QUAD, cfg)
+    nodes = [sum(ctx.nodes.layer(seg)[0].size for seg in cut.segs) for cut in ctx.zero_cuts]
+    assert len(nodes) == 4 and max(nodes) <= 245, nodes
+
+
 def test_l1_repeats_keep_their_point_bits(monkeypatch):
     # tanh-sinh nodes at the ends of the cuts at 1 and 1/2 round onto one
     # s (1/2, and a and 2a): in a cold evaluate, L1 gets repeated points,
@@ -890,8 +944,8 @@ def test_levels_are_nested_bit_for_bit(a, kind):
     assert len(cut.segs) >= 2
     t_left = cut.t_range[0]
     for L in range(3, len(cut.segs) + 3):
-        u, cu, wts = _full_grid(cut, L)
-        c = wts * np.exp(-cut.beta * np.log(u)) * cut.j(u, cu, cut.g_line(u, cu))
+        u, cu, log_cu, log_scale = _full_grid(cut, L)
+        c = cut.j(u, log_cu, cut.g_line(u, cu), log_scale)
         k = np.arange(u.size) - math.floor(t_left / 2.0 ** (1 - L))
         for lv in range(3, L + 1):
             step = 2 ** (L - lv)
@@ -908,9 +962,10 @@ def test_cold_delta_calls_j_once_per_node(a, kind):
     ctx, cut, calls = _counting_cut(a, kind)
     ctx.deltas(1e4, [cut])
     assert len(calls) == len(cut.segs)
-    nodes = [(u, cu) for c in calls for u, cu in zip(c[0].tolist(), c[1].tolist())]
-    assert set(nodes) == set(zip(*(v.tolist() for v in _cut_nodes(cut))))
-    assert len(set(nodes)) == len(nodes)  # no (u, b - u) twice
+    nodes = [(u, lcu) for c in calls for u, lcu in zip(c[0].tolist(), c[1].tolist())]
+    u, _, log_cu, _ = _full_grid(cut, len(cut.segs) + 2)
+    assert set(nodes) == set(zip(u.tolist(), log_cu.tolist()))
+    assert len(set(nodes)) == len(nodes)  # no (u, log(b - u)) twice
 
 
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
@@ -936,16 +991,15 @@ def test_warm_delta_reads_the_level_table(monkeypatch, a, kind):
 def test_layers_sum_to_the_plain_trapezoid(a, kind, x):
     # at every level a cold cut reaches, h_L times the sum over the layers
     # up to L of c e^{-Lu} is the plain trapezoid over level L's full grid,
-    # J from cut.j and the G line, within 8 ulps of its mass; delta is the
-    # deepest one times sine x^xi
+    # each term one cut.j call with -Lu in its log scale and the G line,
+    # within 8 ulps of its mass; delta is the deepest one times sine x^xi
     ctx, cut, _ = _counting_cut(a, kind)
     [got] = ctx.deltas(x, [cut])
     ell = math.log(x)
     for L in range(3, len(cut.segs) + 3):
         h = 2.0 ** (1 - L)
-        u, cu, wts = _full_grid(cut, L)
-        j = cut.j(u, cu, cut.g_line(u, cu))
-        terms = wts * np.exp(-ell * u - cut.beta * np.log(u)) * j
+        u, cu, log_cu, log_scale = _full_grid(cut, L)
+        terms = cut.j(u, log_cu, cut.g_line(u, cu), log_scale - ell * u)
         want, mass = h * complex(np.sum(terms)), h * float(np.sum(np.abs(terms)))
         layers = [ctx.nodes.layer(cut.segs[lv - 3]) for lv in range(3, L + 1)]
         nested = h * sum(complex(np.sum(c * np.exp(-ell * u))) for u, c, _ in layers)
@@ -1053,7 +1107,9 @@ def test_warm_a_exp_formula_is_one_pass_over_the_table(monkeypatch):
 # delta_rho at zero 1, its mirror, zero 2, its mirror), n_zeros = 2; the
 # Mobius and Liouville delta_rho re-frozen when zeta'(rho) came from the
 # differentiated Euler-Maclaurin sum (moved <= 3.4e-12, now <= 1.5e-14
-# from mpmath)
+# from mpmath); the FIG51A and FIG53 zero parts re-frozen when node terms
+# went to log space and the zero's divided difference to a Cauchy ring
+# (moved <= 3.3e-14 and <= 6.8e-14)
 PARTS_FROZEN = [
     (MOBIUS, 1e3, 0j, 0j, (
         3.7165916970526058e-09+2.2455256930346824e-08j, 3.7165916970526058e-09-2.2455256930346824e-08j,
@@ -1074,20 +1130,20 @@ PARTS_FROZEN = [
     (ONES, 1e3, 1000.0000000000084+0j, 0j, (0j, 0j, 0j, 0j)),
     (ONES, 3e4, 30000.000000000255+0j, 0j, (0j, 0j, 0j, 0j)),
     (FIG51A, 1e3, 284.9911416614445+667.5946419059819j, 0.8192289524391818+0.17379573790885977j, (
-        2.924335139188248e-11+1.0834458701999965e-10j, 4.732404203516097e-12-1.3450556148537896e-10j,
-        9.743700698809722e-16-1.836707693865068e-16j, 1.3324194258499007e-16-1.5062976402493995e-16j,
+        2.924335139188033e-11+1.083445870199996e-10j, 4.732404203512478e-12-1.3450556148537997e-10j,
+        9.743700698809771e-16-1.8367076938647935e-16j, 1.3324194258498405e-16-1.5062976402494215e-16j,
     )),
     (FIG51A, 3e4, 3695.937089804742+20782.09121413137j, 4.1103055125126415+0.5274397428011548j, (
-        3.093906617387913e-10-3.957711260091153e-10j, 4.875681829886628e-10+3.523720312047033e-10j,
-        -2.548704366048165e-15+3.682381895483522e-15j, -8.952863965101841e-16+7.678195612652535e-17j,
+        3.093906617387975e-10-3.9577112600910665e-10j, 4.875681829886761e-10+3.5237203120469105e-10j,
+        -2.5487043660482772e-15+3.6823818954834465e-15j, -8.952863965101713e-16+7.678195612655212e-17j,
     )),
     (FIG53, 1e3, -198.49728974842665+62.54599691891861j, -1.6823903708670418+0.01442621680278977j, (
-        2.4669684835065146e-09+3.1443133862555906e-09j, 4.9103589410664495e-09-6.309541764565646e-09j,
-        -2.3250767178841033e-14+6.340915033012365e-14j, -2.096908733407073e-14+1.152590526565119e-14j,
+        2.466968483506391e-09+3.144313386255542e-09j, 4.910358941066143e-09-6.3095417645659825e-09j,
+        -2.325076717884407e-14+6.340915033012225e-14j, -2.096908733407017e-14+1.1525905265652325e-14j,
     )),
     (FIG53, 3e4, -4848.265035477774-692.8690345663126j, -7.577332876451255+1.256558338415274j, (
-        3.976269031494148e-09-1.807309009544519e-08j, 1.3370410167251296e-08+3.439190872986743e-08j,
-        -1.446926712807592e-13-2.751026709159794e-13j, 1.0893256863380801e-13+1.8522467567195096e-14j,
+        3.976269031494333e-09-1.8073090095444527e-08j, 1.3370410167253754e-08+3.4391908729866974e-08j,
+        -1.4469267128074261e-13-2.751026709159858e-13j, 1.0893256863380946e-13+1.8522467567188476e-14j,
     )),
 ]
 
@@ -1116,30 +1172,34 @@ def test_direct_G_paths_bitwise_frozen():
     # lambda_2); zeta'(rho) from the differentiated sum moved the two
     # residues by 3.0e-12 and 7.6e-13, to within 1.5e-14 of mpmath.  One
     # integrand for the three cuts, and each residue as phase * J(0), moved
-    # the Watson lines by <= 4.5e-15 and the residues by <= 4.6e-16
+    # the Watson lines by <= 4.5e-15 and the residues by <= 4.6e-16.  Each
+    # prefactor as a log inside J's one exp, and the zero's divided
+    # difference from a Cauchy ring, moved c_1/2 of FIG51A and LIOUVILLE by
+    # <= 1.8e-16, the Watson lines by <= 4.5e-14 (the "zero:1" lambda_2),
+    # delta_half(LIOUVILLE) by 1.9e-16 and the two residues by <= 8.5e-16
     cfg = FormulaConfig(n_zeros=2)
     assert c_half(FIG53, cfg) == 0.06840968849739917 + 0.10362335917983151j
-    assert c_half(FIG51A, cfg) == -0.09422578122261532 + 0.06516941744283823j
-    assert c_half(LIOUVILLE, cfg) == -0.6068573898369171 + 7.43185960002698e-17j
+    assert c_half(FIG51A, cfg) == -0.09422578122261534 + 0.06516941744283825j
+    assert c_half(LIOUVILLE, cfg) == -0.6068573898369172 + 7.431859600026981e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
         0.8854657004659543 - 0.694628674026921j,
-        -0.7116549555245344 - 2.39305362949768j,
-        -3.353757560888026 - 3.195306640445183j,
+        -0.711654955524535 - 2.39305362949768j,
+        -3.353757560888026 - 3.195306640445172j,
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
-        0.3188030344538511 + 0.3353786866282914j,
-        -0.898681108129449 - 0.2427910474398723j,
-        -5.632969973908088 - 0.6117178597499744j,
+        0.31880303445385116 + 0.3353786866282914j,
+        -0.8986811081294493 - 0.2427910474398723j,
+        -5.632969973908077 - 0.6117178597499716j,
     ]
     assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
-        -6.254788380768612e-10 + 4.208171784212865e-10j,
-        2.5971027119168942e-09 + 1.3126628633246926e-09j,
-        2.089938378085835e-09 - 7.0557320492284186e-09j,
+        -6.254788380768638e-10 + 4.2081717842128486e-10j,
+        2.597102711916893e-09 + 1.3126628633247065e-09j,
+        2.0899383780859696e-09 - 7.055732049228119e-09j,
     ]
     assert delta_1(ONES, 1e3, cfg) == 999.9999999999995 + 0j  # G(1) = 1, Gamma(1) = 1 - 4.4e-16
-    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.19051566789376 + 2.3501603586673223e-15j
-    assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.7165916970526033e-09 + 2.2455256930346827e-08j
-    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045662475e-13 - 4.0791950449755147e-14j
+    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.190515667893763 + 2.3501603586673227e-15j
+    assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.7165916970526107e-09 + 2.245525693034682e-08j
+    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045662454e-13 - 4.079195044975525e-14j
 
 
 # ---------------------------------------------------------------- zero index and shared sweeps
@@ -1170,9 +1230,9 @@ def test_shared_sweeps_are_free_of_call_history():
         # full grid, from the cut's G line
         if not cut.segs:
             return []
-        u, cu, _ = _full_grid(cut, len(cut.segs) + 2)
+        u, cu, log_cu, _ = _full_grid(cut, len(cut.segs) + 2)
         c = [ctx.nodes.layer(seg)[1].tolist() for seg in cut.segs]
-        return [c, cut.j(u, cu, cut.g_line(u, cu)).tolist()]
+        return [c, cut.j(u, log_cu, cut.g_line(u, cu)).tolist()]
 
     def run_b(kernel):
         cfg = FormulaConfig(n_zeros=2, kernel=kernel)
@@ -1349,12 +1409,13 @@ def test_j_batch_bits_equal_one_point(kind):
     ctx.deltas(1e4, [cut])  # samples the G line and builds the levels
     while len(cut.segs) < 3:
         ctx._grow(cut)
-    u, cu, _ = _full_grid(cut, 5)
+    u, cu, log_cu, log_scale = _full_grid(cut, 5)
     g = cut.g_line(u, cu)
-    batch = cut.j(u, cu, g)
+    batch = cut.j(u, log_cu, g, log_scale)
     _, one = fresh_ctx()
     assert batch.tolist() == [
-        complex(one.j(u[i : i + 1], cu[i : i + 1], g[i : i + 1])[0]) for i in range(u.size)
+        complex(one.j(*(v[i : i + 1] for v in (u, log_cu, g, log_scale)))[0])
+        for i in range(u.size)
     ]
     point = {"one": "one", "half": "half", "zero": ("zero", 1)}.get(kind)
     if point is not None:

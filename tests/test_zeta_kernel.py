@@ -328,6 +328,30 @@ def test_L_rho_conjugate_zero(kernel):
         assert abs(lhs - zeta_times_s_minus_1(s)) <= 1e-9 * abs(lhs), u
 
 
+@pytest.mark.parametrize("k", [1, 2, 30])
+def test_zero_divided_difference_against_mpmath(k):
+    # the sweep's h_local(s) = (s - 1)(zeta(s) - zeta(rho))/(s - rho) from
+    # its Cauchy ring, against mpmath at 40 digits at the same double rho
+    # and s = rho - u, down to u = 0 (the limit (rho - 1) zeta'(rho)).  The
+    # quotient (s - 1) zeta(s)/(s - rho) it replaced was off by ~1e-15/|u|
+    # here (9.7e-9 at u = 1e-7, 4.1e-13 at 1e-12 at zero 1) near the zero
+    sweep = ZetaKernel(default_kernel().table).rho_sweep(k)
+    rho, r = sweep.rho, 0.9 * sweep.radius
+    us = [0.0, 1e-12, 1e-8, 1e-6, 1e-4, 0.1, 0.05j, r * 1j, -r * 1j]
+    s = rho - np.array(us, dtype=np.complex128)
+    got = sweep.h_local(s)
+    with mp.workdps(40):
+        mrho = mp.mpc(rho.real, rho.imag)
+        for u, sv, g in zip(us, s.tolist(), got.tolist()):
+            ms = mp.mpc(sv.real, sv.imag)
+            if ms == mrho:
+                want = (ms - 1) * mp.zeta(mrho, derivative=1)
+            else:
+                want = (ms - 1) * (mp.zeta(ms) - mp.zeta(mrho)) / (ms - mrho)
+            want = complex(want)
+            assert abs(g - want) <= 1e-14 * abs(want), (u, g, want)
+
+
 def test_rho_sweep_ring_matches_direct_values(kernel):
     # the ring in one array call, each point one leg from the line at Re u,
     # against one point at a time on a fresh sweep
