@@ -16,6 +16,8 @@ per-process tables (zero table, log-prime table) are already built.  A
 "warm" case first fills its config on the same grid it then times.  The
 "cli" cases run a command in-process through cli.main, its output
 captured, on the default kernel, which no case before them has used.
+The "G_f", "zeta", "gamma" and "L1" cases time one layer on a batch of
+points: one point, a Watson ring, or a line of LINE_POINTS points.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ EDGE = "finite:[exp(i*0.25)]"  # Re z = 0.969: Delta_1's left end near the windo
 RUNS = 15  # per checkout: enough for a median and quartiles
 WARM_POINTS = 64  # a LOG grid on [1e3, 1e8], as a trajectory takes it
 SIEVE_POINTS = 48  # a LOG grid on [1e3, 2e5]
+POINT_REPEAT = 16  # one-point G calls per sample
+RING_POINTS = 256  # a Watson ring of radius 0.05
+LINE_POINTS = 4000  # Re s = 1.5, |Im s| <= 50
 
 
 def _timed(fn) -> float:
@@ -53,7 +58,8 @@ def run_cases(tree: str) -> dict[str, float]:
     sys.path.insert(0, os.path.join(tree, "src"))
     import numpy as np
 
-    from fakemu import bias, cli, explicit_formula as xf, sieve, zeta_kernel as zk
+    from fakemu import bias, cli, euler_residual as er, explicit_formula as xf, sieve
+    from fakemu import zeta_kernel as zk
     from fakemu.eps_model import parse_eps_spec
 
     spec, quad, edge = parse_eps_spec(FIG53), parse_eps_spec(QUAD), parse_eps_spec(EDGE)
@@ -89,6 +95,23 @@ def run_cases(tree: str) -> dict[str, float]:
             lambda: bias.trajectory(spec, 1e3, 1e8, WARM_POINTS, "LOG", bias.FORMULA, cfg)
         )
     out["classify.fig53.cold"] = _timed(lambda: bias.classify(spec, fresh(30)))
+    # the layers on their own, each after one untimed call that builds the
+    # spec's series orders: G at classify's one point s = 1/2, per call;
+    # G on a Watson ring around 1/2; G, zeta, gamma and L1 on one line
+    er.G_f(spec, 0.5)
+    out["G_f.fig53.point"] = _timed(
+        lambda: [er.G_f(spec, 0.5) for _ in range(POINT_REPEAT)]
+    ) / POINT_REPEAT
+    ring = 0.5 - 0.05 * np.exp(2j * math.pi * np.arange(RING_POINTS) / RING_POINTS)
+    er.G_f(spec, ring)
+    out[f"G_f.fig53.ring.{RING_POINTS}"] = _timed(lambda: er.G_f(spec, ring))
+    line = 1.5 + 1j * np.linspace(-50.0, 50.0, LINE_POINTS)
+    er.G_f(spec, line[:1])
+    out[f"G_f.fig53.line.{LINE_POINTS}"] = _timed(lambda: er.G_f(spec, line))
+    out[f"zeta.line.{LINE_POINTS}"] = _timed(lambda: zk.zeta(line))
+    out[f"gamma.line.{LINE_POINTS}"] = _timed(lambda: zk.gamma(line))
+    kernel = zk.ZetaKernel(table)  # not the default kernel the cli cases use
+    out[f"L1.line.{LINE_POINTS}"] = _timed(lambda: kernel.L1(line))
     xs = np.exp(np.linspace(math.log(1e3), math.log(2e5), SIEVE_POINTS))
     out[f"sieve.direct_exp_sums_multi.fig53.{SIEVE_POINTS}"] = _timed(
         lambda: sieve.direct_exp_sums_multi(spec, xs)

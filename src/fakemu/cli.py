@@ -8,9 +8,9 @@ Commands:
   verify      self-check suites; exit 0 iff all pass
 
 Exit codes: 0 ok, 1 suite failure or another typed error (a domain error
-such as a non-finite x or an unreadable zeros file, a range or quadrature
-error), 2 parse error, 3 window error, 4 capacity error.  Each error prints
-one "... error:" line on stderr.
+such as a non-finite x, an unreadable zeros file or an unwritable --out
+path, a range or quadrature error), 2 parse error, 3 window error, 4
+capacity error.  Each error prints one "... error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 from . import bias as bias_mod
 from . import verify as verify_mod
 from .eps_model import parse_eps_spec
-from .errors import CapacityError, FakeMuError, ParseError, WindowError
+from .errors import CapacityError, DomainError, FakeMuError, ParseError, WindowError
 from .euler_residual import G_f_tail_estimate, GfConfig
 from .explicit_formula import FormulaConfig, a_exp_formula, watson_coeffs
 from .sieve import direct_exp_sum
@@ -55,8 +55,11 @@ def _config_from_args(args) -> FormulaConfig:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -61,20 +61,23 @@ the log of g is -inf (or very negative where g is only rounded to ~0),
 and the exp of the sum is the product.
 
 Shared phase.  On the segment u_p(s0 - u_j) = p^{-s0} p^{u_j}, so a call
-takes one complex exp per (series prime, s0) and one real exp per (prime,
-point).  Per block of primes the real (primes x points) matrix p^{u_j},
-its cube and its update per order are computed once for all s0; per
-order k and per s0, the row p^{-k s0} viewed as (2 x primes) reals times
-p^{k u_j} is one matrix product, kept per row because BLAS blocking over
-several rows moves a row's bits with their number.  A zero's mirror,
-s0 = conj(rho), takes the products of rho with their imaginary parts
-negated: complex exp and products are conjugate-symmetric to the bit.  So
-each row has the bits it has in a call of its own.  The buffers hold at
-most _BLOCK = 2^14 float64 entries (128 kB) each: a block takes at most
-_BLOCK/2 primes, since a complex row p^{-k s0} holds two entries per
-prime, so a one-point G (~9500 series primes) takes two blocks.  The
-explicit logs go in blocks of 64 kB of complex, so memory does not grow
-with the number of rows, points or primes.
+takes one complex exp per (series prime, distinct s0) and one real exp
+per (prime, point).  Per block of primes the real (primes x points)
+matrix e1 = p^{u_j} is taken once, before any row; each block of rows
+cubes it and updates the cube per order.  Per order k and per s0, the
+row p^{-k s0} viewed as (2 x primes) reals times p^{k u_j} is one matrix
+product, kept per row because BLAS blocking over several rows moves a
+row's bits with their number.  One dict maps each row's upper-half-plane
+value, s0 or conj(s0) where Im s0 < 0, to the rows that read its
+products: repeated rows and a zero's mirror s0 = conj(rho) share them, a
+lower-half row with their imaginary parts negated, since complex exp and
+products are conjugate-symmetric to the bit.  So each row has the bits it
+has in a call of its own, and the bookkeeping is linear in the rows.
+The buffers hold at most _BLOCK = 2^14 float64 entries (128 kB) each: a
+block takes at most _BLOCK/2 primes, since a complex row p^{-k s0} holds
+two entries per prime, so a one-point G (~9500 series primes) takes two
+blocks.  The explicit logs go in blocks of 64 kB of complex, so memory
+does not grow with the number of rows, points or primes.
 
 Rounding.  A series term carries rounding relative to its own size,
 |u|^3 and below, so G's rounding comes from the explicit primes.  Their
@@ -304,31 +307,26 @@ def _series_sum(
     """sum_p sum_{k=3}^{K_p} a_k u_p^k at s0_i - u_j, u_p = p^{-s0_i} p^{u_j},
     as an (s0 x u) array.
 
-    Per block of primes, the real (primes x points) matrix e1 = p^{u_j},
-    its cube ek and its per-order updates are shared by all rows s0_i.  Per
-    order k and per row, the complex row p^{-k s0_i}, viewed as (2 x
-    primes) reals, times ek is one matrix product: BLAS blocking over
-    several rows would move a row's bits with their number.  A row whose
-    s0 is the conjugate of an earlier one (a zero's mirror) takes that
-    row's products with the sign of their imaginary part flipped: complex
-    exp and products are conjugate-symmetric to the bit, so these are the
-    products the row would compute.  Both factors are updated in place by
-    one more factor, on the prefix of primes whose order reaches k, which
-    shrinks as k grows.  Each buffer holds at most _BLOCK float64 entries;
-    the rows go in as many groups as their p^{-k s0} buffer needs.
+    Products are computed once per rep, the upper-half-plane value of a
+    row (s0_i, or conj(s0_i) where Im s0_i < 0); `readers` maps each rep
+    to its rows, and a lower-half row takes the products with the sign of
+    their imaginary part flipped: complex exp and products are
+    conjugate-symmetric to the bit, so these are the products the row
+    would compute.  Per block of primes the real (primes x points) matrix
+    e1 = p^{u_j} is taken once; each block of reps cubes it into ek.  Per
+    order k and per rep, the complex row p^{-k s0}, viewed as (2 x primes)
+    reals, times ek is one matrix product: BLAS blocking over several rows
+    would move a row's bits with their number.  Both factors are updated
+    in place by one more factor, on the prefix of primes whose order
+    reaches k, which shrinks as k grows.  A block of reps adds its sums to
+    its own reps' rows only.  Each buffer holds at most _BLOCK float64
+    entries; the reps go in as many blocks as their p^{-k s0} buffer needs.
     """
-    reps: list[complex] = []  # the rows whose products are computed
-    src, sign = [], []
-    for v in s0.tolist():
-        for j, r in enumerate(reps):
-            if v == r or v == r.conjugate():
-                src.append(j)
-                sign.append(1.0 if v == r else -1.0)
-                break
-        else:
-            src.append(len(reps))
-            sign.append(1.0)
-            reps.append(v)
+    readers: dict[complex, list[int]] = {}  # upper-half-plane rep -> its rows
+    for i, v in enumerate(s0.tolist()):
+        readers.setdefault(v.conjugate() if v.imag < 0 else v, []).append(i)
+    reps = list(readers)
+    lower = s0.imag < 0
     out = np.zeros((s0.size, u.size), dtype=np.complex128)
     top = active.size - 2
     n = int(active[3])
@@ -347,11 +345,11 @@ def _series_sum(
         nb = min(width, n - lo)
         q = logq[lo : lo + nb]
         count = np.clip(active - lo, 0, nb)
+        e1, ek = e1_buf[:nb], ek_buf[:nb]
+        np.exp(np.multiply.outer(q, u, out=e1), out=e1)
         for r0 in range(0, m, rows):
             mr = min(rows, m - r0)
-            e1, ek = e1_buf[:nb], ek_buf[:nb]
             c1, ck = c1_buf[:mr, :nb], ck_buf[:mr, :nb]
-            np.exp(np.multiply.outer(q, u, out=e1), out=e1)
             np.multiply(np.multiply(e1, e1, out=ek), e1, out=ek)
             np.exp(np.multiply.outer(minus_s0[r0 : r0 + mr], q, out=c1), out=c1)
             np.multiply(np.multiply(c1, c1, out=ck), c1, out=ck)
@@ -366,10 +364,10 @@ def _series_sum(
                 np.multiply(ek[:nxt], e1[:nxt], out=ek[:nxt])
                 np.multiply(ck[:, :nxt], c1[:, :nxt], out=ck[:, :nxt])
                 k += 1
-            for i, (j, sg) in enumerate(zip(src, sign)):
-                if r0 <= j < r0 + mr:
-                    terms = sums[3 : k + 1, j - r0]
-                    im = terms[:, 1] if sg > 0 else -terms[:, 1]
+            for j in range(mr):
+                terms = sums[3 : k + 1, j]
+                for i in readers[reps[r0 + j]]:
+                    im = -terms[:, 1] if lower[i] else terms[:, 1]
                     out[i] += a[3 : k + 1] @ (terms[:, 0] + 1j * im)
     return out
 

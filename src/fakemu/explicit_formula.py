@@ -169,6 +169,8 @@ class FormulaConfig:
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.a, bool) or not isinstance(self.a, Real):
+            raise DomainError(f"a must be a real number, got {self.a!r}")
         if not RE_S_MIN <= self.a:
             raise DomainError(f"a must be >= {RE_S_MIN}: G_f is read down to Re s = a")
         if not 0.5 - self.a > WATSON_RADIUS:
@@ -179,6 +181,8 @@ class FormulaConfig:
             raise DomainError("n_zeros must be >= 0")
         if self.kernel is None:
             object.__setattr__(self, "kernel", default_kernel())
+        elif not isinstance(self.kernel, ZetaKernel):
+            raise DomainError(f"kernel must be a ZetaKernel or None, got {self.kernel!r}")
         if self.n_zeros > len(self.kernel.table):
             raise DomainError(
                 f"n_zeros={self.n_zeros} exceeds zero table size "
@@ -479,6 +483,8 @@ class _Cut:
         return lambdas
 
     def coeffs(self, M: int) -> list[complex]:
+        if isinstance(M, bool) or not isinstance(M, Integral):
+            raise DomainError(f"Watson order M must be an integer, got {M!r}")
         if M < 0 or M > WATSON_MAX_ORDER:
             raise DomainError(f"Watson order M must be in [0, {WATSON_MAX_ORDER}]")
         return self.lambdas[: M + 1]

@@ -420,6 +420,18 @@ def test_malformed_input_is_a_domain_error_exit_1(argv, capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_out_to_unwritable_path_exit_1(where, capsys, tmp_path):
+    # an OSError used to escape as a traceback; now one line naming the path
+    out_path = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(["classify", "--eps", "finite:[-1]", "--out", str(out_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: cannot write --out") and err.count("\n") == 1, err
+    assert str(out_path) in err
+    assert out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("point", ["zero:0", "zero:101"])
 def test_watson_zero_index_outside_table_exit_1(point, capsys):
     code, _, err = run(

@@ -306,6 +306,26 @@ def test_kernel_argument_errors(cfg):
     assert abs(got[0]) > 0.1 and abs(got[1]) <= 1e-14
 
 
+def test_row_map_gives_each_row_its_own_bits(cfg):
+    # the series sum computes products once per upper-half-plane value and
+    # hands them to every row that reads them: a repeated row, a mirror
+    # given before its zero, a real row written with -0.0, two real parts
+    # and 2000 rows of one real part, each with the bits of its own call
+    u = np.array([0.0, 0.1, 0.25])
+    line = 1.5 + 1j * np.linspace(-50.0, 50.0, 2000)
+    rows = np.concatenate([
+        [0.9 + 14.134725j, 0.9 + 14.134725j],  # repeated
+        [0.9 - 21.022j, 0.9 + 21.022j],  # mirror first
+        [complex(1.2, -0.0), 1.2 + 0j, complex(1.2, -0.0)],
+        line,
+    ])
+    got = euler_residual.G_f_line(FIG53, rows, u, cfg)
+    assert got.shape == (rows.size, u.size)
+    for i, s0 in enumerate(rows.tolist()):
+        want = euler_residual.G_f_line(FIG53, s0, u, cfg)
+        assert got[i].tobytes() == want.tobytes(), (i, s0)
+
+
 @pytest.mark.parametrize("sigma", [0.45, 0.5, 1.0])
 def test_series_buffers_within_block(sigma, cfg, monkeypatch):
     # a one-point G takes its ~9500 series primes in blocks, so that no

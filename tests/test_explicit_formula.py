@@ -453,6 +453,30 @@ def test_n_zeros_must_be_an_integer(n_zeros):
     assert len(a_exp_formula(FIG53, 1e3, cfg).delta_rho) == 1
 
 
+@pytest.mark.parametrize("a", ["0.4", None, 0.4 + 0j, True])
+def test_a_must_be_a_real_number(a):
+    # "0.4" and None used to raise a bare TypeError
+    with pytest.raises(DomainError, match="a must be a real number"):
+        FormulaConfig(a=a)
+    assert FormulaConfig(a=np.float64(0.37), n_zeros=0).a == 0.37
+
+
+@pytest.mark.parametrize("kernel", ["x", 0, default_kernel().table])
+def test_kernel_must_be_a_zeta_kernel(kernel):
+    # "x" used to raise an AttributeError
+    with pytest.raises(DomainError, match="kernel must be a ZetaKernel or None"):
+        FormulaConfig(kernel=kernel)
+
+
+@pytest.mark.parametrize("M", ["3", 2.0, True, None])
+def test_watson_order_must_be_an_integer(M):
+    # "3" used to raise a bare TypeError, and True read as 1
+    cfg = FormulaConfig(n_zeros=1)
+    with pytest.raises(DomainError, match="Watson order M must be an integer"):
+        watson_coeffs(FIG53, "one", M, cfg)
+    assert watson_coeffs(FIG53, "one", np.int64(1), cfg) == watson_coeffs(FIG53, "one", 1, cfg)
+
+
 def test_config_is_frozen_once_used():
     # the config holds its contexts' cache, whose cuts its fields fixed
     cfg = FormulaConfig(n_zeros=2)

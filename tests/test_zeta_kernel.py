@@ -122,10 +122,19 @@ def test_zeta_schwarz_reflection():
 
 
 def test_zs1_smooth_through_pole():
-    for d in (1e-5, 1e-9, 0.0, -1e-9, -1e-4):
-        got = zeta_times_s_minus_1(1.0 + d)
-        want = complex(mp.zeta(1 + mp.mpf(d)) * d) if d else 1.0
-        assert abs(got - want) <= 1e-12 * abs(got) + 1e-13
+    ds = (1e-5, 1e-9, 0.0, -1e-9, -1e-4, 1e-12j, -3e-7j, 2e-4 * cmath.exp(2.1j))
+    for d in ds:
+        s = 1.0 + d
+        got = zeta_times_s_minus_1(s)
+        s_mp = mp.mpc(s.real, s.imag)  # the point as rounded, exactly
+        want = complex(mp.zeta(s_mp) * (s_mp - 1)) if d else 1.0
+        assert abs(got - want) <= 1e-15 * abs(want), d  # the docstring's 6e-16
+    # s = 1 inside a batch, alone in one and twice in one
+    pts = np.array([1.0, 2.0, 1.0 + 1e-9, 1.0, 0.5 + 14.0j])
+    got = zeta_times_s_minus_1(pts)
+    assert got[0] == got[3] == 1.0
+    assert got.tolist() == [zeta_times_s_minus_1(v) for v in pts.tolist()]
+    assert zeta_times_s_minus_1(np.array([1.0])).tolist() == [1.0]
 
 
 # ---------------------------------------------------------------- gamma
