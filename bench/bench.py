@@ -17,7 +17,15 @@ per-process tables (zero table, log-prime table) are already built.  A
 "cli" cases run a command in-process through cli.main, its output
 captured, on the default kernel, which no case before them has used.
 The "G_f", "zeta", "gamma" and "L1" cases time one layer on a batch of
-points: one point, a Watson ring, or a line of LINE_POINTS points.
+points: one point, a Watson ring, or a line of LINE_POINTS points.  A
+"sieve.top_block" case is the sieve alone, in ns per n: the mean of
+BLOCK_REPEAT calls of `_f_block` on the top block of a sweep to n_max,
+after one untimed call on a plan built outside the timing.
+
+With ``--other``, each case also records the paired differences
+this - other, one per run pair, with their median and quartiles, and how
+many pairs favour each checkout: two medians taken apart do not show a
+shift smaller than the spread of the runs.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIG53 = "periodic:m=2:[i,-i]"
+MOBIUS = "finite:[-1]"
 QUAD = "quadphase:alpha=0.381966"
 EDGE = "finite:[exp(i*0.25)]"  # Re z = 0.969: Delta_1's left end near the window's edge
 RUNS = 15  # per checkout: enough for a median and quartiles
@@ -44,6 +53,11 @@ SIEVE_POINTS = 48  # a LOG grid on [1e3, 2e5]
 POINT_REPEAT = 16  # one-point G calls per sample
 RING_POINTS = 256  # a Watson ring of radius 0.05
 LINE_POINTS = 4000  # Re s = 1.5, |Im s| <= 50
+#: n_max of the sieve's top-block cases: x = 2e5, 1e7 and the cap 1e8 at
+#: DEFAULT_CUTOFF_MULT = 37.5
+TOP_BLOCKS = (("7.5e6", 7_500_000), ("3.75e8", 375_000_000), ("3.75e9", 3_750_000_000))
+TOP_BLOCK = "sieve.top_block."
+BLOCK_REPEAT = 8
 
 
 def _timed(fn) -> float:
@@ -116,6 +130,16 @@ def run_cases(tree: str) -> dict[str, float]:
     out[f"sieve.direct_exp_sums_multi.fig53.{SIEVE_POINTS}"] = _timed(
         lambda: sieve.direct_exp_sums_multi(spec, xs)
     )
+    out[f"trajectory.direct.fig53.{SIEVE_POINTS}"] = _timed(
+        lambda: bias.trajectory(spec, 1e3, 2e5, SIEVE_POINTS, "LOG", bias.DIRECT)
+    )
+    for name, text in (("mobius", MOBIUS), ("fig53", FIG53)):
+        for label, n_max in TOP_BLOCKS:
+            plan = sieve._Plan(parse_eps_spec(text), n_max)
+            lo, hi = n_max - sieve.BLOCK + 1, n_max + 1
+            sieve._f_block(lo, hi, plan)
+            seconds = _timed(lambda: [sieve._f_block(lo, hi, plan) for _ in range(BLOCK_REPEAT)])
+            out[f"{TOP_BLOCK}{name}.n_max={label}"] = seconds * 1e9 / (BLOCK_REPEAT * (hi - lo))
 
     def command(*argv: str) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -190,12 +214,14 @@ def main(argv=None) -> int:
             print(f"run {r + 1}/{RUNS} {name}", file=sys.stderr)
     cases = {}
     for case in runs["this"][0]:
-        entry = {"unit": "s"}
+        entry = {"unit": "ns/n" if case.startswith(TOP_BLOCK) else "s"}
         for name in trees:
             entry[name] = _stats([sample[case] for sample in runs[name]])
         if "other" in trees:
-            pairs = zip(runs["this"], runs["other"])
-            entry["this_faster_pairs"] = sum(a[case] < b[case] for a, b in pairs)
+            diffs = [a[case] - b[case] for a, b in zip(runs["this"], runs["other"])]
+            entry["this_minus_other"] = _stats(diffs)
+            entry["this_faster_pairs"] = sum(d < 0 for d in diffs)
+            entry["other_faster_pairs"] = sum(d > 0 for d in diffs)
             entry["pairs"] = RUNS
         cases[case] = entry
     report = {

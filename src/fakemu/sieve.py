@@ -8,16 +8,19 @@ blocks of BLOCK = W^2 = 2^18 numbers, so nothing of size ~37.5x is ever
 held in memory at once.  (A block's buffer is 4 MB complex or 2 MB real,
 not less than a core's L2; smaller blocks were slower all the same,
 because the per-block Python loop over the prime powers then dominates.)
+The top block of a sweep costs about 10, 19 and 42 ns per n for Mobius
+and 19, 27 and 51 for periodic:m=2:[i,-i] at n_max = 7.5e6, 3.75e8 and
+3.75e9 (medians of 15 runs of bench/bench.py, 2 Xeon vCPUs on a shared
+host); the strided passes of the larger primes make up the growth.
 
-A block is sieved into one buffer by strided slice updates, with no
-integer division and no index gather.  The buffer is float64 where every
-eps_k (k <= 60) has an imaginary part of exactly 0, so that f is real,
-and complex128 otherwise; the plan picks it once per sweep, and both
-take the same steps.  A per-sweep plan lists every prime power
-q = p^k <= n_max with p <= sqrt(n_max), with
-r_k = e'_k / e'_{k-1}, where e'_k is eps_k with zeros replaced by 1
-(e'_0 = 1), and dz_k = [eps_k = 0] - [eps_{k-1} = 0].  Each q updates its
-multiples in the block:
+A block is sieved into one buffer, with no integer division and no index
+gather.  The buffer is float64 where every eps_k (k <= 60) has an
+imaginary part of exactly 0, so that f is real, and complex128
+otherwise; the plan picks it once per sweep, and both take the same
+steps.  A per-sweep plan lists every prime power q = p^k <= n_max with
+p <= sqrt(n_max), with r_k = e'_k / e'_{k-1}, where e'_k is eps_k with
+zeros replaced by 1 (e'_0 = 1), and dz_k = [eps_k = 0] - [eps_{k-1} = 0].
+Each q updates its multiples in the block:
 
     val[s::q] *= m_k     m_k = p r_k (or r_k, below)
     zc[s::q]  += 2 dz_k  zc is twice the number of primes p of n with
@@ -26,6 +29,32 @@ multiples in the block:
 A block [lo, hi) takes the primes with p^2 < hi, so n is its smooth part
 S (the product of the sieved prime powers) times at most one prime
 p^2 >= hi, to the first power, which takes e'_1, or f = 0 when eps_1 = 0.
+
+The small powers come from one stored period.  The plan's powers q that
+divide PERIOD = 27720 = 2^3 3^2 5 7 11 are sieved once per sweep, in
+their (p, k) order and with the same m_k and 2 dz_k, into one period of
+val and of zc, whose length is the lcm of those q (PERIOD at most:
+0.44 MB complex or 0.22 MB real, and 28 kB of zc).  A block starts as a
+copy of it from lo mod period, about 10 slices per 2^18 block, in place
+of a fill and of up to eight strided passes that each swept the whole
+2-4 MB buffer; the other powers follow by strided passes in their (p, k)
+order.  So a product takes its factors in another order than one pass
+per power would: the same bits where every eps is in {0, +-1, +-i},
+a few ulp apart elsewhere.  A plan with no stored power (f = 1, or
+n_max < 4) has a period of 1 and fills.  Of the periods 2520, 27720,
+60060 and 360360, 27720 gave the fastest top block at n_max = 7.5e6, or
+tied, for Mobius and periodic:m=2:[i,-i] (a complex 360360 is 5.8 MB).
+
+An absorbing zero ends the powers of p.  Where eps_j = 0 for every
+j >= a (Mobius: a = 2), the plan drops every p^k with k > a: an n that
+p^k divides has v_p(n) > a and f(n) = 0, and the kept p, ..., p^a have
+already added 2 [eps_a = 0] = 2 to zc, so the index of F below is at
+least 2 and clips to its 0.  The factors p of the dropped m_k = p are
+missing from |val|, which then rounds to a smaller integer S' != n,
+still exact and nonzero to divide by (it reads as a large prime, whose
+factor the clip overrides).  Those m_k are positive, so the sign and
+phase of val, and so the sign of the zero f ends at, do not move.  At
+n_max = 7.5e6 Mobius keeps 798 of the 901 powers, 8 among the dropped.
 
 The smooth part rides in the modulus.  With m_k = p r_k, val ends at
 S prod_p e'_{v_p(n)}.  This rests on every nonzero eps having |eps| close
@@ -47,7 +76,7 @@ rounds as the real part of the same complex product, so the float64
 buffer holds bit for bit what the complex one would.
 Where eps_1 = 1 the large prime leaves f alone: m_k = r_k, and the plan
 keeps only the powers with r_k != 1 or dz_k != 0, so f = 1 (cm:xi=1)
-takes no strided update at all.  f is a product of ratios, so elsewhere
+takes no update at all.  f is a product of ratios, so elsewhere
 it differs from `f_of_n` by a few ulp.
 
 The consume contract: `_sweep(spec, n_max, consume)` calls consume(n, f)
@@ -93,6 +122,8 @@ X_CHUNK = 128
 
 #: largest prime-power exponent reachable below the capacity caps (2^60)
 _MAX_VP = 60
+#: the stored period of the small prime powers: 2^3 3^2 5 7 11
+PERIOD = 27720
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -166,11 +197,16 @@ class _Plan:
         self.modulus = zero[1] or unit[1] != 1
         #: f's last factor, indexed by zc + [large prime] and clipped at 2
         self.factor = np.array([1, 0 if zero[1] else unit[1], 0], dtype=dtype)
+        #: eps_j = 0 for every j >= absorb (an absorbing zero), so no p^k
+        #: with k > absorb is sieved; absorb = _MAX_VP + 1 where there is none
+        absorb = _MAX_VP + 1
+        while absorb > 1 and zero[absorb - 1]:
+            absorb -= 1
         #: (q = p^k, p, m_k, 2 dz_k) ordered by p, then k
         self.powers: list[tuple[int, int, float | complex, int]] = []
         for p in primes_up_to(math.isqrt(n_max)).tolist():
             q, k = p, 1
-            while q <= n_max:
+            while q <= n_max and k <= absorb:
                 m = unit[k] / unit[k - 1]
                 if self.modulus:
                     m *= p
@@ -180,6 +216,18 @@ class _Plan:
                 q *= p
                 k += 1
         self.zeros = any(dz for *_, dz in self.powers)
+        #: the powers that divide PERIOD are sieved once into one period of
+        #: val and zc, which every block copies; the rest stay strided
+        stored = [t for t in self.powers if PERIOD % t[0] == 0]
+        self.strided = [t for t in self.powers if PERIOD % t[0] != 0]
+        period = math.lcm(*(q for q, *_ in stored))
+        self.val_period = np.ones(period, dtype=dtype)
+        self.zc_period = np.zeros(period, dtype=np.int8)
+        for q, _, m, dz in stored:
+            if m != 1:
+                self.val_period[::q] *= m
+            if dz:
+                self.zc_period[::q] += dz
         self.size = min(BLOCK, n_max)
         self.n = np.arange(self.size, dtype=np.float64)
         self.n_lo = 0  # n holds n_lo, n_lo + 1, ...
@@ -187,6 +235,22 @@ class _Plan:
         self.work = np.empty(self.size, dtype=dtype)  # |val|, then factor
         self.zc = np.empty(self.size, dtype=np.int8)
         self.mask = np.empty(self.size, dtype=bool)
+
+
+def _tile(out: np.ndarray, period: np.ndarray, lo: int) -> None:
+    """out[j] = period[(lo + j) % period.size]: one slice up to the first
+    period boundary, then whole periods and a last partial one."""
+    size, p = out.size, period.size
+    if p == 1:
+        out.fill(period[0])
+        return
+    start = lo % p
+    head = min(-start % p, size)
+    out[:head] = period[start : start + head]
+    whole = (size - head) // p
+    out[head : head + whole * p].reshape(whole, p)[...] = period
+    tail = size - head - whole * p
+    out[size - tail :] = period[:tail]
 
 
 def _f_block(lo: int, hi: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
@@ -198,10 +262,10 @@ def _f_block(lo: int, hi: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
         plan.n_lo = lo
     n, val, zc, mask = (b[:size] for b in (plan.n, plan.val, plan.zc, plan.mask))
     n.flags.writeable = False
-    val.fill(1.0)
+    _tile(val, plan.val_period, lo)
     if plan.zeros:
-        zc.fill(0)
-    for q, p, m, dz in plan.powers:
+        _tile(zc, plan.zc_period, lo)
+    for q, p, m, dz in plan.strided:
         if p * p >= hi:
             break
         s = -lo % q  # first multiple of q in the block

@@ -187,16 +187,26 @@ def spf_1e7():
     return build_spf(SPF_TOP)
 
 
+def _test_blocks(rng: random.Random) -> list[tuple[int, int]]:
+    """(lo, hi) of blocks below 1e7: three random ones shorter than the
+    stored period, one at a period's start, and from 3 before a period's
+    start one block of 2 (inside the first, partial period) and one over
+    two whole periods and a partial one."""
+    blocks = [(lo, lo + 3000) for lo in (1, rng.randint(2, 10 ** 7), rng.randint(2, 10 ** 7))]
+    start = sieve.PERIOD * rng.randint(1, 10 ** 7 // sieve.PERIOD - 3)
+    return blocks + [(start, start + 3000), (start - 3, start - 1),
+                     (start - 3, start + 2 * sieve.PERIOD + 500)]
+
+
 @pytest.mark.parametrize("text", BLOCK_SPECS)
 def test_f_block_matches_f_of_n(spf_1e7, text):
     spec = parse_eps_spec(text)
     plan = _Plan(spec, SPF_TOP)
-    rng = random.Random(text)
-    for lo in (1, rng.randint(2, 10 ** 7), rng.randint(2, 10 ** 7)):
-        n, f = _f_block(lo, lo + 3000, plan)
-        assert n.tolist() == list(range(lo, lo + 3000))
-        want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, lo + 3000)])
-        assert np.max(np.abs(f - want)) <= 1e-14
+    for lo, hi in _test_blocks(random.Random(text)):
+        n, f = _f_block(lo, hi, plan)
+        assert n.tolist() == list(range(lo, hi))
+        want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, hi)])
+        assert np.max(np.abs(f - want)) <= 1e-14, (lo, hi)
 
 
 def _factor(n: int, primes: list[int]) -> list[int]:
@@ -237,11 +247,12 @@ def _swept(spec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def test_sweep_matches_f_of_n_at_block_edges(monkeypatch):
-    # sweeps of one short block, whose plan holds no prime (n_max < 4) or
-    # only 2; then blocks of 1000, each shifting the float n buffer and
-    # taking the primes with p^2 < hi afresh
+    # sweeps of one short block, whose plan holds no prime (n_max < 4), only
+    # 2, or only some of the primes of the stored period (2, 3, 5 at 30;
+    # all but 11 at 120); then blocks of 1000, each shifting the float n
+    # buffer and taking the primes with p^2 < hi afresh
     table = build_spf(12_000)
-    cases = [(n_max, sieve.BLOCK) for n_max in (1, 2, 3, 4, 8)]
+    cases = [(n_max, sieve.BLOCK) for n_max in (1, 2, 3, 4, 8, 30, 120)]
     for n_max, block in cases + [(12_000, 1000)]:
         monkeypatch.setattr(sieve, "BLOCK", block)
         for text in BLOCK_SPECS:
@@ -280,10 +291,10 @@ def test_f_block_exact_for_lattice_specs(spf_1e7, text):
     # float64, and so is the division by S that takes it out again
     spec = parse_eps_spec(text)
     plan = _Plan(spec, SPF_TOP)
-    for lo in (1, random.Random(text).randint(2, 10 ** 7)):
-        n, f = _f_block(lo, lo + 3000, plan)
-        want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, lo + 3000)])
-        assert np.array_equal(f, want), lo
+    for lo, hi in _test_blocks(random.Random(text)):
+        n, f = _f_block(lo, hi, plan)
+        want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, hi)])
+        assert np.array_equal(f, want), (lo, hi)
     n_max = int(45 * DIRECT_X_CAP)
     primes = primes_up_to(math.isqrt(n_max)).tolist()
     plan = _Plan(spec, n_max)
@@ -293,6 +304,27 @@ def test_f_block_exact_for_lattice_specs(spf_1e7, text):
             [math.prod(eps_at(spec, v) for v in _factor(k, primes)) for k in range(lo, lo + 600)]
         )
         assert np.array_equal(f, want), lo
+
+
+def test_plan_stores_the_small_powers_and_drops_those_past_an_absorbing_zero():
+    # eps_j = 0 for every j >= 2 (Mobius): f(n) = 0 is settled at p^2, so no
+    # p^k with k >= 3 is sieved, 8 included, and the stored period is
+    # 4 9 5 7 11; where a nonzero eps follows a zero, the powers stay.  The
+    # period is the lcm of the sieved powers that divide PERIOD: 8 9 for
+    # finite:[1,0,1], whose eps_1 = 1 leaves p itself out
+    def cubes(plan):
+        return [q for q, p, *_ in plan.powers if q >= p ** 3]
+
+    mobius = _Plan(MOBIUS, 10 ** 6)
+    assert cubes(mobius) == [] and mobius.val_period.size == sieve.PERIOD // 2
+    for text, period in (("finite:[1,0,1]", 72), ("periodic:m=3:[0,i,1]", sieve.PERIOD)):
+        plan = _Plan(parse_eps_spec(text), 10 ** 6)
+        assert 8 in cubes(plan) and plan.val_period.size == period, text
+    assert _Plan(PER_I, 10 ** 6).val_period.size == sieve.PERIOD
+    # f = 1 sieves nothing: a period of 1, which a block takes by a fill
+    ones = _Plan(ONES, 10 ** 6)
+    assert ones.powers == [] and ones.val_period.size == 1
+    assert np.array_equal(_f_block(5, 105, ones)[1], np.ones(100))
 
 
 REAL_SPECS = ["finite:[-1]", "cm:xi=-1", "cm:xi=1", "finite:[1,0,1]", "periodic:m=2:[-1,1]"]

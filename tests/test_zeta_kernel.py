@@ -71,6 +71,47 @@ def test_zeta_half_alternating_oracle():
     assert zeta(0.5) == pytest.approx(-1.4603545088095868, rel=1e-12)
 
 
+U = 2.0 ** -53
+#: |B_26 / 26!|, the coefficient of the first Euler-Maclaurin term zeta omits
+_B26 = float(abs(mp.bernoulli(26) / mp.factorial(26)))
+
+
+def _em_terms(s: complex) -> int:
+    return int(zeta_kernel._em_terms(np.array([s]))[0])
+
+
+def _em_remainder(s: complex) -> float:
+    """The remainder after zeta's 12 corrections is at most |s+25| / (Re s+25)
+    times the first omitted term (Edwards, Riemann's Zeta Function, 6.4)."""
+    poch = math.prod(abs(s + j) for j in range(25))
+    return abs(s + 25) / (s.real + 25) * _B26 * poch * _em_terms(s) ** (-s.real - 25)
+
+
+def _zeta_error_bound(s: complex) -> float:
+    """|zeta(s) - computed zeta(s)|: the Euler-Maclaurin remainder plus the
+    rounding of the sum, to first order in U.
+
+    A term n^{-s} = e^{-Re s log n} e^{-i phase} carries 3 |Re s| log n U
+    from log n and the product, |Im s| log n 2^-63 from the phase reduced
+    in extended precision, 4 U from rounding that phase to float64 and 5 U
+    from exp, cos, sin and the product; a row sum in numpy's pairwise
+    order adds at most ceil(log2 N) + 16 U relative to the sum of |terms|.
+    A correction term B_2k/(2k)! (s)_{2k-1} N^{1-2k} takes one rounding
+    per factor, 8k + 16 U in all, and N/(s-1) four.
+    """
+    n = _em_terms(s)
+    sigma, t = s.real, abs(s.imag)
+    k = np.arange(1.0, n + 1)
+    per = (3 * abs(sigma) + t / 1024) * np.log(k) + 9 + math.ceil(math.log2(n)) + 16
+    mag = k ** -sigma  # |n^{-s}|
+    j = np.arange(1, 13)
+    poch = np.cumprod(np.abs(s + np.arange(23)))  # |(s)_m|, m = 1..23
+    terms = np.abs(zeta_kernel._EM_COEF) * poch[2 * j - 2] * n ** (1.0 - 2 * j)
+    pole = n / abs(s - 1)
+    corr = mag[-1] * (per[-1] * (pole + 0.5 + terms.sum()) + 4 * pole + ((8 * j + 16) * terms).sum())
+    return _em_remainder(s) + U * ((per[:-1] * mag[:-1]).sum() + corr)
+
+
 def test_zeta_reference_set():
     rng = random.Random(101)
     pts = [complex(2, 0), complex(0.5, 14.0), complex(3, 200.0), complex(-1, 5.0),
@@ -79,9 +120,19 @@ def test_zeta_reference_set():
         pts.append(complex(rng.uniform(-1, 5), rng.uniform(-600, 600)))
     for s in pts:
         ref = complex(mp.zeta(mp.mpc(s.real, s.imag)))
-        # 1e-12 relative away from zeros; double-precision absolute floor
-        tol = 1e-12 * abs(ref) + 1e-13
+        # the bound, plus the rounding of the 30-digit reference to complex
+        tol = _zeta_error_bound(s) + U * abs(ref)
         assert abs(zeta(s) - ref) <= tol, s
+
+
+def test_zeta_remainder_bound_over_the_box():
+    # the docstring's 3.2e-21: at fixed N(s) the bound grows with |Im s|
+    # and falls with Re s, so it peaks at Re s = -1 just below each step
+    # of N, the last of which is |Im s| -> 600
+    tops = [_em_remainder(complex(-1, m / 1.5 - 1e-9)) for m in range(25, 901)]
+    assert max(tops) == tops[-1] <= 3.2e-21
+    grid = [complex(a, b) for a in np.linspace(-1, 40, 42) for b in np.linspace(0, 600, 61)]
+    assert max(_em_remainder(s) for s in grid) <= tops[-1]
 
 
 def test_zeta_vanishes_at_first_zero(kernel):
