@@ -10,6 +10,10 @@ this checkout and the other one (this one first in even runs, the other
 first in odd runs), and each case also records in how many of the run
 pairs this checkout was faster.
 
+Every worker runs with one BLAS/OpenMP thread (WORKER_THREADS), as
+perfbench's workers do: with threaded OpenBLAS on 2 cores, the first
+sieve sweep of a fresh interpreter sometimes took ~6x its usual time.
+
 A "cold" case starts from a new FormulaConfig over a new ZetaKernel (the
 kernel keeps the continued logs of every zero it has served), so only the
 per-process tables (zero table, log-prime table) are already built.  A
@@ -47,6 +51,8 @@ FIG53 = "periodic:m=2:[i,-i]"
 MOBIUS = "finite:[-1]"
 QUAD = "quadphase:alpha=0.381966"
 EDGE = "finite:[exp(i*0.25)]"  # Re z = 0.969: Delta_1's left end near the window's edge
+NEAR_ONE = "finite:[exp(i*3.1)]"  # Re(-z) = 0.999 at the zero cuts
+WORKER_THREADS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 RUNS = 15  # per checkout: enough for a median and quartiles
 WARM_POINTS = 64  # a LOG grid on [1e3, 1e8], as a trajectory takes it
 SIEVE_POINTS = 48  # a LOG grid on [1e3, 2e5]
@@ -77,6 +83,7 @@ def run_cases(tree: str) -> dict[str, float]:
     from fakemu.eps_model import parse_eps_spec
 
     spec, quad, edge = parse_eps_spec(FIG53), parse_eps_spec(QUAD), parse_eps_spec(EDGE)
+    near_one = parse_eps_spec(NEAR_ONE)
     table = zk.default_kernel().table
 
     def fresh(n_zeros: int):
@@ -103,6 +110,18 @@ def run_cases(tree: str) -> dict[str, float]:
         lambda: xf.a_exp_formula(quad, 1e4, fresh(30))
     )
     out["delta_1.cold.edge.n_zeros=2"] = _timed(lambda: xf.delta_1(edge, 1e4, fresh(2)))
+    out["a_exp_formula.cold.near_one.n_zeros=2"] = _timed(
+        lambda: xf.a_exp_formula(near_one, 1e4, fresh(2))
+    )
+    # one cut's quadrature: the zero's G line, sweep and rule, then per x
+    cfg = fresh(1)
+    out["delta_rho.cold.fig53.zero=1"] = _timed(lambda: xf.delta_rho(spec, 1, 1e4, cfg))
+    for x in grid:
+        xf.delta_rho(spec, 1, x, cfg)
+    out["delta_rho.warm.fig53.zero=1"] = _timed(
+        lambda: [xf.delta_rho(spec, 1, x, cfg) for x in grid]
+    ) / len(grid)
+    out["c_half.fig53.cold"] = _timed(lambda: xf.c_half(spec, fresh(30)))
     cfg = fresh(30)
     for state in ("cold", "warm"):
         out[f"trajectory.formula.fig53.{WARM_POINTS}.{state}"] = _timed(
@@ -159,7 +178,7 @@ def run_cases(tree: str) -> dict[str, float]:
 def _sample(tree: str) -> dict[str, float]:
     done = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker", tree],
-        check=True, capture_output=True, text=True,
+        check=True, capture_output=True, text=True, env={**os.environ, **WORKER_THREADS},
     )
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -182,6 +201,7 @@ def _machine() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "longdouble_eps": float(np.finfo(np.longdouble).eps),
+        "worker_env": WORKER_THREADS,
     }
 
 

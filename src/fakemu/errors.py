@@ -38,7 +38,7 @@ class ConsistencyError(FakeMuError):
 
 
 class QuadratureError(FakeMuError):
-    """Adaptive quadrature failed to meet its tolerance at max level."""
+    """G's Chebyshev interpolant on a cut did not converge by its degree cap."""
 
 
 class GridError(FakeMuError):

@@ -9,7 +9,7 @@ Each part is the same Selberg-Delange step, taken once by class _Cut:
                        { phase_xi * J_xi(0)                            (residue)
                        { 0                                             (zero)
 
-with L = log x, right = the tanh-sinh exponent at u = b, and
+with L = log x, right = the exponent of the singularity at u = b, and
 
   xi   beta  sine                     b      right        zero when        residue when
   1    z     sin(pi z)/pi             1/2    max(Re w,0)  z in {-1, 0}     z = 1
@@ -45,62 +45,63 @@ x^xi c_xi = Res_{s=xi} F(s) Gamma(s) x^s:
   xi = rho, z = -1:  1/zeta(s) = (s-1) e^{-l1(s)}/(s-rho) with (rho-1)
                      e^{-l1(rho)} = 1/zeta'(rho): the residue is x^rho J_rho(0).
 
-Quadrature is tanh-sinh, which absorbs the endpoint singularities, with
-node terms in log space (Takahasi and Mori, 1974): c = weight u^{-beta} J
-is one exp in _Cut.j, of the log weight - beta log u that _ts_points gives
-from t plus log P_xi + z l1 + w l2, so no factor underflows alone, and an
-end with exponent alpha < 1 (Re beta at u = 0, right at u = b) is cut at
-the |t| of its bound alone, e^{-(1-alpha) pi sinh t} < 1e-16 (_t_cut).
-Only e^{-Lu} depends on x, so level L of a cut is one layer of the new
-nodes t = k 2^{1-L} (all k at L = 3, the odd k above): u, c and |c|, J
-from one call.  The context owns every step of it, and an x is one pass,
-_Ctx.deltas, over the cuts it asks for (every cut in a_exp_formula):
-every window first, then G on the segment of each
-quadrature cut that lacks it, then the sums of c e^{-Lu} and |c| e^{-Lu}
-over every stored layer of these cuts, the segments of the context's one
-node table (_Nodes): one real exp per row and one np.add.reduceat each.
-Each cut's part nests its layer sums, T_L = T_{L-1}/2 + h_L S_L (the mass
-the same way), up to its stop level, and the context builds and sums a
-further layer (_Ctx._grow) only where the stored ones do not converge.  A
-layer sum has the bits of np.sum over the layer alone, so a part has the
-same bits alone and in any pass, on any table.
+Quadrature is one fixed rule per cut, built once from its G line
+(_Cut.set_rule).  The integral is singular only at u = 0 (u^{-beta}) and,
+on the cut at 1, u = 1/2 ((1-2u)^{-w}).  Each such end is split off at r:
+J's Taylor coefficients there, a discrete Fourier transform of J on N
+points of a ring of radius R = 16 r (the trapezoid rule; Trefethen and
+Weideman, SIAM Review 56, 2014), give the piece over [0, r] in closed form,
+  sum_k lambda_k r^a e^{-Lr} sum_n (Lr)^n / (a)_{n+1},            a = k+1-beta,
+and at u = 1/2, mu_k the coefficients in v = 1/2 - u of u^{-z} J_1 (1-2u)^w,
+  e^{-L/2} 2^{-w} sum_k mu_k r^a sum_n (Lr)^n / (n! (a+n)),     a = k+1-w,
+a polynomial in y = Lr < 0.1 whose coefficients do not depend on x
+(_End).  The rest, [r, b] or [r, 1/2 - r], is 17-point Gauss-Legendre on
+panels [t, 4t] graded from each singular end, each node term c = weight
+u^{-beta} J one exp in log space.  The sizes follow from bounds, each
+against eps = 2^-53.  Ring aliasing: lambda_k R^k is off by at most
+M (R/D)^N / (1 - (R/D)^N), M = max |J| on the disc |u| < D of the end's
+series (the cut's radius; 1/6 at u = 1/2, where G's half-plane Re s > 1/3
+ends), so R <= D eps^{1/N}.  Truncation: with Cauchy's |lambda_k| <=
+M_R R^{-k} on the ring, the terms k >= N add at most M_R r^{1-Re beta}
+(r/R)^N / (1 - r/R): N = 14 at r = R/16.  The y series: |(a)_{n+1}| >=
+|a| n! for Re a > 0, so it stops where y^{n+1}/(n+1)! <= eps at y = r log
+DBL_MAX, every finite x.  Panels: n-node Gauss-Legendre errs by at most
+(64/15) M rho^{-2n} / (rho^2 - 1) of the half-length for an integrand
+bounded by M on the Bernstein ellipse E_rho (Trefethen, Approximation
+Theory and Approximation Practice, Thm 19.3); on [t, 4t] u = 0 lies on
+E_3, inside which Re u > 0 and |e^{-Lu}| <= 1 at every x, and n = 17
+brings the factor at rho = 3 below eps (M grows as rho nears 3 where
+Re beta > 0: a rate).  The G line off its segment: a polynomial of
+degree n exceeds its bound on [-1, 1] by at most rho_z^n at z
+(Bernstein-Walsh), so the line's error on a ring is at most rho_z^n
+times its error on the segment; R is the largest radius with rho_z^n <=
+_LINE_GROWTH = 8 (~1e-4 at degree 32 on b = 0.1), and this caps R.
+A cut thus holds 100 to 300 rows, whatever its exponents.  An x is one
+pass, _Ctx.deltas, over the cuts it asks for (all in a_exp_formula):
+every window first, then the G line and rule of each quadrature cut that
+lacks them, then one real exp over these cuts' rows, one np.add.reduceat
+(_Ctx._middles) and a Horner step per end.  A cut's sum has the bits of
+np.sum over its rows alone, so a part has the same bits alone and in any
+pass; another x calls no J, G, zeta or sweep.  A part that is not a
+finite number (Delta_1 near the largest double) raises RangeError.
 J is an array function throughout: zeta, gamma and L1 take arrays, L1 on
 the cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
 both logs where it has them and continues all new points at once; the
 public J and J(0) are its one-point case, and a point's J has the same
-bits alone and inside a level or a Watson ring.  Each cut owns its disc,
-|u| < radius (1/2 at s = 1, 1/2 - a at s = 1/2, the zero's gap radius at
-rho), and the paper's window, Re w < 1 (_Cut._require_integrable): the
-one check of each.
-A cut holds at most MAX_LEVEL - 2 layers; another x reads the table and
-builds no node, and the context's zero cuts and modes, built once.
+bits alone and in any array.  Each cut owns its disc, |u| < radius (1/2
+at s = 1, 1/2 - a at s = 1/2, the zero's gap radius at rho), and the
+paper's window, Re w < 1 (_Cut._require_integrable): the one check of each.
 
-At the tanh-sinh nodes G(s0 - u), s0 = 1, 1/2 or rho, comes from one
-Chebyshev interpolant per cut (class _GLine) on the segment 0 <= u <= b,
-i.e. [1/2, 1], [a, 1/2] or [rho - (1/2 - a), rho].  G is holomorphic on
-Re s > 1/3 (its truncation G_f even on Re s > 0), at least a - 1/3 away
-from each segment, so the Chebyshev coefficients decay geometrically
-(Trefethen, Approximation Theory and Approximation Practice, ch. 8).  A
-cut samples G on nested Chebyshev points of degree 16, 32, 64, ...,
-each level reusing the previous samples, until the last quarter of the
-coefficients lies below CHEB_TOL = 2^-46 of the largest; past
-CHEB_MAX_DEGREE it raises QuadratureError.  A pass samples the cuts it
-asks for that have no interpolant, in lock-step (_sample_g_lines) for
-each segment length: one call of the G kernel G_f_line per degree (17
-points, then 16, 32, ...) where a G_f call per node cost hundreds.  The
-cut at 1/2 and the zero cuts share b = 1/2 - a and Re s0 = 1/2, so in
-a_exp_formula, zero_sum and delta_half_and_zero_sum they are one group,
-whose rows share the prime powers p^{u_j}; the cut at 1 (b = 1/2) is a
-group of its own.  Each cut applies its own stopping test, only the
-unconverged ones go on, and each row has the bits it has alone.  The
-stopping test is an a-posteriori estimate, not a bound: it reads the
-decay of the coefficients already computed.  A bound would need max |G|
-on a Bernstein ellipse around the segment, which nothing here computes,
-and a feature narrower than the sample spacing could pass the test
-unseen; G, holomorphic well past the segment, has none.  Every other G
-(the residues, J(0) in c_{1/2}, the Watson ring, J at complex u) is a
-direct G_f call, one for all points of an array: G_f_line at u = 0, with
-the points as its rows, grouped by real part.
+On the rule's nodes and rings G(s0 - u), s0 = 1, 1/2 or rho, comes from
+one Chebyshev interpolant per cut (_GLine) on 0 <= u <= b, where G is
+holomorphic (Re s > 1/3), so the coefficients decay geometrically
+(Trefethen, ATAP, ch. 8).  A cut samples G on nested Chebyshev points of
+degree 16, 32, 64, ... until the last quarter of the coefficients lies
+below CHEB_TOL = 2^-46 of the largest (an a-posteriori estimate); past
+CHEB_MAX_DEGREE it raises QuadratureError.  A pass samples its cuts per
+segment length in lock-step (_sample_g_lines), one G_f_line call per
+degree, each row with the bits it has alone.  Every other G (the
+residues, J(0), the Watson ring, the public J) is a direct G_f call.
 
 Watson coefficients lambda_{xi,k} of J_xi at u = 0 come from a
 WATSON_NODES-node trapezoid rule on the circle |u| = WATSON_RADIUS
@@ -110,8 +111,8 @@ Gamma(1-beta+k) L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
 
 The two branch-tracked logs of J_rho come from one zeta_kernel.RhoSweep
 per zero (and per mirror zero), kept on the kernel for every spec and
-config and built at the first J of the zero: it serves the Laplace
-nodes, the Watson ring, the residue's J_rho(0) and J_rho at complex u,
+config and built at the first J of the zero: it serves the rule's nodes
+and end ring, the Watson ring, the residue's J_rho(0) and J_rho at complex u,
 each a leg from u = 0, and keeps every value it serves.
 """
 
@@ -121,6 +122,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import count
 from numbers import Integral, Real
 from typing import Callable, Optional
 
@@ -133,10 +135,6 @@ from .errors import (
 from .euler_residual import RE_S_MIN, G_f, G_f_line, GfConfig
 from .zeta_kernel import ZetaKernel, default_kernel, gamma
 
-#: tanh-sinh stopping tolerance (relative change between levels) and the
-#: last level tried before QuadratureError.
-QUAD_TOL = 1e-10
-MAX_LEVEL = 12
 #: Watson coefficients: trapezoid nodes on the ring |u| = WATSON_RADIUS,
 #: which must lie inside the smallest analyticity disc, radius 1/2 - a.
 WATSON_RADIUS = 0.05
@@ -205,31 +203,6 @@ class FormulaBreakdown:
 
 
 # --------------------------------------------------------------------------
-# tanh-sinh nodes, one table per level
-# --------------------------------------------------------------------------
-
-_SINH_TAIL = 16.0 * math.log(10.0) / math.pi  # e^{-pi sinh t} < 1e-16
-
-
-def _t_cut(alpha: float) -> float:
-    """|t| at an end u^{-alpha}, alpha < 1, past which e^{-(1-alpha) pi sinh t} < 1e-16."""
-    return math.asinh(_SINH_TAIL / (1.0 - alpha))
-
-
-def _ts_points(b: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log u, log(b-u), log weight) at tanh-sinh parameters t on (0, b):
-    with g = e^{-pi |sinh t|}, the near end is b g/(1+g) away and the far one
-    b/(1+g), and the weight is pi cosh t b g/(1+g)^2."""
-    a = math.pi * np.sinh(t)
-    log_denom = np.log1p(np.exp(-np.abs(a)))
-    far = math.log(b) - log_denom
-    near = far - np.abs(a)
-    right = a >= 0
-    log_w = near - log_denom + np.log(math.pi * np.cosh(t))
-    return np.where(right, far, near), np.where(right, near, far), log_w
-
-
-# --------------------------------------------------------------------------
 # G along one cut's segment: a Chebyshev interpolant on nested points
 # --------------------------------------------------------------------------
 
@@ -258,20 +231,17 @@ def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return c[0] + x * b1 - b2
 
 
+@dataclass(frozen=True)
 class _GLine:
-    """G(s0 - u) for 0 <= u <= b, from its Chebyshev coefficients c.
+    """G(s0 - u) for 0 <= u <= b, from its Chebyshev coefficients c at the
+    samples of _sample_g_lines, u_j = b sin^2(j pi/2n) (x_j = 1 - 2u/b)."""
 
-    The samples come from _sample_g_lines: u_j = b sin^2(j pi/2n) (x_j =
-    cos(j pi/n) = 1 - 2u/b).
-    """
-
-    def __init__(self, c: np.ndarray, b: float):
-        self.c = c
-        self.b = b
+    c: np.ndarray
+    b: float
 
     def __call__(self, u: np.ndarray, cu: np.ndarray) -> np.ndarray:
-        """G at s0 - u, with cu = b - u; x comes from the smaller of the two."""
-        x = np.where(u <= cu, 1.0 - 2.0 * u / self.b, 2.0 * cu / self.b - 1.0)
+        """G at s0 - u, cu = b - u, real or complex: x from the one nearer its end."""
+        x = np.where(np.abs(u) <= np.abs(cu), 1.0 - 2.0 * u / self.b, 2.0 * cu / self.b - 1.0)
         return _clenshaw(self.c, x)
 
 
@@ -317,58 +287,73 @@ def _sample_g_lines(
 
 
 # --------------------------------------------------------------------------
-# the node table of a context, and its one pass per x
+# the fixed rule of a quadrature cut: sizes and end pieces (module docstring)
 # --------------------------------------------------------------------------
 
-class _Nodes:
-    """Every stored tanh-sinh layer of a context's quadrature cuts, one
-    segment each, numbered in the order they were built.
+_EPS = 2.0 ** -53
+_L_MAX = math.log(np.finfo(np.float64).max)  # log x at every finite x
+_SPLIT = 16.0  # an end ring of radius R splits off [0, R/_SPLIT]
+_RING_POINTS = math.ceil(math.log(_EPS * (1.0 - 1.0 / _SPLIT)) / -math.log(_SPLIT))
+_LINE_GROWTH = 8.0  # the most rho_z^n may reach on a ring
+_PANEL_RATIO = 4.0  # panels [t, 4t]: u = 0 is on their Bernstein ellipse rho = 3
+_RING = np.exp(2j * math.pi * np.arange(_RING_POINTS) / _RING_POINTS)  # the unit ring
+# the trapezoid rule on a ring of radius R: lambda_k R^k = (J on it) @ _DFT
+_DFT = _RING[np.outer(*[np.arange(_RING_POINTS)] * 2) % _RING_POINTS].conj() / _RING_POINTS
 
-    A segment is a zero row, then the layer's u, c = weight u^{-beta} J and
-    |c|.  np.add.reduceat seeds each segment's sum with its first row and
-    adds the rest pairwise, so the zero row makes a layer sum numpy's
-    pairwise sum over the layer alone, np.sum's bits: the same in any
-    table and any pass.  A pass over several segments reads them as one
-    flat table, concatenated once and kept while the passes ask for the
-    same segments.
-    """
 
-    def __init__(self):
-        self.layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (u, c, |c|)
-        self._flat: tuple = ((), ())  # (segment numbers, their table)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights: Newton's method on P_n from its recurrence."""
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
-    def add(self, u: np.ndarray, c: np.ndarray) -> int:
-        """Store one layer; its segment number."""
-        self.layers.append(tuple(np.concatenate([[0.0], col]) for col in (u, c, np.abs(c))))
-        return len(self.layers) - 1
 
-    def layer(self, seg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, c, |c|) of segment seg, views without its zero row."""
-        u, c, size = self.layers[seg]
-        return u[1:], c[1:], size[1:]
+_GAUSS = _gauss_legendre(next(n for n in count(1) if 8 / 15 * 9.0 ** -n <= _EPS))
 
-    def _table(self, segs: tuple) -> tuple:
-        """(u, c, |c|, each segment's first row) of segments segs, one flat
-        table; one segment is read in place, and the last table of several
-        is kept for the next pass that asks for the same ones."""
-        if len(segs) == 1:
-            return (*self.layers[segs[0]], [0])
-        key, table = self._flat
-        if key != segs:
-            rows = [self.layers[seg] for seg in segs]
-            starts = np.cumsum([0] + [u.size for u, _, _ in rows[:-1]])
-            table = (*(np.concatenate(col) for col in zip(*rows)), starts)
-            self._flat = (segs, table)
-        return table
 
-    def sums(self, ell: float, segs: tuple) -> tuple[list, list]:
-        """sum c e^{-Lu} and sum |c| e^{-Lu} over each of segments segs, at
-        L = ell: one exp over their rows and one segmented sum each."""
-        if not segs:
-            return [], []
-        u, c, size, at = self._table(segs)
-        e = np.exp(-ell * u)
-        return np.add.reduceat(c * e, at).tolist(), np.add.reduceat(size * e, at).tolist()
+def _panels(r: float, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """(t, weight) on Gauss-Legendre panels r, r q, ..., top, q = _PANEL_RATIO."""
+    k = max(1, math.ceil(math.log(top / r) / math.log(_PANEL_RATIO)))
+    edges = np.append(r * _PANEL_RATIO ** np.arange(k), top)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    x, w = _GAUSS
+    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel(), (0.5 * (hi - lo) * w).ravel()
+
+
+@dataclass(frozen=True)
+class _End:
+    """A singular end's piece over [0, r = radius/_SPLIT], e^{-L shift} sum_n
+    coeffs[n] (Lr)^n (module docstring), from the coefficients taylor =
+    lambda_k R^k of its ring: at u = 0 (b None, shift r) or at u = b."""
+
+    r: float
+    radius: float
+    taylor: np.ndarray
+    coeffs: tuple[complex, ...]
+    shift: float
+
+    @classmethod
+    def build(cls, taylor, radius, exponent, b=None) -> "_End":
+        r = radius / _SPLIT
+        y = _L_MAX * r
+        n = np.arange(next(m for m in count(1) if y ** m / math.factorial(m) <= _EPS))
+        k = np.arange(taylor.size)[:, None]
+        a = k + 1.0 - exponent + n
+        den = np.cumprod(a, axis=1) if b is None else a * np.cumprod(np.maximum(n, 1))
+        coeffs = np.sum(taylor[:, None] * (r / radius) ** k / den, axis=0)
+        coeffs *= cmath.exp((1.0 - exponent) * math.log(r))
+        return cls(r, radius, taylor, tuple(complex(v) for v in coeffs), r if b is None else b)
+
+    def __call__(self, ell: float) -> complex:
+        y, acc = ell * self.r, 0j
+        for c in reversed(self.coeffs):
+            acc = acc * y + c
+        return acc * math.exp(-ell * self.shift)
 
 
 # --------------------------------------------------------------------------
@@ -381,14 +366,12 @@ class _Cut:
 
     A cut holds only xi's data: its exponent, sine and mode, log P_xi(u,
     log cu), the two logs l1, l2 at s = s0 - u and the residue phase, and
-    what the context's quadrature keeps of it: g_line, the Chebyshev
-    interpolant of G on the segment, and segs, its layers' segments of the
-    context's table.  j(u, log_cu, g, log_scale) is e^{log_scale} J_xi over
-    an array of u, real or complex, with log cu = log(b - u) exact near the
-    right end and g the values of G at s (one G_f call on all of them when
-    g is None); at(u) is its one point, checked against the disc |u| <
-    radius.  Every J but a layer's (the Watson ring in lambdas, J(0)) is
-    one j call with g None.  J and its ring exist in every mode.
+    its rule, built once by set_rule: g_line (G on the segment), rows (the
+    middle nodes' u and c after a zero row) and ends (its end pieces).
+    j(u, log_cu, g, log_scale) is e^{log_scale} J_xi over an array of u,
+    real or complex, with log cu = log(b - u) exact near the right end and
+    g the values of G at s (one G_f call when g is None, as in the Watson
+    ring and J(0)); at(u) is its one point, checked against the disc.
     """
 
     beta: complex
@@ -405,8 +388,11 @@ class _Cut:
     logs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # (l1, l2)(s, u)
     phase: complex  # c_xi = phase J_xi(0)
     g_at: Callable[[np.ndarray], np.ndarray]  # G_f
+    name: str  # the part, in errors
+    right_disc: Optional[float] = None  # |b - u| < right_disc: a singular end's series
     g_line: Optional[_GLine] = field(default=None, init=False, repr=False)
-    segs: list = field(default_factory=list, init=False, repr=False)  # level L's at L - 3
+    rows: Optional[tuple] = field(default=None, init=False, repr=False)
+    ends: tuple = field(default=(), init=False, repr=False)
 
     def j(self, u, log_cu=None, g=None, log_scale=0.0) -> np.ndarray:
         """e^{log_scale} J_xi(u) = exp(log_scale + log P_xi(u) + z l1(s) +
@@ -431,10 +417,41 @@ class _Cut:
             )
         return complex(self.j(np.array([u]))[0])
 
-    @cached_property
-    def t_range(self) -> tuple[float, float]:
-        """Truncation |t| at the left (u^{-beta}) and right ends."""
-        return _t_cut(max(self.beta.real, 0.0)), _t_cut(self.alpha_right)
+    def set_rule(self, line: _GLine) -> None:
+        """The rule from the G line: each singular end's piece (u = 0, u = b
+        if right_disc is set) and the panels' rows.  A ring's R keeps
+        rho_z^n <= _LINE_GROWTH (rho_z + 1/rho_z = 2 + 4R/b) and (R/disc)^N <= eps."""
+        self.g_line, b = line, self.b
+        rho = _LINE_GROWTH ** (1.0 / (line.c.size - 1))
+
+        def ring(disc):
+            radius = min(b * (rho - 1.0) ** 2 / (4.0 * rho), disc * _EPS ** (1.0 / _RING_POINTS))
+            return radius, radius * _RING
+
+        radius, u = ring(self.radius)
+        ends = [_End.build(self.j(u, None, line(u, b - u)) @ _DFT, radius, self.beta)]
+        if self.right_disc is not None:
+            # u = b - v at the cut at 1: the log scale cancels P's (2v)^{-w},
+            # and the series is u^{-beta} J (2v)^w 2^{-w} = u^{-beta} J v^w
+            radius, v = ring(self.right_disc)
+            log_v = np.log(v)
+            series = self.j(b - v, log_v, line(b - v, v), self.w * (math.log(2.0) + log_v))
+            series *= np.exp(-self.beta * np.log(b - v) - self.w * math.log(2.0))
+            ends.append(_End.build(series @ _DFT, radius, self.w, b))
+        self.ends = tuple(ends)
+        u, cu, weight = self.middle()
+        c = self.j(u, np.log(cu), line(u, cu), np.log(weight) - self.beta * np.log(u))
+        self.rows = (np.concatenate([[0.0], u]), np.concatenate([[0.0], c]))
+
+    def middle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, cu = b - u, weight) at the Gauss-Legendre nodes from the left
+        end's r to b, or to b/2 and on to b - r of a right end (cu exact)."""
+        (left, *right), b = self.ends, self.b
+        t, weight = _panels(left.r, 0.5 * b if right else b)
+        if not right:
+            return t, b - t, weight
+        v, w = _panels(right[0].r, 0.5 * b)
+        return np.concatenate([t, b - v]), np.concatenate([b - t, v]), np.concatenate([weight, w])
 
     @cached_property
     def j0(self) -> complex:
@@ -518,7 +535,7 @@ class _Ctx:
         self.cfg = cfg
         self.pars: FactorParams = zw_params(spec)
         self._cuts: dict = {}
-        self.nodes = _Nodes()
+        self._table: tuple = ((), ())  # (cuts, their rows as one table)
 
     def G(self, s):
         """The residual Euler product at a point or an array of points,
@@ -526,64 +543,42 @@ class _Ctx:
         return G_f(self.spec, s, self.cfg.gf_config)
 
     def deltas(self, x: float, cuts: list[_Cut]) -> list[complex]:
-        """Delta_xi(x) at each of cuts, in one pass that owns the quadrature:
-        every window first, so a window error comes before any G sample;
-        one _sample_g_lines call per segment length for the quadrature cuts
-        with no G line; the sums of every stored layer of these cuts (no
-        other cut's) in one _Nodes.sums; then each cut's nested trapezoid
-        T_L = T_{L-1}/2 + h_L sum c e^{-Lu} (its mass the same way with |c|)
-        up to the first level L > 3 that moves T by at most QUAD_TOL,
-        building and summing each layer the stored ones lack."""
+        """Delta_xi(x) at each of cuts, in one pass: every window first, so a
+        window error comes before any G sample; the G lines and rules the
+        quadrature cuts lack, one _sample_g_lines call per segment length;
+        their middle sums in one _middles, and their end pieces."""
         for cut in cuts:
             cut._require_integrable()
-        bare = [cut for cut in cuts if cut.mode == "quadrature" and cut.g_line is None]
+        bare = [cut for cut in cuts if cut.mode == "quadrature" and cut.rows is None]
         for b in {cut.b: None for cut in bare}:
             group = [cut for cut in bare if cut.b == b]
             g_kernel = partial(G_f_line, self.spec, cfg=self.cfg.gf_config)
             lines = _sample_g_lines(g_kernel, np.array([cut.s0 for cut in group]), b)
             for cut, line in zip(group, lines):
-                cut.g_line = line
+                cut.set_rule(line)
         ell = math.log(x)
-        # only a quadrature cut has layers
-        segs = tuple([seg for cut in cuts for seg in cut.segs])
-        stored = dict(zip(segs, zip(*self.nodes.sums(ell, segs))))
+        middles = iter(self._middles(ell, tuple(cut for cut in cuts if cut.rows is not None)))
         out = []
         for cut in cuts:
-            if cut.mode != "quadrature":
-                out.append(cut.x_pow(x) * cut.residue if cut.mode == "residue" else 0j)
-                continue
-            own = cut.segs
-            cur = mass = 0.0
-            for L in range(3, MAX_LEVEL + 1):
-                if L - 3 < len(own):
-                    c, size = stored[own[L - 3]]
-                else:
-                    self._grow(cut)
-                    (c,), (size,) = self.nodes.sums(ell, (own[-1],))
-                h = 2.0 ** (1 - L)
-                cur = 0.5 * cur + h * c
-                mass = 0.5 * mass + h * size
-                if L > 3 and abs(cur - prev) <= QUAD_TOL * (abs(cur) + 1e-13 * mass) + 1e-300:
-                    break
-                prev = cur
+            if cut.mode == "quadrature":
+                part = cut.sine * cut.x_pow(x) * (next(middles) + sum(end(ell) for end in cut.ends))
             else:
-                raise QuadratureError(
-                    f"tanh-sinh did not reach tol={QUAD_TOL} at level {MAX_LEVEL}"
-                )
-            out.append(cut.sine * cut.x_pow(x) * cur)
+                part = cut.x_pow(x) * cut.residue if cut.mode == "residue" else 0j
+            out.append(_finite(cut.name, x, part))
         return out
 
-    def _grow(self, cut: _Cut) -> None:
-        """Store cut's next layer: u and c = weight u^{-beta} J at the nodes
-        t = k 2^{1-L} new at its level L (every k at L = 3, the odd k
-        above), G from its line and one j call."""
-        t_left, t_right = cut.t_range
-        h = 2.0 ** (-2 - len(cut.segs))  # 2^{1-L} at the next level
-        k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
-        log_u, log_cu, log_w = _ts_points(cut.b, (k[k % 2 == 1] if cut.segs else k) * h)
-        u, cu = np.exp(log_u), np.exp(log_cu)
-        c = cut.j(u, log_cu, cut.g_line(u, cu), log_w - cut.beta * log_u)
-        cut.segs.append(self.nodes.add(u, c))
+    def _middles(self, ell: float, cuts: tuple) -> list:
+        """sum c e^{-Lu} over each cut's rows: one exp over the pass's table
+        (kept while the passes ask for the same cuts) and one np.add.reduceat,
+        which seeds each sum with the cut's zero row: np.sum over its rows."""
+        if not cuts:
+            return []
+        if self._table[0] != cuts:
+            rows = [cut.rows for cut in cuts]
+            starts = np.cumsum([0] + [u.size for u, _ in rows[:-1]])
+            self._table = (cuts, (*(np.concatenate(col) for col in zip(*rows)), starts))
+        u, c, at = self._table[1]
+        return np.add.reduceat(c * np.exp(-ell * u), at).tolist()
 
     @cached_property
     def modes(self) -> dict:
@@ -638,7 +633,7 @@ class _Ctx:
                 log_prefactor=lambda u, log_cu: -w * (  # 1 - 2u = 2 cu, exact near u = b
                     np.log(1.0 - 2.0 * u) if log_cu is None else math.log(2.0) + log_cu
                 ),
-                logs=logs_L1, phase=1.0, **data,
+                logs=logs_L1, phase=1.0, name="delta_1", right_disc=1.0 / 6.0, **data,
             )
         if key == "half":
             return _Cut(
@@ -649,7 +644,7 @@ class _Ctx:
                 mode=_mode(self.pars.w_is_one, near_integer(z + w) is not None), s0=0.5,
                 log_prefactor=lambda u, log_cu: -math.log(2.0) - z * np.log(0.5 + u),
                 # zeta(1/2)^z from above the cut (-inf, 1]: s - 1 = (1/2 + u) e^{i pi}
-                phase=cmath.exp(-1j * math.pi * z), **data,
+                phase=cmath.exp(-1j * math.pi * z), name="delta_half", **data,
             )
         index, conjugate = key
         rho = k.rho(index, conjugate)
@@ -661,7 +656,7 @@ class _Ctx:
             log_prefactor=lambda u, log_cu: -z * np.log(rho - 1.0 - u),
             # the zero's sweep is built at the first J: a zero-mode cut builds none
             logs=lambda s, u: k.rho_sweep(index, conjugate).at(u),
-            phase=1.0, **data,
+            phase=1.0, name=f"delta_rho({index}{', mirror' if conjugate else ''})", **data,
         )
 
 
@@ -682,6 +677,12 @@ def _require_x(x: float, minimum: float = 3.0) -> float:
     if not (isinstance(x, Real) and minimum <= x < math.inf):
         raise DomainError(f"x must be a finite real number >= {minimum}, got {x!r}")
     return float(x)
+
+
+def _finite(name: str, x: float, value: complex) -> complex:
+    if not cmath.isfinite(value):
+        raise RangeError(f"{name} at x = {x!r} is {value}: not a finite number")
+    return value
 
 
 def _part(spec: EpsilonSpec, key, x: float, cfg: Optional[FormulaConfig]) -> complex:
@@ -817,7 +818,7 @@ def a_exp_formula(
         delta_half=dh,
         delta_rho=tuple(pairs),
         zero_sum=zsum,
-        total=d1 + dh + zsum,
+        total=_finite("total", x, d1 + dh + zsum),
         modes=dict(ctx.modes),
         zero_tail=abs(pairs[-1][1]) if pairs else 0.0,
     )

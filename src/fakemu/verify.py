@@ -164,7 +164,7 @@ def check_zeta_prime() -> None:
 
 def check_array_kernels() -> None:
     # a point's bits are the same alone and inside a mixed batch: zeta and
-    # gamma; J over one tanh-sinh level and on the Watson ring (on fresh
+    # gamma; J over a cut's quadrature nodes and on the Watson ring (on fresh
     # kernels, so the zero's sweep computes every point); a G line sampled
     # with others on its segment or alone, and G rows of mixed real parts
     rng = random.Random(29)

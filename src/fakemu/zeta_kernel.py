@@ -609,9 +609,7 @@ class ZetaKernel:
         real segment (1/3, 1.2) and the Watson rings of the cuts at 1 and
         1/2.  Every other point is continued along one straight leg from
         1.2 + i Im s, all of them in one _continue_legs call.  A point's
-        value does not depend on the others of its call, so a repeated
-        point (tanh-sinh nodes at the end of a cut round onto one s) gets
-        its bits again.
+        value does not depend on the others of its call, repeats too.
         """
         pts, scalar = _points(s)
         if np.any(pts.real <= 1.0 / 3.0):

@@ -420,6 +420,17 @@ def test_malformed_input_is_a_domain_error_exit_1(argv, capsys, tmp_path):
     assert out == ""
 
 
+def test_overflowing_part_is_a_range_error_exit_1(capsys):
+    # Delta_1 of fig53 overflows at x = 1e308: it used to exit 0 and write
+    # Infinity, which is not JSON
+    argv = ["evaluate", "--eps", "periodic:m=2:[i,-i]", "--x", "1e308", "--mode", "formula",
+            "--n-zeros", "2"]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: delta_1 at x = 1e+308") and err.count("\n") == 1, err
+    assert out == ""
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
 def test_out_to_unwritable_path_exit_1(where, capsys, tmp_path):
     # an OSError used to escape as a traceback; now one line naming the path

@@ -369,13 +369,12 @@ def test_delta_rho_mirror_vs_conj_spec(cfg):
 # ---------------------------------------------------------------- quadrature
 
 # Cuts whose endpoint exponent Re beta nears 1 inside the paper's window,
-# at x = 1e4 with two pairs of zeros.  Node terms are formed in log space,
-# so the truncation |t| follows from e^{-(1-alpha) pi sinh t} < 1e-16 alone
-# and no node's weight or u^{-beta} underflows; the parts with a reference
-# and the whole evaluates used to stop at MAX_LEVEL with QuadratureError.
-# The references are a Hankel-loop quadrature of the same integrals
-# (Gauss-Legendre on a loop around each end, no tanh-sinh), stable to
-# ~1e-14 across its radii.
+# at x = 1e4 with two pairs of zeros.  Each singular end is a closed-form
+# piece over [0, r], so an exponent near 1 costs no nodes; the parts with a
+# reference and the whole evaluates once stopped at a level cap of the
+# tanh-sinh rule this replaced.  The references are a Hankel-loop
+# quadrature of the same integrals (Gauss-Legendre on a loop around each
+# end), stable to ~1e-14 across its radii.
 @pytest.mark.parametrize("part, text, want", [
     pytest.param(part, text, want, id=f"{part}-{text}") for part, text, want in (
         ("delta_1", "finite:[exp(i*0.25)]", None),  # Re z = 0.969
@@ -401,33 +400,39 @@ def test_endpoint_exponent_near_one(part, text, want):
         got = {"delta_1": delta_1, "delta_half": delta_half}[part](spec, 1e4, cfg)
     assert cmath.isfinite(got) and got != 0
     if want is not None:
-        assert abs(got - want) <= 1e-12 * abs(want), got
+        assert abs(got - want) <= 3e-14 * abs(want), got
 
 
-def test_zero_parts_hold_at_a_tighter_tolerance(monkeypatch):
-    # the zero cut's integrand has no noise floor near u = 0 (the ring's
-    # divided difference), so Delta_rho at QUAD_TOL = 1e-13 stays within
-    # 1e-12 of its default value; the quadphase zero used to creep to
-    # level 10 on a ~1e-10 floor, and the others stopped at MAX_LEVEL
+def _every_part(spec, x, cfg):
+    """delta_1, delta_half and delta_rho at zero 1 and its mirror."""
+    parts = [delta_1(spec, x, cfg), delta_half(spec, x, cfg)]
+    return parts + [delta_rho(spec, 1, x, cfg, conj) for conj in (False, True)]
+
+
+def test_zero_parts_hold_at_half_the_split_radius(monkeypatch):
+    # each end's piece and the panels that start at its r meet at r = R/16;
+    # at r = R/32 (another series length, other panels) no part moves by
+    # more than 1e-14, near the window's edge too
     specs = [
         parse_eps_spec(text) for text in (
             "finite:[exp(i*3.1)]", "finite:[exp(i*2.55),i]", "finite:[exp(i*3.34),i]",
             "quadphase:alpha=0.381966",
         )
     ]
-    default = [delta_rho(spec, 1, 1e4, FormulaConfig(n_zeros=1)) for spec in specs]
-    monkeypatch.setattr(explicit_formula, "QUAD_TOL", 1e-13)
-    monkeypatch.setattr(explicit_formula, "MAX_LEVEL", 16)
-    for spec, want in zip(specs, default):
-        got = delta_rho(spec, 1, 1e4, FormulaConfig(n_zeros=1))
-        assert abs(got - want) <= 1e-12 * abs(want), (spec, got, want)
+    default = [_every_part(spec, 1e4, FormulaConfig(n_zeros=1)) for spec in specs]
+    monkeypatch.setattr(explicit_formula, "_SPLIT", 32.0)
+    for spec, parts in zip(specs, default):
+        for got, want in zip(_every_part(spec, 1e4, FormulaConfig(n_zeros=1)), parts):
+            assert abs(got - want) <= 1e-14 * abs(want), (spec, got, want)
 
 
-def test_quadrature_error_when_capped(monkeypatch):
-    monkeypatch.setattr(explicit_formula, "MAX_LEVEL", 3)
-    for part in (delta_1, a_exp_formula, zero_sum):
-        with pytest.raises(QuadratureError, match="did not reach tol"):
-            part(FIG53, 1e3, FormulaConfig(n_zeros=2))
+@pytest.mark.parametrize("part", [delta_1, a_exp_formula])
+def test_a_part_past_the_largest_double_is_a_range_error(part):
+    # Delta_1 of fig53 at x = 1e308 is x times ~2: it used to come back as
+    # inf+infj (and the CLI wrote Infinity, which is not JSON)
+    with pytest.raises(RangeError, match="delta_1 at x = 1e[+]?308 is .*not a finite number"):
+        part(FIG53, 1e308, FormulaConfig(n_zeros=2))
+    assert cmath.isfinite(delta_1(FIG53, 1e300, FormulaConfig(n_zeros=2)))
 
 
 def test_config_invariants():
@@ -686,8 +691,7 @@ CANONICAL = (MOBIUS, LIOUVILLE, ONES, FIG51A, FIG53)
 def _fill_cuts(spec, a):
     """Run every part once; return the context's quadrature cuts.
 
-    quadphase's zero cuts hold ~2000-4000 nodes each at ~1 ms per direct
-    G_f, so it runs zero 1 alone; the others run two pairs."""
+    quadphase runs zero 1 alone; the others run two pairs."""
     from fakemu.explicit_formula import _ctx
 
     cfg = FormulaConfig(a=a, n_zeros=2)
@@ -701,20 +705,15 @@ def _fill_cuts(spec, a):
     return [cut for cut in ctx._cuts.values() if cut.mode == "quadrature"], cfg
 
 
-def _full_grid(cut, L):
-    """(u, cu, log cu, log weight - beta log u) at every node t = k 2^{1-L}
-    of level L, in one _ts_points call: the grid the layers up to L hold,
-    each node once, with the scale _Ctx._grow passes to cut.j."""
-    t_left, t_right = cut.t_range
-    h = 2.0 ** (1 - L)
-    k = np.arange(-math.floor(t_left / h), math.floor(t_right / h) + 1)
-    log_u, log_cu, log_w = explicit_formula._ts_points(cut.b, k * h)
-    return np.exp(log_u), np.exp(log_cu), log_cu, log_w - cut.beta * log_u
+def _rule_nodes(cut):
+    """(u, cu, log cu, log weight - beta log u) at the cut's middle nodes, the
+    rows of its table, with the scale _Cut.set_rule passes to cut.j."""
+    u, cu, weight = cut.middle()
+    return u, cu, np.log(cu), np.log(weight) - cut.beta * np.log(u)
 
 
 def _cut_nodes(cut):
-    # the deepest level's grid holds every node of the levels below it
-    u, cu, _, _ = _full_grid(cut, len(cut.segs) + 2)
+    u, cu, _ = cut.middle()
     return u, cu
 
 
@@ -784,8 +783,8 @@ REF_POINTS = [0.35, 0.4, 0.5, 0.45 + 0.03j, 0.42 + 14.13j, 1.0, 2.0]
 
 @pytest.fixture(scope="module")
 def fig53_nodes_long_double():
-    """fig53's quadrature cuts at a = 0.35, each with every node of its
-    deepest level and G there in long double."""
+    """fig53's quadrature cuts at a = 0.35, each with its middle nodes
+    and G there in long double."""
     cuts, cfg = _fill_cuts(FIG53, 0.35)
     logp = cfg.gf_config.logp
     return cfg, [
@@ -812,6 +811,22 @@ def test_G_kernel_within_8e_15_of_long_double(fig53_nodes_long_double):
 
 
 @LONG_DOUBLE
+def test_g_line_error_grows_within_its_bound_on_the_end_rings(fig53_nodes_long_double):
+    # Bernstein-Walsh: off its segment the line's error grows by at most
+    # rho_z^n <= _LINE_GROWTH on an end ring, against the product in long
+    # double at the same points
+    cfg, cuts = fig53_nodes_long_double
+    for cut, u, cu, want in cuts:
+        on_segment = np.max(np.abs(cut.g_line(u, cu) - want) / np.abs(want))
+        for i, end in enumerate(cut.ends):
+            t = end.radius * np.exp(2j * math.pi * np.arange(end.taylor.size) / end.taylor.size)
+            ring = cut.s0 - (cut.s0 - (t if i == 0 else cut.b - t))  # exact offsets
+            ref = _g_long_double(FIG53, cut.s0 - ring, cfg.gf_config.logp)
+            rel = np.abs(cut.g_line(ring, cut.b - ring) - ref) / np.abs(ref)
+            assert rel.max() <= explicit_formula._LINE_GROWTH * on_segment, (cut.s0, i)
+
+
+@LONG_DOUBLE
 def test_g_line_within_the_rounding_of_G_f(fig53_nodes_long_double):
     # against the product in long double, the interpolant is within
     # 2 CHEB_TOL, its own bound (the kernel G_f_line reaches ~6e-15)
@@ -820,6 +835,34 @@ def test_g_line_within_the_rounding_of_G_f(fig53_nodes_long_double):
         got = cut.g_line(u, cu)
         rel = np.abs(got - want) / np.abs(want)
         assert rel.max() <= 2 * explicit_formula.CHEB_TOL, (cut.s0, rel.max())
+
+
+def _end_rings(spec):
+    """(cut, ring offsets u from s0) of every end ring of spec's
+    quadrature cuts, two pairs of zeros, each u the exact offset s0 - s of
+    the double s = s0 - u that G_f reads (at |Im s| = 21, G moves by up to
+    2e-14 over the rounding of s)."""
+    from fakemu.explicit_formula import _ctx
+
+    cfg = FormulaConfig(n_zeros=2)
+    a_exp_formula(spec, 1e4, cfg)
+    out = []
+    for cut in _ctx(spec, cfg)._cuts.values():
+        for i, end in enumerate(cut.ends):
+            t = end.radius * np.exp(2j * math.pi * np.arange(end.taylor.size) / end.taylor.size)
+            out.append((cut, cut.s0 - (cut.s0 - (t if i == 0 else cut.b - t))))
+    assert len(out) == 7
+    return cfg, out
+
+
+@pytest.mark.parametrize("spec", [FIG53, FIG51A, QUAD], ids=["fig53", "fig51a", "quadphase"])
+def test_g_line_on_the_end_rings_within_1e_14_of_G_f(spec):
+    # the end rings read G off the line, past its segment
+    cfg, rings = _end_rings(spec)
+    for cut, u in rings:
+        want = G_f(spec, cut.s0 - u, cfg.gf_config)
+        rel = np.abs(cut.g_line(u, cut.b - u) - want) / np.abs(want)
+        assert rel.max() <= 1e-14, (cut.s0, rel.max())
 
 
 def test_g_line_reproduces_its_samples():
@@ -898,32 +941,49 @@ def test_work_count_cold_evaluate(monkeypatch):
     assert sum(points) == sum(n + 1 for n in degrees.values())
 
 
+def _rows(cut):
+    """(u, c) of the cut's rows, without their zero row."""
+    u, c = cut.rows
+    return u[1:], c[1:]
+
+
 @pytest.mark.parametrize("x", [1e3, 3e4, 1e6])
 def test_work_count_quadphase_zero_cuts(x):
-    # each zero cut of quadphase stops at level 6 (245 nodes), as the other
-    # canonical specs do; on the zero quotient's ~1e-10 noise floor it
-    # used to run to levels 8-10 (979-3916 nodes)
+    # each zero cut of quadphase holds 7 panels of 17 nodes at every x, as
+    # the other canonical specs do; the tanh-sinh rule it replaced ran to
+    # 979-3916 nodes on the zero quotient's ~1e-10 noise floor
     from fakemu.explicit_formula import _ctx
 
     cfg = FormulaConfig(n_zeros=2)
     a_exp_formula(QUAD, x, cfg)
     ctx = _ctx(QUAD, cfg)
-    nodes = [sum(ctx.nodes.layer(seg)[0].size for seg in cut.segs) for cut in ctx.zero_cuts]
-    assert len(nodes) == 4 and max(nodes) <= 245, nodes
+    rows = [_rows(cut)[0].size for cut in ctx.zero_cuts]
+    assert len(rows) == 4 and max(rows) <= 7 * 17, rows
 
 
-def test_l1_repeats_keep_their_point_bits(monkeypatch):
-    # tanh-sinh nodes at the ends of the cuts at 1 and 1/2 round onto one
-    # s (1/2, and a and 2a): in a cold evaluate, L1 gets repeated points,
-    # and a repeat keeps its point's bits
-    got = []
-    L1 = ZetaKernel.L1
-    monkeypatch.setattr(
-        ZetaKernel, "L1", lambda kernel, s: got.append(np.ravel(s).tolist()) or L1(kernel, s)
-    )
+@pytest.mark.parametrize("text", [
+    "finite:[exp(i*pi/5),1]", "periodic:m=2:[i,-i]", "quadphase:alpha=0.381966",
+    "quadphase:alpha=0.7", "cm:xi=exp(i*pi/3)", "finite:[exp(i*0.25)]",
+    # Re(-z) = 0.999 at the zero cuts: 27574 tanh-sinh nodes once
+    "finite:[exp(i*3.1)]", "finite:[exp(i*3.34),i]",
+    "periodic:m=2:[exp(i*1.602646),exp(i*3.111332)]",
+])
+def test_rows_of_a_two_pair_evaluate(text):
+    # every quadrature cut is one fixed table: at most 900 rows in all for
+    # a 2-pair evaluate, whatever the end exponents
+    from fakemu.explicit_formula import _ctx
+
+    spec, cfg = parse_eps_spec(text), FormulaConfig(n_zeros=2)
+    a_exp_formula(spec, 1e4, cfg)
+    ctx = _ctx(spec, cfg)
+    assert sum(cut.rows[0].size - 1 for cut in ctx._cuts.values() if cut.rows) <= 900
+
+
+def test_l1_repeats_keep_their_point_bits():
+    # L1 takes any array of points, repeats too (a call reads s and 2s):
+    # a repeat keeps its point's bits
     kernel = ZetaKernel(default_kernel().table)
-    a_exp_formula(FIG53, 1e4, FormulaConfig(n_zeros=2, kernel=kernel))
-    assert any(len(s) > len(set(s)) for s in got)
+    L1 = ZetaKernel.L1
     points = np.array([0.5, 0.8, 0.5, 0.45 + 0.1j, 0.5, 0.8])
     assert L1(kernel, points).tolist() == [L1(kernel, s) for s in points.tolist()]
 
@@ -937,7 +997,7 @@ def test_work_count_classify(monkeypatch, spec):
     assert len(calls) == 1
 
 
-# ---------------------------------------------------------------- tanh-sinh level tables
+# ---------------------------------------------------------------- the fixed rule of a cut
 
 CUT_KINDS = {"one": "one", "half": "half", "zero": (1, False), "mirror": (1, True)}
 
@@ -949,93 +1009,145 @@ def _counting_cut(a, kind):
 
     ctx = _ctx(FIG53, FormulaConfig(a=a, n_zeros=1))
     cut = ctx.cut(CUT_KINDS[kind])
-    assert cut.mode == "quadrature" and cut.segs == []
+    assert cut.mode == "quadrature" and cut.rows is None
     calls = []
     j = cut.j
     cut.j = lambda *args: calls.append(args) or j(*args)
     return ctx, cut, calls
 
 
+def _ring_values(cut, end_index):
+    """(the end ring's points, J there as the end's series reads it): at u = 0
+    J itself, at the right end of the cut at 1, u = 1/2 - v, u^{-beta} J v^w
+    (the (2v)^{-w} of P_1 taken out), each from the cut's G line."""
+    end = cut.ends[end_index]
+    t = end.radius * np.exp(2j * math.pi * np.arange(end.taylor.size) / end.taylor.size)
+    if end_index == 0:
+        return t, cut.j(t, None, cut.g_line(t, cut.b - t))
+    u = cut.b - t
+    j = cut.j(u, np.log(t), cut.g_line(u, t))
+    return t, j * np.exp(cut.w * np.log(t) - cut.beta * np.log(u))
+
+
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
 @pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
-def test_levels_are_nested_bit_for_bit(a, kind):
-    # level L's grid is the layers up to L, each node in one layer: its
-    # odd k in layer L, the k = 2 mod 4 in layer L-1, ..., the multiples of
-    # 2^{L-3} in layer 3; every layer has the bits of the full grid's u
-    # and c = weight u^{-beta} J at its nodes, and |c|
+def test_levels_are_nested_bit_for_bit(monkeypatch, a, kind):
+    # the levels of the cut's G line: each doubling of the Chebyshev degree
+    # samples only the points new at it, so the samples are the final
+    # grid, every point once and bit for bit; the line takes its samples'
+    # values there
+    samples = []
+
+    def g_kernel(spec, s0, u, cfg):
+        (row,) = G_f_line(spec, s0, u, cfg)  # a group of one cut
+        samples.append((u, row))
+        return row[None]
+
+    monkeypatch.setattr(explicit_formula, "G_f_line", g_kernel)
     ctx, cut, _ = _counting_cut(a, kind)
     ctx.deltas(1e4, [cut])
-    assert len(cut.segs) >= 2
-    t_left = cut.t_range[0]
-    for L in range(3, len(cut.segs) + 3):
-        u, cu, log_cu, log_scale = _full_grid(cut, L)
-        c = cut.j(u, log_cu, cut.g_line(u, cu), log_scale)
-        k = np.arange(u.size) - math.floor(t_left / 2.0 ** (1 - L))
-        for lv in range(3, L + 1):
-            step = 2 ** (L - lv)
-            at = k % step == 0 if lv == 3 else k % (2 * step) == step
-            for full, here in zip((u, c, np.abs(c)), ctx.nodes.layer(cut.segs[lv - 3])):
-                assert full[at].tobytes() == here.tobytes()
+    n = cut.g_line.c.size - 1
+    grid = cut.b * np.sin(np.arange(n + 1) * (math.pi / (2 * n))) ** 2
+    u = np.concatenate([u for u, _ in samples])
+    assert len(samples) == round(math.log2(n / 16)) + 1
+    assert sorted(u.tolist()) == sorted(grid.tolist()) and np.unique(u).size == n + 1
+    want = np.concatenate([g for _, g in samples])
+    got = cut.g_line(u, cut.b - u)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
 @pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
 def test_cold_delta_calls_j_once_per_node(a, kind):
-    # one J call per level, on the arrays of its new nodes: every node of
-    # the deepest level is in exactly one call
+    # one J call on each end ring, then one on the middle nodes, whose
+    # table rows are u and that call's c, each node once
     ctx, cut, calls = _counting_cut(a, kind)
     ctx.deltas(1e4, [cut])
-    assert len(calls) == len(cut.segs)
-    nodes = [(u, lcu) for c in calls for u, lcu in zip(c[0].tolist(), c[1].tolist())]
-    u, _, log_cu, _ = _full_grid(cut, len(cut.segs) + 2)
-    assert set(nodes) == set(zip(u.tolist(), log_cu.tolist()))
-    assert len(set(nodes)) == len(nodes)  # no (u, log(b - u)) twice
+    assert len(calls) == len(cut.ends) + 1
+    for args, end in zip(calls, cut.ends):
+        assert np.size(args[0]) == end.taylor.size
+    u, cu, log_cu, log_scale = _rule_nodes(cut)
+    args = calls[-1]
+    assert args[0].tobytes() == u.tobytes() and args[1].tobytes() == log_cu.tobytes()
+    assert np.unique(u).size == u.size and np.all((0 < u) & (u < cut.b))
+    rows_u, rows_c = _rows(cut)
+    assert rows_u.tobytes() == u.tobytes()
+    assert rows_c.tobytes() == cut.j(u, log_cu, cut.g_line(u, cu), log_scale).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
 @pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
 def test_warm_delta_reads_the_level_table(monkeypatch, a, kind):
-    # a new x on a warm cut builds no node and calls no J
+    # a new x on a warm cut builds no rule and calls no J: it reads the
+    # cut's table and end pieces
     ctx, cut, calls = _counting_cut(a, kind)
     for x in (1e3, 1e5, 1e8):
         ctx.deltas(x, [cut])
-    depth, n_calls = len(cut.segs), len(calls)
-    points = []
-    ts_points = explicit_formula._ts_points
+    rows, ends, n_calls = cut.rows, cut.ends, len(calls)
+    built = []
+    panels = explicit_formula._panels
     monkeypatch.setattr(
-        explicit_formula, "_ts_points", lambda *args: points.append(args) or ts_points(*args)
+        explicit_formula, "_panels", lambda *args: built.append(args) or panels(*args)
     )
     ctx.deltas(3e4, [cut])
-    assert (len(cut.segs), len(calls), points) == (depth, n_calls, [])
+    assert (len(calls), built) == (n_calls, []) and cut.rows is rows and cut.ends is ends
 
 
 @pytest.mark.parametrize("x", [1e3, 1e8])
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
 @pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
 def test_layers_sum_to_the_plain_trapezoid(a, kind, x):
-    # at every level a cold cut reaches, h_L times the sum over the layers
-    # up to L of c e^{-Lu} is the plain trapezoid over level L's full grid,
-    # each term one cut.j call with -Lu in its log scale and the G line,
-    # within 8 ulps of its mass; delta is the deepest one times sine x^xi
+    # each end's Taylor coefficients are the plain trapezoid rule on its
+    # ring, lambda_k R^k = (1/N) sum_j J(u_j) e^{-2 pi i jk/N}; the table's
+    # segment sums to the plain sum of c e^{-Lu} over the middle nodes, each
+    # term one cut.j call with -Lu in its log scale, within 8 ulps of its
+    # mass; and delta is sine x^xi times that sum plus the end pieces
     ctx, cut, _ = _counting_cut(a, kind)
     [got] = ctx.deltas(x, [cut])
+    assert len(cut.ends) == (2 if kind == "one" else 1)
+    for i, end in enumerate(cut.ends):
+        _, vals = _ring_values(cut, i)
+        k = np.arange(vals.size)
+        trapezoid = np.exp(-2j * math.pi * np.outer(k, k) / vals.size) @ vals / vals.size
+        assert np.max(np.abs(end.taylor - trapezoid)) <= 64 * 2.0 ** -53 * np.max(np.abs(vals))
     ell = math.log(x)
-    for L in range(3, len(cut.segs) + 3):
-        h = 2.0 ** (1 - L)
-        u, cu, log_cu, log_scale = _full_grid(cut, L)
-        terms = cut.j(u, log_cu, cut.g_line(u, cu), log_scale - ell * u)
-        want, mass = h * complex(np.sum(terms)), h * float(np.sum(np.abs(terms)))
-        layers = [ctx.nodes.layer(cut.segs[lv - 3]) for lv in range(3, L + 1)]
-        nested = h * sum(complex(np.sum(c * np.exp(-ell * u))) for u, c, _ in layers)
-        assert abs(nested - want) <= 8 * 2.0 ** -53 * mass, (L, nested, want, mass)
+    u, cu, log_cu, log_scale = _rule_nodes(cut)
+    terms = cut.j(u, log_cu, cut.g_line(u, cu), log_scale - ell * u)
+    want, mass = complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+    rows_u, rows_c = _rows(cut)
+    assert abs(complex(np.sum(rows_c * np.exp(-ell * rows_u))) - want) <= 8 * 2.0 ** -53 * mass
+    ends = [end(ell) for end in cut.ends]
     scale = cut.sine * cut.x_pow(x)
-    assert abs(got - scale * want) <= 8 * 2.0 ** -53 * abs(scale) * mass, (got, scale * want)
+    bound = 8 * 2.0 ** -53 * abs(scale) * (mass + sum(map(abs, ends)))
+    assert abs(got - scale * (want + sum(ends))) <= bound, (got, scale * (want + sum(ends)))
+
+
+@pytest.mark.parametrize("spec", [FIG53, FIG51A, QUAD], ids=["fig53", "fig51a", "quadphase"])
+def test_end_rings_mean_is_j_at_the_end(spec):
+    # lambda_0, the mean of J over each end ring, is J at the end itself
+    # (the direct value, G from G_f): at u = 0 of every quadrature cut J(0),
+    # and at u = 1/2 of the cut at 1 the limit of u^{-z} J (1-2u)^w 2^{-w}
+    from fakemu.explicit_formula import _ctx
+
+    cfg = FormulaConfig(n_zeros=2)
+    a_exp_formula(spec, 1e4, cfg)
+    cuts = [cut for cut in _ctx(spec, cfg)._cuts.values() if cut.mode == "quadrature"]
+    assert len(cuts) == 6
+    for cut in cuts:
+        assert abs(cut.ends[0].taylor[0] - cut.j0) <= 1e-14 * abs(cut.j0), cut.s0
+    one = _ctx(spec, cfg).cut("one")
+    pars = zw_params(spec)
+    at_half = (
+        cmath.exp(pars.z * (math.log(2.0) + L1_HALF) - pars.w * math.log(2.0))
+        * G_f(spec, 0.5, cfg.gf_config) * math.sqrt(math.pi)
+    )
+    assert abs(one.ends[1].taylor[0] - at_half) <= 1e-14 * abs(at_half)
 
 
 def test_warm_a_exp_formula_does_only_x_work(monkeypatch):
-    # a new x on a filled config reads the layers and the context's cut
-    # lists: no J, G, node, layer, gamma, zeta, realness or sampling call,
-    # and the bits a cold config gets at that x
+    # a new x on a filled config reads the table, the end pieces and the
+    # context's cut lists: no J, G, node, rule, gamma, zeta, L1, sweep,
+    # realness or sampling call, and the bits a cold config gets at that x
     from fakemu.eps_model import EpsilonSpec
 
     specs = (FIG53, FIG51A, LIOUVILLE, QUAD)
@@ -1049,12 +1161,14 @@ def test_warm_a_exp_formula_does_only_x_work(monkeypatch):
         (explicit_formula._Cut, "j"),
         (explicit_formula, "G_f_line"),
         (explicit_formula, "G_f"),
-        (explicit_formula, "_ts_points"),
+        (explicit_formula, "_panels"),
         (explicit_formula, "gamma"),
         (zeta_kernel, "zeta"),
+        (zeta_kernel.ZetaKernel, "L1"),
+        (zeta_kernel.RhoSweep, "at"),
         (EpsilonSpec, "is_real_valued"),
         (explicit_formula, "_sample_g_lines"),
-        (explicit_formula._Ctx, "_grow"),
+        (explicit_formula._Cut, "set_rule"),
     ):
         f = getattr(owner, name)
         monkeypatch.setattr(
@@ -1079,10 +1193,10 @@ def _parts_alone(spec, x, cfg_of):
 @pytest.mark.parametrize("spec", [FIG53, FIG51A, QUAD, LIOUVILLE], ids=lambda s: s.class_tag)
 def test_a_part_has_the_same_bits_in_any_pass(spec, x):
     # a part alone on a fresh config, alone on one warmed at 1e3 and 1e8
-    # (whose table holds deeper layers and every other cut), and inside
-    # a_exp_formula on a fresh config: each layer sum is its own
-    # segment's, so the three are bitwise equal, and each cut stops at the
-    # same level alone as inside a_exp_formula
+    # (whose table holds every other cut), and inside a_exp_formula on a
+    # fresh config: each middle sum is its own segment's, so the three are
+    # bitwise equal, and each cut holds the same rows alone as inside
+    # a_exp_formula
     warm = FormulaConfig(n_zeros=2)
     for x_fill in (1e3, 1e8):
         a_exp_formula(spec, x_fill, warm)
@@ -1092,39 +1206,44 @@ def test_a_part_has_the_same_bits_in_any_pass(spec, x):
     fresh = []
     alone = _parts_alone(spec, x, lambda: fresh.append(FormulaConfig(n_zeros=2)) or fresh[-1])
     assert alone == _parts_alone(spec, x, lambda: warm) == inside
-    depth = {key: len(cut.segs) for key, cut in cfg._memo[spec]._cuts.items()}
-    alone_depth = [(key, len(cut.segs)) for c in fresh for key, cut in c._memo[spec]._cuts.items()]
+
+    def rows(cut):
+        return cut.rows and cut.rows[0].tobytes()
+
+    depth = {key: rows(cut) for key, cut in cfg._memo[spec]._cuts.items()}
+    alone_depth = [(key, rows(cut)) for c in fresh for key, cut in c._memo[spec]._cuts.items()]
     assert {key for key, _ in alone_depth} == set(depth)
     assert alone_depth == [(key, depth[key]) for key, _ in alone_depth]
 
 
 def test_warm_a_exp_formula_is_one_pass_over_the_table(monkeypatch):
-    # a new x on a filled config: one exp over every segment of the node
-    # table (one _Nodes.sums) and no layer built; a part alone on that
-    # config sums its own cut's segments and no other cut's
-    from fakemu.explicit_formula import _ctx, _Nodes
+    # a new x on a filled config: one exp over the rows of every quadrature
+    # cut (one _middles) and no rule built; a part alone on that config
+    # sums its own cut's rows and no other cut's
+    from fakemu.explicit_formula import _ctx, _Ctx, _Cut
 
     cfg = FormulaConfig(n_zeros=2)
     for spec in (FIG53, FIG51A, QUAD):
         for x in (1e3, 1e8):
             a_exp_formula(spec, x, cfg)
     calls = []
-    sums, add = _Nodes.sums, _Nodes.add
+    middles, set_rule = _Ctx._middles, _Cut.set_rule
     monkeypatch.setattr(
-        _Nodes, "sums",
-        lambda nodes, ell, segs: calls.append((nodes, sorted(segs))) or sums(nodes, ell, segs),
+        _Ctx, "_middles",
+        lambda ctx, ell, cuts: calls.append((ctx, list(cuts))) or middles(ctx, ell, cuts),
     )
-    monkeypatch.setattr(_Nodes, "add", lambda *args: calls.append("add") or add(*args))
+    monkeypatch.setattr(_Cut, "set_rule", lambda *args: calls.append("rule") or set_rule(*args))
     for spec in (FIG53, FIG51A, QUAD):
         ctx = _ctx(spec, cfg)
+        quadrature = [cut for cut in ctx._cuts.values() if cut.mode == "quadrature"]
+        assert len(quadrature) == 6
         calls.clear()
         a_exp_formula(spec, 3.7e5, cfg)
-        assert calls == [(ctx.nodes, list(range(len(ctx.nodes.layers))))]
+        assert calls == [(ctx, [ctx.cut("one"), ctx.cut("half"), *ctx.zero_cuts])]
         for part, key in ((delta_1, "one"), (delta_half, "half")):
             calls.clear()
             part(spec, 3.7e5, cfg)
-            assert calls == [(ctx.nodes, sorted(ctx.cut(key).segs))], key
-            assert 0 < len(ctx.cut(key).segs) < len(ctx.nodes.layers)
+            assert calls == [(ctx, [ctx.cut(key)])], key
 
 
 # frozen from the per-node G_f path: (spec, x, delta_1, delta_half,
@@ -1250,13 +1369,14 @@ def test_shared_sweeps_are_free_of_call_history():
     table = default_kernel().table
 
     def nodes(ctx, cut):
-        # c = weight u^{-beta} J in every layer, and J on the deepest level's
-        # full grid, from the cut's G line
-        if not cut.segs:
+        # c = weight u^{-beta} J in the table, J at the middle nodes from
+        # the cut's G line, and the end rings' Taylor coefficients
+        if cut.rows is None:
             return []
-        u, cu, log_cu, _ = _full_grid(cut, len(cut.segs) + 2)
-        c = [ctx.nodes.layer(seg)[1].tolist() for seg in cut.segs]
-        return [c, cut.j(u, log_cu, cut.g_line(u, cu)).tolist()]
+        u, cu, log_cu, _ = _rule_nodes(cut)
+        c = _rows(cut)[1].tolist()
+        rings = [end.taylor.tolist() for end in cut.ends]
+        return [c, cut.j(u, log_cu, cut.g_line(u, cu)).tolist(), rings]
 
     def run_b(kernel):
         cfg = FormulaConfig(n_zeros=2, kernel=kernel)
@@ -1328,9 +1448,8 @@ def test_residue_reads_the_kept_value_at_the_zero():
 def test_each_level_is_one_call_of_each_sweep_function():
     # at the shortest abscissa the legs from u = 0 reach |u| = b = 0.15
     # (|2u| = 0.3 for zeta(2s), whose legs past |2u| = 0.25 take two
-    # pieces); the new nodes of each tanh-sinh level still take one call
-    # of each function, with no halving round, in the levels the pass
-    # builds and in those the context grows past its stop level
+    # pieces); each J call of the rule, on its end ring and on its middle
+    # nodes, still takes one call of each function, with no halving round
     from fakemu.euler_residual import RE_S_MIN
     from fakemu.explicit_formula import _ctx
 
@@ -1339,26 +1458,21 @@ def test_each_level_is_one_call_of_each_sweep_function():
     calls = _count_sweep_calls(kernel)
     ctx = _ctx(FIG53, FormulaConfig(a=RE_S_MIN, n_zeros=1, kernel=kernel))
     cut = ctx.cut((1, False))
-    per_layer, grow = [], ctx._grow
+    per_call, j = [], cut.j
 
-    def counted_grow(c):
+    def counted_j(u, *args):
         calls.clear()
-        grow(c)
-        per_layer.append(list(calls))
+        out = j(u, *args)
+        per_call.append((np.asarray(u), list(calls)))
+        return out
 
-    ctx._grow = counted_grow
+    cut.j = counted_j
     ctx.deltas(1e4, [cut])
-    while len(cut.segs) < explicit_formula.MAX_LEVEL - 2:
-        ctx._grow(cut)
-    assert len(per_layer) == explicit_formula.MAX_LEVEL - 2
-    layers = [ctx.nodes.layer(seg)[0] for seg in cut.segs]
-    for L, got in enumerate(per_layer, 3):
-        u = layers[L - 3]  # the new nodes of level L
-        # less those whose u rounds onto a lower level's: the sweep kept it
-        if L > 3:
-            u = u[np.isin(u, np.concatenate(layers[: L - 3]), invert=True)]
-        two = np.count_nonzero(2.0 * u > zeta_kernel._STEP0)
-        assert got == [u.size, u.size + two], (L, got)
+    assert len(per_call) == 2
+    for u, got in per_call:
+        two = np.count_nonzero(2.0 * np.abs(u) > zeta_kernel._STEP0)
+        assert got == [u.size, u.size + two], got
+    assert np.count_nonzero(2.0 * np.abs(per_call[1][0]) > zeta_kernel._STEP0) > 0
 
 
 def _anchored_outputs():
@@ -1418,7 +1532,7 @@ def test_g_line_groups_share_one_kernel_call_per_degree(monkeypatch):
 
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
 def test_j_batch_bits_equal_one_point(kind):
-    # J over a level's nodes in one call against one node at a time, each
+    # J over the rule's middle nodes in one call against one node at a time, each
     # on a fresh kernel; J(0) and the public J are the one-point case
     from fakemu.explicit_formula import _ctx
 
@@ -1430,10 +1544,8 @@ def test_j_batch_bits_equal_one_point(kind):
         return ctx, ctx.cut(CUT_KINDS[kind])
 
     ctx, cut = fresh_ctx()
-    ctx.deltas(1e4, [cut])  # samples the G line and builds the levels
-    while len(cut.segs) < 3:
-        ctx._grow(cut)
-    u, cu, log_cu, log_scale = _full_grid(cut, 5)
+    ctx.deltas(1e4, [cut])  # samples the G line and builds the rule
+    u, cu, log_cu, log_scale = _rule_nodes(cut)
     g = cut.g_line(u, cu)
     batch = cut.j(u, log_cu, g, log_scale)
     _, one = fresh_ctx()
