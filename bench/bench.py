@@ -24,7 +24,8 @@ The "G_f", "zeta", "gamma" and "L1" cases time one layer on a batch of
 points: one point, a Watson ring, or a line of LINE_POINTS points.  A
 "sieve.top_block" case is the sieve alone, in ns per n: the mean of
 BLOCK_REPEAT calls of `_f_block` on the top block of a sweep to n_max,
-after one untimed call on a plan built outside the timing.
+after one untimed call on a plan built outside the timing, for two
+lattice specs and a control on the value path.
 
 With ``--other``, each case also records the paired differences
 this - other, one per run pair, with their median and quartiles, and how
@@ -49,6 +50,9 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIG53 = "periodic:m=2:[i,-i]"
 MOBIUS = "finite:[-1]"
+#: a top-block control off the lattice: its eps_1 = exp(i pi/5) keeps f on
+#: the value path, which lattice codes do not touch
+CONTROL = "finite:[exp(i*pi/5),1]"
 QUAD = "quadphase:alpha=0.381966"
 EDGE = "finite:[exp(i*0.25)]"  # Re z = 0.969: Delta_1's left end near the window's edge
 NEAR_ONE = "finite:[exp(i*3.1)]"  # Re(-z) = 0.999 at the zero cuts
@@ -152,7 +156,7 @@ def run_cases(tree: str) -> dict[str, float]:
     out[f"trajectory.direct.fig53.{SIEVE_POINTS}"] = _timed(
         lambda: bias.trajectory(spec, 1e3, 2e5, SIEVE_POINTS, "LOG", bias.DIRECT)
     )
-    for name, text in (("mobius", MOBIUS), ("fig53", FIG53)):
+    for name, text in (("mobius", MOBIUS), ("fig53", FIG53), ("control", CONTROL)):
         for label, n_max in TOP_BLOCKS:
             plan = sieve._Plan(parse_eps_spec(text), n_max)
             lo, hi = n_max - sieve.BLOCK + 1, n_max + 1

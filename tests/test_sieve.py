@@ -60,9 +60,17 @@ def test_spf_invariants(spf_1e5):
         assert all(n % q != 0 for q in primes if q < p)
 
 
-def test_spf_capacity():
+def test_spf_capacity(spf_1e5):
     with pytest.raises(CapacityError):
         build_spf(10 ** 9 + 1)
+    # a float limit or n used to raise TypeError or IndexError
+    for limit in (2.5, 100.0, True):
+        with pytest.raises(DomainError, match="integer"):
+            build_spf(limit)
+    for n in (2.5, 6.0, True):
+        with pytest.raises(DomainError, match="integer"):
+            f_of_n(spf_1e5, MOBIUS, n)
+    assert f_of_n(spf_1e5, MOBIUS, np.int64(6)) == 1
 
 
 def test_f_values(spf_1e5):
@@ -134,6 +142,15 @@ def test_exp_sum_preconditions():
             direct_exp_sum(MOBIUS, x)
         with pytest.raises(DomainError, match="finite"):
             direct_exp_sums_multi(MOBIUS, [10.0, x])
+    # a 0-d or 2-d point set used to raise a bare ValueError, a complex x
+    # TypeError, and a string was parsed as a number
+    for xs in (5.0, [[10.0, 20.0]], [10.0 + 1j], ["1e3"], [True]):
+        with pytest.raises(DomainError, match="real numbers"):
+            direct_exp_sums_multi(MOBIUS, xs)
+    for x in (10.0 + 1j, "1e3"):
+        with pytest.raises(DomainError, match="real numbers"):
+            direct_exp_sum(MOBIUS, x)
+    assert direct_exp_sums_multi(MOBIUS, (10, 20.0)).shape == (2,)
 
 
 def test_dirichlet_series_consistency():
@@ -178,6 +195,17 @@ BLOCK_SPECS = [
     "finite:[1,0,1]",
     "periodic:m=3:[0,i,1]",
     "quadphase:alpha=0.381966",
+]
+#: every eps in {0, +-1, +-i}: f comes from the lattice codes, save for
+#: cm:xi=1, whose f = 1 is a fill
+LATTICE_SPECS = [
+    "finite:[-1]",
+    "cm:xi=-1",
+    "cm:xi=1",
+    "periodic:m=2:[i,-i]",
+    "finite:[0]",
+    "finite:[1,0,1]",
+    "periodic:m=3:[0,i,1]",
 ]
 SPF_TOP = 10 ** 7 + 3000
 
@@ -250,9 +278,11 @@ def test_sweep_matches_f_of_n_at_block_edges(monkeypatch):
     # sweeps of one short block, whose plan holds no prime (n_max < 4), only
     # 2, or only some of the primes of the stored period (2, 3, 5 at 30;
     # all but 11 at 120); then blocks of 1000, each shifting the float n
-    # buffer and taking the primes with p^2 < hi afresh
+    # buffer and taking the primes with p^2 < hi afresh.  The lattice specs
+    # take their codes, with a large-prime threshold per n (all n < 2048)
     table = build_spf(12_000)
     cases = [(n_max, sieve.BLOCK) for n_max in (1, 2, 3, 4, 8, 30, 120)]
+    coded = set()
     for n_max, block in cases + [(12_000, 1000)]:
         monkeypatch.setattr(sieve, "BLOCK", block)
         for text in BLOCK_SPECS:
@@ -261,6 +291,9 @@ def test_sweep_matches_f_of_n_at_block_edges(monkeypatch):
             assert n.tolist() == list(range(1, n_max + 1)), (text, n_max)
             want = np.array([f_of_n(table, spec, k) for k in range(1, n_max + 1)])
             assert np.max(np.abs(f - want)) <= 1e-14, (text, n_max)
+            if _Plan(spec, n_max).codes:
+                coded.add(text)
+    assert coded == set(LATTICE_SPECS) - {"cm:xi=1"}
 
 
 @pytest.mark.parametrize("text", ["finite:[1e-13]", "cm:xi=1e-13", "periodic:m=2:[-1,1e-13]"])
@@ -287,10 +320,10 @@ def test_sweep_matches_f_of_n_for_tiny_eps(spf_1e5, text):
     ],
 )
 def test_f_block_exact_for_lattice_specs(spf_1e7, text):
-    # every eps in {0, +-1, +-i}: the smooth part S times f is exact in
-    # float64, and so is the division by S that takes it out again
+    # every eps in {0, +-1, +-i}: f is read off the codes, exactly
     spec = parse_eps_spec(text)
     plan = _Plan(spec, SPF_TOP)
+    assert plan.codes
     for lo, hi in _test_blocks(random.Random(text)):
         n, f = _f_block(lo, hi, plan)
         want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, hi)])
@@ -316,15 +349,71 @@ def test_plan_stores_the_small_powers_and_drops_those_past_an_absorbing_zero():
         return [q for q, p, *_ in plan.powers if q >= p ** 3]
 
     mobius = _Plan(MOBIUS, 10 ** 6)
-    assert cubes(mobius) == [] and mobius.val_period.size == sieve.PERIOD // 2
+    assert cubes(mobius) == [] and mobius.count_period.size == sieve.PERIOD // 2
     for text, period in (("finite:[1,0,1]", 72), ("periodic:m=3:[0,i,1]", sieve.PERIOD)):
         plan = _Plan(parse_eps_spec(text), 10 ** 6)
-        assert 8 in cubes(plan) and plan.val_period.size == period, text
-    assert _Plan(PER_I, 10 ** 6).val_period.size == sieve.PERIOD
+        assert 8 in cubes(plan) and plan.count_period.size == period, text
+    assert _Plan(PER_I, 10 ** 6).count_period.size == sieve.PERIOD
+    plan = _Plan(parse_eps_spec("finite:[exp(i*pi/5),1]"), 10 ** 6)
+    assert plan.val_period.size == sieve.PERIOD
     # f = 1 sieves nothing: a period of 1, which a block takes by a fill
     ones = _Plan(ONES, 10 ** 6)
     assert ones.powers == [] and ones.val_period.size == 1
     assert np.array_equal(_f_block(5, 105, ones)[1], np.ones(100))
+
+
+def _value_plan(monkeypatch, spec, n_max: int) -> _Plan:
+    """The value path's plan for any spec, as no lattice spec builds it:
+    with no value known to lie on the lattice, no spec sieves codes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sieve, "_TURNS", {})
+        plan = _Plan(spec, n_max)
+    assert not plan.codes
+    return plan
+
+
+@pytest.mark.parametrize("text", LATTICE_SPECS)
+def test_lattice_codes_match_the_value_path(monkeypatch, text):
+    # every block of a full sweep to 7.5e6 (x = 2e5) holds the same f on
+    # both paths (a zero may be -0.0 on the value path), and the sums of a
+    # 48-point grid to 2e5 have the same bits
+    spec = parse_eps_spec(text)
+    n_max = int(sieve.DEFAULT_CUTOFF_MULT * 2e5)
+    codes, values = _Plan(spec, n_max), _value_plan(monkeypatch, spec, n_max)
+    assert codes.codes == (text != "cm:xi=1")
+    for lo in range(1, n_max + 1, codes.size):
+        hi = min(lo + codes.size, n_max + 1)
+        got, want = _f_block(lo, hi, codes)[1], _f_block(lo, hi, values)[1]
+        assert got.dtype == want.dtype and np.array_equal(got, want), lo
+    xs = np.exp(np.linspace(math.log(1e3), math.log(2e5), 48))
+    got = direct_exp_sums_multi(spec, xs)
+    with monkeypatch.context() as patch:
+        patch.setattr(sieve, "_TURNS", {})
+        want = direct_exp_sums_multi(spec, xs)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lattice_codes_near_the_cap(monkeypatch):
+    # the large-prime threshold where it is tightest, on a plan for the
+    # largest n_max (4.5e9): an n with omega(n) = 9, whose log byte rounds
+    # nine times, and n = 2P with P = 521, the first prime above sqrt(hi)
+    # in a sweep's first block, the largest smooth part a large prime
+    # leaves near there; the block around each as on the value path
+    n_max = int(45 * DIRECT_X_CAP)
+    omega9 = 20 * 223092870  # 2^2 3 5^2 7 11 13 17 19 23
+    assert len(_factor(omega9, primes_up_to(100).tolist())) == 9
+    assert primes_up_to(521)[-2:].tolist() == [509, 521] and 512 ** 2 < BLOCK + 1
+    for text in ("finite:[-1]", "periodic:m=2:[i,-i]", "periodic:m=3:[0,i,1]", "finite:[0]"):
+        spec = parse_eps_spec(text)
+        codes, values = _Plan(spec, n_max), _value_plan(monkeypatch, spec, n_max)
+        for n, (lo, hi) in ((omega9, (omega9 - 300, omega9 + 300)), (2 * 521, (1, BLOCK + 1))):
+            got = _f_block(lo, hi, codes)[1]
+            assert np.array_equal(got, _f_block(lo, hi, values)[1]), (text, n)
+            want = math.prod(eps_at(spec, v) for v in _factor(n, primes_up_to(521).tolist()))
+            assert got[n - lo] == want, (text, n)
+    # omega(n) <= 9 holds below the tenth primorial, and no further
+    with pytest.raises(CapacityError):
+        _Plan(MOBIUS, 6469693230)
 
 
 REAL_SPECS = ["finite:[-1]", "cm:xi=-1", "cm:xi=1", "finite:[1,0,1]", "periodic:m=2:[-1,1]"]
@@ -337,8 +426,17 @@ REAL_SPECS = ["finite:[-1]", "cm:xi=-1", "cm:xi=1", "finite:[1,0,1]", "periodic:
     + [("cm:xi=exp(i*pi)", np.complex128), ("periodic:m=2:[i,-i]", np.complex128)],
 )
 def test_plan_buffers_are_real_only_for_real_eps(text, dtype):
+    # f is taken from a table of its values on the lattice path, and is a
+    # product of float or complex buffers on the value path (cm:xi=1, whose
+    # product is a fill of 1, and cm:xi=exp(i*pi))
     plan = _Plan(parse_eps_spec(text), 10 ** 6)
-    assert plan.val.dtype == plan.work.dtype == plan.factor.dtype == dtype
+    assert plan.codes == (text not in ("cm:xi=1", "cm:xi=exp(i*pi)"))
+    if plan.codes:
+        assert plan.val.dtype == plan.table.dtype == dtype
+        assert plan.count.dtype == np.uint16 and not hasattr(plan, "work")
+    else:
+        assert plan.val.dtype == plan.work.dtype == plan.factor.dtype == dtype
+        assert plan.count.dtype == np.int8
 
 
 @pytest.mark.parametrize("text", REAL_SPECS)
