@@ -22,10 +22,13 @@ per-process tables (zero table, log-prime table) are already built.  A
 captured, on the default kernel, which no case before them has used.
 The "G_f", "zeta", "gamma" and "L1" cases time one layer on a batch of
 points: one point, a Watson ring, or a line of LINE_POINTS points.  A
-"sieve.top_block" case is the sieve alone, in ns per n: the mean of
-BLOCK_REPEAT calls of `_f_block` on the top block of a sweep to n_max,
-after one untimed call on a plan built outside the timing, for two
-lattice specs and a control on the value path.
+"sieve.top_segment" case is the sieve alone, in ns per n: the mean of
+BLOCK_REPEAT passes over the top 2 BLOCK numbers of a sweep to n_max,
+after one untimed pass on a plan built outside the timing, for two
+lattice specs and a control on the value path.  A pass sieves them as
+the sweep does (`sieve._blocks`: one segment of lattice codes, or two
+value-path blocks), or, in a checkout without segments, by two calls of
+`_f_block`.
 
 With ``--other``, each case also records the paired differences
 this - other, one per run pair, with their median and quartiles, and how
@@ -63,10 +66,10 @@ SIEVE_POINTS = 48  # a LOG grid on [1e3, 2e5]
 POINT_REPEAT = 16  # one-point G calls per sample
 RING_POINTS = 256  # a Watson ring of radius 0.05
 LINE_POINTS = 4000  # Re s = 1.5, |Im s| <= 50
-#: n_max of the sieve's top-block cases: x = 2e5, 1e7 and the cap 1e8 at
+#: n_max of the sieve's top-segment cases: x = 2e5, 1e7 and the cap 1e8 at
 #: DEFAULT_CUTOFF_MULT = 37.5
-TOP_BLOCKS = (("7.5e6", 7_500_000), ("3.75e8", 375_000_000), ("3.75e9", 3_750_000_000))
-TOP_BLOCK = "sieve.top_block."
+TOP_SEGMENTS = (("7.5e6", 7_500_000), ("3.75e8", 375_000_000), ("3.75e9", 3_750_000_000))
+TOP_SEGMENT = "sieve.top_segment."
 BLOCK_REPEAT = 8
 
 
@@ -153,16 +156,26 @@ def run_cases(tree: str) -> dict[str, float]:
     out[f"sieve.direct_exp_sums_multi.fig53.{SIEVE_POINTS}"] = _timed(
         lambda: sieve.direct_exp_sums_multi(spec, xs)
     )
-    out[f"trajectory.direct.fig53.{SIEVE_POINTS}"] = _timed(
-        lambda: bias.trajectory(spec, 1e3, 2e5, SIEVE_POINTS, "LOG", bias.DIRECT)
-    )
+    for name, direct in (("fig53", spec), ("mobius", parse_eps_spec(MOBIUS))):
+        out[f"trajectory.direct.{name}.{SIEVE_POINTS}"] = _timed(
+            lambda: bias.trajectory(direct, 1e3, 2e5, SIEVE_POINTS, "LOG", bias.DIRECT)
+        )
+
+    def top_segment(plan, lo: int) -> None:
+        if hasattr(sieve, "_blocks"):
+            for _ in sieve._blocks(lo, lo + 2 * sieve.BLOCK, plan):
+                pass
+        else:  # a checkout that sieves block by block
+            for a in (lo, lo + sieve.BLOCK):
+                sieve._f_block(a, a + sieve.BLOCK, plan)
+
     for name, text in (("mobius", MOBIUS), ("fig53", FIG53), ("control", CONTROL)):
-        for label, n_max in TOP_BLOCKS:
+        for label, n_max in TOP_SEGMENTS:
             plan = sieve._Plan(parse_eps_spec(text), n_max)
-            lo, hi = n_max - sieve.BLOCK + 1, n_max + 1
-            sieve._f_block(lo, hi, plan)
-            seconds = _timed(lambda: [sieve._f_block(lo, hi, plan) for _ in range(BLOCK_REPEAT)])
-            out[f"{TOP_BLOCK}{name}.n_max={label}"] = seconds * 1e9 / (BLOCK_REPEAT * (hi - lo))
+            lo = n_max - 2 * sieve.BLOCK + 1
+            top_segment(plan, lo)
+            seconds = _timed(lambda: [top_segment(plan, lo) for _ in range(BLOCK_REPEAT)])
+            out[f"{TOP_SEGMENT}{name}.n_max={label}"] = seconds * 1e9 / (BLOCK_REPEAT * 2 * sieve.BLOCK)
 
     def command(*argv: str) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -238,7 +251,7 @@ def main(argv=None) -> int:
             print(f"run {r + 1}/{RUNS} {name}", file=sys.stderr)
     cases = {}
     for case in runs["this"][0]:
-        entry = {"unit": "ns/n" if case.startswith(TOP_BLOCK) else "s"}
+        entry = {"unit": "ns/n" if case.startswith(TOP_SEGMENT) else "s"}
         for name in trees:
             entry[name] = _stats([sample[case] for sample in runs[name]])
         if "other" in trees:

@@ -8,15 +8,18 @@ blocks of BLOCK = W^2 = 2^18 numbers, so nothing of size ~37.5x is ever
 held in memory at once.  (A block's buffer is 4 MB complex or 2 MB real,
 not less than a core's L2; smaller blocks were slower all the same,
 because the per-block Python loop over the prime powers then dominates.)
-The top block of a sweep costs about 5.0, 12.8 and 31.0 ns per n for
-Mobius and 6.3, 13.6 and 32.3 for periodic:m=2:[i,-i] (lattice codes) at
-n_max = 7.5e6, 3.75e8 and 3.75e9, and 13.8, 21.2 and 39.4 for
-finite:[exp(i*pi/5),1] (the value path; medians of 15 runs of
-bench/bench.py, 2 Xeon vCPUs on a shared host); the strided passes of the
-larger primes make up the growth.
+A lattice spec sieves its codes over segments of two blocks, and takes f
+block by block ("Segments and the scatter" below).  The top 2^19
+numbers of a sweep cost about 4.5, 6.1 and 7.1 ns per n for Mobius and
+5.1, 6.6 and 7.7 for periodic:m=2:[i,-i] (lattice codes) at n_max = 7.5e6,
+3.75e8 and 3.75e9, and 15.9, 24.5 and 46.2 for finite:[exp(i*pi/5),1] (the
+value path; medians of 15 runs of bench/bench.py, 2 Xeon vCPUs on a
+shared host).  On the value path the strided passes of the larger
+primes make up the growth with n_max.
 
 A block is sieved with no integer division and no index gather, on one
-of two paths that the spec alone picks.  A lattice spec, whose every
+of two paths that the spec alone picks (the lattice path scatters the
+sparse powers of a segment by index).  A lattice spec, whose every
 eps_k (k <= 60) is exactly 0, +-1 or +-i (Mobius, Liouville cm:xi=-1,
 periodic:m=2:[i,-i]), sieves one uint16 code per n and reads f off it
 ("Lattice specs" below).  Every other spec sieves f itself into one
@@ -86,8 +89,7 @@ update at all; that plan takes the value path, whatever its eps.  f is a
 product of ratios, so elsewhere it differs from `f_of_n` by a few ulp.
 
 Lattice specs.  Where every e'_k = i^{t_k} (t_k in 0..3), f(n) is i^T or
-0, so small integers fix it.  Each power q = p^k adds, in the same loop
-as the value path and with m_k = 1, one code
+0, so small integers fix it.  Each power q = p^k adds one code
 
     c_k = l_k + 2^8 (2 dz_k) + 2^14 (t_k - t_{k-1})  (mod 2^16)
     l_k = round(C k log2 p) - round(C (k-1) log2 p)  (0 where eps_1 = 1)
@@ -96,9 +98,10 @@ to count, a uint16 buffer in place of the value path's val/work pair.
 Summed over the powers that divide n, the code holds three fields: in
 bits 0-7 the log byte L = sum_p round(C v_p log2 p) of the smooth part
 S, in bits 8-13 twice the zero count, and in bits 14-15 the phase
-T = sum_p t_{v_p} mod 4, which wraps there.  Each power is one strided
-integer add, and f is one np.take of the code's high byte from a
-256-entry table (i^T where the count is 0, else 0) into f's buffer.
+T = sum_p t_{v_p} mod 4, which wraps there.  A power is one strided
+integer add or a part of a segment's scatter, and f is one np.take of
+the code's high byte from a 256-entry table (i^T where the count is 0,
+else 0) into f's buffer.
 A zero f is +0.0 there, where the value path may give -0.0; every other
 f has the same value on both paths, and the sums the same bits.
 
@@ -107,19 +110,41 @@ most 1/2, so L is within omega(S)/2 of C log2 S, and omega(n) <= 9 for
 n < 2 3 5 7 11 13 17 19 23 29 = 6469693230, beyond which a lattice plan
 raises CapacityError.  C = (255 - 9/2) / log2 n_max keeps L <= 255, so
 the byte never carries into the count, and C >= 7.69 below that cap.
-An n with no large prime has L >= C log2 n - 9/2.  One with a large
-prime P (P^2 >= hi > n) has S = n/P <= n/sqrt(hi) < sqrt(n), so
-L <= C log2 S + 9/2.  The threshold t = floor(C log2 a - 9/2), a <= n,
+Codes are sieved over a window [lo, hi), a block or a segment, with the
+primes p^2 < hi.  An n with no large prime has L >= C log2 n - 9/2.  One
+with a large prime P (P^2 >= hi > n) has S = n/P <= n/sqrt(hi) < sqrt(n),
+so L <= C log2 S + 9/2; a segment's hi is larger than its blocks', which
+only lowers that bound.  The threshold t = floor(C log2 a - 9/2), a <= n,
 lies between the two wherever C log2(a sqrt(hi) / n) > 10 (one unit for
 the floor), and subtracting it from the code borrows from the high byte
 exactly at the large primes: a count of 0 turns to 63 with the phase one
 quarter turn back, which the table reads as i^T e'_1 (0 where eps_1 = 0),
 and a count 2c > 0 to the odd 2c - 1, which it reads as 0.  Each n below
 _HEAD = 4W takes its own threshold (a = n), which separates wherever
-C log2 sqrt(hi) > 10: in every block of at least 7 numbers, and in the
-first block of any sweep with n_max < 2^18.  Every larger n takes the
-threshold of its row of W numbers (a = the row's first n), where
+C log2 sqrt(hi) > 10: in every window of at least 7 numbers, and in the
+first window of any sweep.  Every larger n takes the threshold of its
+row of W numbers (a = the row's first n), where
 C log2(a / sqrt(a + W)) >= 7.69 log2(2048 / sqrt(2560)) = 41 > 10.
+
+Segments and the scatter.  A sweep of a lattice spec sieves the codes of
+a segment of 2 BLOCK = 2^19 numbers (a 1 MB uint16 buffer) at a time,
+then takes f block by block from the segment's high bytes, so consume
+still sees one block per call and n and f stay one block in size.  Of
+the powers not in the stored period, those with q <= _SPARSE = 4096 take
+one strided add each, about 1.1 us of Python and numpy overhead apiece
+whatever their few hits; the sparse ones, q > 4096, hit a segment at
+most 128 times and leave the loop.  Per segment, those with p^2 < hi
+find their first multiple at -lo mod q and their hit counts in array
+operations, lay their multiples end to end by one cumulative sum of
+steps (np.repeat of q, with the step to each power's first multiple),
+and add their codes by one np.add.at, about 5-10 ns per hit.  uint16
+adds wrap mod 2^16 and commute, so the codes, f and every sum keep their
+bits.  The value path keeps its per-block loop: its float products do
+not commute bit for bit.  In interleaved runs on the top segments of Mobius
+and periodic:m=2:[i,-i] at n_max = 7.5e6, 3.75e8 and 3.75e9, thresholds
+of 2048 and 4096 were fastest or tied and 512 was slowest (best of 9);
+segments of four blocks read 4-9% less per n than two, for 1 MB more of
+codes, and segments of one block 16-23% more (best of 7).
 
 The consume contract: `_sweep(spec, n_max, consume)` calls consume(n, f)
 once per block, in ascending order of n, with n (float64, read-only) and
@@ -176,6 +201,9 @@ _OMEGA = 9
 _LATTICE_CAP = 6469693230
 #: n below it take their own large-prime threshold, larger n one per row of W
 _HEAD = 4 * W
+#: a lattice plan scatters every power q > _SPARSE, which hits a segment
+#: of 2 BLOCK numbers at most 128 times, in place of a strided add
+_SPARSE = 4096
 #: the offset of a uint16's high byte in its two bytes
 _HIGH = 1 if sys.byteorder == "little" else 0
 
@@ -242,8 +270,9 @@ def f_of_n(table: SpfTable, spec: EpsilonSpec, n: int) -> complex:
 
 
 class _Plan:
-    """The prime powers of one sweep over [1, n_max] and the block buffers
-    it reuses (size min(BLOCK, n_max))."""
+    """The prime powers of one sweep over [1, n_max] and the buffers it
+    reuses: n and f of one block (size min(BLOCK, n_max)), and the codes
+    of one segment (min(2 BLOCK, n_max)) or the zero counts of one block."""
 
     def __init__(self, spec: EpsilonSpec, n_max: int):
         eps = [eps_at(spec, k) for k in range(_MAX_VP + 1)]
@@ -273,33 +302,51 @@ class _Plan:
             self.scale = (255 - _OMEGA / 2) / math.log2(max(n_max, 2))
         #: (q = p^k, p, m_k, 2 dz_k) ordered by p, then k; for a lattice spec
         #: m_k = 1 and 2 dz_k is replaced by the power's code
-        self.powers: list[tuple[int, int, float | complex, int]] = []
-        for p in primes_up_to(math.isqrt(n_max)).tolist():
-            q, k = p, 1
-            logp = self.scale * math.log2(p)  # C log2 p
-            while q <= n_max and k <= absorb:
-                dz = 2 * (zero[k] - zero[k - 1])
-                if lattice:
-                    m = 1
-                    dz = (round(k * logp) - round((k - 1) * logp) + (dz << 8)
-                          + ((turns[k] - turns[k - 1]) << 14)) % 2 ** 16
-                else:
-                    m = unit[k] / unit[k - 1]
-                    if self.modulus:
-                        m *= p
-                if m != 1 or dz:
-                    self.powers.append((q, p, m, dz))
-                q *= p
-                k += 1
+        primes = primes_up_to(math.isqrt(n_max))
+        kmax = np.zeros(primes.size, dtype=np.int64)  # the last k of each p
+        q = primes
+        for k in range(1, absorb + 1):
+            q = q[: np.searchsorted(q, n_max, side="right")]  # p^k <= n_max
+            if not q.size:
+                break
+            kmax[: q.size] = k
+            q = q * primes[: q.size]
+        p = np.repeat(primes, kmax)
+        k = np.arange(p.size) - np.repeat(np.cumsum(kmax) - kmax, kmax) + 1
+        q = p ** k
+        zeros = np.array(zero, dtype=np.int64)
+        dz = 2 * (zeros[k] - zeros[k - 1])
+        if lattice:
+            # C log2 p from math.log2, whose last bit np.log2 need not share
+            logs = self.scale * np.fromiter(map(math.log2, primes.tolist()), np.float64)
+            logp = np.repeat(logs, kmax)
+            t = np.array(turns)
+            dz = (np.rint(k * logp).astype(np.int64) - np.rint((k - 1) * logp).astype(np.int64)
+                  + (dz << 8) + ((t[k] - t[k - 1]) << 14)) % 2 ** 16
+            m = np.ones_like(p)
+        else:
+            ratio = np.array([1, *(unit[j] / unit[j - 1] for j in range(1, _MAX_VP + 1))],
+                             dtype=dtype)  # r_k
+            m = ratio[k] * p if self.modulus else ratio[k]
+        keep = (m != 1) | (dz != 0)
+        q, p, m, dz = q[keep], p[keep], m[keep], dz[keep]
+        self.powers: list[tuple[int, int, float | complex, int]] = list(
+            zip(q.tolist(), p.tolist(), m.tolist(), dz.tolist())
+        )
         #: lattice specs whose f is not 1 throughout sieve codes (cm:xi=1,
         #: with no power and no large-prime factor, fills f with 1)
         self.codes = lattice and bool(self.powers or self.modulus)
         #: count is read: a zero count changes, or f comes from the codes
-        self.zeros = self.codes or any(dz for *_, dz in self.powers)
+        self.zeros = self.codes or bool(np.any(dz))
         #: the powers that divide PERIOD are sieved once into one period of
-        #: val and count, which every block copies; the rest stay strided
-        stored = [t for t in self.powers if PERIOD % t[0] == 0]
-        self.strided = [t for t in self.powers if PERIOD % t[0] != 0]
+        #: val and count, which every block copies; of the rest, a lattice
+        #: plan scatters those with q > _SPARSE, and strides over the others
+        stored = PERIOD % q == 0
+        sparse = (q > _SPARSE) & self.codes
+        self.strided = [t for t, skip in zip(self.powers, (stored | sparse).tolist()) if not skip]
+        #: the scattered powers: q, p^2 (ascending) and code
+        self.sparse = q[sparse], (p * p)[sparse], dz[sparse].astype(np.uint16)
+        stored = [t for t, s in zip(self.powers, stored.tolist()) if s]
         period = math.lcm(*(q for q, *_ in stored))
         self.val_period = np.ones(1 if self.codes else period, dtype=dtype)
         self.count_period = np.zeros(period, dtype=np.uint16 if self.codes else np.int8)
@@ -312,8 +359,10 @@ class _Plan:
         self.n = np.arange(self.size, dtype=np.float64)
         self.n_lo = 0  # n holds n_lo, n_lo + 1, ...
         self.val = np.empty(self.size, dtype=dtype)  # f
-        #: 2 x the zero count, or the lattice codes
-        self.count = np.empty(self.size, dtype=self.count_period.dtype)
+        #: 2 x the zero count of a block, or the lattice codes of a segment
+        #: of two blocks
+        segment = min(2 * BLOCK, n_max) if self.codes else self.size
+        self.count = np.empty(segment, dtype=self.count_period.dtype)
         if self.codes:
             #: f by a code's high byte, 64 T + 2 (zero count), whose count
             #: reads 63 after the large prime's borrow
@@ -357,17 +406,27 @@ def _tile(out: np.ndarray, period: np.ndarray, lo: int) -> None:
     out[size - tail :] = period[:tail]
 
 
+def _n_view(lo: int, hi: int, plan: _Plan) -> np.ndarray:
+    """n in [lo, hi), a read-only view into the plan's n buffer."""
+    if plan.n_lo != lo:
+        plan.n += lo - plan.n_lo
+        plan.n_lo = lo
+    n = plan.n[: hi - lo]
+    n.flags.writeable = False
+    return n
+
+
 def _f_block(lo: int, hi: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     """(n, f(n)) for n in [lo, hi), 1 <= lo < hi <= lo + plan.size, as
     views into the plan's buffers (n read-only)."""
     size = hi - lo
-    if plan.n_lo != lo:
-        plan.n += lo - plan.n_lo
-        plan.n_lo = lo
-    n, val, count = (b[:size] for b in (plan.n, plan.val, plan.count))
-    n.flags.writeable = False
-    if not plan.codes:
-        _tile(val, plan.val_period, lo)
+    n = _n_view(lo, hi, plan)
+    if plan.codes:
+        code = plan.count[:size]
+        _codes(lo, hi, plan, code)
+        return n, _take(code, plan)
+    val, count = plan.val[:size], plan.count[:size]
+    _tile(val, plan.val_period, lo)
     if plan.zeros:
         _tile(count, plan.count_period, lo)
     for q, p, m, dz in plan.strided:
@@ -376,18 +435,10 @@ def _f_block(lo: int, hi: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
         s = -lo % q  # first multiple of q in the block
         if s >= size:
             continue
-        if m != 1:  # never for a lattice code
+        if m != 1:
             val[s::q] *= m
         if dz:
             count[s::q] += dz
-    if plan.codes:
-        if plan.modulus:
-            _borrow(lo, hi, plan, count)
-        # the high bytes, a strided uint8 view; on a complex 2^18 block
-        # (best of 7 x 20, one Xeon vCPU) the take cost 0.32 ms with
-        # mode="clip" and 0.92 ms with the default bounds check
-        np.take(plan.table, count.view(np.uint8)[_HIGH::2], out=val, mode="clip")
-        return n, val
     if plan.modulus:
         smooth = plan.work.view(np.float64)[:size]
         np.abs(val, out=smooth)
@@ -429,17 +480,79 @@ def _borrow(lo: int, hi: int, plan: _Plan, code: np.ndarray) -> None:
         code[head + full * W :] -= rows[full]
 
 
+def _codes(lo: int, hi: int, plan: _Plan, code: np.ndarray) -> None:
+    """The lattice codes of n in [lo, hi) into code, less the large-prime
+    threshold: the stored period, a strided add of each dense power and
+    one scatter of the sparse ones, all with p^2 < hi."""
+    size = hi - lo
+    _tile(code, plan.count_period, lo)
+    for q, p, _, c in plan.strided:
+        if p * p >= hi:
+            break
+        s = -lo % q  # first multiple of q in the window
+        if s < size:
+            code[s::q] += c
+    _scatter(lo, hi, plan, code)
+    if plan.modulus:
+        _borrow(lo, hi, plan, code)
+
+
+def _scatter(lo: int, hi: int, plan: _Plan, code: np.ndarray) -> None:
+    """Add the code of each sparse power q with p^2 < hi at its multiples
+    in [lo, hi).  Laid end to end, power by power, the multiples are the
+    cumulative sum of q repeated (hits - 1) times after the step from the
+    last multiple of the power before to the first, -lo mod q, of this
+    one; one np.add.at adds every code, twice or more where powers share
+    an n.  uint16 adds wrap and commute, so the codes are those of one
+    strided add per power."""
+    q, p2, c = plan.sparse
+    k = np.searchsorted(p2, hi)  # the powers with p^2 < hi
+    first = -lo % q[:k]
+    hits = (hi - lo - 1 - first) // q[:k] + 1
+    live = np.flatnonzero(hits)
+    first, q, c, hits = first[live], q[live], c[live], hits[live]
+    last = first + q * (hits - 1)
+    step = np.repeat(q, hits)
+    step[np.cumsum(hits) - hits] = first - np.concatenate(([0], last[:-1]))
+    np.add.at(code, np.cumsum(step, out=step), np.repeat(c, hits))
+
+
+def _take(code: np.ndarray, plan: _Plan) -> np.ndarray:
+    """f of the codes: one np.take of their high bytes from the plan's
+    table, into the plan's f buffer."""
+    val = plan.val[: code.size]
+    # the high bytes, a strided uint8 view; on a complex 2^18 block
+    # (best of 7 x 20, one Xeon vCPU) the take cost 0.32 ms with
+    # mode="clip" and 0.92 ms with the default bounds check
+    np.take(plan.table, code.view(np.uint8)[_HIGH::2], out=val, mode="clip")
+    return val
+
+
+def _blocks(lo: int, hi: int, plan: _Plan):
+    """(n, f) of each block of plan.size numbers in [lo, hi), in ascending
+    order, as views into the plan's buffers, which the next block
+    overwrites.  A lattice plan sieves a segment of up to two blocks of
+    codes at a time, then takes f block by block."""
+    step = plan.count.size  # a segment, or one block on the value path
+    for seg in range(lo, hi, step):
+        top = min(seg + step, hi)
+        if not plan.codes:
+            yield _f_block(seg, top, plan)
+            continue
+        _codes(seg, top, plan, plan.count[: top - seg])
+        for a in range(seg, top, plan.size):
+            b = min(a + plan.size, top)
+            yield _n_view(a, b, plan), _take(plan.count[a - seg : b - seg], plan)
+
+
 def _sweep(spec: EpsilonSpec, n_max: int, consume) -> None:
     """Sieve n in [1, n_max] block by block, calling consume(n, f) per
     block (the consume contract of the module docstring)."""
     if n_max < 1:
         return
     plan = _Plan(spec, n_max)
-    lo = 1
-    while lo <= n_max:
-        hi = min(lo + plan.size, n_max + 1)
-        consume(*_f_block(lo, hi, plan))
-        lo = hi
+    for n, f in _blocks(1, n_max + 1, plan):
+        consume(n, f)
 
 
 def direct_exp_sum(spec: EpsilonSpec, x: float) -> complex:

@@ -273,16 +273,29 @@ def check_dirichlet_consistency() -> None:
 
 
 def check_block_sieve() -> None:
-    n_max = 100_000
+    # past two segments of lattice codes (four blocks) and into a partial
+    # block: every n <= 1e5, a seeded sample above and every block edge
+    n_max = 5 * sieve.BLOCK + 12_345
     table = sieve.build_spf(n_max)
+    head = 100_000
+    sample = np.random.default_rng(29).choice(n_max - head, 20_000, replace=False) + head + 1
+    edges = [e + d for e in range(sieve.BLOCK, n_max, sieve.BLOCK) for d in (0, 1)]
+    ks = np.unique(np.concatenate([np.arange(1, head + 1), sample, edges, [n_max]]))
     for name, text in CANONICAL:
         spec = _spec(text)
-        blocks = []
-        sieve._sweep(spec, n_max, lambda n, f: blocks.append((n.copy(), f.copy())))
-        n, f = (np.concatenate(parts) for parts in zip(*blocks))
-        assert n.tolist() == list(range(1, n_max + 1)), name
-        want = np.array([sieve.f_of_n(table, spec, k) for k in range(1, n_max + 1)])
-        err = float(np.max(np.abs(f - want)))
+        next_lo, got = 1, []
+
+        def consume(n, f):
+            nonlocal next_lo
+            assert n[0] == next_lo and n[-1] == next_lo + n.size - 1, name
+            pick = ks[(next_lo <= ks) & (ks < next_lo + n.size)]
+            got.append(f[pick - next_lo])
+            next_lo += n.size
+
+        sieve._sweep(spec, n_max, consume)
+        assert next_lo == n_max + 1, name
+        want = np.array([sieve.f_of_n(table, spec, k) for k in ks.tolist()])
+        err = float(np.max(np.abs(np.concatenate(got) - want)))
         assert err <= 1e-14, (name, err)
 
 

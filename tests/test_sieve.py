@@ -416,6 +416,106 @@ def test_lattice_codes_near_the_cap(monkeypatch):
         _Plan(MOBIUS, 6469693230)
 
 
+#: lattice specs of the segment tests: Mobius, Liouville, fig53 and a phase
+#: that turns through all four units
+SEGMENT_SPECS = ["finite:[-1]", "cm:xi=-1", "periodic:m=2:[i,-i]", "periodic:m=4:[i,-1,-i,1]"]
+
+
+@pytest.mark.parametrize("n_max", [2 ** 19 + 2 ** 18 + 17, 3 * 2 ** 19 - 1, 100_000])
+def test_lattice_sweep_matches_the_value_path_block_by_block(monkeypatch, n_max):
+    # a sweep sieves the codes of two blocks at a time and calls consume once
+    # per block, in order; n_max ends 17 into the second segment's second
+    # block, one short of the third segment's end, and inside the first block
+    blocks = [(lo, min(lo + BLOCK, n_max + 1)) for lo in range(1, n_max + 1, BLOCK)]
+    for text in SEGMENT_SPECS:
+        spec = parse_eps_spec(text)
+        codes, values = _Plan(spec, n_max), _value_plan(monkeypatch, spec, n_max)
+        assert codes.codes and codes.sparse[0].size, text  # some powers are scattered
+        seen = []
+
+        def consume(n, f):
+            lo, hi = blocks[len(seen)]
+            assert (n[0], n[-1], n.size) == (lo, hi - 1, hi - lo)
+            want = _f_block(lo, hi, values)[1]
+            assert f.dtype == want.dtype and np.array_equal(f, want), (text, lo)
+            seen.append(lo)
+
+        sieve._sweep(spec, n_max, consume)
+        assert seen == [lo for lo, _ in blocks], text
+
+
+@pytest.mark.parametrize("n_max", [375_000_000, 3_750_000_000, 6_000_000_000])
+@pytest.mark.parametrize("text", SEGMENT_SPECS)
+def test_lattice_segments_match_the_value_path_up_to_the_cap(monkeypatch, text, n_max):
+    # the first segment of a sweep, its top one and two seeded random ones,
+    # each taken as the sweep takes it, block by block against the value path
+    spec = parse_eps_spec(text)
+    codes, values = _Plan(spec, n_max), _value_plan(monkeypatch, spec, n_max)
+    segment = codes.count.size
+    assert segment == 2 * BLOCK
+    last = (n_max - 1) // segment
+    rng = random.Random(n_max)
+    for k in (0, last, rng.randint(1, last - 1), rng.randint(1, last - 1)):
+        lo = 1 + k * segment
+        hi = min(lo + segment, n_max + 1)
+        starts = []
+        for n, f in sieve._blocks(lo, hi, codes):
+            a, size = int(n[0]), n.size
+            assert n[-1] == a + size - 1 and size == min(BLOCK, hi - a)
+            want = _f_block(a, a + size, values)[1]
+            assert f.dtype == want.dtype and np.array_equal(f, want), (lo, a)
+            starts.append(a)
+        assert starts == list(range(lo, hi, BLOCK)), lo
+
+
+def _loop_powers(spec, n_max: int) -> list[tuple]:
+    """The (q, p, m_k, code or 2 dz_k) table by a loop over the primes and
+    their powers, the reference for the plan's array form."""
+    eps = [eps_at(spec, k) for k in range(sieve._MAX_VP + 1)]
+    if all(e.imag == 0 for e in eps):
+        eps = [e.real for e in eps]
+    zero = [e == 0 for e in eps]
+    unit = [1.0 if z else e for e, z in zip(eps, zero)]
+    modulus = zero[1] or unit[1] != 1
+    absorb = sieve._MAX_VP + 1
+    while absorb > 1 and zero[absorb - 1]:
+        absorb -= 1
+    turns = [sieve._TURNS.get(u) for u in unit]
+    lattice = None not in turns
+    scale = (255 - sieve._OMEGA / 2) / math.log2(max(n_max, 2)) if lattice and modulus else 0.0
+    powers = []
+    for p in primes_up_to(math.isqrt(n_max)).tolist():
+        q, k = p, 1
+        logp = scale * math.log2(p)
+        while q <= n_max and k <= absorb:
+            dz = 2 * (zero[k] - zero[k - 1])
+            if lattice:
+                m = 1
+                dz = (round(k * logp) - round((k - 1) * logp) + (dz << 8)
+                      + ((turns[k] - turns[k - 1]) << 14)) % 2 ** 16
+            else:
+                m = unit[k] / unit[k - 1]
+                if modulus:
+                    m *= p
+            if m != 1 or dz:
+                powers.append((q, p, m, dz))
+            q *= p
+            k += 1
+    return powers
+
+
+@pytest.mark.parametrize("text", BLOCK_SPECS + ["periodic:m=4:[i,-1,-i,1]", "cm:xi=exp(i*pi)"])
+def test_plan_power_table_matches_the_loop(text):
+    # element-equal, and each m_k with the loop's bits (as a complex)
+    spec = parse_eps_spec(text)
+    for n_max in (1, 3, 4, 30, 120, 12_000, SPF_TOP, 375_000_000, 4_500_000_000):
+        got, want = _Plan(spec, n_max).powers, _loop_powers(spec, n_max)
+        assert got == want, (text, n_max)
+        bits = [np.array([t[2] for t in table], dtype=np.complex128).tobytes()
+                for table in (got, want)]
+        assert bits[0] == bits[1], (text, n_max)
+
+
 REAL_SPECS = ["finite:[-1]", "cm:xi=-1", "cm:xi=1", "finite:[1,0,1]", "periodic:m=2:[-1,1]"]
 
 
@@ -431,12 +531,13 @@ def test_plan_buffers_are_real_only_for_real_eps(text, dtype):
     # product is a fill of 1, and cm:xi=exp(i*pi))
     plan = _Plan(parse_eps_spec(text), 10 ** 6)
     assert plan.codes == (text not in ("cm:xi=1", "cm:xi=exp(i*pi)"))
-    if plan.codes:
+    if plan.codes:  # codes of a segment of two blocks
         assert plan.val.dtype == plan.table.dtype == dtype
         assert plan.count.dtype == np.uint16 and not hasattr(plan, "work")
+        assert plan.count.size == 2 * BLOCK
     else:
         assert plan.val.dtype == plan.work.dtype == plan.factor.dtype == dtype
-        assert plan.count.dtype == np.int8
+        assert plan.count.dtype == np.int8 and plan.count.size == BLOCK
 
 
 @pytest.mark.parametrize("text", REAL_SPECS)
