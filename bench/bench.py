@@ -25,10 +25,9 @@ points: one point, a Watson ring, or a line of LINE_POINTS points.  A
 "sieve.top_segment" case is the sieve alone, in ns per n: the mean of
 BLOCK_REPEAT passes over the top 2 BLOCK numbers of a sweep to n_max,
 after one untimed pass on a plan built outside the timing, for two
-lattice specs and a control on the value path.  A pass sieves them as
-the sweep does (`sieve._blocks`: one segment of lattice codes, or two
-value-path blocks), or, in a checkout without segments, by two calls of
-`_f_block`.
+lattice specs and a control off the lattice.  A pass sieves them as the
+sweep does (`sieve._blocks`: one segment of codes, then f block by
+block).
 
 With ``--other``, each case also records the paired differences
 this - other, one per run pair, with their median and quartiles, and how
@@ -53,8 +52,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIG53 = "periodic:m=2:[i,-i]"
 MOBIUS = "finite:[-1]"
-#: a top-block control off the lattice: its eps_1 = exp(i pi/5) keeps f on
-#: the value path, which lattice codes do not touch
+#: a top-segment control off the lattice: its eps_1 = exp(i pi/5) makes f a
+#: float product of the ratios times the codes' large-prime factor
 CONTROL = "finite:[exp(i*pi/5),1]"
 QUAD = "quadphase:alpha=0.381966"
 EDGE = "finite:[exp(i*0.25)]"  # Re z = 0.969: Delta_1's left end near the window's edge
@@ -162,12 +161,8 @@ def run_cases(tree: str) -> dict[str, float]:
         )
 
     def top_segment(plan, lo: int) -> None:
-        if hasattr(sieve, "_blocks"):
-            for _ in sieve._blocks(lo, lo + 2 * sieve.BLOCK, plan):
-                pass
-        else:  # a checkout that sieves block by block
-            for a in (lo, lo + sieve.BLOCK):
-                sieve._f_block(a, a + sieve.BLOCK, plan)
+        for _ in sieve._blocks(lo, lo + 2 * sieve.BLOCK, plan):
+            pass
 
     for name, text in (("mobius", MOBIUS), ("fig53", FIG53), ("control", CONTROL)):
         for label, n_max in TOP_SEGMENTS:

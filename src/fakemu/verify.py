@@ -251,7 +251,8 @@ def check_dirichlet_consistency() -> None:
     s = 2.5
     blocks = []  # one sum per sieve block, 4 at 10^6
 
-    def consume(n, f):
+    def consume(lo, f):
+        n = np.arange(lo, lo + f.size, dtype=np.float64)
         blocks.append(complex(np.sum(f * np.exp(-s * np.log(n)))))
 
     sieve._sweep(spec, 10 ** 6, consume)
@@ -273,8 +274,9 @@ def check_dirichlet_consistency() -> None:
 
 
 def check_block_sieve() -> None:
-    # past two segments of lattice codes (four blocks) and into a partial
-    # block: every n <= 1e5, a seeded sample above and every block edge
+    # past two segments of codes (four blocks) and into a partial block, on
+    # and off the lattice (fig51a's f takes a float product too): every
+    # n <= 1e5, a seeded sample above and every block edge
     n_max = 5 * sieve.BLOCK + 12_345
     table = sieve.build_spf(n_max)
     head = 100_000
@@ -285,12 +287,12 @@ def check_block_sieve() -> None:
         spec = _spec(text)
         next_lo, got = 1, []
 
-        def consume(n, f):
+        def consume(lo, f):
             nonlocal next_lo
-            assert n[0] == next_lo and n[-1] == next_lo + n.size - 1, name
-            pick = ks[(next_lo <= ks) & (ks < next_lo + n.size)]
-            got.append(f[pick - next_lo])
-            next_lo += n.size
+            assert lo == next_lo, name
+            pick = ks[(lo <= ks) & (ks < lo + f.size)]
+            got.append(f[pick - lo])
+            next_lo += f.size
 
         sieve._sweep(spec, n_max, consume)
         assert next_lo == n_max + 1, name

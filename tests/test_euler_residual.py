@@ -193,7 +193,8 @@ def test_global_factorization_identity(cfg, s):
     for spec in (FIG53, FIG51A):
         pars = zw_params(spec)
         blocks = []  # one sum per sieve block, 4 at 10^6
-        _sweep(spec, 10 ** 6, lambda n, f: blocks.append(complex(np.sum(f * n ** (-s)))))
+        _sweep(spec, 10 ** 6, lambda lo, f: blocks.append(
+            complex(np.sum(f * np.arange(lo, lo + f.size, dtype=np.float64) ** (-s)))))
         zeta_z = cmath.exp(pars.z * kernel.L1(s)) * (s - 1) ** (-pars.z)
         zeta2_w = cmath.exp(pars.w * kernel.L1(2 * s)) * (2 * s - 1) ** (-pars.w)
         rhs = zeta_z * zeta2_w * G_f(spec, s, cfg)

@@ -1,5 +1,6 @@
 """Sieve oracle tests: f(n), direct sums, hand-checked values."""
 
+import functools
 import math
 import random
 import tracemalloc
@@ -161,7 +162,8 @@ def test_dirichlet_series_consistency():
     spec = parse_eps_spec("finite:[exp(i*pi/5),1]")
     s = 2.5
     blocks = []  # one sum per sieve block, 4 at 10^6
-    _sweep(spec, 10 ** 6, lambda n, f: blocks.append(complex(np.sum(f * n ** -s))))
+    _sweep(spec, 10 ** 6, lambda lo, f: blocks.append(
+        complex(np.sum(f * np.arange(lo, lo + f.size, dtype=np.float64) ** -s))))
     u = np.exp(-s * np.log(primes_up_to(1000).astype(float)))
     prod = complex(np.exp(np.sum(np.log(_g_eval_array(spec, u)))))
     series_tail = (10.0 ** 6) ** (1 - s) / (s - 1)
@@ -195,8 +197,12 @@ BLOCK_SPECS = [
     "finite:[1,0,1]",
     "periodic:m=3:[0,i,1]",
     "quadphase:alpha=0.381966",
+    # eps_1 = 1, so no large-prime factor: a product and the zero count of
+    # p^3, or a product and no codes at all
+    "finite:[1,exp(i*0.7)]",
+    "periodic:m=2:[1,exp(i*0.7)]",
 ]
-#: every eps in {0, +-1, +-i}: f comes from the lattice codes, save for
+#: every eps in {0, +-1, +-i}: f comes from the codes alone, save for
 #: cm:xi=1, whose f = 1 is a fill
 LATTICE_SPECS = [
     "finite:[-1]",
@@ -231,8 +237,7 @@ def test_f_block_matches_f_of_n(spf_1e7, text):
     spec = parse_eps_spec(text)
     plan = _Plan(spec, SPF_TOP)
     for lo, hi in _test_blocks(random.Random(text)):
-        n, f = _f_block(lo, hi, plan)
-        assert n.tolist() == list(range(lo, hi))
+        f = _f_block(lo, hi, plan)
         want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, hi)])
         assert np.max(np.abs(f - want)) <= 1e-14, (lo, hi)
 
@@ -254,15 +259,13 @@ def _factor(n: int, primes: list[int]) -> list[int]:
 
 @pytest.mark.parametrize("lo", [2 ** 32 - 300, 45 * DIRECT_X_CAP - 600])
 def test_f_block_near_the_cap(lo):
-    # n up to 4.5e9, whose smooth part |val| must still round to the exact
-    # integer, and 2^32 = q itself
+    # n up to 4.5e9, and 2^32 = q itself
     n_max = int(45 * DIRECT_X_CAP)
     primes = primes_up_to(math.isqrt(n_max)).tolist()
     exps = [_factor(k, primes) for k in range(lo, lo + 600)]
     for text in ("finite:[1,0,1]", "cm:xi=exp(i*pi/5)", "periodic:m=3:[0,i,1]"):
         spec = parse_eps_spec(text)
-        n, f = _f_block(lo, lo + 600, _Plan(spec, n_max))
-        assert n.tolist() == list(range(lo, lo + 600))
+        f = _f_block(lo, lo + 600, _Plan(spec, n_max))
         want = np.array([math.prod(eps_at(spec, v) for v in vs) for vs in exps])
         assert np.max(np.abs(f - want)) <= 1e-14
 
@@ -270,20 +273,21 @@ def test_f_block_near_the_cap(lo):
 def _swept(spec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, f) of one `_sweep` over [1, n_max], copied out of its blocks."""
     blocks = []
-    sieve._sweep(spec, n_max, lambda n, f: blocks.append((n.copy(), f.copy())))
+    sieve._sweep(spec, n_max, lambda lo, f: blocks.append((np.arange(lo, lo + f.size), f.copy())))
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def test_sweep_matches_f_of_n_at_block_edges(monkeypatch):
     # sweeps of one short block, whose plan holds no prime (n_max < 4), only
     # 2, or only some of the primes of the stored period (2, 3, 5 at 30;
-    # all but 11 at 120); then blocks of 1000, each shifting the float n
-    # buffer and taking the primes with p^2 < hi afresh.  The lattice specs
-    # take their codes, with a large-prime threshold per n (all n < 2048)
-    table = build_spf(12_000)
+    # all but 11 at 120); then blocks of 1000 in segments of 2000, each
+    # segment taking the primes with p^2 < its top afresh, codes and product
+    # alike, and a last segment of one partial block or of a whole block
+    # and a partial one.  Codes take a large-prime threshold per n below
+    # 2048, then one per row of 512
+    table = build_spf(13_500)
     cases = [(n_max, sieve.BLOCK) for n_max in (1, 2, 3, 4, 8, 30, 120)]
-    coded = set()
-    for n_max, block in cases + [(12_000, 1000)]:
+    for n_max, block in cases + [(12_345, 1000), (13_500, 1000)]:
         monkeypatch.setattr(sieve, "BLOCK", block)
         for text in BLOCK_SPECS:
             spec = parse_eps_spec(text)
@@ -291,15 +295,17 @@ def test_sweep_matches_f_of_n_at_block_edges(monkeypatch):
             assert n.tolist() == list(range(1, n_max + 1)), (text, n_max)
             want = np.array([f_of_n(table, spec, k) for k in range(1, n_max + 1)])
             assert np.max(np.abs(f - want)) <= 1e-14, (text, n_max)
-            if _Plan(spec, n_max).codes:
-                coded.add(text)
-    assert coded == set(LATTICE_SPECS) - {"cm:xi=1"}
+    plans = {text: _Plan(parse_eps_spec(text), 12_345) for text in BLOCK_SPECS}
+    coded = {text for text, plan in plans.items() if plan.codes}
+    assert coded == set(BLOCK_SPECS) - {"cm:xi=1", "periodic:m=2:[1,exp(i*0.7)]"}
+    products = {text for text, plan in plans.items() if plan.product}
+    assert products == set(BLOCK_SPECS) - set(LATTICE_SPECS) | {"cm:xi=1"}
 
 
 @pytest.mark.parametrize("text", ["finite:[1e-13]", "cm:xi=1e-13", "periodic:m=2:[-1,1e-13]"])
 def test_sweep_matches_f_of_n_for_tiny_eps(spf_1e5, text):
-    # an eps within UNIT_TOL of 0 is stored as 0, so the smooth part that
-    # rides in |val| is never divided by rint(2e-13) = 0
+    # an eps within UNIT_TOL of 0 is stored as an exact 0, which the codes
+    # count as a zero, and not as a factor 2e-13 of f
     spec = parse_eps_spec(text)
     assert 0j in (eps_at(spec, 1), eps_at(spec, 2))
     n, f = _swept(spec, 3000)
@@ -323,16 +329,16 @@ def test_f_block_exact_for_lattice_specs(spf_1e7, text):
     # every eps in {0, +-1, +-i}: f is read off the codes, exactly
     spec = parse_eps_spec(text)
     plan = _Plan(spec, SPF_TOP)
-    assert plan.codes
+    assert plan.codes and not plan.product
     for lo, hi in _test_blocks(random.Random(text)):
-        n, f = _f_block(lo, hi, plan)
+        f = _f_block(lo, hi, plan)
         want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, hi)])
         assert np.array_equal(f, want), (lo, hi)
     n_max = int(45 * DIRECT_X_CAP)
     primes = primes_up_to(math.isqrt(n_max)).tolist()
     plan = _Plan(spec, n_max)
     for lo in (2 ** 32 - 300, n_max - 600):
-        n, f = _f_block(lo, lo + 600, plan)
+        f = _f_block(lo, lo + 600, plan)
         want = np.array(
             [math.prod(eps_at(spec, v) for v in _factor(k, primes)) for k in range(lo, lo + 600)]
         )
@@ -349,41 +355,43 @@ def test_plan_stores_the_small_powers_and_drops_those_past_an_absorbing_zero():
         return [q for q, p, *_ in plan.powers if q >= p ** 3]
 
     mobius = _Plan(MOBIUS, 10 ** 6)
-    assert cubes(mobius) == [] and mobius.count_period.size == sieve.PERIOD // 2
+    assert cubes(mobius) == [] and mobius.code_period.size == sieve.PERIOD // 2
+    assert mobius.val_period.size == 1  # no product on the lattice
     for text, period in (("finite:[1,0,1]", 72), ("periodic:m=3:[0,i,1]", sieve.PERIOD)):
         plan = _Plan(parse_eps_spec(text), 10 ** 6)
-        assert 8 in cubes(plan) and plan.count_period.size == period, text
-    assert _Plan(PER_I, 10 ** 6).count_period.size == sieve.PERIOD
+        assert 8 in cubes(plan) and plan.code_period.size == period, text
+    assert _Plan(PER_I, 10 ** 6).code_period.size == sieve.PERIOD
     plan = _Plan(parse_eps_spec("finite:[exp(i*pi/5),1]"), 10 ** 6)
-    assert plan.val_period.size == sieve.PERIOD
+    assert plan.val_period.size == plan.code_period.size == sieve.PERIOD
     # f = 1 sieves nothing: a period of 1, which a block takes by a fill
     ones = _Plan(ONES, 10 ** 6)
-    assert ones.powers == [] and ones.val_period.size == 1
-    assert np.array_equal(_f_block(5, 105, ones)[1], np.ones(100))
+    assert ones.powers == [] and ones.val_period.size == 1 and not ones.codes
+    assert np.array_equal(_f_block(5, 105, ones), np.ones(100))
 
 
 def _value_plan(monkeypatch, spec, n_max: int) -> _Plan:
-    """The value path's plan for any spec, as no lattice spec builds it:
-    with no value known to lie on the lattice, no spec sieves codes."""
+    """The value path's plan for any spec: with no value known to lie on
+    the lattice, every phase rides in the float product, and the codes keep
+    only the zero count and the large prime."""
     with monkeypatch.context() as patch:
         patch.setattr(sieve, "_TURNS", {})
         plan = _Plan(spec, n_max)
-    assert not plan.codes
+    assert plan.product
     return plan
 
 
 @pytest.mark.parametrize("text", LATTICE_SPECS)
 def test_lattice_codes_match_the_value_path(monkeypatch, text):
-    # every block of a full sweep to 7.5e6 (x = 2e5) holds the same f on
-    # both paths (a zero may be -0.0 on the value path), and the sums of a
-    # 48-point grid to 2e5 have the same bits
+    # every block of a full sweep to 7.5e6 (x = 2e5) holds the same f from
+    # the phases of the codes as from float products of the units, and the
+    # sums of a 48-point grid to 2e5 have the same bits
     spec = parse_eps_spec(text)
     n_max = int(sieve.DEFAULT_CUTOFF_MULT * 2e5)
     codes, values = _Plan(spec, n_max), _value_plan(monkeypatch, spec, n_max)
-    assert codes.codes == (text != "cm:xi=1")
+    assert codes.codes == (text != "cm:xi=1") and codes.product == (text == "cm:xi=1")
     for lo in range(1, n_max + 1, codes.size):
         hi = min(lo + codes.size, n_max + 1)
-        got, want = _f_block(lo, hi, codes)[1], _f_block(lo, hi, values)[1]
+        got, want = _f_block(lo, hi, codes), _f_block(lo, hi, values)
         assert got.dtype == want.dtype and np.array_equal(got, want), lo
     xs = np.exp(np.linspace(math.log(1e3), math.log(2e5), 48))
     got = direct_exp_sums_multi(spec, xs)
@@ -407,8 +415,8 @@ def test_lattice_codes_near_the_cap(monkeypatch):
         spec = parse_eps_spec(text)
         codes, values = _Plan(spec, n_max), _value_plan(monkeypatch, spec, n_max)
         for n, (lo, hi) in ((omega9, (omega9 - 300, omega9 + 300)), (2 * 521, (1, BLOCK + 1))):
-            got = _f_block(lo, hi, codes)[1]
-            assert np.array_equal(got, _f_block(lo, hi, values)[1]), (text, n)
+            got = _f_block(lo, hi, codes)
+            assert np.array_equal(got, _f_block(lo, hi, values)), (text, n)
             want = math.prod(eps_at(spec, v) for v in _factor(n, primes_up_to(521).tolist()))
             assert got[n - lo] == want, (text, n)
     # omega(n) <= 9 holds below the tenth primorial, and no further
@@ -416,9 +424,28 @@ def test_lattice_codes_near_the_cap(monkeypatch):
         _Plan(MOBIUS, 6469693230)
 
 
+def test_every_plan_is_capped():
+    # the large-prime borrow rests on omega(n) <= 9, on and off the lattice,
+    # and a sweep at the cap of x stays below it
+    assert int(sieve.DEFAULT_CUTOFF_MULT * DIRECT_X_CAP) < sieve._CAP == 6469693230
+    for text in ("finite:[exp(i*pi/5),1]", "quadphase:alpha=0.381966", "periodic:m=2:[1,exp(i*0.7)]"):
+        with pytest.raises(CapacityError):
+            _Plan(parse_eps_spec(text), sieve._CAP)
+
+
 #: lattice specs of the segment tests: Mobius, Liouville, fig53 and a phase
 #: that turns through all four units
 SEGMENT_SPECS = ["finite:[-1]", "cm:xi=-1", "periodic:m=2:[i,-i]", "periodic:m=4:[i,-1,-i,1]"]
+#: specs off the lattice, whose f takes a float product: three with a
+#: large-prime factor, and two with eps_1 = 1, one of them with codes for
+#: the zero count and one with no codes
+PRODUCT_SPECS = [
+    "finite:[exp(i*pi/5),1]",
+    "quadphase:alpha=0.381966",
+    "cm:xi=exp(i*pi)",
+    "finite:[1,exp(i*0.7)]",
+    "periodic:m=2:[1,exp(i*0.7)]",
+]
 
 
 @pytest.mark.parametrize("n_max", [2 ** 19 + 2 ** 18 + 17, 3 * 2 ** 19 - 1, 100_000])
@@ -433,10 +460,9 @@ def test_lattice_sweep_matches_the_value_path_block_by_block(monkeypatch, n_max)
         assert codes.codes and codes.sparse[0].size, text  # some powers are scattered
         seen = []
 
-        def consume(n, f):
-            lo, hi = blocks[len(seen)]
-            assert (n[0], n[-1], n.size) == (lo, hi - 1, hi - lo)
-            want = _f_block(lo, hi, values)[1]
+        def consume(lo, f):
+            want = _f_block(*blocks[len(seen)], values)
+            assert lo == blocks[len(seen)][0] and f.size == want.size, (text, lo)
             assert f.dtype == want.dtype and np.array_equal(f, want), (text, lo)
             seen.append(lo)
 
@@ -444,61 +470,117 @@ def test_lattice_sweep_matches_the_value_path_block_by_block(monkeypatch, n_max)
         assert seen == [lo for lo, _ in blocks], text
 
 
+@functools.lru_cache(maxsize=4)
+def _trial_division(lo: int, hi: int, n_max: int) -> tuple[list, np.ndarray]:
+    """The prime factorization of n in [lo, hi), n <= n_max, by trial
+    division: for each prime p <= sqrt(n_max) that divides some n, p, the
+    offset of its first multiple and v_p of each multiple; and where n
+    keeps a prime factor above sqrt(n_max), to the first power."""
+    rest = np.arange(lo, hi, dtype=np.int64)
+    powers = []
+    for p in primes_up_to(math.isqrt(n_max)).tolist():
+        s = -lo % p
+        if s >= rest.size:
+            continue
+        multiples = rest[s::p]
+        v = np.zeros(multiples.size, dtype=np.int8)
+        hit = np.ones(multiples.size, dtype=bool)
+        while hit.any():
+            multiples[hit] //= p
+            v += hit
+            hit = multiples % p == 0
+        powers.append((p, s, v))
+    return powers, rest > 1
+
+
+def _trial_f(spec, lo: int, hi: int, n_max: int) -> np.ndarray:
+    """f(n) for n in [lo, hi) from `_trial_division`, as a complex product
+    in another order than the sieve's."""
+    powers, large = _trial_division(lo, hi, n_max)
+    eps = np.array([eps_at(spec, k) for k in range(sieve._MAX_VP + 1)])
+    f = np.where(large, eps[1], 1).astype(np.complex128)
+    for p, s, v in powers:
+        f[s::p] *= eps[v]
+    return f
+
+
+def _segments(plan: _Plan, n_max: int):
+    """(lo, [(a, f copy) per block]) of a sweep's first segment, its top one
+    and two seeded random ones, each taken as the sweep takes it."""
+    last = (n_max - 1) // plan.segment
+    rng = random.Random(n_max)
+    for k in (0, last, rng.randint(1, last - 1), rng.randint(1, last - 1)):
+        lo = 1 + k * plan.segment
+        hi = min(lo + plan.segment, n_max + 1)
+        blocks = [(a, f.copy()) for a, f in sieve._blocks(lo, hi, plan)]
+        assert [a for a, _ in blocks] == list(range(lo, hi, BLOCK)), lo
+        assert sum(f.size for _, f in blocks) == hi - lo
+        yield lo, hi, blocks
+
+
 @pytest.mark.parametrize("n_max", [375_000_000, 3_750_000_000, 6_000_000_000])
 @pytest.mark.parametrize("text", SEGMENT_SPECS)
 def test_lattice_segments_match_the_value_path_up_to_the_cap(monkeypatch, text, n_max):
     # the first segment of a sweep, its top one and two seeded random ones,
-    # each taken as the sweep takes it, block by block against the value path
+    # each taken as the sweep takes it, block by block: equal to the value
+    # path and to trial division, where no SPF table reaches
     spec = parse_eps_spec(text)
     codes, values = _Plan(spec, n_max), _value_plan(monkeypatch, spec, n_max)
-    segment = codes.count.size
-    assert segment == 2 * BLOCK
-    last = (n_max - 1) // segment
-    rng = random.Random(n_max)
-    for k in (0, last, rng.randint(1, last - 1), rng.randint(1, last - 1)):
-        lo = 1 + k * segment
-        hi = min(lo + segment, n_max + 1)
-        starts = []
-        for n, f in sieve._blocks(lo, hi, codes):
-            a, size = int(n[0]), n.size
-            assert n[-1] == a + size - 1 and size == min(BLOCK, hi - a)
-            want = _f_block(a, a + size, values)[1]
-            assert f.dtype == want.dtype and np.array_equal(f, want), (lo, a)
-            starts.append(a)
-        assert starts == list(range(lo, hi, BLOCK)), lo
+    assert codes.segment == 2 * BLOCK and not codes.product
+    for lo, hi, blocks in _segments(codes, n_max):
+        want = _trial_f(spec, lo, hi, n_max)
+        for a, f in blocks:
+            value = _f_block(a, a + f.size, values)
+            assert f.dtype == value.dtype and np.array_equal(f, value), (lo, a)
+            assert np.array_equal(f, want[a - lo : a - lo + f.size]), (lo, a)
+
+
+@pytest.mark.parametrize("n_max", [375_000_000, 3_750_000_000, 6_000_000_000])
+@pytest.mark.parametrize("text", PRODUCT_SPECS)
+def test_product_segments_match_trial_division_up_to_the_cap(text, n_max):
+    # the same segments off the lattice: the float product over the primes
+    # with p^2 below the segment's top, times the codes' factor, against
+    # trial division; a product over the block's primes alone would drop,
+    # in the first block, the primes 2^18 < p^2 < 2^19 that the codes of
+    # the first segment count as sieved
+    spec = parse_eps_spec(text)
+    plan = _Plan(spec, n_max)
+    assert plan.product and plan.codes == (text != "periodic:m=2:[1,exp(i*0.7)]")
+    for lo, hi, blocks in _segments(plan, n_max):
+        want = _trial_f(spec, lo, hi, n_max)
+        for a, f in blocks:
+            assert f.dtype == plan.val.dtype
+            err = np.max(np.abs(f - want[a - lo : a - lo + f.size]))
+            assert err <= 1e-14, (lo, a, err)
 
 
 def _loop_powers(spec, n_max: int) -> list[tuple]:
-    """The (q, p, m_k, code or 2 dz_k) table by a loop over the primes and
-    their powers, the reference for the plan's array form."""
+    """The (q, p, r_k, c_k) table by a loop over the primes and their
+    powers, the reference for the plan's array form."""
     eps = [eps_at(spec, k) for k in range(sieve._MAX_VP + 1)]
     if all(e.imag == 0 for e in eps):
         eps = [e.real for e in eps]
     zero = [e == 0 for e in eps]
     unit = [1.0 if z else e for e, z in zip(eps, zero)]
-    modulus = zero[1] or unit[1] != 1
+    borrow = zero[1] or unit[1] != 1
     absorb = sieve._MAX_VP + 1
     while absorb > 1 and zero[absorb - 1]:
         absorb -= 1
     turns = [sieve._TURNS.get(u) for u in unit]
     lattice = None not in turns
-    scale = (255 - sieve._OMEGA / 2) / math.log2(max(n_max, 2)) if lattice and modulus else 0.0
+    if not lattice:
+        turns = [0] * len(unit)
+    scale = (255 - sieve._OMEGA / 2) / math.log2(max(n_max, 2)) if borrow else 0.0
     powers = []
     for p in primes_up_to(math.isqrt(n_max)).tolist():
         q, k = p, 1
         logp = scale * math.log2(p)
         while q <= n_max and k <= absorb:
-            dz = 2 * (zero[k] - zero[k - 1])
-            if lattice:
-                m = 1
-                dz = (round(k * logp) - round((k - 1) * logp) + (dz << 8)
-                      + ((turns[k] - turns[k - 1]) << 14)) % 2 ** 16
-            else:
-                m = unit[k] / unit[k - 1]
-                if modulus:
-                    m *= p
-            if m != 1 or dz:
-                powers.append((q, p, m, dz))
+            r = 1 if lattice else unit[k] / unit[k - 1]
+            code = (round(k * logp) - round((k - 1) * logp) + ((2 * (zero[k] - zero[k - 1])) << 8)
+                    + ((turns[k] - turns[k - 1]) << 14)) % 2 ** 16
+            if r != 1 or code:
+                powers.append((q, p, r, code))
             q *= p
             k += 1
     return powers
@@ -506,7 +588,7 @@ def _loop_powers(spec, n_max: int) -> list[tuple]:
 
 @pytest.mark.parametrize("text", BLOCK_SPECS + ["periodic:m=4:[i,-1,-i,1]", "cm:xi=exp(i*pi)"])
 def test_plan_power_table_matches_the_loop(text):
-    # element-equal, and each m_k with the loop's bits (as a complex)
+    # element-equal, and each r_k with the loop's bits (as a complex)
     spec = parse_eps_spec(text)
     for n_max in (1, 3, 4, 30, 120, 12_000, SPF_TOP, 375_000_000, 4_500_000_000):
         got, want = _Plan(spec, n_max).powers, _loop_powers(spec, n_max)
@@ -526,18 +608,18 @@ REAL_SPECS = ["finite:[-1]", "cm:xi=-1", "cm:xi=1", "finite:[1,0,1]", "periodic:
     + [("cm:xi=exp(i*pi)", np.complex128), ("periodic:m=2:[i,-i]", np.complex128)],
 )
 def test_plan_buffers_are_real_only_for_real_eps(text, dtype):
-    # f is taken from a table of its values on the lattice path, and is a
-    # product of float or complex buffers on the value path (cm:xi=1, whose
-    # product is a fill of 1, and cm:xi=exp(i*pi))
+    # f, its table and its product are float64 or complex128 together; the
+    # codes of a segment of two blocks are uint16.  f = 1 (cm:xi=1) sieves
+    # no codes and is a fill, and cm:xi=exp(i*pi) is off the lattice, so
+    # its f is a product times the codes' factor
     plan = _Plan(parse_eps_spec(text), 10 ** 6)
-    assert plan.codes == (text not in ("cm:xi=1", "cm:xi=exp(i*pi)"))
-    if plan.codes:  # codes of a segment of two blocks
-        assert plan.val.dtype == plan.table.dtype == dtype
-        assert plan.count.dtype == np.uint16 and not hasattr(plan, "work")
-        assert plan.count.size == 2 * BLOCK
-    else:
-        assert plan.val.dtype == plan.work.dtype == plan.factor.dtype == dtype
-        assert plan.count.dtype == np.int8 and plan.count.size == BLOCK
+    assert plan.val.dtype == plan.table.dtype == plan.val_period.dtype == dtype
+    assert plan.code.dtype == plan.code_period.dtype == np.uint16
+    assert plan.codes == (text != "cm:xi=1")
+    assert plan.product == (text in ("cm:xi=1", "cm:xi=exp(i*pi)"))
+    assert plan.code.size == (2 * BLOCK if plan.codes else 0)
+    assert plan.work.dtype == dtype
+    assert plan.work.size == (BLOCK if plan.codes and plan.product else 0)
 
 
 @pytest.mark.parametrize("text", REAL_SPECS)
@@ -546,19 +628,19 @@ def test_real_f_on_the_float64_path(spf_1e7, text):
     # the (short) top block of a full sweep at x = 2e5
     spec = parse_eps_spec(text)
     lo = 2 * 10 ** 6
-    blocks = [_f_block(lo, lo + BLOCK, _Plan(spec, SPF_TOP))]
+    blocks = [(lo, _f_block(lo, lo + BLOCK, _Plan(spec, SPF_TOP)))]
     n_max = int(sieve.DEFAULT_CUTOFF_MULT * 2e5)
 
-    def keep_top(n, f):
-        if n[-1] == n_max:
-            blocks.append((n.copy(), f.copy()))
+    def keep_top(lo, f):
+        if lo + f.size - 1 == n_max:
+            blocks.append((lo, f.copy()))
 
     sieve._sweep(spec, n_max, keep_top)
     assert len(blocks) == 2
-    for n, f in blocks:
+    for lo, f in blocks:
         assert f.dtype == np.float64
-        want = np.array([f_of_n(spf_1e7, spec, k) for k in n.astype(np.int64).tolist()])
-        assert np.array_equal(f, want.real), int(n[0])
+        want = np.array([f_of_n(spf_1e7, spec, k) for k in range(lo, lo + f.size)])
+        assert np.array_equal(f, want.real), lo
 
 
 def _spf_sums(table, spec, x: float, mult: float) -> tuple[complex, float]:
