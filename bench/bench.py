@@ -15,13 +15,22 @@ perfbench's workers do: with threaded OpenBLAS on 2 cores, the first
 sieve sweep of a fresh interpreter sometimes took ~6x its usual time.
 
 A "cold" case starts from a new FormulaConfig over a new ZetaKernel (the
-kernel keeps the continued logs of every zero it has served), so only the
-per-process tables (zero table, log-prime table) are already built.  A
+kernel keeps the continued logs of every zero it has served) and from an
+emptied table of prime sums (`GfConfig().prime_sums`, which every spec
+shares), so only the per-process tables (zero table, log-prime table) are
+already built.  A "shared" case starts from a new config and kernel too,
+but on a table of prime sums that a quadphase `a_exp_formula` (2 pairs)
+and `classify` filled: the cost of a second spec.  A checkout without the
+table runs it as a cold case after the same quadphase work.  A
 "warm" case first fills its config on the same grid it then times.  The
 "cli" cases run a command in-process through cli.main, its output
-captured, on the default kernel, which no case before them has used.
+captured, on the default kernel, which no case before them has used, and
+on an emptied table of prime sums, as a command in a fresh process.
 The "G_f", "zeta", "gamma" and "L1" cases time one layer on a batch of
-points: one point, a Watson ring, or a line of LINE_POINTS points.  A
+points: one point, a Watson ring, or a line of LINE_POINTS points.  The
+"RhoSweep" case builds zero 1's sweep on a new kernel and continues both
+logs to the SWEEP_POINTS points of a degree-128 Chebyshev line of the
+zero's cut.  A
 "sieve.top_segment" case is the sieve alone, in ns per n: the mean of
 BLOCK_REPEAT passes over the top 2 BLOCK numbers of a sweep to n_max,
 after one untimed pass on a plan built outside the timing, for two
@@ -64,6 +73,7 @@ WARM_POINTS = 64  # a LOG grid on [1e3, 1e8], as a trajectory takes it
 SIEVE_POINTS = 48  # a LOG grid on [1e3, 2e5]
 POINT_REPEAT = 16  # one-point G calls per sample
 RING_POINTS = 256  # a Watson ring of radius 0.05
+SWEEP_POINTS = 129  # a Chebyshev line of degree 128 on the zero cut, b = 1/2 - a = 0.1
 LINE_POINTS = 4000  # Re s = 1.5, |Im s| <= 50
 #: n_max of the sieve's top-segment cases: x = 2e5, 1e7 and the cap 1e8 at
 #: DEFAULT_CUTOFF_MULT = 37.5
@@ -92,8 +102,22 @@ def run_cases(tree: str) -> dict[str, float]:
     near_one = parse_eps_spec(NEAR_ONE)
     table = zk.default_kernel().table
 
-    def fresh(n_zeros: int):
+    def empty_prime_sums() -> None:
+        sums = getattr(er.GfConfig(), "prime_sums", None)  # absent before the table
+        if sums is not None:
+            sums.clear()
+
+    def new_config(n_zeros: int):
         return xf.FormulaConfig(n_zeros=n_zeros, kernel=zk.ZetaKernel(table))
+
+    def fresh(n_zeros: int):
+        empty_prime_sums()
+        return new_config(n_zeros)
+
+    def shared(n_zeros: int):
+        xf.a_exp_formula(quad, 1e4, fresh(2))
+        bias.classify(quad, new_config(30))
+        return new_config(n_zeros)
 
     grid = [float(x) for x in np.exp(np.linspace(math.log(1e3), math.log(1e8), WARM_POINTS))]
     out = {}
@@ -134,12 +158,22 @@ def run_cases(tree: str) -> dict[str, float]:
             lambda: bias.trajectory(spec, 1e3, 1e8, WARM_POINTS, "LOG", bias.FORMULA, cfg)
         )
     out["classify.fig53.cold"] = _timed(lambda: bias.classify(spec, fresh(30)))
+    cfg = shared(2)
+    out["a_exp_formula.shared.fig53.n_zeros=2"] = _timed(lambda: xf.a_exp_formula(spec, 1e4, cfg))
+    cfg = shared(30)
+    out["classify.shared.fig53"] = _timed(lambda: bias.classify(spec, cfg))
     # the layers on their own, each after one untimed call that builds the
-    # spec's series orders: G at classify's one point s = 1/2, per call;
-    # G on a Watson ring around 1/2; G, zeta, gamma and L1 on one line
+    # series orders and, at a point and on the ring, fills the prime sums:
+    # G at classify's one point s = 1/2, per call, also with the prime sums
+    # emptied before each call ("fill"); G on a Watson ring around 1/2; G,
+    # zeta, gamma and L1 on one line, whose points but the first fill their
+    # prime sums in the timed call
     er.G_f(spec, 0.5)
     out["G_f.fig53.point"] = _timed(
         lambda: [er.G_f(spec, 0.5) for _ in range(POINT_REPEAT)]
+    ) / POINT_REPEAT
+    out["G_f.fig53.point.fill"] = _timed(
+        lambda: [(empty_prime_sums(), er.G_f(spec, 0.5)) for _ in range(POINT_REPEAT)]
     ) / POINT_REPEAT
     ring = 0.5 - 0.05 * np.exp(2j * math.pi * np.arange(RING_POINTS) / RING_POINTS)
     er.G_f(spec, ring)
@@ -151,6 +185,10 @@ def run_cases(tree: str) -> dict[str, float]:
     out[f"gamma.line.{LINE_POINTS}"] = _timed(lambda: zk.gamma(line))
     kernel = zk.ZetaKernel(table)  # not the default kernel the cli cases use
     out[f"L1.line.{LINE_POINTS}"] = _timed(lambda: kernel.L1(line))
+    sweep_u = 0.1 * np.sin(np.arange(SWEEP_POINTS) * math.pi / (2 * (SWEEP_POINTS - 1))) ** 2
+    out[f"RhoSweep.cold.zero=1.{SWEEP_POINTS}"] = _timed(
+        lambda: zk.ZetaKernel(table).rho_sweep(1).at(sweep_u)
+    )
     xs = np.exp(np.linspace(math.log(1e3), math.log(2e5), SIEVE_POINTS))
     out[f"sieve.direct_exp_sums_multi.fig53.{SIEVE_POINTS}"] = _timed(
         lambda: sieve.direct_exp_sums_multi(spec, xs)
@@ -178,7 +216,9 @@ def run_cases(tree: str) -> dict[str, float]:
                 raise RuntimeError(f"fakemu {' '.join(argv)} failed")
 
     cli._parser()  # built once per process, outside the timed commands
+    empty_prime_sums()
     out["cli.classify.fig53"] = _timed(lambda: command("classify", "--eps", FIG53))
+    empty_prime_sums()
     out["cli.evaluate.both.fig53.n_zeros=2"] = _timed(
         lambda: command(
             "evaluate", "--eps", FIG53, "--x", "1e4", "--mode", "both", "--n-zeros", "2"

@@ -26,7 +26,10 @@ precision computation of Hardy-Littlewood constants, 1998):
 - explicit primes, p^{-sigma_min} > RHO_SERIES = 0.07 (301 primes at
   sigma_min = 0.35, 46 at 1/2, 6 at 1), take the three principal logs of
   `_log_terms` at each point;
-- every other prime enters log G_p = sum_{k>=3} a_k u^k, u = p^{-s}.
+- every other prime enters log G_p = sum_{k>=3} a_k u^k, u = p^{-s}, so
+  the series primes add sum_k a_k S_k(s) to log G, with the prime sums
+  S_k(s) = sum_p p^{-ks} over the series primes whose order reaches k.
+  Only the a_k depend on the spec.
 
 Power series.  For |u| <= R < 1/2 and eps_k unimodular or zero,
 |g(u) - 1| <= sum_k R^k = R/(1-R) < 1, so log g, log(1-u) and log(1-u^2)
@@ -35,49 +38,71 @@ h(u) = log[g(u) (1-u)^z (1-u^2)^w] is the power series sum_k a_k u^k.
 _log_coeffs computes the a_k once per spec, on first use: with L_k the
 coefficients of log g, b_k = k L_k = k eps_k - sum_{j<k} b_j eps_{k-j}
 (from g' = g (log g)'), and k a_k = b_k - z - 2w [k even].  a_1 and a_2
-vanish by the choice of z and w.  On |u| = R,
+vanish by the choice of z and w.
 
-    |h| <= M = -log(1 - R/(1-R)) + |z| (-log(1-R)) + |w| (-log(1-R^2)),
+Majorant.  eps_model takes |eps_j| <= c = 1 + UNIT_TOL, so g - 1 is
+majorized coefficient-wise by c u/(1-u), hence by v/(1-v), v = c u, and
+log g by -log(1 - v/(1-v)) = -log(1-2v) + log(1-v): |L_k| <= c^k (2^k -
+1)/k.  With |z| = |eps_1| <= c and |w| = |eps_2 - z(z+1)/2| <= 2c^2, so
+|z + 2w| <= 5c^2,
 
-so Cauchy's estimate gives |a_k| <= M R^{-k}, R = CAUCHY_RADIUS = 0.45.
-The order bound reads the computed a_k up to _MAX_ORDER = 64 and Cauchy's
-estimate only past it: with rho = p^{-sigma_min} <= 0.07 and
-r = rho/R <= 0.156, dropping a series prime's orders above K leaves at most
+    |a_k| <= A_k = c^k (2^k + 4[k even])/k     (k >= 2)
 
-    T(rho, K) = sum_{K<k<=64} |a_k| rho^k + M r^65/(1-r)
+for every spec, and it is tight: periodic:m=1:[-1] (g = (1-2u)/(1-u), z =
+w = -1) has |a_k| = (2^k - 2 - 2[k even])/k, within 1% from k = 10 on,
+and A_3 = 8/3 (times c^3) is reached by eps = (i, 1, -i).
+With rho = p^{-sigma_min} <= 0.07, dropping a series prime's orders above
+K leaves at most
 
-in log G.  Its order K_p is the least K with T <= SERIES_TOL/N, N series
-primes, so the dropped terms of all series primes together move log G by
-at most SERIES_TOL = 2^-53, i.e. G by a relative 2^-53.  T falls with
-rho, so one bisection per K over the primes finds where K starts to
-suffice.  Orders reach 18-19 at sigma_min = 0.35 (about 85000
-prime-order pairs per point at sigma_min = 0.4, against 109000 from
-Cauchy's estimate alone at every order), and a prime whose K_p is 2 is
-left out.  The orders are taken at sigma_min rounded down to a multiple
-of 1/256, which only adds terms (0.4% more pairs at 0.4), and kept for 64
-(spec, rounded sigma_min, prime limit).  On series primes |g| >= 1 - 0.07/0.93, so only
-an explicit prime can meet a zero of g.  G is 0 there, a legitimate value:
-the log of g is -inf (or very negative where g is only rounded to ~0),
-and the exp of the sum is the product.
+    T(rho, K) = sum_{k>K} A_k rho^k,
 
-Shared phase.  On the segment u_p(s0 - u_j) = p^{-s0} p^{u_j}, so a call
-takes one complex exp per (series prime, distinct s0) and one real exp
+whose terms past _MAX_ORDER = 64 are two geometric series.  Its order K_p
+is the least K with T <= SERIES_TOL/N, N series primes, so the dropped
+terms of all series primes together move log G by at most SERIES_TOL =
+2^-53, i.e. G by a relative 2^-53, for every spec.  T falls with rho, so
+one bisection per K over the primes finds where K starts to suffice.
+Orders reach 21 (95900 prime-order pairs per point at sigma_min = 0.4,
+69600 at 1/2; fig53's own |a_k| would need 84800 and 63600), and a prime
+whose K_p is 2 is left out.  The orders are taken at sigma_min rounded
+down to a multiple of 1/256, which only adds terms, and kept for 64
+(rounded sigma_min, prime limit).  On series primes |g| >= 1 - 0.07/0.93,
+so only an explicit prime can meet a zero of g.  G is 0 there, a
+legitimate value: the log of g is -inf (or very negative where g is only
+rounded to ~0), and the exp of the sum is the product.
+
+Shared prime sums.  The orders do not depend on the spec, so neither do
+the sums: S_k(s0 - u_j), k = 3..K, of a row s0 and segment u live in one
+table per prime limit (PrimeSums, GfConfig.prime_sums), keyed by the
+row's upper-half-plane value (s0, or conj(s0) where Im s0 < 0; a -0.0
+imaginary part counts as upper) and the bytes of u.  A lower-half row
+reads its rep's sums conjugated: complex exp and products are
+conjugate-symmetric to the bit, so these are the sums the row would
+compute.  A call looks up the reps of each group of one real part and
+fills the missing ones together (_fill_sums); each row of log G is then
+one dot a[3:K+1] @ S.  So the explicit primes' three logs and that dot
+are all a spec computes, and a row has the same bits whichever spec
+filled its sums, alone or in a batch.  Least recently used entries go
+once the table holds PRIME_SUMS_CAP = 4 MB, counting each entry's arrays
+and key plus PRIME_SUMS_ENTRY = 352 bytes for its Python objects; a cold
+30-pair fig53 evaluate leaves 64 entries, ~0.35 MB.  hits and misses
+count the reps looked up.
+
+The fill.  On the segment u_p(s0 - u_j) = p^{-s0} p^{u_j}, so a fill
+takes one complex exp per (series prime, missing rep) and one real exp
 per (prime, point).  Per block of primes the real (primes x points)
-matrix e1 = p^{u_j} is taken once, before any row; each block of rows
-cubes it and updates the cube per order.  Per order k and per s0, the
+matrix e1 = p^{u_j} is taken once, before any rep; each block of reps
+cubes it and updates the cube per order.  Per order k and per rep, the
 row p^{-k s0} viewed as (2 x primes) reals times p^{k u_j} is one matrix
-product, kept per row because BLAS blocking over several rows moves a
-row's bits with their number.  One dict maps each row's upper-half-plane
-value, s0 or conj(s0) where Im s0 < 0, to the rows that read its
-products: repeated rows and a zero's mirror s0 = conj(rho) share them, a
-lower-half row with their imaginary parts negated, since complex exp and
-products are conjugate-symmetric to the bit.  So each row has the bits it
-has in a call of its own, and the bookkeeping is linear in the rows.
-The buffers hold at most _BLOCK = 2^14 float64 entries (128 kB) each: a
-block takes at most _BLOCK/2 primes, since a complex row p^{-k s0} holds
-two entries per prime, so a one-point G (~9500 series primes) takes two
-blocks.  The explicit logs go in blocks of 64 kB of complex, so memory
-does not grow with the number of rows, points or primes.
+product, kept per rep because BLAS blocking over several rows moves a
+row's bits with their number.  A block of reps keeps its products of
+every order in one buffer and adds them, once per block of primes, into
+each rep's own array, which the table then keeps.  Where u has at most
+64 points, every buffer holds at most _BLOCK = 2^14 float64 entries (128
+kB): a block takes at most _BLOCK/2 primes, since a complex row p^{-k s0}
+holds two entries per prime, so a one-point G (~9500 series primes)
+takes two blocks; a longer u takes 256 primes per block.  The explicit
+logs go in blocks of 64 kB of complex, so scratch memory does not grow
+with the number of rows, points or primes.
 
 Rounding.  A series term carries rounding relative to its own size,
 |u|^3 and below, so G's rounding comes from the explicit primes.  Their
@@ -104,14 +129,16 @@ prime: against a long-double product over the same primes G is within
 6e-15 relative on every fig53 segment at a = 0.35, where the sum of the
 three logs over all 9592 primes reaches 2.6e-14.
 
-The sieved log-prime table is shared by every GfConfig of one prime limit
-and is read-only.
+The sieved log-prime table and the table of prime sums are shared by
+every GfConfig of one prime limit; the log primes and each entry of
+prime sums are read-only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from numbers import Integral
@@ -119,7 +146,7 @@ from typing import Optional
 
 import numpy as np
 
-from .eps_model import EpsilonSpec, _g_eval_array, eps_at, zw_params
+from .eps_model import UNIT_TOL, EpsilonSpec, _g_eval_array, eps_at, zw_params
 from .errors import CapacityError, DomainError, RangeError
 from .sieve import primes_up_to
 from .zeta_kernel import _F128, _PHASE_MAX_FLOAT64, _pow_minus_s
@@ -129,18 +156,22 @@ _NEAR_UNIT = 0.5  # | |v|^2 - 1 | at most this takes the log1p form
 #: A prime with p^{-sigma_min} above RHO_SERIES keeps its three principal
 #: logs; every other prime enters the power series of log G_p.
 RHO_SERIES = 0.07
-#: Radius R < 1/2 of the Cauchy estimate |a_k| <= M R^{-k}.
-CAUCHY_RADIUS = 0.45
 #: Bound on the dropped series terms of log G, summed over all primes.
 SERIES_TOL = 2.0 ** -53
 #: Coefficients a_k are computed for k <= _MAX_ORDER; a series prime needs
 #: at most ~30 (module docstring); 64 would take ~1e36 series primes.
 _MAX_ORDER = 64
 #: Series orders are taken at sigma_min rounded down to a multiple of
-#: 1/_ORDER_GRID, and kept per (spec, that value, prime limit).
+#: 1/_ORDER_GRID, and kept per (that value, prime limit).
 _ORDER_GRID = 256
-#: Entries of one (primes x points) buffer of the series sum: 128 kB.
+#: Entries of one (primes x points) buffer of the prime sums' fill: 128 kB.
 _BLOCK = 2 ** 14
+#: |eps_k| <= _EPS_SLACK: eps_model takes a value within UNIT_TOL of the unit circle.
+_EPS_SLACK = 1.0 + UNIT_TOL
+#: Bytes one prime limit's table of prime sums keeps, and the allowance
+#: per entry for its Python objects (tracemalloc: ~343 bytes on CPython 3.11).
+PRIME_SUMS_CAP = 2 ** 22
+PRIME_SUMS_ENTRY = 352
 #: Largest prime limit: a 100 MB sieve mask, 46 MB per array of its primes.
 PRIME_LIMIT_CAP = 10 ** 8
 
@@ -171,6 +202,11 @@ class GfConfig:
     @property
     def logp(self) -> np.ndarray:
         return _log_primes(self.prime_limit)
+
+    @property
+    def prime_sums(self) -> PrimeSums:
+        """The limit's shared table of prime sums, with its hit and miss counts."""
+        return _prime_sums(self.prime_limit)
 
 
 def _log_near_unit(v: np.ndarray) -> np.ndarray:
@@ -238,31 +274,33 @@ def _log_coeffs(spec: EpsilonSpec) -> np.ndarray:
     return a
 
 
-def _cauchy_m(spec: EpsilonSpec) -> float:
-    """M >= |log[g(u) (1-u)^z (1-u^2)^w]| on |u| = CAUCHY_RADIUS."""
-    pars = zw_params(spec)
-    radius = CAUCHY_RADIUS
-    return (
-        -math.log1p(-radius / (1.0 - radius))
-        - abs(pars.z) * math.log1p(-radius)
-        - abs(pars.w) * math.log1p(-radius * radius)
-    )
+def _majorant(k: np.ndarray) -> np.ndarray:
+    """A_k >= |a_k| for every spec, k >= 2 (module docstring)."""
+    return _EPS_SLACK ** k * (2.0 ** k + np.where(k % 2 == 0, 4.0, 0.0)) / k
 
 
-def _series_orders(spec: EpsilonSpec, sigma_min: float, logq: np.ndarray) -> np.ndarray:
+def _majorant_rest(rho: float | np.ndarray) -> float | np.ndarray:
+    """B(rho) with sum_{k>_MAX_ORDER} A_k x^k <= B(rho) x^{_MAX_ORDER+1} for
+    0 <= x <= rho, 2c rho < 1: A_k <= c^k (2^k + 4)/65 past k = 64, c = 1 +
+    UNIT_TOL, which leaves two geometric series."""
+    c, k = _EPS_SLACK, _MAX_ORDER + 1
+    return ((2.0 * c) ** k / (1.0 - 2.0 * c * rho) + 4.0 * c ** k / (1.0 - c * rho)) / k
+
+
+def _series_orders(sigma_min: float, logq: np.ndarray) -> np.ndarray:
     """Last order K_p >= 2 of each series prime's power series at Re s >=
-    sigma_min: the least K whose dropped terms are bounded by SERIES_TOL/N,
-    N = logq.size, with rho = p^{-sigma_min} and r = rho/CAUCHY_RADIUS:
+    sigma_min, for every spec: the least K whose dropped terms are bounded
+    by SERIES_TOL/N, N = logq.size, with rho = p^{-sigma_min} and the
+    majorant A_k >= |a_k|:
 
-        T(rho, K) = sum_{K<k<=_MAX_ORDER} |a_k| rho^k + M r^{_MAX_ORDER+1}/(1-r).
+        T(rho, K) = sum_{k>K} A_k rho^k.
 
     T falls with rho, so the primes that meet the bound at order K are the
     primes from some index i_K on; a bisection per K finds i_K, and K_p is
     the least K with i_K <= p.  Orders fall as p grows; K_p = 2 drops the
     prime."""
-    a = np.abs(_log_coeffs(spec))[3:]  # k = 3.._MAX_ORDER
     k = np.arange(3, _MAX_ORDER + 1)
-    m = _cauchy_m(spec)
+    big_a = _majorant(k)
     n = logq.size
     tol = SERIES_TOL / max(n, 1)
     orders = np.arange(2, _MAX_ORDER + 1)  # K
@@ -270,11 +308,10 @@ def _series_orders(spec: EpsilonSpec, sigma_min: float, logq: np.ndarray) -> np.
     def tail(i: np.ndarray) -> np.ndarray:
         """T(rho_{i_K}, K) for each K, rho_i = p_i^{-sigma_min}."""
         rho = np.exp(-sigma_min * logq[i])
-        r = rho / CAUCHY_RADIUS
-        rest = m * r ** (_MAX_ORDER + 1) / (1.0 - r)
         # above[j, K - 2]: the terms of order above K at rho_j
-        above = np.cumsum((rho[:, None] ** k * a)[:, ::-1], axis=1)[:, ::-1]
-        above = np.concatenate([above, np.zeros((rho.size, 1))], axis=1) + rest[:, None]
+        above = np.cumsum((rho[:, None] ** k * big_a)[:, ::-1], axis=1)[:, ::-1]
+        above = np.concatenate([above, np.zeros((rho.size, 1))], axis=1)
+        above += (rho ** (_MAX_ORDER + 1) * _majorant_rest(rho))[:, None]
         return above[np.arange(orders.size), orders - 2]
 
     lo = np.zeros(orders.size, dtype=np.int64)
@@ -292,54 +329,99 @@ def _series_orders(spec: EpsilonSpec, sigma_min: float, logq: np.ndarray) -> np.
 
 
 @lru_cache(maxsize=64)
-def _series_active(spec: EpsilonSpec, sigma_min: float, prime_limit: int, n_exp: int) -> np.ndarray:
+def _series_active(sigma_min: float, prime_limit: int, n_exp: int) -> np.ndarray:
     """active[k]: the number of series primes (a prefix of the primes past
     the n_exp explicit ones) whose order reaches k, k = 0..top+1."""
-    order = _series_orders(spec, sigma_min, _log_primes(prime_limit)[n_exp:])
+    order = _series_orders(sigma_min, _log_primes(prime_limit)[n_exp:])
     active = np.searchsorted(-order, -np.arange(int(order[0]) + 2), side="right")
     active.flags.writeable = False
     return active
 
 
-def _series_sum(
-    a: np.ndarray, s0: np.ndarray, u: np.ndarray, logq: np.ndarray, active: np.ndarray
-) -> np.ndarray:
-    """sum_p sum_{k=3}^{K_p} a_k u_p^k at s0_i - u_j, u_p = p^{-s0_i} p^{u_j},
-    as an (s0 x u) array.
+class PrimeSums:
+    """The prime sums of one prime limit, shared by every spec: per
+    (rep, u bytes), the (orders x u) complex array S with S[k-3, j] =
+    S_k(rep - u_j), k = 3..K, where rep is a row's upper-half-plane value
+    and K the top series order at Re rep - max u.  Least recently used
+    entries go once the entries' arrays, keys and a PRIME_SUMS_ENTRY
+    allowance for their Python objects pass PRIME_SUMS_CAP bytes.  hits
+    and misses count the reps looked up."""
 
-    Products are computed once per rep, the upper-half-plane value of a
-    row (s0_i, or conj(s0_i) where Im s0_i < 0); `readers` maps each rep
-    to its rows, and a lower-half row takes the products with the sign of
-    their imaginary part flipped: complex exp and products are
-    conjugate-symmetric to the bit, so these are the products the row
-    would compute.  Per block of primes the real (primes x points) matrix
-    e1 = p^{u_j} is taken once; each block of reps cubes it into ek.  Per
-    order k and per rep, the complex row p^{-k s0}, viewed as (2 x primes)
-    reals, times ek is one matrix product: BLAS blocking over several rows
-    would move a row's bits with their number.  Both factors are updated
-    in place by one more factor, on the prefix of primes whose order
-    reaches k, which shrinks as k grows.  A block of reps adds its sums to
-    its own reps' rows only.  Each buffer holds at most _BLOCK float64
-    entries; the reps go in as many blocks as their p^{-k s0} buffer needs.
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple[complex, bytes], np.ndarray] = OrderedDict()
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple[complex, bytes]) -> Optional[np.ndarray]:
+        sums = self._entries.get(key)
+        if sums is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._entries.move_to_end(key)
+        return sums
+
+    def put(self, key: tuple[complex, bytes], sums: np.ndarray) -> None:
+        sums.flags.writeable = False
+        self._entries[key] = sums
+        self.nbytes += _entry_bytes(key, sums)
+        while self.nbytes > PRIME_SUMS_CAP:
+            old = self._entries.popitem(last=False)
+            self.nbytes -= _entry_bytes(*old)
+
+    def clear(self) -> None:
+        """Empty the table (the counts stay)."""
+        self._entries.clear()
+        self.nbytes = 0
+
+
+def _entry_bytes(key: tuple[complex, bytes], sums: np.ndarray) -> int:
+    return sums.nbytes + len(key[1]) + PRIME_SUMS_ENTRY
+
+
+@cache
+def _prime_sums(prime_limit: int) -> PrimeSums:
+    """The prime-sum table of one prime limit, made once per process."""
+    return PrimeSums()
+
+
+def _fill_sums(
+    reps: list[complex], u: np.ndarray, logq: np.ndarray, active: np.ndarray
+) -> list[np.ndarray]:
+    """Per rep, the (orders x u) complex prime sums S_k(rep - u_j) =
+    sum_p p^{-k rep} p^{k u_j} over the series primes whose order reaches
+    k, k = 3..top.
+
+    Per block of primes the real (primes x points) matrix e1 = p^{u_j} is
+    taken once and every block of reps cubes it into ek.  Per order k and
+    per rep, the complex row p^{-k rep}, viewed as (2 x primes) reals,
+    times ek is one matrix product: BLAS blocking over several rows would
+    move a row's bits with their number.  Both factors are updated in
+    place by one more factor, on the prefix of primes whose order reaches
+    k, which shrinks as k grows.  Each buffer holds at most _BLOCK float64
+    entries where u has at most 64 points; a longer u takes 256 primes per
+    block, 256 u.size entries.
     """
-    readers: dict[complex, list[int]] = {}  # upper-half-plane rep -> its rows
-    for i, v in enumerate(s0.tolist()):
-        readers.setdefault(v.conjugate() if v.imag < 0 else v, []).append(i)
-    reps = list(readers)
-    lower = s0.imag < 0
-    out = np.zeros((s0.size, u.size), dtype=np.complex128)
     top = active.size - 2
     n = int(active[3])
+    m = len(reps)
+    out = [np.zeros((top - 2, u.size), dtype=np.complex128) for _ in reps]
     if n == 0:
         return out
-    m = len(reps)
-    # a row of complex c1 takes 2 width entries, so width stays <= _BLOCK/2
+    # a rep's sums viewed as reals: (orders x u x 2)
+    out_pairs = [sums.view(np.float64).reshape(top - 2, u.size, 2) for sums in out]
+    # a row of complex c1 takes 2 width entries, so width stays <= _BLOCK/2,
+    # and a rep's products of every order 2 (top - 2) u.size entries
     width = min(n, max(256, _BLOCK // u.size), _BLOCK // 2)
-    rows = min(m, max(1, _BLOCK // (2 * width)))
+    rows = min(m, max(1, _BLOCK // (2 * max(width, (top - 2) * u.size))))
     e1_buf, ek_buf = np.empty((width, u.size)), np.empty((width, u.size))
     c1_buf = np.empty((rows, width), np.complex128)
     ck_buf = np.empty((rows, width), np.complex128)
-    sums = np.empty((top + 1, rows, 2, u.size))
+    sums = np.empty((rows, top - 2, 2, u.size))
     minus_s0 = -np.array(reps)
     for lo in range(0, n, width):
         nb = min(width, n - lo)
@@ -357,7 +439,7 @@ def _series_sum(
             ck_pairs = ck.view(np.float64).reshape(mr, nb, 2).transpose(0, 2, 1)
             k = 3
             while True:
-                np.matmul(ck_pairs[:, :, : count[k]], ek[: count[k]], out=sums[k, :mr])
+                np.matmul(ck_pairs[:, :, : count[k]], ek[: count[k]], out=sums[:mr, k - 3])
                 nxt = count[k + 1]
                 if not nxt:
                     break
@@ -365,11 +447,33 @@ def _series_sum(
                 np.multiply(ck[:, :nxt], c1[:, :nxt], out=ck[:, :nxt])
                 k += 1
             for j in range(mr):
-                terms = sums[3 : k + 1, j]
-                for i in readers[reps[r0 + j]]:
-                    im = -terms[:, 1] if lower[i] else terms[:, 1]
-                    out[i] += a[3 : k + 1] @ (terms[:, 0] + 1j * im)
+                out_pairs[r0 + j][: k - 2] += sums[j, : k - 2].transpose(0, 2, 1)
     return out
+
+
+def _series_sums(
+    rows: np.ndarray, u: np.ndarray, prime_limit: int, sigma_min: float, n_exp: int
+) -> dict[complex, np.ndarray]:
+    """The prime sums of each row's rep, rep -> (orders x u) array, from
+    the shared table, one fill for the reps it lacks."""
+    table = _prime_sums(prime_limit)
+    key_u = u.tobytes()
+    found: dict[complex, Optional[np.ndarray]] = {}
+    for v in rows.tolist():
+        rep = complex(v.real, abs(v.imag))
+        if rep not in found:
+            found[rep] = table.get((rep, key_u))
+    missing = [rep for rep, sums in found.items() if sums is None]
+    if missing:
+        # orders for a Re s below sigma_min still bound the dropped terms;
+        # a grid of them keeps few in the cache (a Watson ring has 256 Re s)
+        sigma_grid = math.floor(sigma_min * _ORDER_GRID) / _ORDER_GRID
+        active = _series_active(sigma_grid, prime_limit, n_exp)
+        filled = _fill_sums(missing, u, _log_primes(prime_limit)[n_exp:], active)
+        for rep, sums in zip(missing, filled):
+            found[rep] = sums
+            table.put((rep, key_u), sums)
+    return found
 
 
 #: (points x explicit primes) entries per block of the explicit logs:
@@ -391,11 +495,10 @@ def _G_rows(spec: EpsilonSpec, rows: np.ndarray, u: np.ndarray, cfg: GfConfig) -
     log_g = log_g.reshape(rows.size, u.size)
     a = _log_coeffs(spec)
     if n_exp < logp.size and np.any(a[3:]):
-        # orders for a Re s below sigma_min still bound the dropped terms;
-        # a grid of them keeps few in the cache (a Watson ring has 256 Re s)
-        sigma_grid = math.floor(sigma_min * _ORDER_GRID) / _ORDER_GRID
-        active = _series_active(spec, sigma_grid, cfg.prime_limit, n_exp)
-        log_g += _series_sum(a, rows, u, logp[n_exp:], active)
+        sums = _series_sums(rows, u, cfg.prime_limit, sigma_min, n_exp)
+        for i, v in enumerate(rows.tolist()):
+            s = sums[complex(v.real, abs(v.imag))]  # a lower-half row reads its conjugate
+            log_g[i] += a[3 : 3 + len(s)] @ (s.conj() if v.imag < 0 else s)
     return np.exp(log_g)
 
 
@@ -447,13 +550,13 @@ def G_f_tail_estimate(
 ) -> float:
     """Bound T on |log G(s) - log G_P(s)|, the primes past P = prime_limit.
 
-    With sigma = Re s, every p > P has |u| = p^{-sigma} < P^{-sigma}.  Where
-    P^{-sigma} < R = CAUCHY_RADIUS each log G_p is its power series, and
-    the computed a_k (k <= _MAX_ORDER = 64) with Cauchy's |a_k| <= M R^{-k}
-    past them give
+    With sigma = Re s, every p > P has |u| = p^{-sigma} < rho = P^{-sigma}.
+    Where 2c rho < 1 (c = 1 + UNIT_TOL) each log G_p is its power series,
+    and the computed a_k (k <= _MAX_ORDER = 64) with the majorant A_k past
+    them (module docstring) give
 
-        |log G_p(s)| <= sum_{k=3}^{64} |a_k| p^{-k sigma}
-                        + M R^{-65} p^{-65 sigma} / (1 - P^{-sigma}/R).
+        |log G_p(s)| <= sum_{k=3}^{64} |a_k| p^{-k sigma} + B p^{-65 sigma},
+        B = ((2c)^65 / (1 - 2c rho) + 4 c^65 / (1 - c rho)) / 65.
 
     For alpha > 1, partial summation against pi(t) < 1.25506 t / log t
     bounds the sum over the primes past P:
@@ -464,11 +567,10 @@ def G_f_tail_estimate(
 
     and alpha = k sigma >= 3 * 0.35 = 1.05 for every term.  So
 
-        T = sum_{k=3}^{64} |a_k| S(k sigma) + M R^{-65} S(65 sigma)
-                                              / (1 - P^{-sigma}/R).
+        T = sum_{k=3}^{64} |a_k| S(k sigma) + B S(65 sigma).
 
-    T is inf where P^{-sigma} >= R.  Where G is identically 1 every a_k is
-    0 and only the Cauchy remainder is left (~3e-136 at sigma = 1/2).
+    T is inf where 2c rho >= 1.  Where G is identically 1 every a_k is 0
+    and only the remainder B S(65 sigma) is left (~2e-141 at sigma = 1/2).
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -480,10 +582,9 @@ def G_f_tail_estimate(
     sigma = s.real
     log_p = math.log(cfg.prime_limit)
     rho = math.exp(-sigma * log_p)  # P^{-sigma}
-    if rho >= CAUCHY_RADIUS:
+    if 2.0 * _EPS_SLACK * rho >= 1.0:
         return math.inf
     alpha = sigma * np.arange(3, _MAX_ORDER + 2)  # k = 3.._MAX_ORDER + 1
     prime_sums = _PI_BOUND * alpha * np.exp((1.0 - alpha) * log_p) / ((alpha - 1.0) * log_p)
     a = np.abs(_log_coeffs(spec)[3:])
-    rest = _cauchy_m(spec) * CAUCHY_RADIUS ** -(_MAX_ORDER + 1) / (1.0 - rho / CAUCHY_RADIUS)
-    return float(a @ prime_sums[:-1] + rest * prime_sums[-1])
+    return float(a @ prime_sums[:-1] + _majorant_rest(rho) * prime_sums[-1])

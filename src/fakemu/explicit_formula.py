@@ -525,6 +525,19 @@ def _mode(residue: bool, zero: bool) -> str:
     return "residue" if residue else ("zero" if zero else "quadrature")
 
 
+def _sin_pi(z: complex, w: complex = 0.0) -> complex:
+    """sin(pi (z + w))/pi as (-1)^k sin(pi ((z - k) + w))/pi, k the integer
+    nearest Re(z + w).
+
+    z - k is exact where z lies near k, and (z - k) + w where w lies near
+    k - z (Sterbenz), so the sine keeps its relative digits where it
+    vanishes; sin(pi z) itself loses them to the rounding of pi z (at z =
+    e^{i theta}, 9.5e-11 relative at theta = 1e-7, 3.9e-8 at 1e-9)."""
+    k = round((z + w).real)
+    v = cmath.sin(cmath.pi * ((z - k) + w)) / math.pi
+    return -v if k % 2 else v
+
+
 # --------------------------------------------------------------------------
 # evaluation context (per spec + config), memoized on the frozen config
 # --------------------------------------------------------------------------
@@ -627,7 +640,7 @@ class _Ctx:
                 beta=z, b=0.5, radius=0.5,
                 # (1 - 2u)^{-w} at u = 1/2: w = 1 within UNIT_TOL counts as 1
                 alpha_right=1.0 if self.pars.w_is_one else max(w.real, 0.0),
-                sine=cmath.sin(cmath.pi * z) / math.pi,
+                sine=_sin_pi(z),
                 x_pow=lambda x: x,
                 mode=_mode(zi == 1, zi in (-1, 0)), s0=1.0,
                 log_prefactor=lambda u, log_cu: -w * (  # 1 - 2u = 2 cu, exact near u = b
@@ -638,8 +651,7 @@ class _Ctx:
         if key == "half":
             return _Cut(
                 beta=w, b=0.5 - self.cfg.a, radius=0.5 - self.cfg.a, alpha_right=0.0,
-                sine=cmath.sin(cmath.pi * (z + w)) / math.pi
-                * cmath.exp((1.0 - w) * math.log(2.0)),
+                sine=_sin_pi(z, w) * cmath.exp((1.0 - w) * math.log(2.0)),
                 x_pow=math.sqrt, logs=logs_L1,
                 mode=_mode(self.pars.w_is_one, near_integer(z + w) is not None), s0=0.5,
                 log_prefactor=lambda u, log_cu: -math.log(2.0) - z * np.log(0.5 + u),
@@ -650,7 +662,7 @@ class _Ctx:
         rho = k.rho(index, conjugate)
         return _Cut(
             beta=-z, b=0.5 - self.cfg.a, radius=k.table.gap_radius(index), alpha_right=0.0,
-            sine=-cmath.sin(cmath.pi * z) / math.pi,
+            sine=-_sin_pi(z),
             x_pow=lambda x: cmath.exp(rho * math.log(x)),
             mode=_mode(zi == -1, zi in (0, 1)), s0=rho,
             log_prefactor=lambda u, log_cu: -z * np.log(rho - 1.0 - u),

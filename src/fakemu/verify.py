@@ -77,13 +77,19 @@ def check_g_series_agreement() -> None:
 
 def check_log_G_coefficients() -> None:
     # z and w cancel a_1 and a_2 of log[g(u) (1-u)^z (1-u^2)^w] = sum a_k u^k,
-    # so log G_p = O(p^{-3s}); the G kernel (explicit primes plus that
+    # so log G_p = O(p^{-3s}); every |a_k| lies within the majorant A_k the
+    # series orders come from; the G kernel (explicit primes plus that
     # series) against three principal logs summed over every prime
+    k = np.arange(3, er._MAX_ORDER + 1)
+    # periodic:m=1:[-1] comes within 1% of the majorant from k = 10 on
+    for text in [t for _, t in CANONICAL] + ["periodic:m=1:[-1]"]:
+        assert np.all(np.abs(er._log_coeffs(_spec(text))[3:]) <= er._majorant(k)), text
     cfg = er.GfConfig()
     for text in G_SERIES_SPECS:
         spec = _spec(text)
         a = er._log_coeffs(spec)
         assert abs(a[1]) <= 1e-15 and abs(a[2]) <= 1e-15, (text, a[1], a[2])
+        assert np.all(np.abs(a[3:]) <= er._majorant(k)), text
         for s in (0.45, 0.42 + 14.13j):
             got = er.G_f(spec, s, cfg)
             want = complex(np.exp(np.sum(er._log_terms(spec, s, cfg.logp))))
@@ -192,15 +198,18 @@ def check_array_kernels() -> None:
         batch = cuts[0].j(ring).tolist()
         for i in range(0, n, 16):
             assert batch[i] == complex(cuts[2].j(ring[i : i + 1])[0]), (key, i)
+    # each row's prime sums filled in the batch and alone, with the shared
+    # table emptied before every call
     cfg = er.GfConfig()
-    s0 = np.array([0.5, 0.5 + 14.134725141734694j, 0.5 - 21.022039638771555j])
-    grouped = er.G_f_line(spec, s0, u, cfg)
-    for row, s in zip(grouped, s0.tolist()):
-        assert np.array_equal(row, er.G_f_line(spec, s, u, cfg)), s
-    s0 = np.array([0.45 + 0.02j, 0.5, 0.45 - 0.02j, 0.5 + 14.134725141734694j, 0.7 - 1.0j])
-    grouped = er.G_f_line(spec, s0, u[:4], cfg)
-    for row, s in zip(grouped, s0.tolist()):
-        assert np.array_equal(row, er.G_f_line(spec, s, u[:4], cfg)), s
+    for s0, seg in (
+        (np.array([0.5, 0.5 + 14.134725141734694j, 0.5 - 21.022039638771555j]), u),
+        (np.array([0.45 + 0.02j, 0.5, 0.45 - 0.02j, 0.5 + 14.134725141734694j, 0.7 - 1.0j]), u[:4]),
+    ):
+        cfg.prime_sums.clear()
+        grouped = er.G_f_line(spec, s0, seg, cfg)
+        for row, s in zip(grouped, s0.tolist()):
+            cfg.prime_sums.clear()
+            assert np.array_equal(row, er.G_f_line(spec, s, seg, cfg)), s
 
 
 CORE_CHECKS = [

@@ -42,14 +42,14 @@ def test_classify_apparent(capsys):
 
 @pytest.mark.parametrize("text", ["cm:xi=1", "cm:xi=-1"])
 def test_classify_tail_zero_where_G_is_one(text, capsys):
-    # every a_k is 0: what is left is the Cauchy remainder, ~3e-136
+    # every a_k is 0: what is left is the majorant's remainder, ~2e-141
     code, out, _ = run(["classify", "--eps", text], capsys)
     assert code == 0
     assert 0.0 <= json.loads(out)["tail_estimate"] <= 1e-90
 
 
 def test_classify_infinite_tail_is_json_null(capsys):
-    # P^{-1/2} = 0.5 >= 0.45 at P = 4: the bound is inf, written as null,
+    # 2 P^{-1/2} = 1 at P = 4: the bound is inf, written as null,
     # so the output is strict JSON
     code, out, _ = run(
         ["classify", "--eps", "periodic:m=2:[i,-i]", "--prime-limit", "4"], capsys

@@ -6,9 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fakemu import euler_residual, zeta_kernel
-from fakemu.eps_model import eps_at, parse_eps_spec, zw_params
+from fakemu.eps_model import EpsilonSpec, eps_at, parse_eps_spec, zw_params
 from fakemu.errors import CapacityError, DomainError, PlatformError, RangeError
 from fakemu.euler_residual import G_f, G_f_tail_estimate, GfConfig, _log_near_unit
 from fakemu.sieve import _sweep, primes_up_to
@@ -145,8 +146,8 @@ def test_tail_estimate_examples(cfg):
 
 
 def test_tail_estimate_zero_where_G_is_one(cfg):
-    # every a_k is 0, so only the Cauchy remainder M R^-65 S(65 sigma) is
-    # left: 1.9e-87 at Re s = 0.35, 3e-136 at 1/2
+    # every a_k is 0, so only the majorant's remainder B S(65 sigma) is
+    # left: 1.2e-92 at Re s = 0.35, 2e-141 at 1/2
     for spec in (ONES, LIOUVILLE):
         for s in REF_POINTS:
             bound = 1e-86 if complex(s).real < 0.4 else 1e-90
@@ -154,7 +155,8 @@ def test_tail_estimate_zero_where_G_is_one(cfg):
 
 
 def test_tail_estimate_inf_where_the_series_fails(cfg):
-    # at P = 2 and Re s = 0.35, P^-sigma = 0.78 lies past the Cauchy radius
+    # at P = 2 and Re s = 0.35, P^-sigma = 0.78: the majorant's series in
+    # 2 P^-sigma diverges
     small = GfConfig(prime_limit=2)
     assert G_f_tail_estimate(FIG53, 0.35, small) == math.inf
     assert math.isfinite(G_f_tail_estimate(FIG53, 2.0, small))
@@ -252,11 +254,12 @@ def test_log_coefficients_against_mpmath_taylor(spec):
 @pytest.mark.parametrize("spec", [FIG53, FIG51A, QUAD], ids=["fig53", "fig51a", "quadphase"])
 def test_ten_more_series_terms_stay_within_the_bound(spec, sigma, cfg):
     # the terms k = K_p + 1 .. K_p + 10 of every series prime, which the
-    # kernel drops, add up to no more than SERIES_TOL
+    # kernel drops, add up to no more than SERIES_TOL; the orders are the
+    # same for every spec
     logp = cfg.logp
     n_exp = int(np.searchsorted(logp, -math.log(euler_residual.RHO_SERIES) / sigma))
     logq = logp[n_exp:]
-    order = euler_residual._series_orders(spec, sigma, logq)
+    order = euler_residual._series_orders(sigma, logq)
     a = euler_residual._log_coeffs(spec)
     for t in (0.0, 14.13, 21.02):
         s = complex(sigma, t)
@@ -320,9 +323,13 @@ def test_row_map_gives_each_row_its_own_bits(cfg):
         [complex(1.2, -0.0), 1.2 + 0j, complex(1.2, -0.0)],
         line,
     ])
+    # the shared table is emptied before every call, so that each row's
+    # prime sums are filled both in the batch and alone
+    cfg.prime_sums.clear()
     got = euler_residual.G_f_line(FIG53, rows, u, cfg)
     assert got.shape == (rows.size, u.size)
     for i, s0 in enumerate(rows.tolist()):
+        cfg.prime_sums.clear()
         want = euler_residual.G_f_line(FIG53, s0, u, cfg)
         assert got[i].tobytes() == want.tobytes(), (i, s0)
 
@@ -330,7 +337,8 @@ def test_row_map_gives_each_row_its_own_bits(cfg):
 @pytest.mark.parametrize("sigma", [0.45, 0.5, 1.0])
 def test_series_buffers_within_block(sigma, cfg, monkeypatch):
     # a one-point G takes its ~9500 series primes in blocks, so that no
-    # buffer of _series_sum holds more than _BLOCK float64 entries
+    # buffer of the prime sums' fill holds more than _BLOCK float64 entries;
+    # so do eight rows on a segment of 64 points
     import sys
 
     sizes = []
@@ -338,12 +346,15 @@ def test_series_buffers_within_block(sigma, cfg, monkeypatch):
 
     def spy(shape, dtype=float, *args, **kwargs):
         out = empty(shape, dtype, *args, **kwargs)
-        if sys._getframe(1).f_code.co_name == "_series_sum":
+        if sys._getframe(1).f_code.co_name == "_fill_sums":
             sizes.append(out.nbytes // 8)
         return out
 
+    cfg.prime_sums.clear()  # so that the point's sums are filled here
     monkeypatch.setattr(np, "empty", spy)
     G_f(FIG53, sigma, cfg)
+    rows = sigma + 0.1 + 3j * np.arange(8)
+    euler_residual.G_f_line(FIG53, rows, np.linspace(0.0, 0.1, 64), cfg)
     assert sizes and max(sizes) <= euler_residual._BLOCK, sizes
 
 
@@ -356,3 +367,88 @@ def test_wide_phase_needs_extended_precision(cfg, monkeypatch):
     with pytest.raises(PlatformError):
         G_f(FIG53, 0.5 + 14.134725141734694j, cfg)
     assert G_f(FIG53, 0.5, cfg) == real
+
+
+# ---------------------------------------------------------------- the shared prime sums
+
+ORDERS = np.arange(3, euler_residual._MAX_ORDER + 1)
+# g = (1-2u)/(1-u), z = w = -1: |a_k| = (2^k - 2 - 2[k even])/k
+MINUS_ONES = parse_eps_spec("periodic:m=1:[-1]")
+
+
+@pytest.mark.parametrize(
+    "spec", CANONICAL + [QUAD, PERIODIC3, MINUS_ONES],
+    ids=["mobius", "liouville", "ones", "fig51a", "fig53", "quadphase", "periodic3", "minus_ones"],
+)
+def test_log_coefficients_within_the_majorant(spec):
+    # the series orders of every spec come from A_k = (1 + UNIT_TOL)^k
+    # (2^k + 4[k even])/k >= |a_k|, k = 3..64
+    a = np.abs(euler_residual._log_coeffs(spec)[3:])
+    assert np.all(a <= euler_residual._majorant(ORDERS))
+
+
+def test_majorant_is_tight():
+    a = np.abs(euler_residual._log_coeffs(MINUS_ONES)[3:])
+    want = (2.0 ** ORDERS - 2.0 - 2.0 * (ORDERS % 2 == 0)) / ORDERS
+    assert np.allclose(a, want, rtol=1e-13, atol=0.0)
+    ratio = a / euler_residual._majorant(ORDERS)
+    assert np.all(ratio[ORDERS >= 10] >= 0.99), ratio
+    # at k = 3, eps = (i, 1, -i) reaches A_3 = 8/3 up to the unit slack
+    a3 = abs(euler_residual._log_coeffs(parse_eps_spec("finite:[i,1,-i]"))[3])
+    assert a3 == pytest.approx(8.0 / 3.0, rel=1e-15)
+    assert a3 <= euler_residual._majorant(np.array([3]))[0] <= a3 * (1.0 + 1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.floats(0.0, 2.0 * math.pi)), min_size=1, max_size=6))
+def test_majorant_holds_on_finite_specs(angles):
+    # up to six values, each unimodular or zero (None)
+    values = tuple(0j if t is None else cmath.exp(1j * t) for t in angles)
+    a = np.abs(euler_residual._log_coeffs(EpsilonSpec("FINITE", values=values))[3:])
+    assert np.all(a <= euler_residual._majorant(ORDERS)), values
+
+
+def test_prime_sums_are_shared_by_every_spec_and_batch(cfg):
+    # S_k = sum_p p^{-k s} depends on the row and u only: a row has the
+    # same bits whether its sums were filled by this spec or another,
+    # alone or in a batch, and a second spec's call fills nothing
+    sums = cfg.prime_sums
+    u = 0.1 * np.sin(np.arange(17) * math.pi / 32) ** 2
+    rows = np.array([0.5, 0.5 + 14.134725141734694j, 0.5 - 14.134725141734694j, 0.5 + 21.022j])
+
+    def bits(spec):
+        return [euler_residual.G_f_line(spec, s0, u, cfg).tobytes() for s0 in rows]
+
+    sums.clear()
+    alone = bits(FIG53)  # each row fills alone; the mirror reads its zero's sums
+    misses = sums.misses
+    assert bits(FIG53) == alone and sums.misses == misses
+    sums.clear()
+    batch = euler_residual.G_f_line(FIG53, rows, u, cfg)
+    assert [row.tobytes() for row in batch] == alone
+    for other in (QUAD, FIG51A):
+        sums.clear()
+        euler_residual.G_f_line(other, rows, u, cfg)
+        misses, hits = sums.misses, sums.hits
+        assert bits(FIG53) == alone
+        assert sums.misses == misses and sums.hits == hits + rows.size
+
+
+def test_prime_sums_keep_their_cap(cfg, monkeypatch):
+    # past the cap the least recently used entries go: a Watson ring fills
+    # one entry per upper-half-plane point, and only the last ones stay
+    sums = cfg.prime_sums
+    sums.clear()
+    misses = sums.misses
+    monkeypatch.setattr(euler_residual, "PRIME_SUMS_CAP", 20_000)
+    ring = 0.5 - 0.05 * np.exp(2j * math.pi * np.arange(256) / 256)
+    G_f(FIG53, ring, cfg)
+    entries = sums._entries
+    assert 0 < len(entries) < sums.misses - misses
+    assert sums.nbytes == sum(euler_residual._entry_bytes(*e) for e in entries.items())
+    assert sums.nbytes <= 20_000
+    (newest, _), (oldest, _) = next(reversed(entries)), next(iter(entries))
+    hits = sums.hits
+    G_f(FIG53, [newest, oldest], cfg)
+    assert sums.hits == hits + 2
+    sums.clear()

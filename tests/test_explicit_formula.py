@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fakemu import explicit_formula, zeta_kernel
+from fakemu import euler_residual, explicit_formula, zeta_kernel
 from fakemu.eps_model import parse_eps_spec, zw_params
 from fakemu.errors import (
     DomainError,
@@ -29,7 +29,7 @@ from fakemu.explicit_formula import (
     zero_sum,
 )
 from fakemu.sieve import direct_exp_sum
-from fakemu.euler_residual import G_f, G_f_line
+from fakemu.euler_residual import G_f, G_f_line, GfConfig
 from fakemu.zeta_kernel import ZetaKernel, default_kernel, gamma, zeta
 
 MOBIUS = parse_eps_spec("finite:[-1]")
@@ -636,6 +636,32 @@ def test_c_half_window_error(cfg):
         c_half(spec, cfg)
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_cut_sines_keep_their_digits_near_integers(k):
+    # finite:[exp(i theta)] has z = e^{i theta} near 1 and z + w = z(1-z)/2
+    # near 0; finite:[exp(i (pi + theta))] has z near -1 and z + w near -1.
+    # Each cut's sine, and so c_1/2, takes the integer out of pi z first:
+    # within 4 eps of mpmath, where sin(pi z)/pi loses up to 1/theta ulps
+    from fakemu.explicit_formula import _ctx
+
+    theta = 10.0 ** -k
+    for base in (0.0, math.pi):
+        spec = parse_eps_spec(f"finite:[exp(i*{base + theta!r})]")
+        pars = zw_params(spec)
+        z, w = (mp.mpc(v.real, v.imag) for v in (pars.z, pars.w))
+        ctx = _ctx(spec, FormulaConfig(n_zeros=1))
+        with mp.workdps(40):
+            want = {
+                "one": mp.sin(mp.pi * z) / mp.pi,
+                "half": mp.sin(mp.pi * (z + w)) / mp.pi * mp.power(2, 1 - w),
+                (1, False): -mp.sin(mp.pi * z) / mp.pi,
+            }
+            for key, value in want.items():
+                got = ctx.cut(key).sine
+                err = abs(mp.mpc(got.real, got.imag) - value) / abs(value)
+                assert err <= 4 * 2.0 ** -52, (base, theta, key, float(err))
+
+
 # ---------------------------------------------------------------- assembled
 
 def test_a_exp_formula_structure(cfg):
@@ -997,6 +1023,28 @@ def test_work_count_classify(monkeypatch, spec):
     assert len(calls) == 1
 
 
+def test_second_spec_fills_no_prime_sums():
+    # the prime sums S_k = sum_p p^{-ks} are one table for every spec: a
+    # cold 2-pair evaluate of a second spec reads the sums of the first
+    sums = GfConfig().prime_sums
+    sums.clear()
+    a_exp_formula(FIG53, 1e4, FormulaConfig(n_zeros=2))
+    hits, misses = sums.hits, sums.misses
+    a_exp_formula(FIG51A, 1e4, FormulaConfig(n_zeros=2))
+    assert sums.misses == misses and sums.hits > hits
+
+
+def test_default_evaluate_keeps_its_prime_sums_within_the_cap():
+    # a cold 30-pair evaluate fills every sum it reads (64 entries, ~0.35
+    # MB) and the table keeps them all within PRIME_SUMS_CAP
+    sums = GfConfig().prime_sums
+    sums.clear()
+    misses = sums.misses
+    a_exp_formula(FIG53, 1e4, FormulaConfig())
+    assert len(sums) == sums.misses - misses > 0  # none evicted
+    assert sums.nbytes <= euler_residual.PRIME_SUMS_CAP
+
+
 # ---------------------------------------------------------------- the fixed rule of a cut
 
 CUT_KINDS = {"one": "one", "half": "half", "zero": (1, False), "mirror": (1, True)}
@@ -1319,10 +1367,16 @@ def test_direct_G_paths_bitwise_frozen():
     # prefactor as a log inside J's one exp, and the zero's divided
     # difference from a Cauchy ring, moved c_1/2 of FIG51A and LIOUVILLE by
     # <= 1.8e-16, the Watson lines by <= 4.5e-14 (the "zero:1" lambda_2),
-    # delta_half(LIOUVILLE) by 1.9e-16 and the two residues by <= 8.5e-16
+    # delta_half(LIOUVILLE) by 1.9e-16 and the two residues by <= 8.5e-16.
+    # Series orders from the spec-free majorant, and each row's series as
+    # a_k dotted with the shared prime sums, moved the "half" line's
+    # lambda_1.real (...4493 -> ...4499) by 6.0e-16 and lambda_2.real
+    # (...077 -> ...082) by 9.4e-16 relative.  The sines reduced to the
+    # nearest integer first moved c_1/2(FIG51A).real (...534 -> ...535) by
+    # 1.2e-16 relative.
     cfg = FormulaConfig(n_zeros=2)
     assert c_half(FIG53, cfg) == 0.06840968849739917 + 0.10362335917983151j
-    assert c_half(FIG51A, cfg) == -0.09422578122261534 + 0.06516941744283825j
+    assert c_half(FIG51A, cfg) == -0.09422578122261535 + 0.06516941744283825j
     assert c_half(LIOUVILLE, cfg) == -0.6068573898369172 + 7.431859600026981e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
         0.8854657004659543 - 0.694628674026921j,
@@ -1331,8 +1385,8 @@ def test_direct_G_paths_bitwise_frozen():
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
         0.31880303445385116 + 0.3353786866282914j,
-        -0.8986811081294493 - 0.2427910474398723j,
-        -5.632969973908077 - 0.6117178597499716j,
+        -0.8986811081294499 - 0.2427910474398723j,
+        -5.632969973908082 - 0.6117178597499716j,
     ]
     assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
         -6.254788380768638e-10 + 4.2081717842128486e-10j,
