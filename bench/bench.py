@@ -27,7 +27,9 @@ table runs it as a cold case after the same quadphase work.  A
 captured, on the default kernel, which no case before them has used, and
 on an emptied table of prime sums, as a command in a fresh process.
 The "G_f", "zeta", "gamma" and "L1" cases time one layer on a batch of
-points: one point, a Watson ring, or a line of LINE_POINTS points.  The
+points: one point, a Watson ring, or a line of LINE_POINTS points; the
+"L1.cut.half" case, per call, the real points s and 2s of the half cut's
+middle nodes, where every power n^{-s} of zeta has a small phase.  The
 "RhoSweep" case builds zero 1's sweep on a new kernel and continues both
 logs to the SWEEP_POINTS points of a degree-128 Chebyshev line of the
 zero's cut.  A
@@ -185,6 +187,15 @@ def run_cases(tree: str) -> dict[str, float]:
     out[f"gamma.line.{LINE_POINTS}"] = _timed(lambda: zk.gamma(line))
     kernel = zk.ZetaKernel(table)  # not the default kernel the cli cases use
     out[f"L1.line.{LINE_POINTS}"] = _timed(lambda: kernel.L1(line))
+    # L1 at the middle nodes s = 1/2 - u of fig53's half cut, with 2s, as
+    # the cut reads its two logs in one call, per call
+    cfg = fresh(2)
+    xf.delta_half(spec, 1e4, cfg)
+    s = 0.5 - xf._ctx(spec, cfg).cut("half").middle()[0]
+    half = np.concatenate([s, 2.0 * s])
+    out[f"L1.cut.half.{s.size}"] = _timed(
+        lambda: [kernel.L1(half) for _ in range(POINT_REPEAT)]
+    ) / POINT_REPEAT
     sweep_u = 0.1 * np.sin(np.arange(SWEEP_POINTS) * math.pi / (2 * (SWEEP_POINTS - 1))) ** 2
     out[f"RhoSweep.cold.zero=1.{SWEEP_POINTS}"] = _timed(
         lambda: zk.ZetaKernel(table).rho_sweep(1).at(sweep_u)

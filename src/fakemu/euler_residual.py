@@ -23,9 +23,9 @@ Re s0 - max u, every point has
 |p^{-s}| <= p^{-sigma_min}, and the primes split in two (H. Cohen, High
 precision computation of Hardy-Littlewood constants, 1998):
 
-- explicit primes, p^{-sigma_min} > RHO_SERIES = 0.07 (301 primes at
-  sigma_min = 0.35, 46 at 1/2, 6 at 1), take the three principal logs of
-  `_log_terms` at each point;
+- explicit primes, p^{-sigma_min} > RHO_SERIES = 0.2 (25 primes at
+  sigma_min = 0.35, 16 at 0.4, 9 at 1/2, 2 at 1, 1 at 1.5), take the three
+  principal logs of `_log_terms` at each point;
 - every other prime enters log G_p = sum_{k>=3} a_k u^k, u = p^{-s}, so
   the series primes add sum_k a_k S_k(s) to log G, with the prime sums
   S_k(s) = sum_p p^{-ks} over the series primes whose order reaches k.
@@ -51,8 +51,8 @@ log g by -log(1 - v/(1-v)) = -log(1-2v) + log(1-v): |L_k| <= c^k (2^k -
 for every spec, and it is tight: periodic:m=1:[-1] (g = (1-2u)/(1-u), z =
 w = -1) has |a_k| = (2^k - 2 - 2[k even])/k, within 1% from k = 10 on,
 and A_3 = 8/3 (times c^3) is reached by eps = (i, 1, -i).
-With rho = p^{-sigma_min} <= 0.07, dropping a series prime's orders above
-K leaves at most
+With rho = p^{-sigma_min} <= RHO_SERIES = 0.2, dropping a series prime's
+orders above K leaves at most
 
     T(rho, K) = sum_{k>K} A_k rho^k,
 
@@ -61,12 +61,14 @@ is the least K with T <= SERIES_TOL/N, N series primes, so the dropped
 terms of all series primes together move log G by at most SERIES_TOL =
 2^-53, i.e. G by a relative 2^-53, for every spec.  T falls with rho, so
 one bisection per K over the primes finds where K starts to suffice.
-Orders reach 21 (95900 prime-order pairs per point at sigma_min = 0.4,
-69600 at 1/2; fig53's own |a_k| would need 84800 and 63600), and a prime
-whose K_p is 2 is left out.  The orders are taken at sigma_min rounded
-down to a multiple of 1/256, which only adds terms, and kept for 64
-(rounded sigma_min, prime limit).  On series primes |g| >= 1 - 0.07/0.93,
-so only an explicit prime can meet a zero of g.  G is 0 there, a
+The smallest series primes take the highest orders: the top order is 46
+at sigma_min = 0.35, 45 at 0.4, 43 at 1/2, 46 at 1 and 44 at 1.5, and
+there are 98900 prime-order pairs per point at sigma_min = 0.4 and 70500
+at 1/2 (fig53's own |a_k| would need 87200 and 64400).  A prime whose K_p
+is 2 is left out.  The orders are taken at sigma_min rounded down to a
+multiple of 1/256, which only adds terms, and kept for 64 (rounded
+sigma_min, prime limit).  On series primes |g| >= 1 - 0.2/0.8, so only an
+explicit prime can meet a zero of g.  G is 0 there, a
 legitimate value: the log of g is -inf (or very negative where g is only
 rounded to ~0), and the exp of the sum is the product.
 
@@ -84,7 +86,7 @@ are all a spec computes, and a row has the same bits whichever spec
 filled its sums, alone or in a batch.  Least recently used entries go
 once the table holds PRIME_SUMS_CAP = 4 MB, counting each entry's arrays
 and key plus PRIME_SUMS_ENTRY = 352 bytes for its Python objects; a cold
-30-pair fig53 evaluate leaves 64 entries, ~0.35 MB.  hits and misses
+30-pair fig53 evaluate leaves 64 entries, ~0.77 MB.  hits and misses
 count the reps looked up.
 
 The fill.  On the segment u_p(s0 - u_j) = p^{-s0} p^{u_j}, so a fill
@@ -94,10 +96,15 @@ matrix e1 = p^{u_j} is taken once, before any rep; each block of reps
 cubes it and updates the cube per order.  Per order k and per rep, the
 row p^{-k s0} viewed as (2 x primes) reals times p^{k u_j} is one matrix
 product, kept per rep because BLAS blocking over several rows moves a
-row's bits with their number.  A block of reps keeps its products of
-every order in one buffer and adds them, once per block of primes, into
-each rep's own array, which the table then keeps.  Where u has at most
-64 points, every buffer holds at most _BLOCK = 2^14 float64 entries (128
+row's bits with their number.  Once the powers of the orders left
+number at most _LAST_ORDERS = 1024 (orders x primes x points), which
+happens where a few small primes take the top orders, those orders go in
+one step: the powers as running products along the orders, each prime's
+set to 0 from the order its count ends, and one stacked matrix product
+for the block of reps.  A block of reps keeps its products of every
+order in one buffer and adds them, once per block of primes, into each
+rep's own array, which the table then keeps.  Where u has at most 64
+points, every buffer holds at most _BLOCK = 2^14 float64 entries (128
 kB): a block takes at most _BLOCK/2 primes, since a complex row p^{-k s0}
 holds two entries per prime, so a one-point G (~9500 series primes)
 takes two blocks; a longer u takes 256 primes per block.  The explicit
@@ -120,14 +127,15 @@ a few ulp of |log v| however close v is to 1.  Where |d| > 1/2,
 1 + d no longer carries log|v| to full accuracy as |v| -> 0 and im^2 can
 overflow, so those entries use log(abs(v)) instead.  The imaginary part
 is atan2(im, re): the principal branch, with the sign of a zero imaginary
-part picking +pi or -pi on the negative real axis as np.log does.  Where
-the phase Im(s) log p of p^{-s} reaches 8 rad it is reduced mod 2 pi in
-extended precision, as in zeta: in double precision it loses ~1e-14 at
-Im s ~ 21, which the smallest primes pass on to G.  What is left is the rounding of the log
-arguments g(u), 1 - u and 1 - u^2 near 1, an absolute ~eps per explicit
-prime: against a long-double product over the same primes G is within
-6e-15 relative on every fig53 segment at a = 0.35, where the sum of the
-three logs over all 9592 primes reaches 2.6e-14.
+part picking +pi or -pi on the negative real axis as np.log does.  The
+powers p^{-s} follow zeta's one rule (_pow_minus_s): float64 at a point
+whose phase |Im s| log p stays below 8 rad at the largest explicit prime,
+the phase reduced mod 2 pi in extended precision beyond, where double
+precision would lose ~1e-14 at Im s ~ 21.  What is left is the rounding of
+the log arguments g(u), 1 - u and 1 - u^2 near 1, an absolute ~eps per
+explicit prime: against a long-double product over the same primes G is
+within 2.1e-15 relative on every fig53 segment at a = 0.35, where the
+sum of the three logs over all 9592 primes reaches 2.6e-14.
 
 The sieved log-prime table and the table of prime sums are shared by
 every GfConfig of one prime limit; the log primes and each entry of
@@ -149,23 +157,27 @@ import numpy as np
 from .eps_model import UNIT_TOL, EpsilonSpec, _g_eval_array, eps_at, zw_params
 from .errors import CapacityError, DomainError, RangeError
 from .sieve import primes_up_to
-from .zeta_kernel import _F128, _PHASE_MAX_FLOAT64, _pow_minus_s
+from .zeta_kernel import _pow_minus_s
 
 RE_S_MIN = 0.35
 _NEAR_UNIT = 0.5  # | |v|^2 - 1 | at most this takes the log1p form
 #: A prime with p^{-sigma_min} above RHO_SERIES keeps its three principal
 #: logs; every other prime enters the power series of log G_p.
-RHO_SERIES = 0.07
+RHO_SERIES = 0.2
 #: Bound on the dropped series terms of log G, summed over all primes.
 SERIES_TOL = 2.0 ** -53
 #: Coefficients a_k are computed for k <= _MAX_ORDER; a series prime needs
-#: at most ~30 (module docstring); 64 would take ~1e36 series primes.
+#: at most 46 at the default prime limit (module docstring) and 53 at
+#: PRIME_LIMIT_CAP (5.8e6 series primes); 64 would take ~1e11.
 _MAX_ORDER = 64
 #: Series orders are taken at sigma_min rounded down to a multiple of
 #: 1/_ORDER_GRID, and kept per (that value, prime limit).
 _ORDER_GRID = 256
 #: Entries of one (primes x points) buffer of the prime sums' fill: 128 kB.
 _BLOCK = 2 ** 14
+#: The fill's last orders go in one step once their (orders x primes x
+#: points) powers number at most this: below it a step per order costs more.
+_LAST_ORDERS = 2 ** 10
 #: |eps_k| <= _EPS_SLACK: eps_model takes a value within UNIT_TOL of the unit circle.
 _EPS_SLACK = 1.0 + UNIT_TOL
 #: Bytes one prime limit's table of prime sums keeps, and the allowance
@@ -226,23 +238,13 @@ def _log_near_unit(v: np.ndarray) -> np.ndarray:
 
 def _log_terms(spec: EpsilonSpec, s, logp: np.ndarray) -> np.ndarray:
     """Per-prime log G_p(s) with principal logs; s is a point or a column
-    of points, which broadcasts against logp (ascending).  At a point whose
-    phase Im(s) log p of u = p^{-s} reaches _PHASE_MAX_FLOAT64 rad, u is
-    zeta's _pow_minus_s, which reduces the phase mod 2 pi in extended
-    precision or raises PlatformError where longdouble is float64; the
-    choice is made per point, so a point's bits do not depend on its
-    batch."""
+    of points, which broadcasts against logp (ascending).  u = p^{-s} is
+    zeta's _pow_minus_s, whose one rule per point picks float64 or the
+    extended phase (PlatformError where that is needed and longdouble is
+    float64), so a point's bits do not depend on its batch."""
     pars = zw_params(spec)
     s = np.asarray(s, dtype=np.complex128)
-    shape = np.broadcast_shapes(s.shape, logp.shape)
-    col = s.reshape(-1, 1)
-    u = np.empty((col.shape[0], logp.size), dtype=np.complex128)
-    wide = np.abs(col[:, 0].imag) * (logp[-1] if logp.size else 0.0) >= _PHASE_MAX_FLOAT64
-    if not np.all(wide):
-        u[~wide] = np.exp(-col[~wide] * logp)
-    if np.any(wide):
-        u[wide] = _pow_minus_s(logp, logp.astype(_F128), col[wide, 0])
-    u = u.reshape(shape)
+    u = _pow_minus_s(logp, s.reshape(-1)).reshape(np.broadcast_shapes(s.shape, logp.shape))
     g = _g_eval_array(spec, u.ravel()).reshape(u.shape)
     return (
         _log_near_unit(g)
@@ -402,7 +404,9 @@ def _fill_sums(
     times ek is one matrix product: BLAS blocking over several rows would
     move a row's bits with their number.  Both factors are updated in
     place by one more factor, on the prefix of primes whose order reaches
-    k, which shrinks as k grows.  Each buffer holds at most _BLOCK float64
+    k, which shrinks as k grows.  Once the orders left hold at most
+    _LAST_ORDERS powers, they go in one stacked product over running
+    products of both factors.  Each buffer holds at most _BLOCK float64
     entries where u has at most 64 points; a longer u takes 256 primes per
     block, 256 u.size entries.
     """
@@ -418,6 +422,9 @@ def _fill_sums(
     # and a rep's products of every order 2 (top - 2) u.size entries
     width = min(n, max(256, _BLOCK // u.size), _BLOCK // 2)
     rows = min(m, max(1, _BLOCK // (2 * max(width, (top - 2) * u.size))))
+    # (orders x primes) the last orders may hold to go in one step: set by
+    # u, not by the reps, so a rep's bits do not depend on its batch
+    last = min(width, _LAST_ORDERS // u.size)
     e1_buf, ek_buf = np.empty((width, u.size)), np.empty((width, u.size))
     c1_buf = np.empty((rows, width), np.complex128)
     ck_buf = np.empty((rows, width), np.complex128)
@@ -427,6 +434,7 @@ def _fill_sums(
         nb = min(width, n - lo)
         q = logq[lo : lo + nb]
         count = np.clip(active - lo, 0, nb)
+        cnt = count.tolist()
         e1, ek = e1_buf[:nb], ek_buf[:nb]
         np.exp(np.multiply.outer(q, u, out=e1), out=e1)
         for r0 in range(0, m, rows):
@@ -439,9 +447,26 @@ def _fill_sums(
             ck_pairs = ck.view(np.float64).reshape(mr, nb, 2).transpose(0, 2, 1)
             k = 3
             while True:
-                np.matmul(ck_pairs[:, :, : count[k]], ek[: count[k]], out=sums[:mr, k - 3])
-                nxt = count[k + 1]
+                np.matmul(ck_pairs[:, :, : cnt[k]], ek[: cnt[k]], out=sums[:mr, k - 3])
+                nxt = cnt[k + 1]
                 if not nxt:
+                    break
+                if (top - k + 1) * nxt <= last:
+                    # the few primes of the last orders: their powers as
+                    # running products along the orders, one stacked product
+                    o = top - k
+                    ep = np.empty((o + 1, nxt, u.size))
+                    ep[0] = ek[:nxt]
+                    # a factor 0 drops a prime from the order its count ends
+                    keep = np.arange(nxt)[:, None] < count[k + 1 : top + 1, None, None]
+                    np.multiply(e1[:nxt], keep, out=ep[1:])
+                    np.multiply.accumulate(ep, out=ep)
+                    cp = np.empty((o + 1, mr, nxt), np.complex128)
+                    cp[0], cp[1:] = ck[:, :nxt], c1[:, :nxt]
+                    np.multiply.accumulate(cp, out=cp)
+                    cp_pairs = cp[1:].view(np.float64).reshape(o, mr, nxt, 2).transpose(1, 0, 3, 2)
+                    np.matmul(cp_pairs, ep[1:], out=sums[:mr, k - 2 : top - 2])
+                    k = top
                     break
                 np.multiply(ek[:nxt], e1[:nxt], out=ek[:nxt])
                 np.multiply(ck[:, :nxt], c1[:, :nxt], out=ck[:, :nxt])

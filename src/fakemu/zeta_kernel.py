@@ -37,7 +37,11 @@ batch: numpy's elementwise loops round an element the same way wherever
 it sits, and every row reduction runs over one C-contiguous row.
 Euler-Maclaurin keeps N(s) = max(24, floor(1.5 |Im s|) + 1) per point
 and groups a batch by N, in (points x N) blocks of at most 256 kB; its
-12 Bernoulli corrections are one (points x 12) matrix.  zeta'(rho) is
+12 Bernoulli corrections are one (points x 12) matrix.  Its powers n^{-s}
+(and G's p^{-s}) follow one rule per point, _pow_minus_s: float64
+exp(-s log n) where |Im s| log N < 8 rad, which holds at every node of
+the cuts at 1 and 1/2 and on their rings, and the phase reduced mod 2 pi
+in extended precision beyond.  zeta'(rho) is
 the same sum differentiated term by term, good to ~1e-15 relative at the
 zeros: no difference step amplifies zeta's rounding.  L1 of an array is
 a plain log wherever |Im s| <= 0.35 (and on Re s >= 1.2 the principal
@@ -92,8 +96,9 @@ _EM_EXP = -1.0 - _EM_SHIFT[::2]  # 1 - 2k
 _ZETA_RE_MIN, _ZETA_RE_MAX, _ZETA_IM_MAX = -1.0, 40.0, 600.0
 
 # extended precision (x86 80-bit where available) for phase reduction of
-# n^{-it}: t*log(n) reaches ~4000 rad inside the box and plain doubles
-# would lose three digits there
+# n^{-it} at points whose phase reaches _PHASE_MAX_FLOAT64: t*log(n)
+# reaches ~4000 rad inside the box and plain doubles would lose three
+# digits there
 _F128 = getattr(np, "float128", np.float64)
 _TWO_PI_128 = _F128("6.283185307179586476925286766559005768")
 #: whether _F128 is wider than float64; where it is not, a phase t*log(n)
@@ -119,20 +124,37 @@ def _shaped(out: np.ndarray, s, scalar: bool):
     return complex(out[0]) if scalar else out.reshape(np.shape(s))
 
 
-def _pow_minus_s(logn: np.ndarray, logn128: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """n^{-s} as a (points x n) matrix, with the phase t*log n reduced mod
-    2 pi in extended precision (logn ascending)."""
+def _pow_minus_s(
+    logn: np.ndarray, s: np.ndarray, logn128: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """n^{-s} as a (points x n) matrix (logn ascending), by one rule per
+    point.  A point whose largest phase |Im s| log n stays below
+    _PHASE_MAX_FLOAT64 rad takes float64 exp(-s log n), which rounds that
+    phase as finely as a reduced one; a wider point reduces t log n mod
+    2 pi in extended precision, with logn128 (logn cast to _F128 where it
+    is not given), or raises PlatformError where longdouble is float64.
+    Each row is computed by its own rule, so a point's bits do not depend
+    on its batch."""
+    phase = np.abs(s.imag) * (logn[-1] if logn.size else 0.0)
+    wide = phase >= _PHASE_MAX_FLOAT64
+    if not wide.any():
+        return np.exp(np.multiply.outer(-s, logn))
     if not _EXTENDED_PHASE:
-        phase = np.abs(s.imag) * logn[-1]
-        if np.any(phase >= _PHASE_MAX_FLOAT64):
-            i = int(np.argmax(phase))
-            raise PlatformError(
-                f"phase {phase[i]:.4g} rad of n^(-s) at s={complex(s[i])} needs a "
-                "longdouble wider than float64 to keep double precision"
-            )
+        i = int(np.argmax(phase))
+        raise PlatformError(
+            f"phase {phase[i]:.4g} rad of n^(-s) at s={complex(s[i])} needs a "
+            "longdouble wider than float64 to keep double precision"
+        )
+    if logn128 is None:
+        logn128 = logn.astype(_F128)
+    if not wide.all():
+        out = np.empty((s.size, logn.size), dtype=np.complex128)
+        out[~wide] = _pow_minus_s(logn, s[~wide])
+        out[wide] = _pow_minus_s(logn, s[wide], logn128)
+        return out
     mag = np.exp(np.multiply.outer(-s.real, logn))
-    phase = np.mod(np.multiply.outer(s.imag.astype(_F128), logn128), _TWO_PI_128)
-    return mag * np.exp(-1j * phase.astype(np.float64))
+    reduced = np.mod(np.multiply.outer(s.imag.astype(_F128), logn128), _TWO_PI_128)
+    return mag * np.exp(-1j * reduced.astype(np.float64))
 
 
 #: Euler-Maclaurin: (points x terms) entries per block, 256 kB of complex
@@ -169,7 +191,7 @@ def _zeta_em(s: np.ndarray, n_terms: int, derivative: bool = False) -> np.ndarra
     operations, every reduction along one row.
     """
     logn, logn128 = _logn(n_terms + 1)
-    powers = _pow_minus_s(logn, logn128, s)  # n = 1..N; the last is N^{-s}
+    powers = _pow_minus_s(logn, s, logn128)  # n = 1..N; the last is N^{-s}
     big_n = float(n_terms)
     shift = s[:, None] + _EM_SHIFT  # s + j
     terms = shift.cumprod(axis=1)[:, ::2] * (_EM_COEF * big_n ** _EM_EXP)

@@ -74,9 +74,12 @@ def test_classify_at_a_zero_of_a_local_factor(capsys):
 
 
 def test_classify_takes_logs_only_at_the_explicit_primes(capsys, monkeypatch):
-    # G(1/2) takes three logs at each of its 46 explicit primes; the tail
-    # bound takes none
+    # G(1/2) takes three logs at each of its explicit primes, those with
+    # p^{-1/2} > RHO_SERIES; the tail bound takes none
     from fakemu import euler_residual
+    from fakemu.sieve import primes_up_to
+
+    n_exp = sum(p ** -0.5 > euler_residual.RHO_SERIES for p in primes_up_to(1000).tolist())
 
     sizes = []
     log_terms = euler_residual._log_terms
@@ -88,7 +91,7 @@ def test_classify_takes_logs_only_at_the_explicit_primes(capsys, monkeypatch):
     monkeypatch.setattr(euler_residual, "_log_terms", spy)
     code, _, _ = run(["classify", "--eps", "periodic:m=2:[i,-i]"], capsys)
     assert code == 0
-    assert sizes == [46]
+    assert sizes == [n_exp]
 
 
 def test_contour_below_re_s_min_is_a_domain_error(capsys):

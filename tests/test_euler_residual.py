@@ -369,6 +369,50 @@ def test_wide_phase_needs_extended_precision(cfg, monkeypatch):
     assert G_f(FIG53, 0.5, cfg) == real
 
 
+def test_phase_rule_is_per_row(cfg):
+    # at sigma_min = 0.4 the largest explicit prime is 53: |Im s| log 53 is
+    # below 8 rad for |Im s| <= 2 and above it from 2.1 on, so one group of
+    # rows mixes the float64 and the extended phase, and each row keeps the
+    # bits it has alone
+    u = np.array([0.0, 0.05, 0.1])
+    rows = 0.5 + 1j * np.array([0.0, 1.0, -2.0, 2.1, -14.134725, 21.022, 0.3])
+    logp = cfg.logp
+    top = logp[np.searchsorted(logp, -math.log(euler_residual.RHO_SERIES) / 0.4) - 1]
+    assert round(math.exp(top)) == 53
+    wide = np.abs(rows.imag) * top >= zeta_kernel._PHASE_MAX_FLOAT64
+    assert wide.any() and not wide.all()
+    got = euler_residual.G_f_line(FIG53, rows, u, cfg)
+    for i, s0 in enumerate(rows.tolist()):
+        assert got[i].tobytes() == euler_residual.G_f_line(FIG53, s0, u, cfg).tobytes(), s0
+
+
+# sigma_min: (explicit primes, top series order), as the euler_residual
+# docstring and README quote them
+SPLIT_AT = {0.35: (25, 46), 0.4: (16, 45), 0.5: (9, 43), 1.0: (2, 46), 1.5: (1, 44)}
+
+
+@pytest.mark.parametrize("sigma", sorted(SPLIT_AT))
+def test_quoted_split_of_the_primes(sigma, cfg, monkeypatch):
+    # the explicit count is _G_rows's searchsorted, the top order that of
+    # _series_orders at sigma_min on its 1/256 grid, both read off one G
+    seen = {}
+    log_terms, fill_sums = euler_residual._log_terms, euler_residual._fill_sums
+
+    def spy_logs(spec, s, logp):
+        seen["explicit"] = logp.size
+        return log_terms(spec, s, logp)
+
+    def spy_fill(reps, u, logq, active):
+        seen["top"] = active.size - 2  # active[k], k = 0..top + 1
+        return fill_sums(reps, u, logq, active)
+
+    monkeypatch.setattr(euler_residual, "_log_terms", spy_logs)
+    monkeypatch.setattr(euler_residual, "_fill_sums", spy_fill)
+    cfg.prime_sums.clear()  # so that the point's sums are filled here
+    G_f(FIG53, sigma, cfg)
+    assert (seen["explicit"], seen["top"]) == SPLIT_AT[sigma]
+
+
 # ---------------------------------------------------------------- the shared prime sums
 
 ORDERS = np.arange(3, euler_residual._MAX_ORDER + 1)

@@ -1373,30 +1373,43 @@ def test_direct_G_paths_bitwise_frozen():
     # lambda_1.real (...4493 -> ...4499) by 6.0e-16 and lambda_2.real
     # (...077 -> ...082) by 9.4e-16 relative.  The sines reduced to the
     # nearest integer first moved c_1/2(FIG51A).real (...534 -> ...535) by
-    # 1.2e-16 relative.
+    # 1.2e-16 relative.  Series primes from p^{-sigma_min} <= 0.2 (was
+    # 0.07), float64 powers n^{-s} in zeta wherever the phase stays below 8
+    # rad, and the fill's last orders in one step moved, relative to each
+    # value: c_1/2(FIG53).real (...917 -> ...92) by 2.2e-16, c_1/2(FIG51A)
+    # (...535 -> ...542, ...825j -> ...827j) by 6.5e-16, c_1/2(LIOUVILLE)
+    # (...172 -> ...171, ...981e-17j -> ...98e-17j) by 1.8e-16; the "one"
+    # line's lambda_0.imag (...921j -> ...9209j) by 9.9e-17 and lambda_2
+    # (...026 -> ...0372, ...172j -> ...183j) by 3.4e-15; the "half" line's
+    # lambda_1.real (...499 -> ...493) by 6.0e-16 and lambda_2.real (...082
+    # -> ...077) by 9.4e-16; the "zero:1" line's lambda_1.imag (...065j ->
+    # ...055j) by 3.6e-16 and lambda_2 (...9696e-09 -> ...944e-09, ...119e-09j
+    # -> ...129e-09j) by 3.7e-15; delta_half(LIOUVILLE) (...763 -> ...76,
+    # ...227e-15j -> ...223e-15j) by 1.9e-16 and the Liouville residue
+    # (...454e-13 -> ...444e-13, ...525e-14j -> ...521e-14j) by 4.1e-16.
     cfg = FormulaConfig(n_zeros=2)
-    assert c_half(FIG53, cfg) == 0.06840968849739917 + 0.10362335917983151j
-    assert c_half(FIG51A, cfg) == -0.09422578122261535 + 0.06516941744283825j
-    assert c_half(LIOUVILLE, cfg) == -0.6068573898369172 + 7.431859600026981e-17j
+    assert c_half(FIG53, cfg) == 0.0684096884973992 + 0.10362335917983151j
+    assert c_half(FIG51A, cfg) == -0.09422578122261542 + 0.06516941744283827j
+    assert c_half(LIOUVILLE, cfg) == -0.6068573898369171 + 7.43185960002698e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
-        0.8854657004659543 - 0.694628674026921j,
+        0.8854657004659543 - 0.6946286740269209j,
         -0.711654955524535 - 2.39305362949768j,
-        -3.353757560888026 - 3.195306640445172j,
+        -3.3537575608880372 - 3.195306640445183j,
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
         0.31880303445385116 + 0.3353786866282914j,
-        -0.8986811081294499 - 0.2427910474398723j,
-        -5.632969973908082 - 0.6117178597499716j,
+        -0.8986811081294493 - 0.2427910474398723j,
+        -5.632969973908077 - 0.6117178597499716j,
     ]
     assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
         -6.254788380768638e-10 + 4.2081717842128486e-10j,
-        2.597102711916893e-09 + 1.3126628633247065e-09j,
-        2.0899383780859696e-09 - 7.055732049228119e-09j,
+        2.597102711916893e-09 + 1.3126628633247055e-09j,
+        2.089938378085944e-09 - 7.055732049228129e-09j,
     ]
     assert delta_1(ONES, 1e3, cfg) == 999.9999999999995 + 0j  # G(1) = 1, Gamma(1) = 1 - 4.4e-16
-    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.190515667893763 + 2.3501603586673227e-15j
+    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.19051566789376 + 2.3501603586673223e-15j
     assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.7165916970526107e-09 + 2.245525693034682e-08j
-    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045662454e-13 - 4.079195044975525e-14j
+    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045662444e-13 - 4.079195044975521e-14j
 
 
 # ---------------------------------------------------------------- zero index and shared sweeps

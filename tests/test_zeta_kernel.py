@@ -163,6 +163,53 @@ def test_zeta_phase_needs_extended_precision(monkeypatch):
             zeta(s)
 
 
+# |Im s| log 24 below and above 8 rad (N = 24 for every one of them), the
+# phase's sign both ways, and a real point
+PHASE_MIX = np.array([0.5, 0.5 + 1.0j, 1.5 - 2.5j, 0.5 + 2.6j, -0.5 - 7.9j, 2.0 + 0.01j])
+
+
+def test_zeta_phase_rule_is_per_point():
+    # float64 powers for a narrow point and the extended phase for a wide
+    # one: a batch that mixes them gives each row the bits it has alone
+    n = zeta_kernel._logn(25)[0][-1]
+    wide = np.abs(PHASE_MIX.imag) * n >= zeta_kernel._PHASE_MAX_FLOAT64
+    assert wide.any() and not wide.all()
+    got = zeta(PHASE_MIX)
+    for i, s in enumerate(PHASE_MIX.tolist()):
+        assert got[i] == zeta(s), s
+    order = np.arange(PHASE_MIX.size)[::-1]
+    assert np.array_equal(zeta(PHASE_MIX[order]), got[order])
+
+
+def test_narrow_powers_within_their_bound_of_the_extended_phase(monkeypatch):
+    # 1000 points s and 2s on the disc |s - 1/2| < 0.1 around the cut at
+    # 1/2, as L1 reads them.  float64 forms t log n with two roundings (log
+    # n and the product), 2u|t| log n radians; the extended phase, reduced
+    # to [0, 2 pi), rounds to float64 within 4u radians; each path's exp
+    # and product add at most ~3u relative, so the rows agree within (2|t|
+    # log n + 12) u relative, u = 2^-53
+    rng = np.random.default_rng(5)
+    s = 0.5 + 0.1 * np.sqrt(rng.random(500)) * np.exp(2j * math.pi * rng.random(500))
+    pts = np.concatenate([s, 2.0 * s])
+    logn, logn128 = zeta_kernel._logn(25)  # N = 24 at every point
+    narrow = zeta_kernel._pow_minus_s(logn, pts, logn128)
+    monkeypatch.setattr(zeta_kernel, "_PHASE_MAX_FLOAT64", 0.0)  # every point wide
+    wide = zeta_kernel._pow_minus_s(logn, pts, logn128)
+    bound = (2.0 * np.abs(pts.imag)[:, None] * logn + 12.0) * 2.0 ** -53
+    assert np.all(np.abs(narrow - wide) <= bound * np.abs(wide))
+
+
+def test_narrow_batch_needs_no_extended_phase(monkeypatch):
+    # without a longdouble wider than float64 a batch of narrow points
+    # keeps its bits; one wide point in it raises
+    narrow = PHASE_MIX[np.abs(PHASE_MIX.imag) < 2.0]
+    want = zeta(narrow)
+    monkeypatch.setattr(zeta_kernel, "_EXTENDED_PHASE", False)
+    assert np.array_equal(zeta(narrow), want)
+    with pytest.raises(PlatformError):
+        zeta(PHASE_MIX)
+
+
 def test_zeta_schwarz_reflection():
     rng = random.Random(17)
     for _ in range(100):
