@@ -14,18 +14,29 @@ Every worker runs with one BLAS/OpenMP thread (WORKER_THREADS), as
 perfbench's workers do: with threaded OpenBLAS on 2 cores, the first
 sieve sweep of a fresh interpreter sometimes took ~6x its usual time.
 
-A "cold" case starts from a new FormulaConfig over a new ZetaKernel (the
-kernel keeps the continued logs of every zero it has served) and from an
+A "cold" case starts from a new FormulaConfig over a new ZetaKernel,
+whose sweeps are empty (the kernel keeps l1, l2 and Gamma at every point
+it has served at 1, 1/2 and each zero, for every spec), and from an
 emptied table of prime sums (`GfConfig().prime_sums`, which every spec
 shares), so only the per-process tables (zero table, log-prime table) are
 already built.  A "shared" case starts from a new config and kernel too,
 but on a table of prime sums that a quadphase `a_exp_formula` (2 pairs)
 and `classify` filled: the cost of a second spec.  A checkout without the
-table runs it as a cold case after the same quadphase work.  A
+table runs it as a cold case after the same quadphase work.  An
+"other_spec" case runs fig53 on a new config over a kernel and prime sums
+that the same quadphase work filled: the cost of a second spec in one
+process, where both its G lines and the sweeps' points are shared; its
+".misses" and ".hits" entries count the points the kernel's sweeps
+computed and read in the timed call (absent from a checkout whose sweeps
+do not count them).  The "classify.torus" case classifies the TORUS^2
+specs finite:[e^{ia}, e^{ib}], a and b multiples of 2 pi/TORUS, on one
+new config over a new kernel and emptied prime sums; a WindowError (Re w
+>= 1) counts as an outcome.  A
 "warm" case first fills its config on the same grid it then times.  The
 "cli" cases run a command in-process through cli.main, its output
-captured, on the default kernel, which no case before them has used, and
-on an emptied table of prime sums, as a command in a fresh process.
+captured, on the default kernel with its sweeps emptied (the DIRECT
+trajectories' Delta_1 used it) and on an emptied table of prime sums, as
+a command in a fresh process.
 The "G_f", "zeta", "gamma" and "L1" cases time one layer on a batch of
 points: one point, a Watson ring, or a line of LINE_POINTS points; the
 "L1.cut.half" case, per call, the real points s and 2s of the half cut's
@@ -82,6 +93,7 @@ LINE_POINTS = 4000  # Re s = 1.5, |Im s| <= 50
 TOP_SEGMENTS = (("7.5e6", 7_500_000), ("3.75e8", 375_000_000), ("3.75e9", 3_750_000_000))
 TOP_SEGMENT = "sieve.top_segment."
 BLOCK_REPEAT = 8
+TORUS = 16  # classify.torus: a TORUS x TORUS grid of two-point finite specs
 
 
 def _timed(fn) -> float:
@@ -99,6 +111,7 @@ def run_cases(tree: str) -> dict[str, float]:
     from fakemu import bias, cli, euler_residual as er, explicit_formula as xf, sieve
     from fakemu import zeta_kernel as zk
     from fakemu.eps_model import parse_eps_spec
+    from fakemu.errors import WindowError
 
     spec, quad, edge = parse_eps_spec(FIG53), parse_eps_spec(QUAD), parse_eps_spec(EDGE)
     near_one = parse_eps_spec(NEAR_ONE)
@@ -120,6 +133,24 @@ def run_cases(tree: str) -> dict[str, float]:
         xf.a_exp_formula(quad, 1e4, fresh(2))
         bias.classify(quad, new_config(30))
         return new_config(n_zeros)
+
+    def other_spec(n_zeros: int):
+        empty_prime_sums()
+        kernel = zk.ZetaKernel(table)
+        xf.a_exp_formula(quad, 1e4, xf.FormulaConfig(n_zeros=2, kernel=kernel))
+        bias.classify(quad, xf.FormulaConfig(n_zeros=30, kernel=kernel))
+        return xf.FormulaConfig(n_zeros=n_zeros, kernel=kernel)
+
+    def sweep_counts(kernel) -> tuple[int, int]:
+        sweeps = kernel._sweeps.values()
+        return sum(s.misses for s in sweeps), sum(s.hits for s in sweeps)
+
+    def classify_all(specs, cfg) -> None:
+        for s in specs:
+            try:
+                bias.classify(s, cfg)
+            except WindowError:
+                pass
 
     grid = [float(x) for x in np.exp(np.linspace(math.log(1e3), math.log(1e8), WARM_POINTS))]
     out = {}
@@ -164,6 +195,17 @@ def run_cases(tree: str) -> dict[str, float]:
     out["a_exp_formula.shared.fig53.n_zeros=2"] = _timed(lambda: xf.a_exp_formula(spec, 1e4, cfg))
     cfg = shared(30)
     out["classify.shared.fig53"] = _timed(lambda: bias.classify(spec, cfg))
+    cfg = other_spec(2)
+    counted = hasattr(zk, "Sweep")  # sweeps that count their points
+    before = sweep_counts(cfg.kernel) if counted else None
+    name = "a_exp_formula.other_spec.fig53.n_zeros=2"
+    out[name] = _timed(lambda: xf.a_exp_formula(spec, 1e4, cfg))
+    if counted:
+        after = sweep_counts(cfg.kernel)
+        out[f"{name}.misses"], out[f"{name}.hits"] = (a - b for a, b in zip(after, before))
+    angles = [2.0 * math.pi * k / TORUS for k in range(TORUS)]
+    torus = [parse_eps_spec(f"finite:[exp(i*{a!r}),exp(i*{b!r})]") for a in angles for b in angles]
+    out[f"classify.torus.{TORUS}x{TORUS}"] = _timed(lambda: classify_all(torus, fresh(30)))
     # the layers on their own, each after one untimed call that builds the
     # series orders and, at a point and on the ring, fills the prime sums:
     # G at classify's one point s = 1/2, per call, also with the prime sums
@@ -227,6 +269,7 @@ def run_cases(tree: str) -> dict[str, float]:
                 raise RuntimeError(f"fakemu {' '.join(argv)} failed")
 
     cli._parser()  # built once per process, outside the timed commands
+    zk.default_kernel()._sweeps.clear()  # the DIRECT trajectories' delta_1 filled its sweep at 1
     empty_prime_sums()
     out["cli.classify.fig53"] = _timed(lambda: command("classify", "--eps", FIG53))
     empty_prime_sums()
@@ -275,6 +318,12 @@ def _stats(samples: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "samples": samples}
 
 
+def _unit(case: str) -> str:
+    if case.startswith(TOP_SEGMENT):
+        return "ns/n"
+    return "points" if case.endswith((".misses", ".hits")) else "s"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="JSON file to write")
@@ -297,10 +346,11 @@ def main(argv=None) -> int:
             print(f"run {r + 1}/{RUNS} {name}", file=sys.stderr)
     cases = {}
     for case in runs["this"][0]:
-        entry = {"unit": "ns/n" if case.startswith(TOP_SEGMENT) else "s"}
+        entry = {"unit": _unit(case)}
         for name in trees:
-            entry[name] = _stats([sample[case] for sample in runs[name]])
-        if "other" in trees:
+            if case in runs[name][0]:
+                entry[name] = _stats([sample[case] for sample in runs[name]])
+        if "other" in entry:
             diffs = [a[case] - b[case] for a, b in zip(runs["this"], runs["other"])]
             entry["this_minus_other"] = _stats(diffs)
             entry["this_faster_pairs"] = sum(d < 0 for d in diffs)

@@ -84,13 +84,15 @@ lacks them, then one real exp over these cuts' rows, one np.add.reduceat
 np.sum over its rows alone, so a part has the same bits alone and in any
 pass; another x calls no J, G, zeta or sweep.  A part that is not a
 finite number (Delta_1 near the largest double) raises RangeError.
-J is an array function throughout: zeta, gamma and L1 take arrays, L1 on
-the cuts at 1 and 1/2 is a plain log, and on a zero's cut RhoSweep.at reads
-both logs where it has them and continues all new points at once; the
-public J and J(0) are its one-point case, and a point's J has the same
-bits alone and in any array.  Each cut owns its disc, |u| < radius (1/2
-at s = 1, 1/2 - a at s = 1/2, the zero's gap radius at rho), and the
-paper's window, Re w < 1 (_Cut._require_integrable): the one check of each.
+J is an array function throughout: a cut reads l1, l2 and Gamma(s) at
+all its points from its branch point's sweep on the kernel
+(zeta_kernel.Sweep), which computes only the points it has not served,
+in one call of the logs and one gamma call, and only P_xi, G and the exp
+are the cut's own work; the public J and J(0) are its one-point case, and
+a point's J has the same bits alone, in any array and after any spec.
+Each cut owns its disc, |u| < radius (1/2 at s = 1, 1/2 - a at s = 1/2,
+the zero's gap radius at rho), and the paper's window, Re w < 1
+(_Cut._require_integrable): the one check of each.
 
 On the rule's nodes and rings G(s0 - u), s0 = 1, 1/2 or rho, comes from
 one Chebyshev interpolant per cut (_GLine) on 0 <= u <= b, where G is
@@ -109,11 +111,15 @@ WATSON_NODES-node trapezoid rule on the circle |u| = WATSON_RADIUS
 once, as one call of j on its points.  Delta_xi ~ sine x^xi sum_k lambda_k
 Gamma(1-beta+k) L^{beta-1-k}, whose k = 0 term gives c_{1/2}.
 
-The two branch-tracked logs of J_rho come from one zeta_kernel.RhoSweep
-per zero (and per mirror zero), kept on the kernel for every spec and
-config and built at the first J of the zero: it serves the rule's nodes
-and end ring, the Watson ring, the residue's J_rho(0) and J_rho at complex u,
-each a leg from u = 0, and keeps every value it serves.
+The sweeps are kept on the kernel for every spec and config, one per
+branch point: "one" and "half", whose logs are L1(s) and L1(2s), and each
+zero (and mirror zero), whose two branch-tracked logs come from a
+zeta_kernel.RhoSweep built at the first J of the zero, each a leg from
+u = 0.  A sweep serves the rule's nodes and end rings, the Watson ring,
+J(0) and J at complex u.  The nodes and rings follow from a cut's b and
+its G line's degree alone (set_rule), so specs whose lines stop at the
+same degree read the same points, and the Watson ring and J(0) are the
+same for every spec.
 """
 
 from __future__ import annotations
@@ -121,7 +127,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import count
 from numbers import Integral, Real
 from typing import Callable, Optional
@@ -133,7 +139,7 @@ from .errors import (
     ConsistencyError, DomainError, QuadratureError, RangeError, WindowError,
 )
 from .euler_residual import RE_S_MIN, G_f, G_f_line, GfConfig
-from .zeta_kernel import ZetaKernel, default_kernel, gamma
+from .zeta_kernel import Sweep, ZetaKernel, default_kernel, gamma
 
 #: Watson coefficients: trapezoid nodes on the ring |u| = WATSON_RADIUS,
 #: which must lie inside the smallest analyticity disc, radius 1/2 - a.
@@ -206,16 +212,25 @@ class FormulaBreakdown:
 # G along one cut's segment: a Chebyshev interpolant on nested points
 # --------------------------------------------------------------------------
 
-def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
-    """Coefficients of the interpolant through vals at x_j = cos(j pi/n),
-    j = 0..n (a DCT-I): c_k = (2/n) sum_j vals_j cos(jk pi/n), with the
-    terms j = 0, n and the coefficients c_0, c_n halved.  jk is reduced
-    mod 2n first, so each cosine is taken at a multiple of pi/n below 2 pi."""
-    n = vals.size - 1
+@cache
+def _dct_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(jk pi/n) for j, k = 0..n, with jk reduced mod 2n first, so each
+    cosine is taken at a multiple of pi/n below 2 pi, and the end weights
+    (1/2 at j = 0, n); built once per degree, read-only."""
     j = np.arange(n + 1)
     ends = np.ones(n + 1)
     ends[[0, n]] = 0.5
     cosines = np.cos(np.outer(j, j) % (2 * n) * (math.pi / n))
+    cosines.flags.writeable = ends.flags.writeable = False
+    return cosines, ends
+
+
+def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
+    """Coefficients of the interpolant through vals at x_j = cos(j pi/n),
+    j = 0..n (a DCT-I): c_k = (2/n) sum_j vals_j cos(jk pi/n), with the
+    terms j = 0, n and the coefficients c_0, c_n halved."""
+    n = vals.size - 1
+    cosines, ends = _dct_matrix(n)
     c = np.sum(cosines * (ends * vals), axis=1) * (2.0 / n)
     c[[0, n]] *= 0.5
     return c
@@ -365,9 +380,10 @@ class _Cut:
     """The Selberg-Delange step at one branch point xi (module docstring).
 
     A cut holds only xi's data: its exponent, sine and mode, log P_xi(u,
-    log cu), the two logs l1, l2 at s = s0 - u and the residue phase, and
-    its rule, built once by set_rule: g_line (G on the segment), rows (the
-    middle nodes' u and c after a zero row) and ends (its end pieces).
+    log cu), the kernel's sweep at xi (l1, l2 and Gamma at s = s0 - u) and
+    the residue phase, and its rule, built once by set_rule: g_line (G on
+    the segment), rows (the middle nodes' u and c after a zero row) and
+    ends (its end pieces).
     j(u, log_cu, g, log_scale) is e^{log_scale} J_xi over an array of u,
     real or complex, with log cu = log(b - u) exact near the right end and
     g the values of G at s (one G_f call when g is None, as in the Watson
@@ -385,7 +401,7 @@ class _Cut:
     z: complex
     w: complex
     log_prefactor: Callable  # log P_xi(u, log cu)
-    logs: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]  # (l1, l2)(s, u)
+    sweep: Callable[[], Sweep]  # the kernel's sweep at xi: (l1, l2, Gamma) at s0 - u
     phase: complex  # c_xi = phase J_xi(0)
     g_at: Callable[[np.ndarray], np.ndarray]  # G_f
     name: str  # the part, in errors
@@ -398,12 +414,11 @@ class _Cut:
         """e^{log_scale} J_xi(u) = exp(log_scale + log P_xi(u) + z l1(s) +
         w l2(s)) G(s) Gamma(s), s = s0 - u, in one exp."""
         u = np.asarray(u, dtype=np.complex128)
-        s = self.s0 - u
-        l1, l2 = self.logs(s, u)
+        l1, l2, gamma_s = self.sweep().at(u)
         return (
             np.exp(log_scale + self.log_prefactor(u, log_cu) + self.z * l1 + self.w * l2)
-            * (self.g_at(s) if g is None else g)
-            * gamma(s)
+            * (self.g_at(self.s0 - u) if g is None else g)
+            * gamma_s
         )
 
     def at(self, u: complex) -> complex:
@@ -628,13 +643,8 @@ class _Ctx:
     def _build_cut(self, key) -> _Cut:
         z, w, k = self.pars.z, self.pars.w, self.cfg.kernel
         zi = self.pars.z_integer_case
-        data = dict(z=z, w=w, g_at=self.G)
-
-        def logs_L1(s, u):
-            # one L1 call; a point's bits do not depend on its batch
-            both = k.L1(np.concatenate([s, 2.0 * s]))
-            return both[: s.size], both[s.size :]
-
+        # the zero's sweep is built at the first J: a zero-mode cut builds none
+        data = dict(z=z, w=w, g_at=self.G, sweep=partial(k.sweep, key))
         if key == "one":
             return _Cut(
                 beta=z, b=0.5, radius=0.5,
@@ -646,13 +656,13 @@ class _Ctx:
                 log_prefactor=lambda u, log_cu: -w * (  # 1 - 2u = 2 cu, exact near u = b
                     np.log(1.0 - 2.0 * u) if log_cu is None else math.log(2.0) + log_cu
                 ),
-                logs=logs_L1, phase=1.0, name="delta_1", right_disc=1.0 / 6.0, **data,
+                phase=1.0, name="delta_1", right_disc=1.0 / 6.0, **data,
             )
         if key == "half":
             return _Cut(
                 beta=w, b=0.5 - self.cfg.a, radius=0.5 - self.cfg.a, alpha_right=0.0,
                 sine=_sin_pi(z, w) * cmath.exp((1.0 - w) * math.log(2.0)),
-                x_pow=math.sqrt, logs=logs_L1,
+                x_pow=math.sqrt,
                 mode=_mode(self.pars.w_is_one, near_integer(z + w) is not None), s0=0.5,
                 log_prefactor=lambda u, log_cu: -math.log(2.0) - z * np.log(0.5 + u),
                 # zeta(1/2)^z from above the cut (-inf, 1]: s - 1 = (1/2 + u) e^{i pi}
@@ -666,8 +676,6 @@ class _Ctx:
             x_pow=lambda x: cmath.exp(rho * math.log(x)),
             mode=_mode(zi == -1, zi in (0, 1)), s0=rho,
             log_prefactor=lambda u, log_cu: -z * np.log(rho - 1.0 - u),
-            # the zero's sweep is built at the first J: a zero-mode cut builds none
-            logs=lambda s, u: k.rho_sweep(index, conjugate).at(u),
             phase=1.0, name=f"delta_rho({index}{', mirror' if conjugate else ''})", **data,
         )
 

@@ -4,7 +4,8 @@ Provides the Riemann zeta function for complex argument (Euler-Maclaurin),
 the complex gamma function (reflection + Lanczos rational approximation),
 branch-tracked logarithms of (s-1)*zeta(s) normalized to vanish at s=1,
 the branch-tracked logs on the disc of each nontrivial zero (RhoSweep),
-zeta'(rho), and the zero-ordinate table.
+one store of the explicit formula's spec-free factors per branch point
+(Sweep), zeta'(rho), and the zero-ordinate table.
 
 Branch conventions.  L1(s) denotes the holomorphic logarithm of
 (s-1)*zeta(s) on the zero-cut plane (cuts run leftward from each
@@ -23,12 +24,17 @@ from the real window, L1 is continued along one leg from the anchor
 1.2 + i*Im(s), where the standard branch of log zeta is the principal
 Log (log_zeta_euler).
 
-Near a zero rho this module alone fixes the two logs of the explicit
-formula's J_rho, log((s-1) zeta(s)/(s-rho)) and log zeta(2s) at
-s = rho - u: the kernel's one RhoSweep per zero continues them once to
-u = 0, from rho + r and 1.2 + 2i Im rho, and every other u (a Laplace
-node or a Watson ring point) takes one leg from u = 0.  The sweep keeps
-every value it has served; (s-1) zeta(s)/(s-rho) comes off a Cauchy ring.
+The explicit formula's integrand J_xi(u) at s = xi - u needs two logs
+l1, l2 of zeta(s)^z zeta(2s)^w and Gamma(s), which depend on no spec.
+The kernel keeps one Sweep per branch point, "one", "half" and each zero
+(and mirror zero), for every spec and config: Sweep.at(u) returns
+(l1, l2, Gamma(s)), reads the points it has served and computes the new
+ones in one call of the logs and one gamma call.  At 1 and 1/2 the logs
+are L1(s) and L1(2s).  Near a zero rho this module alone fixes them,
+log((s-1) zeta(s)/(s-rho)) and log zeta(2s): the zero's RhoSweep
+continues them once to u = 0, from rho + r and 1.2 + 2i Im rho, and every
+other u (a node of the cut's rule or a Watson ring point) takes one leg
+from u = 0; (s-1) zeta(s)/(s-rho) comes off a Cauchy ring.
 
 Arrays.  zeta, zeta_times_s_minus_1, gamma, log_zeta_euler and
 ZetaKernel.L1 take a point or an array of points, and the point is the
@@ -47,9 +53,9 @@ zeros: no difference step amplifies zeta's rounding.  L1 of an array is
 a plain log wherever |Im s| <= 0.35 (and on Re s >= 1.2 the principal
 log), which covers every node and ring point of the cuts at 1 and 1/2;
 all other points take their legs in one _continue_legs call.
-RhoSweep.at(u) gives both logs at an array of u, real or complex: it
-reads the kept ones and continues the new ones in one call of each
-function.
+Sweep.at(u) takes an array of u, real or complex, and a kept value is the
+one-point value, so a point has the same bits whatever a sweep served
+before.
 """
 
 from __future__ import annotations
@@ -466,6 +472,8 @@ _STEP0 = 0.25
 _STEP_FLOOR = 1e-6
 #: nodes of RhoSweep's Cauchy ring |t - rho| = 2 radius: error (|u|/(2 radius))^64 <= 2^-64
 _RING_NODES = 64
+#: the branch points of the cuts at 1 and 1/2, whose logs are L1 at s and 2s
+_LINE_POINTS = {"one": 1.0, "half": 0.5}
 
 
 def _continue_legs(
@@ -518,30 +526,86 @@ def _continue_legs(
     return np.log(hv[last]) + 2j * math.pi * k
 
 
-class RhoSweep:
-    """The two branch-tracked logs that J_rho needs on the disc of one zero.
+class Sweep:
+    """The spec-free factors of J at one branch point s0, kept per point.
+
+    For s = s0 - u, at(u) gives (l1(s), l2(s), Gamma(s)) over an array of
+    u, real or complex, where e^{z l1 + w l2} is what zeta(s)^z zeta(2s)^w
+    leaves after the power of s - s0.  At s0 = 1 and 1/2, l1 = L1(s) and
+    l2 = L1(2s), both from one L1 call (RhoSweep gives the zero's logs).
+    Every u served is kept, sorted and read-only: at(u) reads the kept
+    ones, and the new ones take one call of the logs and one gamma call,
+    whose values do not depend on the other points of the call, so a
+    point has the same bits whatever was asked before.  hits and misses
+    count the points looked up.
+    """
+
+    def __init__(self, s0: complex, L1: Callable):
+        self.s0, self.L1 = s0, L1
+        self.u = np.empty(0, dtype=np.complex128)  # every u served, ascending
+        self.l1 = self.l2 = self.gamma = self.u
+        self.hits = self.misses = 0
+
+    def _check(self, u: np.ndarray) -> np.ndarray:
+        return u
+
+    def _logs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = self.s0 - u
+        both = self.L1(np.concatenate([s, 2.0 * s]))
+        return both[: s.size], both[s.size :]
+
+    def _keep(self, u, l1, l2, gam) -> None:
+        order = np.argsort(u)
+        for name, new in (("u", u), ("l1", l1), ("l2", l2), ("gamma", gam)):
+            new = new[order]
+            new.flags.writeable = False
+            setattr(self, name, new)
+
+    def at(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(l1, l2, Gamma) at s0 - u over an array of complex u."""
+        u = self._check(np.asarray(u, dtype=np.complex128).reshape(-1))
+        i = np.minimum(np.searchsorted(self.u, u), self.u.size - 1)
+        new = u if not self.u.size else u[self.u[i] != u]
+        self.misses += new.size
+        self.hits += u.size - new.size
+        if new.size:
+            new = np.sort(new)
+            new = new[np.concatenate([[True], new[1:] != new[:-1]])]  # repeats drop
+            l1, l2 = self._logs(new)
+            gam = gamma(self.s0 - new)
+            self._keep(
+                *(np.concatenate(pair) for pair in (
+                    (self.u, new), (self.l1, l1), (self.l2, l2), (self.gamma, gam)
+                ))
+            )
+            i = np.searchsorted(self.u, u)
+        return self.l1[i], self.l2[i], self.gamma[i]
+
+
+class RhoSweep(Sweep):
+    """The sweep at one zero rho: the two branch-tracked logs of J_rho.
 
     For s = rho - u with |u| <= radius (the zero's gap radius):
 
-      local(u) = log((s-1) zeta(s) / (s-rho)),  continued to u = 0 from
-                 s = rho + r (r = radius/2), where it is L1(rho + r) - ln r;
-      zeta2(u) = log zeta(2s),  continued to u = 0 from
-                 2s = _ANCHOR_RE + 2i Im rho, where it is log_zeta_euler.
+      l1(u) = log((s-1) zeta(s) / (s-rho)),  continued to u = 0 from
+              s = rho + r (r = radius/2), where it is L1(rho + r) - ln r;
+      l2(u) = log zeta(2s),  continued to u = 0 from
+              2s = _ANCHOR_RE + 2i Im rho, where it is log_zeta_euler.
 
-    local is holomorphic on the disc, which holds no other zero, and
-    zeta2 on its part Re 2s > 1/2 (Re u < 1/4), which holds every u the
-    formula reads; there a straight leg from u = 0 has the branch of any
-    path.  local's h_local(s) = (s-1) mean_k zeta(t_k)/(t_k - s) over the
-    ring t_k of _RING_NODES points on |t - rho| = 2 radius is the trapezoid
-    rule (Trefethen and Weideman, SIAM Review 56, 2014) for (s-1)(1/2 pi i)
+    l1 is holomorphic on the disc, which holds no other zero, and l2 on
+    its part Re 2s > 1/2 (Re u < 1/4), which holds every u the formula
+    reads; there a straight leg from u = 0 has the branch of any path.
+    l1's h_local(s) = (s-1) mean_k zeta(t_k)/(t_k - s) over the ring t_k
+    of _RING_NODES points on |t - rho| = 2 radius is the trapezoid rule
+    (Trefethen and Weideman, SIAM Review 56, 2014) for (s-1)(1/2 pi i)
     oint zeta(t) dt/((t-s)(t-rho)) = (s-1)(zeta(s) - zeta(rho))/(s-rho),
-    with no case at s = rho.  at(u) gives both at an array of complex u:
-    every u not asked before takes one leg from u = 0, in one
-    _continue_legs call of each function, and is kept, so a u asked again
-    calls nothing.
+    with no case at s = rho.  The sweep keeps u = 0 from its construction;
+    every new u takes one leg from u = 0, in one _continue_legs call of
+    each function, and a u off the disc raises RangeError.
     """
 
     def __init__(self, rho: complex, radius: float, L1: Callable):
+        super().__init__(rho, L1)
         self.rho = rho
         self.radius = radius
         r = 0.5 * radius
@@ -558,10 +622,14 @@ class RhoSweep:
 
         self.h_local, self.h_zeta2 = h, zeta
         anchor2 = complex(_ANCHOR_RE, 2.0 * rho.imag)
-        self.u = np.zeros(1, dtype=np.complex128)  # every u served, ascending
-        self.local = _continue_legs(h, rho + r, L1(rho + r) - math.log(r), self.u + rho)
-        self.zeta2 = _continue_legs(zeta, anchor2, log_zeta_euler(anchor2), self.u + 2.0 * rho)
-        self.local0, self.zeta20 = self.local[0], self.zeta2[0]
+        u = np.zeros(1, dtype=np.complex128)
+        self._keep(
+            u,
+            _continue_legs(h, rho + r, L1(rho + r) - math.log(r), u + rho),
+            _continue_legs(zeta, anchor2, log_zeta_euler(anchor2), u + 2.0 * rho),
+            gamma(rho - u),
+        )
+        self.local0, self.zeta20 = self.l1[0], self.l2[0]
 
     def _check(self, u: np.ndarray) -> np.ndarray:
         out = np.abs(u) > self.radius
@@ -573,35 +641,26 @@ class RhoSweep:
             )
         return u
 
-    def at(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """(local(u), zeta2(u)) over an array of complex u."""
-        u = self._check(np.asarray(u, dtype=np.complex128).reshape(-1))
-        i = np.minimum(np.searchsorted(self.u, u), self.u.size - 1)
-        new = np.sort(u[self.u[i] != u])
-        if new.size:
-            new = new[np.concatenate([[True], new[1:] != new[:-1]])]  # repeats drop
-            rho = self.rho
-            local = _continue_legs(self.h_local, rho, self.local0, rho - new)
-            zeta2 = _continue_legs(self.h_zeta2, 2.0 * rho, self.zeta20, 2.0 * rho - 2.0 * new)
-            order = np.argsort(np.concatenate([self.u, new]))
-            self.u = np.concatenate([self.u, new])[order]
-            self.local = np.concatenate([self.local, local])[order]
-            self.zeta2 = np.concatenate([self.zeta2, zeta2])[order]
-            i = np.searchsorted(self.u, u)
-        return self.local[i], self.zeta2[i]
+    def _logs(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rho = self.rho
+        return (
+            _continue_legs(self.h_local, rho, self.local0, rho - u),
+            _continue_legs(self.h_zeta2, 2.0 * rho, self.zeta20, 2.0 * rho - 2.0 * u),
+        )
 
 
 class ZetaKernel:
     """Evaluator bundle: zeta, gamma, continued logs, zero table.
 
-    One RhoSweep per zero is memoized; a sweep's values do not depend on
-    the points asked before, so results are pure functions.
+    One Sweep per branch point ("one", "half" and each zero, as RhoSweep)
+    is memoized, for every spec and config; a sweep's values do not
+    depend on the points asked before, so results are pure functions.
     """
 
     def __init__(self, table: Optional[ZeroTable] = None):
         self.table = table if table is not None else default_zero_table()
         self._ordinates = np.array(self.table.ordinates)
-        self._sweeps: dict[tuple[int, bool], RhoSweep] = {}
+        self._sweeps: dict = {}
 
     def rho(self, k: int, conjugate: bool = False) -> complex:
         g = self.table.ordinate(k)
@@ -656,17 +715,24 @@ class ZetaKernel:
             out[todo] = _continue_legs(zeta_times_s_minus_1, anchor, self.L1(anchor), v)
         return _shaped(out, s, scalar)
 
-    # -- logs on the disc of a zero ------------------------------------------
+    # -- the sweeps at the branch points ---------------------------------------
+
+    def sweep(self, point) -> Sweep:
+        """The sweep at "one" (s0 = 1), "half" (s0 = 1/2) or the zero
+        (k, conjugate), built once per kernel."""
+        got = self._sweeps.get(point)
+        if got is None:
+            if point in _LINE_POINTS:
+                got = Sweep(_LINE_POINTS[point], self.L1)
+            else:
+                k, conjugate = point
+                got = RhoSweep(self.rho(k, conjugate), self.table.gap_radius(k), self.L1)
+            self._sweeps[point] = got
+        return got
 
     def rho_sweep(self, k: int, conjugate: bool = False) -> RhoSweep:
-        """The RhoSweep at zero k (at its mirror -gamma_k if conjugate),
-        built once per kernel."""
-        key = (k, conjugate)
-        got = self._sweeps.get(key)
-        if got is None:
-            got = RhoSweep(self.rho(k, conjugate), self.table.gap_radius(k), self.L1)
-            self._sweeps[key] = got
-        return got
+        """The sweep at zero k (at its mirror -gamma_k if conjugate)."""
+        return self.sweep((k, conjugate))
 
     # -- zeta'(rho) ----------------------------------------------------------
 

@@ -1463,10 +1463,12 @@ def test_shared_sweeps_are_free_of_call_history():
 
 
 def _count_sweep_calls(kernel) -> list:
-    """Points of each call of the functions of every sweep kept on kernel."""
+    """Points of each call of the functions of every sweep kept on kernel:
+    a zero's two continued logs, L1 at 1 and 1/2."""
     calls = []
     for sweep in kernel._sweeps.values():
-        for name in ("h_local", "h_zeta2"):
+        names = ("h_local", "h_zeta2") if isinstance(sweep, zeta_kernel.RhoSweep) else ("L1",)
+        for name in names:
             h = getattr(sweep, name)
             setattr(sweep, name, lambda s, h=h: calls.append(np.size(s)) or h(s))
     return calls
@@ -1540,6 +1542,89 @@ def test_each_level_is_one_call_of_each_sweep_function():
         two = np.count_nonzero(2.0 * np.abs(u) > zeta_kernel._STEP0)
         assert got == [u.size, u.size + two], got
     assert np.count_nonzero(2.0 * np.abs(per_call[1][0]) > zeta_kernel._STEP0) > 0
+
+
+def _spec_outputs(spec, x, cfg):
+    """Every part at x, c_1/2 and Watson lambda_0..2 at 1/2 and zero 1."""
+    b = a_exp_formula(spec, x, cfg)
+    return (
+        [b.delta_1, b.delta_half, *(p for _, p in b.delta_rho), b.zero_sum, b.total],
+        c_half(spec, cfg),
+        watson_coeffs(spec, "half", 2, cfg),
+        watson_coeffs(spec, "zero:1", 2, cfg),
+    )
+
+
+@pytest.mark.parametrize("x", [1e3, 3.7e5])
+@pytest.mark.parametrize("first, second", [(QUAD, FIG53), (FIG53, QUAD)], ids=["quad-fig53", "fig53-quad"])
+def test_outputs_have_the_same_bits_on_a_kernel_another_spec_filled(first, second, x):
+    # the sweeps hold spec-free values only: the second spec reads the
+    # first one's points at 1, 1/2 and zero 1 (its Watson ring at least)
+    # and gets the bits of a fresh kernel
+    table = default_kernel().table
+    alone = _spec_outputs(second, x, FormulaConfig(n_zeros=2, kernel=ZetaKernel(table)))
+    kernel = ZetaKernel(table)
+    _spec_outputs(first, x, FormulaConfig(n_zeros=2, kernel=kernel))
+    hits = {key: sweep.hits for key, sweep in kernel._sweeps.items()}
+    assert _spec_outputs(second, x, FormulaConfig(n_zeros=2, kernel=kernel)) == alone
+    assert all(kernel.sweep(key).hits > hits[key] for key in ("one", "half", (1, False)))
+
+
+def test_a_second_spec_on_filled_node_sets_computes_no_log_or_gamma(monkeypatch):
+    # quadphase and fig53 sample G to the same degrees on the cuts at 1
+    # and 1/2 (64 and 32), so their rules have the same nodes and rings:
+    # after quadphase, fig53's parts there, their Watson rings and J(0)
+    # read every log and Gamma from the kernel's two sweeps
+    calls = []
+    for owner, name in (
+        (zeta_kernel, "zeta"), (zeta_kernel.ZetaKernel, "L1"), (zeta_kernel, "gamma"),
+    ):
+        f = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, f=f, name=name: calls.append(name) or f(*args)
+        )
+    kernel = ZetaKernel(default_kernel().table)
+
+    def run(spec):
+        cfg = FormulaConfig(n_zeros=0, kernel=kernel)
+        out = [delta_1(spec, 1e4, cfg), delta_half(spec, 1e4, cfg), c_half(spec, cfg)]
+        cuts = [explicit_formula._ctx(spec, cfg).cut(key) for key in ("one", "half")]
+        return out + [watson_coeffs(spec, key, 2, cfg) for key in ("one", "half")], cuts
+
+    run(QUAD)
+    assert "L1" in calls and "gamma" in calls
+    sweeps = [kernel.sweep(key) for key in ("one", "half")]
+    misses = [sweep.misses for sweep in sweeps]
+    calls.clear()
+    got, cuts = run(FIG53)
+    assert calls == []
+    assert [sweep.misses for sweep in sweeps] == misses
+    assert [cut.g_line.c.size for cut in cuts] == [65, 33]
+    fresh = FormulaConfig(n_zeros=0, kernel=ZetaKernel(kernel.table))
+    assert got == [
+        delta_1(FIG53, 1e4, fresh), delta_half(FIG53, 1e4, fresh), c_half(FIG53, fresh),
+        watson_coeffs(FIG53, "one", 2, fresh), watson_coeffs(FIG53, "half", 2, fresh),
+    ]
+
+
+def test_a_kernel_over_another_table_shares_nothing():
+    # the sweeps live on their kernel: a kernel over a shorter table starts
+    # empty after another kernel served every branch point, and serving it
+    # looks up nothing in the other kernel's sweeps
+    full = ZetaKernel(default_kernel().table)
+    a_exp_formula(FIG53, 1e3, FormulaConfig(n_zeros=2, kernel=full))
+    counts = {key: (s.hits, s.misses, s.u.size) for key, s in full._sweeps.items()}
+    assert set(counts) == {"one", "half", *((k, c) for k in (1, 2) for c in (False, True))}
+    short = ZetaKernel(zeta_kernel.ZeroTable(default_kernel().table.ordinates[:3], "first 3"))
+    assert short._sweeps == {}
+    cfg = FormulaConfig(n_zeros=2, kernel=short)
+    got = a_exp_formula(FIG53, 1e3, cfg)
+    assert set(short._sweeps) == set(counts)
+    for key, sweep in short._sweeps.items():
+        assert sweep is not full._sweeps[key] and sweep.misses > 0
+    assert {key: (s.hits, s.misses, s.u.size) for key, s in full._sweeps.items()} == counts
+    # zeros 1 and 2 have the same gap radius in both tables (zero 3 is kept)
+    assert got == a_exp_formula(FIG53, 1e3, FormulaConfig(n_zeros=2, kernel=full))
 
 
 def _anchored_outputs():

@@ -464,11 +464,12 @@ def test_rho_sweep_ring_matches_direct_values(kernel):
     # against one point at a time on a fresh sweep
     sweep = kernel.rho_sweep(2)
     ring = 0.05 * np.exp(2j * math.pi * np.arange(16) / 16)
-    lr, cz = sweep.at(ring)
+    lr, cz, gs = sweep.at(ring)
     ref = ZetaKernel(kernel.table).rho_sweep(2)
     one = [ref.at(u) for u in ring.tolist()]
     assert lr.tolist() == [complex(v[0][0]) for v in one]
     assert cz.tolist() == [complex(v[1][0]) for v in one]
+    assert gs.tolist() == gamma(sweep.rho - ring).tolist()
     for u, v, c in zip(ring.tolist(), lr.tolist(), cz.tolist()):
         s = sweep.rho - u
         assert abs(cmath.exp(v) * (s - sweep.rho) - zeta_times_s_minus_1(s)) <= 1e-12, u
@@ -527,6 +528,34 @@ def test_rho_sweep_is_memoized_per_kernel(kernel):
     assert kernel.rho_sweep(2, conjugate=True) is not kernel.rho_sweep(2)
     fresh = ZetaKernel(kernel.table)
     assert fresh.rho_sweep(2) is not kernel.rho_sweep(2)
+    assert kernel.sweep("half") is kernel.sweep("half") is not fresh.sweep("half")
+    assert kernel.sweep((2, False)) is kernel.rho_sweep(2)
+
+
+@pytest.mark.parametrize("point, s0", [("one", 1.0), ("half", 0.5)])
+def test_line_sweep_keeps_L1_and_gamma_per_point(point, s0):
+    # at 1 and 1/2 the sweep gives L1(s), L1(2s) and Gamma(s), s = s0 - u,
+    # with the bits of the direct calls; it counts each point looked up as
+    # a hit or a miss and keeps every point once, read-only
+    kernel = ZetaKernel(default_kernel().table)
+    sweep = kernel.sweep(point)
+    u = np.array([0.1, 0.02 + 0.03j, 0.1, 0.0, 0.12])
+    l1, l2, g = sweep.at(u)
+    s = s0 - u
+    assert l1.tolist() == [kernel.L1(v) for v in s.tolist()]
+    assert l2.tolist() == [kernel.L1(2.0 * v) for v in s.tolist()]
+    assert g.tolist() == [gamma(v) for v in s.tolist()]
+    assert (sweep.hits, sweep.misses, sweep.u.size) == (0, 5, 4)
+    again = sweep.at(u[::-1])
+    assert [v.tolist() for v in again] == [v.tolist()[::-1] for v in (l1, l2, g)]
+    assert (sweep.hits, sweep.misses, sweep.u.size) == (5, 5, 4)
+    assert not any(a.flags.writeable for a in (sweep.u, sweep.l1, sweep.l2, sweep.gamma))
+    with pytest.raises(RangeError):  # Re s = 1/3 - 0.05 at 1/2, or Re 2s at 1
+        sweep.at(np.array([0.2, s0 - 0.3]))
+    assert sweep.u.size == 4  # a failed call keeps nothing
+    rho = kernel.rho_sweep(1)  # keeps u = 0 from its construction
+    rho.at(np.array([0.0, 0.05]))
+    assert (rho.hits, rho.misses) == (1, 1)
 
 
 # ---------------------------------------------------------------- zeta'(rho)
@@ -658,14 +687,14 @@ def test_rho_sweep_line_matches_point_by_point(k, conjugate):
     rng = np.random.default_rng(53 + k)
     u = np.sort(rng.uniform(-0.9, 0.9, 40) * sweep.radius)
     u = np.concatenate([u, u[:5]])  # repeated positions read kept values
-    lr, cz = sweep.at(u)
+    lr, cz, _ = sweep.at(u)
     ref = ZetaKernel(table).rho_sweep(k, conjugate)
     one = [ref.at(v) for v in u.tolist()]
     assert lr.tolist() == [complex(v[0][0]) for v in one]
     assert cz.tolist() == [complex(v[1][0]) for v in one]
     far = ZetaKernel(table).rho_sweep(k, conjugate)
     v = 0.95 * far.radius  # beyond one step of the seed at -radius/2
-    lr, cz = far.at(v)
+    lr, cz, _ = far.at(v)
     want = ref.at(v)
     assert (complex(lr[0]), complex(cz[0])) == (complex(want[0][0]), complex(want[1][0]))
     with pytest.raises(RangeError):
