@@ -3,15 +3,9 @@
 The Dirichlet series of f factors as zeta(s)^z zeta(2s)^w G(s), where the
 local factors  G_p(s) = (1-p^{-s})^z (1-p^{-2s})^w g(p^{-s})  satisfy
 G_p - 1 = O(p^{-3 Re s}), so G is holomorphic and bounded on Re s > 1/3.
-Evaluation truncates the log-sum
-
-    log G(s) ~ sum_{p <= P} [log g(p^{-s}) + z log(1-p^{-s}) + w log(1-p^{-2s})]
-
-at P = prime_limit (default 1e5) with principal logs per factor;
+Evaluation truncates the product at P = prime_limit (default 1e5);
 G_f_tail_estimate bounds the dropped tail in closed form from the a_k
-below and a bound on pi(t).  Any winding error a
-principal log could commit at the few smallest primes is caught by the
-global factorization-identity tests rather than per-factor logic.
+below and a bound on pi(t).
 
 One kernel evaluates it: G_f_line(spec, s0, u) returns G(s0_i - u_j)
 for real u_j >= 0, the points of a horizontal segment, and for one s0 or
@@ -24,12 +18,17 @@ Re s0 - max u, every point has
 precision computation of Hardy-Littlewood constants, 1998):
 
 - explicit primes, p^{-sigma_min} > RHO_SERIES = 0.2 (25 primes at
-  sigma_min = 0.35, 16 at 0.4, 9 at 1/2, 2 at 1, 1 at 1.5), take the three
-  principal logs of `_log_terms` at each point;
+  sigma_min = 0.35, 16 at 0.4, 9 at 1/2, 2 at 1, 1 at 1.5), enter as the
+  product of g(U_p), U_p = p^{-s}, and as z E_1 + w E_2 in the exponent,
+  with E_1 = sum_p log(1 - U_p) and E_2 = sum_p log(1 - U_p^2): |U_p| < 1,
+  so 1 - U_p and 1 - U_p^2 lie in Re > 0 and their principal logs are the
+  logs of the factors.  No log of g is taken, so g has no branch to pick;
 - every other prime enters log G_p = sum_{k>=3} a_k u^k, u = p^{-s}, so
   the series primes add sum_k a_k S_k(s) to log G, with the prime sums
   S_k(s) = sum_p p^{-ks} over the series primes whose order reaches k.
-  Only the a_k depend on the spec.
+
+So G(s) = exp(z E_1 + w E_2 + sum_k a_k S_k) prod_p g(U_p), and only g,
+z, w and the a_k depend on the spec.
 
 Power series.  For |u| <= R < 1/2 and eps_k unimodular or zero,
 |g(u) - 1| <= sum_k R^k = R/(1-R) < 1, so log g, log(1-u) and log(1-u^2)
@@ -68,26 +67,29 @@ at 1/2 (fig53's own |a_k| would need 87200 and 64400).  A prime whose K_p
 is 2 is left out.  The orders are taken at sigma_min rounded down to a
 multiple of 1/256, which only adds terms, and kept for 64 (rounded
 sigma_min, prime limit).  On series primes |g| >= 1 - 0.2/0.8, so only an
-explicit prime can meet a zero of g.  G is 0 there, a
-legitimate value: the log of g is -inf (or very negative where g is only
-rounded to ~0), and the exp of the sum is the product.
+explicit prime can meet a zero of g.  G is 0 there, a legitimate value:
+the zero (or the ~eps to which g rounds) is a factor of the product.
 
 Shared prime sums.  The orders do not depend on the spec, so neither do
-the sums: S_k(s0 - u_j), k = 3..K, of a row s0 and segment u live in one
-table per prime limit (PrimeSums, GfConfig.prime_sums), keyed by the
+the sums, nor the powers and logs of the explicit primes.  For a row s0
+and segment u, one entry of a table per prime limit (PrimeSums,
+GfConfig.prime_sums) holds U = p^{-(s0 - u_j)} at the explicit primes
+and the rows E_1, E_2, S_3, .., S_K at each point; it is keyed by the
 row's upper-half-plane value (s0, or conj(s0) where Im s0 < 0; a -0.0
-imaginary part counts as upper) and the bytes of u.  A lower-half row
-reads its rep's sums conjugated: complex exp and products are
-conjugate-symmetric to the bit, so these are the sums the row would
-compute.  A call looks up the reps of each group of one real part and
-fills the missing ones together (_fill_sums); each row of log G is then
-one dot a[3:K+1] @ S.  So the explicit primes' three logs and that dot
-are all a spec computes, and a row has the same bits whichever spec
-filled its sums, alone or in a batch.  Least recently used entries go
-once the table holds PRIME_SUMS_CAP = 4 MB, counting each entry's arrays
-and key plus PRIME_SUMS_ENTRY = 352 bytes for its Python objects; a cold
-30-pair fig53 evaluate leaves 64 entries, ~0.77 MB.  hits and misses
-count the reps looked up.
+imaginary part counts as upper) and the bytes of u, which fix sigma_min
+and so the explicit count and K.  A lower-half row reads its rep's entry
+conjugated: complex exp and products, _pow_minus_s and _log_near_unit
+are conjugate-symmetric to the bit, so these are the values the row
+would compute.  A call looks up the reps of each group of one real part
+and fills the missing ones together (_row_entries: _fill_sums and
+_fill_explicit); each row is then g at its stored powers, their product
+per point, and one dot (z, w, a_3, .., a_K) @ (E_1, E_2, S_3, .., S_K)
+(_row_coeffs).  So a spec computes no power and no log, and a row has
+the same bits whichever spec filled its entry, alone or in a batch.
+Least recently used entries go once the table holds PRIME_SUMS_CAP = 4
+MB, counting each entry's arrays and key plus PRIME_SUMS_ENTRY = 576
+bytes for its Python objects; a cold 30-pair fig53 evaluate leaves 64
+entries, ~1.07 MB.  hits and misses count the reps looked up.
 
 The fill.  On the segment u_p(s0 - u_j) = p^{-s0} p^{u_j}, so a fill
 takes one complex exp per (series prime, missing rep) and one real exp
@@ -108,12 +110,15 @@ points, every buffer holds at most _BLOCK = 2^14 float64 entries (128
 kB): a block takes at most _BLOCK/2 primes, since a complex row p^{-k s0}
 holds two entries per prime, so a one-point G (~9500 series primes)
 takes two blocks; a longer u takes 256 primes per block.  The explicit
-logs go in blocks of 64 kB of complex, so scratch memory does not grow
-with the number of rows, points or primes.
+primes' powers take one _pow_minus_s call over the missing points and
+their logs two _log_near_unit calls, whose temporaries are the size of
+the U the table keeps; a spec's g goes in blocks of rows of at most
+_EXPLICIT_BLOCK (points x explicit primes), so its scratch memory does
+not grow with the number of rows.
 
 Rounding.  A series term carries rounding relative to its own size,
 |u|^3 and below, so G's rounding comes from the explicit primes.  Their
-three logs go through `_log_near_unit` rather than `np.log`.  Almost all of
+two logs go through `_log_near_unit` rather than `np.log`.  Almost all of
 their arguments lie within ~p^{-Re s} of 1.  For such values off the real
 axis numpy's complex log (the C library's clog) takes its careful |v| ~ 1
 path, which forms |v|^2 - 1 exactly at ~200 ns per element, several times
@@ -131,11 +136,15 @@ part picking +pi or -pi on the negative real axis as np.log does.  The
 powers p^{-s} follow zeta's one rule (_pow_minus_s): float64 at a point
 whose phase |Im s| log p stays below 8 rad at the largest explicit prime,
 the phase reduced mod 2 pi in extended precision beyond, where double
-precision would lose ~1e-14 at Im s ~ 21.  What is left is the rounding of
-the log arguments g(u), 1 - u and 1 - u^2 near 1, an absolute ~eps per
-explicit prime: against a long-double product over the same primes G is
-within 2.1e-15 relative on every fig53 segment at a = 0.35, where the
-sum of the three logs over all 9592 primes reaches 2.6e-14.
+precision would lose ~1e-14 at Im s ~ 21.  What is left is the rounding
+of 1 - u and 1 - u^2 near 1 and of their logs, an absolute ~eps per
+explicit prime in E_1 and E_2; that of z E_1 + w E_2, ~eps |E_1| with
+|E_1| up to ~3 at sigma_min = 0.35; and that of g(u) and of the product,
+a relative ~eps per explicit prime.  Against a long-double product over
+the same primes G is within 2.8e-15 relative on every fig53 segment at
+a = 0.35 (2.1e-15 with the three logs of log g + z log(1-u) + w
+log(1-u^2) summed), where the sum of those three logs over all 9592
+primes reaches 2.6e-14.
 
 The sieved log-prime table and the table of prime sums are shared by
 every GfConfig of one prime limit; the log primes and each entry of
@@ -181,9 +190,9 @@ _LAST_ORDERS = 2 ** 10
 #: |eps_k| <= _EPS_SLACK: eps_model takes a value within UNIT_TOL of the unit circle.
 _EPS_SLACK = 1.0 + UNIT_TOL
 #: Bytes one prime limit's table of prime sums keeps, and the allowance
-#: per entry for its Python objects (tracemalloc: ~343 bytes on CPython 3.11).
+#: per entry for its Python objects (tracemalloc: ~567 bytes on CPython 3.11).
 PRIME_SUMS_CAP = 2 ** 22
-PRIME_SUMS_ENTRY = 352
+PRIME_SUMS_ENTRY = 576
 #: Largest prime limit: a 100 MB sieve mask, 46 MB per array of its primes.
 PRIME_LIMIT_CAP = 10 ** 8
 
@@ -236,23 +245,6 @@ def _log_near_unit(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_terms(spec: EpsilonSpec, s, logp: np.ndarray) -> np.ndarray:
-    """Per-prime log G_p(s) with principal logs; s is a point or a column
-    of points, which broadcasts against logp (ascending).  u = p^{-s} is
-    zeta's _pow_minus_s, whose one rule per point picks float64 or the
-    extended phase (PlatformError where that is needed and longdouble is
-    float64), so a point's bits do not depend on its batch."""
-    pars = zw_params(spec)
-    s = np.asarray(s, dtype=np.complex128)
-    u = _pow_minus_s(logp, s.reshape(-1)).reshape(np.broadcast_shapes(s.shape, logp.shape))
-    g = _g_eval_array(spec, u.ravel()).reshape(u.shape)
-    return (
-        _log_near_unit(g)
-        + pars.z * _log_near_unit(1.0 - u)
-        + pars.w * _log_near_unit(1.0 - u * u)
-    )
-
-
 @lru_cache(maxsize=64)
 def _log_coeffs(spec: EpsilonSpec) -> np.ndarray:
     """a_0.._MAX_ORDER with log[g(u) (1-u)^z (1-u^2)^w] = sum_k a_k u^k.
@@ -274,6 +266,17 @@ def _log_coeffs(spec: EpsilonSpec) -> np.ndarray:
     a[1:] = (b[1:] - pars.z - np.where(k[1:] % 2 == 0, 2.0 * pars.w, 0.0)) / k[1:]
     a.flags.writeable = False
     return a
+
+
+@lru_cache(maxsize=64)
+def _row_coeffs(spec: EpsilonSpec) -> np.ndarray:
+    """(z, w, a_3, .., a__MAX_ORDER): log G on a row, but for the log of
+    g's product, is _row_coeffs[:K] @ T over its table entry's rows E_1,
+    E_2, S_3..S_K (PrimeSums)."""
+    pars = zw_params(spec)
+    coeffs = np.concatenate(([pars.z, pars.w], _log_coeffs(spec)[3:]))
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def _majorant(k: np.ndarray) -> np.ndarray:
@@ -340,17 +343,25 @@ def _series_active(sigma_min: float, prime_limit: int, n_exp: int) -> np.ndarray
     return active
 
 
+#: A table entry: (U, T), with U = p^{-s} at the explicit primes and T
+#: the rows E_1, E_2, S_3..S_K (PrimeSums).
+_Entry = tuple[np.ndarray, np.ndarray]
+
+
 class PrimeSums:
-    """The prime sums of one prime limit, shared by every spec: per
-    (rep, u bytes), the (orders x u) complex array S with S[k-3, j] =
-    S_k(rep - u_j), k = 3..K, where rep is a row's upper-half-plane value
-    and K the top series order at Re rep - max u.  Least recently used
+    """The spec-free part of G on the rows of one prime limit, shared by
+    every spec: per (rep, u bytes), where rep is a row's upper-half-plane
+    value, the pair (U, T) at the points s_j = rep - u_j.  U is the (u x
+    explicit primes) complex array of p^{-s_j}; T is the (K x u) complex
+    array with rows E_1 = sum_p log(1 - p^{-s_j}) and E_2 = sum_p log(1 -
+    p^{-2 s_j}) over the explicit primes, then S_k(s_j), k = 3..K, the top
+    series order at Re rep - max u (T[k-1] = S_k).  Least recently used
     entries go once the entries' arrays, keys and a PRIME_SUMS_ENTRY
     allowance for their Python objects pass PRIME_SUMS_CAP bytes.  hits
     and misses count the reps looked up."""
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple[complex, bytes], np.ndarray] = OrderedDict()
+        self._entries: OrderedDict[tuple[complex, bytes], _Entry] = OrderedDict()
         self.nbytes = 0
         self.hits = 0
         self.misses = 0
@@ -358,19 +369,20 @@ class PrimeSums:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple[complex, bytes]) -> Optional[np.ndarray]:
-        sums = self._entries.get(key)
-        if sums is None:
+    def get(self, key: tuple[complex, bytes]) -> Optional[_Entry]:
+        entry = self._entries.get(key)
+        if entry is None:
             self.misses += 1
         else:
             self.hits += 1
             self._entries.move_to_end(key)
-        return sums
+        return entry
 
-    def put(self, key: tuple[complex, bytes], sums: np.ndarray) -> None:
-        sums.flags.writeable = False
-        self._entries[key] = sums
-        self.nbytes += _entry_bytes(key, sums)
+    def put(self, key: tuple[complex, bytes], entry: _Entry) -> None:
+        for arr in entry:
+            arr.flags.writeable = False
+        self._entries[key] = entry
+        self.nbytes += _entry_bytes(key, entry)
         while self.nbytes > PRIME_SUMS_CAP:
             old = self._entries.popitem(last=False)
             self.nbytes -= _entry_bytes(*old)
@@ -381,8 +393,8 @@ class PrimeSums:
         self.nbytes = 0
 
 
-def _entry_bytes(key: tuple[complex, bytes], sums: np.ndarray) -> int:
-    return sums.nbytes + len(key[1]) + PRIME_SUMS_ENTRY
+def _entry_bytes(key: tuple[complex, bytes], entry: _Entry) -> int:
+    return sum(arr.nbytes for arr in entry) + len(key[1]) + PRIME_SUMS_ENTRY
 
 
 @cache
@@ -392,11 +404,12 @@ def _prime_sums(prime_limit: int) -> PrimeSums:
 
 
 def _fill_sums(
-    reps: list[complex], u: np.ndarray, logq: np.ndarray, active: np.ndarray
-) -> list[np.ndarray]:
-    """Per rep, the (orders x u) complex prime sums S_k(rep - u_j) =
-    sum_p p^{-k rep} p^{k u_j} over the series primes whose order reaches
-    k, k = 3..top.
+    reps: list[complex], u: np.ndarray, logq: np.ndarray, active: np.ndarray,
+    out: list[np.ndarray],
+) -> None:
+    """Add to each rep's zeroed (orders x u) complex array in out the prime
+    sums S_k(rep - u_j) = sum_p p^{-k rep} p^{k u_j} over the series primes
+    whose order reaches k, k = 3..top.
 
     Per block of primes the real (primes x points) matrix e1 = p^{u_j} is
     taken once and every block of reps cubes it into ek.  Per order k and
@@ -413,9 +426,8 @@ def _fill_sums(
     top = active.size - 2
     n = int(active[3])
     m = len(reps)
-    out = [np.zeros((top - 2, u.size), dtype=np.complex128) for _ in reps]
     if n == 0:
-        return out
+        return
     # a rep's sums viewed as reals: (orders x u x 2)
     out_pairs = [sums.view(np.float64).reshape(top - 2, u.size, 2) for sums in out]
     # a row of complex c1 takes 2 width entries, so width stays <= _BLOCK/2,
@@ -473,58 +485,87 @@ def _fill_sums(
                 k += 1
             for j in range(mr):
                 out_pairs[r0 + j][: k - 2] += sums[j, : k - 2].transpose(0, 2, 1)
-    return out
 
 
-def _series_sums(
+def _fill_explicit(points: np.ndarray, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U = p^{-s} at the explicit primes as a (points x primes) array, and
+    the (2 x points) sums E_1 = sum_p log(1 - U), E_2 = sum_p log(1 - U^2).
+    U is zeta's _pow_minus_s, whose one rule per point picks float64 or the
+    extended phase (PlatformError where that is needed and longdouble is
+    float64), so a point's bits do not depend on its batch."""
+    powers = _pow_minus_s(logp, points)
+    logs = np.empty((2, points.size), dtype=np.complex128)
+    np.sum(_log_near_unit(1.0 - powers), axis=1, out=logs[0])
+    np.sum(_log_near_unit(1.0 - powers * powers), axis=1, out=logs[1])
+    return powers, logs
+
+
+def _row_entries(
     rows: np.ndarray, u: np.ndarray, prime_limit: int, sigma_min: float, n_exp: int
-) -> dict[complex, np.ndarray]:
-    """The prime sums of each row's rep, rep -> (orders x u) array, from
-    the shared table, one fill for the reps it lacks."""
+) -> dict[complex, _Entry]:
+    """The table entry of each row's rep, rep -> (U, T), from the shared
+    table, one fill for the reps it lacks."""
     table = _prime_sums(prime_limit)
     key_u = u.tobytes()
-    found: dict[complex, Optional[np.ndarray]] = {}
+    found: dict[complex, Optional[_Entry]] = {}
     for v in rows.tolist():
         rep = complex(v.real, abs(v.imag))
         if rep not in found:
             found[rep] = table.get((rep, key_u))
-    missing = [rep for rep, sums in found.items() if sums is None]
-    if missing:
+    missing = [rep for rep, entry in found.items() if entry is None]
+    if not missing:
+        return found
+    logp = _log_primes(prime_limit)
+    top, active = 2, None
+    if n_exp < logp.size:
         # orders for a Re s below sigma_min still bound the dropped terms;
         # a grid of them keeps few in the cache (a Watson ring has 256 Re s)
         sigma_grid = math.floor(sigma_min * _ORDER_GRID) / _ORDER_GRID
         active = _series_active(sigma_grid, prime_limit, n_exp)
-        filled = _fill_sums(missing, u, _log_primes(prime_limit)[n_exp:], active)
-        for rep, sums in zip(missing, filled):
-            found[rep] = sums
-            table.put((rep, key_u), sums)
+        top = active.size - 2
+    rows_t = [np.zeros((top, u.size), dtype=np.complex128) for _ in missing]
+    if top > 2:
+        _fill_sums(missing, u, logp[n_exp:], active, [t[2:] for t in rows_t])
+    powers, logs = _fill_explicit((np.array(missing)[:, None] - u).reshape(-1), logp[:n_exp])
+    for i, rep in enumerate(missing):
+        at = slice(i * u.size, (i + 1) * u.size)
+        rows_t[i][:2] = logs[:, at]
+        found[rep] = (powers[at].copy(), rows_t[i])
+        table.put((rep, key_u), found[rep])
     return found
 
 
-#: (points x explicit primes) entries per block of the explicit logs:
-#: 64 kB of complex for each of their few temporaries
-_EXPLICIT_BLOCK = _BLOCK // 8
+#: (points x explicit primes) entries of g per block of rows in _G_rows:
+#: 128 kB of complex for each of g's few temporaries
+_EXPLICIT_BLOCK = _BLOCK // 2
 
 
 def _G_rows(spec: EpsilonSpec, rows: np.ndarray, u: np.ndarray, cfg: GfConfig) -> np.ndarray:
-    """G at rows_i - u_j as a (rows x u) array, for rows of one real part."""
+    """G at rows_i - u_j as a (rows x u) array, for rows of one real part:
+    exp(z E_1 + w E_2 + sum_k a_k S_k) prod_p g(U_p), from each row's
+    table entry, which a lower-half row reads conjugated.  g goes over
+    blocks of rows of at most _EXPLICIT_BLOCK (points x explicit primes)."""
     sigma_min = float(rows[0].real) - float(u.max())
-    logp = cfg.logp
-    n_exp = int(np.searchsorted(logp, -math.log(RHO_SERIES) / sigma_min))
-    points = (rows[:, None] - u).reshape(-1)
-    log_g = np.empty(points.size, dtype=np.complex128)
-    step = max(1, _EXPLICIT_BLOCK // max(n_exp, 1))
-    for lo in range(0, points.size, step):
-        col = points[lo : lo + step, None]
-        log_g[lo : lo + step] = np.sum(_log_terms(spec, col, logp[:n_exp]), axis=1)
-    log_g = log_g.reshape(rows.size, u.size)
-    a = _log_coeffs(spec)
-    if n_exp < logp.size and np.any(a[3:]):
-        sums = _series_sums(rows, u, cfg.prime_limit, sigma_min, n_exp)
-        for i, v in enumerate(rows.tolist()):
-            s = sums[complex(v.real, abs(v.imag))]  # a lower-half row reads its conjugate
-            log_g[i] += a[3 : 3 + len(s)] @ (s.conj() if v.imag < 0 else s)
-    return np.exp(log_g)
+    n_exp = int(np.searchsorted(cfg.logp, -math.log(RHO_SERIES) / sigma_min))
+    entries = _row_entries(rows, u, cfg.prime_limit, sigma_min, n_exp)
+    coeffs = _row_coeffs(spec)
+    exponent = np.empty((rows.size, u.size), dtype=np.complex128)
+    product = np.empty((rows.size, u.size), dtype=np.complex128)
+    step = max(1, _EXPLICIT_BLOCK // max(u.size * n_exp, 1))
+    powers = np.empty((min(step, rows.size), u.size, n_exp), dtype=np.complex128)
+    for lo in range(0, rows.size, step):
+        block = rows[lo : lo + step].tolist()
+        for i, v in enumerate(block):
+            row_powers, row_t = entries[complex(v.real, abs(v.imag))]
+            if v.imag < 0:  # a lower-half row reads its rep conjugated
+                np.conjugate(row_powers, out=powers[i])
+                row_t = row_t.conj()
+            else:
+                powers[i] = row_powers
+            exponent[lo + i] = coeffs[: len(row_t)] @ row_t
+        g = _g_eval_array(spec, powers[: len(block)].reshape(-1))
+        np.prod(g.reshape(len(block), u.size, n_exp), axis=2, out=product[lo : lo + len(block)])
+    return np.exp(exponent) * product
 
 
 def G_f_line(

@@ -102,8 +102,11 @@ degree 16, 32, 64, ... until the last quarter of the coefficients lies
 below CHEB_TOL = 2^-46 of the largest (an a-posteriori estimate); past
 CHEB_MAX_DEGREE it raises QuadratureError.  A pass samples its cuts per
 segment length in lock-step (_sample_g_lines), one G_f_line call per
-degree, each row with the bits it has alone.  Every other G (the
-residues, J(0), the Watson ring, the public J) is a direct G_f call.
+degree, each row with the bits it has alone.  A cut then reads its line
+once: its end rings and panel nodes follow from the line's degree and b
+alone, so set_rule takes them all first and evaluates the line at all of
+them in one _clenshaw call before any J.  Every other G (the residues,
+J(0), the Watson ring, the public J) is a direct G_f call.
 
 Watson coefficients lambda_{xi,k} of J_xi at u = 0 come from a
 WATSON_NODES-node trapezoid rule on the circle |u| = WATSON_RADIUS
@@ -340,6 +343,16 @@ def _panels(r: float, top: float) -> tuple[np.ndarray, np.ndarray]:
     return (0.5 * (lo + hi) + 0.5 * (hi - lo) * x).ravel(), (0.5 * (hi - lo) * w).ravel()
 
 
+def _middle(b: float, left: float, right: Optional[float] = None):
+    """(u, cu = b - u, weight) at the Gauss-Legendre nodes from the left
+    end's r to b, or to b/2 and on to b - r of a right end (cu exact)."""
+    t, weight = _panels(left, b if right is None else 0.5 * b)
+    if right is None:
+        return t, b - t, weight
+    v, w = _panels(right, 0.5 * b)
+    return np.concatenate([t, b - v]), np.concatenate([b - t, v]), np.concatenate([weight, w])
+
+
 @dataclass(frozen=True)
 class _End:
     """A singular end's piece over [0, r = radius/_SPLIT], e^{-L shift} sum_n
@@ -435,7 +448,9 @@ class _Cut:
     def set_rule(self, line: _GLine) -> None:
         """The rule from the G line: each singular end's piece (u = 0, u = b
         if right_disc is set) and the panels' rows.  A ring's R keeps
-        rho_z^n <= _LINE_GROWTH (rho_z + 1/rho_z = 2 + 4R/b) and (R/disc)^N <= eps."""
+        rho_z^n <= _LINE_GROWTH (rho_z + 1/rho_z = 2 + 4R/b) and (R/disc)^N <=
+        eps.  The rings and nodes follow from the line's degree and b alone,
+        so the line is read once, at all of them, before any J."""
         self.g_line, b = line, self.b
         rho = _LINE_GROWTH ** (1.0 / (line.c.size - 1))
 
@@ -444,29 +459,31 @@ class _Cut:
             return radius, radius * _RING
 
         radius, u = ring(self.radius)
-        ends = [_End.build(self.j(u, None, line(u, b - u)) @ _DFT, radius, self.beta)]
+        radii, pieces = [radius], [(u, b - u)]
+        if self.right_disc is not None:
+            radius, v = ring(self.right_disc)
+            radii.append(radius)
+            pieces.append((b - v, v))
+        middle = _middle(b, *(r / _SPLIT for r in radii))
+        pieces.append(middle[:2])
+        g = line(*(np.concatenate(side) for side in zip(*pieces)))
+        g = np.split(g, np.cumsum([p.size for p, _ in pieces[:-1]]))
+        ends = [_End.build(self.j(u, None, g[0]) @ _DFT, radii[0], self.beta)]
         if self.right_disc is not None:
             # u = b - v at the cut at 1: the log scale cancels P's (2v)^{-w},
             # and the series is u^{-beta} J (2v)^w 2^{-w} = u^{-beta} J v^w
-            radius, v = ring(self.right_disc)
             log_v = np.log(v)
-            series = self.j(b - v, log_v, line(b - v, v), self.w * (math.log(2.0) + log_v))
+            series = self.j(b - v, log_v, g[1], self.w * (math.log(2.0) + log_v))
             series *= np.exp(-self.beta * np.log(b - v) - self.w * math.log(2.0))
-            ends.append(_End.build(series @ _DFT, radius, self.w, b))
+            ends.append(_End.build(series @ _DFT, radii[1], self.w, b))
         self.ends = tuple(ends)
-        u, cu, weight = self.middle()
-        c = self.j(u, np.log(cu), line(u, cu), np.log(weight) - self.beta * np.log(u))
+        u, cu, weight = middle
+        c = self.j(u, np.log(cu), g[-1], np.log(weight) - self.beta * np.log(u))
         self.rows = (np.concatenate([[0.0], u]), np.concatenate([[0.0], c]))
 
     def middle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, cu = b - u, weight) at the Gauss-Legendre nodes from the left
-        end's r to b, or to b/2 and on to b - r of a right end (cu exact)."""
-        (left, *right), b = self.ends, self.b
-        t, weight = _panels(left.r, 0.5 * b if right else b)
-        if not right:
-            return t, b - t, weight
-        v, w = _panels(right[0].r, 0.5 * b)
-        return np.concatenate([t, b - v]), np.concatenate([b - t, v]), np.concatenate([weight, w])
+        """(u, cu = b - u, weight) at the rule's Gauss-Legendre nodes."""
+        return _middle(self.b, *(end.r for end in self.ends))
 
     @cached_property
     def j0(self) -> complex:

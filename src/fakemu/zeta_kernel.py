@@ -140,7 +140,8 @@ def _pow_minus_s(
     2 pi in extended precision, with logn128 (logn cast to _F128 where it
     is not given), or raises PlatformError where longdouble is float64.
     Each row is computed by its own rule, so a point's bits do not depend
-    on its batch."""
+    on its batch.  Both rules are conjugate-symmetric to the bit: the wide
+    one reduces |Im s| log n and conjugates the rows with Im s < 0."""
     phase = np.abs(s.imag) * (logn[-1] if logn.size else 0.0)
     wide = phase >= _PHASE_MAX_FLOAT64
     if not wide.any():
@@ -159,8 +160,9 @@ def _pow_minus_s(
         out[wide] = _pow_minus_s(logn, s[wide], logn128)
         return out
     mag = np.exp(np.multiply.outer(-s.real, logn))
-    reduced = np.mod(np.multiply.outer(s.imag.astype(_F128), logn128), _TWO_PI_128)
-    return mag * np.exp(-1j * reduced.astype(np.float64))
+    reduced = np.mod(np.multiply.outer(np.abs(s.imag).astype(_F128), logn128), _TWO_PI_128)
+    out = mag * np.exp(-1j * reduced.astype(np.float64))
+    return np.conjugate(out, out=out, where=(s.imag < 0.0)[:, None])
 
 
 #: Euler-Maclaurin: (points x terms) entries per block, 256 kB of complex

@@ -74,24 +74,26 @@ def test_classify_at_a_zero_of_a_local_factor(capsys):
 
 
 def test_classify_takes_logs_only_at_the_explicit_primes(capsys, monkeypatch):
-    # G(1/2) takes three logs at each of its explicit primes, those with
-    # p^{-1/2} > RHO_SERIES; the tail bound takes none
+    # G(1/2) fills its table entry with two logs, of 1 - u and 1 - u^2, at
+    # each of its explicit primes, those with p^{-1/2} > RHO_SERIES, and
+    # takes no log of g; the tail bound takes none
     from fakemu import euler_residual
     from fakemu.sieve import primes_up_to
 
     n_exp = sum(p ** -0.5 > euler_residual.RHO_SERIES for p in primes_up_to(1000).tolist())
 
     sizes = []
-    log_terms = euler_residual._log_terms
+    log_near_unit = euler_residual._log_near_unit
 
-    def spy(spec, s, logp):
-        sizes.append(logp.size)
-        return log_terms(spec, s, logp)
+    def spy(v):
+        sizes.append(v.size)
+        return log_near_unit(v)
 
-    monkeypatch.setattr(euler_residual, "_log_terms", spy)
+    monkeypatch.setattr(euler_residual, "_log_near_unit", spy)
+    euler_residual.GfConfig().prime_sums.clear()  # so that G(1/2) fills its entry here
     code, _, _ = run(["classify", "--eps", "periodic:m=2:[i,-i]"], capsys)
     assert code == 0
-    assert sizes == [n_exp]
+    assert sizes == [n_exp, n_exp]
 
 
 def test_contour_below_re_s_min_is_a_domain_error(capsys):
@@ -483,3 +485,22 @@ def test_cli_runs_with_numpy_only(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for command in ("classify", "evaluate", "watson"):
         json.loads(Path(f"{out}-{command}").read_text())
+
+
+_BLOCK_SIEVE = """
+import sys
+from fakemu import verify
+verify.check_block_sieve()
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_block_sieve_check_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma (~0.6 MB resident); the check drops its
+    # repeats with a sort and a mask instead
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCK_SIEVE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

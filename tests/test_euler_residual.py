@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fakemu import euler_residual, zeta_kernel
+from fakemu import euler_residual, verify, zeta_kernel
 from fakemu.eps_model import EpsilonSpec, eps_at, parse_eps_spec, zw_params
 from fakemu.errors import CapacityError, DomainError, PlatformError, RangeError
 from fakemu.euler_residual import G_f, G_f_tail_estimate, GfConfig, _log_near_unit
@@ -97,13 +97,17 @@ def test_log_near_unit_branch_on_negative_axis():
 
 
 def test_G_f_matches_np_log_reference(cfg):
+    # the table is emptied before and after the np.log pass, so that pass
+    # fills its own E_1 and E_2 and leaves none behind
     cases = [(spec, s) for spec in REF_SPECS for s in REF_POINTS]
     got = [G_f(spec, s, cfg) for spec, s in cases]
+    cfg.prime_sums.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(euler_residual, "_log_near_unit", np.log)
         for (spec, s), g in zip(cases, got):
             want = G_f(spec, s, cfg)
             assert abs(g - want) <= 1e-13 * abs(want), (spec.class_tag, s)
+    cfg.prime_sums.clear()
 
 
 def test_mobius_identically_one(cfg):
@@ -281,7 +285,7 @@ def test_kernel_matches_the_all_primes_logs(limit):
     for spec in specs:
         for s in REF_POINTS:
             got = euler_residual.G_f_line(spec, s, [0.0], cfg)
-            want = np.exp(np.sum(euler_residual._log_terms(spec, s, cfg.logp)))
+            want = np.exp(np.sum(verify._log_terms(spec, s, cfg.logp)))
             assert got.shape == (1,)
             assert abs(got[0] - want) <= 3e-14 * abs(want), (spec.class_tag, s)
 
@@ -361,8 +365,10 @@ def test_series_buffers_within_block(sigma, cfg, monkeypatch):
 def test_wide_phase_needs_extended_precision(cfg, monkeypatch):
     # G reduces a phase of 8 rad or more as zeta does, so without a
     # longdouble wider than float64 it refuses such a point; a real point
-    # keeps its bits
+    # keeps its bits.  The table is emptied first, so that the wide point's
+    # powers are computed here
     real = G_f(FIG53, 0.5, cfg)
+    cfg.prime_sums.clear()
     monkeypatch.setattr(zeta_kernel, "_EXTENDED_PHASE", False)
     with pytest.raises(PlatformError):
         G_f(FIG53, 0.5 + 14.134725141734694j, cfg)
@@ -394,19 +400,20 @@ SPLIT_AT = {0.35: (25, 46), 0.4: (16, 45), 0.5: (9, 43), 1.0: (2, 46), 1.5: (1, 
 @pytest.mark.parametrize("sigma", sorted(SPLIT_AT))
 def test_quoted_split_of_the_primes(sigma, cfg, monkeypatch):
     # the explicit count is _G_rows's searchsorted, the top order that of
-    # _series_orders at sigma_min on its 1/256 grid, both read off one G
+    # _series_orders at sigma_min on its 1/256 grid, both read off one
+    # fill of the table
     seen = {}
-    log_terms, fill_sums = euler_residual._log_terms, euler_residual._fill_sums
+    fill_explicit, fill_sums = euler_residual._fill_explicit, euler_residual._fill_sums
 
-    def spy_logs(spec, s, logp):
+    def spy_explicit(points, logp):
         seen["explicit"] = logp.size
-        return log_terms(spec, s, logp)
+        return fill_explicit(points, logp)
 
-    def spy_fill(reps, u, logq, active):
+    def spy_fill(reps, u, logq, active, out):
         seen["top"] = active.size - 2  # active[k], k = 0..top + 1
-        return fill_sums(reps, u, logq, active)
+        return fill_sums(reps, u, logq, active, out)
 
-    monkeypatch.setattr(euler_residual, "_log_terms", spy_logs)
+    monkeypatch.setattr(euler_residual, "_fill_explicit", spy_explicit)
     monkeypatch.setattr(euler_residual, "_fill_sums", spy_fill)
     cfg.prime_sums.clear()  # so that the point's sums are filled here
     G_f(FIG53, sigma, cfg)
@@ -476,6 +483,83 @@ def test_prime_sums_are_shared_by_every_spec_and_batch(cfg):
         misses, hits = sums.misses, sums.hits
         assert bits(FIG53) == alone
         assert sums.misses == misses and sums.hits == hits + rows.size
+
+
+def test_row_bits_do_not_depend_on_who_filled_its_entry(cfg):
+    # U = p^{-s}, E_1 and E_2 of the explicit primes live in the table
+    # beside S: at sigma_min = 0.35 (25 explicit primes) a row has the same
+    # G bits on a fresh table and on one that another spec filled, alone
+    # and in a batch, in either half-plane
+    u = np.array([0.0, 0.05, 0.1])
+    rows = np.array([0.45 + 0.03j, 0.45 - 0.03j, 0.45 + 21.022j, 0.45 - 21.022j, 0.45])
+    specs = (FIG53, QUAD, MINUS_ONES)
+
+    def each_row(spec, fresh):
+        out = []
+        for s0 in rows.tolist():
+            if fresh:
+                cfg.prime_sums.clear()
+            out.append(euler_residual.G_f_line(spec, s0, u, cfg).tobytes())
+        return out
+
+    # what a lower-half row reads conjugated is what it would fill itself
+    points = rows[:4:2, None] - u  # the upper rows off the real axis
+    mine = euler_residual._fill_explicit(points.ravel(), cfg.logp[:25])
+    mirror = euler_residual._fill_explicit(points.conj().ravel(), cfg.logp[:25])
+    for got, want in zip(mirror, mine):
+        assert got.tobytes() == want.conj().tobytes()
+    for spec in specs:
+        alone = each_row(spec, fresh=True)
+        cfg.prime_sums.clear()
+        batch = euler_residual.G_f_line(spec, rows, u, cfg)
+        assert [row.tobytes() for row in batch] == alone
+        for other in specs:
+            if other is not spec:
+                cfg.prime_sums.clear()
+                euler_residual.G_f_line(other, rows, u, cfg)
+                batch = euler_residual.G_f_line(spec, rows, u, cfg)
+                assert [row.tobytes() for row in batch] == alone
+                assert each_row(spec, fresh=False) == alone
+
+
+def test_second_spec_takes_no_powers_and_no_logs(cfg, monkeypatch):
+    # a spec whose keys another spec filled computes no p^{-s} and no log:
+    # g at the stored powers, one product and one dot per row
+    u = np.linspace(0.0, 0.1, 9)
+    rows = np.array([0.5, 0.5 + 14.134725141734694j, 0.5 - 14.134725141734694j])
+    ring = 0.5 - 0.05 * np.exp(2j * math.pi * np.arange(16) / 16)
+    cfg.prime_sums.clear()
+    euler_residual.G_f_line(QUAD, rows, u, cfg)
+    G_f(QUAD, ring, cfg)
+    calls = []
+    for name in ("_pow_minus_s", "_log_near_unit"):
+        fn = getattr(euler_residual, name)
+        monkeypatch.setattr(
+            euler_residual, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+        )
+    for spec in (FIG53, FIG51A, MOBIUS):
+        euler_residual.G_f_line(spec, rows, u, cfg)
+        G_f(spec, ring, cfg)
+    assert calls == []
+    cfg.prime_sums.clear()  # a fill takes both, so the spies see one
+    G_f(FIG53, 0.5, cfg)
+    assert calls == ["_pow_minus_s", "_log_near_unit", "_log_near_unit"]
+
+
+def test_G_at_a_zero_of_g_at_two(cfg):
+    # g(2^{-1/2}) = 1 + eps_1 2^{-1/2} + eps_2/2 = 0 with unimodular eps_2
+    # where cos theta = -1.25/sqrt(2), so c_1/2 vanishes off z + w in Z: the
+    # product of g at the explicit primes gives G(1/2) = 0 up to the
+    # rounding of g, with no log of it taken
+    eps_1 = cmath.exp(1j * math.acos(-1.25 / math.sqrt(2.0)))
+    eps_2 = -2.0 - math.sqrt(2.0) * eps_1
+    assert abs(abs(eps_2) - 1.0) <= 1e-15
+    spec = EpsilonSpec("FINITE", values=(eps_1, eps_2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = G_f(spec, 0.5, cfg)
+    assert cmath.isfinite(got) and abs(got) <= 1e-15
+    assert abs(G_f(spec, 0.6, cfg)) > 1e-3
 
 
 def test_prime_sums_keep_their_cap(cfg, monkeypatch):

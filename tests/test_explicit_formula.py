@@ -1106,21 +1106,30 @@ def test_levels_are_nested_bit_for_bit(monkeypatch, a, kind):
 
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
 @pytest.mark.parametrize("a", [0.35, 0.40, 0.449])
-def test_cold_delta_calls_j_once_per_node(a, kind):
-    # one J call on each end ring, then one on the middle nodes, whose
-    # table rows are u and that call's c, each node once
+def test_cold_delta_calls_j_once_per_node(monkeypatch, a, kind):
+    # the rule reads its G line once, at every ring point and node; then
+    # one J call on each end ring and one on the middle nodes, each with
+    # its piece of that read, and the table rows are u and the last call's
+    # c, each node once
+    reads = []
+    clenshaw = explicit_formula._clenshaw
+    monkeypatch.setattr(
+        explicit_formula, "_clenshaw", lambda c, x: reads.append(clenshaw(c, x)) or reads[-1]
+    )
     ctx, cut, calls = _counting_cut(a, kind)
     ctx.deltas(1e4, [cut])
+    assert len(reads) == 1
     assert len(calls) == len(cut.ends) + 1
     for args, end in zip(calls, cut.ends):
         assert np.size(args[0]) == end.taylor.size
+    assert np.concatenate([args[2] for args in calls]).tobytes() == reads[0].tobytes()
     u, cu, log_cu, log_scale = _rule_nodes(cut)
     args = calls[-1]
     assert args[0].tobytes() == u.tobytes() and args[1].tobytes() == log_cu.tobytes()
     assert np.unique(u).size == u.size and np.all((0 < u) & (u < cut.b))
     rows_u, rows_c = _rows(cut)
     assert rows_u.tobytes() == u.tobytes()
-    assert rows_c.tobytes() == cut.j(u, log_cu, cut.g_line(u, cu), log_scale).tobytes()
+    assert rows_c.tobytes() == cut.j(u, log_cu, reads[0][-u.size:], log_scale).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(CUT_KINDS))
@@ -1352,8 +1361,9 @@ def test_parts_frozen(spec, x, d1, dh, rho):
 
 def test_direct_G_paths_bitwise_frozen():
     # c_1/2, Watson coefficients and residues call G_f directly, the G kernel
-    # at one point; frozen from it (Mobius, whose G is exactly 1, kept its
-    # bits).  J in numpy arrays moved c_1/2 and the Watson lines by <= 7.2e-15;
+    # at one point; frozen from it (Mobius, whose G was exactly 1, kept its
+    # bits until the product form below).  J in numpy arrays moved c_1/2
+    # and the Watson lines by <= 7.2e-15;
     # capping the series buffers at 2^14 entries re-blocked one-point G and
     # moved c_1/2(FIG53).imag (...158j -> ...16j) and the "half" line's
     # lambda_0.imag (...2914j -> ...29134j), both by ~2e-16 relative.  The
@@ -1387,29 +1397,48 @@ def test_direct_G_paths_bitwise_frozen():
     # -> ...129e-09j) by 3.7e-15; delta_half(LIOUVILLE) (...763 -> ...76,
     # ...227e-15j -> ...223e-15j) by 1.9e-16 and the Liouville residue
     # (...454e-13 -> ...444e-13, ...525e-14j -> ...521e-14j) by 4.1e-16.
+    # G as exp(z E_1 + w E_2 + a.S) times the product of g at the explicit
+    # primes (no log of g, so Mobius's G is 1 only to rounding), and each
+    # cut's one line read at complex x, moved, relative to each value:
+    # c_1/2(FIG53) (...992 -> ...9919, ...151j -> ...148j) by 2.5e-16,
+    # c_1/2(FIG51A) (...542 -> ...539, ...827j -> ...822j) by 5.4e-16,
+    # c_1/2(LIOUVILLE) (...171 -> ...172, ...698e-17j -> ...6981e-17j) by
+    # 1.8e-16; the "one" line's lambda_0.imag (...209j -> ...21j) by 9.9e-17,
+    # lambda_1 (...535 -> ...5338, ...768j -> ...6794j) by 4.8e-16 and
+    # lambda_2 (...0372 -> ...0204, ...183j -> ...172j) by 4.4e-15; the
+    # "half" line's lambda_0.real (...116 -> ...105) by 2.4e-16, lambda_1.real
+    # (...493 -> ...496) by 2.4e-16 and lambda_2 (...077 -> ...091, ...716j ->
+    # ...688j) by 2.6e-15; the "zero:1" line's lambda_0.imag (...8486e-10j ->
+    # ...849e-10j) by 6.9e-17, lambda_1.imag (...055e-09j -> ...06e-09j) by
+    # 2.1e-16 and lambda_2 (...944e-09 -> ...936e-09, ...129e-09j ->
+    # ...124e-09j) by 1.3e-15; delta_half(LIOUVILLE) (...376 -> ...3763,
+    # ...223e-15j -> ...227e-15j) by 1.9e-16; the Mobius residue (...107e-09
+    # -> ...1e-09, ...682e-08j -> ...6817e-08j) by 1.5e-16 and the Liouville
+    # residue (...444e-13 -> ...464e-13, ...521e-14j -> ...527e-14j) by
+    # 8.0e-16.  delta_1(ONES) kept its bits.
     cfg = FormulaConfig(n_zeros=2)
-    assert c_half(FIG53, cfg) == 0.0684096884973992 + 0.10362335917983151j
-    assert c_half(FIG51A, cfg) == -0.09422578122261542 + 0.06516941744283827j
-    assert c_half(LIOUVILLE, cfg) == -0.6068573898369171 + 7.43185960002698e-17j
+    assert c_half(FIG53, cfg) == 0.06840968849739919 + 0.10362335917983148j
+    assert c_half(FIG51A, cfg) == -0.09422578122261539 + 0.06516941744283822j
+    assert c_half(LIOUVILLE, cfg) == -0.6068573898369172 + 7.431859600026981e-17j
     assert watson_coeffs(FIG53, "one", 2, cfg) == [
-        0.8854657004659543 - 0.6946286740269209j,
-        -0.711654955524535 - 2.39305362949768j,
-        -3.3537575608880372 - 3.195306640445183j,
+        0.8854657004659543 - 0.694628674026921j,
+        -0.7116549555245338 - 2.3930536294976794j,
+        -3.3537575608880204 - 3.195306640445172j,
     ]
     assert watson_coeffs(FIG53, "half", 2, cfg) == [
-        0.31880303445385116 + 0.3353786866282914j,
-        -0.8986811081294493 - 0.2427910474398723j,
-        -5.632969973908077 - 0.6117178597499716j,
+        0.31880303445385105 + 0.3353786866282914j,
+        -0.8986811081294496 - 0.2427910474398723j,
+        -5.632969973908091 - 0.6117178597499688j,
     ]
     assert watson_coeffs(FIG53, "zero:1", 2, cfg) == [
-        -6.254788380768638e-10 + 4.2081717842128486e-10j,
-        2.597102711916893e-09 + 1.3126628633247055e-09j,
-        2.089938378085944e-09 - 7.055732049228129e-09j,
+        -6.254788380768638e-10 + 4.208171784212849e-10j,
+        2.597102711916893e-09 + 1.312662863324706e-09j,
+        2.089938378085936e-09 - 7.055732049228124e-09j,
     ]
     assert delta_1(ONES, 1e3, cfg) == 999.9999999999995 + 0j  # G(1) = 1, Gamma(1) = 1 - 4.4e-16
-    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.19051566789376 + 2.3501603586673223e-15j
-    assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.7165916970526107e-09 + 2.245525693034682e-08j
-    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045662444e-13 - 4.079195044975521e-14j
+    assert delta_half(LIOUVILLE, 1e3, cfg) == -19.190515667893763 + 2.3501603586673227e-15j
+    assert delta_rho(MOBIUS, 1, 1e3, cfg) == 3.71659169705261e-09 + 2.2455256930346817e-08j
+    assert delta_rho(LIOUVILLE, 2, 1e3, cfg, True) == 2.6106417045662464e-13 - 4.079195044975527e-14j
 
 
 # ---------------------------------------------------------------- zero index and shared sweeps

@@ -199,6 +199,21 @@ def test_narrow_powers_within_their_bound_of_the_extended_phase(monkeypatch):
     assert np.all(np.abs(narrow - wide) <= bound * np.abs(wide))
 
 
+def test_powers_are_conjugate_symmetric_on_both_paths():
+    # n^{-conj(s)} = conj(n^{-s}) to the bit, on the float64 path (phase
+    # below 8 rad at n = 59) and on the extended one, which reduces
+    # |Im s| log n and conjugates; so a lower-half row of G reads its
+    # upper-half rep's powers conjugated
+    rng = np.random.default_rng(11)
+    logn, logn128 = zeta_kernel._logn(60)
+    for lo, hi, wide in ((0.0, 1.9, False), (2.5, 600.0, True)):
+        s = rng.uniform(0.3, 3.0, 4000) + 1j * rng.uniform(lo, hi, 4000)
+        assert np.all((np.abs(s.imag) * logn[-1] >= zeta_kernel._PHASE_MAX_FLOAT64) == wide)
+        got = zeta_kernel._pow_minus_s(logn, s, logn128)
+        mirror = zeta_kernel._pow_minus_s(logn, s.conj(), logn128)
+        assert mirror.tobytes() == got.conj().tobytes(), wide
+
+
 def test_narrow_batch_needs_no_extended_phase(monkeypatch):
     # without a longdouble wider than float64 a batch of narrow points
     # keeps its bits; one wide point in it raises
